@@ -4,6 +4,14 @@ An algebra is a structure-constant table c[i][j] = coordinates of b_i * b_j
 plus a unit vector.  Modules carry one action matrix per algebra basis
 element, acting on the left of coordinate column vectors; right modules use
 the reversed composition law.  All constructors validate their invariants.
+
+The module law is checked one structure-table row at a time: for each i the
+products action(b_i) @ action(b_j) for all j come from one stacked matmul
+and are compared with the table row applied to the flattened action stack,
+so a check costs dim(A) numpy calls and O(dim(A) * dim(M)^2) memory.  Hom
+spaces intertwine only a generating set of the algebra (see
+`algebra_generators`) and keep their basis in RREF, so coordinates are read
+off at the pivot columns.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ import numpy as np
 
 from .linalg import (FieldSpec, FpMatrix, LinalgError, QuotientMaps, hstack,
                      in_row_span, kernel_basis, kron, quotient_maps, rank,
-                     rref, solve, vstack)
+                     row_basis, rref, solve, vstack)
 
 
 class AlgebraError(ValueError):
@@ -107,6 +115,32 @@ def opposite_algebra(a: Algebra) -> Algebra:
     return a._cache[key]
 
 
+def algebra_generators(a: Algebra) -> List[int]:
+    """Basis indices generating `a` as a unital algebra, picked greedily in
+    basis order: b_i joins when it is not in the subalgebra generated by 1
+    and the earlier picks.  A linear map between modules intertwines every
+    element of `a` iff it intertwines these."""
+    if "generators" not in a._cache:
+        eye = np.eye(a.dim, dtype=np.int64)
+        span = row_basis(FpMatrix(a.unit.reshape(1, -1), a.field))
+        gens: List[int] = []
+        for i in range(a.dim):
+            if span.rows == a.dim:
+                break
+            if in_row_span(span, eye[i]):
+                continue
+            gens.append(i)
+            grown = vstack([span, FpMatrix(eye[i:i + 1], a.field)])
+            while grown.rows > span.rows:
+                # close under right multiplication by every generator
+                span = grown
+                grown = row_basis(vstack([span] + [
+                    FpMatrix(span.arr @ a.sc[:, g, :], a.field)
+                    for g in gens]))
+        a._cache["generators"] = gens
+    return a._cache["generators"]
+
+
 def product_algebra(a: Algebra, b: Algebra) -> Tuple[Algebra, np.ndarray, np.ndarray]:
     """Componentwise product; also returns the two central orthogonal
     idempotents (1,0) and (0,1) as coordinate vectors."""
@@ -130,6 +164,9 @@ class LeftModule:
     """Left module: action[i] is the matrix of b_i acting on coordinates."""
 
     side = "left"
+    # axes of the structure table giving the law's right-hand side:
+    # action(b_i) @ action(b_j) = sum_k table[i][j][k] action(b_k)
+    _law_axes = (0, 1, 2)
 
     def __init__(self, over: Algebra, action: Sequence[FpMatrix],
                  validate: bool = True):
@@ -144,27 +181,21 @@ class LeftModule:
         if validate:
             self.validate()
 
-    def _law(self, i: int, j: int) -> FpMatrix:
-        return self.action[i] @ self.action[j]
-
-    def _law_rhs(self, i: int, j: int) -> np.ndarray:
-        coeffs = self.over.sc[i, j]
-        acc = np.zeros((self.dim, self.dim), dtype=np.int64)
-        for k in range(self.over.dim):
-            if coeffs[k]:
-                acc += int(coeffs[k]) * self.action[k].arr
-        return acc % self.over.field.p
-
     def validate(self):
-        p = self.over.field.p
         unit_act = self.act_matrix(self.over.unit)
         if not (unit_act.arr == np.eye(self.dim, dtype=np.int64)).all():
             raise AlgebraError("unit does not act as identity")
-        for i in range(self.over.dim):
-            for j in range(self.over.dim):
-                if not (self._law(i, j).arr == self._law_rhs(i, j)).all():
-                    raise AlgebraError(
-                        f"{self.side} module law violated at ({i},{j})")
+        p, n, d = self.over.field.p, self.over.dim, self.dim
+        table = np.transpose(self.over.sc, self._law_axes)
+        acts = np.array([m.arr for m in self.action]).reshape(n, d, d)
+        flat = acts.reshape(n, d * d)
+        for i in range(n):
+            # row i of the law: action(b_i) @ action(b_j) for every j at once
+            lhs = ((acts[i] @ acts) % p).reshape(n, d * d)
+            bad = (lhs != (table[i] @ flat) % p).any(axis=1)
+            if bad.any():
+                raise AlgebraError(f"{self.side} module law violated at "
+                                   f"({i},{int(np.argmax(bad))})")
 
     def act_matrix(self, elem) -> FpMatrix:
         elem = np.asarray(elem, dtype=np.int64)
@@ -192,14 +223,7 @@ class RightModule(LeftModule):
     action(b_i) @ action(b_j) = sum_k c[j][i][k] action(b_k)."""
 
     side = "right"
-
-    def _law_rhs(self, i: int, j: int) -> np.ndarray:
-        coeffs = self.over.sc[j, i]
-        acc = np.zeros((self.dim, self.dim), dtype=np.int64)
-        for k in range(self.over.dim):
-            if coeffs[k]:
-                acc += int(coeffs[k]) * self.action[k].arr
-        return acc % self.over.field.p
+    _law_axes = (1, 0, 2)
 
     def as_left_over_opposite(self) -> LeftModule:
         return LeftModule(opposite_algebra(self.over), self.action)
@@ -339,20 +363,20 @@ class HomSpace:
         self.target = target
         field = source.over.field
         ds, dt = source.dim, target.dim
-        n = source.over.dim
         if ds == 0 or dt == 0:
             self.mat = FpMatrix.zeros(0, dt * ds, field)
         else:
-            blocks = []
             idt = FpMatrix.identity(dt, field)
             ids = FpMatrix.identity(ds, field)
-            for i in range(n):
-                # T @ S_i - N_i @ T = 0, vec row-major:
-                # (I ox S_i^T - N_i ox I) vec(T) = 0
-                blocks.append(kron(idt, source.action[i].transpose())
-                              - kron(target.action[i], ids))
-            sysm = vstack(blocks)
-            self.mat = kernel_basis(sysm)
+            # T @ S_g - N_g @ T = 0 for the algebra generators g, vec
+            # row-major: (I ox S_g^T - N_g ox I) vec(T) = 0
+            blocks = [kron(idt, source.action[g].transpose())
+                      - kron(target.action[g], ids)
+                      for g in algebra_generators(source.over)]
+            self.mat = kernel_basis(vstack(blocks) if blocks else
+                                    FpMatrix.zeros(0, dt * ds, field))
+        # mat is in RREF: each row's leading entry is a 1 in its pivot column
+        self.pivots = [int(np.flatnonzero(row)[0]) for row in self.mat.arr]
         self.field = field
 
     @property
@@ -367,13 +391,24 @@ class HomSpace:
     def basis(self) -> List[ModuleHom]:
         return [self.basis_hom(k) for k in range(self.dim)]
 
+    def basis_array(self) -> np.ndarray:
+        """The basis homs as one (dim, target.dim, source.dim) array."""
+        return self.mat.arr.reshape(self.dim, self.target.dim, self.source.dim)
+
     def coords(self, matrix: FpMatrix) -> np.ndarray:
         """Coordinates of a hom matrix in this basis; raises if not in span."""
-        v = FpMatrix.column(matrix.arr.reshape(-1), self.field)
-        x = solve(self.mat.transpose(), v)
-        if x is None:
+        return self.coords_many([matrix.arr]).arr[:, 0]
+
+    def coords_many(self, mats) -> FpMatrix:
+        """Coordinates of a stack of target.dim x source.dim integer arrays,
+        one column per array; raises if any is not in the span."""
+        p = self.field.p
+        v = np.asarray(mats, dtype=np.int64)
+        v = v.reshape(len(v), self.mat.cols) % p
+        x = v[:, self.pivots]
+        if ((x @ self.mat.arr) % p != v).any():
             raise AlgebraError("matrix is not in the hom space")
-        return x.arr.reshape(-1)
+        return FpMatrix(x.T, self.field)
 
     def element(self, coords) -> ModuleHom:
         coords = np.asarray(coords, dtype=np.int64)
@@ -590,42 +625,19 @@ class HomModule:
             raise AlgebraError("legs do not match")
         self.bimodule = m
         self.y = y
-        field = y.over.field
         self.homs = HomSpace(m.left_module(), y)
-        h = self.homs.dim
-        b = m.right_over
-        action = []
-        for i in range(b.dim):
-            cols = []
-            for k in range(h):
-                t = self.homs.basis_hom(k).matrix
-                moved = t @ m.right_action[i]
-                cols.append(self.homs.coords(moved))
-            arr = (np.array(cols, dtype=np.int64).T if h else
-                   np.zeros((0, 0), dtype=np.int64))
-            action.append(FpMatrix(arr.reshape(h, h), field))
-        self.space = LeftModule(b, action)
+        stack = self.homs.basis_array()
+        self.space = LeftModule(m.right_over, [self.homs.coords_many(
+            stack @ ra.arr) for ra in m.right_action])
 
     def evaluation_matrix(self, j: int) -> FpMatrix:
         """Matrix of 'evaluate at the j-th basis vector of M': space -> Y."""
-        field = self.y.over.field
-        cols = [self.homs.basis_hom(k).matrix.col(j)
-                for k in range(self.homs.dim)]
-        arr = (np.array(cols, dtype=np.int64).T if cols else
-               np.zeros((self.y.dim, 0), dtype=np.int64))
-        return FpMatrix(arr.reshape(self.y.dim, self.homs.dim), field)
+        return FpMatrix(self.homs.basis_array()[:, :, j].T, self.y.over.field)
 
     def postcompose(self, other: "HomModule", u: ModuleHom) -> ModuleHom:
         """Induced map Hom(M, Y) -> Hom(M, Y') for u: Y -> Y'
         (other must be Hom(M, Y'))."""
-        cols = []
-        for k in range(self.homs.dim):
-            t = self.homs.basis_hom(k).matrix
-            cols.append(other.homs.coords(u.matrix @ t))
-        field = self.y.over.field
-        arr = (np.array(cols, dtype=np.int64).T if cols else
-               np.zeros((other.homs.dim, 0), dtype=np.int64))
-        mat = FpMatrix(arr.reshape(other.homs.dim, self.homs.dim), field)
+        mat = other.homs.coords_many(u.matrix.arr @ self.homs.basis_array())
         return ModuleHom(self.space, other.space, mat, validate=False)
 
 

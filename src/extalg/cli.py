@@ -481,6 +481,18 @@ def _write_report(report: dict, out: Optional[str]):
         sys.stdout.write(payload)
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer >= low; argparse turns a rejection into
+    exit status 2 with a message naming the flag."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"
+    return parse
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="extalg",
@@ -493,9 +505,9 @@ def main(argv=None) -> int:
             p.add_argument("workspace", help="workspace JSON file")
             p.add_argument("--target", default=None,
                            help="instance name (default: all of the kind)")
-            p.add_argument("--bound", type=int, default=None)
-            p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--window", type=int, default=None)
+            p.add_argument("--bound", type=_int_at_least(0), default=None)
+            p.add_argument("--seed", type=_int_at_least(0), default=0)
+            p.add_argument("--window", type=_int_at_least(1), default=None)
         p.add_argument("--out", default=None, help="report output path")
 
     common(sub.add_parser("validate", help="load and validate a workspace"))

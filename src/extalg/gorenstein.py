@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 from .algebra import (Algebra, AlgebraError, Bimodule, HomSpace, LeftModule,
                       ModuleHom, RightModule, cokernel_module,
                       direct_sum_modules, dual_module, hom_space,
@@ -80,14 +78,8 @@ def star_module(m) -> Tuple[object, HomSpace]:
     else:
         hs = hom_space(m, LeftModule.regular(a))
         mults = a.rmats
-    h = hs.dim
-    action = []
-    for i in range(a.dim):
-        cols = [hs.coords(mults[i] @ hs.basis_hom(k).matrix)
-                for k in range(h)]
-        arr = (np.array(cols, dtype=np.int64).T if cols else
-               np.zeros((0, 0), dtype=np.int64))
-        action.append(FpMatrix(arr.reshape(h, h), a.field))
+    stack = hs.basis_array()
+    action = [hs.coords_many(mult.arr @ stack) for mult in mults]
     star = LeftModule(a, action) if isinstance(m, RightModule) \
         else RightModule(a, action)
     return star, hs
@@ -98,16 +90,8 @@ def biduality_map(m) -> ModuleHom:
     reflexive modules."""
     mstar, hs1 = star_module(m)
     mstarstar, hs2 = star_module(mstar)
-    a = m.over
-    cols = []
-    for b in range(m.dim):
-        tb = np.zeros((a.dim, hs1.dim), dtype=np.int64)
-        for k in range(hs1.dim):
-            tb[:, k] = hs1.basis_hom(k).matrix.arr[:, b]
-        cols.append(hs2.coords(FpMatrix(tb, a.field)))
-    arr = (np.array(cols, dtype=np.int64).T if cols else
-           np.zeros((hs2.dim, 0), dtype=np.int64))
-    mat = FpMatrix(arr.reshape(hs2.dim, m.dim), a.field)
+    # m's basis vector b goes to "evaluate at b": column k is phi_k[:, b]
+    mat = hs2.coords_many(hs1.basis_array().transpose(2, 1, 0))
     return ModuleHom(m, mstarstar, mat, validate=False)
 
 
@@ -373,8 +357,6 @@ def complete_resolution(c, window: int, seed: int = 0) -> CompleteResolution:
     opposite algebra, glued along the biduality map.  The output is a
     genuine complete-resolution window exactly when c is totally
     reflexive on the window (validated by callers)."""
-    a = c.over
-    field = a.field
     cstar, _ = star_module(c)
     cl = cstar.as_left_over_opposite() if isinstance(cstar, RightModule) \
         else cstar
@@ -385,14 +367,9 @@ def complete_resolution(c, window: int, seed: int = 0) -> CompleteResolution:
     # P^j := Hom_op(Q_j, op) as a module on the original side
     right_terms = []
     for hs in spaces:
-        action = []
-        for i in range(a.dim):
-            cols = [hs.coords(op.rmats[i] @ hs.basis_hom(k).matrix)
-                    for k in range(hs.dim)]
-            arr = (np.array(cols, dtype=np.int64).T if cols else
-                   np.zeros((0, 0), dtype=np.int64))
-            action.append(FpMatrix(arr.reshape(hs.dim, hs.dim), field))
-        right_terms.append(type(c)(c.over, action))
+        stack = hs.basis_array()
+        right_terms.append(type(c)(c.over, [hs.coords_many(r.arr @ stack)
+                                            for r in op.rmats]))
     right_diffs = []
     for j in range(len(res2.diffs)):
         mat = _precompose_matrix(spaces[j], spaces[j + 1], res2.diffs[j])
@@ -402,11 +379,8 @@ def complete_resolution(c, window: int, seed: int = 0) -> CompleteResolution:
     # augmentation
     ev = biduality_map(c)
     hs_cl = hom_space(cl, reg_op)
-    cols = [spaces[0].coords(hs_cl.basis_hom(k).matrix @ res2.epi.matrix)
-            for k in range(hs_cl.dim)]
-    arr = (np.array(cols, dtype=np.int64).T if cols else
-           np.zeros((spaces[0].dim, 0), dtype=np.int64))
-    aug_star = FpMatrix(arr.reshape(spaces[0].dim, hs_cl.dim), field)
+    aug_star = spaces[0].coords_many(hs_cl.basis_array()
+                                     @ res2.epi.matrix.arr)
     mono = ModuleHom(c, right_terms[0], aug_star @ ev.matrix, validate=False)
     res1 = minimal_projective_resolution(c, window - 1, seed)
     left_terms = list(reversed(res1.terms))

@@ -166,12 +166,7 @@ class ExtResult:
 def _precompose_matrix(hs_from: HomSpace, hs_to: HomSpace,
                        d: ModuleHom) -> FpMatrix:
     """Matrix of Hom(Y, q) -> Hom(X, q), phi -> phi o d, for d: X -> Y."""
-    field = d.matrix.field
-    cols = [hs_to.coords(hs_from.basis_hom(k).matrix @ d.matrix)
-            for k in range(hs_from.dim)]
-    arr = (np.array(cols, dtype=np.int64).T if cols else
-           np.zeros((hs_to.dim, 0), dtype=np.int64))
-    return FpMatrix(arr.reshape(hs_to.dim, hs_from.dim), field)
+    return hs_to.coords_many(hs_from.basis_array() @ d.matrix.arr)
 
 
 def ext_from_resolution(res: Resolution, n, i: int) -> ExtResult:
@@ -273,12 +268,8 @@ def hom_complex_co(q, c: ChainComplex) -> ChainComplex:
     mods = [_field_space(field, hs.dim) for hs in spaces]
     diffs = []
     for j in range(len(c.diffs)):
-        d = c.diffs[j]
-        cols = [spaces[j + 1].coords(d.matrix @ spaces[j].basis_hom(k).matrix)
-                for k in range(spaces[j].dim)]
-        arr = (np.array(cols, dtype=np.int64).T if cols else
-               np.zeros((spaces[j + 1].dim, 0), dtype=np.int64))
-        mat = FpMatrix(arr.reshape(spaces[j + 1].dim, spaces[j].dim), field)
+        mat = spaces[j + 1].coords_many(c.diffs[j].matrix.arr
+                                        @ spaces[j].basis_array())
         diffs.append(ModuleHom(mods[j], mods[j + 1], mat, validate=False))
     return ChainComplex(c.lo, mods, diffs, validate=False)
 

@@ -281,11 +281,20 @@ def _find_idempotent_endo(m, seed: int,
         f0 = sympy.Poly(factors[0][0] ** factors[0][1], x, modulus=p)
         fmat = _eval_poly_matrix(f0, phi, p)
         # stabilize: kernel of f0(phi)^dim is the generalized eigenspace
-        stable = np.linalg.matrix_power(fmat, max(m.dim, 1)) % p
+        stable = _power_mod(fmat, max(m.dim, 1), p)
         k = m.dim - rank(FpMatrix(stable, m.over.field))
         if 0 < k < m.dim:
             return ("fitting", FpMatrix(stable, m.over.field))
     return None
+
+
+def _power_mod(mat: np.ndarray, e: int, p: int) -> np.ndarray:
+    """mat**e over GF(p), reduced after every product so that no entry
+    leaves int64 range."""
+    out = np.eye(mat.shape[0], dtype=np.int64)
+    for _ in range(e):
+        out = (out @ mat) % p
+    return out
 
 
 def _eval_poly_matrix(poly: sympy.Poly, mat: np.ndarray, p: int) -> np.ndarray:

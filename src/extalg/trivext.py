@@ -217,20 +217,14 @@ def module_to_copair(mod: LeftModule, t: TrivialExtension) -> CopairModule:
     n, d = t.base_dim, t.ideal_dim
     y = LeftModule(t.base, mod.action[:n])
     hm = hom_from_bimodule(t.bimodule, y)
-    cols = []
-    for b in range(y.dim):
-        tb = np.zeros((y.dim, d), dtype=np.int64)
-        for j in range(d):
-            tb[:, j] = mod.action[n + j].arr[:, b]
-        try:
-            cols.append(hm.homs.coords(FpMatrix(tb, t.field)))
-        except AlgebraError as exc:
-            raise TrivextError(
-                "ideal action is not given by module maps from the "
-                "bimodule") from exc
-    arr = (np.array(cols, dtype=np.int64).T if cols else
-           np.zeros((hm.homs.dim, 0), dtype=np.int64))
-    beta_mat = FpMatrix(arr.reshape(hm.homs.dim, y.dim), t.field)
+    # y's basis vector b goes to the map m_j -> (action of m_j)[:, b]
+    ideal = np.array([am.arr for am in mod.action[n:]]).reshape(d, y.dim,
+                                                                 y.dim)
+    try:
+        beta_mat = hm.homs.coords_many(ideal.transpose(2, 1, 0))
+    except AlgebraError as exc:
+        raise TrivextError("ideal action is not given by module maps from "
+                           "the bimodule") from exc
     return CopairModule(t, y, beta_mat)
 
 
@@ -284,13 +278,9 @@ def functor_H(t: TrivialExtension, y: LeftModule) -> CopairModule:
     w, incls, _ = direct_sum_modules([hm.space, y])
     hw = hom_from_bimodule(t.bimodule, w)
     field = t.field
-    cols = []
-    for k in range(hm.homs.dim):
-        lifted = incls[1].matrix @ hm.homs.basis_hom(k).matrix
-        cols.append(hw.homs.coords(lifted))
-    arr = (np.array(cols, dtype=np.int64).T if cols else
-           np.zeros((hw.homs.dim, 0), dtype=np.int64))
-    theta = np.hstack([arr.reshape(hw.homs.dim, hm.homs.dim),
+    lifted = hw.homs.coords_many(incls[1].matrix.arr
+                                 @ hm.homs.basis_array())
+    theta = np.hstack([lifted.arr,
                        np.zeros((hw.homs.dim, y.dim), dtype=np.int64)])
     return CopairModule(t, w, FpMatrix(theta, field))
 
@@ -491,11 +481,7 @@ def hom_iso_copair(x: LeftModule, copair: CopairModule) -> ModuleHom:
     mid = copair_to_module(copair)
     lhs_space = hom_space(zx, mid)
     field = t.field
-    cols = [lhs_space.coords(incl.matrix @ rhs_space.basis_hom(k).matrix)
-            for k in range(rhs_space.dim)]
-    arr = (np.array(cols, dtype=np.int64).T if cols else
-           np.zeros((lhs_space.dim, 0), dtype=np.int64))
-    mat = FpMatrix(arr.reshape(lhs_space.dim, rhs_space.dim), field)
+    mat = lhs_space.coords_many(incl.matrix.arr @ rhs_space.basis_array())
     if mat.rows != mat.cols or not is_invertible(mat):
         raise TrivextError("canonical hom comparison map is not invertible")
     fa = field_algebra(field)

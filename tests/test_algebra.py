@@ -1,18 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import FIELD2, FIELD3, a2_algebra
+from conftest import (FIELD2, FIELD3, a2_algebra, a2_morita_ring,
+                      double_extension, local_wild_algebra, nakayama_ring,
+                      random_module, square_zero_extension,
+                      triangular_extension)
 from extalg.algebra import (Algebra, AlgebraError, Bimodule, LeftModule,
-                            ModuleHom, RightModule, cokernel_module,
-                            direct_sum_modules, dual_module, field_algebra,
-                            find_isomorphism, hom_from_bimodule, hom_space,
-                            image_module, is_exact_at, is_isomorphic,
-                            kernel_module, monomial_quiver_algebra,
-                            opposite_algebra, product_algebra,
-                            quotient_module, submodule, tensor_bimodule_left,
-                            tensor_map_second, tensor_right_left,
-                            validate_algebra)
-from extalg.linalg import FpMatrix, rank
+                            ModuleHom, RightModule, algebra_generators,
+                            cokernel_module, direct_sum_modules, dual_module,
+                            field_algebra, find_isomorphism,
+                            hom_from_bimodule, hom_space, image_module,
+                            is_exact_at, is_isomorphic, kernel_module,
+                            monomial_quiver_algebra, opposite_algebra,
+                            product_algebra, quotient_module, submodule,
+                            tensor_bimodule_left, tensor_map_second,
+                            tensor_right_left, validate_algebra)
+from extalg.linalg import (FieldSpec, FpMatrix, kernel_basis, kron, rank,
+                           solve, vstack)
 
 
 def test_validate_catches_broken_tables():
@@ -172,3 +178,111 @@ def test_submodule_quotient_consistency():
     quo, proj, _ = quotient_module(reg, rows.transpose())
     assert quo.dim == 2
     proj.validate()
+
+
+def _first_law_violation(m):
+    """First (i, j) in row-major order where the module law fails, found
+    with the plain double loop over basis pairs."""
+    p, n = m.over.field.p, m.over.dim
+    for i in range(n):
+        for j in range(n):
+            coeffs = m.over.sc[j, i] if m.side == "right" else m.over.sc[i, j]
+            rhs = sum(int(c) * m.action[k].arr for k, c in enumerate(coeffs))
+            if ((m.action[i].arr @ m.action[j].arr - rhs) % p).any():
+                return i, j
+    return None
+
+
+@pytest.mark.parametrize("cls", [LeftModule, RightModule])
+def test_law_violation_names_first_pair(cls):
+    # the arrow (basis index 2) takes no part in the unit, so breaking its
+    # action leaves the unit check passing; with the identity for the arrow,
+    # e_0 * arrow = 0 (left) and arrow * e_0 = arrow (right) both fail first
+    a = a2_algebra(FIELD3)
+    action = list(cls.regular(a).action)
+    action[2] = FpMatrix.identity(3, FIELD3)
+    assert _first_law_violation(cls(a, action, validate=False)) == (0, 2)
+    with pytest.raises(AlgebraError,
+                       match=rf"{cls.side} module law violated at \(0,2\)"):
+        cls(a, action)
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        action[2] = FpMatrix(rng.integers(0, 3, size=(3, 3)), FIELD3)
+        broken = cls(a, action, validate=False)
+        i, j = _first_law_violation(broken)
+        with pytest.raises(AlgebraError, match=rf"at \({i},{j}\)"):
+            broken.validate()
+
+
+def test_coords_match_solve():
+    rng = np.random.default_rng(3)
+    a = local_wild_algebra(FIELD3)
+    reg = LeftModule.regular(a)
+    m, _, _ = direct_sum_modules([reg, random_module(a, rng)])
+    hs = hom_space(m, reg)
+    assert hs.dim > 1
+    members = [hs.element(rng.integers(0, 3, size=hs.dim)).matrix
+               for _ in range(6)]
+    many = hs.coords_many([t.arr for t in members])
+    assert many.rows == hs.dim and many.cols == len(members)
+    for k, t in enumerate(members):
+        want = solve(hs.mat.transpose(), FpMatrix.column(t.arr.reshape(-1),
+                                                         FIELD3))
+        assert (hs.coords(t) == want.arr[:, 0]).all()
+        assert (many.arr[:, k] == want.arr[:, 0]).all()
+    assert hs.coords_many([]).arr.shape == (hs.dim, 0)
+    outside = FpMatrix(rng.integers(0, 3, size=(reg.dim, m.dim)), FIELD3)
+    while solve(hs.mat.transpose(),
+                FpMatrix.column(outside.arr.reshape(-1), FIELD3)) is not None:
+        outside = FpMatrix(rng.integers(0, 3, size=(reg.dim, m.dim)), FIELD3)
+    with pytest.raises(AlgebraError):
+        hs.coords(outside)
+    with pytest.raises(AlgebraError):
+        hs.coords_many([members[0].arr, outside.arr])
+
+
+def test_algebra_generators():
+    assert algebra_generators(field_algebra(FIELD3)) == []
+    for n in range(2, 7):
+        arrows = [(i, i + 1) for i in range(n - 1)]
+        a = monomial_quiver_algebra(n, arrows, [], FIELD2)
+        # vertices come first in the basis, then the arrows
+        assert algebra_generators(a) == (list(range(n - 1))
+                                         + list(range(n, 2 * n - 1)))
+    k = field_algebra(FIELD2)
+    triv = LeftModule(k, [FpMatrix.identity(2, FIELD2)])
+    assert hom_space(triv, triv).dim == 4
+
+
+ALGEBRAS = {
+    "dual_numbers": lambda f: square_zero_extension(f).total,
+    "triangular": lambda f: triangular_extension(f).total,
+    "a2": a2_algebra,
+    "wild": local_wild_algebra,
+    "double": lambda f: double_extension(f).total,
+    "nakayama": lambda f: nakayama_ring(f).total,
+    "a2_ring": lambda f: a2_morita_ring(f).total,
+}
+
+
+def _full_basis_hom(m, n):
+    """Kernel of the intertwining system over every basis element."""
+    field = m.over.field
+    idt = FpMatrix.identity(n.dim, field)
+    ids = FpMatrix.identity(m.dim, field)
+    return kernel_basis(vstack([kron(idt, m.action[i].transpose())
+                                - kron(n.action[i], ids)
+                                for i in range(m.over.dim)]))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(ALGEBRAS)), p=st.sampled_from([2, 3, 101]),
+       cls=st.sampled_from([LeftModule, RightModule]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_generator_hom_system_matches_full_basis(name, p, cls, seed):
+    a = ALGEBRAS[name](FieldSpec(p))
+    rng = np.random.default_rng(seed)
+    m = random_module(a, rng, cls=cls)
+    n = random_module(a, rng, cls=cls)
+    for src, tgt in ((m, n), (n, m), (m, m)):
+        assert hom_space(src, tgt).mat == _full_basis_hom(src, tgt)

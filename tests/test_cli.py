@@ -139,3 +139,18 @@ def test_main_reports_errors(tmp_path, capsys):
     bad_path = tmp_path / "bad.json"
     bad_path.write_text("{not json")
     assert main(["validate", str(bad_path)]) == 2
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["check", "gp", "--bound", "-3"], "--bound"),
+    (["check", "gp", "--seed", "-1"], "--seed"),
+    (["resolve", "pair", "--window", "0"], "--window"),
+    (["resolve", "pair", "--window", "-2"], "--window"),
+])
+def test_main_rejects_out_of_range_flags(tmp_path, capsys, argv, flag):
+    ws_path = tmp_path / "ws.json"
+    assert main(["examples", "emit", "--out", str(ws_path)]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:2] + [str(ws_path)] + argv[2:])
+    assert exc.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err

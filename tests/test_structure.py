@@ -4,9 +4,10 @@ import pytest
 from conftest import FIELD2, a2_algebra, local_wild_algebra, \
     square_zero_extension
 from extalg.algebra import (LeftModule, RightModule, direct_sum_modules,
-                            is_isomorphic)
-from extalg.linalg import FpMatrix, rank
-from extalg.structure import (algebra_radical, chop, injective_envelope,
+                            field_algebra, is_isomorphic, product_algebra)
+from extalg.linalg import FieldSpec, FpMatrix, inverse, rank
+from extalg.structure import (_find_idempotent_endo, _power_mod,
+                              algebra_radical, chop, injective_envelope,
                               injective_indecomposables, is_injective,
                               is_projective, is_simple, projective_cover,
                               projective_indecomposables, radical_of_module,
@@ -132,3 +133,45 @@ def test_wild_algebra_structure():
     # its simple has a 2-dim syzygy inside the 3-dim cover
     pres = projective_cover(simples(w)[0])
     assert pres.cover.dim == 3 and pres.kernel.dim == 2
+
+
+def _exact_power(mat, e, p):
+    """mat**e over GF(p) in Python integers, which cannot overflow."""
+    rows = [[int(x) for x in row] for row in mat]
+    n = len(rows)
+    out = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(e):
+        out = [[sum(out[i][k] * rows[k][j] for k in range(n)) % p
+                for j in range(n)] for i in range(n)]
+    return np.array(out, dtype=np.int64)
+
+
+@pytest.mark.parametrize("p, dims", [(65521, range(3, 9)), (101, range(7, 11))])
+def test_fitting_power_is_exact(p, dims):
+    rng = np.random.default_rng(p)
+    for n in dims:
+        mat = rng.integers(0, p, size=(n, n))
+        assert (_power_mod(mat, n, p) == _exact_power(mat, n, p)).all()
+
+
+def test_fitting_split_over_large_prime():
+    # k^4 at p = 65521 in a scrambled basis: End is too big to sweep, so the
+    # split comes from a Fitting power of a dense random endomorphism
+    field = FieldSpec(65521)
+    k = field_algebra(field)
+    k2, _, _ = product_algebra(k, k)
+    k4, _, _ = product_algebra(k2, k2)
+    rng = np.random.default_rng(5)
+    while True:
+        change = FpMatrix(rng.integers(0, field.p, size=(4, 4)), field)
+        back = inverse(change)
+        if back is not None:
+            break
+    m = LeftModule(k4, [change @ am @ back for am in k4.lmats])
+    found = _find_idempotent_endo(m, seed=0)
+    assert found is not None and found[0] == "fitting"
+    stable = found[1]
+    for am in m.action:
+        assert am @ stable == stable @ am
+    assert 0 < rank(stable) < 4
+    assert rank(stable @ stable) == rank(stable)
