@@ -236,11 +236,6 @@ class RightModule(LeftModule):
     def regular(cls, a: Algebra) -> "RightModule":
         return cls(a, a.rmats)
 
-    @classmethod
-    def zero(cls, a: Algebra) -> "RightModule":
-        z = FpMatrix.zeros(0, 0, a.field)
-        return cls(a, [z] * a.dim)
-
 
 class Bimodule:
     """Space with commuting left A-action and right B-action."""
@@ -571,18 +566,6 @@ def tensor_bimodule_left(m: Bimodule, x: LeftModule) -> TensorSpace:
     return TensorSpace(space, qm.project, qm.include, m.dim, x.dim)
 
 
-def tensor_right_bimodule(x: RightModule, m: Bimodule) -> TensorSpace:
-    """X ox_R M for a right R-module X and R-B-bimodule M; a right B-module."""
-    if not _same_algebra(x.over, m.left_over):
-        raise AlgebraError("contracted algebras do not match")
-    field = x.over.field
-    qm = _balanced_quotient(x.action, m.left_action, field)
-    ix = FpMatrix.identity(x.dim, field)
-    action = [qm.project @ kron(ix, ra) @ qm.include for ra in m.right_action]
-    space = RightModule(m.right_over, action)
-    return TensorSpace(space, qm.project, qm.include, x.dim, m.dim)
-
-
 def tensor_right_left(w: RightModule, x: LeftModule) -> TensorSpace:
     """W ox_R X as a plain GF(p) space (a module over the 1-dim algebra)."""
     if not _same_algebra(w.over, x.over):
@@ -603,13 +586,36 @@ def tensor_map_second(ts_from: TensorSpace, ts_to: TensorSpace,
     return ModuleHom(ts_from.space, ts_to.space, mat, validate=False)
 
 
-def tensor_map_first(ts_from: TensorSpace, ts_to: TensorSpace,
-                     f: ModuleHom) -> ModuleHom:
-    """Induced map f ox M : X ox M -> Y ox M for f: X -> Y (first slot)."""
-    field = f.matrix.field
-    im = FpMatrix.identity(ts_from.second_dim, field)
-    mat = ts_to.project @ kron(f.matrix, im) @ ts_from.include
-    return ModuleHom(ts_from.space, ts_to.space, mat, validate=False)
+@dataclass
+class SwappedTensor:
+    """X ox_R M for a right R-module X and an R-B-bimodule M, carried by
+    the left tensor N ox X over R^op with N = M^swap.
+
+    This is the one place a right tensor appears.  `to_left` and
+    `to_right` are the mutually inverse changes between the quotient
+    coordinates of X ox M (plain index (x, m) -> x * dim(M) + m) and those
+    of N ox X (plain index (m, x)); `space` is X ox M as a right B-module
+    in its own coordinates.
+    """
+    space: RightModule
+    to_left: FpMatrix
+    to_right: FpMatrix
+
+
+def swapped_tensor(n: Bimodule, x: LeftModule) -> SwappedTensor:
+    """X ox M from N = M^swap and X read as a left module over R^op."""
+    field = x.over.field
+    left = tensor_bimodule_left(n, x)
+    right = _balanced_quotient(x.action, n.right_action, field)
+    # entry k = m * dim(X) + x of this array is the plain index x * dim(M) + m
+    mx = np.arange(x.dim * n.dim).reshape(x.dim, n.dim).T.reshape(-1)
+    to_left = FpMatrix(right.project.arr[:, mx], field) @ left.include
+    to_right = FpMatrix(left.project.arr[:, np.argsort(mx)],
+                        field) @ right.include
+    space = RightModule(opposite_algebra(n.left_over),
+                        [to_right @ a @ to_left for a in left.space.action],
+                        validate=False)
+    return SwappedTensor(space, to_left, to_right)
 
 
 # ---------------------------------------------------------------------------

@@ -17,25 +17,25 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import (Algebra, Bimodule, LeftModule, RightModule,
-                      monomial_quiver_algebra, product_algebra)
-from .gorenstein import (GorensteinVerdict, CompatibilityReport,
+from .algebra import (Algebra, AlgebraError, Bimodule, LeftModule,
+                      RightModule, monomial_quiver_algebra, product_algebra)
+from .gorenstein import (GorensteinError, GorensteinVerdict,
+                         CompatibilityReport,
                          build_copair_complete_coresolution,
                          build_pair_complete_resolution, gf_check_right,
                          gi_check, gp_check,
                          validate_copair_complete_coresolution,
                          validate_pair_complete_resolution, verify_cor35,
                          verify_cor45, verify_cor48)
-from .homology import DimensionVerdict, default_bound
-from .linalg import FieldSpec, FpMatrix
-from .morita import (CoTupleModule, MoritaContextData, MoritaRing,
-                     RightTupleModule, TupleModule, morita_ring, theta,
-                     theta_co, upsilon, verify_thm52, verify_thm53,
-                     verify_thm54)
+from .homology import DimensionVerdict
+from .linalg import FieldSpec, FpMatrix, LinalgError
+from .morita import (CoTupleModule, MoritaContextData, MoritaError,
+                     RightTupleModule, TupleModule, morita_ring,
+                     verify_thm52, verify_thm53, verify_thm54)
+from .structure import StructureError
 from .trivext import (CopairModule, PairModule, RightPairModule,
-                      TrivialExtension, copair_to_module,
-                      module_to_copair, module_to_pair,
-                      module_to_right_pair, pair_to_module,
+                      TrivextError, copair_to_module, module_to_copair,
+                      module_to_pair, module_to_right_pair, pair_to_module,
                       right_pair_to_module, trivial_extension)
 
 SCHEMA_VERSION = 1
@@ -60,6 +60,79 @@ def _dump_mat(m: FpMatrix):
     return m.arr.tolist()
 
 
+def _algebra(spec, ref, default_field):
+    field = FieldSpec(int(spec["p"])) if "p" in spec else default_field
+    if "quiver" in spec:
+        q = spec["quiver"]
+        return monomial_quiver_algebra(
+            int(q["vertices"]), [tuple(x) for x in q["arrows"]],
+            [list(r) for r in q.get("zero_relations", [])], field)
+    return Algebra(field, np.asarray(spec["structure_constants"],
+                                     dtype=np.int64), spec["unit"])
+
+
+def _bimodule(spec, ref, _):
+    lo = ref("algebras", spec["left_over"])
+    ro = ref("algebras", spec["right_over"])
+    return Bimodule(lo, ro, _mat_list(spec["left_action"], lo.field),
+                    _mat_list(spec["right_action"], ro.field))
+
+
+def _module(spec, ref, _):
+    over = ref("algebras", spec["over"])
+    cls = RightModule if spec.get("side") == "right" else LeftModule
+    return cls(over, _mat_list(spec["action"], over.field))
+
+
+def _extension(spec, ref, _):
+    return trivial_extension(ref("algebras", spec["base"]),
+                             ref("bimodules", spec["bimodule"]))
+
+
+def _context(spec, ref, _):
+    return morita_ring(MoritaContextData(
+        ref("algebras", spec["a"]), ref("algebras", spec["b"]),
+        ref("bimodules", spec["u"]), ref("bimodules", spec["v"])))
+
+
+def _presented(cls, module_key: str, map_key: str):
+    """Builder of a (co)pair: an extension, a module and one map."""
+    def build(spec, ref, _):
+        t = ref("extensions", spec["extension"])
+        return cls(t, ref("modules", spec[module_key]),
+                   _mat(spec[map_key], t.field))
+    return build
+
+
+def _tuple(cls):
+    """Builder of a (co, right) tuple: a context, two modules, f and g."""
+    def build(spec, ref, _):
+        ring = ref("contexts", spec["context"])
+        first = ref("modules", spec.get("x", spec.get("w")))
+        second = ref("modules", spec.get("y", spec.get("q")))
+        return cls(ring, first, second, _mat(spec["f"], ring.prod.field),
+                   _mat(spec["g"], ring.prod.field))
+    return build
+
+
+# (workspace key, Workspace attribute, kind named in errors, builder), in
+# dependency order
+ENTITIES = (
+    ("algebras", "algebras", "algebra", _algebra),
+    ("bimodules", "bimodules", "bimodule", _bimodule),
+    ("modules", "modules", "module", _module),
+    ("extensions", "extensions", "extension", _extension),
+    ("morita_contexts", "contexts", "morita context", _context),
+    ("pairs", "pairs", "pair", _presented(PairModule, "x", "alpha")),
+    ("copairs", "copairs", "copair", _presented(CopairModule, "y", "beta")),
+    ("right_pairs", "right_pairs", "right pair",
+     _presented(RightPairModule, "x", "alpha")),
+    ("tuples", "tuples", "tuple", _tuple(TupleModule)),
+    ("cotuples", "cotuples", "cotuple", _tuple(CoTupleModule)),
+    ("right_tuples", "right_tuples", "right tuple", _tuple(RightTupleModule)),
+)
+
+
 class Workspace:
     """Named entities resolved from a workspace file."""
 
@@ -68,156 +141,27 @@ class Workspace:
             raise WorkspaceError("unsupported or missing schema_version")
         self.data = data
         self.field = FieldSpec(int(data.get("field", {}).get("p", 2)))
-        self.algebras = {}
-        self.bimodules = {}
-        self.modules = {}
-        self.extensions = {}
-        self.contexts = {}
-        self.pairs = {}
-        self.copairs = {}
-        self.right_pairs = {}
-        self.tuples = {}
-        self.cotuples = {}
-        self.right_tuples = {}
-        self._build()
+        for key, attr, kind, build in ENTITIES:
+            table = {}
+            setattr(self, attr, table)
 
-    def _entity(self, table: dict, name: str, kind: str):
-        if name not in table:
-            raise WorkspaceError(f"{kind} '{name}': unknown reference")
-        return table[name]
+            def ref(attr, name, kind=kind):
+                if name not in getattr(self, attr):
+                    raise WorkspaceError(f"{kind} '{name}': unknown "
+                                         "reference")
+                return getattr(self, attr)[name]
 
-    def _build(self):
-        d = self.data
-        for name, spec in sorted(d.get("algebras", {}).items()):
-            try:
-                field = FieldSpec(int(spec["p"])) if "p" in spec else self.field
-                if "quiver" in spec:
-                    q = spec["quiver"]
-                    self.algebras[name] = monomial_quiver_algebra(
-                        int(q["vertices"]),
-                        [tuple(x) for x in q["arrows"]],
-                        [list(r) for r in q.get("zero_relations", [])],
-                        field)
-                else:
-                    sc = np.asarray(spec["structure_constants"],
-                                    dtype=np.int64)
-                    self.algebras[name] = Algebra(field, sc, spec["unit"])
-            except WorkspaceError:
-                raise
-            except Exception as e:
-                raise WorkspaceError(f"algebra '{name}': {e}")
-        for name, spec in sorted(d.get("bimodules", {}).items()):
-            try:
-                lo = self._entity(self.algebras, spec["left_over"], "bimodule")
-                ro = self._entity(self.algebras, spec["right_over"],
-                                  "bimodule")
-                self.bimodules[name] = Bimodule(
-                    lo, ro, _mat_list(spec["left_action"], lo.field),
-                    _mat_list(spec["right_action"], ro.field))
-            except WorkspaceError:
-                raise
-            except Exception as e:
-                raise WorkspaceError(f"bimodule '{name}': {e}")
-        for name, spec in sorted(d.get("modules", {}).items()):
-            try:
-                over = self._entity(self.algebras, spec["over"], "module")
-                cls = RightModule if spec.get("side") == "right" else \
-                    LeftModule
-                self.modules[name] = cls(
-                    over, _mat_list(spec["action"], over.field))
-            except WorkspaceError:
-                raise
-            except Exception as e:
-                raise WorkspaceError(f"module '{name}': {e}")
-        for name, spec in sorted(d.get("extensions", {}).items()):
-            try:
-                base = self._entity(self.algebras, spec["base"], "extension")
-                bim = self._entity(self.bimodules, spec["bimodule"],
-                                   "extension")
-                self.extensions[name] = trivial_extension(base, bim)
-            except WorkspaceError:
-                raise
-            except Exception as e:
-                raise WorkspaceError(f"extension '{name}': {e}")
-        for name, spec in sorted(d.get("morita_contexts", {}).items()):
-            try:
-                ctx = MoritaContextData(
-                    self._entity(self.algebras, spec["a"], "morita context"),
-                    self._entity(self.algebras, spec["b"], "morita context"),
-                    self._entity(self.bimodules, spec["u"], "morita context"),
-                    self._entity(self.bimodules, spec["v"], "morita context"))
-                self.contexts[name] = morita_ring(ctx)
-            except WorkspaceError:
-                raise
-            except Exception as e:
-                raise WorkspaceError(f"morita context '{name}': {e}")
-        for name, spec in sorted(d.get("pairs", {}).items()):
-            try:
-                t = self._entity(self.extensions, spec["extension"], "pair")
-                x = self._entity(self.modules, spec["x"], "pair")
-                self.pairs[name] = PairModule(t, x,
-                                              _mat(spec["alpha"], t.field))
-            except WorkspaceError:
-                raise
-            except Exception as e:
-                raise WorkspaceError(f"pair '{name}': {e}")
-        for name, spec in sorted(d.get("copairs", {}).items()):
-            try:
-                t = self._entity(self.extensions, spec["extension"], "copair")
-                y = self._entity(self.modules, spec["y"], "copair")
-                self.copairs[name] = CopairModule(t, y,
-                                                  _mat(spec["beta"], t.field))
-            except WorkspaceError:
-                raise
-            except Exception as e:
-                raise WorkspaceError(f"copair '{name}': {e}")
-        for name, spec in sorted(d.get("right_pairs", {}).items()):
-            try:
-                t = self._entity(self.extensions, spec["extension"],
-                                 "right pair")
-                x = self._entity(self.modules, spec["x"], "right pair")
-                self.right_pairs[name] = RightPairModule(
-                    t, x, _mat(spec["alpha"], t.field))
-            except WorkspaceError:
-                raise
-            except Exception as e:
-                raise WorkspaceError(f"right pair '{name}': {e}")
-        for kind, table, cls in (("tuples", self.tuples, TupleModule),
-                                 ("cotuples", self.cotuples, CoTupleModule),
-                                 ("right_tuples", self.right_tuples,
-                                  RightTupleModule)):
-            for name, spec in sorted(d.get(kind, {}).items()):
+            for name, spec in sorted(data.get(key, {}).items()):
                 try:
-                    ring = self._entity(self.contexts, spec["context"],
-                                        kind[:-1])
-                    first = self._entity(self.modules,
-                                         spec.get("x", spec.get("w")),
-                                         kind[:-1])
-                    second = self._entity(self.modules,
-                                          spec.get("y", spec.get("q")),
-                                          kind[:-1])
-                    table[name] = cls(ring, first, second,
-                                      _mat(spec["f"], ring.prod.field),
-                                      _mat(spec["g"], ring.prod.field))
+                    table[name] = build(spec, ref, self.field)
                 except WorkspaceError:
                     raise
                 except Exception as e:
-                    raise WorkspaceError(f"{kind[:-1]} '{name}': {e}")
+                    raise WorkspaceError(f"{kind} '{name}': {e}")
 
     def counts(self) -> dict:
-        return {
-            "algebras": len(self.algebras),
-            "bimodules": len(self.bimodules),
-            "modules": len(self.modules),
-            "extensions": len(self.extensions),
-            "morita_contexts": len(self.contexts),
-            "pairs": len(self.pairs),
-            "copairs": len(self.copairs),
-            "right_pairs": len(self.right_pairs),
-            "tuples": len(self.tuples),
-            "cotuples": len(self.cotuples),
-            "right_tuples": len(self.right_tuples),
-        }
+        return {key: len(getattr(self, attr))
+                for key, attr, _, _ in ENTITIES}
 
     def to_dict(self) -> dict:
         return self.data
@@ -273,76 +217,77 @@ def _select(table: dict, target: Optional[str], kind: str):
     return sorted(table.items())
 
 
+# the errors a command can meet in the library; each is reported against the
+# instance it was raised for
+LIBRARY_ERRORS = (AlgebraError, LinalgError, StructureError, TrivextError,
+                  GorensteinError, MoritaError)
+
+
+def _resolve(inst, args, build, validate) -> dict:
+    """A resolve command on one instance; an unmet lifting hypothesis is a
+    result, not an error."""
+    try:
+        res = build(inst, args.window, args.seed)
+    except GorensteinError as e:
+        return {"error": str(e)}
+    return {"term_dims": [m.dim for m in res.complex.modules],
+            "lo": res.complex.lo, "hi": res.complex.hi,
+            "validation": validate(res, args.seed)}
+
+
+# command -> (workspace table, instance kind, (instance, args) -> result);
+# the lambdas look every function up when they run, so rebinding a module
+# name (as perfbench/tracer.py does) reaches these calls too
+COMMANDS = {
+    "check gp": ("pairs", "pair", lambda x, a: gp_check(
+        pair_to_module(x), a.bound, a.seed)),
+    "check gi": ("copairs", "copair", lambda x, a: gi_check(
+        copair_to_module(x), a.bound, a.seed)),
+    "check gf": ("right_pairs", "right pair", lambda x, a: gf_check_right(
+        right_pair_to_module(x), a.bound, a.seed)),
+    "verify cor35": ("pairs", "pair",
+                     lambda x, a: verify_cor35(x, a.bound, a.seed)),
+    "verify cor45": ("copairs", "copair",
+                     lambda x, a: verify_cor45(x, a.bound, a.seed)),
+    "verify cor48": ("right_pairs", "right pair",
+                     lambda x, a: verify_cor48(x, a.bound, a.seed)),
+    "verify thm52": ("tuples", "tuple",
+                     lambda x, a: verify_thm52(x, a.bound, a.seed)),
+    "verify thm53": ("cotuples", "cotuple",
+                     lambda x, a: verify_thm53(x, a.bound, a.seed)),
+    "verify thm54": ("right_tuples", "right tuple",
+                     lambda x, a: verify_thm54(x, a.bound, a.seed)),
+    "resolve pair": ("pairs", "pair", lambda x, a: _resolve(
+        x, a, build_pair_complete_resolution,
+        validate_pair_complete_resolution)),
+    "resolve copair": ("copairs", "copair", lambda x, a: _resolve(
+        x, a, build_copair_complete_coresolution,
+        validate_copair_complete_coresolution)),
+}
+
+# (command, argument naming the variant, help); the variants are the
+# second words of COMMANDS
+SUBCOMMANDS = (("check", "mode", "single Gorenstein checks"),
+               ("verify", "which", "theorem verification suites"),
+               ("resolve", "kind", "build complete (co)resolutions"))
+
+
 def run(command: str, ws: Workspace, args) -> dict:
     report = _base_report(command, args)
-    results = {}
     if command == "validate":
         report["entities"] = ws.counts()
         return report
-    if command.startswith("check "):
-        mode = command.split()[1]
-        if mode == "gp":
-            for name, pair in _select(ws.pairs, args.target, "pair"):
-                results[name] = _jsonify(gp_check(
-                    pair_to_module(pair), args.bound, args.seed))
-        elif mode == "gi":
-            for name, cp in _select(ws.copairs, args.target, "copair"):
-                results[name] = _jsonify(gi_check(
-                    copair_to_module(cp), args.bound, args.seed))
-        elif mode == "gf":
-            for name, rp in _select(ws.right_pairs, args.target,
-                                    "right pair"):
-                results[name] = _jsonify(gf_check_right(
-                    right_pair_to_module(rp), args.bound, args.seed))
-        report["results"] = results
-        return report
-    if command.startswith("verify "):
-        which = command.split()[1]
-        spec = {
-            "cor35": (ws.pairs, verify_cor35, "pair"),
-            "cor45": (ws.copairs, verify_cor45, "copair"),
-            "cor48": (ws.right_pairs, verify_cor48, "right pair"),
-            "thm52": (ws.tuples, verify_thm52, "tuple"),
-            "thm53": (ws.cotuples, verify_thm53, "cotuple"),
-            "thm54": (ws.right_tuples, verify_thm54, "right tuple"),
-        }[which]
-        table, fn, kind = spec
-        for name, inst in _select(table, args.target, kind):
-            results[name] = _jsonify(fn(inst, args.bound, args.seed))
-        report["results"] = results
-        return report
-    if command.startswith("resolve "):
-        which = command.split()[1]
-        from .gorenstein import GorensteinError
-        if which == "pair":
-            for name, pair in _select(ws.pairs, args.target, "pair"):
-                try:
-                    res = build_pair_complete_resolution(pair, args.window,
-                                                         args.seed)
-                except GorensteinError as e:
-                    results[name] = {"error": str(e)}
-                    continue
-                val = validate_pair_complete_resolution(res, args.seed)
-                results[name] = _jsonify({
-                    "term_dims": [m.dim for m in res.complex.modules],
-                    "lo": res.complex.lo, "hi": res.complex.hi,
-                    "validation": val})
-        else:
-            for name, cp in _select(ws.copairs, args.target, "copair"):
-                try:
-                    res = build_copair_complete_coresolution(cp, args.window,
-                                                             args.seed)
-                except GorensteinError as e:
-                    results[name] = {"error": str(e)}
-                    continue
-                val = validate_copair_complete_coresolution(res, args.seed)
-                results[name] = _jsonify({
-                    "term_dims": [m.dim for m in res.complex.modules],
-                    "lo": res.complex.lo, "hi": res.complex.hi,
-                    "validation": val})
-        report["results"] = results
-        return report
-    raise WorkspaceError(f"unknown command '{command}'")
+    if command not in COMMANDS:
+        raise WorkspaceError(f"unknown command '{command}'")
+    attr, kind, fn = COMMANDS[command]
+    results = {}
+    for name, inst in _select(getattr(ws, attr), args.target, kind):
+        try:
+            results[name] = _jsonify(fn(inst, args))
+        except LIBRARY_ERRORS as e:
+            raise WorkspaceError(f"{kind} '{name}': {e}") from e
+    report["results"] = results
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -511,16 +456,11 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=None, help="report output path")
 
     common(sub.add_parser("validate", help="load and validate a workspace"))
-    pc = sub.add_parser("check", help="single Gorenstein checks")
-    pc.add_argument("mode", choices=["gp", "gi", "gf"])
-    common(pc)
-    pv = sub.add_parser("verify", help="theorem verification suites")
-    pv.add_argument("which", choices=["cor35", "cor45", "cor48",
-                                      "thm52", "thm53", "thm54"])
-    common(pv)
-    pr = sub.add_parser("resolve", help="build complete (co)resolutions")
-    pr.add_argument("kind", choices=["pair", "copair"])
-    common(pr)
+    for cmd, dest, help_text in SUBCOMMANDS:
+        p = sub.add_parser(cmd, help=help_text)
+        p.add_argument(dest, choices=[c.split()[1] for c in COMMANDS
+                                      if c.split()[0] == cmd])
+        common(p)
     pe = sub.add_parser("examples", help="built-in corpus")
     pe.add_argument("action", choices=["emit"])
     common(pe, needs_file=False)
@@ -529,23 +469,11 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         if args.cmd == "examples":
-            data = emit_builtin_examples()
-            payload = json.dumps(data, sort_keys=True, indent=2) + "\n"
-            if args.out:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(payload)
-            else:
-                sys.stdout.write(payload)
+            _write_report(emit_builtin_examples(), args.out)
             return 0
         ws = load(args.workspace)
-        if args.cmd == "validate":
-            command = "validate"
-        elif args.cmd == "check":
-            command = f"check {args.mode}"
-        elif args.cmd == "verify":
-            command = f"verify {args.which}"
-        else:
-            command = f"resolve {args.kind}"
+        command = " ".join([args.cmd] + [getattr(args, dest) for cmd, dest, _
+                                          in SUBCOMMANDS if cmd == args.cmd])
         report = run(command, ws, args)
         report["timing_ms"] = int((time.monotonic() - started) * 1000)
         _write_report(report, args.out)

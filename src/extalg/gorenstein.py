@@ -11,16 +11,13 @@ with a concrete witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Tuple
 
-from .algebra import (Algebra, AlgebraError, Bimodule, HomSpace, LeftModule,
-                      ModuleHom, RightModule, cokernel_module,
-                      direct_sum_modules, dual_module, hom_space,
-                      image_module, is_exact_at, kernel_module,
-                      opposite_algebra, quotient_module,
-                      tensor_bimodule_left, tensor_map_first,
-                      tensor_map_second, tensor_right_bimodule)
+from .algebra import (Algebra, Bimodule, HomSpace, LeftModule, ModuleHom,
+                      RightModule, direct_sum_modules, dual_module,
+                      hom_space, image_module, is_exact_at, kernel_module,
+                      quotient_module, tensor_bimodule_left, tensor_map_second)
 from .homology import (ChainComplex, Resolution, _precompose_matrix,
                        default_bound, fd_bounded, hom_complex, hom_complex_co,
                        id_bounded, is_exact_complex,
@@ -30,10 +27,10 @@ from .linalg import (FpMatrix, hstack, is_invertible, kron, rank, solve,
 from .structure import _dual_as_left_over_opposite, is_projective, \
     projective_indecomposables
 from .trivext import (CopairModule, PairModule, RightPairModule,
-                      TrivialExtension, _inflate, _inflate_right,
-                      copair_to_module, functor_C, functor_K, functor_T,
-                      induced_delta, module_to_pair, opposite_extension,
-                      pair_to_module, right_pair_to_module)
+                      TrivialExtension, _inflate, copair_to_module,
+                      functor_C, functor_K, functor_T, induced_delta,
+                      module_to_pair, opposite_extension, pair_to_module,
+                      right_pair_to_module)
 
 
 class GorensteinError(ValueError):
@@ -70,19 +67,12 @@ class GorensteinVerdict:
 def star_module(m) -> Tuple[object, HomSpace]:
     """Hom into the regular module; left modules become right modules and
     conversely, acting through multiplication on the values."""
-    a = m.over
-    if isinstance(m, RightModule):
-        op = opposite_algebra(a)
-        hs = hom_space(m.as_left_over_opposite(), LeftModule.regular(op))
-        mults = op.rmats
-    else:
-        hs = hom_space(m, LeftModule.regular(a))
-        mults = a.rmats
+    right = isinstance(m, RightModule)
+    ml = m.as_left_over_opposite() if right else m
+    hs = hom_space(ml, LeftModule.regular(ml.over))
     stack = hs.basis_array()
-    action = [hs.coords_many(mult.arr @ stack) for mult in mults]
-    star = LeftModule(a, action) if isinstance(m, RightModule) \
-        else RightModule(a, action)
-    return star, hs
+    action = [hs.coords_many(mult.arr @ stack) for mult in ml.over.rmats]
+    return (LeftModule if right else RightModule)(m.over, action), hs
 
 
 def biduality_map(m) -> ModuleHom:
@@ -121,10 +111,7 @@ def gorenstein_regime(a: Algebra, bound: Optional[int] = None,
 
 def _ext_dims_vs_regular(g, upto: int, seed: int) -> List[int]:
     """[dim Ext^i(g, A)] for i = 1..upto, via the minimal resolution."""
-    if isinstance(g, RightModule):
-        reg = RightModule.regular(g.over)
-    else:
-        reg = LeftModule.regular(g.over)
+    reg = type(g).regular(g.over)
     res = minimal_projective_resolution(g, upto + 1, seed)
     spaces = [hom_space(t, reg) for t in res.terms]
     maps = [_precompose_matrix(spaces[j], spaces[j + 1], res.diffs[j])
@@ -264,41 +251,34 @@ def zr_bimodule(t: TrivialExtension) -> Bimodule:
 # theorem hypotheses
 
 
+def holds(hypotheses: dict) -> bool:
+    """Every exactness flag holds and every verdict is yes."""
+    return all(v.is_yes() if isinstance(v, GorensteinVerdict) else v
+               for v in hypotheses.values())
+
+
 def thm_pair_hypotheses(pair: PairModule, bound: Optional[int] = None,
                         seed: int = 0) -> dict:
     """Middle-exactness of the structure sequence and Gorenstein
     projectivity of coker(alpha) over the base."""
-    t2 = tensor_bimodule_left(pair.t.bimodule, pair.tensor.space)
-    m_alpha = tensor_map_second(t2, pair.tensor, pair.alpha)
-    middle = is_exact_at(m_alpha, pair.alpha)
-    coker, _ = functor_C(pair)
-    return {"middle_exact": middle,
-            "coker_verdict": gp_check(coker, bound, seed)}
+    return {"middle_exact": is_exact_at(pair.m_alpha(), pair.alpha),
+            "coker_verdict": gp_check(functor_C(pair)[0], bound, seed)}
 
 
 def thm_copair_hypotheses(copair: CopairModule, bound: Optional[int] = None,
                           seed: int = 0) -> dict:
     """Middle-exactness of the costructure sequence and Gorenstein
     injectivity of ker(beta) over the base."""
-    from .algebra import hom_from_bimodule
-    hom2 = hom_from_bimodule(copair.t.bimodule, copair.hom.space)
-    beta_post = copair.hom.postcompose(hom2, copair.beta)
-    middle = is_exact_at(copair.beta, beta_post)
-    kerb, _ = functor_K(copair)
-    return {"middle_exact": middle,
-            "ker_verdict": gi_check(kerb, bound, seed)}
+    return {"middle_exact": is_exact_at(copair.beta, copair.beta_post()),
+            "ker_verdict": gi_check(functor_K(copair)[0], bound, seed)}
 
 
-def thm_right_pair_hypotheses(rp: RightPairModule,
-                              bound: Optional[int] = None,
-                              seed: int = 0) -> dict:
-    """Middle-exactness on the right and Gorenstein flatness of
-    coker(alpha)."""
-    t2 = tensor_right_bimodule(rp.tensor.space, rp.t.bimodule)
-    alpha_m = tensor_map_first(t2, rp.tensor, rp.alpha)
-    middle = is_exact_at(alpha_m, rp.alpha)
-    coker, _ = cokernel_module(rp.alpha)
-    return {"middle_exact": middle,
+def _right_pair_hypotheses(rp: RightPairModule, bound: Optional[int],
+                           seed: int) -> dict:
+    """Those of the left pair over the opposite extension, with Gorenstein
+    flatness of coker(alpha) read back as a right module."""
+    coker = RightModule.from_left_over_opposite(functor_C(rp.pair)[0])
+    return {"middle_exact": is_exact_at(rp.pair.m_alpha(), rp.pair.alpha),
             "coker_verdict": gf_check_right(coker, bound, seed)}
 
 
@@ -691,60 +671,46 @@ def _classify(agree: bool, established: bool) -> str:
     return "consistent" if not established else "violation"
 
 
-def verify_cor_pair(pair: PairModule, bound: Optional[int] = None,
-                    seed: int = 0) -> dict:
-    """Both sides of the pair-level equivalence for Gorenstein
-    projectivity, with the hypothesis bookkeeping."""
-    t = pair.t
-    lhs = gp_check(pair_to_module(pair), bound, seed)
-    hyp = thm_pair_hypotheses(pair, bound, seed)
-    rhs = hyp["middle_exact"] and hyp["coker_verdict"].is_yes()
-    comp_m = compatibility_report(t.bimodule, bound, seed)
-    comp_zr = compatibility_report(zr_bimodule(t), bound, seed)
+def verify_corollary(t: TrivialExtension, lhs: GorensteinVerdict,
+                     hypotheses: dict, report: Callable,
+                     bound: Optional[int], seed: int) -> dict:
+    """One (co)pair's Gorenstein verdict lhs over the extension t against
+    its hypotheses, with the sufficiency reports on the bimodule and on the
+    inflated base."""
+    rhs = holds(hypotheses)
+    comp_m = report(t.bimodule, bound, seed)
+    comp_zr = report(zr_bimodule(t), bound, seed)
     established = comp_m.sufficient_via is not None and \
         comp_zr.sufficient_via is not None
     agree = lhs.is_yes() == rhs
-    return {"lhs": lhs, "hypotheses": hyp, "rhs_holds": rhs,
+    return {"lhs": lhs, "hypotheses": hypotheses, "rhs_holds": rhs,
             "bimodule_report": comp_m, "base_inflation_report": comp_zr,
             "hypotheses_established": established, "agreement": agree,
             "classification": _classify(agree, established)}
 
 
-def verify_cor_copair(copair: CopairModule, bound: Optional[int] = None,
-                      seed: int = 0) -> dict:
-    t = copair.t
-    lhs = gi_check(copair_to_module(copair), bound, seed)
-    hyp = thm_copair_hypotheses(copair, bound, seed)
-    rhs = hyp["middle_exact"] and hyp["ker_verdict"].is_yes()
-    comp_m = cocompatibility_report(t.bimodule, bound, seed)
-    comp_zr = cocompatibility_report(zr_bimodule(t), bound, seed)
-    established = comp_m.sufficient_via is not None and \
-        comp_zr.sufficient_via is not None
-    agree = lhs.is_yes() == rhs
-    return {"lhs": lhs, "hypotheses": hyp, "rhs_holds": rhs,
-            "bimodule_report": comp_m, "base_inflation_report": comp_zr,
-            "hypotheses_established": established, "agreement": agree,
-            "classification": _classify(agree, established)}
+def verify_cor35(pair: PairModule, bound: Optional[int] = None,
+                 seed: int = 0) -> dict:
+    """Gorenstein projectivity of a pair vs its structure sequence."""
+    return verify_corollary(pair.t, gp_check(pair_to_module(pair), bound,
+                                             seed),
+                            thm_pair_hypotheses(pair, bound, seed),
+                            compatibility_report, bound, seed)
 
 
-def verify_cor_right_pair(rp: RightPairModule, bound: Optional[int] = None,
-                          seed: int = 0) -> dict:
-    t = rp.t
-    lhs = gf_check_right(right_pair_to_module(rp), bound, seed)
-    hyp = thm_right_pair_hypotheses(rp, bound, seed)
-    rhs = hyp["middle_exact"] and hyp["coker_verdict"].is_yes()
-    comp_m = cocompatibility_report(t.bimodule, bound, seed)
-    comp_zr = cocompatibility_report(zr_bimodule(t), bound, seed)
-    established = comp_m.sufficient_via is not None and \
-        comp_zr.sufficient_via is not None
-    agree = lhs.is_yes() == rhs
-    return {"lhs": lhs, "hypotheses": hyp, "rhs_holds": rhs,
-            "bimodule_report": comp_m, "base_inflation_report": comp_zr,
-            "hypotheses_established": established, "agreement": agree,
-            "classification": _classify(agree, established)}
+def verify_cor45(copair: CopairModule, bound: Optional[int] = None,
+                 seed: int = 0) -> dict:
+    """Gorenstein injectivity of a copair vs its costructure sequence."""
+    return verify_corollary(copair.t, gi_check(copair_to_module(copair),
+                                               bound, seed),
+                            thm_copair_hypotheses(copair, bound, seed),
+                            cocompatibility_report, bound, seed)
 
 
-# spec-facing aliases
-verify_cor35 = verify_cor_pair
-verify_cor45 = verify_cor_copair
-verify_cor48 = verify_cor_right_pair
+def verify_cor48(rp: RightPairModule, bound: Optional[int] = None,
+                 seed: int = 0) -> dict:
+    """Gorenstein flatness of a right pair vs its structure sequence."""
+    return verify_corollary(rp.t, gf_check_right(right_pair_to_module(rp),
+                                                 bound, seed),
+                            _right_pair_hypotheses(rp, bound, seed),
+                            cocompatibility_report, bound, seed)

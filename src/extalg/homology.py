@@ -15,13 +15,13 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .algebra import (Algebra, AlgebraError, Bimodule, HomSpace, LeftModule,
-                      ModuleHom, RightModule, direct_sum_modules,
+                      ModuleHom, direct_sum_modules,
                       field_algebra, hom_space, is_exact_at,
                       tensor_bimodule_left, tensor_map_second,
                       tensor_right_left)
 from .linalg import FpMatrix, rank
 from .structure import (ProjectivePresentation, _dual_as_left_over_opposite,
-                        projective_cover, projective_indecomposables)
+                        _pims_for, projective_cover)
 
 
 def default_bound(a: Algebra) -> int:
@@ -117,11 +117,7 @@ def non_minimal_resolution(m, n: int, seed: int = 0) -> Resolution:
     """A deliberately padded projective resolution: the degree-0 cover gets
     an extra indecomposable projective summand mapping to zero.  Used to
     cross-check resolution independence of Ext."""
-    pims = projective_indecomposables(m.over, seed) if not isinstance(
-        m, RightModule) else None
-    if pims is None:
-        from .structure import _pims_for
-        pims = _pims_for(m, seed)
+    pims = _pims_for(m, seed)
     extra = pims[seed % len(pims)][0]
     pres = projective_cover(m, seed)
     cover, _, _ = direct_sum_modules([pres.cover, extra])

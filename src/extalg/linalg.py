@@ -239,7 +239,9 @@ def kron(a: FpMatrix, b: FpMatrix) -> FpMatrix:
     row-major tensor index (i, j) -> i * b.rows + j."""
     if a.field != b.field:
         raise LinalgError("field mismatch")
-    return FpMatrix(np.kron(a.arr, b.arr), a.field)
+    # the broadcast product is np.kron without its per-call reshaping
+    out = a.arr[:, None, :, None] * b.arr[None, :, None, :]
+    return FpMatrix(out.reshape(a.rows * b.rows, a.cols * b.cols), a.field)
 
 
 def direct_sum(a: FpMatrix, b: FpMatrix) -> FpMatrix:

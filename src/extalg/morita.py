@@ -5,28 +5,36 @@ extension (A x B) |x (U + V).
 Basis order everywhere: A, B, U, V.  The direct matrix-ring construction
 and the trivial-extension composite produce literally equal structure
 constants, so the validated isomorphism witness is the identity.
+
+Right tuples (W, Q, f, g) are the left tuples (W, Q, g, f) over the
+opposite context (A^op, B^op, V^swap, U^swap), whose ring `MoritaRing.opposite`
+is built once per ring.  Its ideal blocks come in the order V, U, so the
+right-side translations are theta/theta_inverse there plus one permutation
+of the ideal blocks (`_swap_ideal`); f and g move between the coordinates
+of Q ox U, W ox V and their swapped left tensors through `swapped_tensor`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from functools import cached_property
+from typing import Callable, Tuple
 
 import numpy as np
 
-from .algebra import (Algebra, AlgebraError, Bimodule, LeftModule, ModuleHom,
-                      RightModule, cokernel_module, hom_from_bimodule,
-                      hom_space, is_exact_at, kernel_module, product_algebra,
-                      row_space_of_columns, tensor_bimodule_left,
-                      tensor_map_first, tensor_map_second,
-                      tensor_right_bimodule)
+from .algebra import (Algebra, Bimodule, LeftModule, ModuleHom, RightModule,
+                      cokernel_module, hom_from_bimodule, is_exact_at,
+                      kernel_module, opposite_algebra, product_algebra,
+                      row_space_of_columns, swapped_tensor,
+                      tensor_bimodule_left, tensor_map_second)
 from .gorenstein import (cocompatibility_report, compatibility_report,
-                         gf_check_right, gi_check, gp_check, zr_bimodule,
-                         _classify)
-from .linalg import FpMatrix, LinalgError, hstack, inverse, kron, rank, solve
+                         gf_check_right, gi_check, gp_check, holds,
+                         zr_bimodule, _classify)
+from .linalg import FpMatrix, hstack, inverse, kron, rank, solve
 from .trivext import (CopairModule, PairModule, RightPairModule,
                       TrivialExtension, copair_to_module, module_to_copair,
-                      pair_to_module, right_pair_to_module, trivial_extension)
+                      module_to_pair, module_to_right_pair, pair_to_module,
+                      trivial_extension)
 
 
 class MoritaError(ValueError):
@@ -63,6 +71,14 @@ class MoritaRing:
     @property
     def total(self) -> Algebra:
         return self.ext.total
+
+    @cached_property
+    def opposite(self) -> "MoritaRing":
+        """The ring of the opposite context (A^op, B^op, V^swap, U^swap)."""
+        c = self.context
+        return morita_ring(MoritaContextData(
+            opposite_algebra(c.a), opposite_algebra(c.b), c.v.swap(),
+            c.u.swap()))
 
 
 def _embed(total: int, offset: int, small: int, field) -> FpMatrix:
@@ -123,17 +139,6 @@ def _prod_left(ring: MoritaRing, x: LeftModule, y: LeftModule) -> LeftModule:
     return LeftModule(ring.prod, action)
 
 
-def _prod_right(ring: MoritaRing, w: RightModule, q: RightModule) -> RightModule:
-    from .linalg import direct_sum
-    na = ring.context.a.dim
-    field = ring.prod.field
-    zw = FpMatrix.zeros(w.dim, w.dim, field)
-    zq = FpMatrix.zeros(q.dim, q.dim, field)
-    action = [direct_sum(w.action[i], zq) for i in range(na)] + \
-        [direct_sum(zw, q.action[j]) for j in range(ring.context.b.dim)]
-    return RightModule(ring.prod, action)
-
-
 class TupleModule:
     """(X, Y, f, g): X over A, Y over B, f: U ox X -> Y, g: V ox Y -> X,
     with both composites zero."""
@@ -152,14 +157,18 @@ class TupleModule:
             self.validate()
 
     def validate(self):
-        ts_vux = tensor_bimodule_left(self.ring.context.v, self.tsux.space)
-        vf = tensor_map_second(ts_vux, self.tsvy, self.f)
+        vf, ug = self.composites()
         if not (self.g.matrix @ vf.matrix).is_zero():
             raise MoritaError("g o (V ox f) != 0")
-        ts_uvy = tensor_bimodule_left(self.ring.context.u, self.tsvy.space)
-        ug = tensor_map_second(ts_uvy, self.tsux, self.g)
         if not (self.f.matrix @ ug.matrix).is_zero():
             raise MoritaError("f o (U ox g) != 0")
+
+    def composites(self) -> Tuple[ModuleHom, ModuleHom]:
+        """(V ox f, U ox g)."""
+        ts_vux = tensor_bimodule_left(self.ring.context.v, self.tsux.space)
+        ts_uvy = tensor_bimodule_left(self.ring.context.u, self.tsvy.space)
+        return (tensor_map_second(ts_vux, self.tsvy, self.f),
+                tensor_map_second(ts_uvy, self.tsux, self.g))
 
     def same_presentation(self, other: "TupleModule") -> bool:
         return (self.x.dim == other.x.dim and self.y.dim == other.y.dim
@@ -171,7 +180,10 @@ class TupleModule:
 
 class RightTupleModule:
     """(W, Q, f, g): W over A, Q over B on the right, f: Q ox U -> W,
-    g: W ox V -> Q, with both composites zero."""
+    g: W ox V -> Q, with both composites zero.
+
+    Held as the left tuple `left` = (W, Q, g, f) over the opposite
+    context; f and g keep the quotient coordinates of Q ox U and W ox V."""
 
     def __init__(self, ring: MoritaRing, w: RightModule, q: RightModule,
                  f_matrix: FpMatrix, g_matrix: FpMatrix,
@@ -179,29 +191,17 @@ class RightTupleModule:
         self.ring = ring
         self.w = w
         self.q = q
-        self.tsqu = tensor_right_bimodule(q, ring.context.u)
-        self.tswv = tensor_right_bimodule(w, ring.context.v)
-        self.f = ModuleHom(self.tsqu.space, w, f_matrix, validate=validate)
-        self.g = ModuleHom(self.tswv.space, q, g_matrix, validate=validate)
-        if validate:
-            self.validate()
-
-    def validate(self):
-        ts_quv = tensor_right_bimodule(self.tsqu.space, self.ring.context.v)
-        fv = tensor_map_first(ts_quv, self.tswv, self.f)
-        if not (self.g.matrix @ fv.matrix).is_zero():
-            raise MoritaError("g o (f ox V) != 0")
-        ts_wvu = tensor_right_bimodule(self.tswv.space, self.ring.context.u)
-        gu = tensor_map_first(ts_wvu, self.tsqu, self.g)
-        if not (self.f.matrix @ gu.matrix).is_zero():
-            raise MoritaError("f o (g ox U) != 0")
+        op = ring.opposite
+        wl, ql = w.as_left_over_opposite(), q.as_left_over_opposite()
+        qu = swapped_tensor(op.context.v, ql)
+        wv = swapped_tensor(op.context.u, wl)
+        self.f = ModuleHom(qu.space, w, f_matrix, validate=False)
+        self.g = ModuleHom(wv.space, q, g_matrix, validate=False)
+        self.left = TupleModule(op, wl, ql, g_matrix @ wv.to_left,
+                                f_matrix @ qu.to_left, validate)
 
     def same_presentation(self, other: "RightTupleModule") -> bool:
-        return (self.w.dim == other.w.dim and self.q.dim == other.q.dim
-                and all(p == q for p, q in zip(self.w.action, other.w.action))
-                and all(p == q for p, q in zip(self.q.action, other.q.action))
-                and self.f.matrix == other.f.matrix
-                and self.g.matrix == other.g.matrix)
+        return self.left.same_presentation(other.left)
 
 
 class CoTupleModule:
@@ -222,14 +222,18 @@ class CoTupleModule:
             self.validate()
 
     def validate(self):
-        hom_ugv = hom_from_bimodule(self.ring.context.u, self.hom_vx.space)
-        ug = self.hom_uy.postcompose(hom_ugv, self.g)
+        ug, vf = self.composites()
         if not (ug.matrix @ self.f.matrix).is_zero():
             raise MoritaError("Hom(U, g) o f != 0")
-        hom_vfu = hom_from_bimodule(self.ring.context.v, self.hom_uy.space)
-        vf = self.hom_vx.postcompose(hom_vfu, self.f)
         if not (vf.matrix @ self.g.matrix).is_zero():
             raise MoritaError("Hom(V, f) o g != 0")
+
+    def composites(self) -> Tuple[ModuleHom, ModuleHom]:
+        """(Hom(U, g), Hom(V, f))."""
+        hom_ugv = hom_from_bimodule(self.ring.context.u, self.hom_vx.space)
+        hom_vfu = hom_from_bimodule(self.ring.context.v, self.hom_uy.space)
+        return (self.hom_uy.postcompose(hom_ugv, self.g),
+                self.hom_vx.postcompose(hom_vfu, self.f))
 
 
 # ---------------------------------------------------------------------------
@@ -306,67 +310,40 @@ def theta_inverse(pair: PairModule, ring: MoritaRing) -> TupleModule:
     return TupleModule(ring, x, y, f, g)
 
 
-def _right_split_iso(ring: MoritaRing, ts, tsqu, tswv, incl_w: FpMatrix,
-                     incl_q: FpMatrix) -> Tuple[FpMatrix, FpMatrix, FpMatrix]:
-    field = ring.prod.field
-    du, dv = ring.context.u.dim, ring.context.v.dim
-    dn = du + dv
-    eu = _embed(dn, 0, du, field)
-    ev = _embed(dn, du, dv, field)
-    m1 = ts.project @ kron(incl_q, eu) @ tsqu.include
-    m2 = ts.project @ kron(incl_w, ev) @ tswv.include
-    iso = hstack([m1, m2]) if m1.cols + m2.cols else \
-        FpMatrix.zeros(ts.project.rows, 0, field)
-    inv = inverse(iso)
-    if inv is None:
-        raise MoritaError("tensor splitting is not invertible")
-    return m1, m2, inv
+def _swap_ideal(ring: MoritaRing, action: list) -> list:
+    """Reorder per-basis-element matrices of `ring`'s total algebra from
+    ideal blocks U, V to V, U, the order of the opposite context's ring;
+    with `ring.opposite` in place of `ring` this is the way back."""
+    k, du = ring.prod.dim, ring.context.u.dim
+    return action[:k] + action[k + du:] + action[k:k + du]
+
+
+def _right_module(rt: RightTupleModule) -> RightModule:
+    """upsilon(rt) as a right module over the ring: theta over the opposite
+    context with the ideal blocks put back in the order U, V."""
+    mod = pair_to_module(theta(rt.left))
+    return RightModule(rt.ring.total, _swap_ideal(rt.ring.opposite,
+                                                  mod.action))
 
 
 def upsilon(rt: RightTupleModule) -> RightPairModule:
     """The right pair ((W, Q), (f, g)) over the extension."""
-    ring = rt.ring
-    field = ring.prod.field
-    dw, dq = rt.w.dim, rt.q.dim
-    wq = _prod_right(ring, rt.w, rt.q)
-    ts = tensor_right_bimodule(wq, ring.bim)
-    incl_w = _embed(dw + dq, 0, dw, field)
-    incl_q = _embed(dw + dq, dw, dq, field)
-    _, _, inv = _right_split_iso(ring, ts, rt.tsqu, rt.tswv, incl_w, incl_q)
-    on_split = hstack([incl_w @ rt.f.matrix, incl_q @ rt.g.matrix])
-    alpha = on_split @ inv
-    return RightPairModule(ring.ext, wq, alpha)
+    return module_to_right_pair(_right_module(rt), rt.ring.ext)
 
 
 def upsilon_inverse(rp: RightPairModule, ring: MoritaRing) -> RightTupleModule:
     if rp.t is not ring.ext:
         raise MoritaError("pair does not live over this ring")
-    na, nb = ring.context.a.dim, ring.context.b.dim
-    p = rp.x
-    ea = p.act_matrix(ring.e_a)
-    eb = p.act_matrix(ring.e_b)
-    mods = []
-    for alg, rng, em, side in ((ring.context.a, range(na), ea, RightModule),
-                               (ring.context.b, range(na, na + nb), eb,
-                                RightModule)):
-        incl = row_space_of_columns(em).transpose()
-        action = []
-        for i in rng:
-            coords = solve(incl, p.action[i] @ incl)
-            if coords is None:
-                raise MoritaError("idempotent splitting failed")
-            action.append(coords)
-        mods.append(side(alg, action))
-        mods.append(incl)
-    w, incl_w, q, incl_q = mods
-    tsqu = tensor_right_bimodule(q, ring.context.u)
-    tswv = tensor_right_bimodule(w, ring.context.v)
-    m1, m2, _ = _right_split_iso(ring, rp.tensor, tsqu, tswv, incl_w, incl_q)
-    f = solve(incl_w, rp.alpha.matrix @ m1)
-    g = solve(incl_q, rp.alpha.matrix @ m2)
-    if f is None or g is None:
-        raise MoritaError("structure map does not respect the splitting")
-    return RightTupleModule(ring, w, q, f, g)
+    op = ring.opposite
+    mod = LeftModule(op.total,
+                     _swap_ideal(ring, pair_to_module(rp.pair).action))
+    lt = theta_inverse(module_to_pair(mod, op.ext), op)
+    qu = swapped_tensor(op.context.v, lt.y)
+    wv = swapped_tensor(op.context.u, lt.x)
+    return RightTupleModule(ring, RightModule.from_left_over_opposite(lt.x),
+                            RightModule.from_left_over_opposite(lt.y),
+                            lt.g.matrix @ qu.to_right,
+                            lt.f.matrix @ wv.to_right, validate=False)
 
 
 def theta_co(ct: CoTupleModule) -> CopairModule:
@@ -460,8 +437,7 @@ def tuple_hom_dim(s: TupleModule, t: TupleModule) -> int:
 # theorem harnesses
 
 
-def _lambda_reports(ring: MoritaRing, co: bool, bound, seed) -> dict:
-    rep = cocompatibility_report if co else compatibility_report
+def _lambda_reports(ring: MoritaRing, rep, bound, seed) -> dict:
     comp_u = rep(ring.context.u, bound, seed)
     comp_v = rep(ring.context.v, bound, seed)
     comp_n = rep(ring.bim, bound, seed)
@@ -474,80 +450,65 @@ def _lambda_reports(ring: MoritaRing, co: bool, bound, seed) -> dict:
             and comp_zr.sufficient_via is not None}
 
 
-def verify_thm52(t: TupleModule, bound: Optional[int] = None,
-                 seed: int = 0) -> dict:
-    """Tuple-level hypotheses vs the Gorenstein projectivity of the
-    converted module over the Morita ring."""
-    ring = t.ring
-    lhs = gp_check(pair_to_module(theta(t)), bound, seed)
-    ts_vux = tensor_bimodule_left(ring.context.v, t.tsux.space)
-    vf = tensor_map_second(ts_vux, t.tsvy, t.f)
-    seq1 = is_exact_at(vf, t.g)
-    ts_uvy = tensor_bimodule_left(ring.context.u, t.tsvy.space)
-    ug = tensor_map_second(ts_uvy, t.tsux, t.g)
-    seq2 = is_exact_at(ug, t.f)
-    coker_f, _ = cokernel_module(t.f)
-    coker_g, _ = cokernel_module(t.g)
-    vf_verdict = gp_check(coker_f, bound, seed)
-    vg_verdict = gp_check(coker_g, bound, seed)
-    rhs = seq1 and seq2 and vf_verdict.is_yes() and vg_verdict.is_yes()
-    reports = _lambda_reports(ring, False, bound, seed)
+def _tuple_hypotheses(t: TupleModule, decide: Callable, bound,
+                      seed: int) -> dict:
+    vf, ug = t.composites()
+    return {"seq1_exact": is_exact_at(vf, t.g),
+            "seq2_exact": is_exact_at(ug, t.f),
+            "coker_f_verdict": decide(cokernel_module(t.f)[0], bound, seed),
+            "coker_g_verdict": decide(cokernel_module(t.g)[0], bound, seed)}
+
+
+def verify_theorem(ring: MoritaRing, lhs, hypotheses: dict,
+                   report: Callable, bound, seed: int) -> dict:
+    """One (co)tuple's Gorenstein verdict lhs over the Morita ring against
+    its tuple-level hypotheses, with the sufficiency reports on U, V, their
+    sum and the inflated base."""
+    rhs = holds(hypotheses)
+    reports = _lambda_reports(ring, report, bound, seed)
     agree = lhs.is_yes() == rhs
-    return {"lhs": lhs, "seq1_exact": seq1, "seq2_exact": seq2,
-            "coker_f_verdict": vf_verdict, "coker_g_verdict": vg_verdict,
-            "rhs_holds": rhs, **reports,
+    return {"lhs": lhs, **hypotheses, "rhs_holds": rhs, **reports,
             "hypotheses_established": reports["established"],
             "agreement": agree,
             "classification": _classify(agree, reports["established"])}
 
 
-def verify_thm53(ct: CoTupleModule, bound: Optional[int] = None,
-                 seed: int = 0) -> dict:
+def verify_thm52(t: TupleModule, bound=None, seed: int = 0) -> dict:
+    """Tuple-level hypotheses vs Gorenstein projectivity."""
+    return verify_theorem(t.ring, gp_check(pair_to_module(theta(t)), bound,
+                                           seed),
+                          _tuple_hypotheses(t, gp_check, bound, seed),
+                          compatibility_report, bound, seed)
+
+
+def verify_thm53(ct: CoTupleModule, bound=None, seed: int = 0) -> dict:
     """Hom-side mirror: hypotheses vs Gorenstein injectivity."""
-    ring = ct.ring
-    lhs = gi_check(copair_to_module(theta_co(ct)), bound, seed)
-    hom_ugv = hom_from_bimodule(ring.context.u, ct.hom_vx.space)
-    ug = ct.hom_uy.postcompose(hom_ugv, ct.g)
-    seq1 = is_exact_at(ct.f, ug)
-    hom_vfu = hom_from_bimodule(ring.context.v, ct.hom_uy.space)
-    vf = ct.hom_vx.postcompose(hom_vfu, ct.f)
-    seq2 = is_exact_at(ct.g, vf)
-    ker_f, _ = kernel_module(ct.f)
-    ker_g, _ = kernel_module(ct.g)
-    vf_verdict = gi_check(ker_f, bound, seed)
-    vg_verdict = gi_check(ker_g, bound, seed)
-    rhs = seq1 and seq2 and vf_verdict.is_yes() and vg_verdict.is_yes()
-    reports = _lambda_reports(ring, True, bound, seed)
-    agree = lhs.is_yes() == rhs
-    return {"lhs": lhs, "seq1_exact": seq1, "seq2_exact": seq2,
-            "ker_f_verdict": vf_verdict, "ker_g_verdict": vg_verdict,
-            "rhs_holds": rhs, **reports,
-            "hypotheses_established": reports["established"],
-            "agreement": agree,
-            "classification": _classify(agree, reports["established"])}
+    ug, vf = ct.composites()
+    hypotheses = {
+        "seq1_exact": is_exact_at(ct.f, ug),
+        "seq2_exact": is_exact_at(ct.g, vf),
+        "ker_f_verdict": gi_check(kernel_module(ct.f)[0], bound, seed),
+        "ker_g_verdict": gi_check(kernel_module(ct.g)[0], bound, seed)}
+    return verify_theorem(ct.ring, gi_check(copair_to_module(theta_co(ct)),
+                                            bound, seed),
+                          hypotheses, cocompatibility_report, bound, seed)
 
 
-def verify_thm54(rt: RightTupleModule, bound: Optional[int] = None,
-                 seed: int = 0) -> dict:
-    """Right-module mirror: hypotheses vs Gorenstein flatness."""
-    ring = rt.ring
-    lhs = gf_check_right(right_pair_to_module(upsilon(rt)), bound, seed)
-    ts_quv = tensor_right_bimodule(rt.tsqu.space, ring.context.v)
-    fv = tensor_map_first(ts_quv, rt.tswv, rt.f)
-    seq1 = is_exact_at(fv, rt.g)
-    ts_wvu = tensor_right_bimodule(rt.tswv.space, ring.context.u)
-    gu = tensor_map_first(ts_wvu, rt.tsqu, rt.g)
-    seq2 = is_exact_at(gu, rt.f)
-    coker_f, _ = cokernel_module(rt.f)
-    coker_g, _ = cokernel_module(rt.g)
-    vf_verdict = gf_check_right(coker_f, bound, seed)
-    vg_verdict = gf_check_right(coker_g, bound, seed)
-    rhs = seq1 and seq2 and vf_verdict.is_yes() and vg_verdict.is_yes()
-    reports = _lambda_reports(ring, True, bound, seed)
-    agree = lhs.is_yes() == rhs
-    return {"lhs": lhs, "seq1_exact": seq1, "seq2_exact": seq2,
-            "coker_f_verdict": vf_verdict, "coker_g_verdict": vg_verdict,
-            "rhs_holds": rhs, **reports,
-            "hypotheses_established": reports["established"],
-            "agreement": agree,
-            "classification": _classify(agree, reports["established"])}
+# the left tuple (W, Q, g, f) of a right tuple lists f and g the other way
+# round
+_EXCHANGE_FG = {"seq1_exact": "seq2_exact", "seq2_exact": "seq1_exact",
+                "coker_f_verdict": "coker_g_verdict",
+                "coker_g_verdict": "coker_f_verdict"}
+
+
+def verify_thm54(rt: RightTupleModule, bound=None, seed: int = 0) -> dict:
+    """Right-module mirror: hypotheses vs Gorenstein flatness, through the
+    left tuple over the opposite context."""
+    def decide(coker, bound, seed):
+        return gf_check_right(RightModule.from_left_over_opposite(coker),
+                              bound, seed)
+    left = _tuple_hypotheses(rt.left, decide, bound, seed)
+    return verify_theorem(rt.ring, gf_check_right(_right_module(rt), bound,
+                                                  seed),
+                          {_EXCHANGE_FG[k]: v for k, v in left.items()},
+                          cocompatibility_report, bound, seed)

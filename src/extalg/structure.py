@@ -258,6 +258,8 @@ def _find_idempotent_endo(m, seed: int,
     endos = hom_space(m, m)
     p = m.over.field.p
     h = endos.dim
+    if h <= 1:
+        return None  # End(m) = k.id: the only idempotents are 0 and 1
     ident = np.eye(m.dim, dtype=np.int64)
     if p ** h <= budget:
         for coords in itertools.product(range(p), repeat=h):
@@ -455,10 +457,7 @@ def injective_envelope(m, seed: int = 0):
     dl = _dual_as_left_over_opposite(m)
     pres = projective_cover(dl, seed)
     env = _dual_as_left_over_opposite(pres.cover)
-    if isinstance(m, RightModule):
-        env = RightModule(m.over, env.action, validate=False)
-    else:
-        env = LeftModule(m.over, env.action, validate=False)
+    env = type(m)(m.over, env.action, validate=False)
     mono = ModuleHom(m, env, pres.epi.matrix.transpose(), validate=False)
     return env, mono
 

@@ -8,6 +8,12 @@ alpha: M ox X -> X vanishing on M ox M ox X, and to copairs [Y, beta] with
 beta: Y -> Hom(M, Y) vanishing under postcomposition with itself.  This
 module implements the conversions, the six functors between the base and
 extension categories, and the comparison isomorphisms they satisfy.
+
+Right modules over R |x M are left modules over R^op |x M^swap
+(`opposite_extension`, whose total algebra is registered as the opposite
+of the original one).  A right pair (X, alpha: X ox M -> X) is held as the
+left pair over that extension; the only adapter is `swapped_tensor`, which
+moves alpha between the quotient coordinates of X ox M and M^swap ox X.
 """
 
 from __future__ import annotations
@@ -17,14 +23,12 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .algebra import (Algebra, AlgebraError, Bimodule, HomModule, LeftModule,
-                      ModuleHom, RightModule, TensorSpace, direct_sum_modules,
-                      field_algebra, hom_from_bimodule, hom_space,
-                      image_module, find_isomorphism, kernel_module,
-                      opposite_algebra, quotient_module, cokernel_module,
-                      tensor_bimodule_left, tensor_map_first,
-                      tensor_map_second, tensor_right_bimodule,
-                      tensor_right_left)
+from .algebra import (Algebra, AlgebraError, Bimodule, LeftModule, ModuleHom,
+                      RightModule, direct_sum_modules, field_algebra,
+                      hom_from_bimodule, hom_space, image_module,
+                      find_isomorphism, kernel_module, opposite_algebra,
+                      cokernel_module, swapped_tensor, tensor_bimodule_left,
+                      tensor_map_second, tensor_right_left)
 from .linalg import FpMatrix, hstack, is_invertible, kron, solve
 
 
@@ -72,13 +76,15 @@ def trivial_extension(base: Algebra, bimodule: Bimodule) -> TrivialExtension:
 
 def opposite_extension(t: TrivialExtension) -> TrivialExtension:
     """The extension of the opposite base by the leg-swapped bimodule; its
-    total algebra has literally the opposite multiplication table."""
+    total algebra has literally the opposite multiplication table and is
+    registered as such, so a right module over t.total read as a left
+    module over its opposite lives over this extension."""
     if "opposite" not in t._cache:
-        swapped = Bimodule(opposite_algebra(t.base), opposite_algebra(t.base),
-                           t.bimodule.right_action, t.bimodule.left_action)
-        top = TrivialExtension(opposite_algebra(t.base), swapped)
+        top = TrivialExtension(opposite_algebra(t.base), t.bimodule.swap())
         top._cache["opposite"] = t
         t._cache["opposite"] = top
+        top.total._cache["opposite"] = t.total
+        t.total._cache.setdefault("opposite", top.total)
     return t._cache["opposite"]
 
 
@@ -101,10 +107,13 @@ class PairModule:
             self.validate()
 
     def validate(self):
-        t2 = tensor_bimodule_left(self.t.bimodule, self.tensor.space)
-        m_alpha = tensor_map_second(t2, self.tensor, self.alpha)
-        if not (self.alpha.matrix @ m_alpha.matrix).is_zero():
+        if not (self.alpha.matrix @ self.m_alpha().matrix).is_zero():
             raise TrivextError("structure map does not square to zero")
+
+    def m_alpha(self) -> ModuleHom:
+        """M ox alpha: M ox M ox X -> M ox X."""
+        t2 = tensor_bimodule_left(self.t.bimodule, self.tensor.space)
+        return tensor_map_second(t2, self.tensor, self.alpha)
 
     def same_presentation(self, other: "PairModule") -> bool:
         return (self.x.dim == other.x.dim
@@ -130,10 +139,13 @@ class CopairModule:
             self.validate()
 
     def validate(self):
-        hom2 = hom_from_bimodule(self.t.bimodule, self.hom.space)
-        beta_post = self.hom.postcompose(hom2, self.beta)
-        if not (beta_post.matrix @ self.beta.matrix).is_zero():
+        if not (self.beta_post().matrix @ self.beta.matrix).is_zero():
             raise TrivextError("costructure map does not square to zero")
+
+    def beta_post(self) -> ModuleHom:
+        """Hom(M, beta): Hom(M, Y) -> Hom(M, Hom(M, Y))."""
+        hom2 = hom_from_bimodule(self.t.bimodule, self.hom.space)
+        return self.hom.postcompose(hom2, self.beta)
 
     def same_presentation(self, other: "CopairModule") -> bool:
         return (self.y.dim == other.y.dim
@@ -145,23 +157,23 @@ class CopairModule:
 
 
 class RightPairModule:
-    """(X, alpha) on the right: alpha: X ox M -> X killing X ox M ox M."""
+    """(X, alpha) on the right: alpha: X ox M -> X killing X ox M ox M.
+
+    Held as the left pair `pair` over the opposite extension; `alpha`
+    keeps the quotient coordinates of X ox M."""
 
     def __init__(self, t: TrivialExtension, x: RightModule,
                  alpha_matrix: FpMatrix, validate: bool = True):
         self.t = t
         self.x = x
-        self.tensor = tensor_right_bimodule(x, t.bimodule)
-        self.alpha = ModuleHom(self.tensor.space, x, alpha_matrix,
-                               validate=validate)
-        if validate:
-            self.validate()
+        top = opposite_extension(t)
+        xl = x.as_left_over_opposite()
+        st = swapped_tensor(top.bimodule, xl)
+        self.alpha = ModuleHom(st.space, x, alpha_matrix, validate=False)
+        self.pair = PairModule(top, xl, alpha_matrix @ st.to_left, validate)
 
-    def validate(self):
-        t2 = tensor_right_bimodule(self.tensor.space, self.t.bimodule)
-        alpha_m = tensor_map_first(t2, self.tensor, self.alpha)
-        if not (self.alpha.matrix @ alpha_m.matrix).is_zero():
-            raise TrivextError("structure map does not square to zero")
+    def same_presentation(self, other: "RightPairModule") -> bool:
+        return self.pair.same_presentation(other.pair)
 
     def __repr__(self):
         return f"RightPairModule(x_dim={self.x.dim}, over={self.t!r})"
@@ -229,31 +241,15 @@ def module_to_copair(mod: LeftModule, t: TrivialExtension) -> CopairModule:
 
 
 def right_pair_to_module(rp: RightPairModule) -> RightModule:
-    t = rp.t
-    field = t.field
-    ix = FpMatrix.identity(rp.x.dim, field)
-    action = list(rp.x.action)
-    for j in range(t.ideal_dim):
-        ej = FpMatrix.zeros(t.ideal_dim, 1, field)
-        ej.arr[j, 0] = 1
-        action.append(rp.alpha.matrix @ rp.tensor.project @ kron(ix, ej))
-    return RightModule(t.total, action)
+    """x.(r, m) = x.r + alpha(x ox m), through the left pair."""
+    return RightModule.from_left_over_opposite(pair_to_module(rp.pair))
 
 
 def module_to_right_pair(mod: RightModule, t: TrivialExtension) -> RightPairModule:
-    n, d = t.base_dim, t.ideal_dim
-    x = RightModule(t.base, mod.action[:n])
-    ts = tensor_right_bimodule(x, t.bimodule)
-    plain = np.zeros((x.dim, x.dim * d), dtype=np.int64)
-    for b in range(x.dim):
-        for j in range(d):
-            plain[:, b * d + j] = mod.action[n + j].arr[:, b]
-    plain = FpMatrix(plain, t.field)
-    alpha_mat = plain @ ts.include
-    if alpha_mat @ ts.project != plain:
-        raise TrivextError("ideal action does not factor through the "
-                           "balanced tensor; not a module over the extension")
-    return RightPairModule(t, x, alpha_mat)
+    pair = module_to_pair(mod.as_left_over_opposite(), opposite_extension(t))
+    to_right = swapped_tensor(pair.t.bimodule, pair.x).to_right
+    return RightPairModule(t, RightModule.from_left_over_opposite(pair.x),
+                           pair.alpha.matrix @ to_right, validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -371,45 +367,38 @@ class ShortExactSequence:
                 and is_exact_at(self.mono, self.epi))
 
 
-def _inflate(t: TrivialExtension, x: LeftModule) -> LeftModule:
-    """Z(X) directly as a total module: the ideal acts as zero."""
+def _inflate(t: TrivialExtension, x):
+    """Z(X) directly as a total module, on the side of X: the ideal acts
+    as zero."""
     z = FpMatrix.zeros(x.dim, x.dim, t.field)
-    return LeftModule(t.total, list(x.action) + [z] * t.ideal_dim)
+    return type(x)(t.total, list(x.action) + [z] * t.ideal_dim)
 
 
-def _inflate_right(t: TrivialExtension, x: RightModule) -> RightModule:
-    z = FpMatrix.zeros(x.dim, x.dim, t.field)
-    return RightModule(t.total, list(x.action) + [z] * t.ideal_dim)
+def _inflated_ses(t: TrivialExtension, sub: LeftModule, incl: ModuleHom,
+                  mid: LeftModule, quo: LeftModule,
+                  epi: ModuleHom) -> ShortExactSequence:
+    """0 -> Z(sub) -> mid -> Z(quo) -> 0 from maps of base modules."""
+    sub_t, quo_t = _inflate(t, sub), _inflate(t, quo)
+    return ShortExactSequence(
+        sub_t, mid, quo_t, ModuleHom(sub_t, mid, incl.matrix, validate=False),
+        ModuleHom(mid, quo_t, epi.matrix, validate=False))
 
 
 def ses_of_pair(pair: PairModule) -> ShortExactSequence:
     """0 -> Z(im alpha) -> (X, alpha) -> Z(coker alpha) -> 0 over the
     total algebra."""
-    t = pair.t
     img, incl, _ = image_module(pair.alpha)
     quo, proj = cokernel_module(pair.alpha)
-    mid = pair_to_module(pair)
-    sub = _inflate(t, img)
-    quo_t = _inflate(t, quo)
-    return ShortExactSequence(sub, mid, quo_t,
-                              ModuleHom(sub, mid, incl.matrix, validate=False),
-                              ModuleHom(mid, quo_t, proj.matrix,
-                                        validate=False))
+    return _inflated_ses(pair.t, img, incl, pair_to_module(pair), quo, proj)
 
 
 def ses_of_copair(copair: CopairModule) -> ShortExactSequence:
     """0 -> Z(ker beta) -> [Y, beta] -> Z(im beta) -> 0 over the total
     algebra."""
-    t = copair.t
     kerb, incl = kernel_module(copair.beta)
     img, _, epi = image_module(copair.beta)
-    mid = copair_to_module(copair)
-    sub = _inflate(t, kerb)
-    quo_t = _inflate(t, img)
-    return ShortExactSequence(sub, mid, quo_t,
-                              ModuleHom(sub, mid, incl.matrix, validate=False),
-                              ModuleHom(mid, quo_t, epi.matrix,
-                                        validate=False))
+    return _inflated_ses(copair.t, kerb, incl, copair_to_module(copair), img,
+                         epi)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +447,7 @@ def tensor_iso_pair(w: RightModule, pair: PairModule) -> ModuleHom:
     plain spaces."""
     t = pair.t
     mid = pair_to_module(pair)
-    zw = _inflate_right(t, w)
+    zw = _inflate(t, w)
     lhs = tensor_right_left(zw, mid)
     quo, proj = cokernel_module(pair.alpha)
     rhs = tensor_right_left(w, quo)

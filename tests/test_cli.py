@@ -1,11 +1,31 @@
 import argparse
 import copy
+import hashlib
 import json
+import pathlib
 
 import pytest
 
+from extalg import cli
+from extalg.algebra import AlgebraError, monomial_quiver_algebra
 from extalg.cli import (SCHEMA_VERSION, Workspace, WorkspaceError,
                         emit_builtin_examples, load, main, run)
+from extalg.gorenstein import GorensteinError
+from extalg.linalg import FieldSpec, LinalgError
+from extalg.morita import MoritaError
+from extalg.structure import StructureError
+from extalg.trivext import TrivextError
+
+# the report digests recorded for the benchmark's CLI workload
+CLI_DIGESTS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / \
+    "cli_digests.json"
+README_COMMANDS = (
+    ("validate",), ("check", "gp"), ("check", "gi"), ("check", "gf"),
+    ("verify", "cor35"), ("verify", "cor45"), ("verify", "cor48"),
+    ("verify", "thm52"), ("verify", "thm53"), ("verify", "thm54"),
+    ("resolve", "pair", "--window", "3"),
+    ("resolve", "copair", "--window", "3"),
+)
 
 
 @pytest.fixture(scope="module")
@@ -154,3 +174,63 @@ def test_main_rejects_out_of_range_flags(tmp_path, capsys, argv, flag):
         main(argv[:2] + [str(ws_path)] + argv[2:])
     assert exc.value.code == 2
     assert f"argument {flag}" in capsys.readouterr().err
+
+
+def test_reports_match_recorded_digests(tmp_path):
+    ws_path = tmp_path / "ws.json"
+    out_path = tmp_path / "report.json"
+    assert main(["examples", "emit", "--out", str(ws_path)]) == 0
+    got = {}
+    for command in README_COMMANDS:
+        argv = list(command[:2]) + [str(ws_path)] + list(command[2:])
+        assert main(argv + ["--out", str(out_path)]) == 0
+        report = json.loads(out_path.read_text())
+        report.pop("timing_ms")
+        payload = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        got[" ".join(command[:2])] = hashlib.sha256(
+            payload.encode("utf-8")).hexdigest()
+    assert got == json.loads(CLI_DIGESTS.read_text())
+
+
+def nakayama_workspace(path):
+    """The cyclic Nakayama algebra N(3,3) over GF(101), extended by the zero
+    bimodule, with the pair of its regular module."""
+    arrows = [[0, 1], [1, 2], [2, 0]]
+    relations = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+    n = monomial_quiver_algebra(3, arrows, relations, FieldSpec(101))
+    path.write_text(json.dumps({
+        "schema_version": SCHEMA_VERSION, "field": {"p": 101},
+        "algebras": {"n33": {"quiver": {"vertices": 3, "arrows": arrows,
+                                        "zero_relations": relations}}},
+        "bimodules": {"zero": {"left_over": "n33", "right_over": "n33",
+                               "left_action": [[]] * n.dim,
+                               "right_action": [[]] * n.dim}},
+        "modules": {"reg": {"over": "n33",
+                            "action": [m.arr.tolist() for m in n.lmats]}},
+        "extensions": {"e": {"base": "n33", "bimodule": "zero"}},
+        "pairs": {"reg_pair": {"extension": "e", "x": "reg",
+                               "alpha": [[]] * n.dim}},
+    }))
+
+
+def test_library_error_exits_2_naming_the_instance(tmp_path, capsys):
+    # the structure layer does not split N(3,3) over GF(101) yet and raises
+    # StructureError from inside the decider
+    path = tmp_path / "n33.json"
+    nakayama_workspace(path)
+    assert main(["check", "gp", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: pair 'reg_pair': ")
+
+
+@pytest.mark.parametrize("error", [AlgebraError, LinalgError, StructureError,
+                                   TrivextError, GorensteinError,
+                                   MoritaError])
+def test_every_library_error_exits_2(tmp_path, capsys, monkeypatch, error):
+    def fail(*args):
+        raise error("boom")
+    monkeypatch.setattr(cli, "gp_check", fail)
+    ws_path = tmp_path / "ws.json"
+    assert main(["examples", "emit", "--out", str(ws_path)]) == 0
+    assert main(["check", "gp", str(ws_path)]) == 2
+    assert capsys.readouterr().err == "error: pair 'd_regular_pair': boom\n"

@@ -125,3 +125,16 @@ def test_zero_shapes_round_trip():
     assert kernel_basis(z2).rows == 0
     qm = quotient_maps(FpMatrix.zeros(0, 0, F2))
     assert qm.project.rows == 0
+
+
+def test_kron_matches_numpy_kron_at_large_prime():
+    field = FieldSpec(65521)
+    rng = np.random.default_rng(65521)
+    for _ in range(30):
+        ra, ca, rb, cb = rng.integers(0, 6, size=4)
+        a = rng.integers(0, field.p, size=(ra, ca))
+        b = rng.integers(0, field.p, size=(rb, cb))
+        got = kron(FpMatrix(a, field), FpMatrix(b, field)).arr
+        want = np.kron(a, b) % field.p
+        assert got.shape == want.shape
+        assert (got == want).all()

@@ -3,8 +3,9 @@ import pytest
 
 from conftest import FIELD2, a2_algebra, local_wild_algebra, \
     square_zero_extension
-from extalg.algebra import (LeftModule, RightModule, direct_sum_modules,
-                            field_algebra, is_isomorphic, product_algebra)
+from extalg.algebra import (HomSpace, LeftModule, RightModule,
+                            direct_sum_modules, field_algebra, is_isomorphic,
+                            product_algebra)
 from extalg.linalg import FieldSpec, FpMatrix, inverse, rank
 from extalg.structure import (_find_idempotent_endo, _power_mod,
                               algebra_radical, chop, injective_envelope,
@@ -175,3 +176,21 @@ def test_fitting_split_over_large_prime():
         assert am @ stable == stable @ am
     assert 0 < rank(stable) < 4
     assert rank(stable @ stable) == rank(stable)
+
+
+def test_one_dimensional_endomorphisms_are_not_swept(monkeypatch):
+    # End(m) = k.id has no idempotent besides 0 and 1, so splitting a
+    # 1-dimensional module builds no endomorphism at all (the sweep of
+    # GF(65521) would build 65520)
+    built = []
+    element = HomSpace.element
+
+    def counted(self, coords):
+        built.append(coords)
+        return element(self, coords)
+
+    monkeypatch.setattr(HomSpace, "element", counted)
+    m = LeftModule.regular(field_algebra(FieldSpec(65521)))
+    pieces = split_module(m)
+    assert len(pieces) == 1 and pieces[0][0] is m
+    assert not built
