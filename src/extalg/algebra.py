@@ -3,7 +3,15 @@
 An algebra is a structure-constant table c[i][j] = coordinates of b_i * b_j
 plus a unit vector.  Modules carry one action matrix per algebra basis
 element, acting on the left of coordinate column vectors; right modules use
-the reversed composition law.  All constructors validate their invariants.
+the reversed composition law.  A right module over A is read as the left
+module over A^op with the same matrices (`as_left`); the linear dual and
+Hom(-, A) are the one place a module changes side (`other_side`).
+
+Constructors validate their invariants by default, so data is checked where
+it enters.  Objects derived from validated parts by a construction that
+keeps the axioms skip the check: opposite and product algebras, the total
+algebras of extensions, modules relabelled over the opposite algebra,
+swapped bimodules and duals.
 
 The module law is checked one structure-table row at a time: for each i the
 products action(b_i) @ action(b_j) for all j come from one stacked matmul
@@ -109,7 +117,8 @@ def field_algebra(field: FieldSpec) -> Algebra:
 def opposite_algebra(a: Algebra) -> Algebra:
     key = "opposite"
     if key not in a._cache:
-        op = Algebra(a.field, np.transpose(a.sc, (1, 0, 2)), a.unit)
+        op = Algebra(a.field, np.transpose(a.sc, (1, 0, 2)), a.unit,
+                     validate=False)
         op._cache["opposite"] = a
         a._cache[key] = op
     return a._cache[key]
@@ -153,7 +162,7 @@ def product_algebra(a: Algebra, b: Algebra) -> Tuple[Algebra, np.ndarray, np.nda
     unit = np.concatenate([a.unit, b.unit])
     e1 = np.concatenate([a.unit, np.zeros(m, dtype=np.int64)])
     e2 = np.concatenate([np.zeros(n, dtype=np.int64), b.unit])
-    return Algebra(a.field, sc, unit), e1, e2
+    return Algebra(a.field, sc, unit, validate=False), e1, e2
 
 
 # ---------------------------------------------------------------------------
@@ -226,15 +235,36 @@ class RightModule(LeftModule):
     _law_axes = (1, 0, 2)
 
     def as_left_over_opposite(self) -> LeftModule:
-        return LeftModule(opposite_algebra(self.over), self.action)
+        return LeftModule(opposite_algebra(self.over), self.action,
+                          validate=False)
 
     @classmethod
     def from_left_over_opposite(cls, m: LeftModule) -> "RightModule":
-        return cls(opposite_algebra(m.over), m.action)
+        return cls(opposite_algebra(m.over), m.action, validate=False)
 
     @classmethod
     def regular(cls, a: Algebra) -> "RightModule":
         return cls(a, a.rmats)
+
+
+def as_left(m) -> LeftModule:
+    """m itself for a left module; for a right module over A, the left
+    module over A^op with the same action matrices."""
+    return m.as_left_over_opposite() if isinstance(m, RightModule) else m
+
+
+def other_side(m, action: Sequence[FpMatrix]):
+    """The module over m's algebra, on the side opposite to m's, on which
+    the basis elements act by `action`: the linear dual and Hom(-, A) turn
+    left modules into right ones and back."""
+    return (LeftModule if isinstance(m, RightModule) else RightModule)(
+        m.over, action, validate=False)
+
+
+def field_space(field: FieldSpec, d: int) -> LeftModule:
+    """GF(p)^d as a module over the 1-dimensional algebra GF(p)."""
+    return LeftModule(field_algebra(field), [FpMatrix.identity(d, field)],
+                      validate=False)
 
 
 class Bimodule:
@@ -271,7 +301,7 @@ class Bimodule:
         actions exchanged."""
         return Bimodule(opposite_algebra(self.right_over),
                         opposite_algebra(self.left_over),
-                        self.right_action, self.left_action)
+                        self.right_action, self.left_action, validate=False)
 
     @classmethod
     def regular(cls, a: Algebra) -> "Bimodule":
@@ -567,14 +597,10 @@ def tensor_bimodule_left(m: Bimodule, x: LeftModule) -> TensorSpace:
 
 
 def tensor_right_left(w: RightModule, x: LeftModule) -> TensorSpace:
-    """W ox_R X as a plain GF(p) space (a module over the 1-dim algebra)."""
-    if not _same_algebra(w.over, x.over):
-        raise AlgebraError("contracted algebras do not match")
-    field = x.over.field
-    qm = _balanced_quotient(w.action, x.action, field)
-    q = qm.project.rows
-    space = LeftModule(field_algebra(field), [FpMatrix.identity(q, field)])
-    return TensorSpace(space, qm.project, qm.include, w.dim, x.dim)
+    """W ox_R X as a plain GF(p) space, with W read as a GF(p)-R-bimodule."""
+    k = field_space(w.over.field, w.dim)
+    return tensor_bimodule_left(Bimodule(k.over, w.over, k.action, w.action,
+                                         validate=False), x)
 
 
 def tensor_map_second(ts_from: TensorSpace, ts_to: TensorSpace,
@@ -661,23 +687,7 @@ def dual_module(x):
     For finite-dimensional modules over GF(p) this is isomorphic to the
     character module Hom_Z(X, Q/Z), which is how it is used throughout.
     """
-    action = [m.transpose() for m in x.action]
-    if isinstance(x, RightModule):
-        return LeftModule(x.over, action)
-    return RightModule(x.over, action)
-
-
-def dual_hom(f: ModuleHom) -> ModuleHom:
-    return ModuleHom(dual_module(f.target), dual_module(f.source),
-                     f.matrix.transpose(), validate=False)
-
-
-def double_dual_iso(x) -> ModuleHom:
-    """The natural iso x -> dual(dual(x)); the identity matrix in
-    coordinates since transposing twice is the identity."""
-    dd = dual_module(dual_module(x))
-    return ModuleHom(x, dd, FpMatrix.identity(x.dim, x.over.field),
-                     validate=False)
+    return other_side(x, [m.transpose() for m in x.action])
 
 
 # ---------------------------------------------------------------------------

@@ -139,7 +139,6 @@ class Workspace:
     def __init__(self, data: dict):
         if data.get("schema_version") != SCHEMA_VERSION:
             raise WorkspaceError("unsupported or missing schema_version")
-        self.data = data
         self.field = FieldSpec(int(data.get("field", {}).get("p", 2)))
         for key, attr, kind, build in ENTITIES:
             table = {}
@@ -162,9 +161,6 @@ class Workspace:
     def counts(self) -> dict:
         return {key: len(getattr(self, attr))
                 for key, attr, _, _ in ENTITIES}
-
-    def to_dict(self) -> dict:
-        return self.data
 
 
 def load(path: str) -> Workspace:

@@ -15,17 +15,17 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from .algebra import (Algebra, Bimodule, HomSpace, LeftModule, ModuleHom,
-                      RightModule, direct_sum_modules, dual_module,
+                      RightModule, as_left, direct_sum_modules, dual_module,
                       hom_space, image_module, is_exact_at, kernel_module,
-                      quotient_module, tensor_bimodule_left, tensor_map_second)
+                      other_side, quotient_module, tensor_bimodule_left,
+                      tensor_map_second)
 from .homology import (ChainComplex, Resolution, _precompose_matrix,
                        default_bound, fd_bounded, hom_complex, hom_complex_co,
                        id_bounded, is_exact_complex,
                        minimal_projective_resolution, pd_bounded)
 from .linalg import (FpMatrix, hstack, is_invertible, kron, rank, solve,
                      vstack)
-from .structure import _dual_as_left_over_opposite, is_projective, \
-    projective_indecomposables
+from .structure import is_projective, projective_indecomposables
 from .trivext import (CopairModule, PairModule, RightPairModule,
                       TrivialExtension, _inflate, copair_to_module,
                       functor_C, functor_K, functor_T, induced_delta,
@@ -67,12 +67,11 @@ class GorensteinVerdict:
 def star_module(m) -> Tuple[object, HomSpace]:
     """Hom into the regular module; left modules become right modules and
     conversely, acting through multiplication on the values."""
-    right = isinstance(m, RightModule)
-    ml = m.as_left_over_opposite() if right else m
+    ml = as_left(m)
     hs = hom_space(ml, LeftModule.regular(ml.over))
     stack = hs.basis_array()
     action = [hs.coords_many(mult.arr @ stack) for mult in ml.over.rmats]
-    return (LeftModule if right else RightModule)(m.over, action), hs
+    return other_side(m, action), hs
 
 
 def biduality_map(m) -> ModuleHom:
@@ -110,8 +109,9 @@ def gorenstein_regime(a: Algebra, bound: Optional[int] = None,
 
 
 def _ext_dims_vs_regular(g, upto: int, seed: int) -> List[int]:
-    """[dim Ext^i(g, A)] for i = 1..upto, via the minimal resolution."""
-    reg = type(g).regular(g.over)
+    """[dim Ext^i(g, A)] for i = 1..upto, via the minimal resolution of the
+    left module g."""
+    reg = LeftModule.regular(g.over)
     res = minimal_projective_resolution(g, upto + 1, seed)
     spaces = [hom_space(t, reg) for t in res.terms]
     maps = [_precompose_matrix(spaces[j], spaces[j + 1], res.diffs[j])
@@ -128,7 +128,9 @@ def _ext_dims_vs_regular(g, upto: int, seed: int) -> List[int]:
 
 
 def gp_check(g, bound: Optional[int] = None, seed: int = 0) -> GorensteinVerdict:
-    """Gorenstein projectivity of a (left) module, with certificates."""
+    """Gorenstein projectivity of a module, with certificates; a right
+    module is decided as a left module over the opposite algebra."""
+    g = as_left(g)
     a = g.over
     if bound is None:
         bound = default_bound(a)
@@ -154,10 +156,7 @@ def gp_check(g, bound: Optional[int] = None, seed: int = 0) -> GorensteinVerdict
              "checked": limit, "id_left": dl.value, "id_right": dr.value},
             bound)
     # unknown regime: the bounded totally reflexive battery
-    gstar, _ = star_module(g)
-    gsl = gstar.as_left_over_opposite() if isinstance(gstar, RightModule) \
-        else gstar
-    dims2 = _ext_dims_vs_regular(gsl, bound, seed)
+    dims2 = _ext_dims_vs_regular(as_left(star_module(g)[0]), bound, seed)
     for i, d in enumerate(dims2, start=1):
         if d:
             return GorensteinVerdict(
@@ -178,7 +177,7 @@ def gp_check(g, bound: Optional[int] = None, seed: int = 0) -> GorensteinVerdict
 
 def gi_check(y, bound: Optional[int] = None, seed: int = 0) -> GorensteinVerdict:
     """Gorenstein injectivity, via the dual over the opposite algebra."""
-    v = gp_check(_dual_as_left_over_opposite(y), bound, seed)
+    v = gp_check(as_left(dual_module(y)), bound, seed)
     cert = dict(v.certificate)
     cert["route"] = "dual_over_opposite"
     return GorensteinVerdict(v.answer, v.regime, cert, v.bound)
@@ -216,9 +215,11 @@ def _bimodule_dims(n: Bimodule, bound: Optional[int], seed: int) -> dict:
 
 def compatibility_report(n: Bimodule, bound: Optional[int] = None,
                          seed: int = 0) -> CompatibilityReport:
-    """Sufficient criteria only; None means 'not established', never
-    'refuted'.  Criteria: finite flat dimension on the right leg combined
-    with finite projective (or injective) dimension on the left leg."""
+    """Sufficient criteria only, for the compatible and the cocompatible
+    case alike (both derive from finite one-sided dimensions); None means
+    'not established', never 'refuted'.  Criteria: finite flat dimension on
+    the right leg combined with finite projective (or injective) dimension
+    on the left leg."""
     dims = _bimodule_dims(n, bound, seed)
     via = None
     if dims["fd_right"].is_finite() and dims["pd_left"].is_finite():
@@ -226,13 +227,6 @@ def compatibility_report(n: Bimodule, bound: Optional[int] = None,
     elif dims["fd_right"].is_finite() and dims["id_left"].is_finite():
         via = "finite_fd_and_id"
     return CompatibilityReport(via, dims)
-
-
-def cocompatibility_report(n: Bimodule, bound: Optional[int] = None,
-                           seed: int = 0) -> CompatibilityReport:
-    """Same sufficient criteria as the compatible case (both variants
-    derive from finite one-sided dimensions)."""
-    return compatibility_report(n, bound, seed)
 
 
 def zr_bimodule(t: TrivialExtension) -> Bimodule:
@@ -336,20 +330,15 @@ def complete_resolution(c, window: int, seed: int = 0) -> CompleteResolution:
     >= 0 from the dual of the minimal resolution of Hom(c, A) over the
     opposite algebra, glued along the biduality map.  The output is a
     genuine complete-resolution window exactly when c is totally
-    reflexive on the window (validated by callers)."""
-    cstar, _ = star_module(c)
-    cl = cstar.as_left_over_opposite() if isinstance(cstar, RightModule) \
-        else cstar
-    op = cl.over
+    reflexive on the window (validated by callers).  A right module is
+    resolved as a left module over the opposite algebra."""
+    c = as_left(c)
+    cl = as_left(star_module(c)[0])
     res2 = minimal_projective_resolution(cl, window, seed)
-    reg_op = LeftModule.regular(op)
-    spaces = [hom_space(t, reg_op) for t in res2.terms]
-    # P^j := Hom_op(Q_j, op) as a module on the original side
-    right_terms = []
-    for hs in spaces:
-        stack = hs.basis_array()
-        right_terms.append(type(c)(c.over, [hs.coords_many(r.arr @ stack)
-                                            for r in op.rmats]))
+    # P^j := Hom_op(Q_j, op), a left module over c's algebra
+    stars = [star_module(t) for t in res2.terms]
+    right_terms = [as_left(mod) for mod, _ in stars]
+    spaces = [hs for _, hs in stars]
     right_diffs = []
     for j in range(len(res2.diffs)):
         mat = _precompose_matrix(spaces[j], spaces[j + 1], res2.diffs[j])
@@ -358,7 +347,7 @@ def complete_resolution(c, window: int, seed: int = 0) -> CompleteResolution:
     # glue: c -> c** -> Hom_op(Q_0, op) by precomposition with the
     # augmentation
     ev = biduality_map(c)
-    hs_cl = hom_space(cl, reg_op)
+    hs_cl = hom_space(cl, LeftModule.regular(cl.over))
     aug_star = spaces[0].coords_many(hs_cl.basis_array()
                                      @ res2.epi.matrix.arr)
     mono = ModuleHom(c, right_terms[0], aug_star @ ev.matrix, validate=False)
@@ -704,7 +693,7 @@ def verify_cor45(copair: CopairModule, bound: Optional[int] = None,
     return verify_corollary(copair.t, gi_check(copair_to_module(copair),
                                                bound, seed),
                             thm_copair_hypotheses(copair, bound, seed),
-                            cocompatibility_report, bound, seed)
+                            compatibility_report, bound, seed)
 
 
 def verify_cor48(rp: RightPairModule, bound: Optional[int] = None,
@@ -713,4 +702,4 @@ def verify_cor48(rp: RightPairModule, bound: Optional[int] = None,
     return verify_corollary(rp.t, gf_check_right(right_pair_to_module(rp),
                                                  bound, seed),
                             _right_pair_hypotheses(rp, bound, seed),
-                            cocompatibility_report, bound, seed)
+                            compatibility_report, bound, seed)

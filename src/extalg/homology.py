@@ -2,9 +2,10 @@
 bounded projective/injective/flat dimension verdicts.
 
 Complexes are finite windows with ascending differentials d^i: X^i ->
-X^{i+1}.  Injective dimension is computed as the projective dimension of
-the dual over the opposite algebra; flat dimension coincides with the
-projective one for the finite-dimensional modules handled here.
+X^{i+1}.  A right module is resolved as the left module over the opposite
+algebra (`as_left`).  Injective dimension is computed as the projective
+dimension of the dual over the opposite algebra; flat dimension coincides
+with the projective one for the finite-dimensional modules handled here.
 """
 
 from __future__ import annotations
@@ -14,14 +15,11 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import (Algebra, AlgebraError, Bimodule, HomSpace, LeftModule,
-                      ModuleHom, direct_sum_modules,
-                      field_algebra, hom_space, is_exact_at,
-                      tensor_bimodule_left, tensor_map_second,
-                      tensor_right_left)
+from .algebra import (Algebra, AlgebraError, HomSpace, ModuleHom, as_left,
+                      direct_sum_modules, dual_module, field_space, hom_space,
+                      is_exact_at, kernel_module)
 from .linalg import FpMatrix, rank
-from .structure import (ProjectivePresentation, _dual_as_left_over_opposite,
-                        _pims_for, projective_cover)
+from .structure import projective_cover, projective_indecomposables
 
 
 def default_bound(a: Algebra) -> int:
@@ -97,6 +95,7 @@ class Resolution:
 
 def minimal_projective_resolution(m, n: int, seed: int = 0) -> Resolution:
     """Resolution of length n by iterated projective covers."""
+    m = as_left(m)
     terms, diffs, syzygies, syz_incl = [], [], [m], []
     pres = projective_cover(m, seed)
     terms.append(pres.cover)
@@ -117,7 +116,8 @@ def non_minimal_resolution(m, n: int, seed: int = 0) -> Resolution:
     """A deliberately padded projective resolution: the degree-0 cover gets
     an extra indecomposable projective summand mapping to zero.  Used to
     cross-check resolution independence of Ext."""
-    pims = _pims_for(m, seed)
+    m = as_left(m)
+    pims = projective_indecomposables(m.over, seed)
     extra = pims[seed % len(pims)][0]
     pres = projective_cover(m, seed)
     cover, _, _ = direct_sum_modules([pres.cover, extra])
@@ -126,7 +126,6 @@ def non_minimal_resolution(m, n: int, seed: int = 0) -> Resolution:
                                   np.zeros((m.dim, extra.dim),
                                            dtype=np.int64)]), field)
     epi = ModuleHom(cover, m, epi_mat, validate=False)
-    from .algebra import kernel_module
     ker, ker_incl = kernel_module(epi)
     terms, diffs = [cover], []
     syzygies, syz_incl = [m, ker], [ker_incl]
@@ -169,6 +168,7 @@ def ext_from_resolution(res: Resolution, n, i: int) -> ExtResult:
     """dim Ext^i from an explicit projective resolution (length >= i+1)."""
     if res.length() < i + 1:
         raise AlgebraError("resolution too short for the requested Ext")
+    n = as_left(n)
     spaces = [hom_space(t, n) for t in res.terms[: i + 2]]
     maps = [_precompose_matrix(spaces[j], spaces[j + 1], res.diffs[j])
             for j in range(i + 1)]
@@ -225,7 +225,7 @@ def pd_bounded(m, bound: Optional[int] = None, seed: int = 0) -> DimensionVerdic
 
 def id_bounded(m, bound: Optional[int] = None, seed: int = 0) -> DimensionVerdict:
     """Injective dimension = pd of the dual over the opposite algebra."""
-    return pd_bounded(_dual_as_left_over_opposite(m), bound, seed)
+    return pd_bounded(dual_module(m), bound, seed)
 
 
 def fd_bounded(m, bound: Optional[int] = None, seed: int = 0) -> DimensionVerdict:
@@ -238,17 +238,12 @@ def fd_bounded(m, bound: Optional[int] = None, seed: int = 0) -> DimensionVerdic
 # functors applied to complexes
 
 
-def _field_space(field, d: int) -> LeftModule:
-    return LeftModule(field_algebra(field), [FpMatrix.identity(d, field)],
-                      validate=False)
-
-
 def hom_complex(c: ChainComplex, q) -> ChainComplex:
     """Contravariant Hom(-, q), reindexed so the result ascends: the term
     at -i is Hom(X^i, q), as plain spaces over the ground field."""
     field = q.over.field
     spaces = [hom_space(x, q) for x in c.modules]
-    mods = [_field_space(field, hs.dim) for hs in reversed(spaces)]
+    mods = [field_space(field, hs.dim) for hs in reversed(spaces)]
     diffs = []
     for j in reversed(range(len(c.diffs))):
         mat = _precompose_matrix(spaces[j + 1], spaces[j], c.diffs[j])
@@ -261,32 +256,10 @@ def hom_complex_co(q, c: ChainComplex) -> ChainComplex:
     """Covariant Hom(q, -) applied objectwise, same indexing as c."""
     field = q.over.field
     spaces = [hom_space(q, x) for x in c.modules]
-    mods = [_field_space(field, hs.dim) for hs in spaces]
+    mods = [field_space(field, hs.dim) for hs in spaces]
     diffs = []
     for j in range(len(c.diffs)):
         mat = spaces[j + 1].coords_many(c.diffs[j].matrix.arr
                                         @ spaces[j].basis_array())
-        diffs.append(ModuleHom(mods[j], mods[j + 1], mat, validate=False))
-    return ChainComplex(c.lo, mods, diffs, validate=False)
-
-
-def tensor_complex(b, c: ChainComplex) -> ChainComplex:
-    """b ox_R (-) applied objectwise; b is a bimodule (keeping a left
-    module structure) or a right module (plain spaces)."""
-    if isinstance(b, Bimodule):
-        spaces = [tensor_bimodule_left(b, x) for x in c.modules]
-        mods = [t.space for t in spaces]
-        diffs = [tensor_map_second(spaces[j], spaces[j + 1], c.diffs[j])
-                 for j in range(len(c.diffs))]
-        return ChainComplex(c.lo, mods, diffs, validate=False)
-    spaces = [tensor_right_left(b, x) for x in c.modules]
-    mods = [t.space for t in spaces]
-    field = b.over.field
-    diffs = []
-    for j in range(len(c.diffs)):
-        from .linalg import kron
-        ib = FpMatrix.identity(b.dim, field)
-        mat = spaces[j + 1].project @ kron(ib, c.diffs[j].matrix) \
-            @ spaces[j].include
         diffs.append(ModuleHom(mods[j], mods[j + 1], mat, validate=False))
     return ChainComplex(c.lo, mods, diffs, validate=False)

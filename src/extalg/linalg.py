@@ -12,11 +12,11 @@ through every operation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from sympy import isprime
 
 MAX_PRIME = 65521
 
@@ -34,7 +34,8 @@ class FieldSpec:
     def __post_init__(self):
         if not (2 <= self.p <= MAX_PRIME):
             raise LinalgError(f"modulus {self.p} out of range [2, {MAX_PRIME}]")
-        if not isprime(self.p):
+        # trial division: MAX_PRIME < 256 ** 2, so at most 254 divisors
+        if any(self.p % d == 0 for d in range(2, math.isqrt(self.p) + 1)):
             raise LinalgError(f"modulus {self.p} is not prime")
 
     def inv(self, x: int) -> int:
@@ -268,11 +269,6 @@ def in_row_span(basis: FpMatrix, vec) -> bool:
     v = np.asarray(vec, dtype=np.int64).reshape(1, -1)
     stacked = FpMatrix(np.vstack([basis.arr, v]), basis.field)
     return rank(stacked) == rank(basis)
-
-
-def columns_contained(a: FpMatrix, b: FpMatrix) -> bool:
-    """Is the column space of a contained in the column space of b?"""
-    return rank(hstack([b, a])) == rank(b)
 
 
 @dataclass

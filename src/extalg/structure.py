@@ -1,9 +1,11 @@
-"""Structure theory of modules: composition factors, radicals, idempotent
-lifting, indecomposable splittings, projective covers and injective
-envelopes.
+"""Structure theory of modules: composition factors, radicals,
+indecomposable splittings, projective covers and injective envelopes.
 
 Everything is exact; randomness only enters through explicit seeds, and
-only once the exhaustive sweeps exceed their budgets.
+only once the exhaustive sweeps exceed their budgets.  Projective covers,
+and through them resolutions, take a right module as the left module over
+the opposite algebra (`as_left`); injective envelopes are duals of
+projective covers over the opposite algebra.
 """
 
 from __future__ import annotations
@@ -13,14 +15,12 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-import sympy
 
-from .algebra import (Algebra, AlgebraError, LeftModule, ModuleHom,
-                      RightModule, direct_sum_modules, dual_module, hom_space,
-                      image_module, is_isomorphic, kernel_module,
-                      opposite_algebra, quotient_module, row_space_of_columns,
-                      submodule)
-from .linalg import (FpMatrix, hstack, kernel_basis, rank, rref, vstack)
+from .algebra import (Algebra, LeftModule, ModuleHom, as_left,
+                      direct_sum_modules, dual_module, hom_space,
+                      is_isomorphic, kernel_module, opposite_algebra,
+                      quotient_module, row_space_of_columns, submodule)
+from .linalg import FpMatrix, hstack, kernel_basis, rank, rref, solve, vstack
 
 EXHAUSTIVE_BUDGET = 65536
 
@@ -74,7 +74,7 @@ def find_proper_submodule(m, seed: int = 0,
                 return s
         return None
     rng = np.random.default_rng(seed)
-    dm = dual_module(m) if isinstance(m, LeftModule) else None
+    dm = dual_module(m)
     for _ in range(64):
         v = rng.integers(0, p, size=d)
         if not v.any():
@@ -84,12 +84,11 @@ def find_proper_submodule(m, seed: int = 0,
             return s
         # a proper spin in the dual gives a proper submodule of m as its
         # annihilator
-        if dm is not None:
-            w = rng.integers(0, p, size=d)
-            if w.any():
-                sd = spin(dm, w)
-                if sd.rows < d:
-                    return kernel_basis(sd)
+        w = rng.integers(0, p, size=d)
+        if w.any():
+            sd = spin(dm, w)
+            if sd.rows < d:
+                return kernel_basis(sd)
     return None
 
 
@@ -148,7 +147,6 @@ def chop(m, seed: int = 0) -> CompositionSeries:
             factors.append(sub)
         else:
             # previous step in the coordinates of the current step
-            from .linalg import solve
             coords = solve(incl.matrix, prev_rows.transpose())
             fac, _, _ = quotient_module(sub, coords)
             factors.append(fac)
@@ -195,22 +193,12 @@ def algebra_radical(a: Algebra, seed: int = 0) -> FpMatrix:
 def radical_of_module(m) -> Tuple[object, ModuleHom]:
     """rad(m) = rad(A).m (both sides agree: rad(A) is a two-sided ideal,
     so the same subspace works for right modules)."""
-    rad_rows = algebra_radical(m.over if not isinstance(m, RightModule)
-                               else opposite_algebra(m.over))
+    rad_rows = algebra_radical(m.over)
     if rad_rows.rows == 0 or m.dim == 0:
         return submodule(m, FpMatrix.zeros(0, m.dim, m.over.field))
-    from .linalg import hstack as _hstack
-    cols = _hstack([m.act_matrix(rad_rows.arr[k])
-                    for k in range(rad_rows.rows)])
+    cols = hstack([m.act_matrix(rad_rows.arr[k])
+                   for k in range(rad_rows.rows)])
     return submodule(m, row_space_of_columns(cols))
-
-
-def _simples_for(m):
-    if isinstance(m, RightModule):
-        op = opposite_algebra(m.over)
-        return [RightModule(m.over, s.action, validate=False)
-                for s in simples(op)]
-    return simples(m.over)
 
 
 def top_of_module(m) -> Tuple[object, ModuleHom]:
@@ -218,29 +206,6 @@ def top_of_module(m) -> Tuple[object, ModuleHom]:
     _, incl = radical_of_module(m)
     quo, proj, _ = quotient_module(m, incl.matrix)
     return quo, proj
-
-
-# ---------------------------------------------------------------------------
-# idempotent lifting
-
-
-def lift_idempotent(a: Algebra, e_bar, ideal_rows: FpMatrix) -> np.ndarray:
-    """Lift an idempotent-mod-N element to a true idempotent, N a nilpotent
-    ideal given by a row basis.  Classical iteration e <- 3e^2 - 2e^3."""
-    from .linalg import in_row_span
-    p = a.field.p
-    e = np.asarray(e_bar, dtype=np.int64) % p
-    sq = a.mult(e, e)
-    if not in_row_span(ideal_rows, (sq - e) % p):
-        raise StructureError("element is not idempotent modulo the ideal")
-    for _ in range(2 * a.dim + 2):
-        sq = a.mult(e, e)
-        if ((sq - e) % p == 0).all():
-            return e
-        cube = a.mult(sq, e)
-        e = (3 * sq - 2 * cube) % p
-    raise StructureError("idempotent lifting did not terminate; ideal "
-                         "is probably not nilpotent")
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +235,7 @@ def _find_idempotent_endo(m, seed: int,
             if ((arr @ arr) % p == arr).all() and not (arr == ident).all():
                 return e
         return None
+    import sympy  # the only use of sympy, so kept off the import path
     rng = np.random.default_rng(seed)
     x = sympy.Symbol("x")
     for _ in range(40):
@@ -299,7 +265,7 @@ def _power_mod(mat: np.ndarray, e: int, p: int) -> np.ndarray:
     return out
 
 
-def _eval_poly_matrix(poly: sympy.Poly, mat: np.ndarray, p: int) -> np.ndarray:
+def _eval_poly_matrix(poly, mat: np.ndarray, p: int) -> np.ndarray:
     out = np.zeros_like(mat)
     for c in poly.all_coeffs():
         out = (out @ mat + int(c) * np.eye(mat.shape[0], dtype=np.int64)) % p
@@ -340,11 +306,10 @@ def _pim_triples(a: Algebra, seed: int = 0):
     per isomorphism class of regular-module summand."""
     key = ("pim_triples", seed)
     if key not in a._cache:
-        from .linalg import hstack as _hstack, solve as _solve
         reg = LeftModule.regular(a)
         pieces = split_module(reg, seed)
-        big = _hstack([incl.matrix for _, incl in pieces])
-        coords = _solve(big, FpMatrix.column(a.unit, a.field))
+        big = hstack([incl.matrix for _, incl in pieces])
+        coords = solve(big, FpMatrix.column(a.unit, a.field))
         if coords is None:
             raise StructureError("regular module splitting is not spanning")
         out = []
@@ -384,15 +349,17 @@ def projective_cover(m, seed: int = 0) -> ProjectivePresentation:
     Summands are chosen greedily: a basis hom of Hom(P_i, m) is kept
     exactly when it enlarges the image in top(m); the image then grows by
     a full copy of the top simple, so the chosen multiplicities are the
-    minimal ones.
+    minimal ones.  A right module is covered as a left module over the
+    opposite algebra.
     """
+    m = as_left(m)
     a = m.over
     field = a.field
     if m.dim == 0:
-        z = type(m).zero(a)
+        z = LeftModule.zero(a)
         return ProjectivePresentation(m, z, ModuleHom.zero(z, m), z,
                                       ModuleHom.zero(z, z))
-    pims = _pim_triples_for(m, seed)
+    pims = _pim_triples(a, seed)
     top, pi = top_of_module(m)
     chosen: List[Tuple[object, FpMatrix]] = []
     top_image = FpMatrix.zeros(0, top.dim, field)
@@ -423,19 +390,6 @@ def projective_cover(m, seed: int = 0) -> ProjectivePresentation:
     return ProjectivePresentation(m, cover, epi, ker, ker_incl)
 
 
-def _pim_triples_for(m, seed: int):
-    if isinstance(m, RightModule):
-        op = opposite_algebra(m.over)
-        return [(RightModule(m.over, p0.action, validate=False),
-                 RightModule(m.over, s.action, validate=False), e, incl)
-                for p0, s, e, incl in _pim_triples(op, seed)]
-    return _pim_triples(m.over, seed)
-
-
-def _pims_for(m, seed: int):
-    return [(p, s) for p, s, _, _ in _pim_triples_for(m, seed)]
-
-
 def is_projective(m, seed: int = 0) -> bool:
     return projective_cover(m, seed).kernel.dim == 0
 
@@ -444,26 +398,17 @@ def is_projective(m, seed: int = 0) -> bool:
 # injective side, by duality
 
 
-def _dual_as_left_over_opposite(m):
-    d = dual_module(m)
-    if isinstance(d, RightModule):
-        return d.as_left_over_opposite()
-    return d
-
-
 def injective_envelope(m, seed: int = 0):
     """(E, essential mono m -> E), computed as the dual of the projective
     cover of the dual over the opposite algebra."""
-    dl = _dual_as_left_over_opposite(m)
-    pres = projective_cover(dl, seed)
-    env = _dual_as_left_over_opposite(pres.cover)
-    env = type(m)(m.over, env.action, validate=False)
+    pres = projective_cover(dual_module(m), seed)
+    env = type(m)(m.over, dual_module(pres.cover).action, validate=False)
     mono = ModuleHom(m, env, pres.epi.matrix.transpose(), validate=False)
     return env, mono
 
 
 def is_injective(m, seed: int = 0) -> bool:
-    return is_projective(_dual_as_left_over_opposite(m), seed)
+    return is_projective(dual_module(m), seed)
 
 
 def injective_indecomposables(a: Algebra, seed: int = 0):
@@ -471,11 +416,8 @@ def injective_indecomposables(a: Algebra, seed: int = 0):
     indecomposables of the opposite algebra."""
     key = ("iims", seed)
     if key not in a._cache:
-        op = opposite_algebra(a)
-        out = []
-        for p0, s in projective_indecomposables(op, seed):
-            e = LeftModule(a, [mm.transpose() for mm in p0.action])
-            soc = LeftModule(a, [mm.transpose() for mm in s.action])
-            out.append((e, soc))
-        a._cache[key] = out
+        a._cache[key] = [
+            (as_left(dual_module(p0)), as_left(dual_module(s)))
+            for p0, s in projective_indecomposables(opposite_algebra(a),
+                                                    seed)]
     return a._cache[key]

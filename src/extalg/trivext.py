@@ -24,7 +24,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .algebra import (Algebra, AlgebraError, Bimodule, LeftModule, ModuleHom,
-                      RightModule, direct_sum_modules, field_algebra,
+                      RightModule, direct_sum_modules, field_space,
                       hom_from_bimodule, hom_space, image_module,
                       find_isomorphism, kernel_module, opposite_algebra,
                       cokernel_module, swapped_tensor, tensor_bimodule_left,
@@ -56,7 +56,8 @@ class TrivialExtension:
             sc[i, n:, n:] = bimodule.left_action[i].arr.T
             sc[n:, i, n:] = bimodule.right_action[i].arr.T
         unit = np.concatenate([base.unit, np.zeros(d, dtype=np.int64)])
-        self.total = Algebra(base.field, sc, unit)
+        # associative because the bimodule is: no need to validate again
+        self.total = Algebra(base.field, sc, unit, validate=False)
         self.base_dim = n
         self.ideal_dim = d
         self._cache: dict = {}
@@ -450,13 +451,11 @@ def tensor_iso_pair(w: RightModule, pair: PairModule) -> ModuleHom:
     zw = _inflate(t, w)
     lhs = tensor_right_left(zw, mid)
     quo, proj = cokernel_module(pair.alpha)
-    rhs = tensor_right_left(w, quo)
-    iw = FpMatrix.identity(w.dim, t.field)
-    mat = rhs.project @ kron(iw, proj.matrix) @ lhs.include
-    if not is_invertible(mat):
+    iso = tensor_map_second(lhs, tensor_right_left(w, quo), proj)
+    if not is_invertible(iso.matrix):
         raise TrivextError("canonical tensor comparison map is not "
                            "invertible")
-    return ModuleHom(lhs.space, rhs.space, mat, validate=False)
+    return iso
 
 
 def hom_iso_copair(x: LeftModule, copair: CopairModule) -> ModuleHom:
@@ -469,13 +468,8 @@ def hom_iso_copair(x: LeftModule, copair: CopairModule) -> ModuleHom:
     zx = _inflate(t, x)
     mid = copair_to_module(copair)
     lhs_space = hom_space(zx, mid)
-    field = t.field
     mat = lhs_space.coords_many(incl.matrix.arr @ rhs_space.basis_array())
     if mat.rows != mat.cols or not is_invertible(mat):
         raise TrivextError("canonical hom comparison map is not invertible")
-    fa = field_algebra(field)
-    src = LeftModule(fa, [FpMatrix.identity(rhs_space.dim, field)],
-                     validate=False)
-    dst = LeftModule(fa, [FpMatrix.identity(lhs_space.dim, field)],
-                     validate=False)
-    return ModuleHom(src, dst, mat, validate=False)
+    return ModuleHom(field_space(t.field, rhs_space.dim),
+                     field_space(t.field, lhs_space.dim), mat, validate=False)

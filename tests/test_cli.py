@@ -2,11 +2,14 @@ import argparse
 import copy
 import hashlib
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
-from extalg import cli
+from extalg import algebra, cli
 from extalg.algebra import AlgebraError, monomial_quiver_algebra
 from extalg.cli import (SCHEMA_VERSION, Workspace, WorkspaceError,
                         emit_builtin_examples, load, main, run)
@@ -62,6 +65,27 @@ def test_corpus_content(ws):
     assert ws.contexts["hereditary3"].total.dim == 3
     assert ws.contexts["product2"].total.dim == 2
     assert ws.algebras["k3"].field.p == 3
+
+
+def test_load_validates_only_the_workspace_algebras(corpus, monkeypatch):
+    # opposites, products, extension totals and Morita rings are built from
+    # validated parts and are not checked again
+    validated = []
+    check = algebra.validate_algebra
+    monkeypatch.setattr(algebra, "validate_algebra",
+                        lambda a: validated.append(a) or check(a))
+    Workspace(copy.deepcopy(corpus))
+    assert len(validated) == len(corpus["algebras"]) == 3
+
+
+def test_cli_import_leaves_sympy_unloaded():
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, extalg.cli; print('sympy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+        text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_emit_load_round_trip(tmp_path, corpus):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from extalg.linalg import (FieldSpec, FpMatrix, LinalgError, direct_sum,
-                           hstack, in_row_span, inverse, is_invertible,
+from extalg.linalg import (MAX_PRIME, FieldSpec, FpMatrix, LinalgError,
+                           direct_sum, hstack, in_row_span, inverse, is_invertible,
                            kernel_basis, kron, quotient_maps, rank, row_basis,
                            rref, solve, vstack)
 
@@ -18,6 +18,23 @@ def test_field_spec_rejects_bad_moduli():
         FieldSpec(4)
     with pytest.raises(LinalgError):
         FieldSpec(65537)
+
+
+def test_field_spec_accepts_exactly_the_primes():
+    sieve = np.ones(MAX_PRIME + 1, dtype=bool)
+    sieve[:2] = False
+    for d in range(2, 256):
+        if sieve[d]:
+            sieve[d * d::d] = False
+    accepted = []
+    for p in range(2, MAX_PRIME + 1):
+        try:
+            FieldSpec(p)
+        except LinalgError:
+            continue
+        accepted.append(p)
+    assert accepted == np.flatnonzero(sieve).tolist()
+    assert len(accepted) == 6542
 
 
 def test_rref_all_ones_gf2():

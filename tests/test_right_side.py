@@ -1,21 +1,25 @@
-"""Right pairs and right tuples against right-side oracles.
+"""Right modules, right pairs and right tuples against right-side oracles.
 
-Right-side objects are left objects over the opposite extension or the
-opposite Morita context; these tests check the results against the right
-side written out directly, over the conftest extensions and Morita rings at
-p = 2, 3 and 101.
+Right-side objects are left objects over the opposite algebra, extension or
+Morita context; these tests check the results against the right side
+written out directly, or against the right module's own left view, over the
+conftest algebras, extensions and Morita rings at p = 2, 3 and 101.
 """
 
 import numpy as np
 import pytest
 
-from conftest import (a2_morita_ring, double_extension, nakayama_ring,
-                      product_morita_ring, random_module, random_right_pair,
-                      random_right_tuple, square_zero_extension,
-                      triangular_extension)
+from conftest import (a2_morita_ring, double_extension, local_wild_algebra,
+                      nakayama_ring, product_morita_ring, random_module,
+                      random_right_pair, random_right_tuple,
+                      square_zero_extension, triangular_extension)
 from extalg.algebra import RightModule
+from extalg.gorenstein import gp_check
+from extalg.homology import fd_bounded, id_bounded, pd_bounded
 from extalg.linalg import FieldSpec, FpMatrix, hstack, kron, quotient_maps
 from extalg.morita import upsilon, upsilon_inverse, verify_thm54
+from extalg.structure import (chop, injective_envelope, is_projective,
+                              top_of_module)
 from extalg.trivext import module_to_right_pair, right_pair_to_module
 
 PRIMES = (2, 3, 101)
@@ -111,3 +115,35 @@ def test_verify_thm54_unchanged(make, p):
         got.append((rep["classification"], rep["lhs"].answer,
                     rep["rhs_holds"]))
     assert got == THM54_BEFORE[(make, p)]
+
+
+ALGEBRAS = {
+    "square_zero": lambda field: square_zero_extension(field).total,
+    "triangular": lambda field: triangular_extension(field).total,
+    "double": lambda field: double_extension(field).total,
+    "local_wild": local_wild_algebra,
+}
+
+
+def answers(m, bound=3):
+    """What the structure, homology and gorenstein layers say about m; the
+    small bound keeps the wild algebra cheap."""
+    gp = gp_check(m, bound)
+    return {"projective": is_projective(m),
+            "pd": pd_bounded(m, bound), "fd": fd_bounded(m, bound),
+            "id": id_bounded(m, bound),
+            "gp": (gp.answer, gp.regime, gp.certificate),
+            "factor_dims": sorted(f.dim for f in chop(m).factors),
+            "envelope_dim": injective_envelope(m)[0].dim}
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_right_module_answers_match_its_left_view(name, p):
+    a = ALGEBRAS[name](FieldSpec(p))
+    rng = np.random.default_rng(30 + p)
+    for _ in range(5):
+        m = random_module(a, rng, cls=RightModule)
+        # the top is semisimple and seldom projective
+        for x in (m, top_of_module(m)[0]):
+            assert answers(x) == answers(x.as_left_over_opposite())
