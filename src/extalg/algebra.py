@@ -10,8 +10,13 @@ Hom(-, A) are the one place a module changes side (`other_side`).
 Constructors validate their invariants by default, so data is checked where
 it enters.  Objects derived from validated parts by a construction that
 keeps the axioms skip the check: opposite and product algebras, the total
-algebras of extensions, modules relabelled over the opposite algebra,
-swapped bimodules and duals.
+algebras of extensions, regular modules (their law is the associativity of
+the algebra), modules relabelled over the opposite algebra, swapped
+bimodules and duals.  Submodules and quotients are checked by invariance
+instead of by the law: an invariant subspace of a module, and the quotient
+by one, satisfy the law because the inclusion is injective and the
+projection surjective.  Coordinates in an echelonized basis (hom spaces,
+submodules, images) all come from `linalg.echelon_coords`.
 
 The module law is checked one structure-table row at a time: for each i the
 products action(b_i) @ action(b_j) for all j come from one stacked matmul
@@ -24,15 +29,15 @@ off at the pivot columns.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .linalg import (FieldSpec, FpMatrix, LinalgError, QuotientMaps, hstack,
-                     in_row_span, kernel_basis, kron, quotient_maps, rank,
-                     row_basis, rref, solve, vstack)
+from .linalg import (FieldSpec, FpMatrix, LinalgError, QuotientMaps,
+                     echelon_coords, hstack, in_row_span, kernel_basis, kron,
+                     projective_points, quotient_maps, rank, row_basis, rref,
+                     vstack)
 
 
 class AlgebraError(ValueError):
@@ -67,12 +72,6 @@ class Algebra:
         y = np.asarray(y, dtype=np.int64) % self.field.p
         return np.einsum("i,j,ijk->k", x, y, self.sc) % self.field.p
 
-    def left_mult_matrix(self, x) -> FpMatrix:
-        x = np.asarray(x, dtype=np.int64)
-        acc = sum((int(x[i]) * self.lmats[i].arr for i in range(self.dim)),
-                  np.zeros((self.dim, self.dim), dtype=np.int64))
-        return FpMatrix(acc, self.field)
-
     def __repr__(self):
         return f"Algebra(p={self.field.p}, dim={self.dim})"
 
@@ -80,32 +79,24 @@ class Algebra:
 def validate_algebra(a: Algebra) -> dict:
     """Check associativity and the unit law; raises naming the first
     violated basis triple."""
-    p = a.field.p
-    n = a.dim
-    # unit law: unit * b_j = b_j and b_i * unit = b_i
+    p, n = a.field.p, a.dim
+    eye = np.eye(n, dtype=np.int64)
+    # unit law: row j of these is unit * b_j, resp. b_j * unit
+    left, right = ((np.tensordot(a.unit, a.sc, (0, ax)) % p != eye).any(1)
+                   for ax in (0, 1))
     for j in range(n):
-        e = np.zeros(n, dtype=np.int64)
-        e[j] = 1
-        if not (a.mult(a.unit, e) == e).all():
+        if left[j]:
             raise AlgebraError(f"unit law violated: 1 * b_{j} != b_{j}")
-        if not (a.mult(e, a.unit) == e).all():
+        if right[j]:
             raise AlgebraError(f"unit law violated: b_{j} * 1 != b_{j}")
-    # associativity on basis triples, via multiplication matrices:
-    # L(b_i b_j) = L(b_i) L(b_j)
+    # associativity via multiplication matrices, L(b_i b_j) = L(b_i) L(b_j),
+    # for every j at once; column k of each side is (b_i b_j) b_k
+    lm = _stack(a.lmats, n)
     for i in range(n):
-        for j in range(n):
-            lhs = a.left_mult_matrix(a.sc[i, j]).arr
-            rhs = (a.lmats[i].arr @ a.lmats[j].arr) % p
-            if not (lhs == rhs).all():
-                for k in range(n):
-                    e = np.zeros(n, dtype=np.int64)
-                    e[k] = 1
-                    if not (a.mult(a.sc[i, j], e) == a.mult(
-                            np.eye(n, dtype=np.int64)[i], a.mult(
-                                np.eye(n, dtype=np.int64)[j], e))).all():
-                        raise AlgebraError(
-                            f"associativity violated at triple ({i},{j},{k})")
-                raise AlgebraError(f"associativity violated at pair ({i},{j})")
+        bad = ((np.tensordot(a.sc[i], lm, 1) - lm[i] @ lm) % p).any(axis=1)
+        if bad.any():
+            j, k = np.argwhere(bad)[0]
+            raise AlgebraError(f"associativity violated at triple ({i},{j},{k})")
     return {"dim": n, "p": p, "associative": True, "unital": True}
 
 
@@ -196,7 +187,7 @@ class LeftModule:
             raise AlgebraError("unit does not act as identity")
         p, n, d = self.over.field.p, self.over.dim, self.dim
         table = np.transpose(self.over.sc, self._law_axes)
-        acts = np.array([m.arr for m in self.action]).reshape(n, d, d)
+        acts = _stack(self.action, d)
         flat = acts.reshape(n, d * d)
         for i in range(n):
             # row i of the law: action(b_i) @ action(b_j) for every j at once
@@ -216,7 +207,7 @@ class LeftModule:
 
     @classmethod
     def regular(cls, a: Algebra) -> "LeftModule":
-        return cls(a, a.lmats)
+        return cls(a, a.lmats, validate=False)
 
     @classmethod
     def zero(cls, a: Algebra) -> "LeftModule":
@@ -244,7 +235,12 @@ class RightModule(LeftModule):
 
     @classmethod
     def regular(cls, a: Algebra) -> "RightModule":
-        return cls(a, a.rmats)
+        return cls(a, a.rmats, validate=False)
+
+
+def _stack(action: Sequence[FpMatrix], d: int) -> np.ndarray:
+    """Action matrices as one (len(action), d, d) array."""
+    return np.array([m.arr for m in action]).reshape(len(action), d, d)
 
 
 def as_left(m) -> LeftModule:
@@ -278,6 +274,7 @@ class Bimodule:
         self.left_action = list(left_action)
         self.right_action = list(right_action)
         self.dim = self.left_action[0].rows if self.left_action else 0
+        self._cache: dict = {}
         if validate:
             self.validate()
 
@@ -400,8 +397,6 @@ class HomSpace:
                       for g in algebra_generators(source.over)]
             self.mat = kernel_basis(vstack(blocks) if blocks else
                                     FpMatrix.zeros(0, dt * ds, field))
-        # mat is in RREF: each row's leading entry is a 1 in its pivot column
-        self.pivots = [int(np.flatnonzero(row)[0]) for row in self.mat.arr]
         self.field = field
 
     @property
@@ -427,11 +422,9 @@ class HomSpace:
     def coords_many(self, mats) -> FpMatrix:
         """Coordinates of a stack of target.dim x source.dim integer arrays,
         one column per array; raises if any is not in the span."""
-        p = self.field.p
         v = np.asarray(mats, dtype=np.int64)
-        v = v.reshape(len(v), self.mat.cols) % p
-        x = v[:, self.pivots]
-        if ((x @ self.mat.arr) % p != v).any():
+        x = echelon_coords(self.mat, v.reshape(len(v), self.mat.cols))
+        if x is None:
             raise AlgebraError("matrix is not in the hom space")
         return FpMatrix(x.T, self.field)
 
@@ -455,30 +448,40 @@ def hom_space(m, n) -> HomSpace:
 # kernels, cokernels, images, subquotients
 
 
+def invariant_action(action: Sequence[FpMatrix],
+                     basis: FpMatrix) -> Optional[List[FpMatrix]]:
+    """The matrices by which `action` acts on the row span of `basis` (in
+    RREF), in that basis; None when the span is not invariant."""
+    acts = _stack(action, basis.cols)
+    # moved[i, j] is action[i] applied to basis row j
+    moved = basis.arr @ acts.transpose(0, 2, 1)
+    coords = echelon_coords(basis, moved)
+    if coords is None:
+        return None
+    return [FpMatrix(c.T, basis.field) for c in coords]
+
+
 def submodule(x, basis_rows: FpMatrix):
-    """Submodule spanned by the given (independent) rows; returns
-    (module, inclusion).  The basis is echelonized first."""
-    field = x.over.field
-    rr = rref(basis_rows)
-    b = FpMatrix(rr.reduced.arr[: rr.rank], field)
-    incl = b.transpose()  # x.dim x k
-    action = []
-    for am in x.action:
-        moved = am @ incl
-        coords = solve(incl, moved)
-        if coords is None:
-            raise AlgebraError("rows do not span a submodule")
-        action.append(coords)
-    mod = type(x)(x.over, action)
-    return mod, ModuleHom(mod, x, incl, validate=False)
+    """Submodule spanned by the given rows; returns (module, inclusion).
+    The basis is echelonized first; raises unless its span is invariant."""
+    b = row_basis(basis_rows)
+    action = invariant_action(x.action, b)
+    if action is None:
+        raise AlgebraError("rows do not span a submodule")
+    mod = type(x)(x.over, action, validate=False)
+    return mod, ModuleHom(mod, x, b.transpose(), validate=False)
 
 
 def quotient_module(x, relation_cols: FpMatrix):
-    """Quotient of x by the submodule spanned by the columns of
-    relation_cols; returns (module, projection)."""
+    """Quotient of x by the span of the columns of relation_cols; returns
+    (module, projection, section).  Raises unless the span is invariant."""
+    field = x.over.field
     qm = quotient_maps(relation_cols)
-    action = [qm.project @ am @ qm.include for am in x.action]
-    mod = type(x)(x.over, action)
+    moved = (qm.project.arr @ _stack(x.action, x.dim)) % field.p
+    if ((moved @ relation_cols.arr) % field.p).any():
+        raise AlgebraError("relations do not span a submodule")
+    mod = type(x)(x.over, [FpMatrix(m @ qm.include.arr, field)
+                           for m in moved], validate=False)
     return mod, ModuleHom(x, mod, qm.project, validate=False), qm.include
 
 
@@ -492,10 +495,9 @@ def image_module(f: ModuleHom):
     """(image, inclusion into target, epi from source onto image)."""
     cols = row_space_of_columns(f.matrix)
     img, incl = submodule(f.target, cols)
-    epi = solve(incl.matrix, f.matrix)
-    if epi is None:
-        raise AlgebraError("image computation failed")
-    return img, incl, ModuleHom(f.source, img, epi, validate=False)
+    epi = echelon_coords(cols, f.matrix.arr.T)
+    return img, incl, ModuleHom(f.source, img, FpMatrix(epi.T, cols.field),
+                                validate=False)
 
 
 def row_space_of_columns(m: FpMatrix) -> FpMatrix:
@@ -697,7 +699,9 @@ def dual_module(x):
 def find_isomorphism(m, n, seed: int = 0,
                      budget: int = 65536) -> Optional[ModuleHom]:
     """Search for an invertible element of Hom(m, n); exhaustive sweep of the
-    hom space when small enough, seeded random sampling beyond."""
+    hom space when small enough, seeded random sampling beyond.  The sweep
+    tries one element per line (`projective_points`): c.h is invertible
+    exactly when h is, so it finds what the sweep of every element would."""
     if m.dim != n.dim:
         return None
     if m.dim == 0:
@@ -710,9 +714,7 @@ def find_isomorphism(m, n, seed: int = 0,
     total = p ** hs.dim
     from .linalg import is_invertible
     if total <= budget:
-        for coords in itertools.product(range(p), repeat=hs.dim):
-            if not any(coords):
-                continue
+        for coords in projective_points(hs.dim, p):
             h = hs.element(coords)
             if is_invertible(h.matrix):
                 return h

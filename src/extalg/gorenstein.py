@@ -197,20 +197,10 @@ def gf_check_right(x: RightModule, bound: Optional[int] = None,
 # compatibility sufficiency reports
 
 
-@dataclass
+@dataclass(frozen=True)
 class CompatibilityReport:
     sufficient_via: Optional[str]
     dims: dict
-
-
-def _bimodule_dims(n: Bimodule, bound: Optional[int], seed: int) -> dict:
-    left = n.left_module()
-    right = n.right_module()
-    return {
-        "fd_right": fd_bounded(right, bound, seed),
-        "pd_left": pd_bounded(left, bound, seed),
-        "id_left": id_bounded(left, bound, seed),
-    }
 
 
 def compatibility_report(n: Bimodule, bound: Optional[int] = None,
@@ -219,26 +209,34 @@ def compatibility_report(n: Bimodule, bound: Optional[int] = None,
     case alike (both derive from finite one-sided dimensions); None means
     'not established', never 'refuted'.  Criteria: finite flat dimension on
     the right leg combined with finite projective (or injective) dimension
-    on the left leg."""
-    dims = _bimodule_dims(n, bound, seed)
-    via = None
-    if dims["fd_right"].is_finite() and dims["pd_left"].is_finite():
-        via = "finite_fd_and_pd"
-    elif dims["fd_right"].is_finite() and dims["id_left"].is_finite():
-        via = "finite_fd_and_id"
-    return CompatibilityReport(via, dims)
+    on the left leg.  Memoised on the bimodule."""
+    key = ("compatibility", bound, seed)
+    if key not in n._cache:
+        left = n.left_module()
+        dims = {"fd_right": fd_bounded(n.right_module(), bound, seed),
+                "pd_left": pd_bounded(left, bound, seed),
+                "id_left": id_bounded(left, bound, seed)}
+        via = None
+        if dims["fd_right"].is_finite() and dims["pd_left"].is_finite():
+            via = "finite_fd_and_pd"
+        elif dims["fd_right"].is_finite() and dims["id_left"].is_finite():
+            via = "finite_fd_and_id"
+        n._cache[key] = CompatibilityReport(via, dims)
+    return n._cache[key]
 
 
 def zr_bimodule(t: TrivialExtension) -> Bimodule:
     """The base ring R as a bimodule over the total algebra, with the
-    ideal acting as zero on both sides."""
-    n = t.base_dim
-    z = FpMatrix.zeros(n, n, t.field)
-    left = [FpMatrix(m.arr, t.field) for m in t.base.lmats] + \
-        [z] * t.ideal_dim
-    right = [FpMatrix(m.arr, t.field) for m in t.base.rmats] + \
-        [z] * t.ideal_dim
-    return Bimodule(t.total, t.total, left, right)
+    ideal acting as zero on both sides; built once per extension."""
+    if "zr_bimodule" not in t._cache:
+        n = t.base_dim
+        z = FpMatrix.zeros(n, n, t.field)
+        left = [FpMatrix(m.arr, t.field) for m in t.base.lmats] + \
+            [z] * t.ideal_dim
+        right = [FpMatrix(m.arr, t.field) for m in t.base.rmats] + \
+            [z] * t.ideal_dim
+        t._cache["zr_bimodule"] = Bimodule(t.total, t.total, left, right)
+    return t._cache["zr_bimodule"]
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ through every operation.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -186,22 +187,25 @@ def row_basis(m: FpMatrix) -> FpMatrix:
     return FpMatrix(r.reduced.arr[: r.rank], m.field)
 
 
+def _null_rows(r: RrefResult, p: int):
+    """(free columns, one null-space vector per free column f: 1 at f, 0 at
+    the other free columns) for the matrix whose RREF is r."""
+    cols = r.reduced.cols
+    free = [c for c in range(cols) if c not in r.pivot_cols]
+    rows = np.zeros((len(free), cols), dtype=np.int64)
+    rows[np.arange(len(free)), free] = 1
+    rows[:, r.pivot_cols] = (-r.reduced.arr[: r.rank, free]).T % p
+    return free, rows
+
+
 def kernel_basis(m: FpMatrix) -> FpMatrix:
     """Canonical basis of the right null space, one vector per row.
 
     Row count is cols - rank; the rows are echelonized so equal subspaces
     have literally equal bases.
     """
-    r = rref(m)
-    p = m.field.p
-    free = [c for c in range(m.cols) if c not in r.pivot_cols]
-    basis = np.zeros((len(free), m.cols), dtype=np.int64)
-    red = r.reduced.arr
-    for k, f in enumerate(free):
-        basis[k, f] = 1
-        for i, pc in enumerate(r.pivot_cols):
-            basis[k, pc] = (-red[i, f]) % p
-    out = rref(FpMatrix(basis, m.field)).reduced
+    free, rows = _null_rows(rref(m), m.field.p)
+    out = rref(FpMatrix(rows, m.field)).reduced
     return FpMatrix(out.arr[: len(free)], m.field)
 
 
@@ -225,10 +229,8 @@ def solve(a: FpMatrix, b: FpMatrix) -> Optional[FpMatrix]:
 def inverse(m: FpMatrix) -> Optional[FpMatrix]:
     if m.rows != m.cols:
         return None
-    x = solve(m, FpMatrix.identity(m.rows, m.field))
-    if x is None or rank(m) != m.rows:
-        return None
-    return x
+    # m x = I is consistent only for invertible m
+    return solve(m, FpMatrix.identity(m.rows, m.field))
 
 
 def is_invertible(m: FpMatrix) -> bool:
@@ -271,6 +273,31 @@ def in_row_span(basis: FpMatrix, vec) -> bool:
     return rank(stacked) == rank(basis)
 
 
+def echelon_coords(basis: FpMatrix, vecs) -> Optional[np.ndarray]:
+    """Coordinates of the vectors along the last axis of `vecs` (any
+    leading axes are kept) in the row space of `basis`, which is in RREF;
+    None when one is not in it.  They are the entries at the pivot
+    columns, and one batched product checks membership."""
+    p = basis.field.p
+    v = np.asarray(vecs, dtype=np.int64) % p
+    pivots = (np.argmax(basis.arr != 0, axis=1) if basis.cols
+              else np.zeros(0, dtype=np.int64))
+    x = v[..., pivots]
+    if ((x @ basis.arr) % p != v).any():
+        return None
+    return x
+
+
+def projective_points(dim: int, p: int):
+    """The nonzero vectors of GF(p)^dim whose first nonzero coordinate is 1,
+    as tuples in lexicographic order: one per line through the origin, and
+    each the first of its nonzero multiples in the order of
+    `itertools.product(range(p), repeat=dim)`."""
+    for lead in reversed(range(dim)):
+        for tail in itertools.product(range(p), repeat=dim - lead - 1):
+            yield (0,) * lead + (1,) + tail
+
+
 @dataclass
 class QuotientMaps:
     project: FpMatrix   # D -> q
@@ -286,18 +313,8 @@ def quotient_maps(relations: FpMatrix) -> QuotientMaps:
     quotients.
     """
     field = relations.field
-    d = relations.rows
-    r = rref(relations.transpose())
-    s = r.reduced.arr[: r.rank]            # echelonized relation basis, rows
-    pivots = r.pivot_cols
-    free = [c for c in range(d) if c not in pivots]
-    q = len(free)
-    proj = np.zeros((q, d), dtype=np.int64)
-    for k, f in enumerate(free):
-        proj[k, f] = 1
-        for i, pc in enumerate(pivots):
-            proj[k, pc] = (-s[i, f]) % field.p
-    incl = np.zeros((d, q), dtype=np.int64)
-    for k, f in enumerate(free):
-        incl[f, k] = 1
+    # the rows of proj span the annihilator of the relations
+    free, proj = _null_rows(rref(relations.transpose()), field.p)
+    incl = np.zeros((relations.rows, len(free)), dtype=np.int64)
+    incl[free, np.arange(len(free))] = 1
     return QuotientMaps(FpMatrix(proj, field), FpMatrix(incl, field))

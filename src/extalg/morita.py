@@ -23,9 +23,9 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .algebra import (Algebra, Bimodule, LeftModule, ModuleHom, RightModule,
-                      cokernel_module, hom_from_bimodule, is_exact_at,
-                      kernel_module, opposite_algebra, product_algebra,
-                      row_space_of_columns, swapped_tensor,
+                      cokernel_module, hom_from_bimodule, invariant_action,
+                      is_exact_at, kernel_module, opposite_algebra,
+                      product_algebra, row_space_of_columns, swapped_tensor,
                       tensor_bimodule_left, tensor_map_second)
 from .gorenstein import (compatibility_report, gf_check_right, gi_check,
                          gp_check, holds, zr_bimodule, _classify)
@@ -136,7 +136,7 @@ def _prod_left(ring: MoritaRing, x: LeftModule, y: LeftModule) -> LeftModule:
     zy = FpMatrix.zeros(y.dim, y.dim, field)
     action = [direct_sum(x.action[i], zy) for i in range(na)] + \
         [direct_sum(zx, y.action[j]) for j in range(ring.context.b.dim)]
-    return LeftModule(ring.prod, action)
+    return LeftModule(ring.prod, action, validate=False)
 
 
 class TupleModule:
@@ -277,22 +277,16 @@ def theta(t: TupleModule) -> PairModule:
 def _split_prod_left(ring: MoritaRing, p: LeftModule):
     """Split a left (A x B)-module along the central idempotents; returns
     (x over A, incl_x, y over B, incl_y)."""
-    na, nb = ring.context.a.dim, ring.context.b.dim
-    ea = p.act_matrix(ring.e_a)
-    eb = p.act_matrix(ring.e_b)
+    na = ring.context.a.dim
     out = []
-    for alg, rng, em in ((ring.context.a, range(na), ea),
-                         (ring.context.b, range(na, na + nb), eb)):
-        incl = row_space_of_columns(em).transpose()
-        action = []
-        for i in rng:
-            coords = solve(incl, p.action[i] @ incl)
-            if coords is None:
-                raise MoritaError("idempotent splitting failed")
-            action.append(coords)
-        out.append(LeftModule(alg, action))
-        out.append(incl)
-    return out[0], out[1], out[2], out[3]
+    for alg, e, action in ((ring.context.a, ring.e_a, p.action[:na]),
+                           (ring.context.b, ring.e_b, p.action[na:])):
+        basis = row_space_of_columns(p.act_matrix(e))
+        induced = invariant_action(action, basis)
+        if induced is None:
+            raise MoritaError("idempotent splitting failed")
+        out += [LeftModule(alg, induced, validate=False), basis.transpose()]
+    return tuple(out)
 
 
 def theta_inverse(pair: PairModule, ring: MoritaRing) -> TupleModule:

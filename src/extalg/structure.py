@@ -20,7 +20,8 @@ from .algebra import (Algebra, LeftModule, ModuleHom, as_left,
                       direct_sum_modules, dual_module, hom_space,
                       is_isomorphic, kernel_module, opposite_algebra,
                       quotient_module, row_space_of_columns, submodule)
-from .linalg import FpMatrix, hstack, kernel_basis, rank, rref, solve, vstack
+from .linalg import (FpMatrix, echelon_coords, hstack, kernel_basis,
+                     projective_points, rank, rref, solve, vstack)
 
 EXHAUSTIVE_BUDGET = 65536
 
@@ -49,26 +50,21 @@ def spin(m, vec) -> FpMatrix:
         rows = nxt
 
 
-def _all_nonzero_vectors(dim: int, p: int):
-    for tup in itertools.product(range(p), repeat=dim):
-        if any(tup):
-            yield np.array(tup, dtype=np.int64)
-
-
 def find_proper_submodule(m, seed: int = 0,
                           budget: int = EXHAUSTIVE_BUDGET) -> Optional[FpMatrix]:
     """Row basis of a nonzero proper submodule, or None when none exists.
 
     Exhaustive vector sweep when p^dim fits the budget (then None is a
     certificate of simplicity); seeded sampling on both the module and its
-    dual beyond that.
+    dual beyond that.  The sweep spins one vector per line
+    (`projective_points`), since spin(c.v) = spin(v).
     """
     p = m.over.field.p
     d = m.dim
     if d <= 1:
         return None
     if p ** d <= budget:
-        for v in _all_nonzero_vectors(d, p):
+        for v in projective_points(d, p):
             s = spin(m, v)
             if s.rows < d:
                 return s
@@ -147,8 +143,8 @@ def chop(m, seed: int = 0) -> CompositionSeries:
             factors.append(sub)
         else:
             # previous step in the coordinates of the current step
-            coords = solve(incl.matrix, prev_rows.transpose())
-            fac, _, _ = quotient_module(sub, coords)
+            coords = echelon_coords(incl.matrix.transpose(), prev_rows.arr)
+            fac, _, _ = quotient_module(sub, FpMatrix(coords.T, m.over.field))
             factors.append(fac)
         prev_rows = b
     return CompositionSeries(factors, witnesses)

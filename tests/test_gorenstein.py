@@ -3,6 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
+import extalg.gorenstein
+import extalg.homology
 from conftest import (FIELD2, double_extension, local_wild_algebra,
                       random_copair, random_pair, square_zero_extension,
                       triangular_extension)
@@ -336,3 +338,20 @@ def test_random_pairs_never_violate(tri_ext):
         assert verify_cor35(pair)["classification"] != "violation"
         copair = random_copair(tri_ext, rng)
         assert verify_cor45(copair)["classification"] != "violation"
+
+
+def test_compatibility_report_is_memoised_on_the_bimodule(monkeypatch):
+    t = triangular_extension(FIELD2)
+    calls = []
+    pd = extalg.homology.pd_bounded
+    for mod in (extalg.gorenstein, extalg.homology):
+        monkeypatch.setattr(mod, "pd_bounded", lambda *a, **k: calls.append(
+            1) or pd(*a, **k))
+    assert zr_bimodule(t) is zr_bimodule(t)
+    first = compatibility_report(zr_bimodule(t))
+    assert calls
+    made = len(calls)
+    assert compatibility_report(zr_bimodule(t)) is first
+    assert len(calls) == made
+    compatibility_report(zr_bimodule(t), bound=2)
+    assert len(calls) > made  # another bound is another report

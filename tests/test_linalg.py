@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from extalg.linalg import (MAX_PRIME, FieldSpec, FpMatrix, LinalgError,
-                           direct_sum, hstack, in_row_span, inverse, is_invertible,
-                           kernel_basis, kron, quotient_maps, rank, row_basis,
+                           direct_sum, echelon_coords, hstack, in_row_span,
+                           inverse, is_invertible, kernel_basis, kron,
+                           projective_points, quotient_maps, rank, row_basis,
                            rref, solve, vstack)
 
 F2 = FieldSpec(2)
@@ -155,3 +158,64 @@ def test_kron_matches_numpy_kron_at_large_prime():
         want = np.kron(a, b) % field.p
         assert got.shape == want.shape
         assert (got == want).all()
+
+
+def _loop_kernel_rows(m):
+    """The free-by-pivot double loop the vectorised null-space rows
+    replaced."""
+    r = rref(m)
+    free = [c for c in range(m.cols) if c not in r.pivot_cols]
+    rows = np.zeros((len(free), m.cols), dtype=np.int64)
+    for k, f in enumerate(free):
+        rows[k, f] = 1
+        for i, pc in enumerate(r.pivot_cols):
+            rows[k, pc] = (-r.reduced.arr[i, f]) % m.field.p
+    return rows
+
+
+def test_kernel_and_quotient_maps_match_loops():
+    rng = np.random.default_rng(17)
+    for field in (F2, F3, FieldSpec(65521)):
+        for _ in range(40):
+            r, c = rng.integers(0, 7, size=2)
+            m = FpMatrix(rng.integers(0, field.p, size=(r, c)) *
+                         rng.integers(0, 2, size=(r, c)), field)
+            want = rref(FpMatrix(_loop_kernel_rows(m), field)).reduced
+            got = kernel_basis(m)
+            assert got.arr.tobytes() == want.arr[:got.rows].tobytes()
+            qm = quotient_maps(m)
+            proj = _loop_kernel_rows(m.transpose())
+            assert qm.project.arr.tobytes() == proj.tobytes()
+            free = [c for c in range(m.rows)
+                    if c not in rref(m.transpose()).pivot_cols]
+            incl = np.zeros((m.rows, len(free)), dtype=np.int64)
+            for k, f in enumerate(free):
+                incl[f, k] = 1
+            assert qm.include.arr.tobytes() == incl.tobytes()
+
+
+def test_echelon_coords_reads_pivots_and_checks_membership():
+    rng = np.random.default_rng(3)
+    for field in (F2, F5, FieldSpec(65521)):
+        basis = row_basis(FpMatrix(rng.integers(0, field.p, size=(3, 6)),
+                                   field))
+        coords = rng.integers(0, field.p, size=(2, 4, basis.rows))
+        vecs = (coords @ basis.arr) % field.p
+        assert (echelon_coords(basis, vecs) == coords).all()
+        outside = np.zeros(6, dtype=np.int64)
+        outside[[c for c in range(6) if not in_row_span(
+            basis, np.eye(6, dtype=np.int64)[c])][0]] = 1
+        assert echelon_coords(basis, np.stack([vecs[0, 0], outside])) is None
+    empty = FpMatrix.zeros(0, 0, F2)
+    assert echelon_coords(empty, np.zeros((5, 0))).shape == (5, 0)
+    assert echelon_coords(FpMatrix.zeros(0, 2, F2), [[0, 1]]) is None
+
+
+@pytest.mark.parametrize("p,dim", [(2, 1), (2, 4), (3, 3), (5, 2), (7, 0)])
+def test_projective_points_are_the_first_multiples(p, dim):
+    points = list(projective_points(dim, p))
+    lex = list(itertools.product(range(p), repeat=dim))
+    firsts = [v for v in lex if any(v) and
+              next(x for x in v if x) == 1]
+    assert points == firsts
+    assert len(points) == (p ** dim - 1) // (p - 1)

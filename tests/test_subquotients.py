@@ -1,0 +1,198 @@
+"""Submodules and quotients read their induced actions off echelon pivots
+and check invariance instead of the module law; the exhaustive sweeps try
+one vector per line.  Each is compared here with the construction it
+replaced."""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import extalg
+from conftest import (a2_algebra, a2_morita_ring, double_extension,
+                      local_wild_algebra, nakayama_ring, random_module,
+                      square_zero_extension, triangular_extension)
+from extalg.algebra import (AlgebraError, HomSpace, LeftModule, RightModule,
+                            direct_sum_modules, find_isomorphism,
+                            monomial_quiver_algebra, quotient_module,
+                            submodule)
+from extalg.linalg import (FieldSpec, FpMatrix, inverse, is_invertible,
+                           quotient_maps, rank, row_basis, solve)
+from extalg.structure import find_proper_submodule, spin
+
+ALGEBRAS = {
+    "dual_numbers": lambda f: square_zero_extension(f).total,
+    "triangular": lambda f: triangular_extension(f).total,
+    "a2": a2_algebra,
+    "wild": local_wild_algebra,
+    "double": lambda f: double_extension(f).total,
+    "nakayama": lambda f: nakayama_ring(f).total,
+    "a2_ring": lambda f: a2_morita_ring(f).total,
+}
+
+
+def _free(a, cls):
+    """The free module of rank 2, checked against the module law."""
+    reg = cls.regular(a)
+    free, _, _ = direct_sum_modules([reg, reg])
+    free.validate()
+    return free
+
+
+def _solve_submodule(x, rows):
+    """Induced action by one solve per basis element, law checked."""
+    incl = row_basis(rows).transpose()
+    action = [solve(incl, am @ incl) for am in x.action]
+    if any(c is None for c in action):
+        return None
+    return type(x)(x.over, action), incl
+
+
+def _is_invariant(x, rows):
+    span = rank(rows)
+    return all(rank(FpMatrix(np.vstack([rows.arr, (rows.arr @ am.arr.T)]),
+                             rows.field)) == span for am in x.action)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(ALGEBRAS)),
+       p=st.sampled_from([2, 3, 101, 65521]),
+       cls=st.sampled_from([LeftModule, RightModule]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_subquotients_match_solve_oracle(name, p, cls, seed):
+    field = FieldSpec(p)
+    x = _free(ALGEBRAS[name](field), cls)
+    rng = np.random.default_rng(seed)
+    spun = row_basis(FpMatrix(np.vstack([
+        spin(x, rng.integers(0, p, size=x.dim)).arr for _ in range(2)]),
+        field))
+    loose = FpMatrix(rng.integers(0, p, size=(2, x.dim)), field)
+    for rows in (spun, loose):
+        oracle = _solve_submodule(x, rows)
+        if oracle is None:
+            with pytest.raises(AlgebraError):
+                submodule(x, rows)
+        else:
+            sub, incl = submodule(x, rows)
+            assert sub.action == oracle[0].action
+            assert incl.matrix == oracle[1]
+        if _is_invariant(x, rows):
+            quo, proj, section = quotient_module(x, rows.transpose())
+            qm = quotient_maps(rows.transpose())
+            law_checked = cls(x.over, [qm.project @ am @ qm.include
+                                       for am in x.action])
+            assert quo.action == law_checked.action
+            assert proj.matrix == qm.project and section == qm.include
+        else:
+            with pytest.raises(AlgebraError):
+                quotient_module(x, rows.transpose())
+
+
+def _dual_numbers_plane():
+    """k[y]/(y^2) acting on k^2 with y e_0 = e_1."""
+    field = FieldSpec(3)
+    total = square_zero_extension(field).total
+    nil = FpMatrix([[0, 0], [1, 0]], field)
+    return LeftModule(total, [FpMatrix.identity(2, field), nil])
+
+
+def test_non_invariant_rows_raise():
+    m = _dual_numbers_plane()
+    with pytest.raises(AlgebraError, match="do not span a submodule"):
+        submodule(m, FpMatrix([[1, 0]], m.over.field))
+    assert submodule(m, FpMatrix([[0, 2]], m.over.field))[0].dim == 1
+
+
+def test_non_invariant_relations_raise_even_when_the_law_holds():
+    m = _dual_numbers_plane()
+    rel = FpMatrix([[1], [0]], m.over.field)  # span(e_0), not invariant
+    # the induced action satisfies the module law, so checking the law
+    # alone accepts this quotient, though the projection is no module map
+    qm = quotient_maps(rel)
+    LeftModule(m.over, [qm.project @ am @ qm.include for am in m.action])
+    with pytest.raises(AlgebraError, match="do not span a submodule"):
+        quotient_module(m, rel)
+    assert quotient_module(m, FpMatrix([[0], [1]], m.over.field))[0].dim == 1
+
+
+@pytest.mark.parametrize("cls", [LeftModule, RightModule])
+def test_subquotients_make_no_solve_and_no_law_check(monkeypatch, cls):
+    x = random_module(nakayama_ring(FieldSpec(3)).total,
+                      np.random.default_rng(5), max_dim=6, cls=cls)
+    calls = []
+    for mod in (extalg.linalg, extalg.algebra):
+        if hasattr(mod, "solve"):
+            monkeypatch.setattr(mod, "solve",
+                                lambda *a: calls.append("solve"))
+    monkeypatch.setattr(LeftModule, "validate",
+                        lambda self: calls.append("validate"))
+    rows = spin(x, np.eye(x.dim, dtype=np.int64)[-1])
+    sub, _ = submodule(x, rows)
+    quo, _, _ = quotient_module(x, rows.transpose())
+    assert sub.dim + quo.dim == x.dim and calls == []
+
+
+# ---------------------------------------------------------------------------
+# exhaustive sweeps over one vector per line
+
+
+def _full_sweep_submodule(m):
+    for v in itertools.product(range(m.over.field.p), repeat=m.dim):
+        if any(v):
+            s = spin(m, v)
+            if s.rows < m.dim:
+                return s
+    return None
+
+
+def _full_sweep_isomorphism(m, n):
+    hs = HomSpace(m, n)
+    for coords in itertools.product(range(m.over.field.p), repeat=hs.dim):
+        if any(coords):
+            h = hs.element(coords)
+            if is_invertible(h.matrix):
+                return h.matrix
+    return None
+
+
+def _conjugate(m, rng):
+    p = m.over.field.p
+    while True:
+        g = FpMatrix(rng.integers(0, p, size=(m.dim, m.dim)), m.over.field)
+        gi = inverse(g)
+        if gi is not None:
+            return type(m)(m.over, [g @ am @ gi for am in m.action])
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_projective_sweeps_match_full_sweeps(name, p):
+    a = ALGEBRAS[name](FieldSpec(p))
+    rng = np.random.default_rng(p)
+    mods = [random_module(a, rng, max_dim=4) for _ in range(3)]
+    for m in mods:
+        assert find_proper_submodule(m) == _full_sweep_submodule(m)
+        for n in mods + [_conjugate(m, rng)]:
+            # keep the full sweep of the oracle short
+            if n.dim != m.dim or p ** HomSpace(m, n).dim > 5 ** 4:
+                continue
+            iso = find_isomorphism(m, n)
+            expected = _full_sweep_isomorphism(m, n)
+            assert (iso.matrix if iso else None) == expected
+
+
+def test_one_dimensional_hom_at_large_prime_takes_one_element(monkeypatch):
+    field = FieldSpec(65521)
+    a = monomial_quiver_algebra(2, [(0, 1)], [], field)
+    simple = LeftModule(a, [FpMatrix([[c]], field) for c in (1, 0, 0)])
+    other = LeftModule(a, [FpMatrix([[c]], field) for c in (0, 1, 0)])
+    calls = []
+    element = HomSpace.element
+    monkeypatch.setattr(HomSpace, "element", lambda self, c: calls.append(
+        tuple(c)) or element(self, c))
+    assert find_isomorphism(simple, simple) is not None
+    assert calls == [(1,)]
+    assert find_isomorphism(simple, other) is None  # Hom = 0
+    assert calls == [(1,)]
