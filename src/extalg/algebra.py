@@ -12,11 +12,12 @@ it enters.  Objects derived from validated parts by a construction that
 keeps the axioms skip the check: opposite and product algebras, the total
 algebras of extensions, regular modules (their law is the associativity of
 the algebra), modules relabelled over the opposite algebra, swapped
-bimodules and duals.  Submodules and quotients are checked by invariance
-instead of by the law: an invariant subspace of a module, and the quotient
-by one, satisfy the law because the inclusion is injective and the
-projection surjective.  Coordinates in an echelonized basis (hom spaces,
-submodules, images) all come from `linalg.echelon_coords`.
+bimodules, duals, tensor products and Hom modules.  Submodules and
+quotients are checked by invariance instead of by the law: an invariant
+subspace of a module, and the quotient by one, satisfy the law because
+the inclusion is injective and the projection surjective.  Coordinates in
+an echelonized basis (hom spaces, submodules, images) all come from
+`linalg.echelon_coords`.
 
 The module law is checked one structure-table row at a time: for each i the
 products action(b_i) @ action(b_j) for all j come from one stacked matmul
@@ -594,7 +595,7 @@ def tensor_bimodule_left(m: Bimodule, x: LeftModule) -> TensorSpace:
     qm = _balanced_quotient(m.right_action, x.action, field)
     ix = FpMatrix.identity(x.dim, field)
     action = [qm.project @ kron(la, ix) @ qm.include for la in m.left_action]
-    space = LeftModule(m.left_over, action)
+    space = LeftModule(m.left_over, action, validate=False)
     return TensorSpace(space, qm.project, qm.include, m.dim, x.dim)
 
 
@@ -662,7 +663,7 @@ class HomModule:
         self.homs = HomSpace(m.left_module(), y)
         stack = self.homs.basis_array()
         self.space = LeftModule(m.right_over, [self.homs.coords_many(
-            stack @ ra.arr) for ra in m.right_action])
+            stack @ ra.arr) for ra in m.right_action], validate=False)
 
     def evaluation_matrix(self, j: int) -> FpMatrix:
         """Matrix of 'evaluate at the j-th basis vector of M': space -> Y."""

@@ -223,12 +223,12 @@ def _resolve(inst, args, build, validate) -> dict:
     """A resolve command on one instance; an unmet lifting hypothesis is a
     result, not an error."""
     try:
-        res = build(inst, args.window, args.seed)
+        res = build(inst, args.window)
     except GorensteinError as e:
         return {"error": str(e)}
     return {"term_dims": [m.dim for m in res.complex.modules],
             "lo": res.complex.lo, "hi": res.complex.hi,
-            "validation": validate(res, args.seed)}
+            "validation": validate(res)}
 
 
 # command -> (workspace table, instance kind, (instance, args) -> result);
@@ -236,23 +236,23 @@ def _resolve(inst, args, build, validate) -> dict:
 # name (as perfbench/tracer.py does) reaches these calls too
 COMMANDS = {
     "check gp": ("pairs", "pair", lambda x, a: gp_check(
-        pair_to_module(x), a.bound, a.seed)),
+        pair_to_module(x), a.bound)),
     "check gi": ("copairs", "copair", lambda x, a: gi_check(
-        copair_to_module(x), a.bound, a.seed)),
+        copair_to_module(x), a.bound)),
     "check gf": ("right_pairs", "right pair", lambda x, a: gf_check_right(
-        right_pair_to_module(x), a.bound, a.seed)),
+        right_pair_to_module(x), a.bound)),
     "verify cor35": ("pairs", "pair",
-                     lambda x, a: verify_cor35(x, a.bound, a.seed)),
+                     lambda x, a: verify_cor35(x, a.bound)),
     "verify cor45": ("copairs", "copair",
-                     lambda x, a: verify_cor45(x, a.bound, a.seed)),
+                     lambda x, a: verify_cor45(x, a.bound)),
     "verify cor48": ("right_pairs", "right pair",
-                     lambda x, a: verify_cor48(x, a.bound, a.seed)),
+                     lambda x, a: verify_cor48(x, a.bound)),
     "verify thm52": ("tuples", "tuple",
-                     lambda x, a: verify_thm52(x, a.bound, a.seed)),
+                     lambda x, a: verify_thm52(x, a.bound)),
     "verify thm53": ("cotuples", "cotuple",
-                     lambda x, a: verify_thm53(x, a.bound, a.seed)),
+                     lambda x, a: verify_thm53(x, a.bound)),
     "verify thm54": ("right_tuples", "right tuple",
-                     lambda x, a: verify_thm54(x, a.bound, a.seed)),
+                     lambda x, a: verify_thm54(x, a.bound)),
     "resolve pair": ("pairs", "pair", lambda x, a: _resolve(
         x, a, build_pair_complete_resolution,
         validate_pair_complete_resolution)),

@@ -88,16 +88,16 @@ def biduality_map(m) -> ModuleHom:
 # regimes
 
 
-def gorenstein_regime(a: Algebra, bound: Optional[int] = None,
-                      seed: int = 0) -> Tuple[str, object, object]:
+def gorenstein_regime(a: Algebra, bound: Optional[int] = None
+                      ) -> Tuple[str, object, object]:
     """(regime, left verdict, right verdict) for the self-injective
     dimensions of the two regular modules."""
     if bound is None:
         bound = default_bound(a)
     key = ("regime", bound)
     if key not in a._cache:
-        dl = id_bounded(LeftModule.regular(a), bound, seed)
-        dr = id_bounded(RightModule.regular(a), bound, seed)
+        dl = id_bounded(LeftModule.regular(a), bound)
+        dr = id_bounded(RightModule.regular(a), bound)
         if dl.is_finite() and dr.is_finite():
             if dl.value == 0 and dr.value == 0:
                 a._cache[key] = (SELF_INJECTIVE, dl, dr)
@@ -108,11 +108,11 @@ def gorenstein_regime(a: Algebra, bound: Optional[int] = None,
     return a._cache[key]
 
 
-def _ext_dims_vs_regular(g, upto: int, seed: int) -> List[int]:
+def _ext_dims_vs_regular(g, upto: int) -> List[int]:
     """[dim Ext^i(g, A)] for i = 1..upto, via the minimal resolution of the
     left module g."""
     reg = LeftModule.regular(g.over)
-    res = minimal_projective_resolution(g, upto + 1, seed)
+    res = minimal_projective_resolution(g, upto + 1)
     spaces = [hom_space(t, reg) for t in res.terms]
     maps = [_precompose_matrix(spaces[j], spaces[j + 1], res.diffs[j])
             for j in range(upto + 1)]
@@ -127,22 +127,22 @@ def _ext_dims_vs_regular(g, upto: int, seed: int) -> List[int]:
 # the three deciders
 
 
-def gp_check(g, bound: Optional[int] = None, seed: int = 0) -> GorensteinVerdict:
+def gp_check(g, bound: Optional[int] = None) -> GorensteinVerdict:
     """Gorenstein projectivity of a module, with certificates; a right
     module is decided as a left module over the opposite algebra."""
     g = as_left(g)
     a = g.over
     if bound is None:
         bound = default_bound(a)
-    regime, dl, dr = gorenstein_regime(a, bound, seed)
-    if g.dim == 0 or is_projective(g, seed):
+    regime, dl, dr = gorenstein_regime(a, bound)
+    if g.dim == 0 or is_projective(g):
         return GorensteinVerdict(CERTIFIED_YES, regime,
                                  {"reason": "projective"}, bound)
     if regime == SELF_INJECTIVE:
         return GorensteinVerdict(CERTIFIED_YES, regime,
                                  {"reason": "self_injective_regime"}, bound)
     limit = dl.value if regime == IWANAGA_GORENSTEIN else bound
-    dims = _ext_dims_vs_regular(g, limit, seed)
+    dims = _ext_dims_vs_regular(g, limit)
     for i, d in enumerate(dims, start=1):
         if d:
             return GorensteinVerdict(
@@ -156,7 +156,7 @@ def gp_check(g, bound: Optional[int] = None, seed: int = 0) -> GorensteinVerdict
              "checked": limit, "id_left": dl.value, "id_right": dr.value},
             bound)
     # unknown regime: the bounded totally reflexive battery
-    dims2 = _ext_dims_vs_regular(as_left(star_module(g)[0]), bound, seed)
+    dims2 = _ext_dims_vs_regular(as_left(star_module(g)[0]), bound)
     for i, d in enumerate(dims2, start=1):
         if d:
             return GorensteinVerdict(
@@ -175,19 +175,19 @@ def gp_check(g, bound: Optional[int] = None, seed: int = 0) -> GorensteinVerdict
                               "checked": bound}, bound)
 
 
-def gi_check(y, bound: Optional[int] = None, seed: int = 0) -> GorensteinVerdict:
+def gi_check(y, bound: Optional[int] = None) -> GorensteinVerdict:
     """Gorenstein injectivity, via the dual over the opposite algebra."""
-    v = gp_check(as_left(dual_module(y)), bound, seed)
+    v = gp_check(as_left(dual_module(y)), bound)
     cert = dict(v.certificate)
     cert["route"] = "dual_over_opposite"
     return GorensteinVerdict(v.answer, v.regime, cert, v.bound)
 
 
-def gf_check_right(x: RightModule, bound: Optional[int] = None,
-                   seed: int = 0) -> GorensteinVerdict:
+def gf_check_right(x: RightModule,
+                   bound: Optional[int] = None) -> GorensteinVerdict:
     """Gorenstein flatness of a right module through its character module
     (realized as the linear dual, a left module)."""
-    v = gi_check(dual_module(x), bound, seed)
+    v = gi_check(dual_module(x), bound)
     cert = dict(v.certificate)
     cert["route"] = "character_dual"
     return GorensteinVerdict(v.answer, v.regime, cert, v.bound)
@@ -203,19 +203,19 @@ class CompatibilityReport:
     dims: dict
 
 
-def compatibility_report(n: Bimodule, bound: Optional[int] = None,
-                         seed: int = 0) -> CompatibilityReport:
+def compatibility_report(n: Bimodule,
+                         bound: Optional[int] = None) -> CompatibilityReport:
     """Sufficient criteria only, for the compatible and the cocompatible
     case alike (both derive from finite one-sided dimensions); None means
     'not established', never 'refuted'.  Criteria: finite flat dimension on
     the right leg combined with finite projective (or injective) dimension
     on the left leg.  Memoised on the bimodule."""
-    key = ("compatibility", bound, seed)
+    key = ("compatibility", bound)
     if key not in n._cache:
         left = n.left_module()
-        dims = {"fd_right": fd_bounded(n.right_module(), bound, seed),
-                "pd_left": pd_bounded(left, bound, seed),
-                "id_left": id_bounded(left, bound, seed)}
+        dims = {"fd_right": fd_bounded(n.right_module(), bound),
+                "pd_left": pd_bounded(left, bound),
+                "id_left": id_bounded(left, bound)}
         via = None
         if dims["fd_right"].is_finite() and dims["pd_left"].is_finite():
             via = "finite_fd_and_pd"
@@ -249,29 +249,28 @@ def holds(hypotheses: dict) -> bool:
                for v in hypotheses.values())
 
 
-def thm_pair_hypotheses(pair: PairModule, bound: Optional[int] = None,
-                        seed: int = 0) -> dict:
+def thm_pair_hypotheses(pair: PairModule,
+                        bound: Optional[int] = None) -> dict:
     """Middle-exactness of the structure sequence and Gorenstein
     projectivity of coker(alpha) over the base."""
     return {"middle_exact": is_exact_at(pair.m_alpha(), pair.alpha),
-            "coker_verdict": gp_check(functor_C(pair)[0], bound, seed)}
+            "coker_verdict": gp_check(functor_C(pair)[0], bound)}
 
 
-def thm_copair_hypotheses(copair: CopairModule, bound: Optional[int] = None,
-                          seed: int = 0) -> dict:
+def thm_copair_hypotheses(copair: CopairModule,
+                          bound: Optional[int] = None) -> dict:
     """Middle-exactness of the costructure sequence and Gorenstein
     injectivity of ker(beta) over the base."""
     return {"middle_exact": is_exact_at(copair.beta, copair.beta_post()),
-            "ker_verdict": gi_check(functor_K(copair)[0], bound, seed)}
+            "ker_verdict": gi_check(functor_K(copair)[0], bound)}
 
 
-def _right_pair_hypotheses(rp: RightPairModule, bound: Optional[int],
-                           seed: int) -> dict:
+def _right_pair_hypotheses(rp: RightPairModule, bound: Optional[int]) -> dict:
     """Those of the left pair over the opposite extension, with Gorenstein
     flatness of coker(alpha) read back as a right module."""
     coker = RightModule.from_left_over_opposite(functor_C(rp.pair)[0])
     return {"middle_exact": is_exact_at(rp.pair.m_alpha(), rp.pair.alpha),
-            "coker_verdict": gf_check_right(coker, bound, seed)}
+            "coker_verdict": gf_check_right(coker, bound)}
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +322,7 @@ class CompleteResolution:
     left_res: Resolution       # the ordinary resolution feeding degrees < 0
 
 
-def complete_resolution(c, window: int, seed: int = 0) -> CompleteResolution:
+def complete_resolution(c, window: int) -> CompleteResolution:
     """Degrees < 0 from the minimal projective resolution of c; degrees
     >= 0 from the dual of the minimal resolution of Hom(c, A) over the
     opposite algebra, glued along the biduality map.  The output is a
@@ -332,7 +331,7 @@ def complete_resolution(c, window: int, seed: int = 0) -> CompleteResolution:
     resolved as a left module over the opposite algebra."""
     c = as_left(c)
     cl = as_left(star_module(c)[0])
-    res2 = minimal_projective_resolution(cl, window, seed)
+    res2 = minimal_projective_resolution(cl, window)
     # P^j := Hom_op(Q_j, op), a left module over c's algebra
     stars = [star_module(t) for t in res2.terms]
     right_terms = [as_left(mod) for mod, _ in stars]
@@ -349,7 +348,7 @@ def complete_resolution(c, window: int, seed: int = 0) -> CompleteResolution:
     aug_star = spaces[0].coords_many(hs_cl.basis_array()
                                      @ res2.epi.matrix.arr)
     mono = ModuleHom(c, right_terms[0], aug_star @ ev.matrix, validate=False)
-    res1 = minimal_projective_resolution(c, window - 1, seed)
+    res1 = minimal_projective_resolution(c, window - 1)
     left_terms = list(reversed(res1.terms))
     left_diffs = list(reversed(res1.diffs))
     bridge = ModuleHom(res1.terms[0], right_terms[0],
@@ -360,8 +359,7 @@ def complete_resolution(c, window: int, seed: int = 0) -> CompleteResolution:
     return CompleteResolution(c, cx, mono, res1)
 
 
-def validate_complete_resolution(cr: CompleteResolution,
-                                 seed: int = 0) -> dict:
+def validate_complete_resolution(cr: CompleteResolution) -> dict:
     """Window exactness, the kernel identification, and Hom-exactness into
     every projective indecomposable."""
     ok_exact, fail_at = is_exact_complex(cr.complex)
@@ -370,7 +368,7 @@ def validate_complete_resolution(cr: CompleteResolution,
         rank(cr.mono.matrix) == cr.module.dim and \
         rank(cr.mono.matrix) == f0.source.dim - rank(f0.matrix)
     hom_ok = True
-    for p, _ in projective_indecomposables(cr.module.over, seed):
+    for p, _ in projective_indecomposables(cr.module.over):
         hc = hom_complex(cr.complex, p)
         good, _ = is_exact_complex(hc)
         hom_ok = hom_ok and good
@@ -393,8 +391,8 @@ class PairCompleteResolution:
     window: int
 
 
-def build_pair_complete_resolution(pair: PairModule, window: int = None,
-                                   seed: int = 0) -> PairCompleteResolution:
+def build_pair_complete_resolution(pair: PairModule, window: int = None
+                                   ) -> PairCompleteResolution:
     """The constructive lifting: a complete resolution of coker(alpha)
     over the base is lifted degree by degree to extended projectives,
     with the mixed blocks of the differentials found by constrained
@@ -402,12 +400,12 @@ def build_pair_complete_resolution(pair: PairModule, window: int = None,
     t = pair.t
     if window is None:
         window = default_bound(t.total)
-    hyp = thm_pair_hypotheses(pair, seed=seed)
+    hyp = thm_pair_hypotheses(pair)
     if not hyp["middle_exact"] or hyp["coker_verdict"].is_no():
         raise GorensteinError("lifting hypotheses unmet: structure "
                               "sequence not exact or cokernel refuted")
     coker, rho = functor_C(pair)
-    cr = complete_resolution(coker, window + 1, seed)
+    cr = complete_resolution(coker, window + 1)
     m = t.bimodule
 
     def mten(x):
@@ -547,8 +545,7 @@ def build_pair_complete_resolution(pair: PairModule, window: int = None,
                                   coker_wit, window + 1)
 
 
-def validate_pair_complete_resolution(res: PairCompleteResolution,
-                                      seed: int = 0) -> dict:
+def validate_pair_complete_resolution(res: PairCompleteResolution) -> dict:
     """Window exactness, projectivity of every term, the kernel
     identification, and Hom-exactness into the two test families of
     extended modules."""
@@ -559,10 +556,9 @@ def validate_pair_complete_resolution(res: PairCompleteResolution,
     ker_ok = (g0.matrix @ lam.matrix).is_zero() and \
         rank(lam.matrix) == lam.source.dim and \
         rank(lam.matrix) == g0.source.dim - rank(g0.matrix)
-    proj_ok = all(is_projective(pair_to_module(pt), seed)
-                  for pt in res.terms)
+    proj_ok = all(is_projective(pair_to_module(pt)) for pt in res.terms)
     hom_ok = True
-    for q, _ in projective_indecomposables(t.base, seed):
+    for q, _ in projective_indecomposables(t.base):
         tq = pair_to_module(functor_T(t, q))
         zq = _inflate(t, q)
         for target in (tq, zq):
@@ -587,21 +583,21 @@ class CopairCompleteCoresolution:
 
 
 def build_copair_complete_coresolution(copair: CopairModule,
-                                       window: int = None,
-                                       seed: int = 0) -> CopairCompleteCoresolution:
+                                       window: int = None
+                                       ) -> CopairCompleteCoresolution:
     """Dualize, lift over the opposite extension, dualize back; the
     distinguished kernel lands at degree 0 after reindexing."""
     t = copair.t
     if window is None:
         window = default_bound(t.total)
-    hyp = thm_copair_hypotheses(copair, seed=seed)
+    hyp = thm_copair_hypotheses(copair)
     if not hyp["middle_exact"] or hyp["ker_verdict"].is_no():
         raise GorensteinError("coresolution hypotheses unmet")
     top = opposite_extension(t)
     mid = copair_to_module(copair)
     dual_mid = LeftModule(top.total, [mm.transpose() for mm in mid.action])
     pair_d = module_to_pair(dual_mid, top)
-    res_d = build_pair_complete_resolution(pair_d, window + 1, seed)
+    res_d = build_pair_complete_resolution(pair_d, window + 1)
     w = res_d.window                    # = window + 2
     # E^j := dual of the pair-side term at degree -1-j
     mods = []
@@ -620,8 +616,8 @@ def build_copair_complete_coresolution(copair: CopairModule,
     return CopairCompleteCoresolution(copair, cx, wit, window)
 
 
-def validate_copair_complete_coresolution(res: CopairCompleteCoresolution,
-                                          seed: int = 0) -> dict:
+def validate_copair_complete_coresolution(
+        res: CopairCompleteCoresolution) -> dict:
     """Window exactness, injectivity of every term, the kernel
     identification, and Hom-exactness from the two test families."""
     from .structure import is_injective
@@ -633,10 +629,10 @@ def validate_copair_complete_coresolution(res: CopairCompleteCoresolution,
     ker_ok = (d0.matrix @ wit.matrix).is_zero() and \
         rank(wit.matrix) == wit.source.dim and \
         rank(wit.matrix) == d0.source.dim - rank(d0.matrix)
-    inj_ok = all(is_injective(mod, seed) for mod in res.complex.modules)
+    inj_ok = all(is_injective(mod) for mod in res.complex.modules)
     from .structure import injective_indecomposables
     hom_ok = True
-    for e, _ in injective_indecomposables(t.base, seed):
+    for e, _ in injective_indecomposables(t.base):
         he = copair_to_module(functor_H(t, e))
         ze = _inflate(t, e)
         for source in (he, ze):
@@ -660,13 +656,13 @@ def _classify(agree: bool, established: bool) -> str:
 
 def verify_corollary(t: TrivialExtension, lhs: GorensteinVerdict,
                      hypotheses: dict, report: Callable,
-                     bound: Optional[int], seed: int) -> dict:
+                     bound: Optional[int]) -> dict:
     """One (co)pair's Gorenstein verdict lhs over the extension t against
     its hypotheses, with the sufficiency reports on the bimodule and on the
     inflated base."""
     rhs = holds(hypotheses)
-    comp_m = report(t.bimodule, bound, seed)
-    comp_zr = report(zr_bimodule(t), bound, seed)
+    comp_m = report(t.bimodule, bound)
+    comp_zr = report(zr_bimodule(t), bound)
     established = comp_m.sufficient_via is not None and \
         comp_zr.sufficient_via is not None
     agree = lhs.is_yes() == rhs
@@ -676,28 +672,24 @@ def verify_corollary(t: TrivialExtension, lhs: GorensteinVerdict,
             "classification": _classify(agree, established)}
 
 
-def verify_cor35(pair: PairModule, bound: Optional[int] = None,
-                 seed: int = 0) -> dict:
+def verify_cor35(pair: PairModule, bound: Optional[int] = None) -> dict:
     """Gorenstein projectivity of a pair vs its structure sequence."""
-    return verify_corollary(pair.t, gp_check(pair_to_module(pair), bound,
-                                             seed),
-                            thm_pair_hypotheses(pair, bound, seed),
-                            compatibility_report, bound, seed)
+    return verify_corollary(pair.t, gp_check(pair_to_module(pair), bound),
+                            thm_pair_hypotheses(pair, bound),
+                            compatibility_report, bound)
 
 
-def verify_cor45(copair: CopairModule, bound: Optional[int] = None,
-                 seed: int = 0) -> dict:
+def verify_cor45(copair: CopairModule, bound: Optional[int] = None) -> dict:
     """Gorenstein injectivity of a copair vs its costructure sequence."""
     return verify_corollary(copair.t, gi_check(copair_to_module(copair),
-                                               bound, seed),
-                            thm_copair_hypotheses(copair, bound, seed),
-                            compatibility_report, bound, seed)
+                                               bound),
+                            thm_copair_hypotheses(copair, bound),
+                            compatibility_report, bound)
 
 
-def verify_cor48(rp: RightPairModule, bound: Optional[int] = None,
-                 seed: int = 0) -> dict:
+def verify_cor48(rp: RightPairModule, bound: Optional[int] = None) -> dict:
     """Gorenstein flatness of a right pair vs its structure sequence."""
     return verify_corollary(rp.t, gf_check_right(right_pair_to_module(rp),
-                                                 bound, seed),
-                            _right_pair_hypotheses(rp, bound, seed),
-                            compatibility_report, bound, seed)
+                                                 bound),
+                            _right_pair_hypotheses(rp, bound),
+                            compatibility_report, bound)

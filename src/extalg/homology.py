@@ -93,17 +93,17 @@ class Resolution:
         return ChainComplex(-self.length(), mods, diffs, validate=False)
 
 
-def minimal_projective_resolution(m, n: int, seed: int = 0) -> Resolution:
+def minimal_projective_resolution(m, n: int) -> Resolution:
     """Resolution of length n by iterated projective covers."""
     m = as_left(m)
     terms, diffs, syzygies, syz_incl = [], [], [m], []
-    pres = projective_cover(m, seed)
+    pres = projective_cover(m)
     terms.append(pres.cover)
     epi = pres.epi
     for _ in range(n):
         syzygies.append(pres.kernel)
         syz_incl.append(pres.kernel_inclusion)
-        nxt = projective_cover(pres.kernel, seed)
+        nxt = projective_cover(pres.kernel)
         terms.append(nxt.cover)
         diffs.append(pres.kernel_inclusion.compose(nxt.epi))
         pres = nxt
@@ -112,14 +112,13 @@ def minimal_projective_resolution(m, n: int, seed: int = 0) -> Resolution:
     return Resolution(m, terms, diffs, epi, syzygies, syz_incl)
 
 
-def non_minimal_resolution(m, n: int, seed: int = 0) -> Resolution:
+def non_minimal_resolution(m, n: int) -> Resolution:
     """A deliberately padded projective resolution: the degree-0 cover gets
     an extra indecomposable projective summand mapping to zero.  Used to
     cross-check resolution independence of Ext."""
     m = as_left(m)
-    pims = projective_indecomposables(m.over, seed)
-    extra = pims[seed % len(pims)][0]
-    pres = projective_cover(m, seed)
+    extra = projective_indecomposables(m.over)[0][0]
+    pres = projective_cover(m)
     cover, _, _ = direct_sum_modules([pres.cover, extra])
     field = m.over.field
     epi_mat = FpMatrix(np.hstack([pres.epi.matrix.arr,
@@ -131,7 +130,7 @@ def non_minimal_resolution(m, n: int, seed: int = 0) -> Resolution:
     syzygies, syz_incl = [m, ker], [ker_incl]
     cur, cur_incl = ker, ker_incl
     for _ in range(n):
-        nxt = projective_cover(cur, seed)
+        nxt = projective_cover(cur)
         terms.append(nxt.cover)
         diffs.append(cur_incl.compose(nxt.epi))
         syzygies.append(nxt.kernel)
@@ -140,11 +139,11 @@ def non_minimal_resolution(m, n: int, seed: int = 0) -> Resolution:
     return Resolution(m, terms, diffs, epi, syzygies, syz_incl)
 
 
-def syzygy(m, i: int, seed: int = 0):
+def syzygy(m, i: int):
     """The i-th kernel along the minimal resolution; syzygy(m, 0) = m."""
     if i == 0:
         return m
-    return minimal_projective_resolution(m, i - 1, seed).syzygies[i]
+    return minimal_projective_resolution(m, i - 1).syzygies[i]
 
 
 # ---------------------------------------------------------------------------
@@ -177,12 +176,12 @@ def ext_from_resolution(res: Resolution, n, i: int) -> ExtResult:
     return ExtResult(cocycles - coboundaries, cocycles, coboundaries)
 
 
-def ext(m, n, i: int, seed: int = 0) -> ExtResult:
+def ext(m, n, i: int) -> ExtResult:
     """dim Ext^i(m, n) via the minimal projective resolution of m."""
     if i == 0:
         d = hom_space(m, n).dim
         return ExtResult(d, d, 0)
-    res = minimal_projective_resolution(m, i + 1, seed)
+    res = minimal_projective_resolution(m, i + 1)
     return ext_from_resolution(res, n, i)
 
 
@@ -207,7 +206,7 @@ class DimensionVerdict:
         return self.kind == "finite"
 
 
-def pd_bounded(m, bound: Optional[int] = None, seed: int = 0) -> DimensionVerdict:
+def pd_bounded(m, bound: Optional[int] = None) -> DimensionVerdict:
     """Projective dimension, certified by a minimal resolution with zero
     final syzygy; ExceedsBound when none appears within the bound."""
     if bound is None:
@@ -216,22 +215,22 @@ def pd_bounded(m, bound: Optional[int] = None, seed: int = 0) -> DimensionVerdic
         return DimensionVerdict.finite(0)
     cur = m
     for d in range(bound + 1):
-        pres = projective_cover(cur, seed)
+        pres = projective_cover(cur)
         if pres.kernel.dim == 0:
             return DimensionVerdict.finite(d)
         cur = pres.kernel
     return DimensionVerdict.exceeds(bound)
 
 
-def id_bounded(m, bound: Optional[int] = None, seed: int = 0) -> DimensionVerdict:
+def id_bounded(m, bound: Optional[int] = None) -> DimensionVerdict:
     """Injective dimension = pd of the dual over the opposite algebra."""
-    return pd_bounded(dual_module(m), bound, seed)
+    return pd_bounded(dual_module(m), bound)
 
 
-def fd_bounded(m, bound: Optional[int] = None, seed: int = 0) -> DimensionVerdict:
+def fd_bounded(m, bound: Optional[int] = None) -> DimensionVerdict:
     """Flat dimension; equals pd for finitely generated modules over a
     finite-dimensional algebra (flats are projective here)."""
-    return pd_bounded(m, bound, seed)
+    return pd_bounded(m, bound)
 
 
 # ---------------------------------------------------------------------------

@@ -431,11 +431,11 @@ def tuple_hom_dim(s: TupleModule, t: TupleModule) -> int:
 # theorem harnesses
 
 
-def _lambda_reports(ring: MoritaRing, rep, bound, seed) -> dict:
-    comp_u = rep(ring.context.u, bound, seed)
-    comp_v = rep(ring.context.v, bound, seed)
-    comp_n = rep(ring.bim, bound, seed)
-    comp_zr = rep(zr_bimodule(ring.ext), bound, seed)
+def _lambda_reports(ring: MoritaRing, rep, bound) -> dict:
+    comp_u = rep(ring.context.u, bound)
+    comp_v = rep(ring.context.v, bound)
+    comp_n = rep(ring.bim, bound)
+    comp_zr = rep(zr_bimodule(ring.ext), bound)
     return {"u_report": comp_u, "v_report": comp_v, "bimodule_report": comp_n,
             "base_inflation_report": comp_zr,
             "components_established": comp_u.sufficient_via is not None
@@ -444,22 +444,21 @@ def _lambda_reports(ring: MoritaRing, rep, bound, seed) -> dict:
             and comp_zr.sufficient_via is not None}
 
 
-def _tuple_hypotheses(t: TupleModule, decide: Callable, bound,
-                      seed: int) -> dict:
+def _tuple_hypotheses(t: TupleModule, decide: Callable, bound) -> dict:
     vf, ug = t.composites()
     return {"seq1_exact": is_exact_at(vf, t.g),
             "seq2_exact": is_exact_at(ug, t.f),
-            "coker_f_verdict": decide(cokernel_module(t.f)[0], bound, seed),
-            "coker_g_verdict": decide(cokernel_module(t.g)[0], bound, seed)}
+            "coker_f_verdict": decide(cokernel_module(t.f)[0], bound),
+            "coker_g_verdict": decide(cokernel_module(t.g)[0], bound)}
 
 
 def verify_theorem(ring: MoritaRing, lhs, hypotheses: dict,
-                   report: Callable, bound, seed: int) -> dict:
+                   report: Callable, bound) -> dict:
     """One (co)tuple's Gorenstein verdict lhs over the Morita ring against
     its tuple-level hypotheses, with the sufficiency reports on U, V, their
     sum and the inflated base."""
     rhs = holds(hypotheses)
-    reports = _lambda_reports(ring, report, bound, seed)
+    reports = _lambda_reports(ring, report, bound)
     agree = lhs.is_yes() == rhs
     return {"lhs": lhs, **hypotheses, "rhs_holds": rhs, **reports,
             "hypotheses_established": reports["established"],
@@ -467,25 +466,24 @@ def verify_theorem(ring: MoritaRing, lhs, hypotheses: dict,
             "classification": _classify(agree, reports["established"])}
 
 
-def verify_thm52(t: TupleModule, bound=None, seed: int = 0) -> dict:
+def verify_thm52(t: TupleModule, bound=None) -> dict:
     """Tuple-level hypotheses vs Gorenstein projectivity."""
-    return verify_theorem(t.ring, gp_check(pair_to_module(theta(t)), bound,
-                                           seed),
-                          _tuple_hypotheses(t, gp_check, bound, seed),
-                          compatibility_report, bound, seed)
+    return verify_theorem(t.ring, gp_check(pair_to_module(theta(t)), bound),
+                          _tuple_hypotheses(t, gp_check, bound),
+                          compatibility_report, bound)
 
 
-def verify_thm53(ct: CoTupleModule, bound=None, seed: int = 0) -> dict:
+def verify_thm53(ct: CoTupleModule, bound=None) -> dict:
     """Hom-side mirror: hypotheses vs Gorenstein injectivity."""
     ug, vf = ct.composites()
     hypotheses = {
         "seq1_exact": is_exact_at(ct.f, ug),
         "seq2_exact": is_exact_at(ct.g, vf),
-        "ker_f_verdict": gi_check(kernel_module(ct.f)[0], bound, seed),
-        "ker_g_verdict": gi_check(kernel_module(ct.g)[0], bound, seed)}
+        "ker_f_verdict": gi_check(kernel_module(ct.f)[0], bound),
+        "ker_g_verdict": gi_check(kernel_module(ct.g)[0], bound)}
     return verify_theorem(ct.ring, gi_check(copair_to_module(theta_co(ct)),
-                                            bound, seed),
-                          hypotheses, compatibility_report, bound, seed)
+                                            bound),
+                          hypotheses, compatibility_report, bound)
 
 
 # the left tuple (W, Q, g, f) of a right tuple lists f and g the other way
@@ -495,14 +493,13 @@ _EXCHANGE_FG = {"seq1_exact": "seq2_exact", "seq2_exact": "seq1_exact",
                 "coker_g_verdict": "coker_f_verdict"}
 
 
-def verify_thm54(rt: RightTupleModule, bound=None, seed: int = 0) -> dict:
+def verify_thm54(rt: RightTupleModule, bound=None) -> dict:
     """Right-module mirror: hypotheses vs Gorenstein flatness, through the
     left tuple over the opposite context."""
-    def decide(coker, bound, seed):
+    def decide(coker, bound):
         return gf_check_right(RightModule.from_left_over_opposite(coker),
-                              bound, seed)
-    left = _tuple_hypotheses(rt.left, decide, bound, seed)
-    return verify_theorem(rt.ring, gf_check_right(_right_module(rt), bound,
-                                                  seed),
+                              bound)
+    left = _tuple_hypotheses(rt.left, decide, bound)
+    return verify_theorem(rt.ring, gf_check_right(_right_module(rt), bound),
                           {_EXCHANGE_FG[k]: v for k, v in left.items()},
-                          compatibility_report, bound, seed)
+                          compatibility_report, bound)

@@ -1,29 +1,39 @@
-"""Structure theory of modules: composition factors, radicals,
-indecomposable splittings, projective covers and injective envelopes.
+"""Structure theory of modules: the radical, simples and projective
+indecomposables (PIMs) of an algebra, composition series, indecomposable
+splittings, projective covers and injective envelopes.
 
-Everything is exact; randomness only enters through explicit seeds, and
-only once the exhaustive sweeps exceed their budgets.  Projective covers,
-and through them resolutions, take a right module as the left module over
-the opposite algebra (`as_left`); injective envelopes are duals of
-projective covers over the opposite algebra.
+One deterministic path serves every prime: rad(A) is a chain of trace
+kernels, and the primitive idempotents of A/rad come from linear algebra
+and lift to A.  One primitive idempotent e_i per simple block of A/rad
+gives the PIM P_i = A.e_i and the simple S_i = top(P_i), non-isomorphic
+for different blocks.  `split_module` applies the same steps to End(m).
+
+A right module is covered and resolved as the left module over the
+opposite algebra (`as_left`); injective envelopes are duals of projective
+covers over the opposite algebra.
 """
 
 from __future__ import annotations
 
-import itertools
+import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from functools import partial
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .algebra import (Algebra, LeftModule, ModuleHom, as_left,
+from .algebra import (Algebra, LeftModule, ModuleHom, _stack, as_left,
                       direct_sum_modules, dual_module, hom_space,
-                      is_isomorphic, kernel_module, opposite_algebra,
-                      quotient_module, row_space_of_columns, submodule)
-from .linalg import (FpMatrix, echelon_coords, hstack, kernel_basis,
-                     projective_points, rank, rref, solve, vstack)
+                      kernel_module, opposite_algebra, quotient_module,
+                      row_space_of_columns, submodule)
+from .linalg import (FieldSpec, FpMatrix, echelon_coords, hstack,
+                     kernel_basis, quotient_maps, rank, rref, row_basis,
+                     solve, vstack)
 
-EXHAUSTIVE_BUDGET = 65536
+# The split of a matrix block draws its candidates from
+# random.Random(_SPLIT_STREAM), fresh for every split; the draws change how
+# long a split takes, not the summands it gives (up to isomorphism).
+_SPLIT_STREAM = 20231
 
 
 class StructureError(ValueError):
@@ -31,7 +41,7 @@ class StructureError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# spinning and irreducibility
+# spinning
 
 
 def spin(m, vec) -> FpMatrix:
@@ -50,50 +60,228 @@ def spin(m, vec) -> FpMatrix:
         rows = nxt
 
 
-def find_proper_submodule(m, seed: int = 0,
-                          budget: int = EXHAUSTIVE_BUDGET) -> Optional[FpMatrix]:
-    """Row basis of a nonzero proper submodule, or None when none exists.
+# ---------------------------------------------------------------------------
+# finite algebras given by structure constants: radical and idempotents
 
-    Exhaustive vector sweep when p^dim fits the budget (then None is a
-    certificate of simplicity); seeded sampling on both the module and its
-    dual beyond that.  The sweep spins one vector per line
-    (`projective_points`), since spin(c.v) = spin(v).
+
+def _mul(sc: np.ndarray, x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
+    """Products x*y of coordinate vectors, broadcast over leading axes, in
+    the algebra with structure constants sc."""
+    n = sc.shape[0]
+    # row j of left is x*b_j
+    left = ((x @ sc.reshape(n, n * n)) % p).reshape(*np.shape(x)[:-1], n, n)
+    return (y[..., None, :] @ left)[..., 0, :] % p
+
+
+def _power(x: np.ndarray, e: int, mul) -> np.ndarray:
+    """x**e for e >= 1 by square and multiply."""
+    if e == 1:
+        return x
+    half = _power(mul(x, x), e // 2, mul)
+    return mul(half, x) if e % 2 else half
+
+
+def _trace_radical(mats: np.ndarray, field: FieldSpec) -> FpMatrix:
+    """RREF row basis, in coordinates of the (n, d, d) stack `mats` whose
+    span is closed under products, of the radical of that span.
+
+    Cohen-Ivanyos-Wales: I_{-1} = A, I_i = {x in I_{i-1} : g_i(xy) = 0 for
+    all y}, g_i(z) = Tr(z~^(p^i)) / p^i mod p for any integer lift z~;
+    g_i is linear on I_{i-1}, and rad A = I_i once p^(i+1) > d (for p > d,
+    Dickson's trace-form kernel).  Reducing mod p^(i+1) <= p * d after
+    every product keeps entries below d * (p * d)^2.
     """
-    p = m.over.field.p
-    d = m.dim
-    if d <= 1:
-        return None
-    if p ** d <= budget:
-        for v in projective_points(d, p):
-            s = spin(m, v)
-            if s.rows < d:
-                return s
-        return None
-    rng = np.random.default_rng(seed)
-    dm = dual_module(m)
-    for _ in range(64):
-        v = rng.integers(0, p, size=d)
-        if not v.any():
-            continue
-        s = spin(m, v)
-        if s.rows < d:
-            return s
-        # a proper spin in the dual gives a proper submodule of m as its
-        # annihilator
-        w = rng.integers(0, p, size=d)
-        if w.any():
-            sd = spin(dm, w)
-            if sd.rows < d:
-                return kernel_basis(sd)
-    return None
+    p = field.p
+    n, d, _ = mats.shape
+    basis = np.eye(n, dtype=np.int64)
+    q = 1
+    while q <= d and basis.shape[0]:
+        mod = q * p
+        xs = np.tensordot(basis, mats, 1) % p
+        z = _power((xs[:, None] @ mats[None]) % p, q,
+                   lambda u, v: (u @ v) % mod)
+        g = (np.trace(z, axis1=2, axis2=3) % mod) // q
+        basis = kernel_basis(FpMatrix(g.T, field)).arr @ basis % p
+        q *= p
+    return row_basis(FpMatrix(basis, field))
 
 
-def is_simple(m, seed: int = 0) -> bool:
-    return m.dim > 0 and find_proper_submodule(m, seed) is None
+def _minimal_polynomial(x: np.ndarray, one: np.ndarray, mul,
+                        field: FieldSpec):
+    """(c, powers): x^d = sum_i c_i x^i is the minimal polynomial of x in an
+    algebra with unit `one`, and powers holds x^0 .. x^(d-1)."""
+    powers = [one]
+    while True:
+        nxt = mul(powers[-1], x)
+        c = solve(FpMatrix(np.array(powers).T, field),
+                  FpMatrix.column(nxt, field))
+        if c is not None:
+            return c.arr[:, 0], np.array(powers)
+        powers.append(nxt)
+
+
+def _frobenius_fixed(basis: np.ndarray, mul, field: FieldSpec) -> np.ndarray:
+    """Rows spanning {z : z^p = z}, the span of the primitive idempotents,
+    in the commutative subalgebra spanned by `basis` (z -> z^p is linear)."""
+    frob = (_power(basis, field.p, mul) - basis) % field.p
+    return kernel_basis(FpMatrix(frob.T, field)).arr @ basis % field.p
+
+
+def _eigen_split(e: np.ndarray, bs: np.ndarray, mul,
+                 field: FieldSpec) -> List[np.ndarray]:
+    """The primitive idempotents summing to e of the span of bs, which
+    commute, contain e and satisfy b^p = b.  Each part f so far is cut
+    along the eigenvalues r of b.f, which lie in GF(p): they are the roots
+    of its minimal polynomial, found by one Horner pass over GF(p), and
+    f - (b.f - r.f)^(p-1) projects onto the eigenspace of r."""
+    p = field.p
+    t = np.arange(p, dtype=np.int64)
+    parts = [e]
+    for b in bs:
+        if len(parts) == len(bs):
+            break
+        nxt = []
+        for f in parts:
+            x = mul(b, f)
+            value = np.ones(p, dtype=np.int64)
+            for c in _minimal_polynomial(x, f, mul, field)[0][::-1]:
+                value = (value * t - c) % p
+            nxt += [(f - _power((x - r * f) % p, p - 1, mul)) % p
+                    for r in np.flatnonzero(value == 0)]
+        parts = nxt
+    return parts
+
+
+def _split_simple(e: np.ndarray, mul, field: FieldSpec) -> List[np.ndarray]:
+    """Orthogonal primitive idempotents summing to e, an idempotent of a
+    simple algebra Q; eQe = M_r(GF(q)).
+
+    e is primitive exactly when eQe is commutative (a field).  Otherwise
+    r >= 2, and GF(p)[x] has two primitive idempotents for a positive share
+    of the x in eQe (those with two distinct eigenvalues, say), so drawing
+    x until one does cannot fail.
+    """
+    basis = row_basis(FpMatrix(mul(mul(e, np.eye(len(e), dtype=np.int64)),
+                                   e), field)).arr
+    prods = mul(basis[:, None], basis[None])
+    if (prods == prods.transpose(1, 0, 2)).all():
+        return [e]
+    draws = random.Random(_SPLIT_STREAM)
+    while True:
+        x = np.array([draws.randrange(field.p) for _ in basis]) @ basis
+        powers = _minimal_polynomial(x % field.p, e, mul, field)[1]
+        parts = _eigen_split(e, _frobenius_fixed(powers, mul, field), mul,
+                             field)
+        if len(parts) > 1:
+            return [g for f in parts for g in _split_simple(f, mul, field)]
+
+
+def _primitive_idempotents(sc: np.ndarray, unit: np.ndarray, rad: FpMatrix,
+                           field: FieldSpec) -> List[List[np.ndarray]]:
+    """Orthogonal primitive idempotents of the algebra (sc, unit) with
+    radical rad, summing to 1 and grouped by the simple block of A/rad
+    that their images lie in."""
+    p = field.p
+    qm = quotient_maps(rad.transpose())
+    free = qm.include.arr.argmax(axis=0)     # Q has basis b_free[a] + rad
+    qsc = (sc[np.ix_(free, free)] @ qm.project.arr.T) % p
+    qmul, amul = partial(_mul, qsc, p=p), partial(_mul, sc, p=p)
+    m = len(free)
+    comm = (qsc - qsc.transpose(1, 0, 2)) % p
+    centre = kernel_basis(FpMatrix(comm.reshape(m, m * m).T, field)).arr
+    blocks = _eigen_split(qm.project.arr @ unit % p,
+                          _frobenius_fixed(centre, qmul, field), qmul, field)
+    # lift each to an idempotent of uAu, u = 1 - (those lifted so far)
+    groups, u = [], unit
+    for block in blocks:
+        groups.append([])
+        for ebar in _split_simple(block, qmul, field):
+            pre = np.zeros_like(unit)
+            pre[free] = ebar
+            g, prev = amul(amul(u, pre), u), None
+            while prev is None or (g != prev).any():
+                sq = amul(g, g)
+                g, prev = (3 * sq - 2 * amul(sq, g)) % p, g
+            groups[-1].append(g)
+            u = (u - g) % p
+    return groups
 
 
 # ---------------------------------------------------------------------------
-# composition series
+# radical, top, simples and projective indecomposables of an algebra
+
+
+def algebra_radical(a: Algebra) -> FpMatrix:
+    """Row basis (RREF) of rad(A), from the regular representation."""
+    if "radical" not in a._cache:
+        a._cache["radical"] = _trace_radical(a.sc.transpose(0, 2, 1),
+                                             a.field)
+    return a._cache["radical"]
+
+
+def _radical_span(m, rows: np.ndarray) -> FpMatrix:
+    """Row basis of rad(A) applied to the row span of `rows` (coordinates
+    of m); rad(A) is a two-sided ideal, so this serves either side."""
+    p = m.over.field.p
+    acts = np.tensordot(algebra_radical(m.over).arr,
+                        _stack(m.action, m.dim), 1) % p
+    moved = rows @ acts.transpose(0, 2, 1)
+    return row_basis(FpMatrix(moved.reshape(len(acts) * len(rows), m.dim),
+                              m.over.field))
+
+
+def radical_of_module(m) -> Tuple[object, ModuleHom]:
+    """rad(m) = rad(A).m with its inclusion."""
+    return submodule(m, _radical_span(m, np.eye(m.dim, dtype=np.int64)))
+
+
+def top_of_module(m) -> Tuple[object, ModuleHom]:
+    """m / rad(m) with the projection."""
+    _, incl = radical_of_module(m)
+    quo, proj, _ = quotient_module(m, incl.matrix)
+    return quo, proj
+
+
+def _pim_triples(a: Algebra):
+    """(P_i, top simple S_i, primitive idempotent e_i with P_i = A.e_i,
+    inclusion of P_i into A), one triple per simple block of A/rad."""
+    if "pim_triples" not in a._cache:
+        reg = LeftModule.regular(a)
+        out = []
+        for group in _primitive_idempotents(a.sc, a.unit, algebra_radical(a),
+                                            a.field):
+            piece, incl = submodule(reg, spin(reg, group[0]))
+            out.append((piece, top_of_module(piece)[0], group[0],
+                        incl.matrix))
+        a._cache["pim_triples"] = out
+    return a._cache["pim_triples"]
+
+
+def simples(a: Algebra) -> List[LeftModule]:
+    """Pairwise non-isomorphic simple left modules, the tops of the
+    projective indecomposables."""
+    return [s for _, s, _, _ in _pim_triples(a)]
+
+
+def projective_indecomposables(a: Algebra):
+    """List of (P_i, top simple S_i), one per isomorphism class; every
+    projective is a direct sum of these."""
+    return [(p, s) for p, s, _, _ in _pim_triples(a)]
+
+
+# ---------------------------------------------------------------------------
+# submodules, composition series and splittings of modules
+
+
+def find_proper_submodule(m) -> Optional[FpMatrix]:
+    """Row basis of a nonzero proper submodule, the first step of a
+    composition filtration, or None when m is simple or zero."""
+    bases = _filtration_bases(m)
+    return bases[0] if len(bases) > 1 else None
+
+
+def is_simple(m) -> bool:
+    return m.dim > 0 and find_proper_submodule(m) is None
 
 
 @dataclass
@@ -107,227 +295,70 @@ class CompositionSeries:
     witnesses: List[ModuleHom]
 
 
-def _filtration_bases(m, seed: int) -> List[FpMatrix]:
+def _filtration_bases(m) -> List[FpMatrix]:
     """Strictly increasing row bases (in m coordinates) of a composition
-    filtration, ending at the full space."""
-    field = m.over.field
-    if m.dim == 0:
-        return []
-    b = find_proper_submodule(m, seed)
-    if b is None:
-        return [FpMatrix.identity(m.dim, field)]
-    sub, incl = submodule(m, b)
-    quo, proj, q_incl = quotient_module(m, b.transpose())
+    filtration, ending at the full space.
+
+    The radical layers rad^(j-1)(m) / rad^j(m) are semisimple, so the
+    filtration grows from rad^j(m) to rad^(j-1)(m) one simple at a time: a
+    vector of e_i.rad^(j-1)(m) outside the current step spins onto a copy
+    of S_i over it.
+    """
+    p = m.over.field.p
+    layers = [FpMatrix.identity(m.dim, m.over.field)]
+    while layers[-1].rows:
+        layers.append(_radical_span(m, layers[-1].arr))
+    idems = [m.act_matrix(e).arr for _, _, e, _ in _pim_triples(m.over)]
     out = []
-    for rows in _filtration_bases(sub, seed + 1):
-        out.append(row_space_of_columns((incl.matrix @ rows.transpose())))
-    sub_rows = out[-1]
-    for rows in _filtration_bases(quo, seed + 2):
-        lifted = (rows.arr @ q_incl.arr.T) % field.p
-        out.append(row_space_of_columns(
-            FpMatrix(np.vstack([sub_rows.arr, lifted]), field).transpose()))
+    current = layers.pop()
+    for layer in reversed(layers):
+        while current.rows < layer.rows:
+            v = next(v for e in idems for v in (layer.arr @ e.T) % p
+                     if echelon_coords(current, v) is None)
+            current = row_basis(vstack([current, spin(m, v)]))
+            out.append(current)
     return out
 
 
-def chop(m, seed: int = 0) -> CompositionSeries:
-    """Composition series; the Jordan-Hoelder factor multiset does not
-    depend on the seed."""
-    bases = _filtration_bases(m, seed)
-    factors = []
-    witnesses = []
-    prev_rows = None
-    for b in bases:
+def chop(m) -> CompositionSeries:
+    """Composition series, through the radical layers of m."""
+    factors, witnesses = [], []
+    prev = FpMatrix.zeros(0, m.dim, m.over.field)
+    for b in _filtration_bases(m):
         sub, incl = submodule(m, b)
+        # the previous step in the coordinates of this one
+        coords = echelon_coords(incl.matrix.transpose(), prev.arr)
+        factors.append(quotient_module(sub, FpMatrix(coords.T,
+                                                     m.over.field))[0])
         witnesses.append(incl)
-        if prev_rows is None:
-            factors.append(sub)
-        else:
-            # previous step in the coordinates of the current step
-            coords = echelon_coords(incl.matrix.transpose(), prev_rows.arr)
-            fac, _, _ = quotient_module(sub, FpMatrix(coords.T, m.over.field))
-            factors.append(fac)
-        prev_rows = b
+        prev = b
     return CompositionSeries(factors, witnesses)
 
 
-def simples(a: Algebra, seed: int = 0) -> List[LeftModule]:
-    """Pairwise non-isomorphic simple left modules (all composition factors
-    of the regular module)."""
-    key = ("simples", seed)
-    if key not in a._cache:
-        series = chop(LeftModule.regular(a), seed)
-        out: List[LeftModule] = []
-        for f in series.factors:
-            if not any(is_isomorphic(f, s, seed=seed) for s in out):
-                out.append(f)
-        a._cache[key] = out
-    return a._cache[key]
-
-
-# ---------------------------------------------------------------------------
-# radical and top
-
-
-def algebra_radical(a: Algebra, seed: int = 0) -> FpMatrix:
-    """Row basis of rad(A), the intersection of the kernels of all maps
-    from the regular module onto simples."""
-    key = ("radical", seed)
-    if key not in a._cache:
-        reg = LeftModule.regular(a)
-        mats = []
-        for s in simples(a, seed):
-            hs = hom_space(reg, s)
-            for k in range(hs.dim):
-                mats.append(hs.basis_hom(k).matrix)
-        if not mats:
-            a._cache[key] = FpMatrix.zeros(0, a.dim, a.field)
-        else:
-            a._cache[key] = kernel_basis(vstack(mats))
-    return a._cache[key]
-
-
-def radical_of_module(m) -> Tuple[object, ModuleHom]:
-    """rad(m) = rad(A).m (both sides agree: rad(A) is a two-sided ideal,
-    so the same subspace works for right modules)."""
-    rad_rows = algebra_radical(m.over)
-    if rad_rows.rows == 0 or m.dim == 0:
-        return submodule(m, FpMatrix.zeros(0, m.dim, m.over.field))
-    cols = hstack([m.act_matrix(rad_rows.arr[k])
-                   for k in range(rad_rows.rows)])
-    return submodule(m, row_space_of_columns(cols))
-
-
-def top_of_module(m) -> Tuple[object, ModuleHom]:
-    """m / rad(m) with the projection."""
-    _, incl = radical_of_module(m)
-    quo, proj, _ = quotient_module(m, incl.matrix)
-    return quo, proj
-
-
-# ---------------------------------------------------------------------------
-# indecomposable splitting
-
-
-def _find_idempotent_endo(m, seed: int,
-                          budget: int = EXHAUSTIVE_BUDGET):
-    """A nontrivial idempotent endomorphism of m, or None.
-
-    Exhaustive sweep of End(m) within the budget (None is then a
-    certificate); beyond it, Fitting splittings from seeded random
-    endomorphisms via factored characteristic polynomials.
-    """
-    endos = hom_space(m, m)
-    p = m.over.field.p
-    h = endos.dim
-    if h <= 1:
-        return None  # End(m) = k.id: the only idempotents are 0 and 1
-    ident = np.eye(m.dim, dtype=np.int64)
-    if p ** h <= budget:
-        for coords in itertools.product(range(p), repeat=h):
-            if not any(coords):
-                continue
-            e = endos.element(coords)
-            arr = e.matrix.arr
-            if ((arr @ arr) % p == arr).all() and not (arr == ident).all():
-                return e
-        return None
-    import sympy  # the only use of sympy, so kept off the import path
-    rng = np.random.default_rng(seed)
-    x = sympy.Symbol("x")
-    for _ in range(40):
-        coords = rng.integers(0, p, size=h)
-        phi = endos.element(coords).matrix.arr
-        poly = sympy.Poly(sympy.Matrix(phi.tolist()).charpoly(x), x,
-                          modulus=p)
-        factors = sympy.factor_list(poly.as_expr(), x, modulus=p)[1]
-        if len(factors) < 2:
-            continue
-        f0 = sympy.Poly(factors[0][0] ** factors[0][1], x, modulus=p)
-        fmat = _eval_poly_matrix(f0, phi, p)
-        # stabilize: kernel of f0(phi)^dim is the generalized eigenspace
-        stable = _power_mod(fmat, max(m.dim, 1), p)
-        k = m.dim - rank(FpMatrix(stable, m.over.field))
-        if 0 < k < m.dim:
-            return ("fitting", FpMatrix(stable, m.over.field))
-    return None
-
-
-def _power_mod(mat: np.ndarray, e: int, p: int) -> np.ndarray:
-    """mat**e over GF(p), reduced after every product so that no entry
-    leaves int64 range."""
-    out = np.eye(mat.shape[0], dtype=np.int64)
-    for _ in range(e):
-        out = (out @ mat) % p
-    return out
-
-
-def _eval_poly_matrix(poly, mat: np.ndarray, p: int) -> np.ndarray:
-    out = np.zeros_like(mat)
-    for c in poly.all_coeffs():
-        out = (out @ mat + int(c) * np.eye(mat.shape[0], dtype=np.int64)) % p
-    return out
-
-
-def split_module(m, seed: int = 0) -> List[Tuple[object, ModuleHom]]:
+def split_module(m) -> List[Tuple[object, ModuleHom]]:
     """Decompose into indecomposable summands; returns (summand, inclusion)
-    pairs whose inclusion images are independent and jointly spanning."""
+    pairs whose inclusion images are independent and jointly spanning.
+
+    The summands are the images of orthogonal primitive idempotents of
+    End(m) summing to 1; a local End(m) certifies that m is indecomposable.
+    """
     if m.dim == 0:
         return []
-    found = _find_idempotent_endo(m, seed)
-    if found is None:
+    endos = hom_space(m, m)
+    mats = endos.basis_array()
+    prods = (mats[:, None] @ mats[None]).reshape(endos.dim, endos.dim, -1)
+    unit = np.eye(m.dim, dtype=np.int64).reshape(-1)
+    idems = [e for group in _primitive_idempotents(
+        echelon_coords(endos.mat, prods), echelon_coords(endos.mat, unit),
+        _trace_radical(mats, m.over.field), m.over.field) for e in group]
+    if len(idems) == 1:
         return [(m, ModuleHom.identity(m))]
-    if isinstance(found, tuple):
-        fmat = found[1]
-        part1 = kernel_basis(fmat)
-        part2 = row_space_of_columns(fmat)
-    else:
-        e = found.matrix
-        one_minus = FpMatrix.identity(m.dim, m.over.field) - e
-        part1 = row_space_of_columns(e)
-        part2 = row_space_of_columns(one_minus)
-    out = []
-    for rows in (part1, part2):
-        sub, incl = submodule(m, rows)
-        for piece, piece_incl in split_module(sub, seed + 1):
-            out.append((piece, incl.compose(piece_incl)))
-    return out
+    return [submodule(m, row_space_of_columns(
+        FpMatrix(np.tensordot(e, mats, 1), m.over.field))) for e in idems]
 
 
 # ---------------------------------------------------------------------------
-# projective indecomposables and covers
-
-
-def _pim_triples(a: Algebra, seed: int = 0):
-    """(P_i, top simple S_i, idempotent e_i with P_i = A.e_i), one triple
-    per isomorphism class of regular-module summand."""
-    key = ("pim_triples", seed)
-    if key not in a._cache:
-        reg = LeftModule.regular(a)
-        pieces = split_module(reg, seed)
-        big = hstack([incl.matrix for _, incl in pieces])
-        coords = solve(big, FpMatrix.column(a.unit, a.field))
-        if coords is None:
-            raise StructureError("regular module splitting is not spanning")
-        out = []
-        off = 0
-        for piece, incl in pieces:
-            block = coords.arr[off:off + piece.dim, 0]
-            off += piece.dim
-            if any(is_isomorphic(piece, p0, seed=seed) for p0, _, _, _ in out):
-                continue
-            t, _ = top_of_module(piece)
-            if not is_simple(t, seed):
-                raise StructureError("top of a regular summand is not simple")
-            e = (incl.matrix.arr @ block) % a.field.p
-            out.append((piece, t, e, incl.matrix))
-        a._cache[key] = out
-    return a._cache[key]
-
-
-def projective_indecomposables(a: Algebra, seed: int = 0):
-    """List of (P_i, top simple S_i), one per isomorphism class; every
-    projective is a direct sum of these."""
-    return [(p, s) for p, s, _, _ in _pim_triples(a, seed)]
+# projective covers
 
 
 @dataclass
@@ -339,7 +370,7 @@ class ProjectivePresentation:
     kernel_inclusion: ModuleHom
 
 
-def projective_cover(m, seed: int = 0) -> ProjectivePresentation:
+def projective_cover(m) -> ProjectivePresentation:
     """Minimal projective surjection onto m.
 
     Summands are chosen greedily: a basis hom of Hom(P_i, m) is kept
@@ -355,7 +386,7 @@ def projective_cover(m, seed: int = 0) -> ProjectivePresentation:
         z = LeftModule.zero(a)
         return ProjectivePresentation(m, z, ModuleHom.zero(z, m), z,
                                       ModuleHom.zero(z, z))
-    pims = _pim_triples(a, seed)
+    pims = _pim_triples(a)
     top, pi = top_of_module(m)
     chosen: List[Tuple[object, FpMatrix]] = []
     top_image = FpMatrix.zeros(0, top.dim, field)
@@ -364,10 +395,8 @@ def projective_cover(m, seed: int = 0) -> ProjectivePresentation:
         fixed = row_space_of_columns(m.act_matrix(e_i))
         for k in range(fixed.rows):
             w = fixed.arr[k]
-            cols = (np.stack([m.act_matrix(incl.col(b)).apply(w)
-                              for b in range(p_i.dim)], axis=1)
-                    if p_i.dim else np.zeros((m.dim, 0), dtype=np.int64))
-            phi = FpMatrix(cols, field)
+            phi = FpMatrix(np.stack([m.act_matrix(incl.col(b)).apply(w)
+                                     for b in range(p_i.dim)], axis=1), field)
             cand_rows = row_space_of_columns(pi.matrix @ phi)
             merged = FpMatrix(np.vstack([top_image.arr, cand_rows.arr]), field)
             if rank(merged) > top_image.rows:
@@ -386,34 +415,32 @@ def projective_cover(m, seed: int = 0) -> ProjectivePresentation:
     return ProjectivePresentation(m, cover, epi, ker, ker_incl)
 
 
-def is_projective(m, seed: int = 0) -> bool:
-    return projective_cover(m, seed).kernel.dim == 0
+def is_projective(m) -> bool:
+    return projective_cover(m).kernel.dim == 0
 
 
 # ---------------------------------------------------------------------------
 # injective side, by duality
 
 
-def injective_envelope(m, seed: int = 0):
+def injective_envelope(m):
     """(E, essential mono m -> E), computed as the dual of the projective
     cover of the dual over the opposite algebra."""
-    pres = projective_cover(dual_module(m), seed)
+    pres = projective_cover(dual_module(m))
     env = type(m)(m.over, dual_module(pres.cover).action, validate=False)
     mono = ModuleHom(m, env, pres.epi.matrix.transpose(), validate=False)
     return env, mono
 
 
-def is_injective(m, seed: int = 0) -> bool:
-    return is_projective(dual_module(m), seed)
+def is_injective(m) -> bool:
+    return is_projective(dual_module(m))
 
 
-def injective_indecomposables(a: Algebra, seed: int = 0):
+def injective_indecomposables(a: Algebra):
     """List of (E_i, socle simple S_i), dual to the projective
     indecomposables of the opposite algebra."""
-    key = ("iims", seed)
-    if key not in a._cache:
-        a._cache[key] = [
+    if "iims" not in a._cache:
+        a._cache["iims"] = [
             (as_left(dual_module(p0)), as_left(dual_module(s)))
-            for p0, s in projective_indecomposables(opposite_algebra(a),
-                                                    seed)]
-    return a._cache[key]
+            for p0, s in projective_indecomposables(opposite_algebra(a))]
+    return a._cache["iims"]

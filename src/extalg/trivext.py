@@ -322,7 +322,7 @@ def classify_projective(pair: PairModule,
     isomorphic to T(P); None otherwise."""
     from .structure import is_projective
     mod = pair_to_module(pair)
-    if not is_projective(mod, seed):
+    if not is_projective(mod):
         return None
     cand, _ = functor_C(pair)
     tp = functor_T(pair.t, cand)
@@ -338,7 +338,7 @@ def classify_injective(copair: CopairModule,
     base module E = ker(beta)."""
     from .structure import is_injective
     mod = copair_to_module(copair)
-    if not is_injective(mod, seed):
+    if not is_injective(mod):
         return None
     cand, _ = functor_K(copair)
     he = functor_H(copair.t, cand)

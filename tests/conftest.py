@@ -108,7 +108,7 @@ def random_module(a, rng, max_dim=4, cls=LeftModule, tries=30):
             mod, _, _ = quotient_module(free, basis.transpose())[:3]
         if 1 <= mod.dim <= max_dim:
             return mod
-    return chop(reg, 0).factors[0]
+    return chop(reg).factors[0]
 
 
 def random_pair(t, rng, max_dim=4):

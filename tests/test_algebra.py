@@ -9,8 +9,8 @@ from conftest import (FIELD2, FIELD3, a2_algebra, a2_morita_ring,
                       triangular_extension)
 from extalg.algebra import (Algebra, AlgebraError, Bimodule, LeftModule,
                             ModuleHom, RightModule, algebra_generators,
-                            cokernel_module, direct_sum_modules, dual_module,
-                            field_algebra, find_isomorphism,
+                            as_left, cokernel_module, direct_sum_modules,
+                            dual_module, field_algebra, find_isomorphism,
                             hom_from_bimodule, hom_space, image_module,
                             is_exact_at, is_isomorphic, kernel_module,
                             monomial_quiver_algebra, opposite_algebra,
@@ -286,3 +286,11 @@ def test_generator_hom_system_matches_full_basis(name, p, cls, seed):
     n = random_module(a, rng, cls=cls)
     for src, tgt in ((m, n), (n, m), (m, m)):
         assert hom_space(src, tgt).mat == _full_basis_hom(src, tgt)
+    # tensor products and Hom modules are built without the law check
+    x, y = as_left(m), as_left(n)
+    b = x.over
+    dual = Bimodule(b, b, [r.transpose() for r in b.rmats],
+                    [l.transpose() for l in b.lmats])
+    for bim in (Bimodule.regular(b), dual):
+        tensor_bimodule_left(bim, x).space.validate()
+        hom_from_bimodule(bim, y).space.validate()

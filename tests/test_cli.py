@@ -238,13 +238,17 @@ def nakayama_workspace(path):
 
 
 def test_library_error_exits_2_naming_the_instance(tmp_path, capsys):
-    # the structure layer does not split N(3,3) over GF(101) yet and raises
-    # StructureError from inside the decider
+    # N(3,3) over GF(101) once raised StructureError from inside the
+    # decider; its regular module is projective over a self-injective
+    # algebra
     path = tmp_path / "n33.json"
+    out = tmp_path / "report.json"
     nakayama_workspace(path)
-    assert main(["check", "gp", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: pair 'reg_pair': ")
+    assert main(["check", "gp", str(path), "--out", str(out)]) == 0
+    verdict = json.loads(out.read_text())["results"]["reg_pair"]
+    assert verdict["answer"] == "certified_yes"
+    assert verdict["regime"] == "self_injective"
+    assert verdict["certificate"] == {"reason": "projective"}
 
 
 @pytest.mark.parametrize("error", [AlgebraError, LinalgError, StructureError,

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIELD2, a2_algebra, local_wild_algebra, \
     square_zero_extension
-from extalg.algebra import (HomSpace, LeftModule, RightModule,
-                            direct_sum_modules, field_algebra, is_isomorphic,
+from extalg.algebra import (Algebra, AlgebraError, HomSpace, LeftModule,
+                            RightModule, direct_sum_modules, field_algebra,
+                            is_isomorphic, monomial_quiver_algebra,
                             product_algebra)
 from extalg.linalg import FieldSpec, FpMatrix, inverse, rank
-from extalg.structure import (_find_idempotent_endo, _power_mod,
-                              algebra_radical, chop, injective_envelope,
+from extalg.structure import (algebra_radical, chop, injective_envelope,
                               injective_indecomposables, is_injective,
                               is_projective, is_simple, projective_cover,
                               projective_indecomposables, radical_of_module,
@@ -35,12 +37,29 @@ def test_chop_dual_numbers(d_total):
     assert all(is_simple(f) for f in series.factors)
 
 
-def test_chop_seed_invariance(d_total):
+def _invertible(n, field, rng):
+    """A random invertible n x n matrix and its inverse."""
+    while True:
+        g = FpMatrix(rng.integers(0, field.p, size=(n, n)), field)
+        gi = inverse(g)
+        if gi is not None:
+            return g, gi
+
+
+def _conjugate(m, rng):
+    """m in a random basis."""
+    g, gi = _invertible(m.dim, m.over.field, rng)
+    return type(m)(m.over, [g @ am @ gi for am in m.action])
+
+
+def test_chop_basis_invariance(d_total):
     a2 = a2_algebra(FIELD2)
+    rng = np.random.default_rng(3)
     for mod in (LeftModule.regular(d_total), LeftModule.regular(a2)):
-        base = sorted(f.dim for f in chop(mod, 0).factors)
-        for seed in (1, 2, 7):
-            assert sorted(f.dim for f in chop(mod, seed).factors) == base
+        base = sorted(f.dim for f in chop(mod).factors)
+        for _ in range(3):
+            assert sorted(f.dim for f in chop(_conjugate(mod, rng)).factors) \
+                == base
 
 
 def test_simples_and_radical():
@@ -136,52 +155,37 @@ def test_wild_algebra_structure():
     assert pres.cover.dim == 3 and pres.kernel.dim == 2
 
 
-def _exact_power(mat, e, p):
-    """mat**e over GF(p) in Python integers, which cannot overflow."""
-    rows = [[int(x) for x in row] for row in mat]
-    n = len(rows)
-    out = [[int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(e):
-        out = [[sum(out[i][k] * rows[k][j] for k in range(n)) % p
-                for j in range(n)] for i in range(n)]
-    return np.array(out, dtype=np.int64)
-
-
-@pytest.mark.parametrize("p, dims", [(65521, range(3, 9)), (101, range(7, 11))])
-def test_fitting_power_is_exact(p, dims):
-    rng = np.random.default_rng(p)
-    for n in dims:
-        mat = rng.integers(0, p, size=(n, n))
-        assert (_power_mod(mat, n, p) == _exact_power(mat, n, p)).all()
-
-
 def test_fitting_split_over_large_prime():
-    # k^4 at p = 65521 in a scrambled basis: End is too big to sweep, so the
-    # split comes from a Fitting power of a dense random endomorphism
+    # k^4 at p = 65521 in a scrambled basis: End(m) = k^4 has four blocks
     field = FieldSpec(65521)
     k = field_algebra(field)
     k2, _, _ = product_algebra(k, k)
     k4, _, _ = product_algebra(k2, k2)
-    rng = np.random.default_rng(5)
-    while True:
-        change = FpMatrix(rng.integers(0, field.p, size=(4, 4)), field)
-        back = inverse(change)
-        if back is not None:
-            break
-    m = LeftModule(k4, [change @ am @ back for am in k4.lmats])
-    found = _find_idempotent_endo(m, seed=0)
-    assert found is not None and found[0] == "fitting"
-    stable = found[1]
-    for am in m.action:
-        assert am @ stable == stable @ am
-    assert 0 < rank(stable) < 4
-    assert rank(stable @ stable) == rank(stable)
+    m = _conjugate(LeftModule.regular(k4), np.random.default_rng(5))
+    pieces = split_module(m)
+    assert [piece.dim for piece, _ in pieces] == [1, 1, 1, 1]
+    span = np.hstack([incl.matrix.arr for _, incl in pieces])
+    assert rank(FpMatrix(span, field)) == 4
+    for _, incl in pieces:
+        incl.validate()
+
+
+def test_split_matrix_endomorphisms_at_large_prime():
+    # S + S + S for the simple S = k: End = M_3(k), a matrix block that
+    # only zero divisors split
+    field = FieldSpec(65521)
+    s = LeftModule.regular(field_algebra(field))
+    m, _, _ = direct_sum_modules([s, s, s])
+    m = _conjugate(m, np.random.default_rng(9))
+    pieces = split_module(m)
+    assert [piece.dim for piece, _ in pieces] == [1, 1, 1]
+    span = np.hstack([incl.matrix.arr for _, incl in pieces])
+    assert rank(FpMatrix(span, field)) == 3
 
 
 def test_one_dimensional_endomorphisms_are_not_swept(monkeypatch):
     # End(m) = k.id has no idempotent besides 0 and 1, so splitting a
-    # 1-dimensional module builds no endomorphism at all (the sweep of
-    # GF(65521) would build 65520)
+    # 1-dimensional module builds no endomorphism at all
     built = []
     element = HomSpace.element
 
@@ -194,3 +198,101 @@ def test_one_dimensional_endomorphisms_are_not_swept(monkeypatch):
     pieces = split_module(m)
     assert len(pieces) == 1 and pieces[0][0] is m
     assert not built
+
+
+# ---------------------------------------------------------------------------
+# oracle net: closed-form answers in a random basis
+
+
+def _scramble(sc, unit, field, rng):
+    """Structure constants and unit of the same algebra in a random basis
+    b'_i = sum_j g[i, j] b_j."""
+    p = field.p
+    g, gi = _invertible(len(unit), field, rng)
+    prods = np.einsum("ia,jb,abk->ijk", g.arr, g.arr, sc % p) % p
+    return Algebra(field, prods @ gi.arr % p, unit @ gi.arr % p)
+
+
+@st.composite
+def monomial_quivers(draw):
+    """(vertices, arrows, relations): every path of length `length` is zero,
+    and so are some of the paths of length 2."""
+    n = draw(st.integers(1, 5))
+    arrows = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                     st.integers(0, n - 1)),
+                           min_size=1, max_size=6))
+    paths = [(i,) for i in range(len(arrows))]
+    length = draw(st.integers(2, 4))
+    for _ in range(length - 1):
+        paths = [q + (i,) for q in paths for i, (s, _) in enumerate(arrows)
+                 if arrows[q[-1]][1] == s]
+    twos = [(i, j) for i, (_, t) in enumerate(arrows)
+            for j, (s, _) in enumerate(arrows) if t == s]
+    zero = draw(st.lists(st.sampled_from(twos), unique=True)) if twos else []
+    return n, arrows, paths + zero
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(quiver=monomial_quivers(),
+       p=st.sampled_from([2, 3, 5, 101, 65521]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_structure_of_random_monomial_quivers(quiver, p, seed):
+    n, arrows, relations = quiver
+    field = FieldSpec(p)
+    try:
+        path = monomial_quiver_algebra(n, arrows, relations, field,
+                                       max_dim=30)
+    except AlgebraError:
+        return  # more than 30 paths
+    # basis path b_k starts at vertex i exactly when b_k * e_i = b_k
+    starts = sorted(int(sum(path.sc[k, i, k] for k in range(path.dim)))
+                    for i in range(n))
+    a = _scramble(path.sc, path.unit, field, np.random.default_rng(seed))
+    assert algebra_radical(a).rows == path.dim - n
+    assert [s.dim for s in simples(a)] == [1] * n
+    assert sorted(pm.dim for pm, _ in projective_indecomposables(a)) == starts
+    assert len(chop(LeftModule.regular(a)).factors) == path.dim
+
+
+def _matrix_algebra(n):
+    """M_n with basis E_ij (index i * n + j): E_ij E_jk = E_ik."""
+    sc = np.zeros((n * n,) * 3, dtype=np.int64)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                sc[i * n + j, j * n + k, i * n + k] = 1
+    return sc, np.eye(n, dtype=np.int64).reshape(-1)
+
+
+def _tensor(x, y):
+    """Structure constants and unit of the tensor product of two algebras."""
+    (sx, ux), (sy, uy) = x, y
+    n = len(ux) * len(uy)
+    return (np.einsum("ace,bdf->abcdef", sx, sy).reshape(n, n, n),
+            np.kron(ux, uy))
+
+
+# k[x]/(x^2) and GF(4) = GF(2)[w]/(w^2 + w + 1), basis 1, x (resp. w)
+DUAL = (np.array([[[1, 0], [0, 1]], [[0, 1], [0, 0]]]), np.array([1, 0]))
+GF4 = (np.array([[[1, 0], [0, 1]], [[0, 1], [1, 1]]]), np.array([1, 0]))
+
+
+@pytest.mark.parametrize("p, factors, radical, simple, pim", [
+    (2, (_matrix_algebra(2), DUAL), 4, 2, 4),
+    (3, (_matrix_algebra(2), DUAL), 4, 2, 4),
+    (101, (_matrix_algebra(2), DUAL), 4, 2, 4),
+    (2, (_matrix_algebra(2), GF4), 0, 4, 4),
+])
+def test_structure_of_matrix_blocks(p, factors, radical, simple, pim):
+    # M_2(k) (x) k[x]/(x^2) and M_2(GF(4)): A/rad is a matrix algebra, so
+    # its primitive idempotents come from zero divisors
+    field = FieldSpec(p)
+    sc, unit = _tensor(*factors)
+    a = _scramble(sc, unit, field, np.random.default_rng(p))
+    assert algebra_radical(a).rows == radical
+    assert [s.dim for s in simples(a)] == [simple]
+    assert [pm.dim for pm, _ in projective_indecomposables(a)] == [pim]
+    reg = LeftModule.regular(a)
+    assert [f.dim for f in chop(reg).factors] == [simple] * (a.dim // simple)
+    assert [piece.dim for piece, _ in split_module(reg)] == \
+        [pim] * (a.dim // pim)
