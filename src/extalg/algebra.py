@@ -23,9 +23,10 @@ The module law is checked one structure-table row at a time: for each i the
 products action(b_i) @ action(b_j) for all j come from one stacked matmul
 and are compared with the table row applied to the flattened action stack,
 so a check costs dim(A) numpy calls and O(dim(A) * dim(M)^2) memory.  Hom
-spaces intertwine only a generating set of the algebra (see
-`algebra_generators`) and keep their basis in RREF, so coordinates are read
-off at the pivot columns.
+systems (`intertwiner_system`) and the relations of tensor products
+involve only a generating set of the algebra (see `algebra_generators`).
+Hom spaces keep their basis in RREF, so coordinates are read off at the
+pivot columns.
 """
 
 from __future__ import annotations
@@ -37,8 +38,7 @@ import numpy as np
 
 from .linalg import (FieldSpec, FpMatrix, LinalgError, QuotientMaps,
                      echelon_coords, hstack, in_row_span, kernel_basis, kron,
-                     projective_points, quotient_maps, rank, row_basis, rref,
-                     vstack)
+                     quotient_maps, rank, row_basis, rref, vstack)
 
 
 class AlgebraError(ValueError):
@@ -384,21 +384,8 @@ class HomSpace:
                 raise AlgebraError("hom space requires a common algebra")
         self.source = source
         self.target = target
-        field = source.over.field
-        ds, dt = source.dim, target.dim
-        if ds == 0 or dt == 0:
-            self.mat = FpMatrix.zeros(0, dt * ds, field)
-        else:
-            idt = FpMatrix.identity(dt, field)
-            ids = FpMatrix.identity(ds, field)
-            # T @ S_g - N_g @ T = 0 for the algebra generators g, vec
-            # row-major: (I ox S_g^T - N_g ox I) vec(T) = 0
-            blocks = [kron(idt, source.action[g].transpose())
-                      - kron(target.action[g], ids)
-                      for g in algebra_generators(source.over)]
-            self.mat = kernel_basis(vstack(blocks) if blocks else
-                                    FpMatrix.zeros(0, dt * ds, field))
-        self.field = field
+        self.field = source.over.field
+        self.mat = kernel_basis(intertwiner_system(source, target))
 
     @property
     def dim(self) -> int:
@@ -434,6 +421,19 @@ class HomSpace:
         acc = (coords @ self.mat.arr) % self.field.p
         m = FpMatrix(acc.reshape(self.target.dim, self.source.dim), self.field)
         return ModuleHom(self.source, self.target, m, validate=False)
+
+
+def intertwiner_system(source, target) -> FpMatrix:
+    """The linear system on row-major vec(T) whose solutions are the module
+    maps T: source -> target: T @ S_g - N_g @ T = 0 for the algebra
+    generators g, i.e. (I ox S_g^T - N_g ox I) vec(T) = 0."""
+    field = source.over.field
+    idt = FpMatrix.identity(target.dim, field)
+    ids = FpMatrix.identity(source.dim, field)
+    # the empty block gives the width when there are no generators
+    return vstack([FpMatrix.zeros(0, target.dim * source.dim, field)] + [
+        kron(idt, source.action[g].transpose()) - kron(target.action[g], ids)
+        for g in algebra_generators(source.over)])
 
 
 def _same_algebra(a: Algebra, b: Algebra) -> bool:
@@ -575,16 +575,17 @@ class TensorSpace:
 
 
 def _balanced_quotient(rho: Sequence[FpMatrix], lam: Sequence[FpMatrix],
-                       field: FieldSpec) -> QuotientMaps:
-    d1 = rho[0].rows if rho else 0
-    d2 = lam[0].rows if lam else 0
-    if d1 == 0 or d2 == 0:
-        z = FpMatrix.zeros(d1 * d2, 0, field)
-        return quotient_maps(z)
+                       over: Algebra) -> QuotientMaps:
+    """Quotient maps of M ox X by the relations m.r ox x - m ox r.x, where r
+    runs over the generators of `over` acting by rho on M and lam on X."""
+    field = over.field
+    d1, d2 = rho[0].rows, lam[0].rows
     i1 = FpMatrix.identity(d1, field)
     i2 = FpMatrix.identity(d2, field)
-    rels = hstack([kron(r, i2) - kron(i1, l) for r, l in zip(rho, lam)])
-    return quotient_maps(rels)
+    # the empty block gives the height when there are no generators
+    return quotient_maps(hstack([FpMatrix.zeros(d1 * d2, 0, field)] + [
+        kron(rho[g], i2) - kron(i1, lam[g])
+        for g in algebra_generators(over)]))
 
 
 def tensor_bimodule_left(m: Bimodule, x: LeftModule) -> TensorSpace:
@@ -592,7 +593,7 @@ def tensor_bimodule_left(m: Bimodule, x: LeftModule) -> TensorSpace:
     if not _same_algebra(m.right_over, x.over):
         raise AlgebraError("contracted algebras do not match")
     field = x.over.field
-    qm = _balanced_quotient(m.right_action, x.action, field)
+    qm = _balanced_quotient(m.right_action, x.action, x.over)
     ix = FpMatrix.identity(x.dim, field)
     action = [qm.project @ kron(la, ix) @ qm.include for la in m.left_action]
     space = LeftModule(m.left_over, action, validate=False)
@@ -635,7 +636,7 @@ def swapped_tensor(n: Bimodule, x: LeftModule) -> SwappedTensor:
     """X ox M from N = M^swap and X read as a left module over R^op."""
     field = x.over.field
     left = tensor_bimodule_left(n, x)
-    right = _balanced_quotient(x.action, n.right_action, field)
+    right = _balanced_quotient(x.action, n.right_action, x.over)
     # entry k = m * dim(X) + x of this array is the plain index x * dim(M) + m
     mx = np.arange(x.dim * n.dim).reshape(x.dim, n.dim).T.reshape(-1)
     to_left = FpMatrix(right.project.arr[:, mx], field) @ left.include
@@ -691,46 +692,6 @@ def dual_module(x):
     character module Hom_Z(X, Q/Z), which is how it is used throughout.
     """
     return other_side(x, [m.transpose() for m in x.action])
-
-
-# ---------------------------------------------------------------------------
-# isomorphism testing
-
-
-def find_isomorphism(m, n, seed: int = 0,
-                     budget: int = 65536) -> Optional[ModuleHom]:
-    """Search for an invertible element of Hom(m, n); exhaustive sweep of the
-    hom space when small enough, seeded random sampling beyond.  The sweep
-    tries one element per line (`projective_points`): c.h is invertible
-    exactly when h is, so it finds what the sweep of every element would."""
-    if m.dim != n.dim:
-        return None
-    if m.dim == 0:
-        return ModuleHom(m, n, FpMatrix.zeros(0, 0, m.over.field),
-                         validate=False)
-    hs = HomSpace(m, n)
-    if hs.dim == 0:
-        return None
-    p = m.over.field.p
-    total = p ** hs.dim
-    from .linalg import is_invertible
-    if total <= budget:
-        for coords in projective_points(hs.dim, p):
-            h = hs.element(coords)
-            if is_invertible(h.matrix):
-                return h
-    else:
-        rng = np.random.default_rng(seed)
-        for _ in range(budget // 16):
-            coords = rng.integers(0, p, size=hs.dim)
-            h = hs.element(coords)
-            if is_invertible(h.matrix):
-                return h
-    return None
-
-
-def is_isomorphic(m, n, seed: int = 0) -> bool:
-    return find_isomorphism(m, n, seed=seed) is not None
 
 
 # ---------------------------------------------------------------------------

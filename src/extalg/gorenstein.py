@@ -16,9 +16,9 @@ from typing import Callable, List, Optional, Tuple
 
 from .algebra import (Algebra, Bimodule, HomSpace, LeftModule, ModuleHom,
                       RightModule, as_left, direct_sum_modules, dual_module,
-                      hom_space, image_module, is_exact_at, kernel_module,
-                      other_side, quotient_module, tensor_bimodule_left,
-                      tensor_map_second)
+                      hom_space, image_module, intertwiner_system,
+                      is_exact_at, kernel_module, other_side, quotient_module,
+                      tensor_bimodule_left, tensor_map_second)
 from .homology import (ChainComplex, Resolution, _precompose_matrix,
                        default_bound, fd_bounded, hom_complex, hom_complex_co,
                        id_bounded, is_exact_complex,
@@ -285,12 +285,8 @@ def solve_module_hom(source, target, left=None, right=None) -> Optional[ModuleHo
     ds, dt = source.dim, target.dim
     ids = FpMatrix.identity(ds, field)
     idt = FpMatrix.identity(dt, field)
-    rows = []
-    rhs = []
-    for i in range(source.over.dim):
-        rows.append(kron(idt, source.action[i].transpose())
-                    - kron(target.action[i], ids))
-        rhs.append(FpMatrix.zeros(rows[-1].rows, 1, field))
+    rows = [intertwiner_system(source, target)]
+    rhs = [FpMatrix.zeros(rows[0].rows, 1, field)]
     if left is not None:
         lmat, lrhs = left
         rows.append(kron(lmat, ids))

@@ -12,7 +12,6 @@ through every operation.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -286,16 +285,6 @@ def echelon_coords(basis: FpMatrix, vecs) -> Optional[np.ndarray]:
     if ((x @ basis.arr) % p != v).any():
         return None
     return x
-
-
-def projective_points(dim: int, p: int):
-    """The nonzero vectors of GF(p)^dim whose first nonzero coordinate is 1,
-    as tuples in lexicographic order: one per line through the origin, and
-    each the first of its nonzero multiples in the order of
-    `itertools.product(range(p), repeat=dim)`."""
-    for lead in reversed(range(dim)):
-        for tail in itertools.product(range(p), repeat=dim - lead - 1):
-            yield (0,) * lead + (1,) + tail
 
 
 @dataclass

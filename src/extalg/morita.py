@@ -23,10 +23,10 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .algebra import (Algebra, Bimodule, LeftModule, ModuleHom, RightModule,
-                      cokernel_module, hom_from_bimodule, invariant_action,
-                      is_exact_at, kernel_module, opposite_algebra,
-                      product_algebra, row_space_of_columns, swapped_tensor,
-                      tensor_bimodule_left, tensor_map_second)
+                      cokernel_module, hom_from_bimodule, intertwiner_system,
+                      invariant_action, is_exact_at, kernel_module,
+                      opposite_algebra, product_algebra, row_space_of_columns,
+                      swapped_tensor, tensor_bimodule_left, tensor_map_second)
 from .gorenstein import (compatibility_report, gf_check_right, gi_check,
                          gp_check, holds, zr_bimodule, _classify)
 from .linalg import FpMatrix, hstack, inverse, kron, rank, solve
@@ -398,16 +398,8 @@ def tuple_hom_dim(s: TupleModule, t: TupleModule) -> int:
             chi_part = np.zeros((phi_part.shape[0], nchi), dtype=np.int64)
         blocks.append(np.hstack([phi_part, chi_part]))
 
-    for i in range(ring.context.a.dim):
-        mat = kron(FpMatrix.identity(dx2, s.x.over.field),
-                   s.x.action[i].transpose()) - \
-            kron(t.x.action[i], FpMatrix.identity(dx1, s.x.over.field))
-        add(mat.arr, None)
-    for i in range(ring.context.b.dim):
-        mat = kron(FpMatrix.identity(dy2, s.y.over.field),
-                   s.y.action[i].transpose()) - \
-            kron(t.y.action[i], FpMatrix.identity(dy1, s.y.over.field))
-        add(None, mat.arr)
+    add(intertwiner_system(s.x, t.x).arr, None)
+    add(None, intertwiner_system(s.y, t.y).arr)
     # chi o f_s = f_t o (U ox phi)
     du, dv = ring.context.u.dim, ring.context.v.dim
     chi_side = kron(FpMatrix.identity(dy2, s.y.over.field),
@@ -421,10 +413,7 @@ def tuple_hom_dim(s: TupleModule, t: TupleModule) -> int:
     chi_side2 = sandwich(t.g.matrix @ t.tsvy.project,
                          s.tsvy.include, dv, dy2, dy1)
     add(phi_side2, (-chi_side2) % p)
-    big = FpMatrix(np.vstack(blocks) if blocks else
-                   np.zeros((0, nphi + nchi), dtype=np.int64),
-                   ring.prod.field)
-    return nphi + nchi - rank(big)
+    return nphi + nchi - rank(FpMatrix(np.vstack(blocks), ring.prod.field))
 
 
 # ---------------------------------------------------------------------------

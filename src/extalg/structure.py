@@ -6,7 +6,9 @@ One deterministic path serves every prime: rad(A) is a chain of trace
 kernels, and the primitive idempotents of A/rad come from linear algebra
 and lift to A.  One primitive idempotent e_i per simple block of A/rad
 gives the PIM P_i = A.e_i and the simple S_i = top(P_i), non-isomorphic
-for different blocks.  `split_module` applies the same steps to End(m).
+for different blocks.  `split_module` applies the same steps to End(m),
+and `find_isomorphism` matches the indecomposable summands of two modules,
+so its None is a certified "not isomorphic".
 
 A right module is covered and resolved as the left module over the
 opposite algebra (`as_left`); injective envelopes are duals of projective
@@ -26,7 +28,7 @@ from .algebra import (Algebra, LeftModule, ModuleHom, _stack, as_left,
                       direct_sum_modules, dual_module, hom_space,
                       kernel_module, opposite_algebra, quotient_module,
                       row_space_of_columns, submodule)
-from .linalg import (FieldSpec, FpMatrix, echelon_coords, hstack,
+from .linalg import (FieldSpec, FpMatrix, echelon_coords, hstack, inverse,
                      kernel_basis, quotient_maps, rank, rref, row_basis,
                      solve, vstack)
 
@@ -355,6 +357,39 @@ def split_module(m) -> List[Tuple[object, ModuleHom]]:
         return [(m, ModuleHom.identity(m))]
     return [submodule(m, row_space_of_columns(
         FpMatrix(np.tensordot(e, mats, 1), m.over.field))) for e in idems]
+
+
+def find_isomorphism(m, n) -> Optional[ModuleHom]:
+    """An isomorphism m -> n, or None when m and n are not isomorphic.
+
+    Each indecomposable summand m_i of m (`split_module`) is matched with
+    the first unused summand n_j of n of its dimension that has an
+    invertible basis element h of Hom(m_i, n_j).  End(m_i) is local, so if
+    m_i and n_j are isomorphic the non-isomorphisms form a proper subspace
+    of Hom(m_i, n_j), which no basis lies in; by Krull-Schmidt the greedy
+    matching covers m exactly when m and n are isomorphic.  The
+    isomorphism sends m_i by h onto n_j; the projections onto the m_i are
+    the row blocks of the inverse of the stacked inclusions of m.
+    """
+    if m.dim != n.dim:
+        return None
+    if m.dim == 0:
+        return ModuleHom.zero(m, n)
+    pieces, unused, images = split_module(m), split_module(n), []
+    for mi, _ in pieces:
+        match = next(((j, h) for j, (nj, _) in enumerate(unused)
+                      if nj.dim == mi.dim
+                      for h in hom_space(mi, nj).basis() if h.is_iso()), None)
+        if match is None:
+            return None
+        j, h = match
+        images.append(unused.pop(j)[1].matrix @ h.matrix)
+    stacked = hstack([incl.matrix for _, incl in pieces])
+    return ModuleHom(m, n, hstack(images) @ inverse(stacked), validate=False)
+
+
+def is_isomorphic(m, n) -> bool:
+    return find_isomorphism(m, n) is not None
 
 
 # ---------------------------------------------------------------------------

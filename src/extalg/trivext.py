@@ -24,11 +24,11 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .algebra import (Algebra, AlgebraError, Bimodule, LeftModule, ModuleHom,
-                      RightModule, direct_sum_modules, field_space,
-                      hom_from_bimodule, hom_space, image_module,
-                      find_isomorphism, kernel_module, opposite_algebra,
-                      cokernel_module, swapped_tensor, tensor_bimodule_left,
-                      tensor_map_second, tensor_right_left)
+                      RightModule, cokernel_module, direct_sum_modules,
+                      field_space, hom_from_bimodule, hom_space, image_module,
+                      kernel_module, opposite_algebra, swapped_tensor,
+                      tensor_bimodule_left, tensor_map_second,
+                      tensor_right_left)
 from .linalg import FpMatrix, hstack, is_invertible, kron, solve
 
 
@@ -315,34 +315,34 @@ def functor_K(copair: CopairModule) -> Tuple[LeftModule, ModuleHom]:
 # classification of projectives and injectives over the extension
 
 
-def classify_projective(pair: PairModule,
-                        seed: int = 0) -> Optional[Tuple[LeftModule, ModuleHom]]:
+def classify_projective(pair: PairModule
+                        ) -> Optional[Tuple[LeftModule, ModuleHom]]:
     """When the converted module is projective over the total algebra,
     return (P, witness) with P projective over the base and pair
     isomorphic to T(P); None otherwise."""
-    from .structure import is_projective
+    from .structure import find_isomorphism, is_projective
     mod = pair_to_module(pair)
     if not is_projective(mod):
         return None
     cand, _ = functor_C(pair)
     tp = functor_T(pair.t, cand)
-    wit = find_isomorphism(mod, pair_to_module(tp), seed=seed)
+    wit = find_isomorphism(mod, pair_to_module(tp))
     if wit is None:
         return None
     return cand, wit
 
 
-def classify_injective(copair: CopairModule,
-                       seed: int = 0) -> Optional[Tuple[LeftModule, ModuleHom]]:
+def classify_injective(copair: CopairModule
+                       ) -> Optional[Tuple[LeftModule, ModuleHom]]:
     """Dual classification: a converted injective is H(E) for the injective
     base module E = ker(beta)."""
-    from .structure import is_injective
+    from .structure import find_isomorphism, is_injective
     mod = copair_to_module(copair)
     if not is_injective(mod):
         return None
     cand, _ = functor_K(copair)
     he = functor_H(copair.t, cand)
-    wit = find_isomorphism(mod, copair_to_module(he), seed=seed)
+    wit = find_isomorphism(mod, copair_to_module(he))
     if wit is None:
         return None
     return cand, wit

@@ -16,8 +16,7 @@ from conftest import (FIELD2, FIELD3, a2_algebra, a2_morita_ring, criterion,
                       random_pair, random_right_tuple, random_tuple,
                       square_zero_extension, triangular_extension)
 from test_gorenstein import nontrivial_dd_pair
-from extalg.algebra import (LeftModule, RightModule, dual_module, hom_space,
-                            is_isomorphic)
+from extalg.algebra import LeftModule, RightModule, dual_module, hom_space
 from extalg.cli import Workspace, emit_builtin_examples, main, run
 from extalg.gorenstein import (CERTIFIED_NO, CERTIFIED_YES,
                                build_copair_complete_coresolution,
@@ -36,8 +35,8 @@ from extalg.morita import (CoTupleModule, MoritaError, TupleModule, theta,
                            upsilon_inverse, verify_thm52, verify_thm53,
                            verify_thm54)
 from extalg.structure import (injective_indecomposables, is_injective,
-                              is_projective, projective_indecomposables,
-                              simples)
+                              is_isomorphic, is_projective,
+                              projective_indecomposables, simples)
 from extalg.trivext import (copair_to_module, functor_C, functor_H, functor_K,
                             functor_T, functor_U, functor_Z_copair,
                             functor_Z_pair, hom_iso_copair, induced_delta,

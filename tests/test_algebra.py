@@ -10,15 +10,17 @@ from conftest import (FIELD2, FIELD3, a2_algebra, a2_morita_ring,
 from extalg.algebra import (Algebra, AlgebraError, Bimodule, LeftModule,
                             ModuleHom, RightModule, algebra_generators,
                             as_left, cokernel_module, direct_sum_modules,
-                            dual_module, field_algebra, find_isomorphism,
-                            hom_from_bimodule, hom_space, image_module,
-                            is_exact_at, is_isomorphic, kernel_module,
-                            monomial_quiver_algebra, opposite_algebra,
-                            product_algebra, quotient_module, submodule,
-                            tensor_bimodule_left, tensor_map_second,
-                            tensor_right_left, validate_algebra)
-from extalg.linalg import (FieldSpec, FpMatrix, kernel_basis, kron, rank,
-                           solve, vstack)
+                            dual_module, field_algebra, hom_from_bimodule,
+                            hom_space, image_module, is_exact_at,
+                            kernel_module, monomial_quiver_algebra,
+                            opposite_algebra, product_algebra,
+                            quotient_module, submodule, tensor_bimodule_left,
+                            tensor_map_second, tensor_right_left,
+                            validate_algebra)
+from extalg.gorenstein import solve_module_hom
+from extalg.linalg import (FieldSpec, FpMatrix, hstack, kernel_basis, kron,
+                           quotient_maps, rank, solve, vstack)
+from extalg.structure import find_isomorphism, is_isomorphic
 
 
 def test_validate_catches_broken_tables():
@@ -252,6 +254,9 @@ def test_algebra_generators():
     k = field_algebra(FIELD2)
     triv = LeftModule(k, [FpMatrix.identity(2, FIELD2)])
     assert hom_space(triv, triv).dim == 4
+    # with no generators nothing is contracted
+    wide = RightModule(k, [FpMatrix.identity(3, FIELD2)])
+    assert tensor_right_left(wide, triv).space.dim == 6
 
 
 ALGEBRAS = {
@@ -265,14 +270,36 @@ ALGEBRAS = {
 }
 
 
-def _full_basis_hom(m, n):
-    """Kernel of the intertwining system over every basis element."""
+def _full_basis_system(m, n):
+    """The intertwining system over every basis element."""
     field = m.over.field
     idt = FpMatrix.identity(n.dim, field)
     ids = FpMatrix.identity(m.dim, field)
-    return kernel_basis(vstack([kron(idt, m.action[i].transpose())
-                                - kron(n.action[i], ids)
-                                for i in range(m.over.dim)]))
+    return vstack([kron(idt, m.action[i].transpose())
+                   - kron(n.action[i], ids) for i in range(m.over.dim)])
+
+
+def _full_basis_tensor(bim, x):
+    """Quotient maps of bim ox x by the relations of every basis element."""
+    field = x.over.field
+    i1 = FpMatrix.identity(bim.dim, field)
+    i2 = FpMatrix.identity(x.dim, field)
+    return quotient_maps(hstack([kron(r, i2) - kron(i1, l) for r, l
+                                 in zip(bim.right_action, x.action)]))
+
+
+def _full_basis_solve(m, n, lmat, rl, pmat, rp):
+    """solve_module_hom's system with every basis element intertwined."""
+    field = m.over.field
+    system = _full_basis_system(m, n)
+    x = solve(vstack([system,
+                      kron(lmat, FpMatrix.identity(m.dim, field)),
+                      kron(FpMatrix.identity(n.dim, field),
+                           pmat.transpose())]),
+              FpMatrix.column(np.concatenate([
+                  np.zeros(system.rows, dtype=np.int64),
+                  rl.arr.reshape(-1), rp.arr.reshape(-1)]), field))
+    return FpMatrix(x.arr.reshape(n.dim, m.dim), field)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -285,12 +312,24 @@ def test_generator_hom_system_matches_full_basis(name, p, cls, seed):
     m = random_module(a, rng, cls=cls)
     n = random_module(a, rng, cls=cls)
     for src, tgt in ((m, n), (n, m), (m, m)):
-        assert hom_space(src, tgt).mat == _full_basis_hom(src, tgt)
+        hs = hom_space(src, tgt)
+        assert hs.mat == kernel_basis(_full_basis_system(src, tgt))
+        # a solve with constraints that some module map meets
+        h = hs.element(rng.integers(0, p, size=hs.dim)).matrix
+        lmat = FpMatrix(rng.integers(0, p, size=(2, tgt.dim)), a.field)
+        pmat = FpMatrix(rng.integers(0, p, size=(src.dim, 2)), a.field)
+        got = solve_module_hom(src, tgt, left=(lmat, lmat @ h),
+                               right=(pmat, h @ pmat))
+        assert got.matrix == _full_basis_solve(src, tgt, lmat, lmat @ h,
+                                               pmat, h @ pmat)
     # tensor products and Hom modules are built without the law check
     x, y = as_left(m), as_left(n)
     b = x.over
     dual = Bimodule(b, b, [r.transpose() for r in b.rmats],
                     [l.transpose() for l in b.lmats])
     for bim in (Bimodule.regular(b), dual):
-        tensor_bimodule_left(bim, x).space.validate()
+        ts = tensor_bimodule_left(bim, x)
+        qm = _full_basis_tensor(bim, x)
+        assert ts.project == qm.project and ts.include == qm.include
+        ts.space.validate()
         hom_from_bimodule(bim, y).space.validate()

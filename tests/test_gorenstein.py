@@ -9,8 +9,7 @@ from conftest import (FIELD2, double_extension, local_wild_algebra,
                       random_copair, random_pair, square_zero_extension,
                       triangular_extension)
 from extalg.algebra import (Bimodule, LeftModule, ModuleHom, RightModule,
-                            dual_module, hom_space, is_isomorphic,
-                            tensor_bimodule_left)
+                            dual_module, hom_space, tensor_bimodule_left)
 from extalg.gorenstein import (CERTIFIED_NO, CERTIFIED_YES,
                                IWANAGA_GORENSTEIN, PROBABLE_YES,
                                SELF_INJECTIVE, UNKNOWN, GorensteinError,
@@ -27,7 +26,7 @@ from extalg.gorenstein import (CERTIFIED_NO, CERTIFIED_YES,
                                zr_bimodule)
 from extalg.homology import ext, non_minimal_resolution, ext_from_resolution
 from extalg.linalg import FpMatrix, is_invertible
-from extalg.structure import is_projective, simples
+from extalg.structure import is_isomorphic, is_projective, simples
 from extalg.trivext import (functor_Z_copair, functor_Z_pair, functor_T,
                             module_to_copair, module_to_pair,
                             module_to_right_pair, pair_to_module,

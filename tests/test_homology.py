@@ -2,14 +2,14 @@ import pytest
 
 from conftest import FIELD2, a2_algebra, local_wild_algebra, \
     square_zero_extension
-from extalg.algebra import LeftModule, RightModule, is_isomorphic
+from extalg.algebra import LeftModule, RightModule
 from extalg.homology import (DimensionVerdict, default_bound, ext,
                              ext_from_resolution, fd_bounded, hom_complex,
                              id_bounded, is_exact_complex,
                              minimal_projective_resolution,
                              non_minimal_resolution, pd_bounded, syzygy)
 from extalg.linalg import FpMatrix
-from extalg.structure import simples
+from extalg.structure import is_isomorphic, simples
 
 
 @pytest.fixture(scope="module")

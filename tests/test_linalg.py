@@ -1,13 +1,10 @@
-import itertools
-
 import numpy as np
 import pytest
 
 from extalg.linalg import (MAX_PRIME, FieldSpec, FpMatrix, LinalgError,
                            direct_sum, echelon_coords, hstack, in_row_span,
                            inverse, is_invertible, kernel_basis, kron,
-                           projective_points, quotient_maps, rank, row_basis,
-                           rref, solve, vstack)
+                           quotient_maps, rank, row_basis, rref, solve, vstack)
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -209,13 +206,3 @@ def test_echelon_coords_reads_pivots_and_checks_membership():
     empty = FpMatrix.zeros(0, 0, F2)
     assert echelon_coords(empty, np.zeros((5, 0))).shape == (5, 0)
     assert echelon_coords(FpMatrix.zeros(0, 2, F2), [[0, 1]]) is None
-
-
-@pytest.mark.parametrize("p,dim", [(2, 1), (2, 4), (3, 3), (5, 2), (7, 0)])
-def test_projective_points_are_the_first_multiples(p, dim):
-    points = list(projective_points(dim, p))
-    lex = list(itertools.product(range(p), repeat=dim))
-    firsts = [v for v in lex if any(v) and
-              next(x for x in v if x) == 1]
-    assert points == firsts
-    assert len(points) == (p ** dim - 1) // (p - 1)

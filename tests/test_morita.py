@@ -7,7 +7,7 @@ from conftest import (FIELD2, a2_morita_ring, nakayama_ring,
                       product_morita_ring, random_right_tuple, random_tuple,
                       triangular_extension)
 from extalg.algebra import (Bimodule, LeftModule, RightModule, field_algebra,
-                            hom_space, is_isomorphic, product_algebra)
+                            hom_space, product_algebra)
 from extalg.gorenstein import SELF_INJECTIVE, IWANAGA_GORENSTEIN, \
     gorenstein_regime
 from extalg.linalg import FpMatrix
@@ -16,7 +16,7 @@ from extalg.morita import (CoTupleModule, MoritaContextData, MoritaError,
                            theta, theta_co, theta_inverse, tuple_hom_dim,
                            upsilon, upsilon_inverse, verify_thm52,
                            verify_thm53, verify_thm54)
-from extalg.structure import simples
+from extalg.structure import is_isomorphic, simples
 from extalg.trivext import (copair_to_module, pair_to_module,
                             right_pair_to_module)
 

@@ -7,12 +7,12 @@ from conftest import FIELD2, a2_algebra, local_wild_algebra, \
     square_zero_extension
 from extalg.algebra import (Algebra, AlgebraError, HomSpace, LeftModule,
                             RightModule, direct_sum_modules, field_algebra,
-                            is_isomorphic, monomial_quiver_algebra,
-                            product_algebra)
+                            monomial_quiver_algebra, product_algebra)
 from extalg.linalg import FieldSpec, FpMatrix, inverse, rank
 from extalg.structure import (algebra_radical, chop, injective_envelope,
-                              injective_indecomposables, is_injective,
-                              is_projective, is_simple, projective_cover,
+                              find_isomorphism, injective_indecomposables,
+                              is_injective, is_isomorphic, is_projective,
+                              is_simple, projective_cover,
                               projective_indecomposables, radical_of_module,
                               simples, split_module, spin, top_of_module)
 
@@ -198,6 +198,32 @@ def test_one_dimensional_endomorphisms_are_not_swept(monkeypatch):
     pieces = split_module(m)
     assert len(pieces) == 1 and pieces[0][0] is m
     assert not built
+
+
+# ---------------------------------------------------------------------------
+# isomorphisms by matching indecomposable summands
+
+
+def test_regular_module_of_a_large_semisimple_algebra_is_self_isomorphic():
+    # GF(2)^17: Hom(reg, reg) has 2^17 elements, past any exhaustive sweep
+    reg = LeftModule.regular(monomial_quiver_algebra(17, [], [], FIELD2))
+    iso = find_isomorphism(reg, reg)
+    iso.validate()
+    assert iso.is_iso() and is_isomorphic(reg, reg)
+
+
+def test_equal_dimensions_with_other_summands_are_not_isomorphic():
+    a2 = a2_algebra(FIELD2)
+    s0, s1 = simples(a2)
+    twice, _, _ = direct_sum_modules([s0, s0])
+    mixed, _, _ = direct_sum_modules([s0, s1])
+    assert find_isomorphism(twice, mixed) is None
+    assert find_isomorphism(mixed, twice) is None
+    swapped, _, _ = direct_sum_modules([s1, s0])
+    iso = find_isomorphism(mixed, _conjugate(swapped,
+                                             np.random.default_rng(3)))
+    iso.validate()
+    assert iso.is_iso()
 
 
 # ---------------------------------------------------------------------------

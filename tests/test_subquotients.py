@@ -1,7 +1,9 @@
 """Submodules and quotients read their induced actions off echelon pivots
-and check invariance instead of the module law; the exhaustive isomorphism
-sweep tries one vector per line.  Each is compared here with the
-construction it replaced, and proper submodules with a full sweep."""
+and check invariance instead of the module law, and isomorphisms come from
+matching indecomposable summands.  Each is compared here with the
+construction it replaced, proper submodules and isomorphisms with a full
+sweep, and isomorphism, splitting and dimension verdicts with a random
+change of basis."""
 
 import itertools
 
@@ -15,12 +17,14 @@ from conftest import (a2_algebra, a2_morita_ring, double_extension,
                       local_wild_algebra, nakayama_ring, random_module,
                       square_zero_extension, triangular_extension)
 from extalg.algebra import (AlgebraError, HomSpace, LeftModule, RightModule,
-                            direct_sum_modules, find_isomorphism,
-                            monomial_quiver_algebra, quotient_module,
-                            submodule)
+                            direct_sum_modules, monomial_quiver_algebra,
+                            quotient_module, submodule)
+from extalg.gorenstein import gp_check
+from extalg.homology import pd_bounded
 from extalg.linalg import (FieldSpec, FpMatrix, inverse, is_invertible,
                            quotient_maps, rank, row_basis, solve)
-from extalg.structure import find_proper_submodule, spin
+from extalg.structure import (find_isomorphism, find_proper_submodule,
+                              split_module, spin)
 
 ALGEBRAS = {
     "dual_numbers": lambda f: square_zero_extension(f).total,
@@ -135,7 +139,7 @@ def test_subquotients_make_no_solve_and_no_law_check(monkeypatch, cls):
 
 
 # ---------------------------------------------------------------------------
-# sweeps against full sweeps
+# submodules and isomorphisms against full sweeps
 
 
 def _full_sweep_submodule(m):
@@ -183,20 +187,39 @@ def test_projective_sweeps_match_full_sweeps(name, p):
             if n.dim != m.dim or p ** HomSpace(m, n).dim > 5 ** 4:
                 continue
             iso = find_isomorphism(m, n)
-            expected = _full_sweep_isomorphism(m, n)
-            assert (iso.matrix if iso else None) == expected
+            assert (iso is None) == (_full_sweep_isomorphism(m, n) is None)
+            if iso is not None:
+                iso.validate()
+                assert iso.is_iso()
 
 
-def test_one_dimensional_hom_at_large_prime_takes_one_element(monkeypatch):
+def test_one_dimensional_hom_at_large_prime_takes_one_element():
+    """At p = 65521 the one basis element of a one-dimensional Hom decides
+    it; none of its p - 2 other nonzero multiples is looked at."""
     field = FieldSpec(65521)
     a = monomial_quiver_algebra(2, [(0, 1)], [], field)
     simple = LeftModule(a, [FpMatrix([[c]], field) for c in (1, 0, 0)])
     other = LeftModule(a, [FpMatrix([[c]], field) for c in (0, 1, 0)])
-    calls = []
-    element = HomSpace.element
-    monkeypatch.setattr(HomSpace, "element", lambda self, c: calls.append(
-        tuple(c)) or element(self, c))
-    assert find_isomorphism(simple, simple) is not None
-    assert calls == [(1,)]
+    iso = find_isomorphism(simple, simple)
+    iso.validate()
+    assert iso.is_iso()
     assert find_isomorphism(simple, other) is None  # Hom = 0
-    assert calls == [(1,)]
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(name=st.sampled_from(sorted(ALGEBRAS)),
+       p=st.sampled_from([2, 3, 5, 101, 65521]),
+       parts=st.integers(1, 2), seed=st.integers(0, 2 ** 32 - 1))
+def test_verdicts_survive_a_change_of_basis(name, p, parts, seed):
+    a = ALGEBRAS[name](FieldSpec(p))
+    rng = np.random.default_rng(seed)
+    m, _, _ = direct_sum_modules([random_module(a, rng, max_dim=3)
+                                  for _ in range(parts)])
+    n = _conjugate(m, rng)
+    iso = find_isomorphism(m, n)
+    iso.validate()
+    assert iso.is_iso()
+    assert sorted(s.dim for s, _ in split_module(m)) == \
+        sorted(s.dim for s, _ in split_module(n))
+    assert pd_bounded(m, 4) == pd_bounded(n, 4)
+    assert gp_check(m, 4).answer == gp_check(n, 4).answer

@@ -5,7 +5,8 @@ from conftest import (FIELD2, FIELD3, random_copair, random_module,
                       random_pair, random_right_pair, square_zero_extension,
                       triangular_extension)
 from extalg.algebra import (Bimodule, LeftModule, RightModule, field_algebra,
-                            hom_space, is_isomorphic, opposite_algebra)
+                            hom_space, monomial_quiver_algebra,
+                            opposite_algebra)
 from extalg.homology import id_bounded, pd_bounded
 from extalg.linalg import FpMatrix, is_invertible
 from extalg.structure import is_injective, is_projective, simples
@@ -136,6 +137,20 @@ def test_classify_projective_and_injective():
     gotc = classify_injective(functor_H(t, reg))
     assert gotc is not None
     assert classify_injective(functor_Z_copair(t, reg)) is None
+
+
+def test_classify_over_a_large_semisimple_base():
+    # GF(2)^17 extended by zero: the isomorphism to T(P) or H(E) lives in
+    # a hom space of 2^17 elements
+    a = monomial_quiver_algebra(17, [], [], FIELD2)
+    t = trivial_extension(a, Bimodule.zero(a))
+    reg = LeftModule.regular(a)
+    for got in (classify_projective(functor_T(t, reg)),
+                classify_injective(functor_H(t, reg))):
+        assert got is not None
+        cand, wit = got
+        wit.validate()
+        assert cand.dim == reg.dim and wit.is_iso()
 
 
 def test_canonical_sequences(exts):
