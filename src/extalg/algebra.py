@@ -464,13 +464,19 @@ def invariant_action(action: Sequence[FpMatrix],
 
 def submodule(x, basis_rows: FpMatrix):
     """Submodule spanned by the given rows; returns (module, inclusion).
-    The basis is echelonized first; raises unless its span is invariant."""
-    b = row_basis(basis_rows)
-    action = invariant_action(x.action, b)
+    Raises unless their span is invariant.  The rows are echelonized here,
+    at the public boundary only; inside the library, rows already in RREF
+    (kernel and image bases, spans, radical layers) skip this step."""
+    return _echelon_submodule(x, row_basis(basis_rows))
+
+
+def _echelon_submodule(x, basis: FpMatrix):
+    """`submodule` for a basis in RREF without zero rows."""
+    action = invariant_action(x.action, basis)
     if action is None:
         raise AlgebraError("rows do not span a submodule")
     mod = type(x)(x.over, action, validate=False)
-    return mod, ModuleHom(mod, x, b.transpose(), validate=False)
+    return mod, ModuleHom(mod, x, basis.transpose(), validate=False)
 
 
 def quotient_module(x, relation_cols: FpMatrix):
@@ -488,14 +494,13 @@ def quotient_module(x, relation_cols: FpMatrix):
 
 def kernel_module(f: ModuleHom):
     """(kernel, inclusion)."""
-    kb = kernel_basis(f.matrix)
-    return submodule(f.source, kb)
+    return _echelon_submodule(f.source, kernel_basis(f.matrix))
 
 
 def image_module(f: ModuleHom):
     """(image, inclusion into target, epi from source onto image)."""
     cols = row_space_of_columns(f.matrix)
-    img, incl = submodule(f.target, cols)
+    img, incl = _echelon_submodule(f.target, cols)
     epi = echelon_coords(cols, f.matrix.arr.T)
     return img, incl, ModuleHom(f.source, img, FpMatrix(epi.T, cols.field),
                                 validate=False)
@@ -514,14 +519,23 @@ def cokernel_module(f: ModuleHom):
 
 
 def is_exact_at(f: ModuleHom, g: ModuleHom) -> bool:
-    """Exactness at the middle of source(f) -> B -> target(g):
-    im(f) = ker(g)."""
+    """Exactness at B of source(f) -> B -> target(g): im(f) = ker(g)."""
+    return _exact_rank(f, g) is not None
+
+
+def is_kernel_inclusion(f: ModuleHom, g: ModuleHom) -> bool:
+    """Is f an injection onto ker(g)?"""
+    return _exact_rank(f, g) == f.source.dim
+
+
+def _exact_rank(f: ModuleHom, g: ModuleHom) -> Optional[int]:
+    """rank f when source(f) -> B -> target(g) is exact at B, else None."""
     if f.target.dim != g.source.dim:
         raise AlgebraError("f and g are not composable")
-    comp = g.matrix @ f.matrix
-    if not comp.is_zero():
-        return False
-    return rank(f.matrix) == g.source.dim - rank(g.matrix)
+    if not (g.matrix @ f.matrix).is_zero():
+        return None
+    rank_f = rank(f.matrix)
+    return rank_f if rank_f == g.source.dim - rank(g.matrix) else None
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,9 @@ from typing import Callable, List, Optional, Tuple
 from .algebra import (Algebra, Bimodule, HomSpace, LeftModule, ModuleHom,
                       RightModule, as_left, direct_sum_modules, dual_module,
                       hom_space, image_module, intertwiner_system,
-                      is_exact_at, kernel_module, other_side, quotient_module,
-                      tensor_bimodule_left, tensor_map_second)
+                      is_exact_at, is_kernel_inclusion, kernel_module,
+                      other_side, quotient_module, tensor_bimodule_left,
+                      tensor_map_second)
 from .homology import (ChainComplex, Resolution, _precompose_matrix,
                        default_bound, fd_bounded, hom_complex, hom_complex_co,
                        id_bounded, is_exact_complex,
@@ -360,9 +361,7 @@ def validate_complete_resolution(cr: CompleteResolution) -> dict:
     every projective indecomposable."""
     ok_exact, fail_at = is_exact_complex(cr.complex)
     f0 = cr.complex.diff_at(0)
-    ker_ok = (f0.matrix @ cr.mono.matrix).is_zero() and \
-        rank(cr.mono.matrix) == cr.module.dim and \
-        rank(cr.mono.matrix) == f0.source.dim - rank(f0.matrix)
+    ker_ok = is_kernel_inclusion(cr.mono, f0)
     hom_ok = True
     for p, _ in projective_indecomposables(cr.module.over):
         hc = hom_complex(cr.complex, p)
@@ -549,9 +548,7 @@ def validate_pair_complete_resolution(res: PairCompleteResolution) -> dict:
     ok_exact, fail_at = is_exact_complex(res.complex)
     g0 = res.complex.diff_at(0)
     lam = res.ker_witness
-    ker_ok = (g0.matrix @ lam.matrix).is_zero() and \
-        rank(lam.matrix) == lam.source.dim and \
-        rank(lam.matrix) == g0.source.dim - rank(g0.matrix)
+    ker_ok = is_kernel_inclusion(lam, g0)
     proj_ok = all(is_projective(pair_to_module(pt)) for pt in res.terms)
     hom_ok = True
     for q, _ in projective_indecomposables(t.base):
@@ -622,9 +619,7 @@ def validate_copair_complete_coresolution(
     ok_exact, fail_at = is_exact_complex(res.complex)
     d0 = res.complex.diff_at(0)
     wit = res.ker_witness
-    ker_ok = (d0.matrix @ wit.matrix).is_zero() and \
-        rank(wit.matrix) == wit.source.dim and \
-        rank(wit.matrix) == d0.source.dim - rank(d0.matrix)
+    ker_ok = is_kernel_inclusion(wit, d0)
     inj_ok = all(is_injective(mod) for mod in res.complex.modules)
     from .structure import injective_indecomposables
     hom_ok = True

@@ -132,9 +132,6 @@ class FpMatrix:
         v = np.asarray(vec, dtype=np.int64)
         return (self.arr @ v) % self.field.p
 
-    def col(self, j: int) -> np.ndarray:
-        return self.arr[:, j].copy()
-
 
 @dataclass
 class RrefResult:
@@ -150,14 +147,11 @@ def _rref_inplace(a: np.ndarray, p: int):
     for c in range(cols):
         if r >= rows:
             break
-        piv = None
-        for i in range(r, rows):
-            if a[i, c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
+        if not a[r, c]:
+            below = a[r + 1:, c].nonzero()[0]
+            if not below.size:
+                continue
+            piv = r + 1 + below[0]
             a[[r, piv]] = a[[piv, r]]
         a[r] = (a[r] * pow(int(a[r, c]), -1, p)) % p
         nz = np.nonzero(a[:, c])[0]
@@ -201,11 +195,13 @@ def kernel_basis(m: FpMatrix) -> FpMatrix:
     """Canonical basis of the right null space, one vector per row.
 
     Row count is cols - rank; the rows are echelonized so equal subspaces
-    have literally equal bases.
+    have literally equal bases.  The null-space rows are already in RREF
+    when each one's first nonzero entry is the 1 at its free column.
     """
     free, rows = _null_rows(rref(m), m.field.p)
-    out = rref(FpMatrix(rows, m.field)).reduced
-    return FpMatrix(out.arr[: len(free)], m.field)
+    if free and (np.argmax(rows != 0, axis=1) != free).any():
+        rows = rref(FpMatrix(rows, m.field)).reduced.arr
+    return FpMatrix(rows, m.field)
 
 
 def solve(a: FpMatrix, b: FpMatrix) -> Optional[FpMatrix]:

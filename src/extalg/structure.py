@@ -24,13 +24,13 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .algebra import (Algebra, LeftModule, ModuleHom, _stack, as_left,
-                      direct_sum_modules, dual_module, hom_space,
-                      kernel_module, opposite_algebra, quotient_module,
-                      row_space_of_columns, submodule)
+from .algebra import (Algebra, LeftModule, ModuleHom, _echelon_submodule,
+                      _stack, as_left, direct_sum_modules, dual_module,
+                      hom_space, kernel_module, opposite_algebra,
+                      quotient_module, row_space_of_columns)
 from .linalg import (FieldSpec, FpMatrix, echelon_coords, hstack, inverse,
-                     kernel_basis, quotient_maps, rank, rref, row_basis,
-                     solve, vstack)
+                     kernel_basis, quotient_maps, rref, row_basis, solve,
+                     vstack)
 
 # The split of a matrix block draws its candidates from
 # random.Random(_SPLIT_STREAM), fresh for every split; the draws change how
@@ -234,7 +234,8 @@ def _radical_span(m, rows: np.ndarray) -> FpMatrix:
 
 def radical_of_module(m) -> Tuple[object, ModuleHom]:
     """rad(m) = rad(A).m with its inclusion."""
-    return submodule(m, _radical_span(m, np.eye(m.dim, dtype=np.int64)))
+    return _echelon_submodule(
+        m, _radical_span(m, np.eye(m.dim, dtype=np.int64)))
 
 
 def top_of_module(m) -> Tuple[object, ModuleHom]:
@@ -252,7 +253,7 @@ def _pim_triples(a: Algebra):
         out = []
         for group in _primitive_idempotents(a.sc, a.unit, algebra_radical(a),
                                             a.field):
-            piece, incl = submodule(reg, spin(reg, group[0]))
+            piece, incl = _echelon_submodule(reg, spin(reg, group[0]))
             out.append((piece, top_of_module(piece)[0], group[0],
                         incl.matrix))
         a._cache["pim_triples"] = out
@@ -327,7 +328,7 @@ def chop(m) -> CompositionSeries:
     factors, witnesses = [], []
     prev = FpMatrix.zeros(0, m.dim, m.over.field)
     for b in _filtration_bases(m):
-        sub, incl = submodule(m, b)
+        sub, incl = _echelon_submodule(m, b)
         # the previous step in the coordinates of this one
         coords = echelon_coords(incl.matrix.transpose(), prev.arr)
         factors.append(quotient_module(sub, FpMatrix(coords.T,
@@ -355,7 +356,7 @@ def split_module(m) -> List[Tuple[object, ModuleHom]]:
         _trace_radical(mats, m.over.field), m.over.field) for e in group]
     if len(idems) == 1:
         return [(m, ModuleHom.identity(m))]
-    return [submodule(m, row_space_of_columns(
+    return [_echelon_submodule(m, row_space_of_columns(
         FpMatrix(np.tensordot(e, mats, 1), m.over.field))) for e in idems]
 
 
@@ -408,11 +409,14 @@ class ProjectivePresentation:
 def projective_cover(m) -> ProjectivePresentation:
     """Minimal projective surjection onto m.
 
-    Summands are chosen greedily: a basis hom of Hom(P_i, m) is kept
-    exactly when it enlarges the image in top(m); the image then grows by
-    a full copy of the top simple, so the chosen multiplicities are the
-    minimal ones.  A right module is covered as a left module over the
-    opposite algebra.
+    Hom(P_i, m) is e_i.m via w -> (x -> x.w), so each w in the RREF basis
+    of e_i.m, over every i in turn, gives a candidate phi_w.  Their images
+    in top(m) are row-reduced side by side in one elimination, and phi_w
+    is kept exactly when its block of columns holds a pivot, i.e. when its
+    image is not inside the images of the candidates before it: the greedy
+    choice, for any algebra.  A kept image grows by a full copy of the top
+    simple, so the multiplicities are the minimal ones.  A right module is
+    covered as a left module over the opposite algebra.
     """
     m = as_left(m)
     a = m.over
@@ -421,32 +425,28 @@ def projective_cover(m) -> ProjectivePresentation:
         z = LeftModule.zero(a)
         return ProjectivePresentation(m, z, ModuleHom.zero(z, m), z,
                                       ModuleHom.zero(z, z))
-    pims = _pim_triples(a)
     top, pi = top_of_module(m)
-    chosen: List[Tuple[object, FpMatrix]] = []
-    top_image = FpMatrix.zeros(0, top.dim, field)
-    for p_i, _, e_i, incl in pims:
-        # Hom(A.e, m) is e.m via w -> (v -> v.w); enumerate a basis of e.m
-        fixed = row_space_of_columns(m.act_matrix(e_i))
-        for k in range(fixed.rows):
-            w = fixed.arr[k]
-            phi = FpMatrix(np.stack([m.act_matrix(incl.col(b)).apply(w)
-                                     for b in range(p_i.dim)], axis=1), field)
-            cand_rows = row_space_of_columns(pi.matrix @ phi)
-            merged = FpMatrix(np.vstack([top_image.arr, cand_rows.arr]), field)
-            if rank(merged) > top_image.rows:
-                chosen.append((p_i, phi))
-                top_image = row_space_of_columns(merged.transpose())
-        if top_image.rows == top.dim:
-            break
-    if top_image.rows != top.dim:
+    acts = _stack(m.action, m.dim)
+    pims, phis, images = [], [], []
+    for p_i, _, e_i, incl in _pim_triples(a):
+        ws = row_space_of_columns(m.act_matrix(e_i)).arr
+        # phi[k][:, b] is column b of incl acting on ws[k]
+        phi = ((np.tensordot(incl.arr.T, acts, 1) % field.p) @ ws.T) % field.p
+        phis += list(phi.transpose(2, 1, 0))
+        pims += [p_i] * len(ws)
+        images.append((pi.matrix.arr @ phi).transpose(1, 2, 0)
+                      .reshape(top.dim, -1))
+    reduced = rref(FpMatrix(np.hstack(images), field))
+    if reduced.rank != top.dim:
         raise StructureError("projective cover search failed to reach the top")
-    cover, incls, _ = direct_sum_modules([c[0] for c in chosen])
-    epi_mat = hstack([phi for _, phi in chosen])
-    epi = ModuleHom(cover, m, epi_mat, validate=False)
-    if rank(epi_mat) != m.dim:
-        raise StructureError("candidate cover map is not surjective")
+    owner = np.repeat(np.arange(len(pims)), [q.dim for q in pims])
+    chosen = np.unique(owner[reduced.pivot_cols])
+    cover = direct_sum_modules([pims[k] for k in chosen])[0]
+    epi = ModuleHom(cover, m, FpMatrix(np.hstack([phis[k] for k in chosen]),
+                                       field), validate=False)
     ker, ker_incl = kernel_module(epi)
+    if ker.dim != cover.dim - m.dim:
+        raise StructureError("candidate cover map is not surjective")
     return ProjectivePresentation(m, cover, epi, ker, ker_incl)
 
 

@@ -361,11 +361,10 @@ class ShortExactSequence:
     epi: ModuleHom
 
     def is_exact(self) -> bool:
-        from .algebra import is_exact_at
+        from .algebra import is_kernel_inclusion
         from .linalg import rank
-        return (rank(self.mono.matrix) == self.sub.dim
-                and rank(self.epi.matrix) == self.quo.dim
-                and is_exact_at(self.mono, self.epi))
+        return (is_kernel_inclusion(self.mono, self.epi)
+                and rank(self.epi.matrix) == self.quo.dim)
 
 
 def _inflate(t: TrivialExtension, x):

@@ -12,11 +12,11 @@ from extalg.algebra import (Algebra, AlgebraError, Bimodule, LeftModule,
                             as_left, cokernel_module, direct_sum_modules,
                             dual_module, field_algebra, hom_from_bimodule,
                             hom_space, image_module, is_exact_at,
-                            kernel_module, monomial_quiver_algebra,
-                            opposite_algebra, product_algebra,
-                            quotient_module, submodule, tensor_bimodule_left,
-                            tensor_map_second, tensor_right_left,
-                            validate_algebra)
+                            is_kernel_inclusion, kernel_module,
+                            monomial_quiver_algebra, opposite_algebra,
+                            product_algebra, quotient_module, submodule,
+                            tensor_bimodule_left, tensor_map_second,
+                            tensor_right_left, validate_algebra)
 from extalg.gorenstein import solve_module_hom
 from extalg.linalg import (FieldSpec, FpMatrix, hstack, kernel_basis, kron,
                            quotient_maps, rank, solve, vstack)
@@ -112,6 +112,20 @@ def test_is_exact_at_matches_ranks():
     assert is_exact_at(f, f)  # im = ker = span(e1)
     g = ModuleHom(m, m, FpMatrix.zeros(2, 2, FIELD2))
     assert not is_exact_at(g, g)
+
+
+def test_is_kernel_inclusion_needs_an_injection_onto_the_kernel():
+    a = field_algebra(FIELD2)
+    m = LeftModule(a, [FpMatrix.identity(2, FIELD2)])
+    line = LeftModule(a, [FpMatrix.identity(1, FIELD2)])
+    g = ModuleHom(m, m, FpMatrix([[0, 1], [0, 0]], FIELD2))  # ker = span(e1)
+    e1 = ModuleHom(line, m, FpMatrix([[1], [0]], FIELD2))
+    e2 = ModuleHom(line, m, FpMatrix([[0], [1]], FIELD2))
+    zero = ModuleHom(m, m, FpMatrix.zeros(2, 2, FIELD2))
+    assert is_kernel_inclusion(e1, g)
+    assert is_exact_at(g, g) and not is_kernel_inclusion(g, g)  # not injective
+    assert not is_kernel_inclusion(e2, g)  # g.e2 != 0
+    assert not is_kernel_inclusion(e1, zero)  # injective, not onto ker(0)
 
 
 def test_tensor_hom_adjunction_dims():

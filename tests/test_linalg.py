@@ -191,6 +191,31 @@ def test_kernel_and_quotient_maps_match_loops():
             assert qm.include.arr.tobytes() == incl.tobytes()
 
 
+@pytest.mark.parametrize("entries, shape, eliminations", [
+    # pivot right of both free columns: null rows (1,0,0), (0,1,0), in RREF
+    ([[0, 0, 1]], (1, 3), 1),
+    # the row of free column 2 is (0,4,1): its first nonzero lies left of 2
+    ([[0, 1, 1]], (1, 3), 2),
+    ([], (0, 3), 1),
+    ([], (3, 0), 1),
+    ([], (0, 0), 1),
+])
+def test_kernel_basis_is_the_rref_of_the_null_rows(monkeypatch, entries,
+                                                   shape, eliminations):
+    import extalg.linalg as linalg
+    m = FpMatrix(np.array(entries, dtype=np.int64).reshape(shape), F5)
+    want = rref(FpMatrix(_loop_kernel_rows(m), F5)).reduced.arr
+    assert want.shape == (shape[1] - rank(m), shape[1])
+    calls = []
+    elim = linalg._rref_inplace
+    monkeypatch.setattr(linalg, "_rref_inplace",
+                        lambda a, p: calls.append(a.shape) or elim(a, p))
+    got = kernel_basis(m)
+    assert np.array_equal(got.arr, want)
+    # rows already in RREF are not eliminated a second time
+    assert len(calls) == eliminations
+
+
 def test_echelon_coords_reads_pivots_and_checks_membership():
     rng = np.random.default_rng(3)
     for field in (F2, F5, FieldSpec(65521)):

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import FIELD2, a2_algebra, local_wild_algebra, \
-    square_zero_extension
+from conftest import (FIELD2, a2_algebra, double_extension,
+                      local_wild_algebra, random_module, square_zero_extension,
+                      triangular_extension)
 from extalg.algebra import (Algebra, AlgebraError, HomSpace, LeftModule,
-                            RightModule, direct_sum_modules, field_algebra,
-                            monomial_quiver_algebra, product_algebra)
-from extalg.linalg import FieldSpec, FpMatrix, inverse, rank
-from extalg.structure import (algebra_radical, chop, injective_envelope,
+                            RightModule, as_left, direct_sum_modules,
+                            field_algebra, monomial_quiver_algebra,
+                            product_algebra, row_space_of_columns)
+from extalg.linalg import FieldSpec, FpMatrix, inverse, rank, row_basis, vstack
+from extalg.structure import (_pim_triples, algebra_radical, chop,
+                              injective_envelope,
                               find_isomorphism, injective_indecomposables,
                               is_injective, is_isomorphic, is_projective,
                               is_simple, projective_cover,
@@ -322,3 +325,68 @@ def test_structure_of_matrix_blocks(p, factors, radical, simple, pim):
     assert [f.dim for f in chop(reg).factors] == [simple] * (a.dim // simple)
     assert [piece.dim for piece, _ in split_module(reg)] == \
         [pim] * (a.dim // pim)
+
+
+# ---------------------------------------------------------------------------
+# projective covers against the per-candidate greedy search
+
+
+def _quadratic_field(p):
+    """GF(p^2) = GF(p)[w]/(w^2 - b w - c), basis 1, w."""
+    b, c = (1, 1) if p == 2 else (0, next(
+        c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1))
+    return np.array([[[1, 0], [0, 1]], [[0, 1], [c, b]]]), np.array([1, 0])
+
+
+def _cover_test_algebra(name, field):
+    blocks = {"M2(k[x]/x^2)": DUAL, "M2(GF(p^2))": _quadratic_field(field.p)}
+    if name in blocks:
+        sc, unit = _tensor(_matrix_algebra(2), blocks[name])
+        return _scramble(sc, unit, field, np.random.default_rng(field.p))
+    return {"a2": a2_algebra, "wild": local_wild_algebra,
+            "dual": lambda f: square_zero_extension(f).total,
+            "triangular": lambda f: triangular_extension(f).total,
+            "double": lambda f: double_extension(f).total}[name](field)
+
+
+def _greedy_cover_epi(m) -> np.ndarray:
+    """The cover's epimorphism as the per-candidate search chose it: each
+    phi_w, w in the RREF basis of e_i.m, gets its own rank test and is kept
+    exactly when it enlarges the image in top(m)."""
+    m = as_left(m)
+    field = m.over.field
+    _, pi = top_of_module(m)
+    chosen, image = [], FpMatrix.zeros(0, pi.target.dim, field)
+    for p_i, _, e_i, incl in _pim_triples(m.over):
+        for w in row_space_of_columns(m.act_matrix(e_i)).arr:
+            phi = FpMatrix(np.stack([m.act_matrix(incl.arr[:, b]).apply(w)
+                                     for b in range(p_i.dim)], axis=1), field)
+            merged = vstack([image, row_space_of_columns(pi.matrix @ phi)])
+            if rank(merged) > image.rows:
+                chosen.append(phi.arr)
+                image = row_basis(merged)
+    return np.hstack(chosen)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(name=st.sampled_from(["a2", "wild", "dual", "triangular", "double",
+                             "M2(k[x]/x^2)", "M2(GF(p^2))"]),
+       p=st.sampled_from([2, 3, 5, 101, 65521]),
+       side=st.sampled_from([LeftModule, RightModule]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(name="M2(GF(p^2))", p=3, side=LeftModule, seed=1)
+@example(name="M2(k[x]/x^2)", p=65521, side=RightModule, seed=2)
+@example(name="wild", p=2, side=RightModule, seed=3)
+def test_projective_cover_matches_greedy_search(name, p, side, seed):
+    # in M2(GF(p^2)) the simple S has e.S of dimension 2, so some
+    # candidates of one summand are kept and others are not
+    a = _cover_test_algebra(name, FieldSpec(p))
+    m = random_module(a, np.random.default_rng(seed), max_dim=8, cls=side)
+    pres = projective_cover(m)
+    want = _greedy_cover_epi(m)
+    assert np.array_equal(pres.epi.matrix.arr, want)
+    # the kernel basis is the unique RREF basis of ker(epi)
+    kernel = pres.kernel_inclusion.matrix.arr.T
+    assert kernel.shape[0] == pres.cover.dim - m.dim
+    assert np.array_equal(row_basis(FpMatrix(kernel, a.field)).arr, kernel)
+    assert not (want @ kernel.T % p).any()
