@@ -173,6 +173,7 @@ class LeftModule:
                  validate: bool = True):
         self.over = over
         self.action = list(action)
+        self._cache: dict = {}
         if len(self.action) != over.dim:
             raise AlgebraError("need one action matrix per basis element")
         self.dim = self.action[0].rows if self.action else 0

@@ -297,9 +297,16 @@ def quotient_maps(relations: FpMatrix) -> QuotientMaps:
     echelonized relation space, so two equal subspaces give literally equal
     quotients.
     """
-    field = relations.field
+    return echelon_quotient_maps(row_basis(relations.transpose()))
+
+
+def echelon_quotient_maps(basis: FpMatrix) -> QuotientMaps:
+    """`quotient_maps` modulo the row span of `basis`, which is in RREF
+    without zero rows: its pivots are read off, not eliminated again."""
+    field = basis.field
+    pivots = (basis.arr != 0).argmax(axis=1).tolist() if basis.rows else []
     # the rows of proj span the annihilator of the relations
-    free, proj = _null_rows(rref(relations.transpose()), field.p)
-    incl = np.zeros((relations.rows, len(free)), dtype=np.int64)
+    free, proj = _null_rows(RrefResult(basis, basis.rows, pivots), field.p)
+    incl = np.zeros((basis.cols, len(free)), dtype=np.int64)
     incl[free, np.arange(len(free))] = 1
     return QuotientMaps(FpMatrix(proj, field), FpMatrix(incl, field))

@@ -12,12 +12,15 @@ so its None is a certified "not isomorphic".
 
 A right module is covered and resolved as the left module over the
 opposite algebra (`as_left`); injective envelopes are duals of projective
-covers over the opposite algebra.
+covers over the opposite algebra.  Covers are shared per algebra by module
+content: equal modules get the same cover, kernel and epimorphism matrix,
+held only while some module holds them.
 """
 
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass
 from functools import partial
 from typing import List, Optional, Tuple
@@ -28,9 +31,9 @@ from .algebra import (Algebra, LeftModule, ModuleHom, _echelon_submodule,
                       _stack, as_left, direct_sum_modules, dual_module,
                       hom_space, kernel_module, opposite_algebra,
                       quotient_module, row_space_of_columns)
-from .linalg import (FieldSpec, FpMatrix, echelon_coords, hstack, inverse,
-                     kernel_basis, quotient_maps, rref, row_basis, solve,
-                     vstack)
+from .linalg import (FieldSpec, FpMatrix, echelon_coords,
+                     echelon_quotient_maps, hstack, inverse, kernel_basis,
+                     rref, row_basis, solve, vstack)
 
 # The split of a matrix block draws its candidates from
 # random.Random(_SPLIT_STREAM), fresh for every split; the draws change how
@@ -184,7 +187,7 @@ def _primitive_idempotents(sc: np.ndarray, unit: np.ndarray, rad: FpMatrix,
     radical rad, summing to 1 and grouped by the simple block of A/rad
     that their images lie in."""
     p = field.p
-    qm = quotient_maps(rad.transpose())
+    qm = echelon_quotient_maps(rad)
     free = qm.include.arr.argmax(axis=0)     # Q has basis b_free[a] + rad
     qsc = (sc[np.ix_(free, free)] @ qm.project.arr.T) % p
     qmul, amul = partial(_mul, qsc, p=p), partial(_mul, sc, p=p)
@@ -409,23 +412,45 @@ class ProjectivePresentation:
 def projective_cover(m) -> ProjectivePresentation:
     """Minimal projective surjection onto m.
 
+    The cover is a function of the algebra and the action matrices alone,
+    so equal modules share it: its parts are kept on m, and the algebra
+    indexes them weakly by m's content, for as long as a module holds them.
+    A right module is covered as a left module over the opposite algebra.
+    """
+    left = as_left(m)
+    if left.dim == 0:
+        z = LeftModule.zero(left.over)
+        return ProjectivePresentation(left, z, ModuleHom.zero(z, left), z,
+                                      ModuleHom.zero(z, z))
+    if "cover" not in m._cache:
+        index = left.over._cache.setdefault("covers",
+                                            weakref.WeakValueDictionary())
+        key = (left.dim, _stack(left.action, left.dim).tobytes())
+        holder = index.get(key)
+        m._cache["cover"] = (_cover_parts(left) if holder is None
+                             else holder._cache["cover"])
+        index.setdefault(key, m)
+    cover, epi, ker, ker_incl = m._cache["cover"]
+    return ProjectivePresentation(left, cover, ModuleHom(
+        cover, left, epi, validate=False), ker, ker_incl)
+
+
+def _cover_parts(m: LeftModule):
+    """(cover, epi matrix, kernel, kernel inclusion) of a nonzero m.
+
     Hom(P_i, m) is e_i.m via w -> (x -> x.w), so each w in the RREF basis
     of e_i.m, over every i in turn, gives a candidate phi_w.  Their images
     in top(m) are row-reduced side by side in one elimination, and phi_w
     is kept exactly when its block of columns holds a pivot, i.e. when its
     image is not inside the images of the candidates before it: the greedy
     choice, for any algebra.  A kept image grows by a full copy of the top
-    simple, so the multiplicities are the minimal ones.  A right module is
-    covered as a left module over the opposite algebra.
+    simple, so the multiplicities are the minimal ones.  The projection
+    onto top(m) is read off the RREF rows of rad(m).
     """
-    m = as_left(m)
     a = m.over
     field = a.field
-    if m.dim == 0:
-        z = LeftModule.zero(a)
-        return ProjectivePresentation(m, z, ModuleHom.zero(z, m), z,
-                                      ModuleHom.zero(z, z))
-    top, pi = top_of_module(m)
+    pi = echelon_quotient_maps(
+        _radical_span(m, np.eye(m.dim, dtype=np.int64))).project.arr
     acts = _stack(m.action, m.dim)
     pims, phis, images = [], [], []
     for p_i, _, e_i, incl in _pim_triples(a):
@@ -434,10 +459,9 @@ def projective_cover(m) -> ProjectivePresentation:
         phi = ((np.tensordot(incl.arr.T, acts, 1) % field.p) @ ws.T) % field.p
         phis += list(phi.transpose(2, 1, 0))
         pims += [p_i] * len(ws)
-        images.append((pi.matrix.arr @ phi).transpose(1, 2, 0)
-                      .reshape(top.dim, -1))
+        images.append((pi @ phi).transpose(1, 2, 0).reshape(len(pi), -1))
     reduced = rref(FpMatrix(np.hstack(images), field))
-    if reduced.rank != top.dim:
+    if reduced.rank != len(pi):
         raise StructureError("projective cover search failed to reach the top")
     owner = np.repeat(np.arange(len(pims)), [q.dim for q in pims])
     chosen = np.unique(owner[reduced.pivot_cols])
@@ -447,7 +471,7 @@ def projective_cover(m) -> ProjectivePresentation:
     ker, ker_incl = kernel_module(epi)
     if ker.dim != cover.dim - m.dim:
         raise StructureError("candidate cover map is not surjective")
-    return ProjectivePresentation(m, cover, epi, ker, ker_incl)
+    return cover, epi.matrix, ker, ker_incl
 
 
 def is_projective(m) -> bool:

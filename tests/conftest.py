@@ -6,6 +6,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from extalg.algebra import (Bimodule, LeftModule, RightModule,
                             direct_sum_modules, field_algebra, hom_space,
@@ -130,6 +131,25 @@ def random_tuple(ring, rng, max_dim=4):
 
 def random_right_tuple(ring, rng, max_dim=4):
     return upsilon_inverse(random_right_pair(ring.ext, rng, max_dim), ring)
+
+
+@st.composite
+def monomial_quivers(draw):
+    """(vertices, arrows, relations): every path of length `length` is zero,
+    and so are some of the paths of length 2."""
+    n = draw(st.integers(1, 5))
+    arrows = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                     st.integers(0, n - 1)),
+                           min_size=1, max_size=6))
+    paths = [(i,) for i in range(len(arrows))]
+    length = draw(st.integers(2, 4))
+    for _ in range(length - 1):
+        paths = [q + (i,) for q in paths for i, (s, _) in enumerate(arrows)
+                 if arrows[q[-1]][1] == s]
+    twos = [(i, j) for i, (_, t) in enumerate(arrows)
+            for j, (s, _) in enumerate(arrows) if t == s]
+    zero = draw(st.lists(st.sampled_from(twos), unique=True)) if twos else []
+    return n, arrows, paths + zero
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,18 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIELD2, a2_algebra, local_wild_algebra, \
-    square_zero_extension
-from extalg.algebra import LeftModule, RightModule
+    monomial_quivers, random_module, square_zero_extension
+from extalg.algebra import (AlgebraError, LeftModule, RightModule,
+                            monomial_quiver_algebra)
 from extalg.homology import (DimensionVerdict, default_bound, ext,
                              ext_from_resolution, fd_bounded, hom_complex,
                              id_bounded, is_exact_complex,
                              minimal_projective_resolution,
                              non_minimal_resolution, pd_bounded, syzygy)
-from extalg.linalg import FpMatrix
+from extalg.linalg import FieldSpec, FpMatrix
 from extalg.structure import is_isomorphic, simples
 
 
@@ -44,6 +48,30 @@ def test_ext_periodic_both_paths(d_total, k_over_d):
     for i in range(1, 7):
         assert ext_from_resolution(res, k_over_d, i).dim == 1
     assert ext(k_over_d, k_over_d, 0).dim == 1
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(quiver=monomial_quivers(),
+       p=st.sampled_from([2, 3, 5, 101, 65521]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_ext_is_independent_of_the_resolution(quiver, p, seed):
+    # the padded resolution has an extra summand in degrees 0 and 1, so
+    # its cocycles and coboundaries differ there; Ext^i does not
+    n, arrows, relations = quiver
+    try:
+        a = monomial_quiver_algebra(n, arrows, relations, FieldSpec(p),
+                                    max_dim=30)
+    except AlgebraError:
+        return  # more than 30 paths
+    rng = np.random.default_rng(seed)
+    m, y = simples(a)[rng.integers(n)], random_module(a, rng)
+    if any(syzygy(m, i).dim > 16 for i in (1, 2, 3)):
+        return  # wild algebras: the syzygies grow exponentially
+    minimal = minimal_projective_resolution(m, 3)
+    padded = non_minimal_resolution(m, 3)
+    for i in range(3):
+        assert ext_from_resolution(minimal, y, i).dim == \
+            ext_from_resolution(padded, y, i).dim
 
 
 def test_ext_vanishes_on_projectives(d_total, k_over_d):

@@ -1,16 +1,22 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (FIELD2, a2_algebra, double_extension,
-                      local_wild_algebra, random_module, square_zero_extension,
-                      triangular_extension)
+                      local_wild_algebra, monomial_quivers, random_module,
+                      square_zero_extension, triangular_extension)
+from extalg import structure
 from extalg.algebra import (Algebra, AlgebraError, HomSpace, LeftModule,
                             RightModule, as_left, direct_sum_modules,
                             field_algebra, monomial_quiver_algebra,
                             product_algebra, row_space_of_columns)
-from extalg.linalg import FieldSpec, FpMatrix, inverse, rank, row_basis, vstack
+from extalg.homology import (DimensionVerdict, minimal_projective_resolution,
+                             pd_bounded)
+from extalg.linalg import (FieldSpec, FpMatrix, inverse, quotient_maps, rank,
+                           row_basis, vstack)
 from extalg.structure import (_pim_triples, algebra_radical, chop,
                               injective_envelope,
                               find_isomorphism, injective_indecomposables,
@@ -242,25 +248,6 @@ def _scramble(sc, unit, field, rng):
     return Algebra(field, prods @ gi.arr % p, unit @ gi.arr % p)
 
 
-@st.composite
-def monomial_quivers(draw):
-    """(vertices, arrows, relations): every path of length `length` is zero,
-    and so are some of the paths of length 2."""
-    n = draw(st.integers(1, 5))
-    arrows = draw(st.lists(st.tuples(st.integers(0, n - 1),
-                                     st.integers(0, n - 1)),
-                           min_size=1, max_size=6))
-    paths = [(i,) for i in range(len(arrows))]
-    length = draw(st.integers(2, 4))
-    for _ in range(length - 1):
-        paths = [q + (i,) for q in paths for i, (s, _) in enumerate(arrows)
-                 if arrows[q[-1]][1] == s]
-    twos = [(i, j) for i, (_, t) in enumerate(arrows)
-            for j, (s, _) in enumerate(arrows) if t == s]
-    zero = draw(st.lists(st.sampled_from(twos), unique=True)) if twos else []
-    return n, arrows, paths + zero
-
-
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(quiver=monomial_quivers(),
        p=st.sampled_from([2, 3, 5, 101, 65521]),
@@ -281,6 +268,23 @@ def test_structure_of_random_monomial_quivers(quiver, p, seed):
     assert [s.dim for s in simples(a)] == [1] * n
     assert sorted(pm.dim for pm, _ in projective_indecomposables(a)) == starts
     assert len(chop(LeftModule.regular(a)).factors) == path.dim
+    _assert_radical_certified(a)
+
+
+def _assert_radical_certified(a):
+    """rad(A) is nilpotent, rad^k = 0 for some k <= dim A, and A/rad(A)
+    has a zero trace radical."""
+    p, rad = a.field.p, algebra_radical(a).arr
+    power = rad
+    for _ in range(a.dim):
+        prods = np.einsum("ia,jb,abk->ijk", power, rad, a.sc) % p
+        power = row_basis(FpMatrix(prods.reshape(-1, a.dim), a.field)).arr
+    assert power.shape[0] == 0
+    qm = quotient_maps(FpMatrix(rad.T, a.field))
+    free = qm.include.arr.argmax(axis=0)
+    quotient = Algebra(a.field, a.sc[np.ix_(free, free)] @ qm.project.arr.T,
+                       qm.project.arr @ a.unit)
+    assert algebra_radical(quotient).rows == 0
 
 
 def _matrix_algebra(n):
@@ -325,6 +329,7 @@ def test_structure_of_matrix_blocks(p, factors, radical, simple, pim):
     assert [f.dim for f in chop(reg).factors] == [simple] * (a.dim // simple)
     assert [piece.dim for piece, _ in split_module(reg)] == \
         [pim] * (a.dim // pim)
+    _assert_radical_certified(a)
 
 
 # ---------------------------------------------------------------------------
@@ -390,3 +395,71 @@ def test_projective_cover_matches_greedy_search(name, p, side, seed):
     assert kernel.shape[0] == pres.cover.dim - m.dim
     assert np.array_equal(row_basis(FpMatrix(kernel, a.field)).arr, kernel)
     assert not (want @ kernel.T % p).any()
+
+
+# ---------------------------------------------------------------------------
+# covers shared by module content
+
+
+def _count_cover_builds(monkeypatch):
+    """The dimensions of the modules whose cover is computed from now on."""
+    dims, build = [], structure._cover_parts
+    monkeypatch.setattr(structure, "_cover_parts",
+                        lambda m: dims.append(m.dim) or build(m))
+    return dims
+
+
+def _copy(m):
+    return type(m)(m.over, [FpMatrix(x.arr.copy(), x.field)
+                            for x in m.action])
+
+
+def test_equal_modules_share_one_cover(monkeypatch):
+    a = a2_algebra(FIELD2)
+    built = _count_cover_builds(monkeypatch)
+    for m in simples(a) + [LeftModule.regular(a), RightModule.regular(a)]:
+        m1, m2 = _copy(m), _copy(m)
+        first, second = projective_cover(m1), projective_cover(m2)
+        assert built.pop() == m.dim and not built
+        if m2.side == "left":
+            assert second.module is m2
+        assert second.epi.target is second.module
+        assert second.epi.source is second.cover is first.cover
+        assert second.kernel is first.kernel
+        assert np.array_equal(second.epi.matrix.arr, first.epi.matrix.arr)
+
+
+def test_cover_index_entry_goes_with_its_module():
+    # a covered module holds its cover, kernel and the kernel's own cover,
+    # and nothing of these points back to it: its index entry goes on the
+    # last reference, without a cycle collection
+    a = a2_algebra(FIELD2)
+    mods = [_copy(s) for s in simples(a)]
+    verdicts = [pd_bounded(m) for m in mods]
+    index = a._cache["covers"]
+    entries = len(index)
+    gc.disable()
+    try:
+        del mods
+        left = len(index)
+    finally:
+        gc.enable()
+    assert sorted(v.value for v in verdicts) == [0, 1]
+    assert entries == 2 and left == 0
+
+
+def test_nakayama_syzygies_share_covers(monkeypatch):
+    # N(4,3): every PIM is uniserial of length 3, so Omega(S_i) has dim 2
+    # and Omega^2(S_i) is again a simple; the covers of all four periodic
+    # resolutions are the covers of the 4 simples and of their 4 syzygies
+    n, k = 4, 3
+    a = monomial_quiver_algebra(n, [(i, (i + 1) % n) for i in range(n)],
+                                [[(s + j) % n for j in range(k)]
+                                 for s in range(n)], FieldSpec(3))
+    built = _count_cover_builds(monkeypatch)
+    for s in simples(a):
+        assert pd_bounded(s) == DimensionVerdict.exceeds(2 * n * k)
+        res = minimal_projective_resolution(s, 6)
+        assert [t.dim for t in res.terms] == [k] * 7
+        assert [z.dim for z in res.syzygies] == [1, k - 1] * 4
+    assert sorted(built) == [1] * n + [k - 1] * n
