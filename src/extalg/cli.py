@@ -104,13 +104,14 @@ def _presented(cls, module_key: str, map_key: str):
     return build
 
 
-def _tuple(cls):
-    """Builder of a (co, right) tuple: a context, two modules, f and g."""
+def _tuple(cls, first: str, second: str):
+    """Builder of a (co, right) tuple: a context, the two modules under the
+    keys first and second, f and g."""
     def build(spec, ref, _):
         ring = ref("contexts", spec["context"])
-        first = ref("modules", spec.get("x", spec.get("w")))
-        second = ref("modules", spec.get("y", spec.get("q")))
-        return cls(ring, first, second, _mat(spec["f"], ring.prod.field),
+        return cls(ring, ref("modules", spec[first]),
+                   ref("modules", spec[second]),
+                   _mat(spec["f"], ring.prod.field),
                    _mat(spec["g"], ring.prod.field))
     return build
 
@@ -127,9 +128,10 @@ ENTITIES = (
     ("copairs", "copairs", "copair", _presented(CopairModule, "y", "beta")),
     ("right_pairs", "right_pairs", "right pair",
      _presented(RightPairModule, "x", "alpha")),
-    ("tuples", "tuples", "tuple", _tuple(TupleModule)),
-    ("cotuples", "cotuples", "cotuple", _tuple(CoTupleModule)),
-    ("right_tuples", "right_tuples", "right tuple", _tuple(RightTupleModule)),
+    ("tuples", "tuples", "tuple", _tuple(TupleModule, "x", "y")),
+    ("cotuples", "cotuples", "cotuple", _tuple(CoTupleModule, "x", "y")),
+    ("right_tuples", "right_tuples", "right tuple",
+     _tuple(RightTupleModule, "w", "q")),
 )
 
 
@@ -137,26 +139,41 @@ class Workspace:
     """Named entities resolved from a workspace file."""
 
     def __init__(self, data: dict):
+        if not isinstance(data, dict):
+            raise WorkspaceError("expected a JSON object, got "
+                                 f"{type(data).__name__}")
         if data.get("schema_version") != SCHEMA_VERSION:
             raise WorkspaceError("unsupported or missing schema_version")
-        self.field = FieldSpec(int(data.get("field", {}).get("p", 2)))
+        field = data.get("field", {})
+        if not isinstance(field, dict):
+            raise WorkspaceError("field: expected an object like {\"p\": 2}")
+        try:
+            self.field = FieldSpec(int(field.get("p", 2)))
+        except (TypeError, ValueError) as e:    # LinalgError is a ValueError
+            raise WorkspaceError(f"field.p: {e}") from e
+        kinds = {attr: kind for _, attr, kind, _ in ENTITIES}
+
+        def ref(attr, name):
+            table = getattr(self, attr)
+            if name not in table:
+                raise WorkspaceError(f"unknown {kinds[attr]} '{name}'")
+            return table[name]
+
         for key, attr, kind, build in ENTITIES:
             table = {}
             setattr(self, attr, table)
-
-            def ref(attr, name, kind=kind):
-                if name not in getattr(self, attr):
-                    raise WorkspaceError(f"{kind} '{name}': unknown "
-                                         "reference")
-                return getattr(self, attr)[name]
-
-            for name, spec in sorted(data.get(key, {}).items()):
+            specs = data.get(key, {})
+            if not isinstance(specs, dict):
+                raise WorkspaceError(f"{key}: expected an object of named "
+                                     "entries")
+            for name, spec in sorted(specs.items()):
                 try:
                     table[name] = build(spec, ref, self.field)
-                except WorkspaceError:
-                    raise
+                except KeyError as e:
+                    raise WorkspaceError(f"{kind} '{name}': missing key "
+                                         f"{e}") from e
                 except Exception as e:
-                    raise WorkspaceError(f"{kind} '{name}': {e}")
+                    raise WorkspaceError(f"{kind} '{name}': {e}") from e
 
     def counts(self) -> dict:
         return {key: len(getattr(self, attr))
@@ -164,12 +181,18 @@ class Workspace:
 
 
 def load(path: str) -> Workspace:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    """The workspace in the file at path; every error names the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise WorkspaceError(f"parse error: {e}")
-    return Workspace(data)
+    except OSError as e:
+        raise WorkspaceError(f"cannot read '{path}': {e.strerror}") from e
+    except ValueError as e:     # undecodable bytes or malformed JSON
+        raise WorkspaceError(f"'{path}': parse error: {e}") from e
+    try:
+        return Workspace(data)
+    except WorkspaceError as e:
+        raise WorkspaceError(f"'{path}': {e}") from e
 
 
 # ---------------------------------------------------------------------------

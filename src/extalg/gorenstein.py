@@ -6,12 +6,14 @@ Decision power is stated honestly: over a self-injective or two-sided
 finitely-cotilted (Iwanaga-Gorenstein) algebra the bounded Ext battery is a
 full decision procedure; elsewhere a passing battery yields ProbableYes
 with the bound on record, and a failing one yields a certified refutation
-with a concrete witness.
+with a concrete witness.  The battery is one loop over the module and its
+transpose, each side reading Ext^i(-, A) off one minimal resolution, and
+the three complete-(co)resolution validators share one window check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Tuple
 
 from .algebra import (Algebra, Bimodule, HomSpace, LeftModule, ModuleHom,
@@ -21,17 +23,18 @@ from .algebra import (Algebra, Bimodule, HomSpace, LeftModule, ModuleHom,
                       other_side, quotient_module, tensor_bimodule_left,
                       tensor_map_second)
 from .homology import (ChainComplex, Resolution, _precompose_matrix,
-                       default_bound, fd_bounded, hom_complex, hom_complex_co,
-                       id_bounded, is_exact_complex,
+                       default_bound, ext_dims, fd_bounded, hom_complex,
+                       hom_complex_co, id_bounded, is_exact_complex,
                        minimal_projective_resolution, pd_bounded)
 from .linalg import (FpMatrix, hstack, is_invertible, kron, rank, solve,
                      vstack)
-from .structure import is_projective, projective_indecomposables
+from .structure import (injective_indecomposables, is_injective,
+                        is_projective, projective_indecomposables)
 from .trivext import (CopairModule, PairModule, RightPairModule,
                       TrivialExtension, _inflate, copair_to_module,
-                      functor_C, functor_K, functor_T, induced_delta,
-                      module_to_pair, opposite_extension, pair_to_module,
-                      right_pair_to_module)
+                      functor_C, functor_H, functor_K, functor_T,
+                      induced_delta, module_to_pair, opposite_extension,
+                      pair_to_module, right_pair_to_module)
 
 
 class GorensteinError(ValueError):
@@ -109,21 +112,6 @@ def gorenstein_regime(a: Algebra, bound: Optional[int] = None
     return a._cache[key]
 
 
-def _ext_dims_vs_regular(g, upto: int) -> List[int]:
-    """[dim Ext^i(g, A)] for i = 1..upto, via the minimal resolution of the
-    left module g."""
-    reg = LeftModule.regular(g.over)
-    res = minimal_projective_resolution(g, upto + 1)
-    spaces = [hom_space(t, reg) for t in res.terms]
-    maps = [_precompose_matrix(spaces[j], spaces[j + 1], res.diffs[j])
-            for j in range(upto + 1)]
-    out = []
-    for i in range(1, upto + 1):
-        cocycles = spaces[i].dim - rank(maps[i])
-        out.append(cocycles - rank(maps[i - 1]))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the three deciders
 
@@ -142,28 +130,25 @@ def gp_check(g, bound: Optional[int] = None) -> GorensteinVerdict:
     if regime == SELF_INJECTIVE:
         return GorensteinVerdict(CERTIFIED_YES, regime,
                                  {"reason": "self_injective_regime"}, bound)
+    # the bounded totally reflexive battery: Ext^i(-, A) for i = 1..limit
+    # on g and, outside the Iwanaga-Gorenstein regime, on its transpose
     limit = dl.value if regime == IWANAGA_GORENSTEIN else bound
-    dims = _ext_dims_vs_regular(g, limit)
-    for i, d in enumerate(dims, start=1):
-        if d:
+    for side in ("module", "transpose"):
+        mod = g if side == "module" else as_left(star_module(g)[0])
+        res = minimal_projective_resolution(mod, limit + 1)
+        dims = ext_dims(res, LeftModule.regular(mod.over), limit)
+        for i, e in enumerate(dims[1:], start=1):
+            if e.dim:
+                return GorensteinVerdict(
+                    CERTIFIED_NO, regime,
+                    {"reason": "nonvanishing_ext_vs_regular", "index": i,
+                     "dim": e.dim, "side": side}, bound)
+        if regime == IWANAGA_GORENSTEIN:
             return GorensteinVerdict(
-                CERTIFIED_NO, regime,
-                {"reason": "nonvanishing_ext_vs_regular", "index": i,
-                 "dim": d, "side": "module"}, bound)
-    if regime == IWANAGA_GORENSTEIN:
-        return GorensteinVerdict(
-            CERTIFIED_YES, regime,
-            {"reason": "ext_vanishing_up_to_selfinjective_dimension",
-             "checked": limit, "id_left": dl.value, "id_right": dr.value},
-            bound)
-    # unknown regime: the bounded totally reflexive battery
-    dims2 = _ext_dims_vs_regular(as_left(star_module(g)[0]), bound)
-    for i, d in enumerate(dims2, start=1):
-        if d:
-            return GorensteinVerdict(
-                CERTIFIED_NO, regime,
-                {"reason": "nonvanishing_ext_vs_regular", "index": i,
-                 "dim": d, "side": "transpose"}, bound)
+                CERTIFIED_YES, regime,
+                {"reason": "ext_vanishing_up_to_selfinjective_dimension",
+                 "checked": limit, "id_left": dl.value, "id_right": dr.value},
+                bound)
     ev = biduality_map(g)
     if ev.matrix.rows != ev.matrix.cols or not is_invertible(ev.matrix):
         return GorensteinVerdict(
@@ -176,22 +161,21 @@ def gp_check(g, bound: Optional[int] = None) -> GorensteinVerdict:
                               "checked": bound}, bound)
 
 
+def _routed(v: GorensteinVerdict, route: str) -> GorensteinVerdict:
+    return replace(v, certificate={**v.certificate, "route": route})
+
+
 def gi_check(y, bound: Optional[int] = None) -> GorensteinVerdict:
     """Gorenstein injectivity, via the dual over the opposite algebra."""
-    v = gp_check(as_left(dual_module(y)), bound)
-    cert = dict(v.certificate)
-    cert["route"] = "dual_over_opposite"
-    return GorensteinVerdict(v.answer, v.regime, cert, v.bound)
+    return _routed(gp_check(as_left(dual_module(y)), bound),
+                   "dual_over_opposite")
 
 
 def gf_check_right(x: RightModule,
                    bound: Optional[int] = None) -> GorensteinVerdict:
     """Gorenstein flatness of a right module through its character module
     (realized as the linear dual, a left module)."""
-    v = gi_check(dual_module(x), bound)
-    cert = dict(v.certificate)
-    cert["route"] = "character_dual"
-    return GorensteinVerdict(v.answer, v.regime, cert, v.bound)
+    return _routed(gi_check(dual_module(x), bound), "character_dual")
 
 
 # ---------------------------------------------------------------------------
@@ -356,19 +340,22 @@ def complete_resolution(c, window: int) -> CompleteResolution:
     return CompleteResolution(c, cx, mono, res1)
 
 
-def validate_complete_resolution(cr: CompleteResolution) -> dict:
-    """Window exactness, the kernel identification, and Hom-exactness into
-    every projective indecomposable."""
-    ok_exact, fail_at = is_exact_complex(cr.complex)
-    f0 = cr.complex.diff_at(0)
-    ker_ok = is_kernel_inclusion(cr.mono, f0)
-    hom_ok = True
-    for p, _ in projective_indecomposables(cr.module.over):
-        hc = hom_complex(cr.complex, p)
-        good, _ = is_exact_complex(hc)
-        hom_ok = hom_ok and good
+def _window_checks(cx: ChainComplex, mono: ModuleHom, hom_key: str,
+                   hom_complexes) -> dict:
+    """The checks every complete (co)resolution window takes: exactness,
+    mono as the kernel of the degree-0 differential, and exactness of each
+    Hom complex of the test family, reported under hom_key."""
+    ok_exact, fail_at = is_exact_complex(cx)
     return {"window_exact": ok_exact, "first_failure": fail_at,
-            "kernel_identified": ker_ok, "hom_exact_into_projectives": hom_ok}
+            "kernel_identified": is_kernel_inclusion(mono, cx.diff_at(0)),
+            hom_key: all(is_exact_complex(hc)[0] for hc in hom_complexes)}
+
+
+def validate_complete_resolution(cr: CompleteResolution) -> dict:
+    """The window checks, with Hom into every projective indecomposable."""
+    return _window_checks(cr.complex, cr.mono, "hom_exact_into_projectives", (
+        hom_complex(cr.complex, p)
+        for p, _ in projective_indecomposables(cr.module.over)))
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +398,9 @@ def build_pair_complete_resolution(pair: PairModule, window: int = None
     lambdas = []
     qs = []
     k_mod = pair.x
-    delta = induced_delta(pair) if coker.dim else ModuleHom(
+    # delta: M ox coker -> X with delta o (M ox rho) = alpha; it starts both
+    # halves
+    delta = delta0 = induced_delta(pair) if coker.dim else ModuleHom(
         mten(coker).space, pair.x,
         FpMatrix.zeros(pair.x.dim, mten(coker).space.dim, t.field),
         validate=False)
@@ -468,7 +457,7 @@ def build_pair_complete_resolution(pair: PairModule, window: int = None
     xis = []
     kappas = []
     l_mod = pair.x
-    delta_l = delta_init = (induced_delta(pair) if coker.dim else None)
+    delta_l = delta0
     rho_l = rho
     c_l, ts_c = coker, mten(coker)
     for j in range(window + 1):
@@ -488,10 +477,8 @@ def build_pair_complete_resolution(pair: PairModule, window: int = None
                                   f"{-(j + 1)}; compatibility presumably "
                                   "unmet")
         m_pi = tensor_map_second(ts_pj, ts_c, pi_j)
-        dmat = delta_l.matrix if delta_l is not None else FpMatrix.zeros(
-            l_mod.dim, ts_c.space.dim, t.field)
         xi = ModuleHom(w_j, l_mod, hstack([
-            eta.matrix, dmat @ m_pi.matrix]), validate=False)
+            eta.matrix, delta_l.matrix @ m_pi.matrix]), validate=False)
         terms_l.append((p_j, w_j))
         xis.append(xi)
         if j == window:
@@ -541,26 +528,17 @@ def build_pair_complete_resolution(pair: PairModule, window: int = None
 
 
 def validate_pair_complete_resolution(res: PairCompleteResolution) -> dict:
-    """Window exactness, projectivity of every term, the kernel
-    identification, and Hom-exactness into the two test families of
-    extended modules."""
+    """The window checks, with Hom into T(Q) and Z(Q) for every projective
+    indecomposable Q of the base, and projectivity of every term."""
     t = res.pair.t
-    ok_exact, fail_at = is_exact_complex(res.complex)
-    g0 = res.complex.diff_at(0)
-    lam = res.ker_witness
-    ker_ok = is_kernel_inclusion(lam, g0)
-    proj_ok = all(is_projective(pair_to_module(pt)) for pt in res.terms)
-    hom_ok = True
-    for q, _ in projective_indecomposables(t.base):
-        tq = pair_to_module(functor_T(t, q))
-        zq = _inflate(t, q)
-        for target in (tq, zq):
-            hc = hom_complex(res.complex, target)
-            good, _ = is_exact_complex(hc)
-            hom_ok = hom_ok and good
-    return {"window_exact": ok_exact, "first_failure": fail_at,
-            "kernel_identified": ker_ok, "terms_projective": proj_ok,
-            "hom_exact_into_test_modules": hom_ok}
+    tests = [target for q, _ in projective_indecomposables(t.base)
+             for target in (pair_to_module(functor_T(t, q)), _inflate(t, q))]
+    checks = _window_checks(res.complex, res.ker_witness,
+                            "hom_exact_into_test_modules",
+                            (hom_complex(res.complex, m) for m in tests))
+    checks["terms_projective"] = all(is_projective(pair_to_module(pt))
+                                     for pt in res.terms)
+    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -611,28 +589,18 @@ def build_copair_complete_coresolution(copair: CopairModule,
 
 def validate_copair_complete_coresolution(
         res: CopairCompleteCoresolution) -> dict:
-    """Window exactness, injectivity of every term, the kernel
-    identification, and Hom-exactness from the two test families."""
-    from .structure import is_injective
-    from .trivext import functor_H, module_to_copair
+    """The window checks, with Hom from H(E) and Z(E) for every injective
+    indecomposable E of the base, and injectivity of every term."""
     t = res.copair.t
-    ok_exact, fail_at = is_exact_complex(res.complex)
-    d0 = res.complex.diff_at(0)
-    wit = res.ker_witness
-    ker_ok = is_kernel_inclusion(wit, d0)
-    inj_ok = all(is_injective(mod) for mod in res.complex.modules)
-    from .structure import injective_indecomposables
-    hom_ok = True
-    for e, _ in injective_indecomposables(t.base):
-        he = copair_to_module(functor_H(t, e))
-        ze = _inflate(t, e)
-        for source in (he, ze):
-            hc = hom_complex_co(source, res.complex)
-            good, _ = is_exact_complex(hc)
-            hom_ok = hom_ok and good
-    return {"window_exact": ok_exact, "first_failure": fail_at,
-            "kernel_identified": ker_ok, "terms_injective": inj_ok,
-            "hom_exact_from_test_modules": hom_ok}
+    tests = [source for e, _ in injective_indecomposables(t.base)
+             for source in (copair_to_module(functor_H(t, e)),
+                            _inflate(t, e))]
+    checks = _window_checks(res.complex, res.ker_witness,
+                            "hom_exact_from_test_modules",
+                            (hom_complex_co(m, res.complex) for m in tests))
+    checks["terms_injective"] = all(is_injective(mod)
+                                    for mod in res.complex.modules)
+    return checks
 
 
 # ---------------------------------------------------------------------------

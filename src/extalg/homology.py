@@ -6,6 +6,9 @@ X^{i+1}.  A right module is resolved as the left module over the opposite
 algebra (`as_left`).  Injective dimension is computed as the projective
 dimension of the dual over the opposite algebra; flat dimension coincides
 with the projective one for the finite-dimensional modules handled here.
+Both resolution builders run one covering loop, fed the minimal or the
+padded degree-0 presentation, and every Ext dimension is read off
+Hom(resolution, N) by `ext_dims`.
 """
 
 from __future__ import annotations
@@ -13,13 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .algebra import (Algebra, AlgebraError, HomSpace, ModuleHom, as_left,
                       direct_sum_modules, dual_module, field_space, hom_space,
                       is_exact_at, kernel_module)
-from .linalg import FpMatrix, rank
-from .structure import projective_cover, projective_indecomposables
+from .linalg import FpMatrix, hstack, rank
+from .structure import (ProjectivePresentation, projective_cover,
+                        projective_indecomposables)
 
 
 def default_bound(a: Algebra) -> int:
@@ -93,50 +95,38 @@ class Resolution:
         return ChainComplex(-self.length(), mods, diffs, validate=False)
 
 
-def minimal_projective_resolution(m, n: int) -> Resolution:
-    """Resolution of length n by iterated projective covers."""
-    m = as_left(m)
-    terms, diffs, syzygies, syz_incl = [], [], [m], []
-    pres = projective_cover(m)
-    terms.append(pres.cover)
+def _resolve(pres, n: int) -> Resolution:
+    """Extend the degree-0 presentation pres of its module by n covers."""
+    terms, diffs = [pres.cover], []
+    syzygies, syz_incl = [pres.module, pres.kernel], [pres.kernel_inclusion]
     epi = pres.epi
     for _ in range(n):
-        syzygies.append(pres.kernel)
-        syz_incl.append(pres.kernel_inclusion)
         nxt = projective_cover(pres.kernel)
         terms.append(nxt.cover)
         diffs.append(pres.kernel_inclusion.compose(nxt.epi))
+        syzygies.append(nxt.kernel)
+        syz_incl.append(nxt.kernel_inclusion)
         pres = nxt
-    syzygies.append(pres.kernel)
-    syz_incl.append(pres.kernel_inclusion)
-    return Resolution(m, terms, diffs, epi, syzygies, syz_incl)
+    return Resolution(syzygies[0], terms, diffs, epi, syzygies, syz_incl)
+
+
+def minimal_projective_resolution(m, n: int) -> Resolution:
+    """Resolution of length n by iterated projective covers."""
+    return _resolve(projective_cover(m), n)
 
 
 def non_minimal_resolution(m, n: int) -> Resolution:
     """A deliberately padded projective resolution: the degree-0 cover gets
     an extra indecomposable projective summand mapping to zero.  Used to
     cross-check resolution independence of Ext."""
-    m = as_left(m)
-    extra = projective_indecomposables(m.over)[0][0]
     pres = projective_cover(m)
+    m = pres.module
+    extra = projective_indecomposables(m.over)[0][0]
     cover, _, _ = direct_sum_modules([pres.cover, extra])
-    field = m.over.field
-    epi_mat = FpMatrix(np.hstack([pres.epi.matrix.arr,
-                                  np.zeros((m.dim, extra.dim),
-                                           dtype=np.int64)]), field)
-    epi = ModuleHom(cover, m, epi_mat, validate=False)
-    ker, ker_incl = kernel_module(epi)
-    terms, diffs = [cover], []
-    syzygies, syz_incl = [m, ker], [ker_incl]
-    cur, cur_incl = ker, ker_incl
-    for _ in range(n):
-        nxt = projective_cover(cur)
-        terms.append(nxt.cover)
-        diffs.append(cur_incl.compose(nxt.epi))
-        syzygies.append(nxt.kernel)
-        syz_incl.append(nxt.kernel_inclusion)
-        cur, cur_incl = nxt.kernel, nxt.kernel_inclusion
-    return Resolution(m, terms, diffs, epi, syzygies, syz_incl)
+    epi = ModuleHom(cover, m, hstack([pres.epi.matrix, FpMatrix.zeros(
+        m.dim, extra.dim, m.over.field)]), validate=False)
+    return _resolve(ProjectivePresentation(m, cover, epi,
+                                           *kernel_module(epi)), n)
 
 
 def syzygy(m, i: int):
@@ -163,17 +153,23 @@ def _precompose_matrix(hs_from: HomSpace, hs_to: HomSpace,
     return hs_to.coords_many(hs_from.basis_array() @ d.matrix.arr)
 
 
-def ext_from_resolution(res: Resolution, n, i: int) -> ExtResult:
-    """dim Ext^i from an explicit projective resolution (length >= i+1)."""
-    if res.length() < i + 1:
+def ext_dims(res: Resolution, n, upto: int) -> List[ExtResult]:
+    """Ext^0 .. Ext^upto off Hom(res, n), each map ranked once; the
+    resolution needs length >= upto+1."""
+    if res.length() < upto + 1:
         raise AlgebraError("resolution too short for the requested Ext")
     n = as_left(n)
-    spaces = [hom_space(t, n) for t in res.terms[: i + 2]]
-    maps = [_precompose_matrix(spaces[j], spaces[j + 1], res.diffs[j])
-            for j in range(i + 1)]
-    cocycles = spaces[i].dim - rank(maps[i])
-    coboundaries = rank(maps[i - 1]) if i >= 1 else 0
-    return ExtResult(cocycles - coboundaries, cocycles, coboundaries)
+    spaces = [hom_space(t, n) for t in res.terms[: upto + 2]]
+    ranks = [rank(_precompose_matrix(spaces[j], spaces[j + 1], res.diffs[j]))
+             for j in range(upto + 1)]
+    cocycles = [s.dim - r for s, r in zip(spaces, ranks)]
+    coboundaries = [0] + ranks
+    return [ExtResult(z - b, z, b) for z, b in zip(cocycles, coboundaries)]
+
+
+def ext_from_resolution(res: Resolution, n, i: int) -> ExtResult:
+    """dim Ext^i from an explicit projective resolution (length >= i+1)."""
+    return ext_dims(res, n, i)[i]
 
 
 def ext(m, n, i: int) -> ExtResult:

@@ -4,7 +4,11 @@ extension (A x B) |x (U + V).
 
 Basis order everywhere: A, B, U, V.  The direct matrix-ring construction
 and the trivial-extension composite produce literally equal structure
-constants, so the validated isomorphism witness is the identity.
+constants, so the validated isomorphism witness is the identity.  theta
+and theta_co write f and g as the U and V blocks of a module over the ring
+and read the (co)pair off that module; theta_inverse reads the blocks back.
+The theorem harnesses are the corollary harness over the extension by
+U + V, plus the sufficiency reports on U and V.
 
 Right tuples (W, Q, f, g) are the left tuples (W, Q, g, f) over the
 opposite context (A^op, B^op, V^swap, U^swap), whose ring `MoritaRing.opposite`
@@ -18,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -28,8 +32,8 @@ from .algebra import (Algebra, Bimodule, LeftModule, ModuleHom, RightModule,
                       opposite_algebra, product_algebra, row_space_of_columns,
                       swapped_tensor, tensor_bimodule_left, tensor_map_second)
 from .gorenstein import (compatibility_report, gf_check_right, gi_check,
-                         gp_check, holds, zr_bimodule, _classify)
-from .linalg import FpMatrix, hstack, inverse, kron, rank, solve
+                         gp_check, verify_corollary)
+from .linalg import FpMatrix, kron, rank, solve
 from .trivext import (CopairModule, PairModule, RightPairModule,
                       TrivialExtension, copair_to_module, module_to_copair,
                       module_to_pair, module_to_right_pair, pair_to_module,
@@ -80,12 +84,6 @@ class MoritaRing:
             c.u.swap()))
 
 
-def _embed(total: int, offset: int, small: int, field) -> FpMatrix:
-    arr = np.zeros((total, small), dtype=np.int64)
-    arr[offset:offset + small] = np.eye(small, dtype=np.int64)
-    return FpMatrix(arr, field)
-
-
 def morita_ring(d: MoritaContextData) -> MoritaRing:
     """Both constructions of the ring, with the validated identification."""
     a, b, u, v = d.a, d.b, d.u, d.v
@@ -126,17 +124,6 @@ def morita_ring(d: MoritaContextData) -> MoritaRing:
 
 # ---------------------------------------------------------------------------
 # tuple categories
-
-
-def _prod_left(ring: MoritaRing, x: LeftModule, y: LeftModule) -> LeftModule:
-    from .linalg import direct_sum
-    na = ring.context.a.dim
-    field = ring.prod.field
-    zx = FpMatrix.zeros(x.dim, x.dim, field)
-    zy = FpMatrix.zeros(y.dim, y.dim, field)
-    action = [direct_sum(x.action[i], zy) for i in range(na)] + \
-        [direct_sum(zx, y.action[j]) for j in range(ring.context.b.dim)]
-    return LeftModule(ring.prod, action, validate=False)
 
 
 class TupleModule:
@@ -240,38 +227,32 @@ class CoTupleModule:
 # the category isomorphisms
 
 
-def _left_split_iso(ring: MoritaRing, ts, tsux, tsvy, incl_x: FpMatrix,
-                    incl_y: FpMatrix) -> Tuple[FpMatrix, FpMatrix, FpMatrix]:
-    """(m1, m2, iso): the canonical maps U ox X -> N ox P and
-    V ox Y -> N ox P, and their invertible juxtaposition."""
-    field = ring.prod.field
-    du, dv = ring.context.u.dim, ring.context.v.dim
-    dn = du + dv
-    eu = _embed(dn, 0, du, field)
-    ev = _embed(dn, du, dv, field)
-    m1 = ts.project @ kron(eu, incl_x) @ tsux.include
-    m2 = ts.project @ kron(ev, incl_y) @ tsvy.include
-    iso = hstack([m1, m2]) if m1.cols + m2.cols else \
-        FpMatrix.zeros(ts.project.rows, 0, field)
-    inv = inverse(iso)
-    if inv is None:
-        raise MoritaError("tensor splitting is not invertible")
-    return m1, m2, inv
+def _ring_module(ring: MoritaRing, x: LeftModule, y: LeftModule,
+                 u_blocks: np.ndarray, v_blocks: np.ndarray) -> LeftModule:
+    """X + Y as a module over the ring: A and B act on X and Y, the k-th
+    basis element of U by u_blocks[k]: X -> Y and that of V by
+    v_blocks[k]: Y -> X."""
+    na, k, du = ring.context.a.dim, ring.prod.dim, ring.context.u.dim
+    dx, n = x.dim, x.dim + y.dim
+    action = np.zeros((ring.total.dim, n, n), dtype=np.int64)
+    action[:na, :dx, :dx] = [m.arr for m in x.action]
+    action[na:k, dx:, dx:] = [m.arr for m in y.action]
+    action[k:k + du, dx:, :dx] = u_blocks
+    action[k + du:, :dx, dx:] = v_blocks
+    return LeftModule(ring.total, [FpMatrix(m, ring.prod.field)
+                                   for m in action])
 
 
 def theta(t: TupleModule) -> PairModule:
-    """The pair ((X, Y), (g, f)) over the extension."""
+    """The pair ((X, Y), (g, f)) over the extension, read off the module
+    over the ring whose U and V blocks are f and g."""
     ring = t.ring
-    field = ring.prod.field
     dx, dy = t.x.dim, t.y.dim
-    xy = _prod_left(ring, t.x, t.y)
-    ts = tensor_bimodule_left(ring.bim, xy)
-    incl_x = _embed(dx + dy, 0, dx, field)
-    incl_y = _embed(dx + dy, dx, dy, field)
-    _, _, inv = _left_split_iso(ring, ts, t.tsux, t.tsvy, incl_x, incl_y)
-    on_split = hstack([incl_y @ t.f.matrix, incl_x @ t.g.matrix])
-    alpha = on_split @ inv
-    return PairModule(ring.ext, xy, alpha)
+    du, dv = ring.context.u.dim, ring.context.v.dim
+    f = (t.f.matrix @ t.tsux.project).arr.reshape(dy, du, dx)
+    g = (t.g.matrix @ t.tsvy.project).arr.reshape(dx, dv, dy)
+    return module_to_pair(_ring_module(ring, t.x, t.y, f.transpose(1, 0, 2),
+                                       g.transpose(1, 0, 2)), ring.ext)
 
 
 def _split_prod_left(ring: MoritaRing, p: LeftModule):
@@ -289,16 +270,31 @@ def _split_prod_left(ring: MoritaRing, p: LeftModule):
     return tuple(out)
 
 
+def _read_blocks(action: list, incl_src: FpMatrix, incl_tgt: FpMatrix,
+                 ts) -> Optional[FpMatrix]:
+    """The map ts.space -> target, ts the tensor of a bimodule with the
+    source, whose block at the k-th bimodule basis element is action[k]
+    between the summands with column bases incl_src and incl_tgt; None when
+    the action leaves the target summand."""
+    d, ds = incl_src.rows, incl_src.cols
+    stack = np.array([m.arr for m in action], dtype=np.int64).reshape(
+        len(action), d, d) @ incl_src.arr
+    plain = stack.transpose(1, 0, 2).reshape(d, len(action) * ds)
+    return solve(incl_tgt, FpMatrix(plain, incl_src.field) @ ts.include)
+
+
 def theta_inverse(pair: PairModule, ring: MoritaRing) -> TupleModule:
+    """The tuple whose f and g are the U and V blocks of the pair's module
+    over the ring, split along the central idempotents of A x B."""
     if pair.t is not ring.ext:
         raise MoritaError("pair does not live over this ring")
     x, incl_x, y, incl_y = _split_prod_left(ring, pair.x)
-    tsux = tensor_bimodule_left(ring.context.u, x)
-    tsvy = tensor_bimodule_left(ring.context.v, y)
-    m1, m2, _ = _left_split_iso(ring, pair.tensor, tsux, tsvy,
-                                incl_x, incl_y)
-    f = solve(incl_y, pair.alpha.matrix @ m1)
-    g = solve(incl_x, pair.alpha.matrix @ m2)
+    ideal = pair_to_module(pair).action[ring.prod.dim:]
+    du = ring.context.u.dim
+    f = _read_blocks(ideal[:du], incl_x, incl_y,
+                     tensor_bimodule_left(ring.context.u, x))
+    g = _read_blocks(ideal[du:], incl_y, incl_x,
+                     tensor_bimodule_left(ring.context.v, y))
     if f is None or g is None:
         raise MoritaError("structure map does not respect the splitting")
     return TupleModule(ring, x, y, f, g)
@@ -341,25 +337,16 @@ def upsilon_inverse(rp: RightPairModule, ring: MoritaRing) -> RightTupleModule:
 
 
 def theta_co(ct: CoTupleModule) -> CopairModule:
-    """The copair over the extension, built through the total module."""
+    """The copair over the extension, read off the module over the ring
+    whose U and V blocks evaluate f and g."""
     ring = ct.ring
-    field = ring.prod.field
     dx, dy = ct.x.dim, ct.y.dim
-    xy = _prod_left(ring, ct.x, ct.y)
     du, dv = ring.context.u.dim, ring.context.v.dim
-    ideal_mats = []
-    for k in range(du):
-        m = np.zeros((dx + dy, dx + dy), dtype=np.int64)
-        m[dx:, :dx] = (ct.hom_uy.evaluation_matrix(k)
-                       @ ct.f.matrix).arr
-        ideal_mats.append(FpMatrix(m, field))
-    for k in range(dv):
-        m = np.zeros((dx + dy, dx + dy), dtype=np.int64)
-        m[:dx, dx:] = (ct.hom_vx.evaluation_matrix(k)
-                       @ ct.g.matrix).arr
-        ideal_mats.append(FpMatrix(m, field))
-    total = LeftModule(ring.total, list(xy.action) + ideal_mats)
-    return module_to_copair(total, ring.ext)
+    f = np.array([(ct.hom_uy.evaluation_matrix(k) @ ct.f.matrix).arr
+                  for k in range(du)], dtype=np.int64).reshape(du, dy, dx)
+    g = np.array([(ct.hom_vx.evaluation_matrix(k) @ ct.g.matrix).arr
+                  for k in range(dv)], dtype=np.int64).reshape(dv, dx, dy)
+    return module_to_copair(_ring_module(ring, ct.x, ct.y, f, g), ring.ext)
 
 
 # ---------------------------------------------------------------------------
@@ -420,19 +407,6 @@ def tuple_hom_dim(s: TupleModule, t: TupleModule) -> int:
 # theorem harnesses
 
 
-def _lambda_reports(ring: MoritaRing, rep, bound) -> dict:
-    comp_u = rep(ring.context.u, bound)
-    comp_v = rep(ring.context.v, bound)
-    comp_n = rep(ring.bim, bound)
-    comp_zr = rep(zr_bimodule(ring.ext), bound)
-    return {"u_report": comp_u, "v_report": comp_v, "bimodule_report": comp_n,
-            "base_inflation_report": comp_zr,
-            "components_established": comp_u.sufficient_via is not None
-            and comp_v.sufficient_via is not None,
-            "established": comp_n.sufficient_via is not None
-            and comp_zr.sufficient_via is not None}
-
-
 def _tuple_hypotheses(t: TupleModule, decide: Callable, bound) -> dict:
     vf, ug = t.composites()
     return {"seq1_exact": is_exact_at(vf, t.g),
@@ -444,15 +418,17 @@ def _tuple_hypotheses(t: TupleModule, decide: Callable, bound) -> dict:
 def verify_theorem(ring: MoritaRing, lhs, hypotheses: dict,
                    report: Callable, bound) -> dict:
     """One (co)tuple's Gorenstein verdict lhs over the Morita ring against
-    its tuple-level hypotheses, with the sufficiency reports on U, V, their
-    sum and the inflated base."""
-    rhs = holds(hypotheses)
-    reports = _lambda_reports(ring, report, bound)
-    agree = lhs.is_yes() == rhs
-    return {"lhs": lhs, **hypotheses, "rhs_holds": rhs, **reports,
-            "hypotheses_established": reports["established"],
-            "agreement": agree,
-            "classification": _classify(agree, reports["established"])}
+    its tuple-level hypotheses: the corollary harness over the extension
+    by U + V, with the hypotheses inlined and the sufficiency reports on U
+    and V added."""
+    out = verify_corollary(ring.ext, lhs, hypotheses, report, bound)
+    out.update(out.pop("hypotheses"))
+    comp_u = report(ring.context.u, bound)
+    comp_v = report(ring.context.v, bound)
+    return {**out, "u_report": comp_u, "v_report": comp_v,
+            "components_established": comp_u.sufficient_via is not None
+            and comp_v.sufficient_via is not None,
+            "established": out["hypotheses_established"]}
 
 
 def verify_thm52(t: TupleModule, bound=None) -> dict:

@@ -115,6 +115,45 @@ def test_error_names_entity(corpus):
         Workspace(bad2)
 
 
+def test_unknown_references_name_both_entities(corpus):
+    bad = copy.deepcopy(corpus)
+    bad["pairs"]["broken"] = {"extension": "d", "x": "missing",
+                              "alpha": [[0]]}
+    with pytest.raises(WorkspaceError,
+                       match="^pair 'broken': unknown module 'missing'$"):
+        Workspace(bad)
+    bad2 = copy.deepcopy(corpus)
+    del bad2["tuples"]["nakayama_zero_tuple"]["x"]
+    with pytest.raises(WorkspaceError,
+                       match="^tuple 'nakayama_zero_tuple': missing key 'x'$"):
+        Workspace(bad2)
+
+
+@pytest.mark.parametrize("content, named", [
+    (None, "absent.json"),
+    (b"\xff\xfe{}", "ws.json"),
+    (b"[1, 2]", "ws.json"),
+    ({"field": 5}, "field"),
+    ({"field": {"p": "x"}}, "field.p"),
+    ({"field": {"p": 4}}, "field.p"),
+    ({"field": {"p": 70000}}, "field.p"),
+    ({"algebras": []}, "algebras"),
+], ids=["missing", "not_utf8", "list", "field_int", "p_text", "p_composite",
+        "p_too_large", "algebras_list"])
+def test_bad_workspace_exits_2_naming_the_fault(tmp_path, capsys, corpus,
+                                                content, named):
+    # content: raw bytes, or keys that replace those of the built-in corpus
+    path = tmp_path / ("absent.json" if content is None else "ws.json")
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
+        path.write_text(json.dumps({**corpus, **content}))
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
+
+
 def test_run_validate(ws):
     report = run("validate", ws, default_args())
     assert report["schema_version"] == SCHEMA_VERSION

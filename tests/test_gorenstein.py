@@ -9,7 +9,8 @@ from conftest import (FIELD2, double_extension, local_wild_algebra,
                       random_copair, random_pair, square_zero_extension,
                       triangular_extension)
 from extalg.algebra import (Bimodule, LeftModule, ModuleHom, RightModule,
-                            dual_module, hom_space, tensor_bimodule_left)
+                            dual_module, hom_space, monomial_quiver_algebra,
+                            product_algebra, tensor_bimodule_left)
 from extalg.gorenstein import (CERTIFIED_NO, CERTIFIED_YES,
                                IWANAGA_GORENSTEIN, PROBABLE_YES,
                                SELF_INJECTIVE, UNKNOWN, GorensteinError,
@@ -25,7 +26,7 @@ from extalg.gorenstein import (CERTIFIED_NO, CERTIFIED_YES,
                                verify_cor35, verify_cor45, verify_cor48,
                                zr_bimodule)
 from extalg.homology import ext, non_minimal_resolution, ext_from_resolution
-from extalg.linalg import FpMatrix, is_invertible
+from extalg.linalg import FieldSpec, FpMatrix, is_invertible
 from extalg.structure import is_isomorphic, is_projective, simples
 from extalg.trivext import (functor_Z_copair, functor_Z_pair, functor_T,
                             module_to_copair, module_to_pair,
@@ -137,6 +138,25 @@ def test_gp_unknown_regime_refutation():
                                        "biduality_not_invertible")
     vp = gp_check(LeftModule.regular(w), bound=3)
     assert vp.answer == CERTIFIED_YES
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_gp_unknown_regime_probable_yes(p):
+    # k[x]/(x^2) x wild: the simple of the first factor passes both sides of
+    # the battery and the biduality check; the wild simple fails the first
+    field = FieldSpec(p)
+    dual = monomial_quiver_algebra(1, [(0, 0)], [[0, 0]], field)
+    a, _, _ = product_algebra(dual, local_wild_algebra(field))
+    # the unit of the first factor acts as 1 on that factor's simple only
+    first, wild = sorted(simples(a), key=lambda s: -s.action[0].arr[0, 0])
+    v = gp_check(first, bound=3)
+    assert (v.answer, v.regime) == (PROBABLE_YES, UNKNOWN)
+    assert v.certificate == {"reason": "totally_reflexive_battery",
+                             "checked": 3}
+    w = gp_check(wild, bound=3)
+    assert (w.answer, w.regime) == (CERTIFIED_NO, UNKNOWN)
+    assert w.certificate == {"reason": "nonvanishing_ext_vs_regular",
+                             "index": 1, "dim": 3, "side": "module"}
 
 
 def test_gi_and_gf_routes(d_ext):
