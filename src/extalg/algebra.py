@@ -38,7 +38,8 @@ import numpy as np
 
 from .linalg import (FieldSpec, FpMatrix, LinalgError, QuotientMaps,
                      echelon_coords, hstack, in_row_span, kernel_basis, kron,
-                     quotient_maps, rank, row_basis, rref, vstack)
+                     matmul_mod, quotient_maps, rank, row_basis, rref,
+                     vstack)
 
 
 class AlgebraError(ValueError):
@@ -456,7 +457,7 @@ def invariant_action(action: Sequence[FpMatrix],
     RREF), in that basis; None when the span is not invariant."""
     acts = _stack(action, basis.cols)
     # moved[i, j] is action[i] applied to basis row j
-    moved = basis.arr @ acts.transpose(0, 2, 1)
+    moved = matmul_mod(basis.arr, acts.transpose(0, 2, 1), basis.field.p)
     coords = echelon_coords(basis, moved)
     if coords is None:
         return None

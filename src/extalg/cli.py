@@ -60,8 +60,20 @@ def _dump_mat(m: FpMatrix):
     return m.arr.tolist()
 
 
+def _field(value, where: str) -> FieldSpec:
+    """GF(value) for a JSON integer value; a float, string or bool is
+    rejected, not rounded or parsed."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise WorkspaceError(f"{where}: expected an integer, got "
+                             f"{json.dumps(value)}")
+    try:
+        return FieldSpec(value)
+    except LinalgError as e:
+        raise WorkspaceError(f"{where}: {e}") from e
+
+
 def _algebra(spec, ref, default_field):
-    field = FieldSpec(int(spec["p"])) if "p" in spec else default_field
+    field = _field(spec["p"], "p") if "p" in spec else default_field
     if "quiver" in spec:
         q = spec["quiver"]
         return monomial_quiver_algebra(
@@ -147,10 +159,7 @@ class Workspace:
         field = data.get("field", {})
         if not isinstance(field, dict):
             raise WorkspaceError("field: expected an object like {\"p\": 2}")
-        try:
-            self.field = FieldSpec(int(field.get("p", 2)))
-        except (TypeError, ValueError) as e:    # LinalgError is a ValueError
-            raise WorkspaceError(f"field.p: {e}") from e
+        self.field = _field(field.get("p", 2), "field.p")
         kinds = {attr: kind for _, attr, kind, _ in ENTITIES}
 
         def ref(attr, name):

@@ -8,7 +8,8 @@ dimension of the dual over the opposite algebra; flat dimension coincides
 with the projective one for the finite-dimensional modules handled here.
 Both resolution builders run one covering loop, fed the minimal or the
 padded degree-0 presentation, and every Ext dimension is read off
-Hom(resolution, N) by `ext_dims`.
+Hom(resolution, N) by `ext_dims`: off the blocks Hom(P_i, N) = e_i.N of
+the PIM summands P_i = A.e_i of each term, with no `HomSpace`.
 """
 
 from __future__ import annotations
@@ -16,12 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .algebra import (Algebra, AlgebraError, HomSpace, ModuleHom, as_left,
-                      direct_sum_modules, dual_module, field_space, hom_space,
-                      is_exact_at, kernel_module)
-from .linalg import FpMatrix, hstack, rank
-from .structure import (ProjectivePresentation, projective_cover,
-                        projective_indecomposables)
+import numpy as np
+
+from .algebra import (Algebra, AlgebraError, HomSpace, ModuleHom,
+                      _same_algebra, as_left, direct_sum_modules, dual_module,
+                      field_space, hom_space, is_exact_at, kernel_module)
+from .linalg import FpMatrix, echelon_coords, hstack, rank
+from .structure import (ProjectivePresentation, _pim_triples, pim_homs,
+                        projective_cover, projective_indecomposables)
 
 
 def default_bound(a: Algebra) -> int:
@@ -77,7 +80,8 @@ class Resolution:
 
     terms[i] = P^{-i}; diffs[i]: terms[i+1] -> terms[i]; syzygies[i] is the
     kernel after i covering steps (syzygies[0] = m) and syz_incl[i] embeds
-    syzygies[i+1] into terms[i].
+    syzygies[i+1] into terms[i]; summands[i] lists the PIM indices of the
+    summands of terms[i], as in `ProjectivePresentation`.
     """
     module: object
     terms: List
@@ -85,6 +89,7 @@ class Resolution:
     epi: ModuleHom
     syzygies: List
     syz_incl: List[ModuleHom]
+    summands: List[Tuple[int, ...]]
 
     def length(self) -> int:
         return len(self.terms) - 1
@@ -97,17 +102,19 @@ class Resolution:
 
 def _resolve(pres, n: int) -> Resolution:
     """Extend the degree-0 presentation pres of its module by n covers."""
-    terms, diffs = [pres.cover], []
+    terms, diffs, summands = [pres.cover], [], [pres.summands]
     syzygies, syz_incl = [pres.module, pres.kernel], [pres.kernel_inclusion]
     epi = pres.epi
     for _ in range(n):
         nxt = projective_cover(pres.kernel)
         terms.append(nxt.cover)
+        summands.append(nxt.summands)
         diffs.append(pres.kernel_inclusion.compose(nxt.epi))
         syzygies.append(nxt.kernel)
         syz_incl.append(nxt.kernel_inclusion)
         pres = nxt
-    return Resolution(syzygies[0], terms, diffs, epi, syzygies, syz_incl)
+    return Resolution(syzygies[0], terms, diffs, epi, syzygies, syz_incl,
+                      summands)
 
 
 def minimal_projective_resolution(m, n: int) -> Resolution:
@@ -125,8 +132,8 @@ def non_minimal_resolution(m, n: int) -> Resolution:
     cover, _, _ = direct_sum_modules([pres.cover, extra])
     epi = ModuleHom(cover, m, hstack([pres.epi.matrix, FpMatrix.zeros(
         m.dim, extra.dim, m.over.field)]), validate=False)
-    return _resolve(ProjectivePresentation(m, cover, epi,
-                                           *kernel_module(epi)), n)
+    return _resolve(ProjectivePresentation(
+        m, cover, epi, *kernel_module(epi), pres.summands + (0,)), n)
 
 
 def syzygy(m, i: int):
@@ -155,14 +162,36 @@ def _precompose_matrix(hs_from: HomSpace, hs_to: HomSpace,
 
 def ext_dims(res: Resolution, n, upto: int) -> List[ExtResult]:
     """Ext^0 .. Ext^upto off Hom(res, n), each map ranked once; the
-    resolution needs length >= upto+1."""
+    resolution needs length >= upto+1.
+
+    Hom(P_j, n) is the sum of the blocks Hom(P_i, n) (`pim_homs`) over the
+    summands P_i of P_j.  A map on P_{j+1} is fixed by its values on the
+    generators e_i of the summands, so precomposition with d_j has the rank
+    of psi -> (psi(d_j(e_i)))_i."""
     if res.length() < upto + 1:
         raise AlgebraError("resolution too short for the requested Ext")
     n = as_left(n)
-    spaces = [hom_space(t, n) for t in res.terms[: upto + 2]]
-    ranks = [rank(_precompose_matrix(spaces[j], spaces[j + 1], res.diffs[j]))
-             for j in range(upto + 1)]
-    cocycles = [s.dim - r for s, r in zip(spaces, ranks)]
+    if not _same_algebra(res.module.over, n.over):
+        raise AlgebraError("hom space requires a common algebra")
+    homs, pims = pim_homs(n), _pim_triples(n.over)
+    # e_i in the coordinates of P_i, whose basis is the RREF incl^T
+    gens = [echelon_coords(incl.transpose(), e) for _, _, e, incl in pims]
+    ranks = []
+    for j in range(upto + 1):
+        src, tgt = res.summands[j + 1], res.summands[j]
+        cols = np.split(res.diffs[j].matrix.arr,
+                        np.cumsum([len(gens[i]) for i in src]), axis=1)
+        # row t is d_j of the generator of the t-th summand of P_{j+1}
+        images = np.reshape([c @ gens[i] for c, i in zip(cols, src)],
+                            (len(src), res.terms[j].dim)) % n.over.field.p
+        width = n.dim * len(src)
+        values = np.vstack([np.zeros((0, width), dtype=np.int64)] + [
+            (homs[i] @ b.T).reshape(len(homs[i]), width) for i, b in zip(
+                tgt, np.split(images, np.cumsum([len(gens[i]) for i in tgt]),
+                              axis=1))])
+        ranks.append(rank(FpMatrix(values, n.over.field)))
+    cocycles = [sum(len(homs[i]) for i in s) - r
+                for s, r in zip(res.summands, ranks)]
     coboundaries = [0] + ranks
     return [ExtResult(z - b, z, b) for z, b in zip(cocycles, coboundaries)]
 

@@ -3,7 +3,9 @@
 Everything higher up (algebras, modules, resolutions) reduces to ranks,
 kernels and solves computed here.  Matrices are dense, row-major, with
 entries stored as reduced residues in numpy int64 arrays; p <= 65521 keeps
-all intermediate products well inside int64 range.
+a product with inner dimension k < 2 * 10^9 inside int64.  numpy runs
+int64 products without BLAS, so the large membership checks use
+`matmul_mod`: float64 BLAS, exact while k * (p-1)^2 < 2^53.
 
 Zero-row and zero-column matrices are first-class citizens: zero modules
 occur all over the place (M = 0, trivial cokernels) and must round-trip
@@ -268,17 +270,30 @@ def in_row_span(basis: FpMatrix, vec) -> bool:
     return rank(stacked) == rank(basis)
 
 
+def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p for reduced int64 operands, broadcast as np.matmul.  At
+    2^14 or more multiply-adds it runs in float64 BLAS, exact while
+    inner_dim * (p-1)^2 < 2^53; smaller products, where BLAS gains less
+    than the conversions cost, and wider ones run in int64."""
+    if a.size * b.shape[-1] >= 2**14 and a.shape[-1] * (p - 1)**2 < 2**53:
+        return (a.astype(float) @ b.astype(float) % p).astype(np.int64)
+    return a @ b % p
+
+
 def echelon_coords(basis: FpMatrix, vecs) -> Optional[np.ndarray]:
     """Coordinates of the vectors along the last axis of `vecs` (any
     leading axes are kept) in the row space of `basis`, which is in RREF;
     None when one is not in it.  They are the entries at the pivot
-    columns, and one batched product checks membership."""
+    columns, where the basis is the identity, so one batched product
+    checks membership on the other columns only."""
     p = basis.field.p
     v = np.asarray(vecs, dtype=np.int64) % p
     pivots = (np.argmax(basis.arr != 0, axis=1) if basis.cols
               else np.zeros(0, dtype=np.int64))
+    free = np.ones(basis.cols, dtype=bool)
+    free[pivots] = False
     x = v[..., pivots]
-    if ((x @ basis.arr) % p != v).any():
+    if (matmul_mod(x, basis.arr[:, free], p) != v[..., free]).any():
         return None
     return x
 

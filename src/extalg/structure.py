@@ -402,11 +402,13 @@ def is_isomorphic(m, n) -> bool:
 
 @dataclass
 class ProjectivePresentation:
+    """summands[s] is the index i of the s-th summand P_i of cover."""
     module: object
     cover: object
     epi: ModuleHom
     kernel: object
     kernel_inclusion: ModuleHom
+    summands: Tuple[int, ...]
 
 
 def projective_cover(m) -> ProjectivePresentation:
@@ -421,7 +423,7 @@ def projective_cover(m) -> ProjectivePresentation:
     if left.dim == 0:
         z = LeftModule.zero(left.over)
         return ProjectivePresentation(left, z, ModuleHom.zero(z, left), z,
-                                      ModuleHom.zero(z, z))
+                                      ModuleHom.zero(z, z), ())
     if "cover" not in m._cache:
         index = left.over._cache.setdefault("covers",
                                             weakref.WeakValueDictionary())
@@ -430,48 +432,58 @@ def projective_cover(m) -> ProjectivePresentation:
         m._cache["cover"] = (_cover_parts(left) if holder is None
                              else holder._cache["cover"])
         index.setdefault(key, m)
-    cover, epi, ker, ker_incl = m._cache["cover"]
+    cover, epi, ker, ker_incl, summands = m._cache["cover"]
     return ProjectivePresentation(left, cover, ModuleHom(
-        cover, left, epi, validate=False), ker, ker_incl)
+        cover, left, epi, validate=False), ker, ker_incl, summands)
+
+
+def pim_homs(m) -> List[np.ndarray]:
+    """For each PIM P_i = A.e_i, the basis phi_w: x -> x.w of Hom(P_i, m)
+    = e_i.m, w in the RREF basis of e_i.m, as a (dim e_i.m, m.dim, P_i.dim)
+    array."""
+    p = m.over.field.p
+    acts = _stack(m.action, m.dim)
+    out = []
+    for _, _, e_i, incl in _pim_triples(m.over):
+        ws = row_space_of_columns(m.act_matrix(e_i)).arr
+        # phi[b, :, k] is column b of incl acting on ws[k]
+        phi = ((np.tensordot(incl.arr.T, acts, 1) % p) @ ws.T) % p
+        out.append(phi.transpose(2, 1, 0))
+    return out
 
 
 def _cover_parts(m: LeftModule):
-    """(cover, epi matrix, kernel, kernel inclusion) of a nonzero m.
+    """(cover, epi matrix, kernel, kernel inclusion, summands) of m != 0.
 
-    Hom(P_i, m) is e_i.m via w -> (x -> x.w), so each w in the RREF basis
-    of e_i.m, over every i in turn, gives a candidate phi_w.  Their images
-    in top(m) are row-reduced side by side in one elimination, and phi_w
-    is kept exactly when its block of columns holds a pivot, i.e. when its
-    image is not inside the images of the candidates before it: the greedy
-    choice, for any algebra.  A kept image grows by a full copy of the top
-    simple, so the multiplicities are the minimal ones.  The projection
-    onto top(m) is read off the RREF rows of rad(m).
+    Each basis map phi_w of Hom(P_i, m) (`pim_homs`), over every i in turn,
+    is a candidate.  Their images in top(m) are row-reduced side by side in
+    one elimination, and phi_w is kept exactly when its block of columns
+    holds a pivot, i.e. when its image is not inside the images of the
+    candidates before it: the greedy choice, for any algebra.  A kept image
+    grows by a full copy of the top simple, so the multiplicities are the
+    minimal ones.  The projection onto top(m) is read off the RREF rows of
+    rad(m).
     """
-    a = m.over
-    field = a.field
+    field = m.over.field
     pi = echelon_quotient_maps(
         _radical_span(m, np.eye(m.dim, dtype=np.int64))).project.arr
-    acts = _stack(m.action, m.dim)
-    pims, phis, images = [], [], []
-    for p_i, _, e_i, incl in _pim_triples(a):
-        ws = row_space_of_columns(m.act_matrix(e_i)).arr
-        # phi[k][:, b] is column b of incl acting on ws[k]
-        phi = ((np.tensordot(incl.arr.T, acts, 1) % field.p) @ ws.T) % field.p
-        phis += list(phi.transpose(2, 1, 0))
-        pims += [p_i] * len(ws)
-        images.append((pi @ phi).transpose(1, 2, 0).reshape(len(pi), -1))
-    reduced = rref(FpMatrix(np.hstack(images), field))
+    homs = pim_homs(m)
+    cands = [(i, phi) for i, phis in enumerate(homs) for phi in phis]
+    reduced = rref(FpMatrix(np.hstack([
+        (pi @ phis).transpose(1, 0, 2).reshape(len(pi), -1)
+        for phis in homs]), field))
     if reduced.rank != len(pi):
         raise StructureError("projective cover search failed to reach the top")
-    owner = np.repeat(np.arange(len(pims)), [q.dim for q in pims])
-    chosen = np.unique(owner[reduced.pivot_cols])
-    cover = direct_sum_modules([pims[k] for k in chosen])[0]
-    epi = ModuleHom(cover, m, FpMatrix(np.hstack([phis[k] for k in chosen]),
+    owner = np.repeat(np.arange(len(cands)), [f.shape[1] for _, f in cands])
+    chosen = [cands[k] for k in np.unique(owner[reduced.pivot_cols])]
+    cover = direct_sum_modules([_pim_triples(m.over)[i][0]
+                                for i, _ in chosen])[0]
+    epi = ModuleHom(cover, m, FpMatrix(np.hstack([phi for _, phi in chosen]),
                                        field), validate=False)
     ker, ker_incl = kernel_module(epi)
     if ker.dim != cover.dim - m.dim:
         raise StructureError("candidate cover map is not surjective")
-    return cover, epi.matrix, ker, ker_incl
+    return cover, epi.matrix, ker, ker_incl, tuple(i for i, _ in chosen)
 
 
 def is_projective(m) -> bool:

@@ -137,9 +137,19 @@ def test_unknown_references_name_both_entities(corpus):
     ({"field": {"p": "x"}}, "field.p"),
     ({"field": {"p": 4}}, "field.p"),
     ({"field": {"p": 70000}}, "field.p"),
+    ({"field": {"p": 2.9}}, "field.p: expected an integer, got 2.9"),
+    ({"field": {"p": "3"}}, 'field.p: expected an integer, got "3"'),
+    ({"field": {"p": True}}, "field.p: expected an integer, got true"),
+    ({"algebras": {"k3": {"p": 3.0, "structure_constants": [[[1]]],
+                          "unit": [1]}}},
+     "algebra 'k3': p: expected an integer, got 3.0"),
+    ({"algebras": {"k3": {"p": "3", "structure_constants": [[[1]]],
+                          "unit": [1]}}},
+     "algebra 'k3': p: expected an integer"),
     ({"algebras": []}, "algebras"),
 ], ids=["missing", "not_utf8", "list", "field_int", "p_text", "p_composite",
-        "p_too_large", "algebras_list"])
+        "p_too_large", "p_float", "p_numeric_text", "p_bool",
+        "algebra_p_float", "algebra_p_text", "algebras_list"])
 def test_bad_workspace_exits_2_naming_the_fault(tmp_path, capsys, corpus,
                                                 content, named):
     # content: raw bytes, or keys that replace those of the built-in corpus

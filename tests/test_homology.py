@@ -1,18 +1,20 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import FIELD2, a2_algebra, local_wild_algebra, \
     monomial_quivers, random_module, square_zero_extension
-from extalg.algebra import (AlgebraError, LeftModule, RightModule,
-                            monomial_quiver_algebra)
-from extalg.homology import (DimensionVerdict, default_bound, ext,
+from extalg.algebra import (Algebra, AlgebraError, HomSpace, LeftModule,
+                            RightModule, hom_space, monomial_quiver_algebra)
+from extalg.gorenstein import CERTIFIED_NO, gp_check
+from extalg.homology import (DimensionVerdict, _precompose_matrix,
+                             default_bound, ext, ext_dims,
                              ext_from_resolution, fd_bounded, hom_complex,
                              id_bounded, is_exact_complex,
                              minimal_projective_resolution,
                              non_minimal_resolution, pd_bounded, syzygy)
-from extalg.linalg import FieldSpec, FpMatrix
+from extalg.linalg import FieldSpec, FpMatrix, inverse, rank
 from extalg.structure import is_isomorphic, simples
 
 
@@ -72,6 +74,76 @@ def test_ext_is_independent_of_the_resolution(quiver, p, seed):
     for i in range(3):
         assert ext_from_resolution(minimal, y, i).dim == \
             ext_from_resolution(padded, y, i).dim
+
+
+def _ext_oracle(res, n, upto):
+    """(dim, cocycles, coboundaries) of Ext^0..Ext^upto from the Kronecker
+    hom spaces of the terms and the matrices of precomposition."""
+    spaces = [hom_space(t, n) for t in res.terms[: upto + 2]]
+    ranks = [rank(_precompose_matrix(spaces[j], spaces[j + 1], res.diffs[j]))
+             for j in range(upto + 1)]
+    cocycles = [s.dim - r for s, r in zip(spaces, ranks)]
+    return [(z - b, z, b) for z, b in zip(cocycles, [0] + ranks)]
+
+
+def _rebased(a, rng):
+    """a in the basis given by the rows of a random invertible matrix g, so
+    its idempotents are no longer basis vectors."""
+    p = a.field.p
+    ginv = None
+    while ginv is None:
+        g = rng.integers(0, p, size=(a.dim, a.dim))
+        ginv = inverse(FpMatrix(g, a.field))
+    # sc[i, j] = (sum_kl g[i, k] g[j, l] a.sc[k, l]) g^-1
+    left = np.tensordot(g, a.sc, (1, 0)) % p
+    sc = np.tensordot(left, g, (1, 1)).transpose(0, 2, 1) % p
+    return Algebra(a.field, sc @ ginv.arr % p, a.unit @ ginv.arr % p)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(quiver=monomial_quivers(), p=st.sampled_from([2, 3, 101, 65521]),
+       seed=st.one_of(st.none(), st.integers(0, 2 ** 32 - 1)))
+@example(quiver=(5, [(0, 1)], []), p=2, seed=None)
+@example(quiver=(5, [(0, 1)], []), p=65521, seed=5)
+def test_block_read_ext_matches_the_hom_space_oracle(quiver, p, seed):
+    # e_i.N = 0 for most pairs of vertices of the five-vertex quiver; with
+    # a seed, the algebra is taken in a random basis
+    n, arrows, relations = quiver
+    try:
+        a = monomial_quiver_algebra(n, arrows, relations, FieldSpec(p),
+                                    max_dim=30)
+    except AlgebraError:
+        return  # more than 30 paths
+    if seed is not None:
+        a = _rebased(a, np.random.default_rng(seed))
+    targets = [LeftModule.regular(a)] + simples(a)
+    for m in simples(a):
+        if any(syzygy(m, i).dim > 16 for i in (1, 2, 3)):
+            continue  # wild algebras: the syzygies grow exponentially
+        for res in (minimal_projective_resolution(m, 3),
+                    non_minimal_resolution(m, 3)):
+            for y in targets:
+                got = [(e.dim, e.cocycles, e.coboundaries)
+                       for e in ext_dims(res, y, 2)]
+                assert got == _ext_oracle(res, y, 2)
+
+
+def test_ext_dims_needs_a_common_algebra(d_total, k_over_d):
+    res = minimal_projective_resolution(k_over_d, 2)
+    other = LeftModule.regular(a2_algebra(FIELD2))
+    with pytest.raises(AlgebraError):
+        ext_dims(res, other, 1)
+
+
+def test_gp_check_on_the_wild_simple_builds_no_hom_space(monkeypatch):
+    s = simples(local_wild_algebra(FIELD2))[0]
+
+    def refuse(*args):
+        raise AssertionError("HomSpace built")
+    monkeypatch.setattr(HomSpace, "__init__", refuse)
+    v = gp_check(s, 4)
+    assert v.answer == CERTIFIED_NO
+    assert v.certificate["reason"] == "nonvanishing_ext_vs_regular"
 
 
 def test_ext_vanishes_on_projectives(d_total, k_over_d):

@@ -4,7 +4,8 @@ import pytest
 from extalg.linalg import (MAX_PRIME, FieldSpec, FpMatrix, LinalgError,
                            direct_sum, echelon_coords, hstack, in_row_span,
                            inverse, is_invertible, kernel_basis, kron,
-                           quotient_maps, rank, row_basis, rref, solve, vstack)
+                           matmul_mod, quotient_maps, rank, row_basis, rref,
+                           solve, vstack)
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -231,3 +232,30 @@ def test_echelon_coords_reads_pivots_and_checks_membership():
     empty = FpMatrix.zeros(0, 0, F2)
     assert echelon_coords(empty, np.zeros((5, 0))).shape == (5, 0)
     assert echelon_coords(FpMatrix.zeros(0, 2, F2), [[0, 1]]) is None
+
+
+def test_matmul_mod_is_exact_at_the_largest_prime():
+    p = 65521
+    rng = np.random.default_rng(11)
+    # the small products run in int64, the others in float64
+    for shape_a, shape_b in (((7, 50), (50, 9)), ((40, 300), (300, 30)),
+                             ((3, 20, 200), (200, 5)), ((0, 8), (8, 3)),
+                             ((2, 6, 30), (2, 30, 1)),
+                             ((16, 300), (3, 300, 16))):
+        a = rng.integers(0, p, size=shape_a)
+        b = rng.integers(0, p, size=shape_b)
+        want = (a.astype(object) @ b.astype(object)) % p
+        got = matmul_mod(a, b, p)
+        assert got.dtype == np.int64 and (got == want).all()
+
+
+def test_matmul_mod_falls_back_to_int64_past_the_float_bound():
+    # k * (p-1)^2 >= 2^53 from k = bound on: the product of 1 x k by k x 1
+    # runs in float64 below the bound and in int64 from it; both are exact
+    p = 65521
+    bound = -(-2 ** 53 // (p - 1) ** 2)
+    rng = np.random.default_rng(12)
+    for k in (bound - 1, bound):
+        a = np.full((1, k), p - 1, dtype=np.int64)
+        b = rng.integers(0, p, size=(k, 1))
+        assert matmul_mod(a, b, p)[0, 0] == (p - 1) * int(b.sum()) % p
