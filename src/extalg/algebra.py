@@ -22,8 +22,8 @@ an echelonized basis (hom spaces, submodules, images) all come from
 The module law is checked one structure-table row at a time: for each i the
 products action(b_i) @ action(b_j) for all j come from one stacked matmul
 and are compared with the table row applied to the flattened action stack,
-so a check costs dim(A) numpy calls and O(dim(A) * dim(M)^2) memory.  Hom
-systems (`intertwiner_system`) and the relations of tensor products
+so a check costs dim(A) numpy calls and O(dim(A) * dim(M)^2) memory.  The
+intertwining equations of a `HomSpace` and the relations of tensor products
 involve only a generating set of the algebra (see `algebra_generators`).
 Hom spaces keep their basis in RREF, so coordinates are read off at the
 pivot columns.
@@ -37,9 +37,9 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .linalg import (FieldSpec, FpMatrix, LinalgError, QuotientMaps,
-                     echelon_coords, hstack, in_row_span, kernel_basis, kron,
-                     matmul_mod, quotient_maps, rank, row_basis, rref,
-                     vstack)
+                     echelon_coords, hstack, in_row_span, is_invertible,
+                     kernel_basis, kron, matmul_mod, quotient_maps, rank,
+                     row_basis, rref, vstack)
 
 
 class AlgebraError(ValueError):
@@ -352,7 +352,6 @@ class ModuleHom:
         return self.matrix.is_zero()
 
     def is_iso(self) -> bool:
-        from .linalg import is_invertible
         return is_invertible(self.matrix)
 
     @classmethod
@@ -376,7 +375,10 @@ class ModuleHom:
 class HomSpace:
     """Echelonized basis of Hom(source, target) for one-sided modules.
 
-    Vectorization is row-major: vec(T)[a * source.dim + b] = T[a, b].
+    Vectorization is row-major: vec(T)[a * source.dim + b] = T[a, b].  The
+    basis spans the solutions of the intertwining equations T @ S_g - N_g @
+    T = 0 for the algebra generators g, i.e. (I ox S_g^T - N_g ox I) vec(T)
+    = 0; every space of module maps in the library is built here.
     """
 
     def __init__(self, source, target):
@@ -386,8 +388,15 @@ class HomSpace:
                 raise AlgebraError("hom space requires a common algebra")
         self.source = source
         self.target = target
-        self.field = source.over.field
-        self.mat = kernel_basis(intertwiner_system(source, target))
+        self.field = field = source.over.field
+        idt = FpMatrix.identity(target.dim, field)
+        ids = FpMatrix.identity(source.dim, field)
+        # the empty block gives the width when there are no generators
+        self.mat = kernel_basis(vstack(
+            [FpMatrix.zeros(0, target.dim * source.dim, field)]
+            + [kron(idt, source.action[g].transpose())
+               - kron(target.action[g], ids)
+               for g in algebra_generators(source.over)]))
 
     @property
     def dim(self) -> int:
@@ -423,19 +432,6 @@ class HomSpace:
         acc = (coords @ self.mat.arr) % self.field.p
         m = FpMatrix(acc.reshape(self.target.dim, self.source.dim), self.field)
         return ModuleHom(self.source, self.target, m, validate=False)
-
-
-def intertwiner_system(source, target) -> FpMatrix:
-    """The linear system on row-major vec(T) whose solutions are the module
-    maps T: source -> target: T @ S_g - N_g @ T = 0 for the algebra
-    generators g, i.e. (I ox S_g^T - N_g ox I) vec(T) = 0."""
-    field = source.over.field
-    idt = FpMatrix.identity(target.dim, field)
-    ids = FpMatrix.identity(source.dim, field)
-    # the empty block gives the width when there are no generators
-    return vstack([FpMatrix.zeros(0, target.dim * source.dim, field)] + [
-        kron(idt, source.action[g].transpose()) - kron(target.action[g], ids)
-        for g in algebra_generators(source.over)])
 
 
 def _same_algebra(a: Algebra, b: Algebra) -> bool:

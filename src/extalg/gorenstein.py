@@ -18,18 +18,19 @@ from typing import Callable, List, Optional, Tuple
 
 from .algebra import (Algebra, Bimodule, HomSpace, LeftModule, ModuleHom,
                       RightModule, as_left, direct_sum_modules, dual_module,
-                      hom_space, image_module, intertwiner_system,
-                      is_exact_at, is_kernel_inclusion, kernel_module,
-                      other_side, quotient_module, tensor_bimodule_left,
+                      hom_space, image_module, is_exact_at,
+                      is_kernel_inclusion, kernel_module, other_side,
+                      quotient_module, tensor_bimodule_left,
                       tensor_map_second)
 from .homology import (ChainComplex, Resolution, _precompose_matrix,
                        default_bound, ext_dims, fd_bounded, hom_complex,
                        hom_complex_co, id_bounded, is_exact_complex,
                        minimal_projective_resolution, pd_bounded)
-from .linalg import (FpMatrix, hstack, is_invertible, kron, rank, solve,
-                     vstack)
+from .linalg import (FpMatrix, echelon_coords, hstack, is_invertible, rank,
+                     rref, solve, vstack)
 from .structure import (injective_indecomposables, is_injective,
-                        is_projective, projective_indecomposables)
+                        is_projective, projective_cover,
+                        projective_indecomposables)
 from .trivext import (CopairModule, PairModule, RightPairModule,
                       TrivialExtension, _inflate, copair_to_module,
                       functor_C, functor_H, functor_K, functor_T,
@@ -263,30 +264,29 @@ def _right_pair_hypotheses(rp: RightPairModule, bound: Optional[int]) -> dict:
 
 
 def solve_module_hom(source, target, left=None, right=None) -> Optional[ModuleHom]:
-    """A module map T: source -> target subject to optional composition
-    constraints left = (L, RL) meaning L @ T = RL, and right = (P, RP)
-    meaning T @ P = RP."""
-    field = source.over.field
-    ds, dt = source.dim, target.dim
-    ids = FpMatrix.identity(ds, field)
-    idt = FpMatrix.identity(dt, field)
-    rows = [intertwiner_system(source, target)]
-    rhs = [FpMatrix.zeros(rows[0].rows, 1, field)]
-    if left is not None:
-        lmat, lrhs = left
-        rows.append(kron(lmat, ids))
-        rhs.append(FpMatrix.column(lrhs.arr.reshape(-1), field))
-    if right is not None:
-        pmat, prhs = right
-        rows.append(kron(idt, pmat.transpose()))
-        rhs.append(FpMatrix.column(prhs.arr.reshape(-1), field))
-    system = vstack(rows)
-    b = vstack(rhs)
-    x = solve(system, b)
-    if x is None:
+    """A module map T: source -> target with L @ T = RL for left = (L, RL)
+    and T @ P = RP for right = (P, RP), or None.  The unknowns are T's
+    coordinates in a basis of Hom(source, target) echelonized from the last
+    entry of vec(T) backwards, so the free ones sit at the free columns of
+    the system on all of vec(T): setting them to 0 gives the T that the
+    solve of that system returns."""
+    hs = hom_space(source, target)
+    field = hs.field
+    flat = rref(FpMatrix(hs.mat.arr[:, ::-1], field)).reduced.arr[::-1, ::-1]
+    basis = flat.reshape(hs.dim, target.dim, source.dim)
+    # per constraint: the image of every basis map, and the required value
+    cons = ([] if left is None else [(left[0].arr @ basis, left[1])]) + (
+        [] if right is None else [(basis @ right[0].arr, right[1])])
+    # one row per entry of a required value, one column per basis map
+    c = solve(vstack([FpMatrix.zeros(0, hs.dim, field)] + [
+        FpMatrix(img.reshape(hs.dim, val.rows * val.cols).T, field)
+        for img, val in cons]), vstack([FpMatrix.zeros(0, 1, field)] + [
+            FpMatrix.column(val.arr.reshape(-1), field) for _, val in cons]))
+    if c is None:
         return None
-    mat = FpMatrix(x.arr.reshape(dt, ds), field)
-    return ModuleHom(source, target, mat, validate=False)
+    return ModuleHom(source, target, FpMatrix(
+        (c.arr[:, 0] @ flat).reshape(target.dim, source.dim), field),
+        validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -464,13 +464,8 @@ def build_pair_complete_resolution(pair: PairModule, window: int = None
         p_j = res1.terms[j]
         ts_pj = mten(p_j)
         w_j, incls_j, projs_j = direct_sum_modules([p_j, ts_pj.space])
-        if j == 0:
-            pi_j = res1.epi
-        else:
-            pim = solve(res1.syz_incl[j - 1].matrix, res1.diffs[j - 1].matrix)
-            if pim is None:
-                raise GorensteinError("syzygy factorization failed")
-            pi_j = ModuleHom(p_j, c_l, pim, validate=False)
+        # the cover P^{-j} -> c_l that res1 was built from (shared by content)
+        pi_j = projective_cover(c_l).epi
         eta = solve_module_hom(p_j, l_mod, left=(rho_l.matrix, pi_j.matrix))
         if eta is None:
             raise GorensteinError("lifting solve failed at degree "
@@ -490,17 +485,20 @@ def build_pair_complete_resolution(pair: PairModule, window: int = None
         ts_cn = mten(c_next)
         m_in = tensor_map_second(ts_cn, ts_pj, c_next_incl)
         comp = incls_j[1].matrix @ m_in.matrix      # M ox c_next -> W^{-j-1}
-        dcoords = solve(kappa.matrix, comp)
+        # kernel inclusions are RREF bases transposed
+        dcoords = echelon_coords(kappa.matrix.transpose(), comp.arr.T)
         if dcoords is None:
             raise GorensteinError("kernel transport failed at degree "
                                   f"{-(j + 1)}")
-        delta_l = ModuleHom(ts_cn.space, l_next, dcoords, validate=False)
-        rcoords = solve(c_next_incl.matrix,
-                        projs_j[0].matrix @ kappa.matrix)
+        delta_l = ModuleHom(ts_cn.space, l_next, FpMatrix(dcoords.T, t.field),
+                            validate=False)
+        rcoords = echelon_coords(c_next_incl.matrix.transpose(),
+                                 (projs_j[0].matrix @ kappa.matrix).arr.T)
         if rcoords is None:
             raise GorensteinError("kernel projection failed at degree "
                                   f"{-(j + 1)}")
-        rho_l = ModuleHom(l_next, c_next, rcoords, validate=False)
+        rho_l = ModuleHom(l_next, c_next, FpMatrix(rcoords.T, t.field),
+                          validate=False)
         l_mod, c_l, ts_c = l_next, c_next, ts_cn
 
     diffs_l = []

@@ -202,12 +202,10 @@ def ext_from_resolution(res: Resolution, n, i: int) -> ExtResult:
 
 
 def ext(m, n, i: int) -> ExtResult:
-    """dim Ext^i(m, n) via the minimal projective resolution of m."""
-    if i == 0:
-        d = hom_space(m, n).dim
-        return ExtResult(d, d, 0)
-    res = minimal_projective_resolution(m, i + 1)
-    return ext_from_resolution(res, n, i)
+    """dim Ext^i(m, n) off the minimal projective resolution of m, for
+    every i >= 0 (Ext^0 = Hom(m, n) is the kernel of precomposition with
+    the first differential)."""
+    return ext_from_resolution(minimal_projective_resolution(m, i + 1), n, i)
 
 
 # ---------------------------------------------------------------------------

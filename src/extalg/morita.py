@@ -27,13 +27,13 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .algebra import (Algebra, Bimodule, LeftModule, ModuleHom, RightModule,
-                      cokernel_module, hom_from_bimodule, intertwiner_system,
+                      cokernel_module, hom_from_bimodule, hom_space,
                       invariant_action, is_exact_at, kernel_module,
                       opposite_algebra, product_algebra, row_space_of_columns,
                       swapped_tensor, tensor_bimodule_left, tensor_map_second)
 from .gorenstein import (compatibility_report, gf_check_right, gi_check,
                          gp_check, verify_corollary)
-from .linalg import FpMatrix, kron, rank, solve
+from .linalg import FpMatrix, direct_sum, echelon_coords
 from .trivext import (CopairModule, PairModule, RightPairModule,
                       TrivialExtension, copair_to_module, module_to_copair,
                       module_to_pair, module_to_right_pair, pair_to_module,
@@ -108,7 +108,6 @@ def morita_ring(d: MoritaContextData) -> MoritaRing:
     prod, e_a, e_b = product_algebra(a, b)
     zu = FpMatrix.zeros(du, du, field)
     zv = FpMatrix.zeros(dv, dv, field)
-    from .linalg import direct_sum
     left = [direct_sum(zu, v.left_action[i]) for i in range(na)] + \
         [direct_sum(u.left_action[j], zv) for j in range(nb)]
     right = [direct_sum(u.right_action[i], zv) for i in range(na)] + \
@@ -280,7 +279,10 @@ def _read_blocks(action: list, incl_src: FpMatrix, incl_tgt: FpMatrix,
     stack = np.array([m.arr for m in action], dtype=np.int64).reshape(
         len(action), d, d) @ incl_src.arr
     plain = stack.transpose(1, 0, 2).reshape(d, len(action) * ds)
-    return solve(incl_tgt, FpMatrix(plain, incl_src.field) @ ts.include)
+    # incl_tgt is an RREF basis transposed
+    x = echelon_coords(incl_tgt.transpose(),
+                       (FpMatrix(plain, incl_src.field) @ ts.include).arr.T)
+    return None if x is None else FpMatrix(x.T, incl_src.field)
 
 
 def theta_inverse(pair: PairModule, ring: MoritaRing) -> TupleModule:
@@ -355,52 +357,12 @@ def theta_co(ct: CoTupleModule) -> CopairModule:
 
 def tuple_hom_dim(s: TupleModule, t: TupleModule) -> int:
     """dim of the space of tuple morphisms (phi, chi) with
-    chi o f_s = f_t o (U ox phi) and phi o g_s = g_t o (V ox chi)."""
+    chi o f_s = f_t o (U ox phi) and phi o g_s = g_t o (V ox chi): theta is
+    an isomorphism of categories, so it is dim Hom(theta(s), theta(t)) over
+    the ring."""
     if s.ring is not t.ring:
         raise MoritaError("tuples over different rings")
-    ring = s.ring
-    p = ring.prod.field.p
-    dx1, dx2 = s.x.dim, t.x.dim
-    dy1, dy2 = s.y.dim, t.y.dim
-    nphi, nchi = dx2 * dx1, dy2 * dy1
-
-    def sandwich(a1: FpMatrix, a2: FpMatrix, mid: int, r2: int, c1: int):
-        """Matrix of phi -> a1 @ kron(I_mid, phi) @ a2 acting on vec(phi),
-        for phi of shape r2 x c1."""
-        rows, cols = a1.rows, a2.cols
-        a1r = a1.arr.reshape(rows, mid, r2) if mid * r2 else \
-            np.zeros((rows, mid, r2), dtype=np.int64)
-        a2r = a2.arr.reshape(mid, c1, cols) if mid * c1 else \
-            np.zeros((mid, c1, cols), dtype=np.int64)
-        m = np.einsum("ria,ibc->rcab", a1r, a2r).reshape(
-            rows * cols, r2 * c1)
-        return m % p
-
-    blocks = []
-
-    def add(phi_part, chi_part):
-        if phi_part is None:
-            phi_part = np.zeros((chi_part.shape[0], nphi), dtype=np.int64)
-        if chi_part is None:
-            chi_part = np.zeros((phi_part.shape[0], nchi), dtype=np.int64)
-        blocks.append(np.hstack([phi_part, chi_part]))
-
-    add(intertwiner_system(s.x, t.x).arr, None)
-    add(None, intertwiner_system(s.y, t.y).arr)
-    # chi o f_s = f_t o (U ox phi)
-    du, dv = ring.context.u.dim, ring.context.v.dim
-    chi_side = kron(FpMatrix.identity(dy2, s.y.over.field),
-                    s.f.matrix.transpose()).arr
-    phi_side = sandwich(t.f.matrix @ t.tsux.project,
-                        s.tsux.include, du, dx2, dx1)
-    add((-phi_side) % p, chi_side)
-    # phi o g_s = g_t o (V ox chi)
-    phi_side2 = kron(FpMatrix.identity(dx2, s.x.over.field),
-                     s.g.matrix.transpose()).arr
-    chi_side2 = sandwich(t.g.matrix @ t.tsvy.project,
-                         s.tsvy.include, dv, dy2, dy1)
-    add(phi_side2, (-chi_side2) % p)
-    return nphi + nchi - rank(FpMatrix(np.vstack(blocks), ring.prod.field))
+    return hom_space(pair_to_module(theta(s)), pair_to_module(theta(t))).dim
 
 
 # ---------------------------------------------------------------------------

@@ -26,10 +26,11 @@ import numpy as np
 from .algebra import (Algebra, AlgebraError, Bimodule, LeftModule, ModuleHom,
                       RightModule, cokernel_module, direct_sum_modules,
                       field_space, hom_from_bimodule, hom_space, image_module,
-                      kernel_module, opposite_algebra, swapped_tensor,
-                      tensor_bimodule_left, tensor_map_second,
+                      is_kernel_inclusion, kernel_module, opposite_algebra,
+                      swapped_tensor, tensor_bimodule_left, tensor_map_second,
                       tensor_right_left)
-from .linalg import FpMatrix, hstack, is_invertible, kron, solve
+from .linalg import FpMatrix, hstack, is_invertible, kron, rank, solve
+from .structure import find_isomorphism, is_injective, is_projective
 
 
 class TrivextError(ValueError):
@@ -320,7 +321,6 @@ def classify_projective(pair: PairModule
     """When the converted module is projective over the total algebra,
     return (P, witness) with P projective over the base and pair
     isomorphic to T(P); None otherwise."""
-    from .structure import find_isomorphism, is_projective
     mod = pair_to_module(pair)
     if not is_projective(mod):
         return None
@@ -336,7 +336,6 @@ def classify_injective(copair: CopairModule
                        ) -> Optional[Tuple[LeftModule, ModuleHom]]:
     """Dual classification: a converted injective is H(E) for the injective
     base module E = ker(beta)."""
-    from .structure import find_isomorphism, is_injective
     mod = copair_to_module(copair)
     if not is_injective(mod):
         return None
@@ -361,8 +360,6 @@ class ShortExactSequence:
     epi: ModuleHom
 
     def is_exact(self) -> bool:
-        from .algebra import is_kernel_inclusion
-        from .linalg import rank
         return (is_kernel_inclusion(self.mono, self.epi)
                 and rank(self.epi.matrix) == self.quo.dim)
 

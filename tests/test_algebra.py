@@ -347,3 +347,25 @@ def test_generator_hom_system_matches_full_basis(name, p, cls, seed):
         assert ts.project == qm.project and ts.include == qm.include
         ts.space.validate()
         hom_from_bimodule(bim, y).space.validate()
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(ALGEBRAS)), p=st.sampled_from([2, 3, 101]),
+       side=st.sampled_from(["left", "right"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_underdetermined_solve_matches_full_system(name, p, side, seed):
+    # one constraint row (or column) leaves many module maps, so this pins
+    # which one is returned: the full system's, with its free entries of
+    # vec(T) set to 0
+    a = ALGEBRAS[name](FieldSpec(p))
+    rng = np.random.default_rng(seed)
+    m, n = random_module(a, rng), random_module(a, rng)
+    hs = hom_space(m, n)
+    h = hs.element(rng.integers(0, p, size=hs.dim)).matrix
+    rows, cols = (1, 0) if side == "left" else (0, 1)
+    lmat = FpMatrix(rng.integers(0, p, size=(rows, n.dim)), a.field)
+    pmat = FpMatrix(rng.integers(0, p, size=(m.dim, cols)), a.field)
+    got = solve_module_hom(m, n, left=(lmat, lmat @ h),
+                           right=(pmat, h @ pmat))
+    assert got.matrix == _full_basis_solve(m, n, lmat, lmat @ h,
+                                           pmat, h @ pmat)

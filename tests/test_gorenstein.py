@@ -5,9 +5,9 @@ import pytest
 
 import extalg.gorenstein
 import extalg.homology
-from conftest import (FIELD2, double_extension, local_wild_algebra,
-                      random_copair, random_pair, square_zero_extension,
-                      triangular_extension)
+from conftest import (FIELD2, a2_algebra, double_extension,
+                      local_wild_algebra, random_copair, random_pair,
+                      square_zero_extension, triangular_extension)
 from extalg.algebra import (Bimodule, LeftModule, ModuleHom, RightModule,
                             dual_module, hom_space, monomial_quiver_algebra,
                             product_algebra, tensor_bimodule_left)
@@ -210,6 +210,14 @@ def test_solve_module_hom_constraints(d_ext):
     # inconsistent: require the zero map to equal the identity
     zero = FpMatrix.zeros(2, 2, FIELD2)
     assert solve_module_hom(reg, reg, left=(zero, ident)) is None
+    # two distinct simples of A2: Hom = 0, so only the zero map is left
+    s0, s1 = simples(a2_algebra(FIELD2))
+    one, nil = FpMatrix.identity(1, FIELD2), FpMatrix.zeros(1, 1, FIELD2)
+    assert hom_space(s0, s1).dim == 0
+    got = solve_module_hom(s0, s1, left=(one, nil))
+    assert got is not None and got.is_zero()
+    assert solve_module_hom(s0, s1, left=(one, one)) is None
+    assert solve_module_hom(s0, s1, right=(one, one)) is None
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ import pytest
 from conftest import (FIELD2, a2_morita_ring, nakayama_ring,
                       product_morita_ring, random_right_tuple, random_tuple,
                       triangular_extension)
-from extalg.algebra import (Bimodule, LeftModule, RightModule, field_algebra,
-                            hom_space, product_algebra)
+from extalg.algebra import (AlgebraError, Bimodule, LeftModule, ModuleHom,
+                            RightModule, field_algebra, hom_space,
+                            product_algebra, tensor_map_second)
 from extalg.gorenstein import SELF_INJECTIVE, IWANAGA_GORENSTEIN, \
     gorenstein_regime
 from extalg.linalg import FpMatrix
@@ -132,6 +133,40 @@ def test_tuple_hom_dim_matches_converted(nak):
     s = tuples[0]
     assert tuple_hom_dim(s, s) == hom_space(
         pair_to_module(theta(s)), pair_to_module(theta(s))).dim
+
+
+def _count_tuple_morphisms(s, t):
+    """Number of pairs (phi, chi) of linear maps X_s -> X_t, Y_s -> Y_t
+    that are module maps with chi o f_s = f_t o (U ox phi) and
+    phi o g_s = g_t o (V ox chi), by enumeration."""
+    field = s.x.over.field
+    (rx, cx), (ry, cy) = (t.x.dim, s.x.dim), (t.y.dim, s.y.dim)
+    count = 0
+    for entries in itertools.product(range(field.p), repeat=rx * cx + ry * cy):
+        phi = FpMatrix.from_entries(rx, cx, entries[:rx * cx], field)
+        chi = FpMatrix.from_entries(ry, cy, entries[rx * cx:], field)
+        try:
+            phi_hom = ModuleHom(s.x, t.x, phi)
+            chi_hom = ModuleHom(s.y, t.y, chi)
+        except AlgebraError:
+            continue
+        u_phi = tensor_map_second(s.tsux, t.tsux, phi_hom)
+        v_chi = tensor_map_second(s.tsvy, t.tsvy, chi_hom)
+        count += (chi @ s.f.matrix == t.f.matrix @ u_phi.matrix
+                  and phi @ s.g.matrix == t.g.matrix @ v_chi.matrix)
+    return count
+
+
+@pytest.mark.parametrize("make", [nakayama_ring, a2_morita_ring,
+                                  product_morita_ring])
+def test_tuple_hom_dim_counts_tuple_morphisms(make):
+    # an oracle independent of theta: the morphisms of the tuple category,
+    # counted one by one, number p ** tuple_hom_dim
+    ring = make(FIELD2)
+    rng = np.random.default_rng(1)
+    tuples = [random_tuple(ring, rng, max_dim=3) for _ in range(6)]
+    for s, t in itertools.product(tuples, repeat=2):
+        assert _count_tuple_morphisms(s, t) == 2 ** tuple_hom_dim(s, t)
 
 
 def test_verify_thm52_canned(nak):
