@@ -36,10 +36,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .linalg import (FieldSpec, FpMatrix, LinalgError, QuotientMaps,
-                     echelon_coords, hstack, in_row_span, is_invertible,
-                     kernel_basis, kron, matmul_mod, quotient_maps, rank,
-                     row_basis, rref, vstack)
+from .linalg import (FieldSpec, FpMatrix, QuotientMaps, echelon_coords,
+                     hstack, in_row_span, is_invertible, kernel_basis, kron,
+                     matmul_mod, quotient_maps, rank, row_basis, vstack)
 
 
 class AlgebraError(ValueError):
@@ -506,8 +505,7 @@ def image_module(f: ModuleHom):
 
 def row_space_of_columns(m: FpMatrix) -> FpMatrix:
     """Echelonized basis (as rows) of the column space of m."""
-    rr = rref(m.transpose())
-    return FpMatrix(rr.reduced.arr[: rr.rank], m.field)
+    return row_basis(m.transpose())
 
 
 def cokernel_module(f: ModuleHom):

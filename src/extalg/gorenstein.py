@@ -7,14 +7,17 @@ finitely-cotilted (Iwanaga-Gorenstein) algebra the bounded Ext battery is a
 full decision procedure; elsewhere a passing battery yields ProbableYes
 with the bound on record, and a failing one yields a certified refutation
 with a concrete witness.  The battery is one loop over the module and its
-transpose, each side reading Ext^i(-, A) off one minimal resolution, and
-the three complete-(co)resolution validators share one window check.
+transpose, each side reading Ext^i(-, A) off one minimal resolution.
+
+The three kinds of complete resolution (base, lifted pair, dualized
+copair) come back as one record, `CompleteResolution`, and their three
+validators read the complex they check and share one window check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Tuple
+from typing import Optional, Tuple
 
 from .algebra import (Algebra, Bimodule, HomSpace, LeftModule, ModuleHom,
                       RightModule, as_left, direct_sum_modules, dual_module,
@@ -22,7 +25,7 @@ from .algebra import (Algebra, Bimodule, HomSpace, LeftModule, ModuleHom,
                       is_kernel_inclusion, kernel_module, other_side,
                       quotient_module, tensor_bimodule_left,
                       tensor_map_second)
-from .homology import (ChainComplex, Resolution, _precompose_matrix,
+from .homology import (ChainComplex, _precompose_matrix,
                        default_bound, ext_dims, fd_bounded, hom_complex,
                        hom_complex_co, id_bounded, is_exact_complex,
                        minimal_projective_resolution, pd_bounded)
@@ -295,12 +298,14 @@ def solve_module_hom(source, target, left=None, right=None) -> Optional[ModuleHo
 
 @dataclass
 class CompleteResolution:
-    """A window of a doubly infinite exact complex of projectives with the
-    resolved module embedded as ker of the degree-0 differential."""
-    module: object
+    """A window of a doubly infinite exact complex with the resolved
+    module, pair or copair M = ker d^0 = im d^-1: mono embeds M as ker d^0,
+    epi maps X^-1 onto M, and mono o epi = d^-1.  All three builders return
+    one; a (co)pair's mono and epi act on its module over the extension."""
+    source: object
     complex: ChainComplex
-    mono: ModuleHom            # module -> complex.module_at(0)
-    left_res: Resolution       # the ordinary resolution feeding degrees < 0
+    mono: ModuleHom            # M -> complex.module_at(0)
+    epi: ModuleHom             # complex.module_at(-1) -> M
 
 
 def complete_resolution(c, window: int) -> CompleteResolution:
@@ -330,14 +335,11 @@ def complete_resolution(c, window: int) -> CompleteResolution:
                                      @ res2.epi.matrix.arr)
     mono = ModuleHom(c, right_terms[0], aug_star @ ev.matrix, validate=False)
     res1 = minimal_projective_resolution(c, window - 1)
-    left_terms = list(reversed(res1.terms))
-    left_diffs = list(reversed(res1.diffs))
-    bridge = ModuleHom(res1.terms[0], right_terms[0],
-                       mono.matrix @ res1.epi.matrix, validate=False)
-    mods = left_terms + right_terms
-    diffs = left_diffs + [bridge] + right_diffs
+    mods = list(reversed(res1.terms)) + right_terms
+    diffs = list(reversed(res1.diffs)) + [mono.compose(res1.epi)] + \
+        right_diffs
     cx = ChainComplex(-window, mods, diffs, validate=False)
-    return CompleteResolution(c, cx, mono, res1)
+    return CompleteResolution(c, cx, mono, res1.epi)
 
 
 def _window_checks(cx: ChainComplex, mono: ModuleHom, hom_key: str,
@@ -355,31 +357,23 @@ def validate_complete_resolution(cr: CompleteResolution) -> dict:
     """The window checks, with Hom into every projective indecomposable."""
     return _window_checks(cr.complex, cr.mono, "hom_exact_into_projectives", (
         hom_complex(cr.complex, p)
-        for p, _ in projective_indecomposables(cr.module.over)))
+        for p, _ in projective_indecomposables(cr.source.over)))
 
 
 # ---------------------------------------------------------------------------
 # lifted complete resolutions over the extension (pair side)
 
 
-@dataclass
-class PairCompleteResolution:
-    pair: PairModule
-    base_terms: List            # P^i for i in [-window, window]
-    terms: List                 # pair modules of extended type at each degree
-    complex: ChainComplex       # over the total algebra
-    ker_witness: ModuleHom      # converted pair -> term at degree 0
-    coker_witness: ModuleHom    # term at degree -1 -> converted pair
-    window: int
-
-
 def build_pair_complete_resolution(pair: PairModule, window: int = None
-                                   ) -> PairCompleteResolution:
+                                   ) -> CompleteResolution:
     """The constructive lifting: a complete resolution of coker(alpha)
-    over the base is lifted degree by degree to extended projectives,
-    with the mixed blocks of the differentials found by constrained
-    linear solves."""
+    over the base is lifted degree by degree to the extended projectives
+    T(P) = P + M ox P (the P block first), with the mixed blocks of the
+    differentials found by constrained linear solves.  The complex spans
+    degrees [-window-1, window]; mono and epi are the kernel and cokernel
+    witnesses on the pair's module over the extension."""
     t = pair.t
+    field = t.field
     if window is None:
         window = default_bound(t.total)
     hyp = thm_pair_hypotheses(pair)
@@ -393,149 +387,118 @@ def build_pair_complete_resolution(pair: PairModule, window: int = None
     def mten(x):
         return tensor_bimodule_left(m, x)
 
-    # right half state
-    terms_r = []
-    lambdas = []
-    qs = []
-    k_mod = pair.x
     # delta: M ox coker -> X with delta o (M ox rho) = alpha; it starts both
     # halves
-    delta = delta0 = induced_delta(pair) if coker.dim else ModuleHom(
-        mten(coker).space, pair.x,
-        FpMatrix.zeros(pair.x.dim, mten(coker).space.dim, t.field),
-        validate=False)
-    rho_k = rho
-    n_mod, n_incl = coker, cr.mono
-    ts_n = mten(n_mod)
+    delta0 = induced_delta(pair).matrix if coker.dim else FpMatrix.zeros(
+        pair.x.dim, mten(coker).space.dim, field)
+
+    # right half: lambda_i: K^i -> W^i = P^i + M ox P^i and q_i: W^i ->
+    # K^{i+1} = coker(lambda_i), with K^0 = X
+    lambdas, qs = [], []
+    k_mod, delta, rho_k = pair.x, delta0, rho.matrix
+    n_incl, ts_n = cr.mono, mten(coker)
     for i in range(window + 1):
         p_i = cr.complex.module_at(i)
         ts_p = mten(p_i)
-        w_i, incls, projs = direct_sum_modules([p_i, ts_p.space])
         m_iota = tensor_map_second(ts_n, ts_p, n_incl)
         psi = solve_module_hom(k_mod, ts_p.space,
-                               right=(delta.matrix, m_iota.matrix))
+                               right=(delta, m_iota.matrix))
         if psi is None:
             raise GorensteinError("lifting solve failed at degree "
                                   f"{i}; compatibility presumably unmet")
-        lam = ModuleHom(k_mod, w_i, vstack([
-            n_incl.matrix @ rho_k.matrix, psi.matrix]), validate=False)
-        terms_r.append((p_i, w_i))
-        lambdas.append(lam)
+        lambdas.append(vstack([n_incl.matrix @ rho_k, psi.matrix]))
         if i == window:
             break
-        # next state
-        f_i = cr.complex.diff_at(i)
-        n_next, n_next_incl, f_cor = image_module(f_i)
-        ts_nn = mten(n_next)
-        k_next, q_hom, q_incl = quotient_module(w_i, lam.matrix)
-        qs.append(q_hom)
-        m_fcor = tensor_map_second(ts_p, ts_nn, f_cor)
-        block_incl = incls[1].matrix            # M ox P^i -> W^i
-        rhs = q_hom.matrix @ block_incl
+        w_i = direct_sum_modules([p_i, ts_p.space])[0]
+        n_next, n_incl, f_cor = image_module(cr.complex.diff_at(i))
+        ts_n = mten(n_next)
+        k_mod, q_hom, q_incl = quotient_module(w_i, lambdas[i])
+        qs.append(q_hom.matrix)
+        m_fcor = tensor_map_second(ts_p, ts_n, f_cor)
+        # q on the M ox P^i block
+        rhs = FpMatrix(q_hom.matrix.arr[:, p_i.dim:], field)
         dtr = solve(m_fcor.matrix.transpose(), rhs.transpose())
         if dtr is None:
             raise GorensteinError("cokernel transport failed at degree "
                                   f"{i}")
-        delta = ModuleHom(ts_nn.space, k_next, dtr.transpose(),
-                          validate=False)
-        full = f_cor.matrix @ projs[0].matrix
-        rho_next_mat = full @ q_incl
-        if rho_next_mat @ q_hom.matrix != full:
+        delta = dtr.transpose()
+        full = hstack([f_cor.matrix, FpMatrix.zeros(
+            n_next.dim, ts_p.space.dim, field)])
+        rho_k = full @ q_incl
+        if rho_k @ q_hom.matrix != full:
             raise GorensteinError("induced projection does not descend at "
                                   f"degree {i}")
-        rho_k = ModuleHom(k_next, n_next, rho_next_mat, validate=False)
-        k_mod, n_mod, n_incl, ts_n = k_next, n_next, n_next_incl, ts_nn
 
-    diffs_r = [ModuleHom(terms_r[i][1], terms_r[i + 1][1],
-                         lambdas[i + 1].matrix @ qs[i].matrix,
-                         validate=False)
-               for i in range(window)]
-
-    # left half state
-    res1 = cr.left_res
-    terms_l = []
-    xis = []
-    kappas = []
-    l_mod = pair.x
-    delta_l = delta0
-    rho_l = rho
+    # left half: xi_j: W^{-j-1} -> L^j onto, kappa_j: L^{j+1} = ker(xi_j)
+    # -> W^{-j-1}, with L^0 = X, along the minimal resolution of coker
+    res1 = minimal_projective_resolution(coker, window)
+    xis, kappas = [], []
+    l_mod, delta_l, rho_l = pair.x, delta0, rho.matrix
     c_l, ts_c = coker, mten(coker)
     for j in range(window + 1):
         p_j = res1.terms[j]
         ts_pj = mten(p_j)
-        w_j, incls_j, projs_j = direct_sum_modules([p_j, ts_pj.space])
         # the cover P^{-j} -> c_l that res1 was built from (shared by content)
         pi_j = projective_cover(c_l).epi
-        eta = solve_module_hom(p_j, l_mod, left=(rho_l.matrix, pi_j.matrix))
+        eta = solve_module_hom(p_j, l_mod, left=(rho_l, pi_j.matrix))
         if eta is None:
             raise GorensteinError("lifting solve failed at degree "
                                   f"{-(j + 1)}; compatibility presumably "
                                   "unmet")
         m_pi = tensor_map_second(ts_pj, ts_c, pi_j)
-        xi = ModuleHom(w_j, l_mod, hstack([
-            eta.matrix, delta_l.matrix @ m_pi.matrix]), validate=False)
-        terms_l.append((p_j, w_j))
-        xis.append(xi)
+        xis.append(hstack([eta.matrix, delta_l @ m_pi.matrix]))
         if j == window:
             break
-        l_next, kappa = kernel_module(xi)
-        kappas.append(kappa)
-        c_next = res1.syzygies[j + 1]
-        c_next_incl = res1.syz_incl[j]          # c_next -> p_j
-        ts_cn = mten(c_next)
-        m_in = tensor_map_second(ts_cn, ts_pj, c_next_incl)
-        comp = incls_j[1].matrix @ m_in.matrix      # M ox c_next -> W^{-j-1}
-        # kernel inclusions are RREF bases transposed
-        dcoords = echelon_coords(kappa.matrix.transpose(), comp.arr.T)
+        w_j = direct_sum_modules([p_j, ts_pj.space])[0]
+        l_mod, kappa = kernel_module(ModuleHom(w_j, l_mod, xis[j],
+                                               validate=False))
+        kappas.append(kappa.matrix)
+        c_next_incl = res1.syz_incl[j]          # syzygy j+1 -> p_j
+        c_l = res1.syzygies[j + 1]
+        ts_c = mten(c_l)
+        m_in = tensor_map_second(ts_c, ts_pj, c_next_incl)
+        # kernel inclusions are RREF bases transposed; M ox c_l sits in the
+        # M ox P block of W
+        dcoords = echelon_coords(kappa.matrix.transpose(), vstack([
+            FpMatrix.zeros(p_j.dim, ts_c.space.dim, field),
+            m_in.matrix]).arr.T)
         if dcoords is None:
             raise GorensteinError("kernel transport failed at degree "
                                   f"{-(j + 1)}")
-        delta_l = ModuleHom(ts_cn.space, l_next, FpMatrix(dcoords.T, t.field),
-                            validate=False)
+        delta_l = FpMatrix(dcoords.T, field)
         rcoords = echelon_coords(c_next_incl.matrix.transpose(),
-                                 (projs_j[0].matrix @ kappa.matrix).arr.T)
+                                 kappa.matrix.arr[:p_j.dim].T)
         if rcoords is None:
             raise GorensteinError("kernel projection failed at degree "
                                   f"{-(j + 1)}")
-        rho_l = ModuleHom(l_next, c_next, FpMatrix(rcoords.T, t.field),
-                          validate=False)
-        l_mod, c_l, ts_c = l_next, c_next, ts_cn
+        rho_l = FpMatrix(rcoords.T, field)
 
-    diffs_l = []
-    g_minus_1 = ModuleHom(terms_l[0][1], terms_r[0][1],
-                          lambdas[0].matrix @ xis[0].matrix, validate=False)
-    for j in range(window):
-        diffs_l.append(ModuleHom(terms_l[j + 1][1], terms_l[j][1],
-                                 kappas[j].matrix @ xis[j + 1].matrix,
-                                 validate=False))
-
-    # assemble over the total algebra
-    base_terms = [p for p, _ in reversed(terms_l)] + [p for p, _ in terms_r]
-    pair_terms = [functor_T(t, p) for p in base_terms]
-    total_terms = [pair_to_module(pt) for pt in pair_terms]
-    mats = list(reversed(diffs_l)) + [g_minus_1] + diffs_r
-    total_diffs = [ModuleHom(total_terms[k], total_terms[k + 1],
-                             mats[k].matrix)
-                   for k in range(len(mats))]
-    cx = ChainComplex(-(window + 1), total_terms, total_diffs)
+    # assemble over the total algebra: kappa_j xi_{j+1} on the left,
+    # lambda_0 xi_0 at degree -1, lambda_{i+1} q_i on the right
+    terms = [pair_to_module(functor_T(t, cr.complex.module_at(k)))
+             for k in range(-(window + 1), window + 1)]
+    mats = [kappas[j] @ xis[j + 1] for j in reversed(range(window))] + \
+        [lambdas[0] @ xis[0]] + \
+        [lambdas[i + 1] @ qs[i] for i in range(window)]
+    cx = ChainComplex(-(window + 1), terms, [
+        ModuleHom(terms[k], terms[k + 1], mat) for k, mat in enumerate(mats)])
     mid = pair_to_module(pair)
-    ker_wit = ModuleHom(mid, cx.module_at(0), lambdas[0].matrix)
-    coker_wit = ModuleHom(cx.module_at(-1), mid, xis[0].matrix)
-    return PairCompleteResolution(pair, base_terms, pair_terms, cx, ker_wit,
-                                  coker_wit, window + 1)
+    return CompleteResolution(pair, cx, ModuleHom(mid, cx.module_at(0),
+                                                  lambdas[0]),
+                              ModuleHom(cx.module_at(-1), mid, xis[0]))
 
 
-def validate_pair_complete_resolution(res: PairCompleteResolution) -> dict:
+def validate_pair_complete_resolution(res: CompleteResolution) -> dict:
     """The window checks, with Hom into T(Q) and Z(Q) for every projective
     indecomposable Q of the base, and projectivity of every term."""
-    t = res.pair.t
+    t = res.source.t
     tests = [target for q, _ in projective_indecomposables(t.base)
              for target in (pair_to_module(functor_T(t, q)), _inflate(t, q))]
-    checks = _window_checks(res.complex, res.ker_witness,
+    checks = _window_checks(res.complex, res.mono,
                             "hom_exact_into_test_modules",
                             (hom_complex(res.complex, m) for m in tests))
-    checks["terms_projective"] = all(is_projective(pair_to_module(pt))
-                                     for pt in res.terms)
+    checks["terms_projective"] = all(is_projective(mod)
+                                     for mod in res.complex.modules)
     return checks
 
 
@@ -543,19 +506,14 @@ def validate_pair_complete_resolution(res: PairCompleteResolution) -> dict:
 # copair coresolutions, by duality through the opposite extension
 
 
-@dataclass
-class CopairCompleteCoresolution:
-    copair: CopairModule
-    complex: ChainComplex       # over the total algebra
-    ker_witness: ModuleHom      # converted copair -> term at degree 0
-    window: int
-
-
 def build_copair_complete_coresolution(copair: CopairModule,
                                        window: int = None
-                                       ) -> CopairCompleteCoresolution:
-    """Dualize, lift over the opposite extension, dualize back; the
-    distinguished kernel lands at degree 0 after reindexing."""
+                                       ) -> CompleteResolution:
+    """Dualize, lift over the opposite extension, dualize back: the term at
+    degree j is the dual of the pair-side term at degree -1-j, so the
+    window-`window` lifting, which spans [-window-1, window], covers the
+    degrees [-window, window] of the output.  mono and epi are the
+    transposes of the pair-side epi and mono."""
     t = copair.t
     if window is None:
         window = default_bound(t.total)
@@ -565,35 +523,29 @@ def build_copair_complete_coresolution(copair: CopairModule,
     top = opposite_extension(t)
     mid = copair_to_module(copair)
     dual_mid = LeftModule(top.total, [mm.transpose() for mm in mid.action])
-    pair_d = module_to_pair(dual_mid, top)
-    res_d = build_pair_complete_resolution(pair_d, window + 1)
-    w = res_d.window                    # = window + 2
-    # E^j := dual of the pair-side term at degree -1-j
-    mods = []
-    for j in range(-window, window + 1):
-        src = res_d.complex.module_at(-1 - j)
-        mods.append(LeftModule(t.total,
-                               [mm.transpose() for mm in src.action]))
-    diffs = []
-    for idx, j in enumerate(range(-window, window)):
-        g = res_d.complex.diff_at(-2 - j)
-        diffs.append(ModuleHom(mods[idx], mods[idx + 1],
-                               g.matrix.transpose()))
+    res_d = build_pair_complete_resolution(module_to_pair(dual_mid, top),
+                                           window)
+    mods = [LeftModule(t.total, [mm.transpose() for mm in
+                                 res_d.complex.module_at(-1 - j).action])
+            for j in range(-window, window + 1)]
+    diffs = [ModuleHom(mods[idx], mods[idx + 1],
+                       res_d.complex.diff_at(-2 - j).matrix.transpose())
+             for idx, j in enumerate(range(-window, window))]
     cx = ChainComplex(-window, mods, diffs)
-    wit = ModuleHom(mid, cx.module_at(0),
-                    res_d.coker_witness.matrix.transpose())
-    return CopairCompleteCoresolution(copair, cx, wit, window)
+    return CompleteResolution(
+        copair, cx, ModuleHom(mid, cx.module_at(0),
+                              res_d.epi.matrix.transpose()),
+        ModuleHom(cx.module_at(-1), mid, res_d.mono.matrix.transpose()))
 
 
-def validate_copair_complete_coresolution(
-        res: CopairCompleteCoresolution) -> dict:
+def validate_copair_complete_coresolution(res: CompleteResolution) -> dict:
     """The window checks, with Hom from H(E) and Z(E) for every injective
     indecomposable E of the base, and injectivity of every term."""
-    t = res.copair.t
+    t = res.source.t
     tests = [source for e, _ in injective_indecomposables(t.base)
              for source in (copair_to_module(functor_H(t, e)),
                             _inflate(t, e))]
-    checks = _window_checks(res.complex, res.ker_witness,
+    checks = _window_checks(res.complex, res.mono,
                             "hom_exact_from_test_modules",
                             (hom_complex_co(m, res.complex) for m in tests))
     checks["terms_injective"] = all(is_injective(mod)
@@ -612,14 +564,13 @@ def _classify(agree: bool, established: bool) -> str:
 
 
 def verify_corollary(t: TrivialExtension, lhs: GorensteinVerdict,
-                     hypotheses: dict, report: Callable,
-                     bound: Optional[int]) -> dict:
+                     hypotheses: dict, bound: Optional[int]) -> dict:
     """One (co)pair's Gorenstein verdict lhs over the extension t against
     its hypotheses, with the sufficiency reports on the bimodule and on the
     inflated base."""
     rhs = holds(hypotheses)
-    comp_m = report(t.bimodule, bound)
-    comp_zr = report(zr_bimodule(t), bound)
+    comp_m = compatibility_report(t.bimodule, bound)
+    comp_zr = compatibility_report(zr_bimodule(t), bound)
     established = comp_m.sufficient_via is not None and \
         comp_zr.sufficient_via is not None
     agree = lhs.is_yes() == rhs
@@ -632,21 +583,18 @@ def verify_corollary(t: TrivialExtension, lhs: GorensteinVerdict,
 def verify_cor35(pair: PairModule, bound: Optional[int] = None) -> dict:
     """Gorenstein projectivity of a pair vs its structure sequence."""
     return verify_corollary(pair.t, gp_check(pair_to_module(pair), bound),
-                            thm_pair_hypotheses(pair, bound),
-                            compatibility_report, bound)
+                            thm_pair_hypotheses(pair, bound), bound)
 
 
 def verify_cor45(copair: CopairModule, bound: Optional[int] = None) -> dict:
     """Gorenstein injectivity of a copair vs its costructure sequence."""
     return verify_corollary(copair.t, gi_check(copair_to_module(copair),
                                                bound),
-                            thm_copair_hypotheses(copair, bound),
-                            compatibility_report, bound)
+                            thm_copair_hypotheses(copair, bound), bound)
 
 
 def verify_cor48(rp: RightPairModule, bound: Optional[int] = None) -> dict:
     """Gorenstein flatness of a right pair vs its structure sequence."""
     return verify_corollary(rp.t, gf_check_right(right_pair_to_module(rp),
                                                  bound),
-                            _right_pair_hypotheses(rp, bound),
-                            compatibility_report, bound)
+                            _right_pair_hypotheses(rp, bound), bound)

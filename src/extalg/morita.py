@@ -195,17 +195,15 @@ class CoTupleModule:
     postcompositions zero; the injective-side mirror of TupleModule."""
 
     def __init__(self, ring: MoritaRing, x: LeftModule, y: LeftModule,
-                 f_matrix: FpMatrix, g_matrix: FpMatrix,
-                 validate: bool = True):
+                 f_matrix: FpMatrix, g_matrix: FpMatrix):
         self.ring = ring
         self.x = x
         self.y = y
         self.hom_uy = hom_from_bimodule(ring.context.u, y)
         self.hom_vx = hom_from_bimodule(ring.context.v, x)
-        self.f = ModuleHom(x, self.hom_uy.space, f_matrix, validate=validate)
-        self.g = ModuleHom(y, self.hom_vx.space, g_matrix, validate=validate)
-        if validate:
-            self.validate()
+        self.f = ModuleHom(x, self.hom_uy.space, f_matrix)
+        self.g = ModuleHom(y, self.hom_vx.space, g_matrix)
+        self.validate()
 
     def validate(self):
         ug, vf = self.composites()
@@ -377,16 +375,15 @@ def _tuple_hypotheses(t: TupleModule, decide: Callable, bound) -> dict:
             "coker_g_verdict": decide(cokernel_module(t.g)[0], bound)}
 
 
-def verify_theorem(ring: MoritaRing, lhs, hypotheses: dict,
-                   report: Callable, bound) -> dict:
+def verify_theorem(ring: MoritaRing, lhs, hypotheses: dict, bound) -> dict:
     """One (co)tuple's Gorenstein verdict lhs over the Morita ring against
     its tuple-level hypotheses: the corollary harness over the extension
     by U + V, with the hypotheses inlined and the sufficiency reports on U
     and V added."""
-    out = verify_corollary(ring.ext, lhs, hypotheses, report, bound)
+    out = verify_corollary(ring.ext, lhs, hypotheses, bound)
     out.update(out.pop("hypotheses"))
-    comp_u = report(ring.context.u, bound)
-    comp_v = report(ring.context.v, bound)
+    comp_u = compatibility_report(ring.context.u, bound)
+    comp_v = compatibility_report(ring.context.v, bound)
     return {**out, "u_report": comp_u, "v_report": comp_v,
             "components_established": comp_u.sufficient_via is not None
             and comp_v.sufficient_via is not None,
@@ -396,8 +393,7 @@ def verify_theorem(ring: MoritaRing, lhs, hypotheses: dict,
 def verify_thm52(t: TupleModule, bound=None) -> dict:
     """Tuple-level hypotheses vs Gorenstein projectivity."""
     return verify_theorem(t.ring, gp_check(pair_to_module(theta(t)), bound),
-                          _tuple_hypotheses(t, gp_check, bound),
-                          compatibility_report, bound)
+                          _tuple_hypotheses(t, gp_check, bound), bound)
 
 
 def verify_thm53(ct: CoTupleModule, bound=None) -> dict:
@@ -410,7 +406,7 @@ def verify_thm53(ct: CoTupleModule, bound=None) -> dict:
         "ker_g_verdict": gi_check(kernel_module(ct.g)[0], bound)}
     return verify_theorem(ct.ring, gi_check(copair_to_module(theta_co(ct)),
                                             bound),
-                          hypotheses, compatibility_report, bound)
+                          hypotheses, bound)
 
 
 # the left tuple (W, Q, g, f) of a right tuple lists f and g the other way
@@ -429,4 +425,4 @@ def verify_thm54(rt: RightTupleModule, bound=None) -> dict:
     left = _tuple_hypotheses(rt.left, decide, bound)
     return verify_theorem(rt.ring, gf_check_right(_right_module(rt), bound),
                           {_EXCHANGE_FG[k]: v for k, v in left.items()},
-                          compatibility_report, bound)
+                          bound)

@@ -131,14 +131,12 @@ class CopairModule:
     itself."""
 
     def __init__(self, t: TrivialExtension, y: LeftModule,
-                 beta_matrix: FpMatrix, validate: bool = True):
+                 beta_matrix: FpMatrix):
         self.t = t
         self.y = y
         self.hom = hom_from_bimodule(t.bimodule, y)
-        self.beta = ModuleHom(y, self.hom.space, beta_matrix,
-                              validate=validate)
-        if validate:
-            self.validate()
+        self.beta = ModuleHom(y, self.hom.space, beta_matrix)
+        self.validate()
 
     def validate(self):
         if not (self.beta_post().matrix @ self.beta.matrix).is_zero():

@@ -9,12 +9,14 @@ from conftest import (FIELD2, a2_algebra, double_extension,
                       local_wild_algebra, random_copair, random_pair,
                       square_zero_extension, triangular_extension)
 from extalg.algebra import (Bimodule, LeftModule, ModuleHom, RightModule,
-                            dual_module, hom_space, monomial_quiver_algebra,
+                            dual_module, field_algebra, hom_space,
+                            is_kernel_inclusion, monomial_quiver_algebra,
                             product_algebra, tensor_bimodule_left)
 from extalg.gorenstein import (CERTIFIED_NO, CERTIFIED_YES,
                                IWANAGA_GORENSTEIN, PROBABLE_YES,
-                               SELF_INJECTIVE, UNKNOWN, GorensteinError,
-                               biduality_map, build_copair_complete_coresolution,
+                               SELF_INJECTIVE, UNKNOWN, CompleteResolution,
+                               GorensteinError, biduality_map,
+                               build_copair_complete_coresolution,
                                build_pair_complete_resolution,
                                compatibility_report, complete_resolution,
                                gf_check_right, gi_check, gorenstein_regime,
@@ -26,7 +28,7 @@ from extalg.gorenstein import (CERTIFIED_NO, CERTIFIED_YES,
                                verify_cor35, verify_cor45, verify_cor48,
                                zr_bimodule)
 from extalg.homology import ext, non_minimal_resolution, ext_from_resolution
-from extalg.linalg import FieldSpec, FpMatrix, is_invertible
+from extalg.linalg import FieldSpec, FpMatrix, is_invertible, rank
 from extalg.structure import is_isomorphic, is_projective, simples
 from extalg.trivext import (functor_Z_copair, functor_Z_pair, functor_T,
                             module_to_copair, module_to_pair,
@@ -327,6 +329,78 @@ def test_copair_coresolution_rejects_bad_hypotheses(d_ext):
     zk = functor_Z_copair(d_ext, LeftModule.regular(d_ext.base))
     with pytest.raises(GorensteinError):
         build_copair_complete_coresolution(zk, window=2)
+
+
+def nakayama_22(field):
+    """N(2,2): the cyclic quiver on two vertices modulo the paths of length
+    2; self-injective."""
+    return monomial_quiver_algebra(2, [(0, 1), (1, 0)], [[0, 1], [1, 0]],
+                                   field)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_complete_resolution_records(p):
+    # every builder returns one record: mono embeds M as ker d^0, epi maps
+    # X^-1 onto M, and mono o epi = d^-1
+    field = FieldSpec(p)
+    dd = double_extension(field)
+    sqz = square_zero_extension(field)
+    cases = [
+        (complete_resolution(simples(nakayama_22(field))[0], 2), -2),
+        (build_pair_complete_resolution(module_to_pair(
+            LeftModule.regular(dd.total), dd), window=2), -3),
+        (build_copair_complete_coresolution(module_to_copair(
+            LeftModule.regular(sqz.total), sqz), window=2), -2)]
+    if p == 2:
+        cases.append((build_pair_complete_resolution(nontrivial_dd_pair(),
+                                                     window=2), -3))
+    for res, lo in cases:
+        assert isinstance(res, CompleteResolution)
+        cx = res.complex
+        assert cx.lo == lo
+        assert res.epi.target is res.mono.source
+        assert res.mono.matrix @ res.epi.matrix == cx.diff_at(-1).matrix
+        assert is_kernel_inclusion(res.mono, cx.diff_at(0))
+        assert rank(res.epi.matrix) == res.mono.source.dim
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_gp_iwanaga_gorenstein_battery_decides(p):
+    # over N(2,2) x A2 (self-injective dimension 1 on both sides) the
+    # battery stops at Ext^1: the simples of the self-injective factor pass,
+    # the non-projective simple of the hereditary factor fails
+    field = FieldSpec(p)
+    prod, e1, _ = product_algebra(nakayama_22(field), a2_algebra(field))
+    regime, dl, dr = gorenstein_regime(prod)
+    assert (regime, dl.value, dr.value) == (IWANAGA_GORENSTEIN, 1, 1)
+    nak = [s for s in simples(prod) if not s.act_matrix(e1).is_zero()]
+    assert len(nak) == 2
+    for s in nak:
+        v = gp_check(s)
+        assert v.answer == CERTIFIED_YES
+        assert v.certificate == {
+            "reason": "ext_vanishing_up_to_selfinjective_dimension",
+            "checked": 1, "id_left": 1, "id_right": 1}
+    [s] = [s for s in simples(prod)
+           if s.act_matrix(e1).is_zero() and not is_projective(s)]
+    v = gp_check(s)
+    assert v.answer == CERTIFIED_NO
+    assert (v.certificate["index"], v.certificate["side"]) == (1, "module")
+
+
+def test_compatibility_via_finite_fd_and_id():
+    # D(wild) as a wild-k bimodule: injective but of infinite projective
+    # dimension on the left, flat on the right
+    w = local_wild_algebra(FIELD2)
+    dw = dual_module(RightModule.regular(w))
+    n = Bimodule(w, field_algebra(FIELD2), dw.action,
+                 [FpMatrix.identity(dw.dim, FIELD2)])
+    rep = compatibility_report(n, 4)
+    assert rep.sufficient_via == "finite_fd_and_id"
+    fd, pd, idim = (rep.dims[k] for k in ("fd_right", "pd_left", "id_left"))
+    assert fd.is_finite() and fd.value == 0
+    assert not pd.is_finite() and pd.value == 4
+    assert idim.is_finite() and idim.value == 0
 
 
 # ---------------------------------------------------------------------------

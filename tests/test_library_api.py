@@ -1,8 +1,10 @@
 """Guards on the public API of the library modules (every module but the
 CLI): no answer may depend on a seed or a search budget."""
 
+import ast
 import importlib
 import inspect
+import pathlib
 
 import pytest
 
@@ -35,3 +37,25 @@ def test_no_library_function_takes_a_seed_or_budget(layer):
     assert [name for name, fn in found
             if {"seed", "budget"} & set(inspect.signature(fn).parameters)] \
         == []
+
+
+def test_no_unused_imports():
+    """Every name a library or CLI module imports is used in it."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "extalg"
+    paths = sorted(src.glob("*.py"))
+    assert paths
+    unused = []
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and \
+                    node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [f"{path.name}: {alias.asname or alias.name}"
+                           for alias in node.names
+                           if (alias.asname or alias.name).split(".")[0]
+                           not in used]
+    assert unused == []
