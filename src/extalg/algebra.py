@@ -538,26 +538,29 @@ def _exact_rank(f: ModuleHom, g: ModuleHom) -> Optional[int]:
 # direct sums
 
 
+def block_sum_module(mods: Sequence):
+    """The direct sum of one-sided modules over a common algebra, with
+    block-diagonal action matrices, and nothing else."""
+    over = mods[0].over
+    total = sum(m.dim for m in mods)
+    acc = np.zeros((over.dim, total, total), dtype=np.int64)
+    off = 0
+    for m in mods:
+        acc[:, off:off + m.dim, off:off + m.dim] = _stack(m.action, m.dim)
+        off += m.dim
+    return type(mods[0])(over, [FpMatrix(x, over.field) for x in acc],
+                         validate=False)
+
+
 def direct_sum_modules(mods: Sequence):
     """Direct sum of one-sided modules over a common algebra; returns
     (module, inclusions, projections)."""
-    over = mods[0].over
-    field = over.field
-    dims = [m.dim for m in mods]
-    total = sum(dims)
-    action = []
-    for i in range(over.dim):
-        acc = np.zeros((total, total), dtype=np.int64)
-        off = 0
-        for m in mods:
-            acc[off:off + m.dim, off:off + m.dim] = m.action[i].arr
-            off += m.dim
-        action.append(FpMatrix(acc, field))
-    mod = type(mods[0])(over, action, validate=False)
+    mod = block_sum_module(mods)
+    field = mod.over.field
     incls, projs = [], []
     off = 0
     for m in mods:
-        inc = np.zeros((total, m.dim), dtype=np.int64)
+        inc = np.zeros((mod.dim, m.dim), dtype=np.int64)
         inc[off:off + m.dim] = np.eye(m.dim, dtype=np.int64)
         incls.append(ModuleHom(m, mod, FpMatrix(inc, field), validate=False))
         projs.append(ModuleHom(mod, m, FpMatrix(inc.T, field), validate=False))

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 from .algebra import (Algebra, Bimodule, HomSpace, LeftModule, ModuleHom,
-                      RightModule, as_left, direct_sum_modules, dual_module,
+                      RightModule, as_left, block_sum_module, dual_module,
                       hom_space, image_module, is_exact_at,
                       is_kernel_inclusion, kernel_module, other_side,
                       quotient_module, tensor_bimodule_left,
@@ -272,7 +272,12 @@ def solve_module_hom(source, target, left=None, right=None) -> Optional[ModuleHo
     coordinates in a basis of Hom(source, target) echelonized from the last
     entry of vec(T) backwards, so the free ones sit at the free columns of
     the system on all of vec(T): setting them to 0 gives the T that the
-    solve of that system returns."""
+    solve of that system returns.  With a zero source or target Hom is
+    {0}, so T = 0 exactly when every required value is zero."""
+    if source.dim == 0 or target.dim == 0:
+        if any(not c[1].is_zero() for c in (left, right) if c is not None):
+            return None
+        return ModuleHom.zero(source, target)
     hs = hom_space(source, target)
     field = hs.field
     flat = rref(FpMatrix(hs.mat.arr[:, ::-1], field)).reduced.arr[::-1, ::-1]
@@ -409,7 +414,7 @@ def build_pair_complete_resolution(pair: PairModule, window: int = None
         lambdas.append(vstack([n_incl.matrix @ rho_k, psi.matrix]))
         if i == window:
             break
-        w_i = direct_sum_modules([p_i, ts_p.space])[0]
+        w_i = block_sum_module([p_i, ts_p.space])
         n_next, n_incl, f_cor = image_module(cr.complex.diff_at(i))
         ts_n = mten(n_next)
         k_mod, q_hom, q_incl = quotient_module(w_i, lambdas[i])
@@ -449,7 +454,7 @@ def build_pair_complete_resolution(pair: PairModule, window: int = None
         xis.append(hstack([eta.matrix, delta_l @ m_pi.matrix]))
         if j == window:
             break
-        w_j = direct_sum_modules([p_j, ts_pj.space])[0]
+        w_j = block_sum_module([p_j, ts_pj.space])
         l_mod, kappa = kernel_module(ModuleHom(w_j, l_mod, xis[j],
                                                validate=False))
         kappas.append(kappa.matrix)

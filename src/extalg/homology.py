@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .algebra import (Algebra, AlgebraError, HomSpace, ModuleHom,
-                      _same_algebra, as_left, direct_sum_modules, dual_module,
+                      _same_algebra, as_left, block_sum_module, dual_module,
                       field_space, hom_space, is_exact_at, kernel_module)
 from .linalg import FpMatrix, echelon_coords, hstack, rank
 from .structure import (ProjectivePresentation, _pim_triples, pim_homs,
@@ -129,7 +129,7 @@ def non_minimal_resolution(m, n: int) -> Resolution:
     pres = projective_cover(m)
     m = pres.module
     extra = projective_indecomposables(m.over)[0][0]
-    cover, _, _ = direct_sum_modules([pres.cover, extra])
+    cover = block_sum_module([pres.cover, extra])
     epi = ModuleHom(cover, m, hstack([pres.epi.matrix, FpMatrix.zeros(
         m.dim, extra.dim, m.over.field)]), validate=False)
     return _resolve(ProjectivePresentation(

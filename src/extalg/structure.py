@@ -28,7 +28,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .algebra import (Algebra, LeftModule, ModuleHom, _echelon_submodule,
-                      _stack, as_left, direct_sum_modules, dual_module,
+                      _stack, as_left, block_sum_module, dual_module,
                       hom_space, kernel_module, opposite_algebra,
                       quotient_module, row_space_of_columns)
 from .linalg import (FieldSpec, FpMatrix, echelon_coords,
@@ -54,13 +54,9 @@ def spin(m, vec) -> FpMatrix:
     field = m.over.field
     rows = np.asarray(vec, dtype=np.int64).reshape(1, -1) % field.p
     while True:
-        new = [rows]
-        for am in m.action:
-            new.append((rows @ am.arr.T) % field.p)
-        stacked = FpMatrix(np.vstack(new), field)
-        r = rref(stacked)
-        nxt = r.reduced.arr[: r.rank]
-        if nxt.shape[0] == rows.shape[0] and (nxt == rows).all():
+        nxt = row_basis(FpMatrix(np.vstack([rows] + [
+            (rows @ am.arr.T) % field.p for am in m.action]), field)).arr
+        if nxt.shape == rows.shape:     # the span did not grow
             return FpMatrix(nxt, field)
         rows = nxt
 
@@ -86,29 +82,34 @@ def _power(x: np.ndarray, e: int, mul) -> np.ndarray:
     return mul(half, x) if e % 2 else half
 
 
-def _trace_radical(mats: np.ndarray, field: FieldSpec) -> FpMatrix:
+def _trace_radical(mats: np.ndarray, sc: np.ndarray,
+                   field: FieldSpec) -> FpMatrix:
     """RREF row basis, in coordinates of the (n, d, d) stack `mats` whose
-    span is closed under products, of the radical of that span.
+    span is closed under products with structure constants sc (mats[i] @
+    mats[j] = sum_k sc[i, j, k] mats[k]), of the radical of that span.
 
     Cohen-Ivanyos-Wales: I_{-1} = A, I_i = {x in I_{i-1} : g_i(xy) = 0 for
     all y}, g_i(z) = Tr(z~^(p^i)) / p^i mod p for any integer lift z~;
-    g_i is linear on I_{i-1}, and rad A = I_i once p^(i+1) > d (for p > d,
-    Dickson's trace-form kernel).  Reducing mod p^(i+1) <= p * d after
-    every product keeps entries below d * (p * d)^2.
+    rad A = I_i once p^(i+1) > d (for p > d, Dickson's trace-form kernel).
+    Each I_{i-1} is an ideal and g_i is linear on it, so g_i(x b_j) is the
+    coordinate vector of x b_j in the RREF basis u of I_{i-1} (its entries
+    at the pivots of u) dotted with the values g_i(u_k).  A level raises k
+    matrices, not k * n, to the power p^i (at most 2 log2 p^i products of
+    d x d matrices each), plus 2 k * n^2 coordinate work.
+    Reducing mod p^(i+1) <= p * d keeps entries below d * (p * d)^2.
     """
-    p = field.p
-    n, d, _ = mats.shape
-    basis = np.eye(n, dtype=np.int64)
-    q = 1
-    while q <= d and basis.shape[0]:
-        mod = q * p
-        xs = np.tensordot(basis, mats, 1) % p
-        z = _power((xs[:, None] @ mats[None]) % p, q,
-                   lambda u, v: (u @ v) % mod)
-        g = (np.trace(z, axis1=2, axis2=3) % mod) // q
-        basis = kernel_basis(FpMatrix(g.T, field)).arr @ basis % p
+    p, (n, d, _), q = field.p, mats.shape, 1
+    basis = FpMatrix.identity(n, field)
+    while q <= d and basis.rows:
+        mod, u = q * p, basis.arr
+        z = _power(np.tensordot(u, mats, 1) % p, q,
+                   lambda x, y: (x @ y) % mod)
+        gamma = (np.trace(z, axis1=1, axis2=2) % mod) // q
+        g = u @ (sc[..., np.argmax(u != 0, axis=1)] @ gamma % p) % p
+        basis = row_basis(FpMatrix(
+            kernel_basis(FpMatrix(g.T, field)).arr @ u % p, field))
         q *= p
-    return row_basis(FpMatrix(basis, field))
+    return basis
 
 
 def _minimal_polynomial(x: np.ndarray, one: np.ndarray, mul,
@@ -219,8 +220,9 @@ def _primitive_idempotents(sc: np.ndarray, unit: np.ndarray, rad: FpMatrix,
 def algebra_radical(a: Algebra) -> FpMatrix:
     """Row basis (RREF) of rad(A), from the regular representation."""
     if "radical" not in a._cache:
-        a._cache["radical"] = _trace_radical(a.sc.transpose(0, 2, 1),
-                                             a.field)
+        twin = a._cache.get("opposite", a)._cache
+        a._cache["radical"] = twin["radical"] if "radical" in twin else \
+            _trace_radical(a.sc.transpose(0, 2, 1), a.sc, a.field)
     return a._cache["radical"]
 
 
@@ -243,9 +245,7 @@ def radical_of_module(m) -> Tuple[object, ModuleHom]:
 
 def top_of_module(m) -> Tuple[object, ModuleHom]:
     """m / rad(m) with the projection."""
-    _, incl = radical_of_module(m)
-    quo, proj, _ = quotient_module(m, incl.matrix)
-    return quo, proj
+    return quotient_module(m, radical_of_module(m)[1].matrix)[:2]
 
 
 def _pim_triples(a: Algebra):
@@ -350,17 +350,17 @@ def split_module(m) -> List[Tuple[object, ModuleHom]]:
     """
     if m.dim == 0:
         return []
-    endos = hom_space(m, m)
+    endos, field = hom_space(m, m), m.over.field
     mats = endos.basis_array()
-    prods = (mats[:, None] @ mats[None]).reshape(endos.dim, endos.dim, -1)
-    unit = np.eye(m.dim, dtype=np.int64).reshape(-1)
+    sc = echelon_coords(endos.mat, (mats[:, None] @ mats[None]).reshape(
+        endos.dim, endos.dim, -1))
+    unit = echelon_coords(endos.mat, np.eye(m.dim, dtype=int).reshape(-1))
     idems = [e for group in _primitive_idempotents(
-        echelon_coords(endos.mat, prods), echelon_coords(endos.mat, unit),
-        _trace_radical(mats, m.over.field), m.over.field) for e in group]
+        sc, unit, _trace_radical(mats, sc, field), field) for e in group]
     if len(idems) == 1:
         return [(m, ModuleHom.identity(m))]
     return [_echelon_submodule(m, row_space_of_columns(
-        FpMatrix(np.tensordot(e, mats, 1), m.over.field))) for e in idems]
+        FpMatrix(np.tensordot(e, mats, 1), field))) for e in idems]
 
 
 def find_isomorphism(m, n) -> Optional[ModuleHom]:
@@ -476,8 +476,7 @@ def _cover_parts(m: LeftModule):
         raise StructureError("projective cover search failed to reach the top")
     owner = np.repeat(np.arange(len(cands)), [f.shape[1] for _, f in cands])
     chosen = [cands[k] for k in np.unique(owner[reduced.pivot_cols])]
-    cover = direct_sum_modules([_pim_triples(m.over)[i][0]
-                                for i, _ in chosen])[0]
+    cover = block_sum_module([_pim_triples(m.over)[i][0] for i, _ in chosen])
     epi = ModuleHom(cover, m, FpMatrix(np.hstack([phi for _, phi in chosen]),
                                        field), validate=False)
     ker, ker_incl = kernel_module(epi)

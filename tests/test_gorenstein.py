@@ -222,6 +222,27 @@ def test_solve_module_hom_constraints(d_ext):
     assert solve_module_hom(s0, s1, right=(one, one)) is None
 
 
+def test_solve_module_hom_with_a_zero_side(d_ext, monkeypatch):
+    # Hom(M, 0) = Hom(0, M) = {0}: no Hom space is built, and a nonzero
+    # required value has no solution
+    def no_hom_space(*_):
+        raise AssertionError("Hom space built for a zero module")
+
+    monkeypatch.setattr(extalg.gorenstein, "hom_space", no_hom_space)
+    reg = LeftModule.regular(d_ext.total)
+    zero = LeftModule.zero(d_ext.total)
+    wanted = FpMatrix.identity(2, FIELD2)
+    to_zero = (FpMatrix.zeros(2, 0, FIELD2), wanted)
+    assert solve_module_hom(reg, zero, left=to_zero) is None
+    got = solve_module_hom(reg, zero, left=(to_zero[0], wanted.scale(0)))
+    assert got is not None and (got.target.dim, got.source.dim) == (0, 2)
+    from_zero = (FpMatrix.zeros(0, 2, FIELD2), wanted)
+    assert solve_module_hom(zero, reg, right=from_zero) is None
+    got = solve_module_hom(zero, reg, right=(from_zero[0], wanted.scale(0)))
+    assert got is not None and (got.target.dim, got.source.dim) == (2, 0)
+    assert solve_module_hom(zero, zero).matrix.rows == 0
+
+
 # ---------------------------------------------------------------------------
 # complete resolutions over the base
 

@@ -11,12 +11,14 @@ from conftest import (FIELD2, a2_algebra, double_extension,
 from extalg import structure
 from extalg.algebra import (Algebra, AlgebraError, HomSpace, LeftModule,
                             RightModule, as_left, direct_sum_modules,
-                            field_algebra, monomial_quiver_algebra,
-                            product_algebra, row_space_of_columns)
+                            field_algebra, hom_space, monomial_quiver_algebra,
+                            opposite_algebra, product_algebra,
+                            quotient_module, row_space_of_columns)
 from extalg.homology import (DimensionVerdict, minimal_projective_resolution,
                              pd_bounded)
-from extalg.linalg import (FieldSpec, FpMatrix, inverse, quotient_maps, rank,
-                           row_basis, vstack)
+from extalg.linalg import (FieldSpec, FpMatrix, echelon_coords, inverse,
+                           kernel_basis, quotient_maps, rank, row_basis,
+                           vstack)
 from extalg.structure import (_pim_triples, algebra_radical, chop,
                               injective_envelope,
                               find_isomorphism, injective_indecomposables,
@@ -235,6 +237,41 @@ def test_equal_dimensions_with_other_summands_are_not_isomorphic():
     assert iso.is_iso()
 
 
+def _uniserials(a):
+    """The quotients P_i / rad^k(P_i), k >= 1, of every PIM: over the path
+    algebra of a linear quiver, each indecomposable exactly once."""
+    out = []
+    for pim, _ in projective_indecomposables(a):
+        rows = FpMatrix.identity(pim.dim, a.field)
+        while rows.rows:
+            rows = structure._radical_span(pim, rows.arr)
+            out.append(quotient_module(pim, rows.transpose())[0])
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 65521])
+def test_split_and_match_the_indecomposables_of_a4(p):
+    field = FieldSpec(p)
+    a = monomial_quiver_algebra(4, [(0, 1), (1, 2), (2, 3)], [], field)
+    pieces = _uniserials(a)
+    dims = sorted(x.dim for x in pieces)
+    assert dims == [1, 1, 1, 1, 2, 2, 2, 3, 3, 4]
+    m, _, _ = direct_sum_modules(pieces)
+    summands = split_module(m)
+    assert sorted(x.dim for x, _ in summands) == dims
+    span = np.hstack([incl.matrix.arr for _, incl in summands])
+    assert rank(FpMatrix(span, field)) == m.dim == 20
+    iso = find_isomorphism(m, _conjugate(m, np.random.default_rng(p)))
+    iso.validate()
+    assert iso.is_iso()
+    # the top of P_1 in place of the top of P_0: same dimensions, but S_1
+    # twice and S_0 not at all
+    tops = [x for x in pieces if x.dim == 1]
+    other, _, _ = direct_sum_modules([tops[1] if x is tops[0] else x
+                                      for x in pieces])
+    assert find_isomorphism(m, other) is None
+
+
 # ---------------------------------------------------------------------------
 # oracle net: closed-form answers in a random basis
 
@@ -330,6 +367,63 @@ def test_structure_of_matrix_blocks(p, factors, radical, simple, pim):
     assert [piece.dim for piece, _ in split_module(reg)] == \
         [pim] * (a.dim // pim)
     _assert_radical_certified(a)
+
+
+# ---------------------------------------------------------------------------
+# the radical chain against its definition on all products
+
+
+def _all_products_chain(mats, field):
+    """(RREF basis of the radical, number of levels) of the span of mats
+    as the chain defines it: g_i evaluated on x.b_j for x in a basis of
+    I_{i-1} and every basis element b_j."""
+    p, (n, d, _) = field.p, mats.shape
+    basis, q, levels = np.eye(n, dtype=np.int64), 1, 0
+    while q <= d and len(basis):
+        xy = (np.tensordot(basis, mats, 1) % p)[:, None] @ mats[None] % p
+        z = xy
+        for _ in range(q - 1):
+            z = z @ xy % (q * p)
+        g = np.trace(z, axis1=2, axis2=3) % (q * p) // q
+        basis = kernel_basis(FpMatrix(g.T, field)).arr @ basis % p
+        q, levels = q * p, levels + 1
+    return row_basis(FpMatrix(basis, field)).arr, levels
+
+
+def _endomorphism_stack(m):
+    """The basis matrices of End(m) and their structure constants."""
+    endos = hom_space(m, m)
+    mats = endos.basis_array()
+    prods = (mats[:, None] @ mats[None]).reshape(endos.dim, endos.dim, -1)
+    return mats, echelon_coords(endos.mat, prods)
+
+
+def test_trace_radical_matches_the_all_products_chain():
+    levels = []
+    for p in (2, 3, 5, 101):
+        field, rng = FieldSpec(p), np.random.default_rng(p)
+        truncated = monomial_quiver_algebra(1, [(0, 0)], [[0] * 9], field)
+        nakayama = monomial_quiver_algebra(2, [(0, 1), (1, 0)],
+                                           [[0, 1, 0, 1, 0], [1, 0, 1, 0, 1]],
+                                           field)
+        a3 = monomial_quiver_algebra(3, [(0, 1), (1, 2)], [], field)
+        m2 = Algebra(field, *_matrix_algebra(2))
+        algebras = [_scramble(x.sc, x.unit, field, rng) for x in
+                    (truncated, nakayama, product_algebra(a3, m2)[0])]
+        algebras += [opposite_algebra(x) for x in algebras]
+        stacks = [(x.sc.transpose(0, 2, 1), x.sc) for x in algebras]
+        pims = [pm for pm, _ in projective_indecomposables(a3)]
+        m, _, _ = direct_sum_modules(pims + simples(a3))
+        stacks.append(_endomorphism_stack(_conjugate(m, rng)))
+        for mats, sc in stacks:
+            want, depth = _all_products_chain(mats, field)
+            assert np.array_equal(
+                structure._trace_radical(mats, sc, field).arr, want)
+            levels.append(depth)
+        for x in algebras:
+            assert np.array_equal(algebra_radical(x).arr, _all_products_chain(
+                x.sc.transpose(0, 2, 1), field)[0])
+    assert max(levels) >= 3
 
 
 # ---------------------------------------------------------------------------
