@@ -37,7 +37,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .linalg import (FieldSpec, FpMatrix, QuotientMaps, echelon_coords,
-                     hstack, in_row_span, is_invertible, kernel_basis, kron,
+                     in_row_span, is_invertible, kernel_basis, kron,
                      matmul_mod, quotient_maps, rank, row_basis, vstack)
 
 
@@ -103,7 +103,8 @@ def validate_algebra(a: Algebra) -> dict:
 
 def field_algebra(field: FieldSpec) -> Algebra:
     """GF(p) viewed as a 1-dimensional algebra over itself."""
-    return Algebra(field, np.ones((1, 1, 1), dtype=np.int64), [1])
+    return Algebra(field, np.ones((1, 1, 1), dtype=np.int64), [1],
+                   validate=False)
 
 
 def opposite_algebra(a: Algebra) -> Algebra:
@@ -243,6 +244,15 @@ class RightModule(LeftModule):
 def _stack(action: Sequence[FpMatrix], d: int) -> np.ndarray:
     """Action matrices as one (len(action), d, d) array."""
     return np.array([m.arr for m in action]).reshape(len(action), d, d)
+
+
+def _kron_rows(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The blocks left[g] ox I - I ox right[g], one under the other, as one
+    unreduced int64 array; left and right are stacks of square matrices."""
+    g, d1, d2 = len(left), left.shape[1], right.shape[1]
+    out = left[:, :, None, :, None] * np.eye(d2, dtype=np.int64)[:, None] - \
+        np.eye(d1, dtype=np.int64)[:, None, :, None] * right[:, None, :, None]
+    return out.reshape(g * d1 * d2, d1 * d2)
 
 
 def as_left(m) -> LeftModule:
@@ -387,15 +397,12 @@ class HomSpace:
                 raise AlgebraError("hom space requires a common algebra")
         self.source = source
         self.target = target
-        self.field = field = source.over.field
-        idt = FpMatrix.identity(target.dim, field)
-        ids = FpMatrix.identity(source.dim, field)
-        # the empty block gives the width when there are no generators
-        self.mat = kernel_basis(vstack(
-            [FpMatrix.zeros(0, target.dim * source.dim, field)]
-            + [kron(idt, source.action[g].transpose())
-               - kron(target.action[g], ids)
-               for g in algebra_generators(source.over)]))
+        self.field = source.over.field
+        gens = algebra_generators(source.over)
+        self.mat = kernel_basis(FpMatrix(-_kron_rows(
+            _stack(target.action, target.dim)[gens],
+            _stack(source.action, source.dim)[gens].transpose(0, 2, 1)),
+            self.field))
 
     @property
     def dim(self) -> int:
@@ -584,21 +591,18 @@ class TensorSpace:
     project: FpMatrix
     include: FpMatrix
     first_dim: int
-    second_dim: int
 
 
 def _balanced_quotient(rho: Sequence[FpMatrix], lam: Sequence[FpMatrix],
                        over: Algebra) -> QuotientMaps:
     """Quotient maps of M ox X by the relations m.r ox x - m ox r.x, where r
     runs over the generators of `over` acting by rho on M and lam on X."""
-    field = over.field
-    d1, d2 = rho[0].rows, lam[0].rows
-    i1 = FpMatrix.identity(d1, field)
-    i2 = FpMatrix.identity(d2, field)
-    # the empty block gives the height when there are no generators
-    return quotient_maps(hstack([FpMatrix.zeros(d1 * d2, 0, field)] + [
-        kron(rho[g], i2) - kron(i1, lam[g])
-        for g in algebra_generators(over)]))
+    gens = algebra_generators(over)
+    # one block of columns per generator: the transpose of the blocks
+    # rho_g^T ox I - I ox lam_g^T stacked by rows
+    return quotient_maps(FpMatrix(_kron_rows(
+        _stack(rho, rho[0].rows)[gens].transpose(0, 2, 1),
+        _stack(lam, lam[0].rows)[gens].transpose(0, 2, 1)).T, over.field))
 
 
 def tensor_bimodule_left(m: Bimodule, x: LeftModule) -> TensorSpace:
@@ -610,7 +614,7 @@ def tensor_bimodule_left(m: Bimodule, x: LeftModule) -> TensorSpace:
     ix = FpMatrix.identity(x.dim, field)
     action = [qm.project @ kron(la, ix) @ qm.include for la in m.left_action]
     space = LeftModule(m.left_over, action, validate=False)
-    return TensorSpace(space, qm.project, qm.include, m.dim, x.dim)
+    return TensorSpace(space, qm.project, qm.include, m.dim)
 
 
 def tensor_right_left(w: RightModule, x: LeftModule) -> TensorSpace:
@@ -678,10 +682,6 @@ class HomModule:
         stack = self.homs.basis_array()
         self.space = LeftModule(m.right_over, [self.homs.coords_many(
             stack @ ra.arr) for ra in m.right_action], validate=False)
-
-    def evaluation_matrix(self, j: int) -> FpMatrix:
-        """Matrix of 'evaluate at the j-th basis vector of M': space -> Y."""
-        return FpMatrix(self.homs.basis_array()[:, :, j].T, self.y.over.field)
 
     def postcompose(self, other: "HomModule", u: ModuleHom) -> ModuleHom:
         """Induced map Hom(M, Y) -> Hom(M, Y') for u: Y -> Y'

@@ -35,10 +35,10 @@ from .structure import (injective_indecomposables, is_injective,
                         is_projective, projective_cover,
                         projective_indecomposables)
 from .trivext import (CopairModule, PairModule, RightPairModule,
-                      TrivialExtension, _inflate, copair_to_module,
-                      functor_C, functor_H, functor_K, functor_T,
-                      induced_delta, module_to_pair, opposite_extension,
-                      pair_to_module, right_pair_to_module)
+                      TrivialExtension, _coextend, _extend, _inflate,
+                      copair_to_module, functor_C, functor_K, induced_delta,
+                      module_to_pair, opposite_extension, pair_to_module,
+                      right_pair_to_module)
 
 
 class GorensteinError(ValueError):
@@ -316,12 +316,13 @@ class CompleteResolution:
 def complete_resolution(c, window: int) -> CompleteResolution:
     """Degrees < 0 from the minimal projective resolution of c; degrees
     >= 0 from the dual of the minimal resolution of Hom(c, A) over the
-    opposite algebra, glued along the biduality map.  The output is a
-    genuine complete-resolution window exactly when c is totally
-    reflexive on the window (validated by callers).  A right module is
-    resolved as a left module over the opposite algebra."""
+    opposite algebra, glued by evaluation after the augmentation.  The
+    output is a genuine complete-resolution window exactly when c is
+    totally reflexive on the window (validated by callers).  A right
+    module is resolved as a left module over the opposite algebra."""
     c = as_left(c)
-    cl = as_left(star_module(c)[0])
+    cstar, hs = star_module(c)
+    cl = as_left(cstar)
     res2 = minimal_projective_resolution(cl, window)
     # P^j := Hom_op(Q_j, op), a left module over c's algebra
     stars = [star_module(t) for t in res2.terms]
@@ -332,13 +333,10 @@ def complete_resolution(c, window: int) -> CompleteResolution:
         mat = _precompose_matrix(spaces[j], spaces[j + 1], res2.diffs[j])
         right_diffs.append(ModuleHom(right_terms[j], right_terms[j + 1], mat,
                                      validate=False))
-    # glue: c -> c** -> Hom_op(Q_0, op) by precomposition with the
-    # augmentation
-    ev = biduality_map(c)
-    hs_cl = hom_space(cl, LeftModule.regular(cl.over))
-    aug_star = spaces[0].coords_many(hs_cl.basis_array()
-                                     @ res2.epi.matrix.arr)
-    mono = ModuleHom(c, right_terms[0], aug_star @ ev.matrix, validate=False)
+    # glue: c's basis vector b goes to "evaluate at b" after the augmentation
+    mono = ModuleHom(c, right_terms[0], spaces[0].coords_many(
+        hs.basis_array().transpose(2, 1, 0) @ res2.epi.matrix.arr),
+        validate=False)
     res1 = minimal_projective_resolution(c, window - 1)
     mods = list(reversed(res1.terms)) + right_terms
     diffs = list(reversed(res1.diffs)) + [mono.compose(res1.epi)] + \
@@ -386,7 +384,7 @@ def build_pair_complete_resolution(pair: PairModule, window: int = None
         raise GorensteinError("lifting hypotheses unmet: structure "
                               "sequence not exact or cokernel refuted")
     coker, rho = functor_C(pair)
-    cr = complete_resolution(coker, window + 1)
+    cr = complete_resolution(coker, window)
     m = t.bimodule
 
     def mten(x):
@@ -480,8 +478,8 @@ def build_pair_complete_resolution(pair: PairModule, window: int = None
 
     # assemble over the total algebra: kappa_j xi_{j+1} on the left,
     # lambda_0 xi_0 at degree -1, lambda_{i+1} q_i on the right
-    terms = [pair_to_module(functor_T(t, cr.complex.module_at(k)))
-             for k in range(-(window + 1), window + 1)]
+    terms = [_extend(t, p) for p in reversed(res1.terms)] + [
+        _extend(t, cr.complex.module_at(i)) for i in range(window + 1)]
     mats = [kappas[j] @ xis[j + 1] for j in reversed(range(window))] + \
         [lambdas[0] @ xis[0]] + \
         [lambdas[i + 1] @ qs[i] for i in range(window)]
@@ -498,7 +496,7 @@ def validate_pair_complete_resolution(res: CompleteResolution) -> dict:
     indecomposable Q of the base, and projectivity of every term."""
     t = res.source.t
     tests = [target for q, _ in projective_indecomposables(t.base)
-             for target in (pair_to_module(functor_T(t, q)), _inflate(t, q))]
+             for target in (_extend(t, q), _inflate(t, q))]
     checks = _window_checks(res.complex, res.mono,
                             "hom_exact_into_test_modules",
                             (hom_complex(res.complex, m) for m in tests))
@@ -548,8 +546,7 @@ def validate_copair_complete_coresolution(res: CompleteResolution) -> dict:
     indecomposable E of the base, and injectivity of every term."""
     t = res.source.t
     tests = [source for e, _ in injective_indecomposables(t.base)
-             for source in (copair_to_module(functor_H(t, e)),
-                            _inflate(t, e))]
+             for source in (_coextend(t, e), _inflate(t, e))]
     checks = _window_checks(res.complex, res.mono,
                             "hom_exact_from_test_modules",
                             (hom_complex_co(m, res.complex) for m in tests))

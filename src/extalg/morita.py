@@ -340,12 +340,9 @@ def theta_co(ct: CoTupleModule) -> CopairModule:
     """The copair over the extension, read off the module over the ring
     whose U and V blocks evaluate f and g."""
     ring = ct.ring
-    dx, dy = ct.x.dim, ct.y.dim
-    du, dv = ring.context.u.dim, ring.context.v.dim
-    f = np.array([(ct.hom_uy.evaluation_matrix(k) @ ct.f.matrix).arr
-                  for k in range(du)], dtype=np.int64).reshape(du, dy, dx)
-    g = np.array([(ct.hom_vx.evaluation_matrix(k) @ ct.g.matrix).arr
-                  for k in range(dv)], dtype=np.int64).reshape(dv, dx, dy)
+    # block k sends b to f(b)(u_k), resp. g(b)(v_k)
+    f = ct.hom_uy.homs.basis_array().transpose(2, 1, 0) @ ct.f.matrix.arr
+    g = ct.hom_vx.homs.basis_array().transpose(2, 1, 0) @ ct.g.matrix.arr
     return module_to_copair(_ring_module(ring, ct.x, ct.y, f, g), ring.ext)
 
 

@@ -7,7 +7,10 @@ Left modules over the extension are equivalent to pairs (X, alpha) with
 alpha: M ox X -> X vanishing on M ox M ox X, and to copairs [Y, beta] with
 beta: Y -> Hom(M, Y) vanishing under postcomposition with itself.  This
 module implements the conversions, the six functors between the base and
-extension categories, and the comparison isomorphisms they satisfy.
+extension categories, and the comparison isomorphisms they satisfy.  The
+induced and coinduced modules T(X) = X + M ox X and H(Y) = Hom(M, Y) + Y
+are built once each as total modules; `functor_T` and `functor_H` read
+their pair and copair off them, as `morita.theta` and `theta_co` do.
 
 Right modules over R |x M are left modules over R^op |x M^swap
 (`opposite_extension`, whose total algebra is registered as the opposite
@@ -24,12 +27,12 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .algebra import (Algebra, AlgebraError, Bimodule, LeftModule, ModuleHom,
-                      RightModule, cokernel_module, direct_sum_modules,
+                      RightModule, _stack, block_sum_module, cokernel_module,
                       field_space, hom_from_bimodule, hom_space, image_module,
                       is_kernel_inclusion, kernel_module, opposite_algebra,
                       swapped_tensor, tensor_bimodule_left, tensor_map_second,
                       tensor_right_left)
-from .linalg import FpMatrix, hstack, is_invertible, kron, rank, solve
+from .linalg import FpMatrix, is_invertible, rank, solve
 from .structure import find_isomorphism, is_injective, is_projective
 
 
@@ -186,16 +189,12 @@ class RightPairModule:
 def pair_to_module(pair: PairModule) -> LeftModule:
     """The left module over the total algebra: (r, m) acts as
     r.x + alpha(m ox x)."""
-    t = pair.t
-    field = t.field
     dx = pair.x.dim
-    ix = FpMatrix.identity(dx, field)
-    action = list(pair.x.action)
-    for j in range(t.ideal_dim):
-        ej = FpMatrix.zeros(t.ideal_dim, 1, field)
-        ej.arr[j, 0] = 1
-        action.append(pair.alpha.matrix @ pair.tensor.project @ kron(ej, ix))
-    return LeftModule(t.total, action)
+    # block j sends b to alpha(m_j ox b)
+    plain = (pair.alpha.matrix @ pair.tensor.project).arr
+    ideal = plain.reshape(dx, pair.t.ideal_dim, dx).transpose(1, 0, 2)
+    return LeftModule(pair.t.total, list(pair.x.action) + [
+        FpMatrix(a, pair.t.field) for a in ideal])
 
 
 def module_to_pair(mod: LeftModule, t: TrivialExtension) -> PairModule:
@@ -204,10 +203,9 @@ def module_to_pair(mod: LeftModule, t: TrivialExtension) -> PairModule:
     n, d = t.base_dim, t.ideal_dim
     x = LeftModule(t.base, mod.action[:n])
     pair0 = tensor_bimodule_left(t.bimodule, x)
-    if d and x.dim:
-        plain = hstack([mod.action[n + j] for j in range(d)])
-    else:
-        plain = FpMatrix.zeros(x.dim, d * x.dim, t.field)
+    # column j * dim X + b of plain is m_j acting on b
+    plain = FpMatrix(_stack(mod.action[n:], x.dim).transpose(1, 0, 2)
+                     .reshape(x.dim, d * x.dim), t.field)
     alpha_mat = plain @ pair0.include
     if alpha_mat @ pair0.project != plain:
         raise TrivextError("ideal action does not factor through the "
@@ -217,21 +215,19 @@ def module_to_pair(mod: LeftModule, t: TrivialExtension) -> PairModule:
 
 def copair_to_module(copair: CopairModule) -> LeftModule:
     """(r, m) acts as r.y + (beta y)(m)."""
-    t = copair.t
-    action = list(copair.y.action)
-    for j in range(t.ideal_dim):
-        ev = copair.hom.evaluation_matrix(j)
-        action.append(ev @ copair.beta.matrix)
-    return LeftModule(t.total, action)
+    # block j sends b to beta(b)(m_j)
+    ideal = copair.hom.homs.basis_array().transpose(2, 1, 0) @ \
+        copair.beta.matrix.arr
+    return LeftModule(copair.t.total, list(copair.y.action) + [
+        FpMatrix(a, copair.t.field) for a in ideal])
 
 
 def module_to_copair(mod: LeftModule, t: TrivialExtension) -> CopairModule:
-    n, d = t.base_dim, t.ideal_dim
+    n = t.base_dim
     y = LeftModule(t.base, mod.action[:n])
     hm = hom_from_bimodule(t.bimodule, y)
     # y's basis vector b goes to the map m_j -> (action of m_j)[:, b]
-    ideal = np.array([am.arr for am in mod.action[n:]]).reshape(d, y.dim,
-                                                                 y.dim)
+    ideal = _stack(mod.action[n:], y.dim)
     try:
         beta_mat = hm.homs.coords_many(ideal.transpose(2, 1, 0))
     except AlgebraError as exc:
@@ -258,27 +254,14 @@ def module_to_right_pair(mod: RightModule, t: TrivialExtension) -> RightPairModu
 
 def functor_T(t: TrivialExtension, x: LeftModule) -> PairModule:
     """T(X) = (X + M ox X, mu) with mu feeding the X summand into the
-    M ox X summand; the structure matrix is the block [[0,0],[1,0]]."""
-    ts0 = tensor_bimodule_left(t.bimodule, x)
-    w, incls, projs = direct_sum_modules([x, ts0.space])
-    tsw = tensor_bimodule_left(t.bimodule, w)
-    m_proj = tensor_map_second(tsw, ts0, projs[0])
-    mu = incls[1].matrix @ m_proj.matrix
-    return PairModule(t, w, mu)
+    M ox X summand, read off the total module."""
+    return module_to_pair(_extend(t, x), t)
 
 
 def functor_H(t: TrivialExtension, y: LeftModule) -> CopairModule:
     """H(Y) = [Hom(M, Y) + Y, theta] with theta feeding the hom summand
-    into the Y slot of Hom(M, -)."""
-    hm = hom_from_bimodule(t.bimodule, y)
-    w, incls, _ = direct_sum_modules([hm.space, y])
-    hw = hom_from_bimodule(t.bimodule, w)
-    field = t.field
-    lifted = hw.homs.coords_many(incls[1].matrix.arr
-                                 @ hm.homs.basis_array())
-    theta = np.hstack([lifted.arr,
-                       np.zeros((hw.homs.dim, y.dim), dtype=np.int64)])
-    return CopairModule(t, w, FpMatrix(theta, field))
+    into the Y slot of Hom(M, -), read off the total module."""
+    return module_to_copair(_coextend(t, y), t)
 
 
 def functor_Z_pair(t: TrivialExtension, x: LeftModule) -> PairModule:
@@ -323,11 +306,8 @@ def classify_projective(pair: PairModule
     if not is_projective(mod):
         return None
     cand, _ = functor_C(pair)
-    tp = functor_T(pair.t, cand)
-    wit = find_isomorphism(mod, pair_to_module(tp))
-    if wit is None:
-        return None
-    return cand, wit
+    wit = find_isomorphism(mod, _extend(pair.t, cand))
+    return None if wit is None else (cand, wit)
 
 
 def classify_injective(copair: CopairModule
@@ -338,11 +318,8 @@ def classify_injective(copair: CopairModule
     if not is_injective(mod):
         return None
     cand, _ = functor_K(copair)
-    he = functor_H(copair.t, cand)
-    wit = find_isomorphism(mod, copair_to_module(he))
-    if wit is None:
-        return None
-    return cand, wit
+    wit = find_isomorphism(mod, _coextend(copair.t, cand))
+    return None if wit is None else (cand, wit)
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +344,31 @@ def _inflate(t: TrivialExtension, x):
     as zero."""
     z = FpMatrix.zeros(x.dim, x.dim, t.field)
     return type(x)(t.total, list(x.action) + [z] * t.ideal_dim)
+
+
+def _glued(t: TrivialExtension, first: LeftModule, second: LeftModule,
+           ideal: np.ndarray) -> LeftModule:
+    """first + second as a total module (unchecked): the base acts
+    block-diagonally and m_j by the block ideal[j]: first -> second."""
+    base = block_sum_module([first, second])
+    acts = np.zeros((t.ideal_dim, base.dim, base.dim), dtype=np.int64)
+    acts[:, first.dim:, :first.dim] = ideal
+    return LeftModule(t.total, base.action + [FpMatrix(m, t.field)
+                                              for m in acts], validate=False)
+
+
+def _extend(t: TrivialExtension, x: LeftModule) -> LeftModule:
+    """T(X) = X + M ox X as a total module: m_j sends x to m_j ox x, read
+    off the columns j * dim X .. (j+1) * dim X - 1 of the projection."""
+    ts = tensor_bimodule_left(t.bimodule, x)
+    ideal = ts.project.arr.reshape(ts.space.dim, t.ideal_dim, x.dim)
+    return _glued(t, x, ts.space, ideal.transpose(1, 0, 2))
+
+
+def _coextend(t: TrivialExtension, y: LeftModule) -> LeftModule:
+    """H(Y) = Hom(M, Y) + Y as a total module: m_j sends f to f(m_j)."""
+    hm = hom_from_bimodule(t.bimodule, y)
+    return _glued(t, hm.space, y, hm.homs.basis_array().transpose(2, 1, 0))
 
 
 def _inflated_ses(t: TrivialExtension, sub: LeftModule, incl: ModuleHom,

@@ -296,6 +296,34 @@ def test_pair_resolution_triangular(tri_ext):
                                 "hom_exact_into_test_modules"))
 
 
+@pytest.mark.parametrize("window", [1, 2, 3])
+def test_pair_lifting_builds_nothing_past_its_window(d_ext, monkeypatch,
+                                                     window):
+    # the lifting reads base terms up to degree `window` only, and the
+    # gluing evaluates at c's vectors directly instead of through c**
+    lengths = []
+    resolve = extalg.gorenstein.minimal_projective_resolution
+
+    def spy(m, n):
+        lengths.append(n)
+        return resolve(m, n)
+
+    def no_biduality(*_):
+        raise AssertionError("biduality map built")
+
+    monkeypatch.setattr(extalg.gorenstein, "minimal_projective_resolution",
+                        spy)
+    monkeypatch.setattr(extalg.gorenstein, "biduality_map", no_biduality)
+    pair = module_to_pair(LeftModule.regular(d_ext.total), d_ext)
+    res = build_pair_complete_resolution(pair, window)
+    assert lengths and max(lengths) <= window
+    assert (res.complex.lo, res.complex.hi) == (-window - 1, window)
+    val = validate_pair_complete_resolution(res)
+    assert all(val[k] for k in ("window_exact", "kernel_identified",
+                                "terms_projective",
+                                "hom_exact_into_test_modules"))
+
+
 def nontrivial_dd_pair():
     """A pair over D |x D whose cokernel is Gorenstein projective but not
     projective, found by a deterministic sweep of the structure maps."""

@@ -1,16 +1,21 @@
 import numpy as np
 import pytest
 
-from conftest import (FIELD2, FIELD3, random_copair, random_module,
-                      random_pair, random_right_pair, square_zero_extension,
+from conftest import (FIELD2, FIELD3, a2_algebra, double_extension,
+                      random_copair, random_module, random_pair,
+                      random_right_pair, square_zero_extension,
                       triangular_extension)
-from extalg.algebra import (Bimodule, LeftModule, RightModule, field_algebra,
-                            hom_space, monomial_quiver_algebra,
-                            opposite_algebra)
+from extalg.algebra import (Bimodule, LeftModule, RightModule,
+                            direct_sum_modules, field_algebra,
+                            hom_from_bimodule, hom_space,
+                            monomial_quiver_algebra, opposite_algebra,
+                            tensor_bimodule_left, tensor_map_second)
 from extalg.homology import id_bounded, pd_bounded
 from extalg.linalg import FpMatrix, is_invertible
-from extalg.structure import is_injective, is_projective, simples
-from extalg.trivext import (CopairModule, PairModule, TrivextError,
+from extalg.structure import (is_injective, is_projective,
+                              projective_indecomposables, simples)
+from extalg.trivext import (CopairModule, PairModule, TrivextError, _coextend,
+                            _extend,
                             classify_injective, classify_projective,
                             copair_to_module, functor_C, functor_H,
                             functor_K, functor_T, functor_U, functor_Z_copair,
@@ -196,3 +201,46 @@ def test_opposite_extension_tables():
     top = opposite_extension(t)
     assert (top.total.sc == np.transpose(t.total.sc, (1, 0, 2))).all()
     assert opposite_extension(top) is t
+
+
+def _tensor_T(t, x):
+    """T(X) built as a pair: X + M ox X with structure map the inclusion of
+    the second summand after M ox (projection onto the first)."""
+    ts0 = tensor_bimodule_left(t.bimodule, x)
+    w, incls, projs = direct_sum_modules([x, ts0.space])
+    m_proj = tensor_map_second(tensor_bimodule_left(t.bimodule, w), ts0,
+                               projs[0])
+    return PairModule(t, w, incls[1].matrix @ m_proj.matrix)
+
+
+def _hom_H(t, y):
+    """H(Y) built as a copair: Hom(M, Y) + Y with f going to the
+    coordinates of incl o f in Hom(M, Hom(M, Y) + Y)."""
+    hm = hom_from_bimodule(t.bimodule, y)
+    w, incls, _ = direct_sum_modules([hm.space, y])
+    hw = hom_from_bimodule(t.bimodule, w)
+    lifted = hw.homs.coords_many(incls[1].matrix.arr @ hm.homs.basis_array())
+    return CopairModule(t, w, FpMatrix(np.hstack(
+        [lifted.arr, np.zeros((hw.homs.dim, y.dim), dtype=np.int64)]),
+        t.field))
+
+
+def test_T_and_H_match_their_pair_and_copair_constructions():
+    a2 = a2_algebra(FIELD3)
+    rng = np.random.default_rng(15)
+    for t in (square_zero_extension(FIELD2), square_zero_extension(FIELD3),
+              triangular_extension(FIELD2), triangular_extension(FIELD3),
+              double_extension(FIELD2),
+              trivial_extension(a2, Bimodule.regular(a2))):
+        pims = [p for p, _ in projective_indecomposables(t.base)]
+        mods = [random_module(t.base, rng, 3) for _ in range(3)] + \
+            simples(t.base) + pims
+        for x in mods:
+            tp, hp = _tensor_T(t, x), _hom_H(t, x)
+            assert functor_T(t, x).same_presentation(tp)
+            assert functor_H(t, x).same_presentation(hp)
+            for got, want in ((_extend(t, x), pair_to_module(tp)),
+                              (_coextend(t, x), copair_to_module(hp))):
+                assert got.over is t.total
+                assert len(got.action) == len(want.action)
+                assert all(a == b for a, b in zip(got.action, want.action))
