@@ -107,14 +107,23 @@ def field_algebra(field: FieldSpec) -> Algebra:
                    validate=False)
 
 
+def kept(obj, key, build):
+    """obj._cache[key], built by build() on first use: a cache lives on the
+    object it describes."""
+    if key not in obj._cache:
+        obj._cache[key] = build()
+    return obj._cache[key]
+
+
 def opposite_algebra(a: Algebra) -> Algebra:
-    key = "opposite"
-    if key not in a._cache:
-        op = Algebra(a.field, np.transpose(a.sc, (1, 0, 2)), a.unit,
-                     validate=False)
+    """A^op, kept on A and A on it; A itself when A is commutative."""
+    if "opposite" not in a._cache:
+        sc = np.transpose(a.sc, (1, 0, 2))
+        op = a if (sc == a.sc).all() else Algebra(a.field, sc, a.unit,
+                                                  validate=False)
         op._cache["opposite"] = a
-        a._cache[key] = op
-    return a._cache[key]
+        a._cache["opposite"] = op
+    return a._cache["opposite"]
 
 
 def algebra_generators(a: Algebra) -> List[int]:
@@ -169,6 +178,7 @@ class LeftModule:
     # axes of the structure table giving the law's right-hand side:
     # action(b_i) @ action(b_j) = sum_k table[i][j][k] action(b_k)
     _law_axes = (0, 1, 2)
+    _regular_mats = "lmats"
 
     def __init__(self, over: Algebra, action: Sequence[FpMatrix],
                  validate: bool = True):
@@ -210,7 +220,8 @@ class LeftModule:
 
     @classmethod
     def regular(cls, a: Algebra) -> "LeftModule":
-        return cls(a, a.lmats, validate=False)
+        return kept(a, ("regular", cls.side), lambda: cls(
+            a, getattr(a, cls._regular_mats), validate=False))
 
     @classmethod
     def zero(cls, a: Algebra) -> "LeftModule":
@@ -227,18 +238,15 @@ class RightModule(LeftModule):
 
     side = "right"
     _law_axes = (1, 0, 2)
+    _regular_mats = "rmats"
 
     def as_left_over_opposite(self) -> LeftModule:
-        return LeftModule(opposite_algebra(self.over), self.action,
-                          validate=False)
+        return kept(self, "left", lambda: LeftModule(
+            opposite_algebra(self.over), self.action, validate=False))
 
     @classmethod
     def from_left_over_opposite(cls, m: LeftModule) -> "RightModule":
         return cls(opposite_algebra(m.over), m.action, validate=False)
-
-    @classmethod
-    def regular(cls, a: Algebra) -> "RightModule":
-        return cls(a, a.rmats, validate=False)
 
 
 def _stack(action: Sequence[FpMatrix], d: int) -> np.ndarray:
@@ -300,10 +308,12 @@ class Bimodule:
                     raise AlgebraError("left and right actions do not commute")
 
     def left_module(self) -> LeftModule:
-        return LeftModule(self.left_over, self.left_action, validate=False)
+        return kept(self, "left", lambda: LeftModule(
+            self.left_over, self.left_action, validate=False))
 
     def right_module(self) -> RightModule:
-        return RightModule(self.right_over, self.right_action, validate=False)
+        return kept(self, "right", lambda: RightModule(
+            self.right_over, self.right_action, validate=False))
 
     def swap(self) -> "Bimodule":
         """Same space as a bimodule over the opposite algebras, with the two
@@ -453,13 +463,14 @@ def hom_space(m, n) -> HomSpace:
 # kernels, cokernels, images, subquotients
 
 
-def invariant_action(action: Sequence[FpMatrix],
-                     basis: FpMatrix) -> Optional[List[FpMatrix]]:
+def invariant_action(action: Sequence[FpMatrix], basis: FpMatrix,
+                     moved=None) -> Optional[List[FpMatrix]]:
     """The matrices by which `action` acts on the row span of `basis` (in
-    RREF), in that basis; None when the span is not invariant."""
-    acts = _stack(action, basis.cols)
-    # moved[i, j] is action[i] applied to basis row j
-    moved = matmul_mod(basis.arr, acts.transpose(0, 2, 1), basis.field.p)
+    RREF), in that basis; None when the span is not invariant.  moved[i, j]
+    is action[i] applied to basis row j, computed here unless given."""
+    if moved is None:
+        moved = matmul_mod(basis.arr, _stack(action, basis.cols).transpose(
+            0, 2, 1), basis.field.p)
     coords = echelon_coords(basis, moved)
     if coords is None:
         return None
@@ -474,9 +485,10 @@ def submodule(x, basis_rows: FpMatrix):
     return _echelon_submodule(x, row_basis(basis_rows))
 
 
-def _echelon_submodule(x, basis: FpMatrix):
-    """`submodule` for a basis in RREF without zero rows."""
-    action = invariant_action(x.action, basis)
+def _echelon_submodule(x, basis: FpMatrix, moved=None):
+    """`submodule` for a basis in RREF without zero rows (`moved` as in
+    `invariant_action`)."""
+    action = invariant_action(x.action, basis, moved)
     if action is None:
         raise AlgebraError("rows do not span a submodule")
     mod = type(x)(x.over, action, validate=False)
@@ -703,8 +715,10 @@ def dual_module(x):
 
     For finite-dimensional modules over GF(p) this is isomorphic to the
     character module Hom_Z(X, Q/Z), which is how it is used throughout.
+    Kept on x; the dual holds no link back to x.
     """
-    return other_side(x, [m.transpose() for m in x.action])
+    return kept(x, "dual", lambda: other_side(
+        x, [m.transpose() for m in x.action]))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ finitely-cotilted (Iwanaga-Gorenstein) algebra the bounded Ext battery is a
 full decision procedure; elsewhere a passing battery yields ProbableYes
 with the bound on record, and a failing one yields a certified refutation
 with a concrete witness.  The battery is one loop over the module and its
-transpose, each side reading Ext^i(-, A) off one minimal resolution.
+transpose, each side reading Ext^i(-, A) degree by degree off a minimal
+resolution grown one cover at a time, and stopping at the first nonzero
+Ext^i, its certificate.  A^op reads A's regime with the verdicts swapped.
 
 The three kinds of complete resolution (base, lifted pair, dualized
 copair) come back as one record, `CompleteResolution`, and their three
@@ -102,17 +104,17 @@ def gorenstein_regime(a: Algebra, bound: Optional[int] = None
     dimensions of the two regular modules."""
     if bound is None:
         bound = default_bound(a)
-    key = ("regime", bound)
+    key, twin = ("regime", bound), a._cache.get("opposite", a)._cache
     if key not in a._cache:
-        dl = id_bounded(LeftModule.regular(a), bound)
-        dr = id_bounded(RightModule.regular(a), bound)
-        if dl.is_finite() and dr.is_finite():
-            if dl.value == 0 and dr.value == 0:
-                a._cache[key] = (SELF_INJECTIVE, dl, dr)
-            else:
-                a._cache[key] = (IWANAGA_GORENSTEIN, dl, dr)
+        if key in twin:
+            regime, dr, dl = twin[key]
         else:
-            a._cache[key] = (UNKNOWN, dl, dr)
+            dl = id_bounded(LeftModule.regular(a), bound)
+            dr = id_bounded(RightModule.regular(a), bound)
+            regime = UNKNOWN if not (dl.is_finite() and dr.is_finite()) \
+                else SELF_INJECTIVE if dl.value == dr.value == 0 \
+                else IWANAGA_GORENSTEIN
+        a._cache[key] = (regime, dl, dr)
     return a._cache[key]
 
 
@@ -135,14 +137,15 @@ def gp_check(g, bound: Optional[int] = None) -> GorensteinVerdict:
         return GorensteinVerdict(CERTIFIED_YES, regime,
                                  {"reason": "self_injective_regime"}, bound)
     # the bounded totally reflexive battery: Ext^i(-, A) for i = 1..limit
-    # on g and, outside the Iwanaga-Gorenstein regime, on its transpose
+    # on g and, outside the Iwanaga-Gorenstein regime, on its transpose,
+    # read degree by degree and stopped at the first nonzero one
     limit = dl.value if regime == IWANAGA_GORENSTEIN else bound
     for side in ("module", "transpose"):
         mod = g if side == "module" else as_left(star_module(g)[0])
-        res = minimal_projective_resolution(mod, limit + 1)
-        dims = ext_dims(res, LeftModule.regular(mod.over), limit)
-        for i, e in enumerate(dims[1:], start=1):
-            if e.dim:
+        dims = ext_dims(minimal_projective_resolution(mod, 0),
+                        LeftModule.regular(mod.over), limit)
+        for i, e in enumerate(dims):
+            if i and e.dim:
                 return GorensteinVerdict(
                     CERTIFIED_NO, regime,
                     {"reason": "nonvanishing_ext_vs_regular", "index": i,

@@ -9,13 +9,15 @@ with the projective one for the finite-dimensional modules handled here.
 Both resolution builders run one covering loop, fed the minimal or the
 padded degree-0 presentation, and every Ext dimension is read off
 Hom(resolution, N) by `ext_dims`: off the blocks Hom(P_i, N) = e_i.N of
-the PIM summands P_i = A.e_i of each term, with no `HomSpace`.
+the PIM summands P_i = A.e_i of each term, with no `HomSpace`, degree by
+degree while the resolution grows one cover at a time, so a reader that
+stops early covers nothing it did not read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -94,6 +96,15 @@ class Resolution:
     def length(self) -> int:
         return len(self.terms) - 1
 
+    def grow(self) -> None:
+        """Extend by one term, the projective cover of the last syzygy."""
+        nxt = projective_cover(self.syzygies[-1])
+        self.terms.append(nxt.cover)
+        self.summands.append(nxt.summands)
+        self.diffs.append(self.syz_incl[-1].compose(nxt.epi))
+        self.syzygies.append(nxt.kernel)
+        self.syz_incl.append(nxt.kernel_inclusion)
+
     def as_complex(self) -> ChainComplex:
         mods = list(reversed(self.terms))
         diffs = list(reversed(self.diffs))
@@ -102,19 +113,12 @@ class Resolution:
 
 def _resolve(pres, n: int) -> Resolution:
     """Extend the degree-0 presentation pres of its module by n covers."""
-    terms, diffs, summands = [pres.cover], [], [pres.summands]
-    syzygies, syz_incl = [pres.module, pres.kernel], [pres.kernel_inclusion]
-    epi = pres.epi
+    res = Resolution(pres.module, [pres.cover], [], pres.epi,
+                     [pres.module, pres.kernel], [pres.kernel_inclusion],
+                     [pres.summands])
     for _ in range(n):
-        nxt = projective_cover(pres.kernel)
-        terms.append(nxt.cover)
-        summands.append(nxt.summands)
-        diffs.append(pres.kernel_inclusion.compose(nxt.epi))
-        syzygies.append(nxt.kernel)
-        syz_incl.append(nxt.kernel_inclusion)
-        pres = nxt
-    return Resolution(syzygies[0], terms, diffs, epi, syzygies, syz_incl,
-                      summands)
+        res.grow()
+    return res
 
 
 def minimal_projective_resolution(m, n: int) -> Resolution:
@@ -160,24 +164,29 @@ def _precompose_matrix(hs_from: HomSpace, hs_to: HomSpace,
     return hs_to.coords_many(hs_from.basis_array() @ d.matrix.arr)
 
 
-def ext_dims(res: Resolution, n, upto: int) -> List[ExtResult]:
-    """Ext^0 .. Ext^upto off Hom(res, n), each map ranked once; the
-    resolution needs length >= upto+1.
+def ext_dims(res: Resolution, n, upto: int) -> Iterator[ExtResult]:
+    """Ext^0 .. Ext^upto off Hom(res, n), one degree at a time, each map
+    ranked once.  Ext^j reads d_j, and res grows by one cover when d_j is
+    missing, so a reader that stops at Ext^j covers nothing past Omega^(j+1).
 
     Hom(P_j, n) is the sum of the blocks Hom(P_i, n) (`pim_homs`) over the
     summands P_i of P_j.  A map on P_{j+1} is fixed by its values on the
     generators e_i of the summands, so precomposition with d_j has the rank
     of psi -> (psi(d_j(e_i)))_i."""
-    if res.length() < upto + 1:
-        raise AlgebraError("resolution too short for the requested Ext")
     n = as_left(n)
     if not _same_algebra(res.module.over, n.over):
         raise AlgebraError("hom space requires a common algebra")
+    return _ext_degrees(res, n, upto)
+
+
+def _ext_degrees(res: Resolution, n, upto: int) -> Iterator[ExtResult]:
     homs, pims = pim_homs(n), _pim_triples(n.over)
     # e_i in the coordinates of P_i, whose basis is the RREF incl^T
     gens = [echelon_coords(incl.transpose(), e) for _, _, e, incl in pims]
-    ranks = []
+    coboundaries = 0
     for j in range(upto + 1):
+        if res.length() == j:
+            res.grow()
         src, tgt = res.summands[j + 1], res.summands[j]
         cols = np.split(res.diffs[j].matrix.arr,
                         np.cumsum([len(gens[i]) for i in src]), axis=1)
@@ -189,16 +198,15 @@ def ext_dims(res: Resolution, n, upto: int) -> List[ExtResult]:
             (homs[i] @ b.T).reshape(len(homs[i]), width) for i, b in zip(
                 tgt, np.split(images, np.cumsum([len(gens[i]) for i in tgt]),
                               axis=1))])
-        ranks.append(rank(FpMatrix(values, n.over.field)))
-    cocycles = [sum(len(homs[i]) for i in s) - r
-                for s, r in zip(res.summands, ranks)]
-    coboundaries = [0] + ranks
-    return [ExtResult(z - b, z, b) for z, b in zip(cocycles, coboundaries)]
+        r = rank(FpMatrix(values, n.over.field))
+        cocycles = sum(len(homs[i]) for i in tgt) - r
+        yield ExtResult(cocycles - coboundaries, cocycles, coboundaries)
+        coboundaries = r
 
 
 def ext_from_resolution(res: Resolution, n, i: int) -> ExtResult:
-    """dim Ext^i from an explicit projective resolution (length >= i+1)."""
-    return ext_dims(res, n, i)[i]
+    """dim Ext^i from an explicit projective resolution, grown as needed."""
+    return list(ext_dims(res, n, i))[i]
 
 
 def ext(m, n, i: int) -> ExtResult:
@@ -234,8 +242,6 @@ def pd_bounded(m, bound: Optional[int] = None) -> DimensionVerdict:
     final syzygy; ExceedsBound when none appears within the bound."""
     if bound is None:
         bound = default_bound(m.over)
-    if m.dim == 0:
-        return DimensionVerdict.finite(0)
     cur = m
     for d in range(bound + 1):
         pres = projective_cover(cur)

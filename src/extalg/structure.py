@@ -14,7 +14,10 @@ A right module is covered and resolved as the left module over the
 opposite algebra (`as_left`); injective envelopes are duals of projective
 covers over the opposite algebra.  Covers are shared per algebra by module
 content: equal modules get the same cover, kernel and epimorphism matrix,
-held only while some module holds them.
+held only while some module holds them.  Twins keep their holders alive:
+the regular modules live on the algebra; the dual, a right module's left
+view and a bimodule's legs on their module.  A^op reads A's radical and
+primitive idempotents, and is A itself when A is commutative.
 """
 
 from __future__ import annotations
@@ -23,17 +26,18 @@ import random
 import weakref
 from dataclasses import dataclass
 from functools import partial
+from itertools import groupby
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .algebra import (Algebra, LeftModule, ModuleHom, _echelon_submodule,
                       _stack, as_left, block_sum_module, dual_module,
-                      hom_space, kernel_module, opposite_algebra,
-                      quotient_module, row_space_of_columns)
+                      hom_space, kept, opposite_algebra, quotient_module,
+                      row_space_of_columns)
 from .linalg import (FieldSpec, FpMatrix, echelon_coords,
                      echelon_quotient_maps, hstack, inverse, kernel_basis,
-                     rref, row_basis, solve, vstack)
+                     matmul_mod, rref, row_basis, solve, vstack)
 
 # The split of a matrix block draws its candidates from
 # random.Random(_SPLIT_STREAM), fresh for every split; the draws change how
@@ -217,13 +221,18 @@ def _primitive_idempotents(sc: np.ndarray, unit: np.ndarray, rad: FpMatrix,
 # radical, top, simples and projective indecomposables of an algebra
 
 
+def _twin_kept(a: Algebra, key: str, build):
+    """a._cache[key], read off A^op when A^op has it.  The radical and the
+    primitive idempotents of A and A^op are identical arrays in the same
+    order: every product in `_primitive_idempotents` commutes or is e.x.e."""
+    twin = a._cache.get("opposite", a)._cache
+    return kept(a, key, lambda: twin[key] if key in twin else build())
+
+
 def algebra_radical(a: Algebra) -> FpMatrix:
     """Row basis (RREF) of rad(A), from the regular representation."""
-    if "radical" not in a._cache:
-        twin = a._cache.get("opposite", a)._cache
-        a._cache["radical"] = twin["radical"] if "radical" in twin else \
-            _trace_radical(a.sc.transpose(0, 2, 1), a.sc, a.field)
-    return a._cache["radical"]
+    return _twin_kept(a, "radical", lambda: _trace_radical(
+        a.sc.transpose(0, 2, 1), a.sc, a.field))
 
 
 def _radical_span(m, rows: np.ndarray) -> FpMatrix:
@@ -254,8 +263,9 @@ def _pim_triples(a: Algebra):
     if "pim_triples" not in a._cache:
         reg = LeftModule.regular(a)
         out = []
-        for group in _primitive_idempotents(a.sc, a.unit, algebra_radical(a),
-                                            a.field):
+        for group in _twin_kept(a, "idempotents", lambda: (
+                _primitive_idempotents(a.sc, a.unit, algebra_radical(a),
+                                       a.field))):
             piece, incl = _echelon_submodule(reg, spin(reg, group[0]))
             out.append((piece, top_of_module(piece)[0], group[0],
                         incl.matrix))
@@ -347,7 +357,16 @@ def split_module(m) -> List[Tuple[object, ModuleHom]]:
 
     The summands are the images of orthogonal primitive idempotents of
     End(m) summing to 1; a local End(m) certifies that m is indecomposable.
+    The summands and inclusion matrices are kept on m (None when m is
+    indecomposable), and every call returns a fresh list.
     """
+    split = kept(m, "split", lambda: _split(m))
+    if split is None:
+        return [(m, ModuleHom.identity(m))]
+    return [(s, ModuleHom(s, m, incl, validate=False)) for s, incl in split]
+
+
+def _split(m) -> Optional[List[Tuple[object, FpMatrix]]]:
     if m.dim == 0:
         return []
     endos, field = hom_space(m, m), m.over.field
@@ -358,9 +377,10 @@ def split_module(m) -> List[Tuple[object, ModuleHom]]:
     idems = [e for group in _primitive_idempotents(
         sc, unit, _trace_radical(mats, sc, field), field) for e in group]
     if len(idems) == 1:
-        return [(m, ModuleHom.identity(m))]
-    return [_echelon_submodule(m, row_space_of_columns(
+        return None
+    subs = [_echelon_submodule(m, row_space_of_columns(
         FpMatrix(np.tensordot(e, mats, 1), field))) for e in idems]
+    return [(s, incl.matrix) for s, incl in subs]
 
 
 def find_isomorphism(m, n) -> Optional[ModuleHom]:
@@ -462,7 +482,7 @@ def _cover_parts(m: LeftModule):
     candidates before it: the greedy choice, for any algebra.  A kept image
     grows by a full copy of the top simple, so the multiplicities are the
     minimal ones.  The projection onto top(m) is read off the RREF rows of
-    rad(m).
+    rad(m), and the kernel is acted on one PIM block of the cover at a time.
     """
     field = m.over.field
     pi = echelon_quotient_maps(
@@ -476,13 +496,21 @@ def _cover_parts(m: LeftModule):
         raise StructureError("projective cover search failed to reach the top")
     owner = np.repeat(np.arange(len(cands)), [f.shape[1] for _, f in cands])
     chosen = [cands[k] for k in np.unique(owner[reduced.pivot_cols])]
-    cover = block_sum_module([_pim_triples(m.over)[i][0] for i, _ in chosen])
-    epi = ModuleHom(cover, m, FpMatrix(np.hstack([phi for _, phi in chosen]),
-                                       field), validate=False)
-    ker, ker_incl = kernel_module(epi)
+    pims = _pim_triples(m.over)
+    cover = block_sum_module([pims[i][0] for i, _ in chosen])
+    epi = FpMatrix(np.hstack([phi for _, phi in chosen]), field)
+    # the summands come sorted by PIM: one product per run of copies of P_i
+    rows, moved, off = kernel_basis(epi), [], 0
+    for i, run in groupby(i for i, _ in chosen):
+        pim, width = pims[i][0], pims[i][0].dim * len(list(run))
+        part = rows.arr[:, off:off + width].reshape(-1, pim.dim)
+        off += width
+        moved.append(matmul_mod(part, _stack(pim.action, pim.dim).transpose(
+            0, 2, 1), field.p).reshape(m.over.dim, rows.rows, width))
+    ker, ker_incl = _echelon_submodule(cover, rows, np.concatenate(moved, 2))
     if ker.dim != cover.dim - m.dim:
         raise StructureError("candidate cover map is not surjective")
-    return cover, epi.matrix, ker, ker_incl, tuple(i for i, _ in chosen)
+    return cover, epi, ker, ker_incl, tuple(i for i, _ in chosen)
 
 
 def is_projective(m) -> bool:
@@ -509,8 +537,6 @@ def is_injective(m) -> bool:
 def injective_indecomposables(a: Algebra):
     """List of (E_i, socle simple S_i), dual to the projective
     indecomposables of the opposite algebra."""
-    if "iims" not in a._cache:
-        a._cache["iims"] = [
-            (as_left(dual_module(p0)), as_left(dual_module(s)))
-            for p0, s in projective_indecomposables(opposite_algebra(a))]
-    return a._cache["iims"]
+    return kept(a, "iims", lambda: [
+        (as_left(dual_module(p0)), as_left(dual_module(s)))
+        for p0, s in projective_indecomposables(opposite_algebra(a))])

@@ -83,9 +83,12 @@ def opposite_extension(t: TrivialExtension) -> TrivialExtension:
     """The extension of the opposite base by the leg-swapped bimodule; its
     total algebra has literally the opposite multiplication table and is
     registered as such, so a right module over t.total read as a left
-    module over its opposite lives over this extension."""
+    module over its opposite lives over this extension.  A commutative
+    extension is its own opposite, as its total algebra is."""
     if "opposite" not in t._cache:
-        top = TrivialExtension(opposite_algebra(t.base), t.bimodule.swap())
+        sc = t.total.sc
+        top = t if (sc == sc.transpose(1, 0, 2)).all() else TrivialExtension(
+            opposite_algebra(t.base), t.bimodule.swap())
         top._cache["opposite"] = t
         t._cache["opposite"] = top
         top.total._cache["opposite"] = t.total

@@ -5,13 +5,15 @@ import pytest
 
 import extalg.gorenstein
 import extalg.homology
-from conftest import (FIELD2, a2_algebra, double_extension,
-                      local_wild_algebra, random_copair, random_pair,
+from conftest import (FIELD2, a2_algebra, a2_morita_ring, double_extension,
+                      local_wild_algebra, nakayama_ring, product_morita_ring,
+                      random_copair, random_module, random_pair,
                       square_zero_extension, triangular_extension)
 from extalg.algebra import (Bimodule, LeftModule, ModuleHom, RightModule,
-                            dual_module, field_algebra, hom_space,
+                            as_left, dual_module, field_algebra, hom_space,
                             is_kernel_inclusion, monomial_quiver_algebra,
-                            product_algebra, tensor_bimodule_left)
+                            opposite_algebra, product_algebra,
+                            tensor_bimodule_left)
 from extalg.gorenstein import (CERTIFIED_NO, CERTIFIED_YES,
                                IWANAGA_GORENSTEIN, PROBABLE_YES,
                                SELF_INJECTIVE, UNKNOWN, CompleteResolution,
@@ -27,7 +29,9 @@ from extalg.gorenstein import (CERTIFIED_NO, CERTIFIED_YES,
                                validate_pair_complete_resolution,
                                verify_cor35, verify_cor45, verify_cor48,
                                zr_bimodule)
-from extalg.homology import ext, non_minimal_resolution, ext_from_resolution
+from extalg.homology import (ext, ext_dims, ext_from_resolution,
+                             minimal_projective_resolution,
+                             non_minimal_resolution)
 from extalg.linalg import FieldSpec, FpMatrix, is_invertible, rank
 from extalg.structure import is_isomorphic, is_projective, simples
 from extalg.trivext import (functor_Z_copair, functor_Z_pair, functor_T,
@@ -159,6 +163,69 @@ def test_gp_unknown_regime_probable_yes(p):
     assert (w.answer, w.regime) == (CERTIFIED_NO, UNKNOWN)
     assert w.certificate == {"reason": "nonvanishing_ext_vs_regular",
                              "index": 1, "dim": 3, "side": "module"}
+
+
+def _gp_oracle(g, bound):
+    """gp_check's answer and certificate off the full battery: every
+    Ext^i(-, A), i <= limit, read off a resolution of length limit + 1."""
+    g = as_left(g)
+    regime, dl, dr = gorenstein_regime(g.over, bound)
+    if g.dim == 0 or is_projective(g):
+        return CERTIFIED_YES, {"reason": "projective"}
+    if regime == SELF_INJECTIVE:
+        return CERTIFIED_YES, {"reason": "self_injective_regime"}
+    limit = dl.value if regime == IWANAGA_GORENSTEIN else bound
+    for side in ("module", "transpose"):
+        mod = g if side == "module" else as_left(star_module(g)[0])
+        res = minimal_projective_resolution(mod, limit + 1)
+        dims = list(ext_dims(res, LeftModule.regular(mod.over), limit))
+        assert res.length() == limit + 1
+        bad = [i for i, e in enumerate(dims) if i and e.dim]
+        if bad:
+            return CERTIFIED_NO, {"reason": "nonvanishing_ext_vs_regular",
+                                  "index": bad[0], "dim": dims[bad[0]].dim,
+                                  "side": side}
+        if regime == IWANAGA_GORENSTEIN:
+            return CERTIFIED_YES, {
+                "reason": "ext_vanishing_up_to_selfinjective_dimension",
+                "checked": limit, "id_left": dl.value, "id_right": dr.value}
+    ev = biduality_map(g).matrix
+    if not is_invertible(ev):
+        return CERTIFIED_NO, {"reason": "biduality_not_invertible",
+                              "rank": rank(ev), "dim": g.dim,
+                              "bidual_dim": ev.rows}
+    return PROBABLE_YES, {"reason": "totally_reflexive_battery",
+                          "checked": bound}
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, 65521])
+def test_early_stopping_battery_matches_the_full_one(p):
+    # each algebra is built twice, so that the oracle shares no cache with
+    # the decider; the opposite algebra is the algebra itself exactly when
+    # the algebra is commutative
+    field, rng = FieldSpec(p), np.random.default_rng(p)
+    builders = [
+        lambda: square_zero_extension(field).total,
+        lambda: triangular_extension(field).total,
+        lambda: a2_algebra(field), lambda: local_wild_algebra(field),
+        lambda: double_extension(field).total,
+        lambda: nakayama_ring(field).total,
+        lambda: a2_morita_ring(field).total,
+        lambda: product_morita_ring(field).total,
+        lambda: product_algebra(monomial_quiver_algebra(
+            1, [(0, 0)], [[0, 0]], field), local_wild_algebra(field))[0]]
+    commutative = []
+    for build in builders:
+        a, b = build(), build()
+        commutative.append(np.array_equal(a.sc, a.sc.transpose(1, 0, 2)))
+        assert (opposite_algebra(a) is a) == commutative[-1]
+        mods = simples(a) + [random_module(a, rng) for _ in range(2)] + [
+            random_module(a, rng, cls=RightModule)]
+        for m in mods:
+            v = gp_check(m, 3)
+            assert (v.answer, v.certificate) == \
+                _gp_oracle(type(m)(b, m.action), 3)
+    assert 0 < sum(commutative) < len(builders)
 
 
 def test_gi_and_gf_routes(d_ext):

@@ -14,8 +14,10 @@ from extalg.algebra import (Algebra, AlgebraError, HomSpace, LeftModule,
                             field_algebra, hom_space, monomial_quiver_algebra,
                             opposite_algebra, product_algebra,
                             quotient_module, row_space_of_columns)
-from extalg.homology import (DimensionVerdict, minimal_projective_resolution,
-                             pd_bounded)
+from extalg.gorenstein import (CERTIFIED_NO, UNKNOWN, gorenstein_regime,
+                               gp_check)
+from extalg.homology import (DimensionVerdict, id_bounded,
+                             minimal_projective_resolution, pd_bounded)
 from extalg.linalg import (FieldSpec, FpMatrix, echelon_coords, inverse,
                            kernel_basis, quotient_maps, rank, row_basis,
                            vstack)
@@ -247,6 +249,51 @@ def _uniserials(a):
             rows = structure._radical_span(pim, rows.arr)
             out.append(quotient_module(pim, rows.transpose())[0])
     return out
+
+
+def test_one_cover_per_content(monkeypatch):
+    # the twins of a module (its dual, its left view, the regular modules
+    # of its algebra, the opposite algebra's regime) are kept on what they
+    # describe, so a job covers each content once, and a verdict covers
+    # only what it reads
+    built = _count_cover_builds(monkeypatch)
+    wild = local_wild_algebra(FIELD2)
+    assert gorenstein_regime(wild, 5)[0] == UNKNOWN
+    # wild is commutative: D(A) is one content on both sides, one chain
+    assert len(built) == 6
+    built.clear()
+    v = gp_check(simples(wild)[0], 5)
+    assert (v.answer, v.certificate["index"]) == (CERTIFIED_NO, 1)
+    # S, Omega^1 S and Omega^2 S: Ext^1 reads d_0 and d_1 only
+    assert built == [1, 2, 4]
+
+    def nakayama33():
+        return monomial_quiver_algebra(3, [(0, 1), (1, 2), (2, 0)], [
+            [s, (s + 1) % 3, (s + 2) % 3] for s in range(3)], FieldSpec(101))
+    a = nakayama33()
+    regime, dl, dr = gorenstein_regime(a)
+    built.clear()
+    assert gorenstein_regime(opposite_algebra(a)) == (regime, dr, dl)
+    assert not built
+    assert gorenstein_regime(opposite_algebra(nakayama33())) == \
+        (regime, dr, dl)
+    m = simples(a)[0]
+    first = id_bounded(m)
+    built.clear()
+    assert id_bounded(m) == first and not built
+
+
+def test_split_is_kept_on_the_module(monkeypatch):
+    a = a2_algebra(FIELD2)
+    m, _, _ = direct_sum_modules(simples(a) + [LeftModule.regular(a)])
+    sources, build = [], structure.hom_space
+    monkeypatch.setattr(structure, "hom_space",
+                        lambda x, y: sources.append(x) or build(x, y))
+    first = split_module(m)
+    first.pop()  # find_isomorphism pops what it gets
+    second = split_module(m)
+    assert len(second) == len(first) + 1 == 4
+    assert sum(x is m for x in sources) == 1
 
 
 @pytest.mark.parametrize("p", [2, 65521])

@@ -201,6 +201,10 @@ def test_opposite_extension_tables():
     top = opposite_extension(t)
     assert (top.total.sc == np.transpose(t.total.sc, (1, 0, 2))).all()
     assert opposite_extension(top) is t
+    # a commutative extension is its own opposite, as its total algebra is
+    d = square_zero_extension(FIELD2)
+    assert opposite_extension(d) is d
+    assert opposite_algebra(d.total) is d.total
 
 
 def _tensor_T(t, x):
