@@ -12,12 +12,12 @@ it enters.  Objects derived from validated parts by a construction that
 keeps the axioms skip the check: opposite and product algebras, the total
 algebras of extensions, regular modules (their law is the associativity of
 the algebra), modules relabelled over the opposite algebra, swapped
-bimodules, duals, tensor products and Hom modules.  Submodules and
-quotients are checked by invariance instead of by the law: an invariant
-subspace of a module, and the quotient by one, satisfy the law because
-the inclusion is injective and the projection surjective.  Coordinates in
-an echelonized basis (hom spaces, submodules, images) all come from
-`linalg.echelon_coords`.
+bimodules, duals, tensor products, Hom modules and zero modules.
+Submodules and quotients are checked by invariance instead of by the law:
+an invariant subspace of a module, and the quotient by one, satisfy the
+law because the inclusion is injective and the projection surjective.
+Coordinates in an echelonized basis (hom spaces, submodules, images) all
+come from `linalg.echelon_coords`.
 
 The module law is checked one structure-table row at a time: for each i the
 products action(b_i) @ action(b_j) for all j come from one stacked matmul
@@ -26,11 +26,12 @@ so a check costs dim(A) numpy calls and O(dim(A) * dim(M)^2) memory.  The
 intertwining equations of a `HomSpace` and the relations of tensor products
 involve only a generating set of the algebra (see `algebra_generators`).
 Hom spaces keep their basis in RREF, so coordinates are read off at the
-pivot columns.
+pivot columns.  M ox X and Hom(M, Y) are shared by content (`shared`).
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -42,7 +43,7 @@ from .linalg import (FieldSpec, FpMatrix, QuotientMaps, echelon_coords,
 
 
 class AlgebraError(ValueError):
-    pass
+    at: Optional[Tuple[int, int]] = None    # where a module law fails
 
 
 class Algebra:
@@ -113,6 +114,28 @@ def kept(obj, key, build):
     if key not in obj._cache:
         obj._cache[key] = build()
     return obj._cache[key]
+
+
+def _content(obj) -> tuple:
+    """dim and action bytes of a (bi)module, kept on it (it is immutable)."""
+    return kept(obj, "content", lambda: (obj.dim,) + tuple(
+        _stack(acts, obj.dim).tobytes() for acts in (
+            (obj.left_action, obj.right_action) if isinstance(obj, Bimodule)
+            else (obj.action,))))
+
+
+def shared(obj, over: Algebra, name: str, key, build):
+    """obj._cache[(name, key)], shared by content: over._cache[name] maps
+    (key, content of obj) weakly to the first module that built it, whose
+    value a content-equal module reads.  The value holds no link to its
+    holder, so an entry goes with the last reference to its holder."""
+    if (name, key) not in obj._cache:
+        index = over._cache.setdefault(name, weakref.WeakValueDictionary())
+        holder = index.get((key, _content(obj)))
+        obj._cache[name, key] = (build() if holder is None
+                                 else holder._cache[name, key])
+        index.setdefault((key, _content(obj)), obj)
+    return obj._cache[name, key]
 
 
 def opposite_algebra(a: Algebra) -> Algebra:
@@ -205,10 +228,12 @@ class LeftModule:
         for i in range(n):
             # row i of the law: action(b_i) @ action(b_j) for every j at once
             lhs = ((acts[i] @ acts) % p).reshape(n, d * d)
-            bad = (lhs != (table[i] @ flat) % p).any(axis=1)
-            if bad.any():
-                raise AlgebraError(f"{self.side} module law violated at "
-                                   f"({i},{int(np.argmax(bad))})")
+            bad = np.flatnonzero((lhs != (table[i] @ flat) % p).any(axis=1))
+            if len(bad):
+                exc = AlgebraError(f"{self.side} module law violated at "
+                                   f"({i},{bad[0]})")
+                exc.at = (i, int(bad[0]))
+                raise exc
 
     def act_matrix(self, elem) -> FpMatrix:
         elem = np.asarray(elem, dtype=np.int64)
@@ -226,7 +251,7 @@ class LeftModule:
     @classmethod
     def zero(cls, a: Algebra) -> "LeftModule":
         z = FpMatrix.zeros(0, 0, a.field)
-        return cls(a, [z] * a.dim)
+        return cls(a, [z] * a.dim, validate=False)
 
     def __repr__(self):
         return f"{type(self).__name__}(dim={self.dim}, over={self.over!r})"
@@ -618,9 +643,15 @@ def _balanced_quotient(rho: Sequence[FpMatrix], lam: Sequence[FpMatrix],
 
 
 def tensor_bimodule_left(m: Bimodule, x: LeftModule) -> TensorSpace:
-    """M ox_R X for an A-R-bimodule M and left R-module X; a left A-module."""
+    """M ox_R X for an A-R-bimodule M and left R-module X; a left A-module,
+    shared by content, and by the id of A, which the space keeps alive."""
     if not _same_algebra(m.right_over, x.over):
         raise AlgebraError("contracted algebras do not match")
+    return shared(x, x.over, "tensors", (_content(m), id(m.left_over)),
+                  lambda: _tensor_space(m, x))
+
+
+def _tensor_space(m: Bimodule, x: LeftModule) -> TensorSpace:
     field = x.over.field
     qm = _balanced_quotient(m.right_action, x.action, x.over)
     ix = FpMatrix.identity(x.dim, field)
@@ -683,14 +714,11 @@ def swapped_tensor(n: Bimodule, x: LeftModule) -> SwappedTensor:
 
 class HomModule:
     """Hom_A(M, Y) for an A-B-bimodule M and left A-module Y, as a left
-    B-module via (b . f)(m) = f(m . b)."""
+    B-module via (b . f)(m) = f(m . b); shared, so it links to neither."""
 
     def __init__(self, m: Bimodule, y: LeftModule):
-        if not _same_algebra(m.left_over, y.over):
-            raise AlgebraError("legs do not match")
-        self.bimodule = m
-        self.y = y
-        self.homs = HomSpace(m.left_module(), y)
+        self.homs = HomSpace(m.left_module(), LeftModule(
+            y.over, y.action, validate=False))
         stack = self.homs.basis_array()
         self.space = LeftModule(m.right_over, [self.homs.coords_many(
             stack @ ra.arr) for ra in m.right_action], validate=False)
@@ -703,7 +731,11 @@ class HomModule:
 
 
 def hom_from_bimodule(m: Bimodule, y: LeftModule) -> HomModule:
-    return HomModule(m, y)
+    """Hom_A(M, Y), kept on Y and shared by content as tensors are."""
+    if not _same_algebra(m.left_over, y.over):
+        raise AlgebraError("legs do not match")
+    return shared(y, y.over, "homs", (_content(m), id(m.right_over)),
+                  lambda: HomModule(m, y))
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,9 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .algebra import (Algebra, AlgebraError, HomSpace, ModuleHom,
-                      _same_algebra, as_left, block_sum_module, dual_module,
-                      field_space, hom_space, is_exact_at, kernel_module)
+                      _content, _same_algebra, as_left, block_sum_module,
+                      dual_module, field_space, hom_space, is_exact_at, kept,
+                      kernel_module)
 from .linalg import FpMatrix, echelon_coords, hstack, rank
 from .structure import (ProjectivePresentation, _pim_triples, pim_homs,
                         projective_cover, projective_indecomposables)
@@ -180,7 +181,9 @@ def ext_dims(res: Resolution, n, upto: int) -> Iterator[ExtResult]:
 
 
 def _ext_degrees(res: Resolution, n, upto: int) -> Iterator[ExtResult]:
-    homs, pims = pim_homs(n), _pim_triples(n.over)
+    # kept on n: the battery's target is a regular module, kept on A
+    homs = kept(n, "pim_homs", lambda: pim_homs(n))
+    pims = _pim_triples(n.over)
     # e_i in the coordinates of P_i, whose basis is the RREF incl^T
     gens = [echelon_coords(incl.transpose(), e) for _, _, e, incl in pims]
     coboundaries = 0
@@ -266,11 +269,21 @@ def fd_bounded(m, bound: Optional[int] = None) -> DimensionVerdict:
 # functors applied to complexes
 
 
+def _hom_spaces(c: ChainComplex, hom) -> List[HomSpace]:
+    """hom(x) for each term x of c, built once per content: the terms of a
+    complete resolution's window repeat."""
+    built: dict = {}
+    for x in c.modules:
+        if _content(x) not in built:
+            built[_content(x)] = hom(x)
+    return [built[_content(x)] for x in c.modules]
+
+
 def hom_complex(c: ChainComplex, q) -> ChainComplex:
     """Contravariant Hom(-, q), reindexed so the result ascends: the term
     at -i is Hom(X^i, q), as plain spaces over the ground field."""
     field = q.over.field
-    spaces = [hom_space(x, q) for x in c.modules]
+    spaces = _hom_spaces(c, lambda x: hom_space(x, q))
     mods = [field_space(field, hs.dim) for hs in reversed(spaces)]
     diffs = []
     for j in reversed(range(len(c.diffs))):
@@ -283,7 +296,7 @@ def hom_complex(c: ChainComplex, q) -> ChainComplex:
 def hom_complex_co(q, c: ChainComplex) -> ChainComplex:
     """Covariant Hom(q, -) applied objectwise, same indexing as c."""
     field = q.over.field
-    spaces = [hom_space(q, x) for x in c.modules]
+    spaces = _hom_spaces(c, lambda x: hom_space(q, x))
     mods = [field_space(field, hs.dim) for hs in spaces]
     diffs = []
     for j in range(len(c.diffs)):

@@ -4,9 +4,12 @@ extension (A x B) |x (U + V).
 
 Basis order everywhere: A, B, U, V.  The direct matrix-ring construction
 and the trivial-extension composite produce literally equal structure
-constants, so the validated isomorphism witness is the identity.  theta
-and theta_co write f and g as the U and V blocks of a module over the ring
-and read the (co)pair off that module; theta_inverse reads the blocks back.
+constants, so the validated isomorphism witness is the identity.  A
+(co)tuple holds the module over the ring whose U and V blocks are f and g
+(resp. evaluate them), built once in its constructor and checked once, by
+that module's law: given valid X, Y and linear f, g, the law fails only at
+u_i v_j = 0 or v_i u_j = 0, the two composite axioms.  theta and theta_co
+read the (co)pair off that module; theta_inverse reads the blocks back.
 The theorem harnesses are the corollary harness over the extension by
 U + V, plus the sufficiency reports on U and V.
 
@@ -35,7 +38,7 @@ from .gorenstein import (compatibility_report, gf_check_right, gi_check,
                          gp_check, verify_corollary)
 from .linalg import FpMatrix, direct_sum, echelon_coords
 from .trivext import (CopairModule, PairModule, RightPairModule,
-                      TrivialExtension, copair_to_module, module_to_copair,
+                      Presented, TrivialExtension, module_to_copair,
                       module_to_pair, module_to_right_pair, pair_to_module,
                       trivial_extension)
 
@@ -112,7 +115,7 @@ def morita_ring(d: MoritaContextData) -> MoritaRing:
         [direct_sum(u.left_action[j], zv) for j in range(nb)]
     right = [direct_sum(u.right_action[i], zv) for i in range(na)] + \
         [direct_sum(zu, v.right_action[j]) for j in range(nb)]
-    bim = Bimodule(prod, prod, left, right)
+    bim = Bimodule(prod, prod, left, right, validate=False)
     ext = trivial_extension(prod, bim)
     if not (ext.total.sc == direct.sc).all() or \
             not (ext.total.unit == direct.unit).all():
@@ -125,9 +128,22 @@ def morita_ring(d: MoritaContextData) -> MoritaRing:
 # tuple categories
 
 
-class TupleModule:
+class _RingPresented(Presented):
+    """A (co)tuple: its module over the ring has U and V blocks f and g
+    (resp. their evaluations), and its law can fail only at v_i u_j = 0,
+    the first of its `axioms`, or at u_i v_j = 0, the second."""
+    error = MoritaError
+
+    def axiom(self, i: int, j: int) -> Optional[str]:
+        k, du = self.ring.prod.dim, self.ring.context.u.dim
+        if min(i, j) >= k:
+            return self.axioms[i < k + du]
+
+
+class TupleModule(_RingPresented):
     """(X, Y, f, g): X over A, Y over B, f: U ox X -> Y, g: V ox Y -> X,
     with both composites zero."""
+    axioms = ("g o (V ox f) != 0", "f o (U ox g) != 0")
 
     def __init__(self, ring: MoritaRing, x: LeftModule, y: LeftModule,
                  f_matrix: FpMatrix, g_matrix: FpMatrix,
@@ -139,15 +155,13 @@ class TupleModule:
         self.tsvy = tensor_bimodule_left(ring.context.v, y)
         self.f = ModuleHom(self.tsux.space, y, f_matrix, validate=validate)
         self.g = ModuleHom(self.tsvy.space, x, g_matrix, validate=validate)
+        du, dv = ring.context.u.dim, ring.context.v.dim
+        f = (f_matrix @ self.tsux.project).arr.reshape(y.dim, du, x.dim)
+        g = (g_matrix @ self.tsvy.project).arr.reshape(x.dim, dv, y.dim)
+        self.module = _ring_module(ring, x, y, f.transpose(1, 0, 2),
+                                   g.transpose(1, 0, 2))
         if validate:
             self.validate()
-
-    def validate(self):
-        vf, ug = self.composites()
-        if not (self.g.matrix @ vf.matrix).is_zero():
-            raise MoritaError("g o (V ox f) != 0")
-        if not (self.f.matrix @ ug.matrix).is_zero():
-            raise MoritaError("f o (U ox g) != 0")
 
     def composites(self) -> Tuple[ModuleHom, ModuleHom]:
         """(V ox f, U ox g)."""
@@ -155,13 +169,6 @@ class TupleModule:
         ts_uvy = tensor_bimodule_left(self.ring.context.u, self.tsvy.space)
         return (tensor_map_second(ts_vux, self.tsvy, self.f),
                 tensor_map_second(ts_uvy, self.tsux, self.g))
-
-    def same_presentation(self, other: "TupleModule") -> bool:
-        return (self.x.dim == other.x.dim and self.y.dim == other.y.dim
-                and all(p == q for p, q in zip(self.x.action, other.x.action))
-                and all(p == q for p, q in zip(self.y.action, other.y.action))
-                and self.f.matrix == other.f.matrix
-                and self.g.matrix == other.g.matrix)
 
 
 class RightTupleModule:
@@ -190,9 +197,10 @@ class RightTupleModule:
         return self.left.same_presentation(other.left)
 
 
-class CoTupleModule:
+class CoTupleModule(_RingPresented):
     """[X, Y, f, g]: f: X -> Hom_B(U, Y), g: Y -> Hom_A(V, X), with both
     postcompositions zero; the injective-side mirror of TupleModule."""
+    axioms = ("Hom(U, g) o f != 0", "Hom(V, f) o g != 0")
 
     def __init__(self, ring: MoritaRing, x: LeftModule, y: LeftModule,
                  f_matrix: FpMatrix, g_matrix: FpMatrix):
@@ -203,14 +211,11 @@ class CoTupleModule:
         self.hom_vx = hom_from_bimodule(ring.context.v, x)
         self.f = ModuleHom(x, self.hom_uy.space, f_matrix)
         self.g = ModuleHom(y, self.hom_vx.space, g_matrix)
+        # block k sends b to f(b)(u_k), resp. g(b)(v_k)
+        self.module = _ring_module(ring, x, y, *(
+            hm.homs.basis_array().transpose(2, 1, 0) @ mat.arr
+            for hm, mat in ((self.hom_uy, f_matrix), (self.hom_vx, g_matrix))))
         self.validate()
-
-    def validate(self):
-        ug, vf = self.composites()
-        if not (ug.matrix @ self.f.matrix).is_zero():
-            raise MoritaError("Hom(U, g) o f != 0")
-        if not (vf.matrix @ self.g.matrix).is_zero():
-            raise MoritaError("Hom(V, f) o g != 0")
 
     def composites(self) -> Tuple[ModuleHom, ModuleHom]:
         """(Hom(U, g), Hom(V, f))."""
@@ -237,19 +242,13 @@ def _ring_module(ring: MoritaRing, x: LeftModule, y: LeftModule,
     action[k:k + du, dx:, :dx] = u_blocks
     action[k + du:, :dx, dx:] = v_blocks
     return LeftModule(ring.total, [FpMatrix(m, ring.prod.field)
-                                   for m in action])
+                                   for m in action], validate=False)
 
 
 def theta(t: TupleModule) -> PairModule:
     """The pair ((X, Y), (g, f)) over the extension, read off the module
-    over the ring whose U and V blocks are f and g."""
-    ring = t.ring
-    dx, dy = t.x.dim, t.y.dim
-    du, dv = ring.context.u.dim, ring.context.v.dim
-    f = (t.f.matrix @ t.tsux.project).arr.reshape(dy, du, dx)
-    g = (t.g.matrix @ t.tsvy.project).arr.reshape(dx, dv, dy)
-    return module_to_pair(_ring_module(ring, t.x, t.y, f.transpose(1, 0, 2),
-                                       g.transpose(1, 0, 2)), ring.ext)
+    over the ring that the tuple holds."""
+    return module_to_pair(t.module, t.ring.ext)
 
 
 def _split_prod_left(ring: MoritaRing, p: LeftModule):
@@ -297,7 +296,7 @@ def theta_inverse(pair: PairModule, ring: MoritaRing) -> TupleModule:
                      tensor_bimodule_left(ring.context.v, y))
     if f is None or g is None:
         raise MoritaError("structure map does not respect the splitting")
-    return TupleModule(ring, x, y, f, g)
+    return TupleModule(ring, x, y, f, g, validate=False)
 
 
 def _swap_ideal(ring: MoritaRing, action: list) -> list:
@@ -311,9 +310,8 @@ def _swap_ideal(ring: MoritaRing, action: list) -> list:
 def _right_module(rt: RightTupleModule) -> RightModule:
     """upsilon(rt) as a right module over the ring: theta over the opposite
     context with the ideal blocks put back in the order U, V."""
-    mod = pair_to_module(theta(rt.left))
     return RightModule(rt.ring.total, _swap_ideal(rt.ring.opposite,
-                                                  mod.action))
+                                                  rt.left.module.action))
 
 
 def upsilon(rt: RightTupleModule) -> RightPairModule:
@@ -338,12 +336,8 @@ def upsilon_inverse(rp: RightPairModule, ring: MoritaRing) -> RightTupleModule:
 
 def theta_co(ct: CoTupleModule) -> CopairModule:
     """The copair over the extension, read off the module over the ring
-    whose U and V blocks evaluate f and g."""
-    ring = ct.ring
-    # block k sends b to f(b)(u_k), resp. g(b)(v_k)
-    f = ct.hom_uy.homs.basis_array().transpose(2, 1, 0) @ ct.f.matrix.arr
-    g = ct.hom_vx.homs.basis_array().transpose(2, 1, 0) @ ct.g.matrix.arr
-    return module_to_copair(_ring_module(ring, ct.x, ct.y, f, g), ring.ext)
+    that the cotuple holds."""
+    return module_to_copair(ct.module, ct.ring.ext)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +351,7 @@ def tuple_hom_dim(s: TupleModule, t: TupleModule) -> int:
     the ring."""
     if s.ring is not t.ring:
         raise MoritaError("tuples over different rings")
-    return hom_space(pair_to_module(theta(s)), pair_to_module(theta(t))).dim
+    return hom_space(s.module, t.module).dim
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +383,7 @@ def verify_theorem(ring: MoritaRing, lhs, hypotheses: dict, bound) -> dict:
 
 def verify_thm52(t: TupleModule, bound=None) -> dict:
     """Tuple-level hypotheses vs Gorenstein projectivity."""
-    return verify_theorem(t.ring, gp_check(pair_to_module(theta(t)), bound),
+    return verify_theorem(t.ring, gp_check(t.module, bound),
                           _tuple_hypotheses(t, gp_check, bound), bound)
 
 
@@ -401,9 +395,8 @@ def verify_thm53(ct: CoTupleModule, bound=None) -> dict:
         "seq2_exact": is_exact_at(ct.g, vf),
         "ker_f_verdict": gi_check(kernel_module(ct.f)[0], bound),
         "ker_g_verdict": gi_check(kernel_module(ct.g)[0], bound)}
-    return verify_theorem(ct.ring, gi_check(copair_to_module(theta_co(ct)),
-                                            bound),
-                          hypotheses, bound)
+    return verify_theorem(ct.ring, gi_check(ct.module, bound), hypotheses,
+                          bound)
 
 
 # the left tuple (W, Q, g, f) of a right tuple lists f and g the other way

@@ -23,7 +23,6 @@ primitive idempotents, and is A itself when A is commutative.
 from __future__ import annotations
 
 import random
-import weakref
 from dataclasses import dataclass
 from functools import partial
 from itertools import groupby
@@ -34,7 +33,7 @@ import numpy as np
 from .algebra import (Algebra, LeftModule, ModuleHom, _echelon_submodule,
                       _stack, as_left, block_sum_module, dual_module,
                       hom_space, kept, opposite_algebra, quotient_module,
-                      row_space_of_columns)
+                      row_space_of_columns, shared)
 from .linalg import (FieldSpec, FpMatrix, echelon_coords,
                      echelon_quotient_maps, hstack, inverse, kernel_basis,
                      matmul_mod, rref, row_basis, solve, vstack)
@@ -54,15 +53,11 @@ class StructureError(ValueError):
 
 
 def spin(m, vec) -> FpMatrix:
-    """Echelonized row basis of the submodule generated by vec."""
+    """Echelonized row basis of the submodule A.vec, spanned by the b_k.vec
+    alone: A is unital and closed under products."""
     field = m.over.field
-    rows = np.asarray(vec, dtype=np.int64).reshape(1, -1) % field.p
-    while True:
-        nxt = row_basis(FpMatrix(np.vstack([rows] + [
-            (rows @ am.arr.T) % field.p for am in m.action]), field)).arr
-        if nxt.shape == rows.shape:     # the span did not grow
-            return FpMatrix(nxt, field)
-        rows = nxt
+    v = np.asarray(vec, dtype=np.int64).reshape(-1) % field.p
+    return row_basis(FpMatrix(_stack(m.action, m.dim) @ v, field))
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +430,8 @@ def projective_cover(m) -> ProjectivePresentation:
     """Minimal projective surjection onto m.
 
     The cover is a function of the algebra and the action matrices alone,
-    so equal modules share it: its parts are kept on m, and the algebra
-    indexes them weakly by m's content, for as long as a module holds them.
+    so equal modules share it (`shared`): its parts are kept on m, and the
+    algebra indexes them weakly by m's content while a module holds them.
     A right module is covered as a left module over the opposite algebra.
     """
     left = as_left(m)
@@ -444,15 +439,8 @@ def projective_cover(m) -> ProjectivePresentation:
         z = LeftModule.zero(left.over)
         return ProjectivePresentation(left, z, ModuleHom.zero(z, left), z,
                                       ModuleHom.zero(z, z), ())
-    if "cover" not in m._cache:
-        index = left.over._cache.setdefault("covers",
-                                            weakref.WeakValueDictionary())
-        key = (left.dim, _stack(left.action, left.dim).tobytes())
-        holder = index.get(key)
-        m._cache["cover"] = (_cover_parts(left) if holder is None
-                             else holder._cache["cover"])
-        index.setdefault(key, m)
-    cover, epi, ker, ker_incl, summands = m._cache["cover"]
+    cover, epi, ker, ker_incl, summands = shared(
+        m, left.over, "covers", (), lambda: _cover_parts(left))
     return ProjectivePresentation(left, cover, ModuleHom(
         cover, left, epi, validate=False), ker, ker_incl, summands)
 
@@ -495,7 +483,8 @@ def _cover_parts(m: LeftModule):
     if reduced.rank != len(pi):
         raise StructureError("projective cover search failed to reach the top")
     owner = np.repeat(np.arange(len(cands)), [f.shape[1] for _, f in cands])
-    chosen = [cands[k] for k in np.unique(owner[reduced.pivot_cols])]
+    # distinct owners in pivot order (np.unique imports numpy.ma, 30 ms)
+    chosen = [cands[k] for k in dict.fromkeys(owner[reduced.pivot_cols])]
     pims = _pim_triples(m.over)
     cover = block_sum_module([pims[i][0] for i, _ in chosen])
     epi = FpMatrix(np.hstack([phi for _, phi in chosen]), field)

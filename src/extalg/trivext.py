@@ -12,6 +12,10 @@ induced and coinduced modules T(X) = X + M ox X and H(Y) = Hom(M, Y) + Y
 are built once each as total modules; `functor_T` and `functor_H` read
 their pair and copair off them, as `morita.theta` and `theta_co` do.
 
+A pair or copair holds its total module and is checked once, by its law
+(`Presented`): beyond linearity, that is m_i m_j = 0, the square-zero
+axiom.  `module_to_pair` reads a valid module and does not check again.
+
 Right modules over R |x M are left modules over R^op |x M^swap
 (`opposite_extension`, whose total algebra is registered as the opposite
 of the original one).  A right pair (X, alpha: X ox M -> X) is held as the
@@ -100,9 +104,35 @@ def opposite_extension(t: TrivialExtension) -> TrivialExtension:
 # pair and copair presentations
 
 
-class PairModule:
+class Presented:
+    """A presentation of the total module `module`, built by its
+    constructor.  Given valid base modules and linear maps, the law of that
+    module can fail only at a product of two ideal basis elements, which is
+    an axiom; `axiom(i, j)` names the one that the basis pair tests."""
+    error = TrivextError
+
+    def validate(self):
+        try:
+            self.module.validate()
+        except AlgebraError as exc:
+            raise self.error(exc.at and self.axiom(*exc.at)
+                             or str(exc)) from exc
+
+    def axiom(self, i: int, j: int) -> Optional[str]:
+        if min(i, j) >= self.t.base_dim:
+            return self.law
+
+    def same_presentation(self, other) -> bool:
+        m, n = self.module, other.module
+        return m.dim == n.dim and all(a == b for a, b in zip(m.action,
+                                                             n.action))
+
+
+class PairModule(Presented):
     """(X, alpha) with X a left module over the base and alpha a module map
-    M ox X -> X killing M ox M ox X."""
+    M ox X -> X killing M ox M ox X; (r, m) acts on the total module as
+    r.x + alpha(m ox x)."""
+    law = "structure map does not square to zero"
 
     def __init__(self, t: TrivialExtension, x: LeftModule,
                  alpha_matrix: FpMatrix, validate: bool = True):
@@ -111,52 +141,47 @@ class PairModule:
         self.tensor = tensor_bimodule_left(t.bimodule, x)
         self.alpha = ModuleHom(self.tensor.space, x, alpha_matrix,
                                validate=validate)
+        # block j sends b to alpha(m_j ox b)
+        ideal = (alpha_matrix @ self.tensor.project).arr.reshape(
+            x.dim, t.ideal_dim, x.dim).transpose(1, 0, 2)
+        self.module = LeftModule(t.total, x.action + [
+            FpMatrix(a, t.field) for a in ideal], validate=False)
         if validate:
             self.validate()
-
-    def validate(self):
-        if not (self.alpha.matrix @ self.m_alpha().matrix).is_zero():
-            raise TrivextError("structure map does not square to zero")
 
     def m_alpha(self) -> ModuleHom:
         """M ox alpha: M ox M ox X -> M ox X."""
         t2 = tensor_bimodule_left(self.t.bimodule, self.tensor.space)
         return tensor_map_second(t2, self.tensor, self.alpha)
 
-    def same_presentation(self, other: "PairModule") -> bool:
-        return (self.x.dim == other.x.dim
-                and all(a == b for a, b in zip(self.x.action, other.x.action))
-                and self.alpha.matrix == other.alpha.matrix)
-
     def __repr__(self):
         return f"PairModule(x_dim={self.x.dim}, over={self.t!r})"
 
 
-class CopairModule:
+class CopairModule(Presented):
     """[Y, beta] with beta: Y -> Hom(M, Y) killed by postcomposition with
-    itself."""
+    itself; (r, m) acts on the total module as r.y + (beta y)(m)."""
+    law = "costructure map does not square to zero"
 
     def __init__(self, t: TrivialExtension, y: LeftModule,
-                 beta_matrix: FpMatrix):
+                 beta_matrix: FpMatrix, validate: bool = True):
         self.t = t
         self.y = y
         self.hom = hom_from_bimodule(t.bimodule, y)
-        self.beta = ModuleHom(y, self.hom.space, beta_matrix)
-        self.validate()
-
-    def validate(self):
-        if not (self.beta_post().matrix @ self.beta.matrix).is_zero():
-            raise TrivextError("costructure map does not square to zero")
+        self.beta = ModuleHom(y, self.hom.space, beta_matrix,
+                              validate=validate)
+        # block j sends b to beta(b)(m_j)
+        ideal = self.hom.homs.basis_array().transpose(2, 1, 0) @ \
+            beta_matrix.arr
+        self.module = LeftModule(t.total, y.action + [
+            FpMatrix(a, t.field) for a in ideal], validate=False)
+        if validate:
+            self.validate()
 
     def beta_post(self) -> ModuleHom:
         """Hom(M, beta): Hom(M, Y) -> Hom(M, Hom(M, Y))."""
         hom2 = hom_from_bimodule(self.t.bimodule, self.hom.space)
         return self.hom.postcompose(hom2, self.beta)
-
-    def same_presentation(self, other: "CopairModule") -> bool:
-        return (self.y.dim == other.y.dim
-                and all(a == b for a, b in zip(self.y.action, other.y.action))
-                and self.beta.matrix == other.beta.matrix)
 
     def __repr__(self):
         return f"CopairModule(y_dim={self.y.dim}, over={self.t!r})"
@@ -190,44 +215,35 @@ class RightPairModule:
 
 
 def pair_to_module(pair: PairModule) -> LeftModule:
-    """The left module over the total algebra: (r, m) acts as
-    r.x + alpha(m ox x)."""
-    dx = pair.x.dim
-    # block j sends b to alpha(m_j ox b)
-    plain = (pair.alpha.matrix @ pair.tensor.project).arr
-    ideal = plain.reshape(dx, pair.t.ideal_dim, dx).transpose(1, 0, 2)
-    return LeftModule(pair.t.total, list(pair.x.action) + [
-        FpMatrix(a, pair.t.field) for a in ideal])
+    """The left module over the total algebra that the pair holds."""
+    return pair.module
 
 
 def module_to_pair(mod: LeftModule, t: TrivialExtension) -> PairModule:
-    """Inverse of pair_to_module; the structure map is read off the action
-    of the ideal basis."""
+    """Inverse of pair_to_module for a valid mod: the structure map is read
+    off the action of the ideal basis, and the pair is not checked again."""
     n, d = t.base_dim, t.ideal_dim
-    x = LeftModule(t.base, mod.action[:n])
-    pair0 = tensor_bimodule_left(t.bimodule, x)
+    x = LeftModule(t.base, mod.action[:n], validate=False)
+    ts = tensor_bimodule_left(t.bimodule, x)
     # column j * dim X + b of plain is m_j acting on b
     plain = FpMatrix(_stack(mod.action[n:], x.dim).transpose(1, 0, 2)
                      .reshape(x.dim, d * x.dim), t.field)
-    alpha_mat = plain @ pair0.include
-    if alpha_mat @ pair0.project != plain:
+    alpha_mat = plain @ ts.include
+    if alpha_mat @ ts.project != plain:
         raise TrivextError("ideal action does not factor through the "
                            "balanced tensor; not a module over the extension")
-    return PairModule(t, x, alpha_mat)
+    return PairModule(t, x, alpha_mat, validate=False)
 
 
 def copair_to_module(copair: CopairModule) -> LeftModule:
-    """(r, m) acts as r.y + (beta y)(m)."""
-    # block j sends b to beta(b)(m_j)
-    ideal = copair.hom.homs.basis_array().transpose(2, 1, 0) @ \
-        copair.beta.matrix.arr
-    return LeftModule(copair.t.total, list(copair.y.action) + [
-        FpMatrix(a, copair.t.field) for a in ideal])
+    """The left module over the total algebra that the copair holds."""
+    return copair.module
 
 
 def module_to_copair(mod: LeftModule, t: TrivialExtension) -> CopairModule:
+    """Inverse of copair_to_module for a valid mod, not checked again."""
     n = t.base_dim
-    y = LeftModule(t.base, mod.action[:n])
+    y = LeftModule(t.base, mod.action[:n], validate=False)
     hm = hom_from_bimodule(t.bimodule, y)
     # y's basis vector b goes to the map m_j -> (action of m_j)[:, b]
     ideal = _stack(mod.action[n:], y.dim)
@@ -236,7 +252,7 @@ def module_to_copair(mod: LeftModule, t: TrivialExtension) -> CopairModule:
     except AlgebraError as exc:
         raise TrivextError("ideal action is not given by module maps from "
                            "the bimodule") from exc
-    return CopairModule(t, y, beta_mat)
+    return CopairModule(t, y, beta_mat, validate=False)
 
 
 def right_pair_to_module(rp: RightPairModule) -> RightModule:
@@ -346,7 +362,7 @@ def _inflate(t: TrivialExtension, x):
     """Z(X) directly as a total module, on the side of X: the ideal acts
     as zero."""
     z = FpMatrix.zeros(x.dim, x.dim, t.field)
-    return type(x)(t.total, list(x.action) + [z] * t.ideal_dim)
+    return type(x)(t.total, x.action + [z] * t.ideal_dim, validate=False)
 
 
 def _glued(t: TrivialExtension, first: LeftModule, second: LeftModule,

@@ -369,3 +369,57 @@ def test_underdetermined_solve_matches_full_system(name, p, side, seed):
                            right=(pmat, h @ pmat))
     assert got.matrix == _full_basis_solve(m, n, lmat, lmat @ h,
                                            pmat, h @ pmat)
+
+
+def _copy(m):
+    return type(m)(m.over, [FpMatrix(x.arr.copy(), x.field)
+                            for x in m.action])
+
+
+def test_content_equal_modules_share_one_tensor_and_hom_module():
+    a = a2_algebra(FIELD3)
+    bim = Bimodule.regular(a)
+    for m in [LeftModule.regular(a)] + [random_module(
+            a, np.random.default_rng(seed)) for seed in range(3)]:
+        m1, m2 = _copy(m), _copy(m)
+        assert tensor_bimodule_left(bim, m1) is tensor_bimodule_left(bim, m2)
+        assert hom_from_bimodule(bim, m1) is hom_from_bimodule(bim, m2)
+    # a content-equal bimodule over another left (resp. right) algebra
+    # object shares nothing: the space lives over that algebra
+    b = a2_algebra(FIELD3)
+    other = Bimodule(b, a, b.lmats, a.rmats)
+    x = random_module(a, np.random.default_rng(7))
+    ts, ts_other = tensor_bimodule_left(bim, x), tensor_bimodule_left(other, x)
+    assert ts is not ts_other
+    assert ts.space.over is a and ts_other.space.over is b
+    assert ts.project == ts_other.project
+    flipped = Bimodule(a, b, a.lmats, b.rmats)
+    assert hom_from_bimodule(bim, x) is not hom_from_bimodule(flipped, x)
+    assert hom_from_bimodule(flipped, x).space.over is b
+
+
+def test_shared_index_empties_once_the_holders_go():
+    import gc
+    a = local_wild_algebra(FIELD2)
+    bim = Bimodule.regular(a)
+    mods = [random_module(a, np.random.default_rng(seed))
+            for seed in range(4)]
+    for m in mods:
+        tensor_bimodule_left(bim, _copy(m))
+        tensor_bimodule_left(bim, m)
+        hom_from_bimodule(bim, m)
+    assert len(a._cache["tensors"]) > 0 and len(a._cache["homs"]) > 0
+    del mods, m
+    gc.collect()
+    assert len(a._cache["tensors"]) == 0 and len(a._cache["homs"]) == 0
+
+
+def test_leg_mismatch_raises_before_the_lookup():
+    a, b = a2_algebra(FIELD2), local_wild_algebra(FIELD2)
+    x = LeftModule.regular(b)
+    tensor_bimodule_left(Bimodule.regular(b), x)
+    hom_from_bimodule(Bimodule.regular(b), x)
+    with pytest.raises(AlgebraError, match="contracted algebras"):
+        tensor_bimodule_left(Bimodule.regular(a), x)
+    with pytest.raises(AlgebraError, match="legs do not match"):
+        hom_from_bimodule(Bimodule.regular(a), x)

@@ -311,3 +311,33 @@ def test_every_library_error_exits_2(tmp_path, capsys, monkeypatch, error):
     assert main(["examples", "emit", "--out", str(ws_path)]) == 0
     assert main(["check", "gp", str(ws_path)]) == 2
     assert capsys.readouterr().err == "error: pair 'd_regular_pair': boom\n"
+
+
+def test_readme_pass_builds_each_tensor_and_hom_module_once(tmp_path,
+                                                           monkeypatch):
+    # each command is one job with a fresh load; within a job, tensor
+    # products and Hom modules are shared by content, so the pass builds
+    # 53 and 25 of them, and `resolve pair --window 3` one per content
+    built = {"tensor": 0, "hom": 0}
+    build_tensor, build_hom = algebra._tensor_space, algebra.HomModule.__init__
+
+    def tensor(m, x):
+        built["tensor"] += 1
+        return build_tensor(m, x)
+
+    def hom(self, m, y):
+        built["hom"] += 1
+        build_hom(self, m, y)
+
+    monkeypatch.setattr(algebra, "_tensor_space", tensor)
+    monkeypatch.setattr(algebra.HomModule, "__init__", hom)
+    ws_path, out_path = tmp_path / "ws.json", tmp_path / "report.json"
+    assert main(["examples", "emit", "--out", str(ws_path)]) == 0
+    per_command = {}
+    for command in README_COMMANDS:
+        before = dict(built)
+        argv = list(command[:2]) + [str(ws_path)] + list(command[2:])
+        assert main(argv + ["--out", str(out_path)]) == 0
+        per_command[command[:2]] = {k: built[k] - before[k] for k in built}
+    assert built["tensor"] <= 60 and built["hom"] <= 30, built
+    assert per_command["resolve", "pair"]["tensor"] <= 14, per_command

@@ -196,3 +196,31 @@ def test_hom_complex_reverses_indices(d_total, k_over_d):
 
 def test_default_bound_scales():
     assert default_bound(a2_algebra(FIELD2)) == 10
+
+
+
+def test_hom_complex_builds_one_hom_space_per_term_content(monkeypatch,
+                                                           d_total,
+                                                           k_over_d):
+    # the window of a complete resolution over D = k[y]/(y^2) repeats the
+    # term D; Hom(-, q) and Hom(q, -) build one space for it, and give the
+    # complexes that one space per term gives
+    from extalg import homology
+    from extalg.gorenstein import complete_resolution
+    cx = complete_resolution(k_over_d, 3).complex
+    assert len(cx.modules) == 7
+    built = []
+    monkeypatch.setattr(homology, "hom_space",
+                        lambda m, n: built.append(1) or hom_space(m, n))
+    got = [f(q) for q in (k_over_d, LeftModule.regular(d_total))
+           for f in (lambda q: homology.hom_complex(cx, q),
+                     lambda q: homology.hom_complex_co(q, cx))]
+    assert len(built) == 4
+    monkeypatch.setattr(homology, "_content", id)
+    per_term = [f(q) for q in (k_over_d, LeftModule.regular(d_total))
+                for f in (lambda q: homology.hom_complex(cx, q),
+                          lambda q: homology.hom_complex_co(q, cx))]
+    for a, b in zip(got, per_term):
+        assert a.lo == b.lo
+        assert [m.dim for m in a.modules] == [m.dim for m in b.modules]
+        assert [d.matrix for d in a.diffs] == [d.matrix for d in b.diffs]

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ from conftest import (FIELD2, a2_morita_ring, nakayama_ring,
                       product_morita_ring, random_right_tuple, random_tuple,
                       triangular_extension)
 from extalg.algebra import (AlgebraError, Bimodule, LeftModule, ModuleHom,
-                            RightModule, field_algebra, hom_space,
-                            product_algebra, tensor_map_second)
+                            RightModule, field_algebra, hom_from_bimodule,
+                            hom_space, product_algebra, tensor_bimodule_left,
+                            tensor_map_second)
 from extalg.gorenstein import SELF_INJECTIVE, IWANAGA_GORENSTEIN, \
     gorenstein_regime
 from extalg.linalg import FpMatrix
@@ -208,3 +210,92 @@ def test_thm52_exhaustive_a2(a2m):
                 assert report["classification"] == "agree"
                 seen += 1
     assert seen > 5
+
+
+def _space(alg, d):
+    """k^d over the 1-dimensional algebra alg."""
+    return LeftModule(alg, [FpMatrix.identity(d, FIELD2)])
+
+
+# Over (k, k, k, k) the tensors and Hom modules with U = V = k are X and Y
+# in their own coordinates, and the two composite axioms of a (co)tuple ask
+# g f = 0 and f g = 0.  With dim X = 2, dim Y = 1 this f and g break only
+# the first; with dim X = 1, dim Y = 2 the transposes break only the
+# second.
+_ONE_AXIOM_BROKEN = (
+    (2, 1, FpMatrix([[1, 0]], FIELD2), FpMatrix([[0], [1]], FIELD2), 0),
+    (1, 2, FpMatrix([[1], [0]], FIELD2), FpMatrix([[0, 1]], FIELD2), 1))
+
+
+def test_each_tuple_axiom_is_named(nak):
+    names = ("g o (V ox f) != 0", "f o (U ox g) != 0")
+    for dx, dy, f, g, broken in _ONE_AXIOM_BROKEN:
+        x, y = _space(nak.context.a, dx), _space(nak.context.b, dy)
+        unchecked = TupleModule(nak, x, y, f, g, validate=False)
+        assert [not c.is_zero() for c in (
+            g @ unchecked.composites()[0].matrix,
+            f @ unchecked.composites()[1].matrix)] == [broken == 0,
+                                                        broken == 1]
+        with pytest.raises(MoritaError, match=re.escape(names[broken])):
+            TupleModule(nak, x, y, f, g)
+
+
+def test_each_cotuple_axiom_is_named(nak):
+    names = ("Hom(U, g) o f != 0", "Hom(V, f) o g != 0")
+    for dx, dy, f, g, broken in _ONE_AXIOM_BROKEN:
+        x, y = _space(nak.context.a, dx), _space(nak.context.b, dy)
+        with pytest.raises(MoritaError, match=re.escape(names[broken])):
+            CoTupleModule(nak, x, y, f, g)
+
+
+def test_right_tuple_axiom_is_named(nak):
+    # f: Q ox U -> W and g: W ox V -> Q; with dim W = 2, dim Q = 1 only the
+    # composite W ox V ox U -> W breaks, which in the left tuple (W, Q, g, f)
+    # over the opposite context is g o (V ox f); with dim W = 1, dim Q = 2
+    # only Q ox U ox V -> Q breaks, there f o (U ox g)
+    names = ("g o (V ox f) != 0", "f o (U ox g) != 0")
+    for dw, dq, g, f, broken in _ONE_AXIOM_BROKEN:
+        w = RightModule(nak.context.a, [FpMatrix.identity(dw, FIELD2)])
+        q = RightModule(nak.context.b, [FpMatrix.identity(dq, FIELD2)])
+        with pytest.raises(MoritaError, match=re.escape(names[broken])):
+            RightTupleModule(nak, w, q, f, g)
+
+
+def test_law_check_matches_the_composites():
+    # for linear f and g, the law of the module over the ring holds exactly
+    # when both composites of the (co)tuple vanish
+    rng = np.random.default_rng(3)
+    seen = set()
+    for ring in [nakayama_ring(FIELD2)] * 12 + [a2_morita_ring(FIELD2)] * 4:
+        u, v = ring.context.u, ring.context.v
+        x = _space(ring.context.a, int(rng.integers(1, 3)))
+        y = _space(ring.context.b, int(rng.integers(1, 3)))
+        tsux, tsvy = tensor_bimodule_left(u, x), tensor_bimodule_left(v, y)
+        huy, hvx = hom_from_bimodule(u, y), hom_from_bimodule(v, x)
+        for kind in ("tuple", "cotuple"):
+            spaces = ((hom_space(tsux.space, y), hom_space(tsvy.space, x))
+                      if kind == "tuple" else
+                      (hom_space(x, huy.space), hom_space(y, hvx.space)))
+            f, g = (hs.element(rng.integers(0, 2, size=hs.dim)).matrix
+                    for hs in spaces)
+            if kind == "tuple":
+                vf, ug = TupleModule(ring, x, y, f, g,
+                                     validate=False).composites()
+                holds = (g @ vf.matrix).is_zero() and \
+                    (f @ ug.matrix).is_zero()
+            else:
+                ugv = hom_from_bimodule(u, hvx.space)
+                vfu = hom_from_bimodule(v, huy.space)
+                holds = (huy.postcompose(ugv, ModuleHom(y, hvx.space, g))
+                         .matrix @ f).is_zero() and \
+                    (hvx.postcompose(vfu, ModuleHom(x, huy.space, f))
+                     .matrix @ g).is_zero()
+            seen.add(holds)
+            build = TupleModule if kind == "tuple" else CoTupleModule
+            try:
+                build(ring, x, y, f, g)
+            except MoritaError:
+                assert not holds
+            else:
+                assert holds
+    assert seen == {True, False}

@@ -604,3 +604,42 @@ def test_nakayama_syzygies_share_covers(monkeypatch):
         assert [t.dim for t in res.terms] == [k] * 7
         assert [z.dim for z in res.syzygies] == [1, k - 1] * 4
     assert sorted(built) == [1] * n + [k - 1] * n
+
+
+def _spin_closure(m, vec):
+    """The span of vec grown by the action until it stops growing."""
+    field = m.over.field
+    rows = FpMatrix(np.asarray(vec).reshape(1, -1), field)
+    while True:
+        grown = row_basis(vstack([rows] + [rows @ am.transpose()
+                                           for am in m.action]))
+        if grown.rows == rows.rows:
+            return grown
+        rows = grown
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, 65521])
+def test_spin_matches_the_closure(p):
+    field = FieldSpec(p)
+    rng = np.random.default_rng(p)
+    for a in (a2_algebra(field), local_wild_algebra(field),
+              double_extension(field).total):
+        for m in [LeftModule.regular(a), RightModule.regular(a)] + [
+                random_module(a, rng, 6) for _ in range(4)]:
+            for vec in [np.zeros(m.dim, dtype=np.int64)] + [
+                    rng.integers(0, p, size=m.dim) for _ in range(3)]:
+                assert spin(m, vec) == _spin_closure(m, vec)
+
+
+def test_ext_target_keeps_its_pim_homs(monkeypatch):
+    # two gp_check batteries over one algebra read Hom(P_i, A) of the same
+    # regular module, computed once and kept on it
+    from extalg import homology
+    targets, compute = [], homology.pim_homs
+    monkeypatch.setattr(homology, "pim_homs",
+                        lambda n: targets.append(n) or compute(n))
+    a = local_wild_algebra(FIELD2)
+    for m in (simples(a)[0], random_module(a, np.random.default_rng(3), 3)):
+        assert not is_projective(m)
+        gp_check(m, 3)
+    assert targets == [LeftModule.regular(a)]

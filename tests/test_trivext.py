@@ -11,11 +11,11 @@ from extalg.algebra import (Bimodule, LeftModule, RightModule,
                             monomial_quiver_algebra, opposite_algebra,
                             tensor_bimodule_left, tensor_map_second)
 from extalg.homology import id_bounded, pd_bounded
-from extalg.linalg import FpMatrix, is_invertible
+from extalg.linalg import FieldSpec, FpMatrix, is_invertible
 from extalg.structure import (is_injective, is_projective,
                               projective_indecomposables, simples)
-from extalg.trivext import (CopairModule, PairModule, TrivextError, _coextend,
-                            _extend,
+from extalg.trivext import (CopairModule, PairModule, RightPairModule,
+                            TrivextError, _coextend, _extend,
                             classify_injective, classify_projective,
                             copair_to_module, functor_C, functor_H,
                             functor_K, functor_T, functor_U, functor_Z_copair,
@@ -248,3 +248,51 @@ def test_T_and_H_match_their_pair_and_copair_constructions():
                 assert got.over is t.total
                 assert len(got.action) == len(want.action)
                 assert all(a == b for a, b in zip(got.action, want.action))
+
+
+def test_each_pair_axiom_is_named():
+    # the maps are module maps; only the square-zero axiom breaks
+    t = square_zero_extension(FIELD2)
+    one = FpMatrix.identity(1, FIELD2)
+    with pytest.raises(TrivextError,
+                       match="^structure map does not square to zero$"):
+        PairModule(t, LeftModule.regular(t.base), one)
+    with pytest.raises(TrivextError,
+                       match="^costructure map does not square to zero$"):
+        CopairModule(t, LeftModule.regular(t.base), one)
+    with pytest.raises(TrivextError,
+                       match="^structure map does not square to zero$"):
+        RightPairModule(t, RightModule.regular(t.base), one)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_law_check_matches_the_square_zero_composites(p):
+    # for linear structure maps, the law of the total module holds exactly
+    # when alpha o (M ox alpha) and Hom(M, beta) o beta vanish
+    field = FieldSpec(p)
+    rng = np.random.default_rng(p)
+    seen = set()
+    for t in (square_zero_extension(field), triangular_extension(field),
+              double_extension(field)):
+        for _ in range(8):
+            x = random_module(t.base, rng, 3)
+            ts, hm = (tensor_bimodule_left(t.bimodule, x),
+                      hom_from_bimodule(t.bimodule, x))
+            for source, target, build, composite in (
+                    (ts.space, x, PairModule, lambda c: (
+                        c.alpha.matrix @ c.m_alpha().matrix)),
+                    (x, hm.space, CopairModule, lambda c: (
+                        c.beta_post().matrix @ c.beta.matrix))):
+                hs = hom_space(source, target)
+                for _ in range(3):
+                    mat = hs.element(rng.integers(0, p, size=hs.dim)).matrix
+                    unchecked = build(t, x, mat, validate=False)
+                    holds = composite(unchecked).is_zero()
+                    seen.add(holds)
+                    try:
+                        build(t, x, mat)
+                    except TrivextError:
+                        assert not holds
+                    else:
+                        assert holds
+    assert seen == {True, False}
