@@ -31,6 +31,7 @@ pivot columns.  M ox X and Hom(M, Y) are shared by content (`shared`).
 
 from __future__ import annotations
 
+import functools
 import weakref
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -102,8 +103,11 @@ def validate_algebra(a: Algebra) -> dict:
     return {"dim": n, "p": p, "associative": True, "unital": True}
 
 
+@functools.lru_cache(maxsize=None)
 def field_algebra(field: FieldSpec) -> Algebra:
-    """GF(p) viewed as a 1-dimensional algebra over itself."""
+    """GF(p) viewed as a 1-dimensional algebra over itself; one algebra per
+    field, so the spaces built over it (`field_space`) share their tensors
+    and Hom modules by content."""
     return Algebra(field, np.ones((1, 1, 1), dtype=np.int64), [1],
                    validate=False)
 
@@ -499,7 +503,7 @@ def invariant_action(action: Sequence[FpMatrix], basis: FpMatrix,
     coords = echelon_coords(basis, moved)
     if coords is None:
         return None
-    return [FpMatrix(c.T, basis.field) for c in coords]
+    return [FpMatrix.reduced(c.T, basis.field) for c in coords]
 
 
 def submodule(x, basis_rows: FpMatrix):
@@ -592,7 +596,7 @@ def block_sum_module(mods: Sequence):
     for m in mods:
         acc[:, off:off + m.dim, off:off + m.dim] = _stack(m.action, m.dim)
         off += m.dim
-    return type(mods[0])(over, [FpMatrix(x, over.field) for x in acc],
+    return type(mods[0])(over, [FpMatrix.reduced(x, over.field) for x in acc],
                          validate=False)
 
 

@@ -219,15 +219,15 @@ def compatibility_report(n: Bimodule,
 
 def zr_bimodule(t: TrivialExtension) -> Bimodule:
     """The base ring R as a bimodule over the total algebra, with the
-    ideal acting as zero on both sides; built once per extension."""
+    ideal acting as zero on both sides; built once per extension.  It is
+    the regular bimodule of R pulled back along the algebra map
+    R |x M -> R that kills M, so the law holds by construction."""
     if "zr_bimodule" not in t._cache:
         n = t.base_dim
-        z = FpMatrix.zeros(n, n, t.field)
-        left = [FpMatrix(m.arr, t.field) for m in t.base.lmats] + \
-            [z] * t.ideal_dim
-        right = [FpMatrix(m.arr, t.field) for m in t.base.rmats] + \
-            [z] * t.ideal_dim
-        t._cache["zr_bimodule"] = Bimodule(t.total, t.total, left, right)
+        z = [FpMatrix.zeros(n, n, t.field)] * t.ideal_dim
+        t._cache["zr_bimodule"] = Bimodule(
+            t.total, t.total, t.base.lmats + z, t.base.rmats + z,
+            validate=False)
     return t._cache["zr_bimodule"]
 
 

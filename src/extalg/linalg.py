@@ -3,9 +3,13 @@
 Everything higher up (algebras, modules, resolutions) reduces to ranks,
 kernels and solves computed here.  Matrices are dense, row-major, with
 entries stored as reduced residues in numpy int64 arrays; p <= 65521 keeps
-a product with inner dimension k < 2 * 10^9 inside int64.  numpy runs
-int64 products without BLAS, so the large membership checks use
-`matmul_mod`: float64 BLAS, exact while k * (p-1)^2 < 2^53.
+a product with inner dimension k < 2 * 10^9 inside int64.  The public
+`FpMatrix` constructor reduces its input; `FpMatrix.reduced` wraps arrays
+that are reduced by construction (RREF results, bases, transposes)
+without doing it again.  numpy runs int64 products without BLAS, so
+`matmul_mod` sends deep products (k >= 16) to float64 BLAS, exact while
+k * (p-1)^2 < 2^53, and keeps shallow ones in int64.  Elimination visits
+only the columns that are nonzero in its input.
 
 Zero-row and zero-column matrices are first-class citizens: zero modules
 occur all over the place (M = 0, trivial cokernels) and must round-trip
@@ -57,6 +61,16 @@ class FpMatrix:
         self.field = field
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def reduced(cls, arr: np.ndarray, field: FieldSpec) -> "FpMatrix":
+        """Wrap a 2-d int64 array whose entries are in [0, p) by
+        construction (an RREF, a transpose, a block of reduced matrices),
+        without the copy and the `% p` of the public constructor."""
+        m = cls.__new__(cls)
+        m.arr = arr
+        m.field = field
+        return m
 
     @classmethod
     def zeros(cls, rows: int, cols: int, field: FieldSpec) -> "FpMatrix":
@@ -127,7 +141,7 @@ class FpMatrix:
         return FpMatrix(self.arr * (c % self.field.p), self.field)
 
     def transpose(self) -> "FpMatrix":
-        return FpMatrix(self.arr.T, self.field)
+        return FpMatrix.reduced(self.arr.T, self.field)
 
     def apply(self, vec) -> np.ndarray:
         """Apply to a 1-d coordinate vector, returning a 1-d vector."""
@@ -143,10 +157,16 @@ class RrefResult:
 
 
 def _rref_inplace(a: np.ndarray, p: int):
-    rows, cols = a.shape
+    """Row-reduce the reduced int64 array a in place; its pivot columns.
+
+    Only the columns that are nonzero in the input are visited: row
+    operations keep a zero column zero.  Row r is zero left of its pivot
+    column c, so the updates touch columns c and after only, and a pivot
+    that is already 1 is not scaled."""
+    rows = a.shape[0]
     pivots = []
     r = 0
-    for c in range(cols):
+    for c in np.flatnonzero(a.any(axis=0)).tolist():
         if r >= rows:
             break
         if not a[r, c]:
@@ -155,11 +175,12 @@ def _rref_inplace(a: np.ndarray, p: int):
                 continue
             piv = r + 1 + below[0]
             a[[r, piv]] = a[[piv, r]]
-        a[r] = (a[r] * pow(int(a[r, c]), -1, p)) % p
+        if a[r, c] != 1:
+            a[r, c:] = (a[r, c:] * pow(int(a[r, c]), -1, p)) % p
         nz = np.nonzero(a[:, c])[0]
         nz = nz[nz != r]
         if nz.size:
-            a[nz] = (a[nz] - np.outer(a[nz, c], a[r])) % p
+            a[nz, c:] = (a[nz, c:] - np.outer(a[nz, c], a[r, c:])) % p
         pivots.append(c)
         r += 1
     return pivots
@@ -169,7 +190,7 @@ def rref(m: FpMatrix) -> RrefResult:
     """Unique reduced row-echelon form, rank and pivot columns."""
     a = m.arr.copy()
     pivots = _rref_inplace(a, m.field.p)
-    return RrefResult(FpMatrix(a, m.field), len(pivots), pivots)
+    return RrefResult(FpMatrix.reduced(a, m.field), len(pivots), pivots)
 
 
 def rank(m: FpMatrix) -> int:
@@ -179,7 +200,7 @@ def rank(m: FpMatrix) -> int:
 def row_basis(m: FpMatrix) -> FpMatrix:
     """Canonical (echelonized) basis of the row space, zero rows dropped."""
     r = rref(m)
-    return FpMatrix(r.reduced.arr[: r.rank], m.field)
+    return FpMatrix.reduced(r.reduced.arr[: r.rank], m.field)
 
 
 def _null_rows(r: RrefResult, p: int):
@@ -202,8 +223,8 @@ def kernel_basis(m: FpMatrix) -> FpMatrix:
     """
     free, rows = _null_rows(rref(m), m.field.p)
     if free and (np.argmax(rows != 0, axis=1) != free).any():
-        rows = rref(FpMatrix(rows, m.field)).reduced.arr
-    return FpMatrix(rows, m.field)
+        rows = rref(FpMatrix.reduced(rows, m.field)).reduced.arr
+    return FpMatrix.reduced(rows, m.field)
 
 
 def solve(a: FpMatrix, b: FpMatrix) -> Optional[FpMatrix]:
@@ -220,7 +241,7 @@ def solve(a: FpMatrix, b: FpMatrix) -> Optional[FpMatrix]:
     x = np.zeros((a.cols, b.cols), dtype=np.int64)
     for i, c in enumerate(pivots):
         x[c] = aug[i, a.cols:]
-    return FpMatrix(x, a.field)
+    return FpMatrix.reduced(x, a.field)
 
 
 def inverse(m: FpMatrix) -> Optional[FpMatrix]:
@@ -271,12 +292,16 @@ def in_row_span(basis: FpMatrix, vec) -> bool:
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p for reduced int64 operands, broadcast as np.matmul.  At
-    2^14 or more multiply-adds it runs in float64 BLAS, exact while
-    inner_dim * (p-1)^2 < 2^53; smaller products, where BLAS gains less
-    than the conversions cost, and wider ones run in int64."""
-    if a.size * b.shape[-1] >= 2**14 and a.shape[-1] * (p - 1)**2 < 2**53:
-        return (a.astype(float) @ b.astype(float) % p).astype(np.int64)
+    """a @ b mod p for reduced int64 operands, broadcast as np.matmul.  It
+    runs in float64 BLAS when the inner dimension k is at least 16, the
+    product has 2^14 or more multiply-adds and k * (p-1)^2 < 2^53 keeps it
+    exact; the exact float product is cast back before the `% p`, which
+    costs a few times more on floats.  Otherwise it runs in int64: a
+    shallow product (say 4608 x 3 by 3 x 3) gains less from BLAS than the
+    conversions cost, whatever its size."""
+    k = a.shape[-1]
+    if k >= 16 and a.size * b.shape[-1] >= 2**14 and k * (p - 1)**2 < 2**53:
+        return (a.astype(float) @ b.astype(float)).astype(np.int64) % p
     return a @ b % p
 
 
@@ -324,4 +349,5 @@ def echelon_quotient_maps(basis: FpMatrix) -> QuotientMaps:
     free, proj = _null_rows(RrefResult(basis, basis.rows, pivots), field.p)
     incl = np.zeros((basis.cols, len(free)), dtype=np.int64)
     incl[free, np.arange(len(free))] = 1
-    return QuotientMaps(FpMatrix(proj, field), FpMatrix(incl, field))
+    return QuotientMaps(FpMatrix.reduced(proj, field),
+                        FpMatrix.reduced(incl, field))

@@ -309,9 +309,13 @@ def _swap_ideal(ring: MoritaRing, action: list) -> list:
 
 def _right_module(rt: RightTupleModule) -> RightModule:
     """upsilon(rt) as a right module over the ring: theta over the opposite
-    context with the ideal blocks put back in the order U, V."""
+    context with the ideal blocks put back in the order U, V.  The total
+    algebra of the opposite context is the opposite of the ring's, up to
+    that reordering of its basis, so the law of the tuple's total module
+    carries over."""
     return RightModule(rt.ring.total, _swap_ideal(rt.ring.opposite,
-                                                  rt.left.module.action))
+                                                  rt.left.module.action),
+                       validate=False)
 
 
 def upsilon(rt: RightTupleModule) -> RightPairModule:

@@ -5,10 +5,11 @@ import pytest
 
 import extalg.gorenstein
 import extalg.homology
-from conftest import (FIELD2, a2_algebra, a2_morita_ring, double_extension,
-                      local_wild_algebra, nakayama_ring, product_morita_ring,
-                      random_copair, random_module, random_pair,
-                      square_zero_extension, triangular_extension)
+from conftest import (FIELD2, FIELD3, a2_algebra, a2_morita_ring,
+                      double_extension, local_wild_algebra, nakayama_ring,
+                      product_morita_ring, random_copair, random_module,
+                      random_pair, square_zero_extension,
+                      triangular_extension)
 from extalg.algebra import (Bimodule, LeftModule, ModuleHom, RightModule,
                             as_left, dual_module, field_algebra, hom_space,
                             is_kernel_inclusion, monomial_quiver_algebra,
@@ -572,3 +573,12 @@ def test_compatibility_report_is_memoised_on_the_bimodule(monkeypatch):
     assert len(calls) == made
     compatibility_report(zr_bimodule(t), bound=2)
     assert len(calls) > made  # another bound is another report
+
+
+@pytest.mark.parametrize("build, field", [
+    (square_zero_extension, FIELD2), (square_zero_extension, FIELD3),
+    (triangular_extension, FIELD2), (triangular_extension, FIELD3),
+    (double_extension, FIELD2)], ids=["D@2", "D@3", "T@2", "T@3", "DD@2"])
+def test_zr_bimodule_satisfies_the_law(build, field):
+    # built without the law check: it holds by construction, checked here
+    zr_bimodule(build(field)).validate()

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from extalg import cli
 from extalg.linalg import (MAX_PRIME, FieldSpec, FpMatrix, LinalgError,
-                           direct_sum, echelon_coords, hstack, in_row_span,
-                           inverse, is_invertible, kernel_basis, kron,
-                           matmul_mod, quotient_maps, rank, row_basis, rref,
-                           solve, vstack)
+                           _rref_inplace, direct_sum, echelon_coords, hstack,
+                           in_row_span, inverse, is_invertible, kernel_basis,
+                           kron, matmul_mod, quotient_maps, rank, row_basis,
+                           rref, solve, vstack)
+from test_cli import README_COMMANDS
+from test_resolution_fingerprint import PINNED, resolution_fingerprint
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -259,3 +262,113 @@ def test_matmul_mod_falls_back_to_int64_past_the_float_bound():
         a = np.full((1, k), p - 1, dtype=np.int64)
         b = rng.integers(0, p, size=(k, 1))
         assert matmul_mod(a, b, p)[0, 0] == (p - 1) * int(b.sum()) % p
+
+
+# ---------------------------------------------------------------------------
+# the GF(p) kernels against plain references
+
+KERNEL_PRIMES = (2, 3, 101, 65521)
+
+
+def _reference_rref(a, p):
+    """Textbook Gauss-Jordan elimination on Python ints, column by column:
+    (reduced rows, pivot columns)."""
+    rows, cols = a.shape
+    m = [[int(x) for x in row] for row in a]
+    pivots, r = [], 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = pow(m[r][c], -1, p)
+        m[r] = [x * inv % p for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return np.array(m, dtype=np.int64).reshape(rows, cols), pivots
+
+
+def _rref_cases(p):
+    """Matrices with zero columns, unit and non-unit pivots, all-zero and
+    zero-size shapes; drawn from a fixed seed."""
+    rng = np.random.default_rng(p)
+    cases = [np.zeros(s, dtype=np.int64)
+             for s in ((0, 0), (0, 5), (5, 0), (3, 4), (1, 1))]
+    cases.append(np.eye(4, 6, dtype=np.int64))
+    for _ in range(30):
+        rows, cols = rng.integers(1, 9, size=2)
+        a = rng.integers(0, p, size=(rows, cols))
+        a[:, rng.random(cols) < 0.3] = 0
+        if rng.integers(0, 2):
+            # a sparse matrix: most pivots come from rows that start late
+            a *= rng.random((rows, cols)) < 0.3
+        cases.append(a)
+    # every pivot a unit, every pivot not a unit (p > 2), and rank deficit
+    cases.append(np.triu(np.ones((5, 7), dtype=np.int64)))
+    cases.append(np.triu(np.full((5, 7), p - 1, dtype=np.int64)))
+    low = rng.integers(0, p, size=(6, 2)) @ rng.integers(0, p, size=(2, 8))
+    cases.append(low % p)
+    return cases
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_rref_inplace_matches_a_plain_elimination(p):
+    for a in _rref_cases(p):
+        want, want_pivots = _reference_rref(a, p)
+        got = a.copy()
+        pivots = _rref_inplace(got, p)
+        assert pivots == want_pivots
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+class _CastSpy(np.ndarray):
+    """An int64 array that records the dtypes it is cast to."""
+    casts: list = []
+
+    def astype(self, dtype, *args, **kwargs):
+        _CastSpy.casts.append(np.dtype(dtype))
+        return super().astype(dtype, *args, **kwargs)
+
+
+@pytest.mark.parametrize("p", (2, 65521))
+@pytest.mark.parametrize("k, in_float", [(15, False), (16, True)])
+def test_matmul_mod_is_exact_on_both_sides_of_the_depth_rule(k, in_float, p):
+    rng = np.random.default_rng(k)
+    a = rng.integers(0, p, size=(4, 200, k))
+    b = rng.integers(0, p, size=(k, 30))
+    # large enough for BLAS: only the inner dimension decides the route
+    assert a.size * b.shape[-1] >= 2**14
+    _CastSpy.casts = []
+    got = np.asarray(matmul_mod(a.view(_CastSpy), b.view(_CastSpy), p))
+    assert (np.dtype(float) in _CastSpy.casts) == in_float
+    want = (a.astype(object) @ b.astype(object)) % p
+    assert got.dtype == np.int64 and (got == want).all()
+
+
+def test_reduced_wraps_only_reduced_arrays(monkeypatch, tmp_path, capsys):
+    # every array the library wraps without `% p` is a reduced 2-d int64
+    # array: checked over the pinned resolutions (the quiver ladder and
+    # more, at four primes) and one pass of the README commands
+    wrap = FpMatrix.reduced
+    seen = []
+
+    def checked(cls, arr, field):
+        assert isinstance(arr, np.ndarray) and arr.ndim == 2
+        assert arr.dtype == np.int64
+        assert arr.size == 0 or (arr.min() >= 0 and arr.max() < field.p)
+        seen.append(arr.shape)
+        return wrap(arr, field)
+
+    monkeypatch.setattr(FpMatrix, "reduced", classmethod(checked))
+    assert resolution_fingerprint() == PINNED
+    ws = str(tmp_path / "ws.json")
+    assert cli.main(["examples", "emit", "--out", ws]) == 0
+    for command in README_COMMANDS:
+        argv = list(command[:2]) + [ws] + list(command[2:])
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert len(seen) > 1000

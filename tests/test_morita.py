@@ -7,18 +7,18 @@ import pytest
 from conftest import (FIELD2, a2_morita_ring, nakayama_ring,
                       product_morita_ring, random_right_tuple, random_tuple,
                       triangular_extension)
-from extalg.algebra import (AlgebraError, Bimodule, LeftModule, ModuleHom,
-                            RightModule, field_algebra, hom_from_bimodule,
-                            hom_space, product_algebra, tensor_bimodule_left,
-                            tensor_map_second)
+from extalg.algebra import (Algebra, AlgebraError, Bimodule, LeftModule,
+                            ModuleHom, RightModule, field_algebra,
+                            hom_from_bimodule, hom_space, product_algebra,
+                            tensor_bimodule_left, tensor_map_second)
 from extalg.gorenstein import SELF_INJECTIVE, IWANAGA_GORENSTEIN, \
     gorenstein_regime
 from extalg.linalg import FpMatrix
 from extalg.morita import (CoTupleModule, MoritaContextData, MoritaError,
-                           RightTupleModule, TupleModule, morita_ring,
-                           theta, theta_co, theta_inverse, tuple_hom_dim,
-                           upsilon, upsilon_inverse, verify_thm52,
-                           verify_thm53, verify_thm54)
+                           RightTupleModule, TupleModule, _right_module,
+                           morita_ring, theta, theta_co, theta_inverse,
+                           tuple_hom_dim, upsilon, upsilon_inverse,
+                           verify_thm52, verify_thm53, verify_thm54)
 from extalg.structure import is_isomorphic, simples
 from extalg.trivext import (copair_to_module, pair_to_module,
                             right_pair_to_module)
@@ -67,7 +67,8 @@ def test_a2_morita_matches_triangular(a2m):
 
 def test_context_leg_checks():
     k = field_algebra(FIELD2)
-    other = field_algebra(FIELD2)
+    # legs are compared by identity: an equal but distinct copy of k
+    other = Algebra(FIELD2, k.sc, k.unit)
     with pytest.raises(MoritaError):
         MoritaContextData(k, other, Bimodule.regular(k), Bimodule.regular(k))
 
@@ -299,3 +300,13 @@ def test_law_check_matches_the_composites():
             else:
                 assert holds
     assert seen == {True, False}
+
+
+@pytest.mark.parametrize("build", [nakayama_ring, a2_morita_ring,
+                                   product_morita_ring])
+def test_right_module_of_a_right_tuple_satisfies_the_law(build):
+    # built without the law check: it holds by construction, checked here
+    ring = build(FIELD2)
+    rng = np.random.default_rng(23)
+    for _ in range(4):
+        _right_module(random_right_tuple(ring, rng, max_dim=3)).validate()

@@ -196,6 +196,20 @@ def test_comparison_isomorphisms(exts):
             assert is_invertible(iso2.matrix)
 
 
+def test_tensor_iso_pair_shares_its_tensor(exts):
+    # W ox X is formed over the one GF(p) algebra, so repeated calls find
+    # the tensor they built before instead of adding an entry each time
+    rng = np.random.default_rng(11)
+    for t in exts:
+        pair = random_pair(t, rng)
+        w = random_module(t.base, rng, cls=RightModule)
+        isos = [tensor_iso_pair(w, pair) for _ in range(3)]
+        assert all(iso.matrix == isos[0].matrix for iso in isos)
+        tensors = [k for k in pair.module._cache
+                   if isinstance(k, tuple) and k[0] == "tensors"]
+        assert len(tensors) == 1
+
+
 def test_opposite_extension_tables():
     t = triangular_extension(FIELD2)
     top = opposite_extension(t)
