@@ -95,8 +95,11 @@ def validate_algebra(a: Algebra) -> dict:
     # associativity via multiplication matrices, L(b_i b_j) = L(b_i) L(b_j),
     # for every j at once; column k of each side is (b_i b_j) b_k
     lm = _stack(a.lmats, n)
+    by_row = lm.transpose(1, 0, 2).reshape(n, n * n)
     for i in range(n):
-        bad = ((np.tensordot(a.sc[i], lm, 1) - lm[i] @ lm) % p).any(axis=1)
+        lhs = matmul_mod(a.sc[i], lm.reshape(n, n * n), p).reshape(n, n, n)
+        rhs = matmul_mod(lm[i], by_row, p).reshape(n, n, n)
+        bad = (lhs != rhs.transpose(1, 0, 2)).any(axis=1)
         if bad.any():
             j, k = np.argwhere(bad)[0]
             raise AlgebraError(f"associativity violated at triple ({i},{j},{k})")

@@ -448,8 +448,11 @@ def emit_builtin_examples() -> dict:
 def _write_report(report: dict, out: Optional[str]):
     payload = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as e:
+            raise WorkspaceError(f"--out '{out}': {e.strerror}") from e
     else:
         sys.stdout.write(payload)
 

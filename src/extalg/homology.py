@@ -185,7 +185,7 @@ def _ext_degrees(res: Resolution, n, upto: int) -> Iterator[ExtResult]:
     homs = kept(n, "pim_homs", lambda: pim_homs(n))
     pims = _pim_triples(n.over)
     # e_i in the coordinates of P_i, whose basis is the RREF incl^T
-    gens = [echelon_coords(incl.transpose(), e) for _, _, e, incl in pims]
+    gens = [echelon_coords(incl.transpose(), e) for _, e, incl in pims]
     coboundaries = 0
     for j in range(upto + 1):
         if res.length() == j:

@@ -8,8 +8,10 @@ a product with inner dimension k < 2 * 10^9 inside int64.  The public
 that are reduced by construction (RREF results, bases, transposes)
 without doing it again.  numpy runs int64 products without BLAS, so
 `matmul_mod` sends deep products (k >= 16) to float64 BLAS, exact while
-k * (p-1)^2 < 2^53, and keeps shallow ones in int64.  Elimination visits
-only the columns that are nonzero in its input.
+k * (p-1)^2 < 2^53, and keeps shallow ones in int64; it serves
+`echelon_coords`, `algebra.invariant_action` and `validate_algebra`, the
+kernel action of a cover and the radical chain in `structure`.
+Elimination visits only the columns that are nonzero in its input.
 
 Zero-row and zero-column matrices are first-class citizens: zero modules
 occur all over the place (M = 0, trivial cokernels) and must round-trip
@@ -43,9 +45,6 @@ class FieldSpec:
         # trial division: MAX_PRIME < 256 ** 2, so at most 254 divisors
         if any(self.p % d == 0 for d in range(2, math.isqrt(self.p) + 1)):
             raise LinalgError(f"modulus {self.p} is not prime")
-
-    def inv(self, x: int) -> int:
-        return pow(int(x) % self.p, -1, self.p)
 
 
 class FpMatrix:

@@ -5,10 +5,11 @@ splittings, projective covers and injective envelopes.
 One deterministic path serves every prime: rad(A) is a chain of trace
 kernels, and the primitive idempotents of A/rad come from linear algebra
 and lift to A.  One primitive idempotent e_i per simple block of A/rad
-gives the PIM P_i = A.e_i and the simple S_i = top(P_i), non-isomorphic
-for different blocks.  `split_module` applies the same steps to End(m),
-and `find_isomorphism` matches the indecomposable summands of two modules,
-so its None is a certified "not isomorphic".
+gives the PIM P_i = A.e_i; the PIM table holds P_i, e_i and the inclusion
+of P_i into A, and `simples` alone builds the tops S_i = top(P_i),
+non-isomorphic for different blocks.  `split_module` applies the same
+steps to End(m), and `find_isomorphism` matches the indecomposable
+summands of two modules, so its None is a certified "not isomorphic".
 
 A right module is covered and resolved as the left module over the
 opposite algebra (`as_left`); injective envelopes are duals of projective
@@ -101,8 +102,8 @@ def _trace_radical(mats: np.ndarray, sc: np.ndarray,
     basis = FpMatrix.identity(n, field)
     while q <= d and basis.rows:
         mod, u = q * p, basis.arr
-        z = _power(np.tensordot(u, mats, 1) % p, q,
-                   lambda x, y: (x @ y) % mod)
+        z = _power(matmul_mod(u, mats.reshape(n, d * d), p).reshape(-1, d, d),
+                   q, partial(matmul_mod, p=mod))
         gamma = (np.trace(z, axis1=1, axis2=2) % mod) // q
         g = u @ (sc[..., np.argmax(u != 0, axis=1)] @ gamma % p) % p
         basis = row_basis(FpMatrix(
@@ -253,8 +254,8 @@ def top_of_module(m) -> Tuple[object, ModuleHom]:
 
 
 def _pim_triples(a: Algebra):
-    """(P_i, top simple S_i, primitive idempotent e_i with P_i = A.e_i,
-    inclusion of P_i into A), one triple per simple block of A/rad."""
+    """(P_i, primitive idempotent e_i with P_i = A.e_i, inclusion of P_i
+    into A), one per simple block of A/rad: all that covers and Ext read."""
     if "pim_triples" not in a._cache:
         reg = LeftModule.regular(a)
         out = []
@@ -262,22 +263,22 @@ def _pim_triples(a: Algebra):
                 _primitive_idempotents(a.sc, a.unit, algebra_radical(a),
                                        a.field))):
             piece, incl = _echelon_submodule(reg, spin(reg, group[0]))
-            out.append((piece, top_of_module(piece)[0], group[0],
-                        incl.matrix))
+            out.append((piece, group[0], incl.matrix))
         a._cache["pim_triples"] = out
     return a._cache["pim_triples"]
 
 
 def simples(a: Algebra) -> List[LeftModule]:
     """Pairwise non-isomorphic simple left modules, the tops of the
-    projective indecomposables."""
-    return [s for _, s, _, _ in _pim_triples(a)]
+    projective indecomposables, built on first use and kept on a."""
+    return kept(a, "simples", lambda: [top_of_module(p)[0]
+                                       for p, _, _ in _pim_triples(a)])
 
 
 def projective_indecomposables(a: Algebra):
     """List of (P_i, top simple S_i), one per isomorphism class; every
     projective is a direct sum of these."""
-    return [(p, s) for p, s, _, _ in _pim_triples(a)]
+    return [(p, s) for (p, _, _), s in zip(_pim_triples(a), simples(a))]
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +320,7 @@ def _filtration_bases(m) -> List[FpMatrix]:
     layers = [FpMatrix.identity(m.dim, m.over.field)]
     while layers[-1].rows:
         layers.append(_radical_span(m, layers[-1].arr))
-    idems = [m.act_matrix(e).arr for _, _, e, _ in _pim_triples(m.over)]
+    idems = [m.act_matrix(e).arr for _, e, _ in _pim_triples(m.over)]
     out = []
     current = layers.pop()
     for layer in reversed(layers):
@@ -448,12 +449,16 @@ def projective_cover(m) -> ProjectivePresentation:
 def pim_homs(m) -> List[np.ndarray]:
     """For each PIM P_i = A.e_i, the basis phi_w: x -> x.w of Hom(P_i, m)
     = e_i.m, w in the RREF basis of e_i.m, as a (dim e_i.m, m.dim, P_i.dim)
-    array."""
-    p = m.over.field.p
+    array.  The actions of all the e_i come from one product."""
+    p, pims = m.over.field.p, _pim_triples(m.over)
     acts = _stack(m.action, m.dim)
     out = []
-    for _, _, e_i, incl in _pim_triples(m.over):
-        ws = row_space_of_columns(m.act_matrix(e_i)).arr
+    for (piece, _, incl), e_act in zip(pims, np.tensordot(
+            [e for _, e, _ in pims], acts, 1) % p):
+        if not e_act.any():
+            out.append(np.zeros((0, m.dim, piece.dim), dtype=np.int64))
+            continue
+        ws = row_basis(FpMatrix.reduced(e_act.T, m.over.field)).arr
         # phi[b, :, k] is column b of incl acting on ws[k]
         phi = ((np.tensordot(incl.arr.T, acts, 1) % p) @ ws.T) % p
         out.append(phi.transpose(2, 1, 0))

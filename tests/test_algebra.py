@@ -1,3 +1,6 @@
+import itertools
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,7 @@ from conftest import (FIELD2, FIELD3, a2_algebra, a2_morita_ring,
                       double_extension, local_wild_algebra, nakayama_ring,
                       random_module, square_zero_extension,
                       triangular_extension)
+from extalg import algebra
 from extalg.algebra import (Algebra, AlgebraError, Bimodule, LeftModule,
                             ModuleHom, RightModule, algebra_generators,
                             as_left, cokernel_module, direct_sum_modules,
@@ -21,6 +25,7 @@ from extalg.gorenstein import solve_module_hom
 from extalg.linalg import (FieldSpec, FpMatrix, hstack, kernel_basis, kron,
                            quotient_maps, rank, solve, vstack)
 from extalg.structure import find_isomorphism, is_isomorphic
+from test_linalg import _record_casts
 
 
 def test_validate_catches_broken_tables():
@@ -35,6 +40,59 @@ def test_validate_catches_broken_tables():
     bad[0, 1, 1] = 0  # 1 * y = 0 breaks the unit law
     with pytest.raises(AlgebraError):
         Algebra(FIELD2, bad, [1, 0])
+
+
+def _first_violation(sc, unit, p):
+    """The message naming the first failure of the unit law (j in order,
+    left before right) or of associativity (triples in lexicographic
+    order) of the table, one basis triple at a time; None when it holds."""
+    n = len(unit)
+    for j in range(n):
+        if (unit @ sc[:, j] % p != np.eye(n, dtype=np.int64)[j]).any():
+            return f"unit law violated: 1 * b_{j} != b_{j}"
+        if (unit @ sc[j] % p != np.eye(n, dtype=np.int64)[j]).any():
+            return f"unit law violated: b_{j} * 1 != b_{j}"
+    for i, j, k in itertools.product(range(n), repeat=3):
+        # (b_i b_j) b_k against b_i (b_j b_k)
+        if (sc[i, j] @ sc[:, k] % p != sc[j, k] @ sc[i] % p).any():
+            return f"associativity violated at triple ({i},{j},{k})"
+    return None
+
+
+def test_validate_names_the_first_violation_of_a_dim_21_table(monkeypatch):
+    # A6 at p = 65521 has dim 21, so both products of each row of the
+    # associativity check run in float64 (inner dimension 21)
+    p = 65521
+    a6 = monomial_quiver_algebra(6, [(i, i + 1) for i in range(5)], [],
+                                 FieldSpec(p))
+    rng = np.random.default_rng(21)
+    # the path basis, where a row of the table has few nonzero products,
+    # and a dense basis with b_0 = 1, where one row breaks at many (j, k)
+    g = rng.integers(0, p, size=(a6.dim, a6.dim))
+    g[0] = a6.unit
+    gi = solve(FpMatrix(g, a6.field), FpMatrix.identity(a6.dim, a6.field))
+    dense = np.einsum("ia,jb,abk->ijk", g, g, a6.sc) % p @ gi.arr % p
+    tables = [(a6.sc, a6.unit), (dense, a6.unit @ gi.arr % p)]
+    casts = _record_casts(monkeypatch, algebra)
+    seen = []
+    for sc0, unit in tables:
+        assert validate_algebra(Algebra(a6.field, sc0, unit))["associative"]
+        # products of two basis elements outside the support of the unit
+        # leave the unit law alone; one with a summand of 1 in front moves
+        # unit * b_j
+        inner = np.flatnonzero(unit == 0)
+        spots = [tuple(rng.choice(inner, 2)) + (rng.integers(a6.dim),)
+                 for _ in range(4)] + [(np.flatnonzero(unit)[-1], inner[4], 0)]
+        for spot in spots:
+            sc = sc0.copy()
+            sc[spot] = (sc[spot] + rng.integers(1, p)) % p
+            want = _first_violation(sc, unit, p)
+            seen.append(want.split(" ")[0])
+            casts.clear()
+            with pytest.raises(AlgebraError, match=f"^{re.escape(want)}$"):
+                validate_algebra(Algebra(a6.field, sc, unit, validate=False))
+            assert (np.dtype(float) in casts) == (seen[-1] != "unit")
+    assert seen.count("associativity") == 8 and seen.count("unit") == 2
 
 
 def test_product_algebra_idempotents():

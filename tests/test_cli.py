@@ -249,6 +249,19 @@ def test_main_rejects_out_of_range_flags(tmp_path, capsys, argv, flag):
     assert f"argument {flag}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["examples", "emit"], ["validate", "ws"]],
+                         ids=["examples_emit", "validate"])
+def test_unwritable_out_exits_2_naming_the_flag(tmp_path, capsys, argv):
+    ws_path = tmp_path / "ws.json"
+    assert main(["examples", "emit", "--out", str(ws_path)]) == 0
+    out = tmp_path / "no" / "such" / "report.json"
+    argv = [str(ws_path) if a == "ws" else a for a in argv]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --out '{out}': No such file or directory\n"
+    assert not out.parent.exists()
+
+
 def test_reports_match_recorded_digests(tmp_path):
     ws_path = tmp_path / "ws.json"
     out_path = tmp_path / "report.json"

@@ -334,6 +334,16 @@ class _CastSpy(np.ndarray):
         return super().astype(dtype, *args, **kwargs)
 
 
+def _record_casts(monkeypatch, module):
+    """The dtypes that module's matmul_mod casts its left operand to from
+    now on: float64 marks the BLAS path."""
+    real = module.matmul_mod
+    monkeypatch.setattr(module, "matmul_mod", lambda x, y, p: np.asarray(
+        real(np.asarray(x).view(_CastSpy), y, p)))
+    _CastSpy.casts = []
+    return _CastSpy.casts
+
+
 @pytest.mark.parametrize("p", (2, 65521))
 @pytest.mark.parametrize("k, in_float", [(15, False), (16, True)])
 def test_matmul_mod_is_exact_on_both_sides_of_the_depth_rule(k, in_float, p):

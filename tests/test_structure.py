@@ -11,9 +11,10 @@ from conftest import (FIELD2, a2_algebra, double_extension,
 from extalg import structure
 from extalg.algebra import (Algebra, AlgebraError, HomSpace, LeftModule,
                             RightModule, as_left, direct_sum_modules,
-                            field_algebra, hom_space, monomial_quiver_algebra,
-                            opposite_algebra, product_algebra,
-                            quotient_module, row_space_of_columns)
+                            dual_module, field_algebra, hom_space,
+                            monomial_quiver_algebra, opposite_algebra,
+                            product_algebra, quotient_module,
+                            row_space_of_columns)
 from extalg.gorenstein import (CERTIFIED_NO, UNKNOWN, gorenstein_regime,
                                gp_check)
 from extalg.homology import (DimensionVerdict, id_bounded,
@@ -28,6 +29,8 @@ from extalg.structure import (_pim_triples, algebra_radical, chop,
                               is_simple, projective_cover,
                               projective_indecomposables, radical_of_module,
                               simples, split_module, spin, top_of_module)
+from test_linalg import _record_casts
+from test_resolution_fingerprint import _quivers
 
 
 @pytest.fixture(scope="module")
@@ -445,7 +448,8 @@ def _endomorphism_stack(m):
     return mats, echelon_coords(endos.mat, prods)
 
 
-def test_trace_radical_matches_the_all_products_chain():
+def test_trace_radical_matches_the_all_products_chain(monkeypatch):
+    casts = _record_casts(monkeypatch, structure)
     levels = []
     for p in (2, 3, 5, 101):
         field, rng = FieldSpec(p), np.random.default_rng(p)
@@ -455,8 +459,11 @@ def test_trace_radical_matches_the_all_products_chain():
                                            field)
         a3 = monomial_quiver_algebra(3, [(0, 1), (1, 2)], [], field)
         m2 = Algebra(field, *_matrix_algebra(2))
+        # A6 at p = 2: dim 21, five levels, products on the float path
+        a6 = [monomial_quiver_algebra(6, [(i, i + 1) for i in range(5)], [],
+                                      field)] if p == 2 else []
         algebras = [_scramble(x.sc, x.unit, field, rng) for x in
-                    (truncated, nakayama, product_algebra(a3, m2)[0])]
+                    [truncated, nakayama, product_algebra(a3, m2)[0]] + a6]
         algebras += [opposite_algebra(x) for x in algebras]
         stacks = [(x.sc.transpose(0, 2, 1), x.sc) for x in algebras]
         pims = [pm for pm, _ in projective_indecomposables(a3)]
@@ -470,7 +477,7 @@ def test_trace_radical_matches_the_all_products_chain():
         for x in algebras:
             assert np.array_equal(algebra_radical(x).arr, _all_products_chain(
                 x.sc.transpose(0, 2, 1), field)[0])
-    assert max(levels) >= 3
+    assert max(levels) == 5 and np.dtype(float) in casts
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +510,7 @@ def _greedy_cover_epi(m) -> np.ndarray:
     field = m.over.field
     _, pi = top_of_module(m)
     chosen, image = [], FpMatrix.zeros(0, pi.target.dim, field)
-    for p_i, _, e_i, incl in _pim_triples(m.over):
+    for p_i, e_i, incl in _pim_triples(m.over):
         for w in row_space_of_columns(m.act_matrix(e_i)).arr:
             phi = FpMatrix(np.stack([m.act_matrix(incl.arr[:, b]).apply(w)
                                      for b in range(p_i.dim)], axis=1), field)
@@ -643,3 +650,77 @@ def test_ext_target_keeps_its_pim_homs(monkeypatch):
         assert not is_projective(m)
         gp_check(m, 3)
     assert targets == [LeftModule.regular(a)]
+
+
+# ---------------------------------------------------------------------------
+# the PIM table, pim_homs and the tops against per-PIM constructions
+
+def _oracle_algebras(field):
+    """The conftest algebras and the quiver algebras of the pinned
+    resolutions, which include the benchmark's quiver ladder."""
+    return [a2_algebra(field), local_wild_algebra(field),
+            square_zero_extension(field).total,
+            triangular_extension(field).total,
+            double_extension(field).total] + [
+        monomial_quiver_algebra(n, arrows, relations, field)
+        for _, n, arrows, relations in _quivers()]
+
+
+def _per_idempotent_pim_homs(m):
+    """pim_homs one idempotent at a time: the RREF basis of e_i.m from the
+    columns of the action of e_i, then every basis element of P_i acting
+    on it."""
+    p = m.over.field.p
+    acts = np.stack([x.arr for x in m.action])
+    out = []
+    for _, e_i, incl in _pim_triples(m.over):
+        ws = row_space_of_columns(m.act_matrix(e_i)).arr
+        phi = ((np.tensordot(incl.arr.T, acts, 1) % p) @ ws.T) % p
+        out.append(phi.transpose(2, 1, 0))
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, 65521])
+def test_pim_homs_match_the_per_idempotent_construction(p):
+    field, rng = FieldSpec(p), np.random.default_rng(p)
+    zero_blocks = 0
+    for a in _oracle_algebras(field):
+        mods = (simples(a) + [pm for pm, _ in projective_indecomposables(a)]
+                + [as_left(dual_module(RightModule.regular(a)))]
+                + [random_module(a, rng, 8) for _ in range(2)]
+                + [LeftModule.zero(a)])
+        for m in mods:
+            got, want = structure.pim_homs(m), _per_idempotent_pim_homs(m)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.dtype == np.int64 and g.shape == w.shape
+                assert np.array_equal(g, w)
+                zero_blocks += not len(g)
+    assert zero_blocks > 0
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, 65521])
+def test_simples_are_the_tops_of_the_pims(p):
+    for a in _oracle_algebras(FieldSpec(p)):
+        tops = [top_of_module(pm)[0] for pm, _, _ in _pim_triples(a)]
+        assert simples(a) is simples(a) and len(simples(a)) == len(tops)
+        for s, top in zip(simples(a), tops):
+            assert [x.arr.tolist() for x in s.action] == \
+                [x.arr.tolist() for x in top.action]
+        assert [s for _, s in projective_indecomposables(a)] == simples(a)
+
+
+def test_regime_builds_no_tops_over_the_opposite(monkeypatch):
+    # covers and Ext read P_i, e_i and the inclusion only, so the regime
+    # (the injective dimensions of A and A_A) builds no top of a PIM
+    a = monomial_quiver_algebra(4, [(0, 1), (1, 2), (2, 3)], [], FIELD2)
+    op = opposite_algebra(a)
+    assert op is not a
+    tops, build = [], structure.top_of_module
+    monkeypatch.setattr(structure, "top_of_module",
+                        lambda m: tops.append(m.over) or build(m))
+    assert gorenstein_regime(a)[0] == "iwanaga_gorenstein"
+    assert not [x for x in tops if x is op]
+    # the tops are built for `simples` alone, once
+    simples(a), simples(a)
+    assert len([x for x in tops if x is a]) == 4
