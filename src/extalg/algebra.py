@@ -39,8 +39,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .linalg import (FieldSpec, FpMatrix, QuotientMaps, echelon_coords,
-                     in_row_span, is_invertible, kernel_basis, kron,
-                     matmul_mod, quotient_maps, rank, row_basis, vstack)
+                     is_invertible, kernel_basis, kron, matmul_mod,
+                     quotient_maps, rank, row_basis, vstack)
 
 
 class AlgebraError(ValueError):
@@ -168,7 +168,7 @@ def algebra_generators(a: Algebra) -> List[int]:
         for i in range(a.dim):
             if span.rows == a.dim:
                 break
-            if in_row_span(span, eye[i]):
+            if echelon_coords(span, eye[i]) is not None:
                 continue
             gens.append(i)
             grown = vstack([span, FpMatrix(eye[i:i + 1], a.field)])
@@ -178,6 +178,7 @@ def algebra_generators(a: Algebra) -> List[int]:
                 grown = row_basis(vstack([span] + [
                     FpMatrix(span.arr @ a.sc[:, g, :], a.field)
                     for g in gens]))
+            span = grown    # the closure in RREF, as echelon_coords needs
         a._cache["generators"] = gens
     return a._cache["generators"]
 
@@ -331,8 +332,12 @@ class Bimodule:
             self.validate()
 
     def validate(self):
-        self.left_module().validate()
-        self.right_module().validate()
+        left, right = self.left_module(), self.right_module()
+        left.validate()
+        right.validate()
+        if left.dim != right.dim:
+            raise AlgebraError(f"left action is {left.dim}-dimensional but "
+                               f"right action is {right.dim}-dimensional")
         p = self.left_over.field.p
         for l in self.left_action:
             for r in self.right_action:
@@ -385,8 +390,7 @@ class ModuleHom:
             self.validate()
 
     def validate(self):
-        if self.source.over is not self.target.over and \
-                self.source.over.sc.shape != self.target.over.sc.shape:
+        if not _same_algebra(self.source.over, self.target.over):
             raise AlgebraError("source and target over different algebras")
         for i in range(self.source.over.dim):
             lhs = self.matrix @ self.source.action[i]
@@ -433,10 +437,9 @@ class HomSpace:
     """
 
     def __init__(self, source, target):
-        if source.over is not target.over:
-            # allow equal algebras built twice, but insist on same tables
-            if not _same_algebra(source.over, target.over):
-                raise AlgebraError("hom space requires a common algebra")
+        # equal algebras built twice are allowed, with the same tables
+        if not _same_algebra(source.over, target.over):
+            raise AlgebraError("hom space requires a common algebra")
         self.source = source
         self.target = target
         self.field = source.over.field
@@ -603,22 +606,6 @@ def block_sum_module(mods: Sequence):
                          validate=False)
 
 
-def direct_sum_modules(mods: Sequence):
-    """Direct sum of one-sided modules over a common algebra; returns
-    (module, inclusions, projections)."""
-    mod = block_sum_module(mods)
-    field = mod.over.field
-    incls, projs = [], []
-    off = 0
-    for m in mods:
-        inc = np.zeros((mod.dim, m.dim), dtype=np.int64)
-        inc[off:off + m.dim] = np.eye(m.dim, dtype=np.int64)
-        incls.append(ModuleHom(m, mod, FpMatrix(inc, field), validate=False))
-        projs.append(ModuleHom(mod, m, FpMatrix(inc.T, field), validate=False))
-        off += m.dim
-    return mod, incls, projs
-
-
 # ---------------------------------------------------------------------------
 # tensor products over an algebra
 
@@ -775,8 +762,17 @@ def monomial_quiver_algebra(num_vertices: int,
     is a list of arrow indices [a_0, a_1, ...] read as the path a_0 then a_1
     etc.  Basis = paths avoiding every relation as a contiguous subpath.
     """
+    for i, arrow in enumerate(arrows):
+        bad = [v for v in arrow if not 0 <= v < num_vertices]
+        if bad:
+            raise AlgebraError(f"arrow {i} {tuple(arrow)}: no vertex {bad[0]} "
+                               f"among the {num_vertices} vertices")
     relations = [tuple(r) for r in zero_relations]
     for r in relations:
+        bad = [a for a in r if not 0 <= a < len(arrows)]
+        if bad:
+            raise AlgebraError(f"relation {list(r)}: no arrow {bad[0]} "
+                               f"among the {len(arrows)} arrows")
         for a, b in zip(r, r[1:]):
             if arrows[a][1] != arrows[b][0]:
                 raise AlgebraError("relation is not a composable path")

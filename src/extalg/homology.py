@@ -31,6 +31,10 @@ from .structure import (ProjectivePresentation, _pim_triples, pim_homs,
 
 
 def default_bound(a: Algebra) -> int:
+    """The Ext and dimension bound used when none is given.  Over the
+    3-dimensional wild algebra k<x,y>/(x,y)^2 it resolves to degree 10
+    while the syzygies double each step, so a caller there passes a bound
+    (the CLI's `--bound`)."""
     return max(10, 2 * a.dim)
 
 
@@ -105,11 +109,6 @@ class Resolution:
         self.diffs.append(self.syz_incl[-1].compose(nxt.epi))
         self.syzygies.append(nxt.kernel)
         self.syz_incl.append(nxt.kernel_inclusion)
-
-    def as_complex(self) -> ChainComplex:
-        mods = list(reversed(self.terms))
-        diffs = list(reversed(self.diffs))
-        return ChainComplex(-self.length(), mods, diffs, validate=False)
 
 
 def _resolve(pres, n: int) -> Resolution:

@@ -80,13 +80,6 @@ class FpMatrix:
         return cls(np.eye(n, dtype=np.int64), field)
 
     @classmethod
-    def from_entries(cls, rows: int, cols: int, entries: Sequence[int],
-                     field: FieldSpec) -> "FpMatrix":
-        if len(entries) != rows * cols:
-            raise LinalgError("entry count does not match rows*cols")
-        return cls(np.asarray(entries, dtype=np.int64).reshape(rows, cols), field)
-
-    @classmethod
     def column(cls, vec, field: FieldSpec) -> "FpMatrix":
         v = np.asarray(vec, dtype=np.int64)
         return cls(v.reshape(-1, 1), field)
@@ -136,16 +129,8 @@ class FpMatrix:
     def __neg__(self) -> "FpMatrix":
         return FpMatrix(-self.arr, self.field)
 
-    def scale(self, c: int) -> "FpMatrix":
-        return FpMatrix(self.arr * (c % self.field.p), self.field)
-
     def transpose(self) -> "FpMatrix":
         return FpMatrix.reduced(self.arr.T, self.field)
-
-    def apply(self, vec) -> np.ndarray:
-        """Apply to a 1-d coordinate vector, returning a 1-d vector."""
-        v = np.asarray(vec, dtype=np.int64)
-        return (self.arr @ v) % self.field.p
 
 
 @dataclass
@@ -281,13 +266,6 @@ def hstack(mats: Sequence[FpMatrix]) -> FpMatrix:
 def vstack(mats: Sequence[FpMatrix]) -> FpMatrix:
     field = mats[0].field
     return FpMatrix(np.vstack([m.arr for m in mats]), field)
-
-
-def in_row_span(basis: FpMatrix, vec) -> bool:
-    """Is vec (1-d) in the row space of basis?"""
-    v = np.asarray(vec, dtype=np.int64).reshape(1, -1)
-    stacked = FpMatrix(np.vstack([basis.arr, v]), basis.field)
-    return rank(stacked) == rank(basis)
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:

@@ -2,13 +2,13 @@
 categories, and the category isomorphisms onto modules over the trivial
 extension (A x B) |x (U + V).
 
-Basis order everywhere: A, B, U, V.  The direct matrix-ring construction
-and the trivial-extension composite produce literally equal structure
-constants, so the validated isomorphism witness is the identity.  A
-(co)tuple holds the module over the ring whose U and V blocks are f and g
-(resp. evaluate them), built once in its constructor and checked once, by
-that module's law: given valid X, Y and linear f, g, the law fails only at
-u_i v_j = 0 or v_i u_j = 0, the two composite axioms.  theta and theta_co
+Basis order everywhere: A, B, U, V.  The ring is the total algebra of the
+trivial extension, whose structure constants are checked entry by entry
+against those of the matrix multiplication rule.  A (co)tuple holds the
+module over the ring whose U and V blocks are f and g (resp. evaluate
+them), built once in its constructor and checked once, by that module's
+law: given valid X, Y and linear f, g, the law fails only at u_i v_j = 0
+or v_i u_j = 0, the two composite axioms.  theta and theta_co
 read the (co)pair off that module; theta_inverse reads the blocks back.
 The theorem harnesses are the corollary harness over the extension by
 U + V, plus the sufficiency reports on U and V.
@@ -30,10 +30,10 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .algebra import (Algebra, Bimodule, LeftModule, ModuleHom, RightModule,
-                      cokernel_module, hom_from_bimodule, hom_space,
-                      invariant_action, is_exact_at, kernel_module,
-                      opposite_algebra, product_algebra, row_space_of_columns,
-                      swapped_tensor, tensor_bimodule_left, tensor_map_second)
+                      cokernel_module, hom_from_bimodule, invariant_action,
+                      is_exact_at, kernel_module, opposite_algebra,
+                      product_algebra, row_space_of_columns, swapped_tensor,
+                      tensor_bimodule_left, tensor_map_second)
 from .gorenstein import (compatibility_report, gf_check_right, gi_check,
                          gp_check, verify_corollary)
 from .linalg import FpMatrix, direct_sum, echelon_coords
@@ -66,13 +66,11 @@ class MoritaContextData:
 @dataclass
 class MoritaRing:
     context: MoritaContextData
-    direct: Algebra             # built from the matrix multiplication rule
     prod: Algebra               # A x B
     e_a: np.ndarray
     e_b: np.ndarray
     bim: Bimodule               # U + V over A x B
     ext: TrivialExtension
-    iso: FpMatrix               # direct coords -> ext.total coords
 
     @property
     def total(self) -> Algebra:
@@ -88,7 +86,8 @@ class MoritaRing:
 
 
 def morita_ring(d: MoritaContextData) -> MoritaRing:
-    """Both constructions of the ring, with the validated identification."""
+    """The ring as the extension (A x B) |x (U + V), checked against the
+    table of the matrix multiplication rule built here."""
     a, b, u, v = d.a, d.b, d.u, d.v
     field = a.field
     na, nb, du, dv = a.dim, b.dim, u.dim, v.dim
@@ -106,8 +105,6 @@ def morita_ring(d: MoritaContextData) -> MoritaRing:
     unit = np.zeros(n, dtype=np.int64)
     unit[oa:ob] = a.unit
     unit[ob:ou] = b.unit
-    # checked entry by entry against ext.total below
-    direct = Algebra(field, sc, unit, validate=False)
     prod, e_a, e_b = product_algebra(a, b)
     zu = FpMatrix.zeros(du, du, field)
     zv = FpMatrix.zeros(dv, dv, field)
@@ -117,11 +114,9 @@ def morita_ring(d: MoritaContextData) -> MoritaRing:
         [direct_sum(zu, v.right_action[j]) for j in range(nb)]
     bim = Bimodule(prod, prod, left, right, validate=False)
     ext = trivial_extension(prod, bim)
-    if not (ext.total.sc == direct.sc).all() or \
-            not (ext.total.unit == direct.unit).all():
+    if not (ext.total.sc == sc).all() or not (ext.total.unit == unit).all():
         raise MoritaError("the two ring constructions disagree")
-    iso = FpMatrix.identity(n, field)
-    return MoritaRing(d, direct, prod, e_a, e_b, bim, ext, iso)
+    return MoritaRing(d, prod, e_a, e_b, bim, ext)
 
 
 # ---------------------------------------------------------------------------
@@ -342,20 +337,6 @@ def theta_co(ct: CoTupleModule) -> CopairModule:
     """The copair over the extension, read off the module over the ring
     that the cotuple holds."""
     return module_to_copair(ct.module, ct.ring.ext)
-
-
-# ---------------------------------------------------------------------------
-# hom-sets of tuples
-
-
-def tuple_hom_dim(s: TupleModule, t: TupleModule) -> int:
-    """dim of the space of tuple morphisms (phi, chi) with
-    chi o f_s = f_t o (U ox phi) and phi o g_s = g_t o (V ox chi): theta is
-    an isomorphism of categories, so it is dim Hom(theta(s), theta(t)) over
-    the ring."""
-    if s.ring is not t.ring:
-        raise MoritaError("tuples over different rings")
-    return hom_space(s.module, t.module).dim
 
 
 # ---------------------------------------------------------------------------

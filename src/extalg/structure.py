@@ -285,17 +285,6 @@ def projective_indecomposables(a: Algebra):
 # submodules, composition series and splittings of modules
 
 
-def find_proper_submodule(m) -> Optional[FpMatrix]:
-    """Row basis of a nonzero proper submodule, the first step of a
-    composition filtration, or None when m is simple or zero."""
-    bases = _filtration_bases(m)
-    return bases[0] if len(bases) > 1 else None
-
-
-def is_simple(m) -> bool:
-    return m.dim > 0 and find_proper_submodule(m) is None
-
-
 @dataclass
 class CompositionSeries:
     """Filtration 0 = F_0 < F_1 < ... < F_k = m with simple quotients.
@@ -406,10 +395,6 @@ def find_isomorphism(m, n) -> Optional[ModuleHom]:
         images.append(unused.pop(j)[1].matrix @ h.matrix)
     stacked = hstack([incl.matrix for _, incl in pieces])
     return ModuleHom(m, n, hstack(images) @ inverse(stacked), validate=False)
-
-
-def is_isomorphic(m, n) -> bool:
-    return find_isomorphism(m, n) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import strategies as st
 
 from extalg.algebra import (Bimodule, LeftModule, RightModule,
-                            direct_sum_modules, field_algebra, hom_space,
+                            block_sum_module, field_algebra, hom_space,
                             monomial_quiver_algebra, product_algebra,
                             quotient_module, submodule,
                             tensor_bimodule_left)
@@ -92,7 +92,7 @@ def random_module(a, rng, max_dim=4, cls=LeftModule, tries=30):
     """A random nonzero module of dimension <= max_dim: a random spun
     submodule or quotient of the free module of rank 2."""
     reg = cls.regular(a)
-    free, _, _ = direct_sum_modules([reg, reg])
+    free = block_sum_module([reg, reg])
     for _ in range(tries):
         rows = []
         for _ in range(int(rng.integers(1, 4))):
@@ -193,7 +193,7 @@ def dual_numbers_modules(max_dim, field, cls=LeftModule):
     out = []
     for n in range(1, max_dim + 1):
         for entries in itertools.product(range(p), repeat=n * n):
-            nil = FpMatrix.from_entries(n, n, entries, field)
+            nil = FpMatrix(np.reshape(entries, (n, n)), field)
             if (nil @ nil).is_zero():
                 out.append(cls(total, [FpMatrix.identity(n, field), nil]))
     return out

@@ -31,11 +31,10 @@ from extalg.homology import (DimensionVerdict, ext, ext_from_resolution,
                              id_bounded, non_minimal_resolution, pd_bounded)
 from extalg.linalg import FpMatrix, is_invertible, rref
 from extalg.morita import (CoTupleModule, MoritaError, TupleModule, theta,
-                           theta_inverse, tuple_hom_dim, upsilon,
-                           upsilon_inverse, verify_thm52, verify_thm53,
-                           verify_thm54)
-from extalg.structure import (injective_indecomposables, is_injective,
-                              is_isomorphic, is_projective,
+                           theta_inverse, upsilon, upsilon_inverse,
+                           verify_thm52, verify_thm53, verify_thm54)
+from extalg.structure import (find_isomorphism, injective_indecomposables,
+                              is_injective, is_projective,
                               projective_indecomposables, simples)
 from extalg.trivext import (copair_to_module, functor_C, functor_H, functor_K,
                             functor_T, functor_U, functor_Z_copair,
@@ -97,7 +96,8 @@ def _match_up_to_iso(got, expect):
     if len(got) != len(expect):
         return False
     for perm in itertools.permutations(range(len(expect))):
-        if all(is_isomorphic(g, expect[i]) for g, i in zip(got, perm)):
+        if all(find_isomorphism(g, expect[i]) is not None
+               for g, i in zip(got, perm)):
             return True
     return False
 
@@ -159,7 +159,7 @@ def test_criterion_4_exhaustive_pair_equivalence():
         key = (rref(pair.x.action[0]).rank, rref(pair.x.action[1]).rank,
                rref(pair.alpha.matrix).rank)
         if key in reps:
-            assert is_isomorphic(mod, reps[key])
+            assert find_isomorphism(mod, reps[key]) is not None
         else:
             reps[key] = mod
     assert len(reps) == 22
@@ -291,15 +291,12 @@ def test_criterion_8_homological_oracles():
 
 @criterion(9)
 def test_criterion_9_morita_ring_suite():
-    # ring constructions agree, the tuple translations are mutually
-    # inverse, hom computations match, and the three verification
-    # harnesses never report a violation
+    # the rings build (morita_ring checks its two constructions agree),
+    # the tuple translations are mutually inverse, hom computations match,
+    # and the three verification harnesses never report a violation
     nak = nakayama_ring(FIELD2)
     a2m = a2_morita_ring(FIELD2)
-    prod = product_morita_ring(FIELD2)
-    for ring in (nak, a2m, prod):
-        assert (ring.direct.sc == ring.ext.total.sc).all()
-        assert ring.iso == FpMatrix.identity(ring.total.dim, FIELD2)
+    product_morita_ring(FIELD2)
 
     rng = np.random.default_rng(99)
     tuples = [random_tuple(nak, rng, max_dim=3) for _ in range(40)]
@@ -307,7 +304,7 @@ def test_criterion_9_morita_ring_suite():
         assert theta_inverse(theta(tup), nak).same_presentation(tup)
         assert verify_thm52(tup)["classification"] != "violation"
     for s, u in zip(tuples, tuples[1:]):
-        assert tuple_hom_dim(s, u) == hom_space(
+        assert hom_space(s.module, u.module).dim == hom_space(
             pair_to_module(theta(s)), pair_to_module(theta(u))).dim
 
     for _ in range(15):
@@ -332,7 +329,7 @@ def test_criterion_9_morita_ring_suite():
             x = LeftModule(a2m.context.a, [FpMatrix.identity(dx, FIELD2)])
             y = LeftModule(a2m.context.b, [FpMatrix.identity(dy, FIELD2)])
             for entries in itertools.product(range(2), repeat=dx * dy):
-                f = FpMatrix.from_entries(dy, dx, list(entries), FIELD2)
+                f = FpMatrix(np.reshape(entries, (dy, dx)), FIELD2)
                 g = FpMatrix.zeros(dx, 0, FIELD2)
                 rep = verify_thm52(TupleModule(a2m, x, y, f, g))
                 assert rep["hypotheses_established"]

@@ -13,7 +13,7 @@ from conftest import (FIELD2, FIELD3, a2_algebra, a2_morita_ring,
 from extalg import algebra
 from extalg.algebra import (Algebra, AlgebraError, Bimodule, LeftModule,
                             ModuleHom, RightModule, algebra_generators,
-                            as_left, cokernel_module, direct_sum_modules,
+                            as_left, block_sum_module, cokernel_module,
                             dual_module, field_algebra, hom_from_bimodule,
                             hom_space, image_module, is_exact_at,
                             is_kernel_inclusion, kernel_module,
@@ -24,7 +24,7 @@ from extalg.algebra import (Algebra, AlgebraError, Bimodule, LeftModule,
 from extalg.gorenstein import solve_module_hom
 from extalg.linalg import (FieldSpec, FpMatrix, hstack, kernel_basis, kron,
                            quotient_maps, rank, solve, vstack)
-from extalg.structure import find_isomorphism, is_isomorphic
+from extalg.structure import find_isomorphism
 from test_linalg import _record_casts
 
 
@@ -120,6 +120,40 @@ def test_quiver_relations():
     with pytest.raises(AlgebraError):
         # inadmissible: no relations on a loop means infinite dimension
         monomial_quiver_algebra(1, [(0, 0)], [], FIELD2, max_dim=50)
+
+
+@pytest.mark.parametrize("vertices, arrows, relations, named", [
+    (3, [(0, 1)], [[7]], "relation [7]: no arrow 7"),
+    (3, [(0, 1)], [[-1]], "relation [-1]: no arrow -1"),
+    (3, [(0, 1), (1, 2)], [[0, 9]], "relation [0, 9]: no arrow 9"),
+    (3, [(0, 3)], [], "arrow 0 (0, 3): no vertex 3"),
+    (2, [(0, 1), (-1, 0)], [], "arrow 1 (-1, 0): no vertex -1"),
+], ids=["relation_index", "negative_relation", "path_index", "arrow_vertex",
+        "negative_vertex"])
+def test_quiver_indices_out_of_range_raise(vertices, arrows, relations,
+                                            named):
+    # no relation is dropped and no index error leaks: the message names
+    # the arrow or relation whose index is out of range
+    with pytest.raises(AlgebraError, match=re.escape(named)):
+        monomial_quiver_algebra(vertices, arrows, relations, FIELD2)
+
+
+def test_bimodule_actions_of_different_sizes_raise():
+    k = field_algebra(FIELD2)
+    with pytest.raises(AlgebraError, match="left action is 1-dimensional "
+                       "but right action is 2-dimensional"):
+        Bimodule(k, k, [FpMatrix.identity(1, FIELD2)],
+                 [FpMatrix.identity(2, FIELD2)])
+
+
+def test_module_hom_needs_a_common_algebra():
+    # k x k and k[x]/(x^2) are both 2-dimensional, with different tables
+    k = field_algebra(FIELD2)
+    kk, _, _ = product_algebra(k, k)
+    dual_numbers = square_zero_extension(FIELD2).total
+    source, target = (LeftModule.regular(a) for a in (kk, dual_numbers))
+    with pytest.raises(AlgebraError, match="over different algebras"):
+        ModuleHom(source, target, FpMatrix.zeros(2, 2, FIELD2))
 
 
 def test_module_law_enforced():
@@ -231,14 +265,14 @@ def test_dual_module_round_trip():
 def test_find_isomorphism():
     a = a2_algebra(FIELD2)
     reg = LeftModule.regular(a)
-    other, _, _ = direct_sum_modules([reg])
+    other = block_sum_module([reg])
     wit = find_isomorphism(reg, other)
     assert wit is not None and wit.is_iso()
     wit.validate()
     triv = LeftModule(a, [FpMatrix.identity(1, FIELD2),
                           FpMatrix.zeros(1, 1, FIELD2),
                           FpMatrix.zeros(1, 1, FIELD2)])
-    assert not is_isomorphic(triv, reg)
+    assert find_isomorphism(triv, reg) is None
 
 
 def test_submodule_quotient_consistency():
@@ -292,7 +326,7 @@ def test_coords_match_solve():
     rng = np.random.default_rng(3)
     a = local_wild_algebra(FIELD3)
     reg = LeftModule.regular(a)
-    m, _, _ = direct_sum_modules([reg, random_module(a, rng)])
+    m = block_sum_module([reg, random_module(a, rng)])
     hs = hom_space(m, reg)
     assert hs.dim > 1
     members = [hs.element(rng.integers(0, 3, size=hs.dim)).matrix

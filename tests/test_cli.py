@@ -147,9 +147,26 @@ def test_unknown_references_name_both_entities(corpus):
                           "unit": [1]}}},
      "algebra 'k3': p: expected an integer"),
     ({"algebras": []}, "algebras"),
+    ({"algebras": {"q": {"quiver": {"vertices": 3, "arrows": [[0, 1]],
+                                    "zero_relations": [[7]]}}}},
+     "algebra 'q': relation [7]: no arrow 7 among the 1 arrows"),
+    ({"algebras": {"q": {"quiver": {"vertices": 3,
+                                    "arrows": [[0, 1], [1, 2]],
+                                    "zero_relations": [[0, 9]]}}}},
+     "algebra 'q': relation [0, 9]: no arrow 9"),
+    ({"algebras": {"q": {"quiver": {"vertices": 3, "arrows": [[0, 3]]}}}},
+     "algebra 'q': arrow 0 (0, 3): no vertex 3"),
+    ({"algebras": {"k": {"structure_constants": [[[1]]], "unit": [1]}},
+      "bimodules": {"m": {"left_over": "k", "right_over": "k",
+                          "left_action": [[[1]]],
+                          "right_action": [[[1, 0], [0, 1]]]}}},
+     "bimodule 'm': left action is 1-dimensional but right action is "
+     "2-dimensional"),
 ], ids=["missing", "not_utf8", "list", "field_int", "p_text", "p_composite",
         "p_too_large", "p_float", "p_numeric_text", "p_bool",
-        "algebra_p_float", "algebra_p_text", "algebras_list"])
+        "algebra_p_float", "algebra_p_text", "algebras_list",
+        "quiver_relation_index", "quiver_path_index", "quiver_arrow_vertex",
+        "bimodule_action_sizes"])
 def test_bad_workspace_exits_2_naming_the_fault(tmp_path, capsys, corpus,
                                                 content, named):
     # content: raw bytes, or keys that replace those of the built-in corpus

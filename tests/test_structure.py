@@ -10,7 +10,7 @@ from conftest import (FIELD2, a2_algebra, double_extension,
                       square_zero_extension, triangular_extension)
 from extalg import structure
 from extalg.algebra import (Algebra, AlgebraError, HomSpace, LeftModule,
-                            RightModule, as_left, direct_sum_modules,
+                            RightModule, as_left, block_sum_module,
                             dual_module, field_algebra, hom_space,
                             monomial_quiver_algebra, opposite_algebra,
                             product_algebra, quotient_module,
@@ -25,8 +25,7 @@ from extalg.linalg import (FieldSpec, FpMatrix, echelon_coords, inverse,
 from extalg.structure import (_pim_triples, algebra_radical, chop,
                               injective_envelope,
                               find_isomorphism, injective_indecomposables,
-                              is_injective, is_isomorphic, is_projective,
-                              is_simple, projective_cover,
+                              is_injective, is_projective, projective_cover,
                               projective_indecomposables, radical_of_module,
                               simples, split_module, spin, top_of_module)
 from test_linalg import _record_casts
@@ -50,7 +49,7 @@ def test_spin_generates_submodule(d_total):
 def test_chop_dual_numbers(d_total):
     series = chop(LeftModule.regular(d_total))
     assert [f.dim for f in series.factors] == [1, 1]
-    assert all(is_simple(f) for f in series.factors)
+    assert all(len(chop(f).factors) == 1 for f in series.factors)
 
 
 def _invertible(n, field, rng):
@@ -82,7 +81,7 @@ def test_simples_and_radical():
     a2 = a2_algebra(FIELD2)
     s = simples(a2)
     assert len(s) == 2 and all(x.dim == 1 for x in s)
-    assert not is_isomorphic(s[0], s[1])
+    assert find_isomorphism(s[0], s[1]) is None
     rad = algebra_radical(a2)
     assert rad.rows == 1  # the arrow spans the radical
     d = square_zero_extension(FIELD2).total
@@ -111,7 +110,7 @@ def test_pims_triangular():
     assert sorted(p.dim for p, _ in pims) == [1, 2]
     for p, s in pims:
         assert is_projective(p)
-        assert is_simple(s)
+        assert len(chop(s).factors) == 1
 
 
 def test_projective_cover_minimality():
@@ -129,7 +128,7 @@ def test_projective_cover_minimality():
 
 def test_is_projective_closed_under_sums(d_total):
     reg = LeftModule.regular(d_total)
-    free2, _, _ = direct_sum_modules([reg, reg])
+    free2 = block_sum_module([reg, reg])
     assert is_projective(free2)
     triv = LeftModule(d_total, [FpMatrix.identity(1, FIELD2),
                                 FpMatrix.zeros(1, 1, FIELD2)])
@@ -191,7 +190,7 @@ def test_split_matrix_endomorphisms_at_large_prime():
     # only zero divisors split
     field = FieldSpec(65521)
     s = LeftModule.regular(field_algebra(field))
-    m, _, _ = direct_sum_modules([s, s, s])
+    m = block_sum_module([s, s, s])
     m = _conjugate(m, np.random.default_rng(9))
     pieces = split_module(m)
     assert [piece.dim for piece, _ in pieces] == [1, 1, 1]
@@ -224,18 +223,19 @@ def test_regular_module_of_a_large_semisimple_algebra_is_self_isomorphic():
     # GF(2)^17: Hom(reg, reg) has 2^17 elements, past any exhaustive sweep
     reg = LeftModule.regular(monomial_quiver_algebra(17, [], [], FIELD2))
     iso = find_isomorphism(reg, reg)
+    assert iso is not None
     iso.validate()
-    assert iso.is_iso() and is_isomorphic(reg, reg)
+    assert iso.is_iso()
 
 
 def test_equal_dimensions_with_other_summands_are_not_isomorphic():
     a2 = a2_algebra(FIELD2)
     s0, s1 = simples(a2)
-    twice, _, _ = direct_sum_modules([s0, s0])
-    mixed, _, _ = direct_sum_modules([s0, s1])
+    twice = block_sum_module([s0, s0])
+    mixed = block_sum_module([s0, s1])
     assert find_isomorphism(twice, mixed) is None
     assert find_isomorphism(mixed, twice) is None
-    swapped, _, _ = direct_sum_modules([s1, s0])
+    swapped = block_sum_module([s1, s0])
     iso = find_isomorphism(mixed, _conjugate(swapped,
                                              np.random.default_rng(3)))
     iso.validate()
@@ -288,7 +288,7 @@ def test_one_cover_per_content(monkeypatch):
 
 def test_split_is_kept_on_the_module(monkeypatch):
     a = a2_algebra(FIELD2)
-    m, _, _ = direct_sum_modules(simples(a) + [LeftModule.regular(a)])
+    m = block_sum_module(simples(a) + [LeftModule.regular(a)])
     sources, build = [], structure.hom_space
     monkeypatch.setattr(structure, "hom_space",
                         lambda x, y: sources.append(x) or build(x, y))
@@ -306,7 +306,7 @@ def test_split_and_match_the_indecomposables_of_a4(p):
     pieces = _uniserials(a)
     dims = sorted(x.dim for x in pieces)
     assert dims == [1, 1, 1, 1, 2, 2, 2, 3, 3, 4]
-    m, _, _ = direct_sum_modules(pieces)
+    m = block_sum_module(pieces)
     summands = split_module(m)
     assert sorted(x.dim for x, _ in summands) == dims
     span = np.hstack([incl.matrix.arr for _, incl in summands])
@@ -317,8 +317,8 @@ def test_split_and_match_the_indecomposables_of_a4(p):
     # the top of P_1 in place of the top of P_0: same dimensions, but S_1
     # twice and S_0 not at all
     tops = [x for x in pieces if x.dim == 1]
-    other, _, _ = direct_sum_modules([tops[1] if x is tops[0] else x
-                                      for x in pieces])
+    other = block_sum_module([tops[1] if x is tops[0] else x
+                              for x in pieces])
     assert find_isomorphism(m, other) is None
 
 
@@ -467,7 +467,7 @@ def test_trace_radical_matches_the_all_products_chain(monkeypatch):
         algebras += [opposite_algebra(x) for x in algebras]
         stacks = [(x.sc.transpose(0, 2, 1), x.sc) for x in algebras]
         pims = [pm for pm, _ in projective_indecomposables(a3)]
-        m, _, _ = direct_sum_modules(pims + simples(a3))
+        m = block_sum_module(pims + simples(a3))
         stacks.append(_endomorphism_stack(_conjugate(m, rng)))
         for mats, sc in stacks:
             want, depth = _all_products_chain(mats, field)
@@ -512,7 +512,7 @@ def _greedy_cover_epi(m) -> np.ndarray:
     chosen, image = [], FpMatrix.zeros(0, pi.target.dim, field)
     for p_i, e_i, incl in _pim_triples(m.over):
         for w in row_space_of_columns(m.act_matrix(e_i)).arr:
-            phi = FpMatrix(np.stack([m.act_matrix(incl.arr[:, b]).apply(w)
+            phi = FpMatrix(np.stack([m.act_matrix(incl.arr[:, b]).arr @ w
                                      for b in range(p_i.dim)], axis=1), field)
             merged = vstack([image, row_space_of_columns(pi.matrix @ phi)])
             if rank(merged) > image.rows:

@@ -17,14 +17,13 @@ from conftest import (a2_algebra, a2_morita_ring, double_extension,
                       local_wild_algebra, nakayama_ring, random_module,
                       square_zero_extension, triangular_extension)
 from extalg.algebra import (AlgebraError, HomSpace, LeftModule, RightModule,
-                            direct_sum_modules, monomial_quiver_algebra,
+                            block_sum_module, monomial_quiver_algebra,
                             quotient_module, submodule)
 from extalg.gorenstein import gp_check
 from extalg.homology import pd_bounded
 from extalg.linalg import (FieldSpec, FpMatrix, inverse, is_invertible,
                            quotient_maps, rank, row_basis, solve)
-from extalg.structure import (find_isomorphism, find_proper_submodule,
-                              split_module, spin)
+from extalg.structure import chop, find_isomorphism, split_module, spin
 
 ALGEBRAS = {
     "dual_numbers": lambda f: square_zero_extension(f).total,
@@ -40,7 +39,7 @@ ALGEBRAS = {
 def _free(a, cls):
     """The free module of rank 2, checked against the module law."""
     reg = cls.regular(a)
-    free, _, _ = direct_sum_modules([reg, reg])
+    free = block_sum_module([reg, reg])
     free.validate()
     return free
 
@@ -179,10 +178,14 @@ def test_projective_sweeps_match_full_sweeps(name, p):
     rng = np.random.default_rng(p)
     mods = [random_module(a, rng, max_dim=4) for _ in range(3)]
     for m in mods:
-        found = find_proper_submodule(m)
+        # the first step of a composition series is a proper submodule
+        # exactly when m is neither simple nor zero
+        series = chop(m)
         if _full_sweep_submodule(m) is None:
-            assert found is None
+            assert len(series.factors) <= 1
         else:
+            found = series.witnesses[0].matrix.transpose()
+            assert len(series.factors) > 1
             assert 0 < found.rows < m.dim and _is_invariant(m, found)
         for n in mods + [_conjugate(m, rng)]:
             # keep the full sweep of the oracle short
@@ -215,8 +218,8 @@ def test_one_dimensional_hom_at_large_prime_takes_one_element():
 def test_verdicts_survive_a_change_of_basis(name, p, parts, seed):
     a = ALGEBRAS[name](FieldSpec(p))
     rng = np.random.default_rng(seed)
-    m, _, _ = direct_sum_modules([random_module(a, rng, max_dim=3)
-                                  for _ in range(parts)])
+    m = block_sum_module([random_module(a, rng, max_dim=3)
+                          for _ in range(parts)])
     n = _conjugate(m, rng)
     iso = find_isomorphism(m, n)
     iso.validate()

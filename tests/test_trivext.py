@@ -5,8 +5,8 @@ from conftest import (FIELD2, FIELD3, a2_algebra, double_extension,
                       random_copair, random_module, random_pair,
                       random_right_pair, square_zero_extension,
                       triangular_extension)
-from extalg.algebra import (Bimodule, LeftModule, RightModule,
-                            direct_sum_modules, field_algebra,
+from extalg.algebra import (Bimodule, LeftModule, ModuleHom, RightModule,
+                            block_sum_module, field_algebra,
                             hom_from_bimodule, hom_space,
                             monomial_quiver_algebra, opposite_algebra,
                             tensor_bimodule_left, tensor_map_second)
@@ -225,19 +225,22 @@ def _tensor_T(t, x):
     """T(X) built as a pair: X + M ox X with structure map the inclusion of
     the second summand after M ox (projection onto the first)."""
     ts0 = tensor_bimodule_left(t.bimodule, x)
-    w, incls, projs = direct_sum_modules([x, ts0.space])
-    m_proj = tensor_map_second(tensor_bimodule_left(t.bimodule, w), ts0,
-                               projs[0])
-    return PairModule(t, w, incls[1].matrix @ m_proj.matrix)
+    w = block_sum_module([x, ts0.space])
+    proj = ModuleHom(w, x, FpMatrix(np.eye(x.dim, w.dim, dtype=np.int64),
+                                    t.field))
+    incl = np.eye(w.dim, ts0.space.dim, -x.dim, dtype=np.int64)
+    m_proj = tensor_map_second(tensor_bimodule_left(t.bimodule, w), ts0, proj)
+    return PairModule(t, w, FpMatrix(incl, t.field) @ m_proj.matrix)
 
 
 def _hom_H(t, y):
     """H(Y) built as a copair: Hom(M, Y) + Y with f going to the
     coordinates of incl o f in Hom(M, Hom(M, Y) + Y)."""
     hm = hom_from_bimodule(t.bimodule, y)
-    w, incls, _ = direct_sum_modules([hm.space, y])
+    w = block_sum_module([hm.space, y])
     hw = hom_from_bimodule(t.bimodule, w)
-    lifted = hw.homs.coords_many(incls[1].matrix.arr @ hm.homs.basis_array())
+    incl = np.eye(w.dim, y.dim, -hm.space.dim, dtype=np.int64)
+    lifted = hw.homs.coords_many(incl @ hm.homs.basis_array())
     return CopairModule(t, w, FpMatrix(np.hstack(
         [lifted.arr, np.zeros((hw.homs.dim, y.dim), dtype=np.int64)]),
         t.field))
