@@ -60,14 +60,19 @@ def _dump_mat(m: FpMatrix):
     return m.arr.tolist()
 
 
-def _field(value, where: str) -> FieldSpec:
-    """GF(value) for a JSON integer value; a float, string or bool is
-    rejected, not rounded or parsed."""
+def _int(value, where: str) -> int:
+    """A JSON integer value; a float, string or bool is rejected, not
+    rounded or parsed."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise WorkspaceError(f"{where}: expected an integer, got "
                              f"{json.dumps(value)}")
+    return value
+
+
+def _field(value, where: str) -> FieldSpec:
+    """GF(value) for a JSON integer value."""
     try:
-        return FieldSpec(value)
+        return FieldSpec(_int(value, where))
     except LinalgError as e:
         raise WorkspaceError(f"{where}: {e}") from e
 
@@ -76,9 +81,13 @@ def _algebra(spec, ref, default_field):
     field = _field(spec["p"], "p") if "p" in spec else default_field
     if "quiver" in spec:
         q = spec["quiver"]
+
+        def ints(key, rows):
+            return [[_int(v, f"quiver.{key}") for v in r] for r in rows]
         return monomial_quiver_algebra(
-            int(q["vertices"]), [tuple(x) for x in q["arrows"]],
-            [list(r) for r in q.get("zero_relations", [])], field)
+            _int(q["vertices"], "quiver.vertices"),
+            [tuple(x) for x in ints("arrows", q["arrows"])],
+            ints("zero_relations", q.get("zero_relations", [])), field)
     return Algebra(field, np.asarray(spec["structure_constants"],
                                      dtype=np.int64), spec["unit"])
 
@@ -92,7 +101,11 @@ def _bimodule(spec, ref, _):
 
 def _module(spec, ref, _):
     over = ref("algebras", spec["over"])
-    cls = RightModule if spec.get("side") == "right" else LeftModule
+    side = spec.get("side", "left")
+    if side not in ("left", "right"):
+        raise WorkspaceError('side: expected "left" or "right", got '
+                             f"{json.dumps(side)}")
+    cls = RightModule if side == "right" else LeftModule
     return cls(over, _mat_list(spec["action"], over.field))
 
 

@@ -13,7 +13,10 @@ Ext^i, its certificate.  A^op reads A's regime with the verdicts swapped.
 
 The three kinds of complete resolution (base, lifted pair, dualized
 copair) come back as one record, `CompleteResolution`, and their three
-validators read the complex they check and share one window check.
+validators read the complex they check and share one window check.  The
+base and pair builders take degrees < 0 from the minimal projective
+resolution of the module they resolve; the pair builder lifts only the
+degrees >= 0 from the base.
 """
 
 from __future__ import annotations
@@ -24,18 +27,16 @@ from typing import Optional, Tuple
 from .algebra import (Algebra, Bimodule, HomSpace, LeftModule, ModuleHom,
                       RightModule, as_left, block_sum_module, dual_module,
                       hom_space, image_module, is_exact_at,
-                      is_kernel_inclusion, kernel_module, other_side,
-                      quotient_module, tensor_bimodule_left,
-                      tensor_map_second)
+                      is_kernel_inclusion, other_side, quotient_module,
+                      tensor_bimodule_left, tensor_map_second)
 from .homology import (ChainComplex, _precompose_matrix,
                        default_bound, ext_dims, fd_bounded, hom_complex,
                        hom_complex_co, id_bounded, is_exact_complex,
                        minimal_projective_resolution, pd_bounded)
-from .linalg import (FpMatrix, echelon_coords, hstack, is_invertible, rank,
-                     rref, solve, vstack)
+from .linalg import (FpMatrix, hstack, is_invertible, rank, rref, solve,
+                     vstack)
 from .structure import (injective_indecomposables, is_injective,
-                        is_projective, projective_cover,
-                        projective_indecomposables)
+                        is_projective, projective_indecomposables)
 from .trivext import (CopairModule, PairModule, RightPairModule,
                       TrivialExtension, _coextend, _extend, _inflate,
                       copair_to_module, functor_C, functor_K, induced_delta,
@@ -269,30 +270,23 @@ def _right_pair_hypotheses(rp: RightPairModule, bound: Optional[int]) -> dict:
 # constrained hom solving
 
 
-def solve_module_hom(source, target, left=None, right=None) -> Optional[ModuleHom]:
-    """A module map T: source -> target with L @ T = RL for left = (L, RL)
-    and T @ P = RP for right = (P, RP), or None.  The unknowns are T's
-    coordinates in a basis of Hom(source, target) echelonized from the last
-    entry of vec(T) backwards, so the free ones sit at the free columns of
-    the system on all of vec(T): setting them to 0 gives the T that the
-    solve of that system returns.  With a zero source or target Hom is
-    {0}, so T = 0 exactly when every required value is zero."""
+def solve_module_hom(source, target, p: FpMatrix,
+                     rp: FpMatrix) -> Optional[ModuleHom]:
+    """A module map T: source -> target with T @ P = RP, or None.  The
+    unknowns are T's coordinates in a basis of Hom(source, target)
+    echelonized from the last entry of vec(T) backwards, so the free ones
+    sit at the free columns of the system on all of vec(T): setting them to
+    0 gives the T that the solve of that system returns.  With a zero
+    source or target Hom is {0}, so T = 0 exactly when RP is zero."""
     if source.dim == 0 or target.dim == 0:
-        if any(not c[1].is_zero() for c in (left, right) if c is not None):
-            return None
-        return ModuleHom.zero(source, target)
+        return None if not rp.is_zero() else ModuleHom.zero(source, target)
     hs = hom_space(source, target)
     field = hs.field
     flat = rref(FpMatrix(hs.mat.arr[:, ::-1], field)).reduced.arr[::-1, ::-1]
     basis = flat.reshape(hs.dim, target.dim, source.dim)
-    # per constraint: the image of every basis map, and the required value
-    cons = ([] if left is None else [(left[0].arr @ basis, left[1])]) + (
-        [] if right is None else [(basis @ right[0].arr, right[1])])
-    # one row per entry of a required value, one column per basis map
-    c = solve(vstack([FpMatrix.zeros(0, hs.dim, field)] + [
-        FpMatrix(img.reshape(hs.dim, val.rows * val.cols).T, field)
-        for img, val in cons]), vstack([FpMatrix.zeros(0, 1, field)] + [
-            FpMatrix.column(val.arr.reshape(-1), field) for _, val in cons]))
+    # one row per entry of RP, one column per basis map
+    c = solve(FpMatrix((basis @ p.arr).reshape(hs.dim, rp.rows * rp.cols).T,
+                       field), FpMatrix.column(rp.arr.reshape(-1), field))
     if c is None:
         return None
     return ModuleHom(source, target, FpMatrix(
@@ -372,12 +366,15 @@ def validate_complete_resolution(cr: CompleteResolution) -> dict:
 
 def build_pair_complete_resolution(pair: PairModule, window: int = None
                                    ) -> CompleteResolution:
-    """The constructive lifting: a complete resolution of coker(alpha)
-    over the base is lifted degree by degree to the extended projectives
-    T(P) = P + M ox P (the P block first), with the mixed blocks of the
-    differentials found by constrained linear solves.  The complex spans
-    degrees [-window-1, window]; mono and epi are the kernel and cokernel
-    witnesses on the pair's module over the extension."""
+    """Degrees < 0 from the minimal projective resolution of the pair's
+    module over the extension; degrees >= 0 lifted from a complete
+    resolution of coker(alpha) over the base, degree by degree, to the
+    extended projectives T(P) = P + M ox P (the P block first), with the
+    mixed blocks of the differentials found by constrained linear solves.
+    Under the lifting hypotheses the negative terms are T(P_j), up to
+    isomorphism, for P_j the minimal resolution of coker(alpha).  The
+    complex spans degrees [-window-1, window]; mono and epi are the kernel
+    and cokernel witnesses on the pair's module over the extension."""
     t = pair.t
     field = t.field
     if window is None:
@@ -393,22 +390,19 @@ def build_pair_complete_resolution(pair: PairModule, window: int = None
     def mten(x):
         return tensor_bimodule_left(m, x)
 
-    # delta: M ox coker -> X with delta o (M ox rho) = alpha; it starts both
-    # halves
-    delta0 = induced_delta(pair).matrix if coker.dim else FpMatrix.zeros(
-        pair.x.dim, mten(coker).space.dim, field)
-
-    # right half: lambda_i: K^i -> W^i = P^i + M ox P^i and q_i: W^i ->
-    # K^{i+1} = coker(lambda_i), with K^0 = X
+    # lambda_i: K^i -> W^i = P^i + M ox P^i and q_i: W^i -> K^{i+1} =
+    # coker(lambda_i), with K^0 = X; delta: M ox coker -> X with
+    # delta o (M ox rho) = alpha
     lambdas, qs = [], []
-    k_mod, delta, rho_k = pair.x, delta0, rho.matrix
+    k_mod, rho_k = pair.x, rho.matrix
+    delta = induced_delta(pair).matrix if coker.dim else FpMatrix.zeros(
+        pair.x.dim, mten(coker).space.dim, field)
     n_incl, ts_n = cr.mono, mten(coker)
     for i in range(window + 1):
         p_i = cr.complex.module_at(i)
         ts_p = mten(p_i)
         m_iota = tensor_map_second(ts_n, ts_p, n_incl)
-        psi = solve_module_hom(k_mod, ts_p.space,
-                               right=(delta, m_iota.matrix))
+        psi = solve_module_hom(k_mod, ts_p.space, delta, m_iota.matrix)
         if psi is None:
             raise GorensteinError("lifting solve failed at degree "
                                   f"{i}; compatibility presumably unmet")
@@ -435,63 +429,18 @@ def build_pair_complete_resolution(pair: PairModule, window: int = None
             raise GorensteinError("induced projection does not descend at "
                                   f"degree {i}")
 
-    # left half: xi_j: W^{-j-1} -> L^j onto, kappa_j: L^{j+1} = ker(xi_j)
-    # -> W^{-j-1}, with L^0 = X, along the minimal resolution of coker
-    res1 = minimal_projective_resolution(coker, window)
-    xis, kappas = [], []
-    l_mod, delta_l, rho_l = pair.x, delta0, rho.matrix
-    c_l, ts_c = coker, mten(coker)
-    for j in range(window + 1):
-        p_j = res1.terms[j]
-        ts_pj = mten(p_j)
-        # the cover P^{-j} -> c_l that res1 was built from (shared by content)
-        pi_j = projective_cover(c_l).epi
-        eta = solve_module_hom(p_j, l_mod, left=(rho_l, pi_j.matrix))
-        if eta is None:
-            raise GorensteinError("lifting solve failed at degree "
-                                  f"{-(j + 1)}; compatibility presumably "
-                                  "unmet")
-        m_pi = tensor_map_second(ts_pj, ts_c, pi_j)
-        xis.append(hstack([eta.matrix, delta_l @ m_pi.matrix]))
-        if j == window:
-            break
-        w_j = block_sum_module([p_j, ts_pj.space])
-        l_mod, kappa = kernel_module(ModuleHom(w_j, l_mod, xis[j],
-                                               validate=False))
-        kappas.append(kappa.matrix)
-        c_next_incl = res1.syz_incl[j]          # syzygy j+1 -> p_j
-        c_l = res1.syzygies[j + 1]
-        ts_c = mten(c_l)
-        m_in = tensor_map_second(ts_c, ts_pj, c_next_incl)
-        # kernel inclusions are RREF bases transposed; M ox c_l sits in the
-        # M ox P block of W
-        dcoords = echelon_coords(kappa.matrix.transpose(), vstack([
-            FpMatrix.zeros(p_j.dim, ts_c.space.dim, field),
-            m_in.matrix]).arr.T)
-        if dcoords is None:
-            raise GorensteinError("kernel transport failed at degree "
-                                  f"{-(j + 1)}")
-        delta_l = FpMatrix(dcoords.T, field)
-        rcoords = echelon_coords(c_next_incl.matrix.transpose(),
-                                 kappa.matrix.arr[:p_j.dim].T)
-        if rcoords is None:
-            raise GorensteinError("kernel projection failed at degree "
-                                  f"{-(j + 1)}")
-        rho_l = FpMatrix(rcoords.T, field)
-
-    # assemble over the total algebra: kappa_j xi_{j+1} on the left,
-    # lambda_0 xi_0 at degree -1, lambda_{i+1} q_i on the right
-    terms = [_extend(t, p) for p in reversed(res1.terms)] + [
-        _extend(t, cr.complex.module_at(i)) for i in range(window + 1)]
-    mats = [kappas[j] @ xis[j + 1] for j in reversed(range(window))] + \
-        [lambdas[0] @ xis[0]] + \
-        [lambdas[i + 1] @ qs[i] for i in range(window)]
-    cx = ChainComplex(-(window + 1), terms, [
-        ModuleHom(terms[k], terms[k + 1], mat) for k, mat in enumerate(mats)])
+    # assemble over the total algebra: the resolution of the module on the
+    # left, lambda_0 after its augmentation at degree -1, lambda_{i+1} q_i
+    # on the right
     mid = pair_to_module(pair)
-    return CompleteResolution(pair, cx, ModuleHom(mid, cx.module_at(0),
-                                                  lambdas[0]),
-                              ModuleHom(cx.module_at(-1), mid, xis[0]))
+    res = minimal_projective_resolution(mid, window)
+    right = [_extend(t, cr.complex.module_at(i)) for i in range(window + 1)]
+    mono = ModuleHom(mid, right[0], lambdas[0])
+    cx = ChainComplex(-(window + 1), list(reversed(res.terms)) + right, list(
+        reversed(res.diffs)) + [mono.compose(res.epi)] + [
+        ModuleHom(right[i], right[i + 1], lambdas[i + 1] @ qs[i])
+        for i in range(window)])
+    return CompleteResolution(pair, cx, mono, res.epi)
 
 
 def validate_pair_complete_resolution(res: CompleteResolution) -> dict:

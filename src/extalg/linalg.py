@@ -118,16 +118,9 @@ class FpMatrix:
             raise LinalgError(f"shape mismatch {self.arr.shape} @ {other.arr.shape}")
         return FpMatrix(self.arr @ other.arr, self.field)
 
-    def __add__(self, other: "FpMatrix") -> "FpMatrix":
-        self._check(other)
-        return FpMatrix(self.arr + other.arr, self.field)
-
     def __sub__(self, other: "FpMatrix") -> "FpMatrix":
         self._check(other)
         return FpMatrix(self.arr - other.arr, self.field)
-
-    def __neg__(self) -> "FpMatrix":
-        return FpMatrix(-self.arr, self.field)
 
     def transpose(self) -> "FpMatrix":
         return FpMatrix.reduced(self.arr.T, self.field)

@@ -162,11 +162,30 @@ def test_unknown_references_name_both_entities(corpus):
                           "right_action": [[[1, 0], [0, 1]]]}}},
      "bimodule 'm': left action is 1-dimensional but right action is "
      "2-dimensional"),
+    ({"algebras": {"q": {"quiver": {"vertices": 2,
+                                    "arrows": [[0, 1], [1, 0]],
+                                    "zero_relations": [[True, False]]}}}},
+     "algebra 'q': quiver.zero_relations: expected an integer, got true"),
+    ({"algebras": {"q": {"quiver": {"vertices": 2.9,
+                                    "arrows": [[0, 1]]}}}},
+     "algebra 'q': quiver.vertices: expected an integer, got 2.9"),
+    ({"algebras": {"q": {"quiver": {"vertices": 3,
+                                    "arrows": [[0, 1], [1, 2]],
+                                    "zero_relations": [[0, 1.0]]}}}},
+     "algebra 'q': quiver.zero_relations: expected an integer, got 1.0"),
+    ({"algebras": {"q": {"quiver": {"vertices": 2,
+                                    "arrows": [[0, "1"]]}}}},
+     'algebra \'q\': quiver.arrows: expected an integer, got "1"'),
+    ({"modules": {"m": {"over": "k2", "side": "rigth",
+                        "action": [[[1]]]}}},
+     'module \'m\': side: expected "left" or "right", got "rigth"'),
 ], ids=["missing", "not_utf8", "list", "field_int", "p_text", "p_composite",
         "p_too_large", "p_float", "p_numeric_text", "p_bool",
         "algebra_p_float", "algebra_p_text", "algebras_list",
         "quiver_relation_index", "quiver_path_index", "quiver_arrow_vertex",
-        "bimodule_action_sizes"])
+        "bimodule_action_sizes", "quiver_relation_bool",
+        "quiver_vertices_float", "quiver_relation_float",
+        "quiver_arrow_text", "module_side"])
 def test_bad_workspace_exits_2_naming_the_fault(tmp_path, capsys, corpus,
                                                 content, named):
     # content: raw bytes, or keys that replace those of the built-in corpus

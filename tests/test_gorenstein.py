@@ -15,6 +15,7 @@ from extalg.algebra import (Bimodule, LeftModule, ModuleHom, RightModule,
                             is_kernel_inclusion, monomial_quiver_algebra,
                             opposite_algebra, product_algebra,
                             tensor_bimodule_left)
+from extalg.cli import Workspace, emit_builtin_examples
 from extalg.gorenstein import (CERTIFIED_NO, CERTIFIED_YES,
                                IWANAGA_GORENSTEIN, PROBABLE_YES,
                                SELF_INJECTIVE, UNKNOWN, CompleteResolution,
@@ -23,7 +24,8 @@ from extalg.gorenstein import (CERTIFIED_NO, CERTIFIED_YES,
                                build_pair_complete_resolution,
                                compatibility_report, complete_resolution,
                                gf_check_right, gi_check, gorenstein_regime,
-                               gp_check, solve_module_hom, star_module,
+                               gp_check, holds, solve_module_hom,
+                               star_module,
                                thm_pair_hypotheses,
                                validate_complete_resolution,
                                validate_copair_complete_coresolution,
@@ -35,8 +37,9 @@ from extalg.homology import (ext, ext_dims, ext_from_resolution,
                              non_minimal_resolution)
 from extalg.linalg import FieldSpec, FpMatrix, is_invertible, rank
 from extalg.structure import find_isomorphism, is_projective, simples
-from extalg.trivext import (functor_Z_copair, functor_Z_pair, functor_T,
-                            module_to_copair, module_to_pair,
+from extalg.trivext import (_extend, functor_C, functor_Z_copair,
+                            functor_Z_pair, functor_T, module_to_copair,
+                            module_to_pair,
                             module_to_right_pair, pair_to_module,
                             copair_to_module, right_pair_to_module)
 
@@ -274,20 +277,19 @@ def test_compatibility_not_established_over_dual_numbers(d_ext):
 def test_solve_module_hom_constraints(d_ext):
     reg = LeftModule.regular(d_ext.total)
     ident = FpMatrix.identity(2, FIELD2)
-    got = solve_module_hom(reg, reg, left=(ident, ident))
+    got = solve_module_hom(reg, reg, ident, ident)
     assert got is not None and got.matrix == ident
     got.validate()
     # inconsistent: require the zero map to equal the identity
     zero = FpMatrix.zeros(2, 2, FIELD2)
-    assert solve_module_hom(reg, reg, left=(zero, ident)) is None
+    assert solve_module_hom(reg, reg, zero, ident) is None
     # two distinct simples of A2: Hom = 0, so only the zero map is left
     s0, s1 = simples(a2_algebra(FIELD2))
     one, nil = FpMatrix.identity(1, FIELD2), FpMatrix.zeros(1, 1, FIELD2)
     assert hom_space(s0, s1).dim == 0
-    got = solve_module_hom(s0, s1, left=(one, nil))
+    got = solve_module_hom(s0, s1, one, nil)
     assert got is not None and got.is_zero()
-    assert solve_module_hom(s0, s1, left=(one, one)) is None
-    assert solve_module_hom(s0, s1, right=(one, one)) is None
+    assert solve_module_hom(s0, s1, one, one) is None
 
 
 def test_solve_module_hom_with_a_zero_side(d_ext, monkeypatch):
@@ -301,15 +303,14 @@ def test_solve_module_hom_with_a_zero_side(d_ext, monkeypatch):
     zero = LeftModule.zero(d_ext.total)
     wanted = FpMatrix.identity(2, FIELD2)
     zero_wanted = FpMatrix.zeros(2, 2, FIELD2)
-    to_zero = (FpMatrix.zeros(2, 0, FIELD2), wanted)
-    assert solve_module_hom(reg, zero, left=to_zero) is None
-    got = solve_module_hom(reg, zero, left=(to_zero[0], zero_wanted))
+    got = solve_module_hom(reg, zero, wanted, FpMatrix.zeros(0, 2, FIELD2))
     assert got is not None and (got.target.dim, got.source.dim) == (0, 2)
-    from_zero = (FpMatrix.zeros(0, 2, FIELD2), wanted)
-    assert solve_module_hom(zero, reg, right=from_zero) is None
-    got = solve_module_hom(zero, reg, right=(from_zero[0], zero_wanted))
+    from_zero = FpMatrix.zeros(0, 2, FIELD2)
+    assert solve_module_hom(zero, reg, from_zero, wanted) is None
+    got = solve_module_hom(zero, reg, from_zero, zero_wanted)
     assert got is not None and (got.target.dim, got.source.dim) == (2, 0)
-    assert solve_module_hom(zero, zero).matrix.rows == 0
+    empty = FpMatrix.zeros(0, 0, FIELD2)
+    assert solve_module_hom(zero, zero, empty, empty).matrix.rows == 0
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +369,9 @@ def test_pair_resolution_triangular(tri_ext):
 @pytest.mark.parametrize("window", [1, 2, 3])
 def test_pair_lifting_builds_nothing_past_its_window(d_ext, monkeypatch,
                                                      window):
-    # the lifting reads base terms up to degree `window` only, and the
-    # gluing evaluates at c's vectors directly instead of through c**
+    # degrees < 0 resolve the pair's module and only degrees >= 0 are
+    # lifted: no resolution runs past degree `window`, and the gluing
+    # evaluates at c's vectors directly instead of through c**
     lengths = []
     resolve = extalg.gorenstein.minimal_projective_resolution
 
@@ -393,15 +395,15 @@ def test_pair_lifting_builds_nothing_past_its_window(d_ext, monkeypatch,
                                 "hom_exact_into_test_modules"))
 
 
-def nontrivial_dd_pair():
+def nontrivial_dd_pair(field=FIELD2):
     """A pair over D |x D whose cokernel is Gorenstein projective but not
     projective, found by a deterministic sweep of the structure maps."""
-    dd = double_extension(FIELD2)
+    dd = double_extension(field)
     x = LeftModule.regular(dd.base)
     ts = tensor_bimodule_left(dd.bimodule, x)
     hs = hom_space(ts.space, x)
     from extalg.trivext import PairModule, TrivextError
-    for coords in itertools.product(range(2), repeat=hs.dim):
+    for coords in itertools.product(range(field.p), repeat=hs.dim):
         if not any(coords):
             continue
         try:
@@ -426,6 +428,42 @@ def test_pair_resolution_doubly_infinite():
     assert all(val[k] for k in ("window_exact", "kernel_identified",
                                 "terms_projective",
                                 "hom_exact_into_test_modules"))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("window", [2, 3])
+def test_pair_negative_half_is_the_minimal_resolution(p, window):
+    # degrees < 0 are the minimal resolution of (X, alpha) over the
+    # extension; M lies in its radical and, under the hypotheses, each
+    # syzygy's cokernel is the next syzygy of coker(alpha), so the terms
+    # are T(P_j) for P_j the minimal resolution of coker(alpha)
+    field = FieldSpec(p)
+    pairs = [nontrivial_dd_pair(field)]
+    if p == 2:
+        pairs += list(Workspace(emit_builtin_examples()).pairs.values())
+    rng = np.random.default_rng(p)
+    for make in (double_extension, triangular_extension):
+        t = make(field)
+        pairs += [random_pair(t, rng, 6) for _ in range(8)]
+    built = deep = 0
+    for pair in pairs:
+        if not holds(thm_pair_hypotheses(pair)):
+            continue
+        res = build_pair_complete_resolution(pair, window)
+        own = minimal_projective_resolution(pair_to_module(pair), window)
+        base = minimal_projective_resolution(functor_C(pair)[0], window)
+        assert res.epi.matrix == own.epi.matrix
+        for j in range(window + 1):
+            term = res.complex.module_at(-(j + 1))
+            assert term.action == own.terms[j].action
+            assert find_isomorphism(
+                term, _extend(pair.t, base.terms[j])) is not None
+            if j < window:
+                assert res.complex.diff_at(-(j + 2)).matrix == \
+                    own.diffs[j].matrix
+        built += 1
+        deep += any(m.dim for m in own.terms[1:])
+    assert built >= 12 and deep >= 1
 
 
 def test_pair_resolution_rejects_bad_hypotheses(d_ext):

@@ -43,6 +43,14 @@ def test_syzygy_periodicity(d_total, k_over_d):
     assert find_isomorphism(s2, k_over_d) is not None
 
 
+@pytest.mark.parametrize("p", [2, 65521])
+def test_wild_syzygies_double(p):
+    # over k<x,y>/(x,y)^2 the radical of the cover of S^n is S^(2n)
+    s = simples(local_wild_algebra(FieldSpec(p)))[0]
+    assert syzygy(s, 0) is s
+    assert [syzygy(s, i).dim for i in range(6)] == [1, 2, 4, 8, 16, 32]
+
+
 def test_ext_periodic_both_paths(d_total, k_over_d):
     for i in range(1, 7):
         assert ext(k_over_d, k_over_d, i).dim == 1
