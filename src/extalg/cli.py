@@ -45,21 +45,6 @@ class WorkspaceError(ValueError):
     pass
 
 
-def _mat(rows, field) -> FpMatrix:
-    arr = np.asarray(rows, dtype=np.int64)
-    if arr.size == 0:
-        arr = arr.reshape((0, 0) if arr.ndim < 2 else arr.shape)
-    return FpMatrix(arr, field)
-
-
-def _mat_list(data, field):
-    return [_mat(m, field) for m in data]
-
-
-def _dump_mat(m: FpMatrix):
-    return m.arr.tolist()
-
-
 def _int(value, where: str) -> int:
     """A JSON integer value; a float, string or bool is rejected, not
     rounded or parsed."""
@@ -67,6 +52,48 @@ def _int(value, where: str) -> int:
         raise WorkspaceError(f"{where}: expected an integer, got "
                              f"{json.dumps(value)}")
     return value
+
+
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise WorkspaceError(f"{where}: expected a list, got "
+                             f"{json.dumps(value)}")
+    return value
+
+
+def _ints(value, where: str, depth: int):
+    """A JSON array nested `depth` deep of integers (`_int`), as lists."""
+    if depth == 0:
+        return _int(value, where)
+    return [_ints(v, where, depth - 1) for v in _list(value, where)]
+
+
+def _array(value, where: str, depth: int) -> np.ndarray:
+    """`_ints` as an int64 array with `depth` axes; ragged rows are
+    rejected."""
+    rows = _ints(value, where, depth)
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError:
+        raise WorkspaceError(f"{where}: integer out of the int64 range") \
+            from None
+    except ValueError:
+        raise WorkspaceError(f"{where}: rows of unequal length") from None
+
+
+def _mat(rows, field, where: str) -> FpMatrix:
+    arr = _array(rows, where, 2)
+    if arr.size == 0:
+        arr = arr.reshape((0, 0) if arr.ndim < 2 else arr.shape)
+    return FpMatrix(arr, field)
+
+
+def _mat_list(data, field, where: str):
+    return [_mat(m, field, where) for m in _list(data, where)]
+
+
+def _dump_mat(m: FpMatrix):
+    return m.arr.tolist()
 
 
 def _field(value, where: str) -> FieldSpec:
@@ -81,22 +108,27 @@ def _algebra(spec, ref, default_field):
     field = _field(spec["p"], "p") if "p" in spec else default_field
     if "quiver" in spec:
         q = spec["quiver"]
-
-        def ints(key, rows):
-            return [[_int(v, f"quiver.{key}") for v in r] for r in rows]
+        arrows = _ints(q["arrows"], "quiver.arrows", 2)
+        for arrow in arrows:
+            if len(arrow) != 2:
+                raise WorkspaceError("quiver.arrows: expected [source, "
+                                     f"target], got {json.dumps(arrow)}")
         return monomial_quiver_algebra(
             _int(q["vertices"], "quiver.vertices"),
-            [tuple(x) for x in ints("arrows", q["arrows"])],
-            ints("zero_relations", q.get("zero_relations", [])), field)
-    return Algebra(field, np.asarray(spec["structure_constants"],
-                                     dtype=np.int64), spec["unit"])
+            [tuple(x) for x in arrows],
+            _ints(q.get("zero_relations", []), "quiver.zero_relations", 2),
+            field)
+    return Algebra(field, _array(spec["structure_constants"],
+                                 "structure_constants", 3),
+                   _array(spec["unit"], "unit", 1))
 
 
 def _bimodule(spec, ref, _):
     lo = ref("algebras", spec["left_over"])
     ro = ref("algebras", spec["right_over"])
-    return Bimodule(lo, ro, _mat_list(spec["left_action"], lo.field),
-                    _mat_list(spec["right_action"], ro.field))
+    return Bimodule(lo, ro,
+                    _mat_list(spec["left_action"], lo.field, "left_action"),
+                    _mat_list(spec["right_action"], ro.field, "right_action"))
 
 
 def _module(spec, ref, _):
@@ -106,7 +138,7 @@ def _module(spec, ref, _):
         raise WorkspaceError('side: expected "left" or "right", got '
                              f"{json.dumps(side)}")
     cls = RightModule if side == "right" else LeftModule
-    return cls(over, _mat_list(spec["action"], over.field))
+    return cls(over, _mat_list(spec["action"], over.field, "action"))
 
 
 def _extension(spec, ref, _):
@@ -125,7 +157,7 @@ def _presented(cls, module_key: str, map_key: str):
     def build(spec, ref, _):
         t = ref("extensions", spec["extension"])
         return cls(t, ref("modules", spec[module_key]),
-                   _mat(spec[map_key], t.field))
+                   _mat(spec[map_key], t.field, map_key))
     return build
 
 
@@ -136,8 +168,8 @@ def _tuple(cls, first: str, second: str):
         ring = ref("contexts", spec["context"])
         return cls(ring, ref("modules", spec[first]),
                    ref("modules", spec[second]),
-                   _mat(spec["f"], ring.prod.field),
-                   _mat(spec["g"], ring.prod.field))
+                   _mat(spec["f"], ring.prod.field, "f"),
+                   _mat(spec["g"], ring.prod.field, "g"))
     return build
 
 

@@ -14,9 +14,11 @@ Ext^i, its certificate.  A^op reads A's regime with the verdicts swapped.
 The three kinds of complete resolution (base, lifted pair, dualized
 copair) come back as one record, `CompleteResolution`, and their three
 validators read the complex they check and share one window check.  The
-base and pair builders take degrees < 0 from the minimal projective
-resolution of the module they resolve; the pair builder lifts only the
-degrees >= 0 from the base.
+base and pair builders share one splice: the minimal projective resolution
+of the module they resolve in degrees < 0, mono o epi at degree -1, and a
+right half from degree 0 on.  The pair builder lifts the right half of
+coker(alpha) degree by degree over the total algebra, one constrained Hom
+solve per degree into the extended projective T(P^i).
 """
 
 from __future__ import annotations
@@ -25,21 +27,19 @@ from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 from .algebra import (Algebra, Bimodule, HomSpace, LeftModule, ModuleHom,
-                      RightModule, as_left, block_sum_module, dual_module,
-                      hom_space, image_module, is_exact_at,
-                      is_kernel_inclusion, other_side, quotient_module,
-                      tensor_bimodule_left, tensor_map_second)
+                      RightModule, as_left, dual_module, hom_space,
+                      is_exact_at, is_kernel_inclusion, other_side,
+                      quotient_module)
 from .homology import (ChainComplex, _precompose_matrix,
                        default_bound, ext_dims, fd_bounded, hom_complex,
                        hom_complex_co, id_bounded, is_exact_complex,
                        minimal_projective_resolution, pd_bounded)
-from .linalg import (FpMatrix, hstack, is_invertible, rank, rref, solve,
-                     vstack)
+from .linalg import FpMatrix, is_invertible, rank, rref, solve
 from .structure import (injective_indecomposables, is_injective,
                         is_projective, projective_indecomposables)
 from .trivext import (CopairModule, PairModule, RightPairModule,
                       TrivialExtension, _coextend, _extend, _inflate,
-                      copair_to_module, functor_C, functor_K, induced_delta,
+                      copair_to_module, functor_C, functor_K,
                       module_to_pair, opposite_extension, pair_to_module,
                       right_pair_to_module)
 
@@ -270,23 +270,23 @@ def _right_pair_hypotheses(rp: RightPairModule, bound: Optional[int]) -> dict:
 # constrained hom solving
 
 
-def solve_module_hom(source, target, p: FpMatrix,
-                     rp: FpMatrix) -> Optional[ModuleHom]:
-    """A module map T: source -> target with T @ P = RP, or None.  The
-    unknowns are T's coordinates in a basis of Hom(source, target)
-    echelonized from the last entry of vec(T) backwards, so the free ones
-    sit at the free columns of the system on all of vec(T): setting them to
-    0 gives the T that the solve of that system returns.  With a zero
-    source or target Hom is {0}, so T = 0 exactly when RP is zero."""
+def solve_module_hom(source, target, fixed: FpMatrix) -> Optional[ModuleHom]:
+    """A module map T: source -> target whose first fixed.rows rows are
+    `fixed`, or None.  The unknowns are T's coordinates in a basis of
+    Hom(source, target) echelonized from the last entry of vec(T)
+    backwards, so the free ones sit at the free columns of the system on
+    all of vec(T): setting them to 0 gives the T that the solve of that
+    system returns.  With a zero source or target Hom is {0} and `fixed`
+    is empty, so T = 0."""
     if source.dim == 0 or target.dim == 0:
-        return None if not rp.is_zero() else ModuleHom.zero(source, target)
+        return ModuleHom.zero(source, target)
     hs = hom_space(source, target)
     field = hs.field
     flat = rref(FpMatrix(hs.mat.arr[:, ::-1], field)).reduced.arr[::-1, ::-1]
-    basis = flat.reshape(hs.dim, target.dim, source.dim)
-    # one row per entry of RP, one column per basis map
-    c = solve(FpMatrix((basis @ p.arr).reshape(hs.dim, rp.rows * rp.cols).T,
-                       field), FpMatrix.column(rp.arr.reshape(-1), field))
+    # one row per entry of fixed (the first entries of vec(T)), one column
+    # per basis map
+    c = solve(FpMatrix(flat[:, :fixed.rows * source.dim].T, field),
+              FpMatrix.column(fixed.arr.reshape(-1), field))
     if c is None:
         return None
     return ModuleHom(source, target, FpMatrix(
@@ -310,36 +310,46 @@ class CompleteResolution:
     epi: ModuleHom             # complex.module_at(-1) -> M
 
 
-def complete_resolution(c, window: int) -> CompleteResolution:
-    """Degrees < 0 from the minimal projective resolution of c; degrees
-    >= 0 from the dual of the minimal resolution of Hom(c, A) over the
-    opposite algebra, glued by evaluation after the augmentation.  The
-    output is a genuine complete-resolution window exactly when c is
-    totally reflexive on the window (validated by callers).  A right
-    module is resolved as a left module over the opposite algebra."""
-    c = as_left(c)
+def _right_half(c: LeftModule, window: int
+                ) -> Tuple[ModuleHom, ChainComplex]:
+    """Degrees 0..window of c's complete resolution, the dual of the
+    minimal resolution of Hom(c, A) over the opposite algebra, with the
+    mono c -> P^0: evaluation after the augmentation."""
     cstar, hs = star_module(c)
-    cl = as_left(cstar)
-    res2 = minimal_projective_resolution(cl, window)
+    res = minimal_projective_resolution(as_left(cstar), window)
     # P^j := Hom_op(Q_j, op), a left module over c's algebra
-    stars = [star_module(t) for t in res2.terms]
-    right_terms = [as_left(mod) for mod, _ in stars]
-    spaces = [hs for _, hs in stars]
-    right_diffs = []
-    for j in range(len(res2.diffs)):
-        mat = _precompose_matrix(spaces[j], spaces[j + 1], res2.diffs[j])
-        right_diffs.append(ModuleHom(right_terms[j], right_terms[j + 1], mat,
-                                     validate=False))
-    # glue: c's basis vector b goes to "evaluate at b" after the augmentation
-    mono = ModuleHom(c, right_terms[0], spaces[0].coords_many(
-        hs.basis_array().transpose(2, 1, 0) @ res2.epi.matrix.arr),
+    stars = [star_module(q) for q in res.terms]
+    terms = [as_left(mod) for mod, _ in stars]
+    spaces = [sp for _, sp in stars]
+    diffs = [ModuleHom(terms[j], terms[j + 1], _precompose_matrix(
+        spaces[j], spaces[j + 1], d), validate=False)
+        for j, d in enumerate(res.diffs)]
+    # c's basis vector b goes to "evaluate at b" after the augmentation
+    mono = ModuleHom(c, terms[0], spaces[0].coords_many(
+        hs.basis_array().transpose(2, 1, 0) @ res.epi.matrix.arr),
         validate=False)
-    res1 = minimal_projective_resolution(c, window - 1)
-    mods = list(reversed(res1.terms)) + right_terms
-    diffs = list(reversed(res1.diffs)) + [mono.compose(res1.epi)] + \
-        right_diffs
-    cx = ChainComplex(-window, mods, diffs, validate=False)
-    return CompleteResolution(c, cx, mono, res1.epi)
+    return mono, ChainComplex(0, terms, diffs, validate=False)
+
+
+def _spliced(source, mod, length: int, mono: ModuleHom,
+             right: ChainComplex) -> CompleteResolution:
+    """The minimal resolution of mod to `length` in degrees < 0, mono o
+    epi at degree -1 and `right` from degree 0 on."""
+    res = minimal_projective_resolution(mod, length)
+    cx = ChainComplex(-(length + 1), list(reversed(res.terms)) + right.modules,
+                      list(reversed(res.diffs)) + [mono.compose(res.epi)] +
+                      right.diffs)
+    return CompleteResolution(source, cx, mono, res.epi)
+
+
+def complete_resolution(c, window: int) -> CompleteResolution:
+    """Degrees < 0 from the minimal projective resolution of c, degrees
+    >= 0 from `_right_half`.  The output is a genuine complete-resolution
+    window exactly when c is totally reflexive on the window (validated by
+    callers).  A right module is resolved as a left module over the
+    opposite algebra."""
+    c = as_left(c)
+    return _spliced(c, c, window - 1, *_right_half(c, window))
 
 
 def _window_checks(cx: ChainComplex, mono: ModuleHom, hom_key: str,
@@ -367,16 +377,17 @@ def validate_complete_resolution(cr: CompleteResolution) -> dict:
 def build_pair_complete_resolution(pair: PairModule, window: int = None
                                    ) -> CompleteResolution:
     """Degrees < 0 from the minimal projective resolution of the pair's
-    module over the extension; degrees >= 0 lifted from a complete
-    resolution of coker(alpha) over the base, degree by degree, to the
-    extended projectives T(P) = P + M ox P (the P block first), with the
-    mixed blocks of the differentials found by constrained linear solves.
+    module K^0 over the extension; degrees >= 0 lifted from the right half
+    P of a complete resolution of coker(alpha) over the base to the
+    extended projectives T(P^i) = P^i + M ox P^i (the P block first).  The
+    lift lambda_i: K^i -> T(P^i) is the module map over the extension
+    whose P block is K^i -> N^i -> P^i, for N^i = im d^(i-1) (N^0 =
+    coker(alpha)), and K^(i+1) = coker(lambda_i); d^i = lambda_(i+1) q_i.
     Under the lifting hypotheses the negative terms are T(P_j), up to
     isomorphism, for P_j the minimal resolution of coker(alpha).  The
-    complex spans degrees [-window-1, window]; mono and epi are the kernel
-    and cokernel witnesses on the pair's module over the extension."""
+    complex spans degrees [-window-1, window]; mono = lambda_0 and epi are
+    the kernel and cokernel witnesses on the pair's module."""
     t = pair.t
-    field = t.field
     if window is None:
         window = default_bound(t.total)
     hyp = thm_pair_hypotheses(pair)
@@ -384,63 +395,29 @@ def build_pair_complete_resolution(pair: PairModule, window: int = None
         raise GorensteinError("lifting hypotheses unmet: structure "
                               "sequence not exact or cokernel refuted")
     coker, rho = functor_C(pair)
-    cr = complete_resolution(coker, window)
-    m = t.bimodule
-
-    def mten(x):
-        return tensor_bimodule_left(m, x)
-
-    # lambda_i: K^i -> W^i = P^i + M ox P^i and q_i: W^i -> K^{i+1} =
-    # coker(lambda_i), with K^0 = X; delta: M ox coker -> X with
-    # delta o (M ox rho) = alpha
-    lambdas, qs = [], []
-    k_mod, rho_k = pair.x, rho.matrix
-    delta = induced_delta(pair).matrix if coker.dim else FpMatrix.zeros(
-        pair.x.dim, mten(coker).space.dim, field)
-    n_incl, ts_n = cr.mono, mten(coker)
-    for i in range(window + 1):
-        p_i = cr.complex.module_at(i)
-        ts_p = mten(p_i)
-        m_iota = tensor_map_second(ts_n, ts_p, n_incl)
-        psi = solve_module_hom(k_mod, ts_p.space, delta, m_iota.matrix)
-        if psi is None:
+    iota, right = _right_half(coker, window)
+    mid = pair_to_module(pair)
+    terms = [_extend(t, p) for p in right.modules]
+    # the P block of lambda_0 is iota rho; that of lambda_(i+1) is the map
+    # K^(i+1) -> P^(i+1) that (d^i, 0): T(P^i) -> P^(i+1) induces, as it
+    # kills im lambda_i, read through the section of K^(i+1)
+    k_mod, block = mid, iota.matrix @ rho.matrix
+    diffs = []
+    for i, term in enumerate(terms):
+        lam = solve_module_hom(k_mod, term, block)
+        if lam is None:
             raise GorensteinError("lifting solve failed at degree "
                                   f"{i}; compatibility presumably unmet")
-        lambdas.append(vstack([n_incl.matrix @ rho_k, psi.matrix]))
-        if i == window:
-            break
-        w_i = block_sum_module([p_i, ts_p.space])
-        n_next, n_incl, f_cor = image_module(cr.complex.diff_at(i))
-        ts_n = mten(n_next)
-        k_mod, q_hom, q_incl = quotient_module(w_i, lambdas[i])
-        qs.append(q_hom.matrix)
-        m_fcor = tensor_map_second(ts_p, ts_n, f_cor)
-        # q on the M ox P^i block
-        rhs = FpMatrix(q_hom.matrix.arr[:, p_i.dim:], field)
-        dtr = solve(m_fcor.matrix.transpose(), rhs.transpose())
-        if dtr is None:
-            raise GorensteinError("cokernel transport failed at degree "
-                                  f"{i}")
-        delta = dtr.transpose()
-        full = hstack([f_cor.matrix, FpMatrix.zeros(
-            n_next.dim, ts_p.space.dim, field)])
-        rho_k = full @ q_incl
-        if rho_k @ q_hom.matrix != full:
-            raise GorensteinError("induced projection does not descend at "
-                                  f"degree {i}")
-
-    # assemble over the total algebra: the resolution of the module on the
-    # left, lambda_0 after its augmentation at degree -1, lambda_{i+1} q_i
-    # on the right
-    mid = pair_to_module(pair)
-    res = minimal_projective_resolution(mid, window)
-    right = [_extend(t, cr.complex.module_at(i)) for i in range(window + 1)]
-    mono = ModuleHom(mid, right[0], lambdas[0])
-    cx = ChainComplex(-(window + 1), list(reversed(res.terms)) + right, list(
-        reversed(res.diffs)) + [mono.compose(res.epi)] + [
-        ModuleHom(right[i], right[i + 1], lambdas[i + 1] @ qs[i])
-        for i in range(window)])
-    return CompleteResolution(pair, cx, mono, res.epi)
+        if i == 0:
+            mono = lam
+        else:
+            diffs.append(lam.compose(q))
+        if i < window:
+            k_mod, q, section = quotient_module(term, lam.matrix)
+            d = right.diff_at(i).matrix
+            block = d @ FpMatrix(section.arr[:d.cols], t.field)
+    return _spliced(pair, mid, window, mono,
+                    ChainComplex(0, terms, diffs, validate=False))
 
 
 def validate_pair_complete_resolution(res: CompleteResolution) -> dict:

@@ -394,15 +394,16 @@ def _full_basis_tensor(bim, x):
                                  in zip(bim.right_action, x.action)]))
 
 
-def _full_basis_solve(m, n, pmat, rp):
-    """solve_module_hom's system with every basis element intertwined."""
+def _full_basis_solve(m, n, fixed):
+    """solve_module_hom's system with every basis element intertwined: the
+    first fixed.rows rows of T, the first entries of vec(T), are fixed."""
     field = m.over.field
     system = _full_basis_system(m, n)
-    x = solve(vstack([system, kron(FpMatrix.identity(n.dim, field),
-                                   pmat.transpose())]),
+    pinned = FpMatrix.identity(n.dim * m.dim, field).arr[:fixed.rows * m.dim]
+    x = solve(vstack([system, FpMatrix(pinned, field)]),
               FpMatrix.column(np.concatenate([
                   np.zeros(system.rows, dtype=np.int64),
-                  rp.arr.reshape(-1)]), field))
+                  fixed.arr.reshape(-1)]), field))
     return FpMatrix(x.arr.reshape(n.dim, m.dim), field)
 
 
@@ -418,11 +419,12 @@ def test_generator_hom_system_matches_full_basis(name, p, cls, seed):
     for src, tgt in ((m, n), (n, m), (m, m)):
         hs = hom_space(src, tgt)
         assert hs.mat == kernel_basis(_full_basis_system(src, tgt))
-        # a solve with constraints that some module map meets
+        # a solve with constraints that some module map meets: its first
+        # two rows
         h = hs.element(rng.integers(0, p, size=hs.dim)).matrix
-        pmat = FpMatrix(rng.integers(0, p, size=(src.dim, 2)), a.field)
-        got = solve_module_hom(src, tgt, pmat, h @ pmat)
-        assert got.matrix == _full_basis_solve(src, tgt, pmat, h @ pmat)
+        fixed = FpMatrix(h.arr[:2], a.field)
+        got = solve_module_hom(src, tgt, fixed)
+        assert got.matrix == _full_basis_solve(src, tgt, fixed)
     # tensor products and Hom modules are built without the law check
     x, y = as_left(m), as_left(n)
     b = x.over
@@ -438,9 +440,9 @@ def test_generator_hom_system_matches_full_basis(name, p, cls, seed):
 
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(name=st.sampled_from(sorted(ALGEBRAS)), p=st.sampled_from([2, 3, 101]),
-       cols=st.sampled_from([0, 1]), seed=st.integers(0, 2 ** 32 - 1))
-def test_underdetermined_solve_matches_full_system(name, p, cols, seed):
-    # one constraint column (or none) leaves many module maps, so this pins
+       rows=st.sampled_from([0, 1]), seed=st.integers(0, 2 ** 32 - 1))
+def test_underdetermined_solve_matches_full_system(name, p, rows, seed):
+    # one constrained row (or none) leaves many module maps, so this pins
     # which one is returned: the full system's, with its free entries of
     # vec(T) set to 0
     a = ALGEBRAS[name](FieldSpec(p))
@@ -448,9 +450,9 @@ def test_underdetermined_solve_matches_full_system(name, p, cols, seed):
     m, n = random_module(a, rng), random_module(a, rng)
     hs = hom_space(m, n)
     h = hs.element(rng.integers(0, p, size=hs.dim)).matrix
-    pmat = FpMatrix(rng.integers(0, p, size=(m.dim, cols)), a.field)
-    got = solve_module_hom(m, n, pmat, h @ pmat)
-    assert got.matrix == _full_basis_solve(m, n, pmat, h @ pmat)
+    fixed = FpMatrix(h.arr[:rows], a.field)
+    got = solve_module_hom(m, n, fixed)
+    assert got.matrix == _full_basis_solve(m, n, fixed)
 
 
 def _copy(m):

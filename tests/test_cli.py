@@ -179,13 +179,33 @@ def test_unknown_references_name_both_entities(corpus):
     ({"modules": {"m": {"over": "k2", "side": "rigth",
                         "action": [[[1]]]}}},
      'module \'m\': side: expected "left" or "right", got "rigth"'),
+    ({"modules": {"m": {"over": "k2", "action": [[[1.5]]]}}},
+     "module 'm': action: expected an integer, got 1.5"),
+    ({"algebras": {"k": {"structure_constants": [[[True]]], "unit": [1]}}},
+     "algebra 'k': structure_constants: expected an integer, got true"),
+    ({"algebras": {"k": {"structure_constants": [[[1]]], "unit": [1.0]}}},
+     "algebra 'k': unit: expected an integer, got 1.0"),
+    ({"modules": {"m": {"over": "k2", "action": [[[1, 0], [0]]]}}},
+     "module 'm': action: rows of unequal length"),
+    ({"modules": {"m": {"over": "k2", "action": 5}}},
+     "module 'm': action: expected a list, got 5"),
+    ({"modules": {"m": {"over": "k2", "action": [[[10 ** 20]]]}}},
+     "module 'm': action: integer out of the int64 range"),
+    ({"algebras": {"q": {"quiver": {"vertices": 2, "arrows": [5]}}}},
+     "algebra 'q': quiver.arrows: expected a list, got 5"),
+    ({"algebras": {"q": {"quiver": {"vertices": 2,
+                                    "arrows": [[0, 1, 1]]}}}},
+     "algebra 'q': quiver.arrows: expected [source, target], got [0, 1, 1]"),
 ], ids=["missing", "not_utf8", "list", "field_int", "p_text", "p_composite",
         "p_too_large", "p_float", "p_numeric_text", "p_bool",
         "algebra_p_float", "algebra_p_text", "algebras_list",
         "quiver_relation_index", "quiver_path_index", "quiver_arrow_vertex",
         "bimodule_action_sizes", "quiver_relation_bool",
         "quiver_vertices_float", "quiver_relation_float",
-        "quiver_arrow_text", "module_side"])
+        "quiver_arrow_text", "module_side", "action_float",
+        "structure_constants_bool", "unit_float", "action_ragged",
+        "action_not_a_list", "action_huge_int", "quiver_arrow_not_a_list",
+        "quiver_arrow_three_ends"])
 def test_bad_workspace_exits_2_naming_the_fault(tmp_path, capsys, corpus,
                                                 content, named):
     # content: raw bytes, or keys that replace those of the built-in corpus
@@ -366,7 +386,8 @@ def test_readme_pass_builds_each_tensor_and_hom_module_once(tmp_path,
                                                            monkeypatch):
     # each command is one job with a fresh load; within a job, tensor
     # products and Hom modules are shared by content, so the pass builds
-    # 53 and 25 of them, and `resolve pair --window 3` one per content
+    # 45 and 25 of them, and `resolve pair --window 3` one per content:
+    # the lift builds only the tensors of its extended projectives T(P^i)
     built = {"tensor": 0, "hom": 0}
     build_tensor, build_hom = algebra._tensor_space, algebra.HomModule.__init__
 
@@ -389,4 +410,4 @@ def test_readme_pass_builds_each_tensor_and_hom_module_once(tmp_path,
         assert main(argv + ["--out", str(out_path)]) == 0
         per_command[command[:2]] = {k: built[k] - before[k] for k in built}
     assert built["tensor"] <= 60 and built["hom"] <= 30, built
-    assert per_command["resolve", "pair"]["tensor"] <= 14, per_command
+    assert per_command["resolve", "pair"]["tensor"] <= 8, per_command

@@ -277,40 +277,39 @@ def test_compatibility_not_established_over_dual_numbers(d_ext):
 def test_solve_module_hom_constraints(d_ext):
     reg = LeftModule.regular(d_ext.total)
     ident = FpMatrix.identity(2, FIELD2)
-    got = solve_module_hom(reg, reg, ident, ident)
+    got = solve_module_hom(reg, reg, ident)
     assert got is not None and got.matrix == ident
     got.validate()
-    # inconsistent: require the zero map to equal the identity
-    zero = FpMatrix.zeros(2, 2, FIELD2)
-    assert solve_module_hom(reg, reg, zero, ident) is None
+    # End(reg) is a + b.y: fixing the first row leaves b free, set to 0
+    got = solve_module_hom(reg, reg, FpMatrix([[1, 0]], FIELD2))
+    assert got is not None and got.matrix == ident
+    # inconsistent: no module map has a nonzero entry above the diagonal
+    assert solve_module_hom(reg, reg, FpMatrix([[0, 1]], FIELD2)) is None
     # two distinct simples of A2: Hom = 0, so only the zero map is left
     s0, s1 = simples(a2_algebra(FIELD2))
     one, nil = FpMatrix.identity(1, FIELD2), FpMatrix.zeros(1, 1, FIELD2)
     assert hom_space(s0, s1).dim == 0
-    got = solve_module_hom(s0, s1, one, nil)
+    got = solve_module_hom(s0, s1, nil)
     assert got is not None and got.is_zero()
-    assert solve_module_hom(s0, s1, one, one) is None
+    assert solve_module_hom(s0, s1, one) is None
 
 
 def test_solve_module_hom_with_a_zero_side(d_ext, monkeypatch):
-    # Hom(M, 0) = Hom(0, M) = {0}: no Hom space is built, and a nonzero
-    # required value has no solution
+    # Hom(M, 0) = Hom(0, M) = {0}: no Hom space is built, and the fixed
+    # rows, which a zero side leaves empty, are met by the zero map
     def no_hom_space(*_):
         raise AssertionError("Hom space built for a zero module")
 
     monkeypatch.setattr(extalg.gorenstein, "hom_space", no_hom_space)
     reg = LeftModule.regular(d_ext.total)
     zero = LeftModule.zero(d_ext.total)
-    wanted = FpMatrix.identity(2, FIELD2)
-    zero_wanted = FpMatrix.zeros(2, 2, FIELD2)
-    got = solve_module_hom(reg, zero, wanted, FpMatrix.zeros(0, 2, FIELD2))
+    got = solve_module_hom(reg, zero, FpMatrix.zeros(0, 2, FIELD2))
     assert got is not None and (got.target.dim, got.source.dim) == (0, 2)
-    from_zero = FpMatrix.zeros(0, 2, FIELD2)
-    assert solve_module_hom(zero, reg, from_zero, wanted) is None
-    got = solve_module_hom(zero, reg, from_zero, zero_wanted)
-    assert got is not None and (got.target.dim, got.source.dim) == (2, 0)
+    for rows in (0, 2):
+        got = solve_module_hom(zero, reg, FpMatrix.zeros(rows, 0, FIELD2))
+        assert got is not None and (got.target.dim, got.source.dim) == (2, 0)
     empty = FpMatrix.zeros(0, 0, FIELD2)
-    assert solve_module_hom(zero, zero, empty, empty).matrix.rows == 0
+    assert solve_module_hom(zero, zero, empty).matrix.rows == 0
 
 
 # ---------------------------------------------------------------------------
@@ -370,24 +369,38 @@ def test_pair_resolution_triangular(tri_ext):
 def test_pair_lifting_builds_nothing_past_its_window(d_ext, monkeypatch,
                                                      window):
     # degrees < 0 resolve the pair's module and only degrees >= 0 are
-    # lifted: no resolution runs past degree `window`, and the gluing
-    # evaluates at c's vectors directly instead of through c**
-    lengths = []
+    # lifted: no resolution runs past degree `window`, coker(alpha) itself
+    # is never resolved (only Hom(coker(alpha), A) and the pair's module
+    # are), and the gluing evaluates at c's vectors directly instead of
+    # through c**
+    calls, cokers = [], []
     resolve = extalg.gorenstein.minimal_projective_resolution
+    cokernel = extalg.gorenstein.functor_C
 
     def spy(m, n):
-        lengths.append(n)
+        calls.append((m, n))
         return resolve(m, n)
+
+    def coker_spy(p):
+        out = cokernel(p)
+        cokers.append(out[0])
+        return out
 
     def no_biduality(*_):
         raise AssertionError("biduality map built")
 
     monkeypatch.setattr(extalg.gorenstein, "minimal_projective_resolution",
                         spy)
+    monkeypatch.setattr(extalg.gorenstein, "functor_C", coker_spy)
     monkeypatch.setattr(extalg.gorenstein, "biduality_map", no_biduality)
     pair = module_to_pair(LeftModule.regular(d_ext.total), d_ext)
     res = build_pair_complete_resolution(pair, window)
-    assert lengths and max(lengths) <= window
+    assert calls and max(n for _, n in calls) <= window
+    assert cokers and not any(m is c for m, _ in calls for c in cokers)
+    star = as_left(star_module(cokernel(pair)[0])[0])
+    assert sorted(m is pair.module for m, _ in calls) == [False, True]
+    assert all(m is pair.module or m.action == star.action
+               for m, _ in calls)
     assert (res.complex.lo, res.complex.hi) == (-window - 1, window)
     val = validate_pair_complete_resolution(res)
     assert all(val[k] for k in ("window_exact", "kernel_identified",

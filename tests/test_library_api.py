@@ -29,9 +29,12 @@ PAPER_API = {
     "ShortExactSequence.is_exact": "exactness of the paper's sequences",
     "ses_of_pair": "0 -> Z(im alpha) -> (X, alpha) -> Z(coker alpha) -> 0",
     "ses_of_copair": "0 -> Z(ker beta) -> [Y, beta] -> Z(im beta) -> 0",
+    "induced_delta": "delta: M ox coker(alpha) -> X of a pair",
     "induced_gamma": "gamma: Y -> Hom(M, ker beta) of a copair",
     "tensor_iso_pair": "Z(W) ox (X, alpha) = W ox coker(alpha)",
     "hom_iso_copair": "Hom(X, ker beta) = Hom(Z(X), [Y, beta])",
+    "complete_resolution": "a complete resolution of a module over the "
+                           "base",
     "validate_complete_resolution": "the defining checks of a complete "
                                     "resolution, Hom into projectives",
     "theta": "the isomorphism from tuples to pairs over the extension",
