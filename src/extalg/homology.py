@@ -12,6 +12,11 @@ Hom(resolution, N) by `ext_dims`: off the blocks Hom(P_i, N) = e_i.N of
 the PIM summands P_i = A.e_i of each term, with no `HomSpace`, degree by
 degree while the resolution grows one cover at a time, so a reader that
 stops early covers nothing it did not read.
+
+A dimension walk stops at the first semisimple non-projective syzygy
+Omega^b(m) whose cover names the same PIMs as an earlier Omega^a(m): both
+have pd = max pd(S_i) over those PIMs, and a finite pd(m) would make it
+pd(m) - a = pd(m) - b, so pd(m) is infinite and the answer exceeds(bound).
 """
 
 from __future__ import annotations
@@ -31,10 +36,10 @@ from .structure import (ProjectivePresentation, _pim_triples, pim_homs,
 
 
 def default_bound(a: Algebra) -> int:
-    """The Ext and dimension bound used when none is given.  Over the
-    3-dimensional wild algebra k<x,y>/(x,y)^2 it resolves to degree 10
-    while the syzygies double each step, so a caller there passes a bound
-    (the CLI's `--bound`)."""
+    """The Ext and dimension bound used when none is given.  Where no
+    repeated semisimple syzygy stops the walk (`pd_bounded`), degree 10
+    can mean syzygies doubling each step, so a caller passes `--bound`:
+    over W |x W, W = k<x,y>/(x,y)^2, and for a resolution over W."""
     return max(10, 2 * a.dim)
 
 
@@ -137,7 +142,8 @@ def non_minimal_resolution(m, n: int) -> Resolution:
     epi = ModuleHom(cover, m, hstack([pres.epi.matrix, FpMatrix.zeros(
         m.dim, extra.dim, m.over.field)]), validate=False)
     return _resolve(ProjectivePresentation(
-        m, cover, epi, *kernel_module(epi), pres.summands + (0,)), n)
+        m, cover, epi, *kernel_module(epi), pres.summands + (0,),
+        pres.semisimple), n)
 
 
 def syzygy(m, i: int):
@@ -240,15 +246,20 @@ class DimensionVerdict:
 
 
 def pd_bounded(m, bound: Optional[int] = None) -> DimensionVerdict:
-    """Projective dimension, certified by a minimal resolution with zero
-    final syzygy; ExceedsBound when none appears within the bound."""
+    """Projective dimension, certified finite by a minimal resolution with
+    zero final syzygy; exceeds(bound) when none appears within the bound,
+    or sooner on a repeated semisimple syzygy (module docstring)."""
     if bound is None:
         bound = default_bound(m.over)
-    cur = m
+    cur, supports = m, set()
     for d in range(bound + 1):
         pres = projective_cover(cur)
         if pres.kernel.dim == 0:
             return DimensionVerdict.finite(d)
+        if pres.semisimple:
+            if frozenset(pres.summands) in supports:
+                break
+            supports.add(frozenset(pres.summands))
         cur = pres.kernel
     return DimensionVerdict.exceeds(bound)
 

@@ -403,13 +403,15 @@ def find_isomorphism(m, n) -> Optional[ModuleHom]:
 
 @dataclass
 class ProjectivePresentation:
-    """summands[s] is the index i of the s-th summand P_i of cover."""
+    """summands[s] is the index i of the s-th summand P_i of cover, and
+    semisimple says rad(module) = 0."""
     module: object
     cover: object
     epi: ModuleHom
     kernel: object
     kernel_inclusion: ModuleHom
     summands: Tuple[int, ...]
+    semisimple: bool
 
 
 def projective_cover(m) -> ProjectivePresentation:
@@ -424,11 +426,11 @@ def projective_cover(m) -> ProjectivePresentation:
     if left.dim == 0:
         z = LeftModule.zero(left.over)
         return ProjectivePresentation(left, z, ModuleHom.zero(z, left), z,
-                                      ModuleHom.zero(z, z), ())
-    cover, epi, ker, ker_incl, summands = shared(
+                                      ModuleHom.zero(z, z), (), True)
+    cover, epi, *parts = shared(
         m, left.over, "covers", (), lambda: _cover_parts(left))
     return ProjectivePresentation(left, cover, ModuleHom(
-        cover, left, epi, validate=False), ker, ker_incl, summands)
+        cover, left, epi, validate=False), *parts)
 
 
 def pim_homs(m) -> List[np.ndarray]:
@@ -451,7 +453,8 @@ def pim_homs(m) -> List[np.ndarray]:
 
 
 def _cover_parts(m: LeftModule):
-    """(cover, epi matrix, kernel, kernel inclusion, summands) of m != 0.
+    """(cover, epi matrix, kernel, kernel inclusion, summands, semisimple)
+    of m != 0.
 
     Each basis map phi_w of Hom(P_i, m) (`pim_homs`), over every i in turn,
     is a candidate.  Their images in top(m) are row-reduced side by side in
@@ -489,7 +492,8 @@ def _cover_parts(m: LeftModule):
     ker, ker_incl = _echelon_submodule(cover, rows, np.concatenate(moved, 2))
     if ker.dim != cover.dim - m.dim:
         raise StructureError("candidate cover map is not surjective")
-    return cover, epi, ker, ker_incl, tuple(i for i, _ in chosen)
+    return (cover, epi, ker, ker_incl, tuple(i for i, _ in chosen),
+            len(pi) == m.dim)
 
 
 def is_projective(m) -> bool:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from extalg import structure
 from extalg.algebra import (Bimodule, LeftModule, RightModule,
                             block_sum_module, field_algebra, hom_space,
                             monomial_quiver_algebra, product_algebra,
@@ -150,6 +151,25 @@ def monomial_quivers(draw):
             for j, (s, _) in enumerate(arrows) if t == s]
     zero = draw(st.lists(st.sampled_from(twos), unique=True)) if twos else []
     return n, arrows, paths + zero
+
+
+# ---------------------------------------------------------------------------
+# spies
+
+
+def _count_cover_builds(monkeypatch, limit=None):
+    """The dimensions of the modules whose cover is computed from now on;
+    a build past `limit` raises, so a walk that does not stop fails fast
+    instead of covering ever larger syzygies."""
+    dims, build = [], structure._cover_parts
+
+    def counted(m):
+        dims.append(m.dim)
+        if limit is not None and len(dims) > limit:
+            raise AssertionError(f"more than {limit} cover builds: {dims}")
+        return build(m)
+    monkeypatch.setattr(structure, "_cover_parts", counted)
+    return dims
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from conftest import _count_cover_builds
 from extalg import algebra, cli
 from extalg.algebra import AlgebraError, monomial_quiver_algebra
 from extalg.cli import (SCHEMA_VERSION, Workspace, WorkspaceError,
@@ -367,6 +368,38 @@ def test_library_error_exits_2_naming_the_instance(tmp_path, capsys):
     assert verdict["answer"] == "certified_yes"
     assert verdict["regime"] == "self_injective"
     assert verdict["certificate"] == {"reason": "projective"}
+
+
+# the local wild algebra k<x,y>/(x,y)^2 extended by the zero bimodule, with
+# the pair of its simple module
+WILD_WORKSPACE = {
+    "schema_version": SCHEMA_VERSION,
+    "algebras": {"wild": {"quiver": {
+        "vertices": 1, "arrows": [[0, 0], [0, 0]],
+        "zero_relations": [[0, 0], [0, 1], [1, 0], [1, 1]]}}},
+    "bimodules": {"zero": {"left_over": "wild", "right_over": "wild",
+                           "left_action": [[], [], []],
+                           "right_action": [[], [], []]}},
+    "modules": {"simple": {"over": "wild",
+                           "action": [[[1]], [[0]], [[0]]]}},
+    "extensions": {"e": {"base": "wild", "bimodule": "zero"}},
+    "pairs": {"simple_pair": {"extension": "e", "x": "simple",
+                              "alpha": [[]]}},
+}
+
+
+def test_check_gp_on_the_wild_simple_needs_no_bound(tmp_path, monkeypatch):
+    # the self-injective dimensions of the wild algebra stop at their first
+    # repeated semisimple syzygy, not at the default bound 10, where the
+    # syzygies of D(A) reach dimension 3 * 2^10
+    _count_cover_builds(monkeypatch, limit=8)
+    path, out = tmp_path / "wild.json", tmp_path / "report.json"
+    path.write_text(json.dumps(WILD_WORKSPACE))
+    assert main(["check", "gp", str(path), "--out", str(out)]) == 0
+    verdict = json.loads(out.read_text())["results"]["simple_pair"]
+    assert verdict["answer"] == "certified_no"
+    assert verdict["bound"] == 10
+    assert verdict["certificate"]["index"] == 1
 
 
 @pytest.mark.parametrize("error", [AlgebraError, LinalgError, StructureError,

@@ -3,10 +3,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import FIELD2, a2_algebra, local_wild_algebra, \
-    monomial_quivers, random_module, square_zero_extension
-from extalg.algebra import (Algebra, AlgebraError, HomSpace, LeftModule,
-                            RightModule, hom_space, monomial_quiver_algebra)
+from conftest import (FIELD2, a2_algebra, a2_morita_ring, double_extension,
+                      local_wild_algebra, monomial_quivers, nakayama_ring,
+                      product_morita_ring, random_module,
+                      square_zero_extension, triangular_extension)
+from extalg.algebra import (Algebra, AlgebraError, Bimodule, HomSpace,
+                            LeftModule, RightModule, dual_module, hom_space,
+                            monomial_quiver_algebra, product_algebra)
 from extalg.gorenstein import CERTIFIED_NO, gp_check
 from extalg.homology import (ChainComplex, DimensionVerdict,
                              _precompose_matrix, default_bound, ext, ext_dims,
@@ -15,7 +18,8 @@ from extalg.homology import (ChainComplex, DimensionVerdict,
                              minimal_projective_resolution,
                              non_minimal_resolution, pd_bounded, syzygy)
 from extalg.linalg import FieldSpec, FpMatrix, inverse, rank
-from extalg.structure import find_isomorphism, simples
+from extalg.structure import find_isomorphism, projective_cover, simples
+from extalg.trivext import trivial_extension
 
 
 @pytest.fixture(scope="module")
@@ -189,6 +193,114 @@ def test_wild_algebra_dimensions():
     s = simples(w)[0]
     assert pd_bounded(s, 3) == DimensionVerdict.exceeds(3)
     assert id_bounded(LeftModule.regular(w), 3) == DimensionVerdict.exceeds(3)
+
+
+# ---------------------------------------------------------------------------
+# dimension verdicts against the walk to the bound
+
+
+def _walked_pd(m, bound, cap=None):
+    """pd_bounded's verdict off the cover of every syzygy up to the bound,
+    with no early stop; None once a syzygy has dimension above cap."""
+    for d in range(bound + 1):
+        m = projective_cover(m).kernel
+        if m.dim == 0:
+            return DimensionVerdict.finite(d)
+        if cap is not None and m.dim > cap:
+            return None
+    return DimensionVerdict.exceeds(bound)
+
+
+def _check_dimension_walks(a, seed, top=5, cap=None):
+    """pd_bounded and id_bounded against _walked_pd at bounds 0..top, on
+    the simples, both regular modules, both duals of A and a seeded random
+    module, left and right."""
+    rng = np.random.default_rng(seed)
+    left = simples(a) + [LeftModule.regular(a),
+                         dual_module(RightModule.regular(a)),
+                         random_module(a, rng)]
+    right = [dual_module(s) for s in simples(a)] + [
+        RightModule.regular(a), dual_module(LeftModule.regular(a)),
+        random_module(a, rng, cls=RightModule)]
+    for m in left + right:
+        for bound in range(top + 1):
+            want = _walked_pd(m, bound, cap)
+            if want is not None:
+                assert pd_bounded(m, bound) == want, (m, bound)
+            want = _walked_pd(dual_module(m), bound, cap)
+            if want is not None:
+                assert id_bounded(m, bound) == want, (m, bound)
+
+
+def _path(n):
+    return lambda field: monomial_quiver_algebra(
+        n, [(i, i + 1) for i in range(n - 1)], [], field)
+
+
+def _nakayama(n, k):
+    """N(n,k): the cyclic quiver on n vertices, paths of length k zero."""
+    return lambda field: monomial_quiver_algebra(
+        n, [(i, (i + 1) % n) for i in range(n)],
+        [[(s + j) % n for j in range(k)] for s in range(n)], field)
+
+
+def _times_wild(first):
+    return lambda field: product_algebra(first(field),
+                                         local_wild_algebra(field))[0]
+
+
+DIMENSION_ALGEBRAS = {
+    "dual_numbers": lambda field: square_zero_extension(field).total,
+    "triangular": lambda field: triangular_extension(field).total,
+    "a2": a2_algebra,
+    "wild": local_wild_algebra,
+    "dual_numbers_squared": lambda field: double_extension(field).total,
+    "nakayama_ring": lambda field: nakayama_ring(field).total,
+    "a2_ring": lambda field: a2_morita_ring(field).total,
+    "product_ring": lambda field: product_morita_ring(field).total,
+    "A3": _path(3), "A4": _path(4),
+    "N(2,2)": _nakayama(2, 2), "N(3,2)": _nakayama(3, 2),
+    "N(3,3)": _nakayama(3, 3), "N(4,3)": _nakayama(4, 3),
+    "dual_numbers_x_wild": _times_wild(
+        lambda field: square_zero_extension(field).total),
+    "N(3,2)_x_wild": _times_wild(_nakayama(3, 2)),
+}
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, 65521])
+@pytest.mark.parametrize("name", sorted(DIMENSION_ALGEBRAS))
+def test_dimension_verdicts_match_the_walk_to_the_bound(name, p):
+    # over the wild algebra and its products the syzygies are semisimple
+    # from degree 1 on, and the verdicts stop before the bound
+    _check_dimension_walks(DIMENSION_ALGEBRAS[name](FieldSpec(p)), p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, 65521])
+def test_dimension_verdicts_over_wild_by_wild_match_the_walk(p):
+    # the syzygies of wild |x wild are not semisimple and grow fast
+    wild = local_wild_algebra(FieldSpec(p))
+    _check_dimension_walks(
+        trivial_extension(wild, Bimodule.regular(wild)).total, p, top=3)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(quiver=monomial_quivers(), p=st.sampled_from([2, 3, 101, 65521]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(quiver=(3, [(2, 0), (0, 2), (0, 1)],
+                 [(0, 1, 0), (1, 0, 1), (1, 0, 2), (0, 1)]), p=2, seed=0)
+def test_dimension_verdicts_over_monomial_quivers_match_the_walk(quiver, p,
+                                                                 seed):
+    # in the example a simple of finite pd has a semisimple and a
+    # non-semisimple syzygy whose covers name the same PIM: a repeated
+    # support certifies nothing unless both syzygies are semisimple
+    n, arrows, relations = quiver
+    try:
+        a = monomial_quiver_algebra(n, arrows, relations, FieldSpec(p),
+                                    max_dim=30)
+    except AlgebraError:
+        return  # more than 30 paths
+    # wild algebras: the walk to bound 5 meets syzygies of dimension 6^5
+    _check_dimension_walks(a, seed, cap=64)
 
 
 def test_hom_complex_reverses_indices(d_total, k_over_d):

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (FIELD2, a2_algebra, double_extension,
-                      local_wild_algebra, monomial_quivers, random_module,
-                      square_zero_extension, triangular_extension)
+from conftest import (FIELD2, _count_cover_builds, a2_algebra,
+                      double_extension, local_wild_algebra, monomial_quivers,
+                      random_module, square_zero_extension,
+                      triangular_extension)
 from extalg import structure
 from extalg.algebra import (Algebra, AlgebraError, HomSpace, LeftModule,
                             RightModule, as_left, block_sum_module,
@@ -262,8 +263,10 @@ def test_one_cover_per_content(monkeypatch):
     built = _count_cover_builds(monkeypatch)
     wild = local_wild_algebra(FIELD2)
     assert gorenstein_regime(wild, 5)[0] == UNKNOWN
-    # wild is commutative: D(A) is one content on both sides, one chain
-    assert len(built) == 6
+    # wild is commutative: D(A) is one content on both sides, one chain;
+    # Omega^1 D(A) = S^3 and Omega^2 D(A) = S^6 are semisimple with the
+    # same cover support, so the chain stops there, within the bound
+    assert built == [3, 3, 6]
     built.clear()
     v = gp_check(simples(wild)[0], 5)
     assert (v.answer, v.certificate["index"]) == (CERTIFIED_NO, 1)
@@ -284,6 +287,27 @@ def test_one_cover_per_content(monkeypatch):
     first = id_bounded(m)
     built.clear()
     assert id_bounded(m) == first and not built
+
+
+@pytest.mark.parametrize("p", [2, 65521])
+def test_wild_verdicts_without_a_bound_stop_at_a_repeated_syzygy(
+        monkeypatch, p):
+    # every syzygy over k<x,y>/(x,y)^2 is a power of its simple S, so each
+    # walk stops at its second syzygy of cover support {S}; the walks to
+    # the default bound 10 would cover modules of dimension up to 3 * 2^10
+    built = _count_cover_builds(monkeypatch, limit=8)
+    wild = local_wild_algebra(FieldSpec(p))
+    s = simples(wild)[0]
+    never = DimensionVerdict.exceeds(10)
+    assert gorenstein_regime(wild) == (UNKNOWN, never, never)
+    assert built == [3, 3, 6]
+    assert pd_bounded(s) == never and id_bounded(s) == never
+    v = gp_check(s)
+    assert v.answer == CERTIFIED_NO and v.bound == 10
+    assert v.certificate["index"] == 1
+    # S and Omega^1 S for pd (D(S) has the content of S), Omega^2 S for
+    # Ext^1
+    assert built == [3, 3, 6, 1, 2, 4]
 
 
 def test_split_is_kept_on_the_module(monkeypatch):
@@ -547,14 +571,6 @@ def test_projective_cover_matches_greedy_search(name, p, side, seed):
 
 # ---------------------------------------------------------------------------
 # covers shared by module content
-
-
-def _count_cover_builds(monkeypatch):
-    """The dimensions of the modules whose cover is computed from now on."""
-    dims, build = [], structure._cover_parts
-    monkeypatch.setattr(structure, "_cover_parts",
-                        lambda m: dims.append(m.dim) or build(m))
-    return dims
 
 
 def _copy(m):
