@@ -2,17 +2,17 @@
 
 An algebra is a structure-constant table c[i][j] = coordinates of b_i * b_j
 plus a unit vector.  Modules carry one action matrix per algebra basis
-element, acting on the left of coordinate column vectors; right modules use
-the reversed composition law.  A right module over A is read as the left
-module over A^op with the same matrices (`as_left`); the linear dual and
-Hom(-, A) are the one place a module changes side (`other_side`).
+element, acting on the left of coordinate column vectors.  There is one
+module class: a right module over A is the `LeftModule` over A^op
+(`opposite_algebra`) with the same matrices, so the linear dual, Hom(-, A)
+and the right leg of a bimodule are left modules over the opposite algebra.
 
 Constructors validate their invariants by default, so data is checked where
 it enters.  Objects derived from validated parts by a construction that
 keeps the axioms skip the check: opposite and product algebras, the total
 algebras of extensions, regular modules (their law is the associativity of
-the algebra), modules relabelled over the opposite algebra, swapped
-bimodules, duals, tensor products, Hom modules and zero modules.
+the algebra), bimodule legs, swapped bimodules, duals, tensor products, Hom
+modules and zero modules.
 Submodules and quotients are checked by invariance instead of by the law:
 an invariant subspace of a module, and the quotient by one, satisfy the
 law because the inclusion is injective and the projection surjective.
@@ -203,13 +203,8 @@ def product_algebra(a: Algebra, b: Algebra) -> Tuple[Algebra, np.ndarray, np.nda
 
 
 class LeftModule:
-    """Left module: action[i] is the matrix of b_i acting on coordinates."""
-
-    side = "left"
-    # axes of the structure table giving the law's right-hand side:
-    # action(b_i) @ action(b_j) = sum_k table[i][j][k] action(b_k)
-    _law_axes = (0, 1, 2)
-    _regular_mats = "lmats"
+    """Left module: action[i] is the matrix of b_i acting on coordinates,
+    with action(b_i) @ action(b_j) = sum_k sc[i][j][k] action(b_k)."""
 
     def __init__(self, over: Algebra, action: Sequence[FpMatrix],
                  validate: bool = True):
@@ -230,16 +225,15 @@ class LeftModule:
         if not (unit_act.arr == np.eye(self.dim, dtype=np.int64)).all():
             raise AlgebraError("unit does not act as identity")
         p, n, d = self.over.field.p, self.over.dim, self.dim
-        table = np.transpose(self.over.sc, self._law_axes)
+        sc = self.over.sc
         acts = _stack(self.action, d)
         flat = acts.reshape(n, d * d)
         for i in range(n):
             # row i of the law: action(b_i) @ action(b_j) for every j at once
             lhs = ((acts[i] @ acts) % p).reshape(n, d * d)
-            bad = np.flatnonzero((lhs != (table[i] @ flat) % p).any(axis=1))
+            bad = np.flatnonzero((lhs != (sc[i] @ flat) % p).any(axis=1))
             if len(bad):
-                exc = AlgebraError(f"{self.side} module law violated at "
-                                   f"({i},{bad[0]})")
+                exc = AlgebraError(f"module law violated at ({i},{bad[0]})")
                 exc.at = (i, int(bad[0]))
                 raise exc
 
@@ -253,8 +247,7 @@ class LeftModule:
 
     @classmethod
     def regular(cls, a: Algebra) -> "LeftModule":
-        return kept(a, ("regular", cls.side), lambda: cls(
-            a, getattr(a, cls._regular_mats), validate=False))
+        return kept(a, "regular", lambda: cls(a, a.lmats, validate=False))
 
     @classmethod
     def zero(cls, a: Algebra) -> "LeftModule":
@@ -263,23 +256,6 @@ class LeftModule:
 
     def __repr__(self):
         return f"{type(self).__name__}(dim={self.dim}, over={self.over!r})"
-
-
-class RightModule(LeftModule):
-    """Right module; action matrices compose contravariantly:
-    action(b_i) @ action(b_j) = sum_k c[j][i][k] action(b_k)."""
-
-    side = "right"
-    _law_axes = (1, 0, 2)
-    _regular_mats = "rmats"
-
-    def as_left_over_opposite(self) -> LeftModule:
-        return kept(self, "left", lambda: LeftModule(
-            opposite_algebra(self.over), self.action, validate=False))
-
-    @classmethod
-    def from_left_over_opposite(cls, m: LeftModule) -> "RightModule":
-        return cls(opposite_algebra(m.over), m.action, validate=False)
 
 
 def _stack(action: Sequence[FpMatrix], d: int) -> np.ndarray:
@@ -294,20 +270,6 @@ def _kron_rows(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     out = left[:, :, None, :, None] * np.eye(d2, dtype=np.int64)[:, None] - \
         np.eye(d1, dtype=np.int64)[:, None, :, None] * right[:, None, :, None]
     return out.reshape(g * d1 * d2, d1 * d2)
-
-
-def as_left(m) -> LeftModule:
-    """m itself for a left module; for a right module over A, the left
-    module over A^op with the same action matrices."""
-    return m.as_left_over_opposite() if isinstance(m, RightModule) else m
-
-
-def other_side(m, action: Sequence[FpMatrix]):
-    """The module over m's algebra, on the side opposite to m's, on which
-    the basis elements act by `action`: the linear dual and Hom(-, A) turn
-    left modules into right ones and back."""
-    return (LeftModule if isinstance(m, RightModule) else RightModule)(
-        m.over, action, validate=False)
 
 
 def field_space(field: FieldSpec, d: int) -> LeftModule:
@@ -333,8 +295,11 @@ class Bimodule:
 
     def validate(self):
         left, right = self.left_module(), self.right_module()
-        left.validate()
-        right.validate()
+        for side, mod in (("left", left), ("right", right)):
+            try:
+                mod.validate()
+            except AlgebraError as exc:
+                raise AlgebraError(f"{side} action: {exc}") from exc
         if left.dim != right.dim:
             raise AlgebraError(f"left action is {left.dim}-dimensional but "
                                f"right action is {right.dim}-dimensional")
@@ -348,9 +313,11 @@ class Bimodule:
         return kept(self, "left", lambda: LeftModule(
             self.left_over, self.left_action, validate=False))
 
-    def right_module(self) -> RightModule:
-        return kept(self, "right", lambda: RightModule(
-            self.right_over, self.right_action, validate=False))
+    def right_module(self) -> LeftModule:
+        """The right action, as a left module over the opposite algebra."""
+        return kept(self, "right", lambda: LeftModule(
+            opposite_algebra(self.right_over), self.right_action,
+            validate=False))
 
     def swap(self) -> "Bimodule":
         """Same space as a bimodule over the opposite algebras, with the two
@@ -526,7 +493,7 @@ def _echelon_submodule(x, basis: FpMatrix, moved=None):
     action = invariant_action(x.action, basis, moved)
     if action is None:
         raise AlgebraError("rows do not span a submodule")
-    mod = type(x)(x.over, action, validate=False)
+    mod = LeftModule(x.over, action, validate=False)
     return mod, ModuleHom(mod, x, basis.transpose(), validate=False)
 
 
@@ -538,8 +505,8 @@ def quotient_module(x, relation_cols: FpMatrix):
     moved = (qm.project.arr @ _stack(x.action, x.dim)) % field.p
     if ((moved @ relation_cols.arr) % field.p).any():
         raise AlgebraError("relations do not span a submodule")
-    mod = type(x)(x.over, [FpMatrix(m @ qm.include.arr, field)
-                           for m in moved], validate=False)
+    mod = LeftModule(x.over, [FpMatrix(m @ qm.include.arr, field)
+                              for m in moved], validate=False)
     return mod, ModuleHom(x, mod, qm.project, validate=False), qm.include
 
 
@@ -593,7 +560,7 @@ def _exact_rank(f: ModuleHom, g: ModuleHom) -> Optional[int]:
 
 
 def block_sum_module(mods: Sequence):
-    """The direct sum of one-sided modules over a common algebra, with
+    """The direct sum of modules over a common algebra, with
     block-diagonal action matrices, and nothing else."""
     over = mods[0].over
     total = sum(m.dim for m in mods)
@@ -602,8 +569,8 @@ def block_sum_module(mods: Sequence):
     for m in mods:
         acc[:, off:off + m.dim, off:off + m.dim] = _stack(m.action, m.dim)
         off += m.dim
-    return type(mods[0])(over, [FpMatrix.reduced(x, over.field) for x in acc],
-                         validate=False)
+    return LeftModule(over, [FpMatrix.reduced(x, over.field) for x in acc],
+                      validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +585,7 @@ class TensorSpace:
     canonical quotient maps; space carries whatever module structure
     descends from the uncontracted side.
     """
-    space: object            # LeftModule / RightModule (possibly over GF(p))
+    space: LeftModule        # possibly over GF(p)
     project: FpMatrix
     include: FpMatrix
     first_dim: int
@@ -654,10 +621,12 @@ def _tensor_space(m: Bimodule, x: LeftModule) -> TensorSpace:
     return TensorSpace(space, qm.project, qm.include, m.dim)
 
 
-def tensor_right_left(w: RightModule, x: LeftModule) -> TensorSpace:
-    """W ox_R X as a plain GF(p) space, with W read as a GF(p)-R-bimodule."""
+def tensor_right_left(w: LeftModule, x: LeftModule) -> TensorSpace:
+    """W ox_R X as a plain GF(p) space, for W a module over R^op read as a
+    GF(p)-R-bimodule."""
     k = field_space(w.over.field, w.dim)
-    return tensor_bimodule_left(Bimodule(k.over, w.over, k.action, w.action,
+    return tensor_bimodule_left(Bimodule(k.over, opposite_algebra(w.over),
+                                         k.action, w.action,
                                          validate=False), x)
 
 
@@ -678,10 +647,10 @@ class SwappedTensor:
     This is the one place a right tensor appears.  `to_left` and
     `to_right` are the mutually inverse changes between the quotient
     coordinates of X ox M (plain index (x, m) -> x * dim(M) + m) and those
-    of N ox X (plain index (m, x)); `space` is X ox M as a right B-module
-    in its own coordinates.
+    of N ox X (plain index (m, x)); `space` is X ox M as a left module
+    over B^op in its own coordinates.
     """
-    space: RightModule
+    space: LeftModule
     to_left: FpMatrix
     to_right: FpMatrix
 
@@ -696,9 +665,9 @@ def swapped_tensor(n: Bimodule, x: LeftModule) -> SwappedTensor:
     to_left = FpMatrix(right.project.arr[:, mx], field) @ left.include
     to_right = FpMatrix(left.project.arr[:, np.argsort(mx)],
                         field) @ right.include
-    space = RightModule(opposite_algebra(n.left_over),
-                        [to_right @ a @ to_left for a in left.space.action],
-                        validate=False)
+    space = LeftModule(n.left_over,
+                       [to_right @ a @ to_left for a in left.space.action],
+                       validate=False)
     return SwappedTensor(space, to_left, to_right)
 
 
@@ -736,26 +705,30 @@ def hom_from_bimodule(m: Bimodule, y: LeftModule) -> HomModule:
 # duality (field-linear dual, standing in for the character module)
 
 
-def dual_module(x):
-    """Field-linear dual; left modules become right modules and vice versa.
+def dual_module(x: LeftModule) -> LeftModule:
+    """Field-linear dual, a module over the opposite algebra.
 
     For finite-dimensional modules over GF(p) this is isomorphic to the
     character module Hom_Z(X, Q/Z), which is how it is used throughout.
     Kept on x; the dual holds no link back to x.
     """
-    return kept(x, "dual", lambda: other_side(
-        x, [m.transpose() for m in x.action]))
+    return kept(x, "dual", lambda: LeftModule(
+        opposite_algebra(x.over), [m.transpose() for m in x.action],
+        validate=False))
 
 
 # ---------------------------------------------------------------------------
 # monomial quiver algebras
 
+# a quiver algebra with more paths than this is taken to have relations
+# that are not admissible
+_QUIVER_MAX_DIM = 200
+
 
 def monomial_quiver_algebra(num_vertices: int,
                             arrows: Sequence[Tuple[int, int]],
                             zero_relations: Sequence[Sequence[int]],
-                            field: FieldSpec,
-                            max_dim: int = 200) -> Algebra:
+                            field: FieldSpec) -> Algebra:
     """Path algebra of a quiver modulo monomial (zero-path) relations.
 
     Arrows are (source, target) pairs of 0-based vertex indices; a relation
@@ -783,7 +756,7 @@ def monomial_quiver_algebra(num_vertices: int,
                                        if _path_ok((i,), relations)]
     while frontier:
         paths.extend(frontier)
-        if len(paths) > max_dim:
+        if len(paths) > _QUIVER_MAX_DIM:
             raise AlgebraError("quiver algebra exceeds the dimension bound; "
                                "relations are not admissible")
         nxt = []

@@ -10,6 +10,7 @@ apart from the timing field.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -18,16 +19,14 @@ from typing import Optional
 import numpy as np
 
 from .algebra import (Algebra, AlgebraError, Bimodule, LeftModule,
-                      RightModule, monomial_quiver_algebra, product_algebra)
-from .gorenstein import (GorensteinError, GorensteinVerdict,
-                         CompatibilityReport,
-                         build_copair_complete_coresolution,
+                      monomial_quiver_algebra, opposite_algebra,
+                      product_algebra)
+from .gorenstein import (GorensteinError, build_copair_complete_coresolution,
                          build_pair_complete_resolution, gf_check_right,
                          gi_check, gp_check,
                          validate_copair_complete_coresolution,
                          validate_pair_complete_resolution, verify_cor35,
                          verify_cor45, verify_cor48)
-from .homology import DimensionVerdict
 from .linalg import FieldSpec, FpMatrix, LinalgError
 from .morita import (CoTupleModule, MoritaContextData, MoritaError,
                      RightTupleModule, TupleModule, morita_ring,
@@ -137,8 +136,9 @@ def _module(spec, ref, _):
     if side not in ("left", "right"):
         raise WorkspaceError('side: expected "left" or "right", got '
                              f"{json.dumps(side)}")
-    cls = RightModule if side == "right" else LeftModule
-    return cls(over, _mat_list(spec["action"], over.field, "action"))
+    # a right module is a left module over the opposite algebra
+    return LeftModule(opposite_algebra(over) if side == "right" else over,
+                      _mat_list(spec["action"], over.field, "action"))
 
 
 def _extension(spec, ref, _):
@@ -254,14 +254,9 @@ def load(path: str) -> Workspace:
 
 
 def _jsonify(obj):
-    if isinstance(obj, GorensteinVerdict):
-        return {"answer": obj.answer, "regime": obj.regime,
-                "certificate": _jsonify(obj.certificate), "bound": obj.bound}
-    if isinstance(obj, DimensionVerdict):
-        return {"kind": obj.kind, "value": obj.value}
-    if isinstance(obj, CompatibilityReport):
-        return {"sufficient_via": obj.sufficient_via,
-                "dims": _jsonify(obj.dims)}
+    if dataclasses.is_dataclass(obj):      # verdicts and reports
+        return {f.name: _jsonify(getattr(obj, f.name))
+                for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -379,7 +374,8 @@ def emit_builtin_examples() -> dict:
     dext = trivial_extension(k2, dbim)
     d_reg_pair = module_to_pair(LeftModule.regular(dext.total), dext)
     d_reg_copair = module_to_copair(LeftModule.regular(dext.total), dext)
-    d_reg_right = module_to_right_pair(RightModule.regular(dext.total), dext)
+    d_reg_right = module_to_right_pair(
+        LeftModule.regular(opposite_algebra(dext.total)), dext)
     # triangular 2x2 as an extension of k x k
     e1_on_m = FpMatrix.zeros(1, 1, field)
     e2_on_m = FpMatrix.identity(1, field)
@@ -387,11 +383,6 @@ def emit_builtin_examples() -> dict:
                        [e2_on_m.transpose(), e1_on_m.transpose()])
     tri_ext = trivial_extension(prod, tri_bim)
     tri_pair = module_to_pair(LeftModule.regular(tri_ext.total), tri_ext)
-    # Z(k) over D: the inflated trivial base module
-    zk_x = LeftModule(k2, [FpMatrix.identity(1, field)])
-    # 4-dim Morita ring: A = B = U = V = GF(2)
-    ubim = Bimodule.regular(k2)
-    vbim = Bimodule.regular(k2)
     data = {
         "schema_version": SCHEMA_VERSION,
         "field": {"p": 2},

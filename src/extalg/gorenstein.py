@@ -27,9 +27,8 @@ from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 from .algebra import (Algebra, Bimodule, HomSpace, LeftModule, ModuleHom,
-                      RightModule, as_left, dual_module, hom_space,
-                      is_exact_at, is_kernel_inclusion, other_side,
-                      quotient_module)
+                      dual_module, hom_space, is_exact_at,
+                      is_kernel_inclusion, opposite_algebra, quotient_module)
 from .homology import (ChainComplex, _precompose_matrix,
                        default_bound, ext_dims, fd_bounded, hom_complex,
                        hom_complex_co, id_bounded, is_exact_complex,
@@ -75,14 +74,13 @@ class GorensteinVerdict:
 # regular-module duality (the totally reflexive battery pieces)
 
 
-def star_module(m) -> Tuple[object, HomSpace]:
-    """Hom into the regular module; left modules become right modules and
-    conversely, acting through multiplication on the values."""
-    ml = as_left(m)
-    hs = hom_space(ml, LeftModule.regular(ml.over))
+def star_module(m: LeftModule) -> Tuple[LeftModule, HomSpace]:
+    """Hom into the regular module, a module over the opposite algebra
+    acting through multiplication on the values."""
+    hs = hom_space(m, LeftModule.regular(m.over))
     stack = hs.basis_array()
-    action = [hs.coords_many(mult.arr @ stack) for mult in ml.over.rmats]
-    return other_side(m, action), hs
+    action = [hs.coords_many(mult.arr @ stack) for mult in m.over.rmats]
+    return LeftModule(opposite_algebra(m.over), action, validate=False), hs
 
 
 def biduality_map(m) -> ModuleHom:
@@ -111,7 +109,7 @@ def gorenstein_regime(a: Algebra, bound: Optional[int] = None
             regime, dr, dl = twin[key]
         else:
             dl = id_bounded(LeftModule.regular(a), bound)
-            dr = id_bounded(RightModule.regular(a), bound)
+            dr = id_bounded(LeftModule.regular(opposite_algebra(a)), bound)
             regime = UNKNOWN if not (dl.is_finite() and dr.is_finite()) \
                 else SELF_INJECTIVE if dl.value == dr.value == 0 \
                 else IWANAGA_GORENSTEIN
@@ -123,10 +121,8 @@ def gorenstein_regime(a: Algebra, bound: Optional[int] = None
 # the three deciders
 
 
-def gp_check(g, bound: Optional[int] = None) -> GorensteinVerdict:
-    """Gorenstein projectivity of a module, with certificates; a right
-    module is decided as a left module over the opposite algebra."""
-    g = as_left(g)
+def gp_check(g: LeftModule, bound: Optional[int] = None) -> GorensteinVerdict:
+    """Gorenstein projectivity of a module, with certificates."""
     a = g.over
     if bound is None:
         bound = default_bound(a)
@@ -142,7 +138,7 @@ def gp_check(g, bound: Optional[int] = None) -> GorensteinVerdict:
     # read degree by degree and stopped at the first nonzero one
     limit = dl.value if regime == IWANAGA_GORENSTEIN else bound
     for side in ("module", "transpose"):
-        mod = g if side == "module" else as_left(star_module(g)[0])
+        mod = g if side == "module" else star_module(g)[0]
         dims = ext_dims(minimal_projective_resolution(mod, 0),
                         LeftModule.regular(mod.over), limit)
         for i, e in enumerate(dims):
@@ -175,14 +171,14 @@ def _routed(v: GorensteinVerdict, route: str) -> GorensteinVerdict:
 
 def gi_check(y, bound: Optional[int] = None) -> GorensteinVerdict:
     """Gorenstein injectivity, via the dual over the opposite algebra."""
-    return _routed(gp_check(as_left(dual_module(y)), bound),
+    return _routed(gp_check(dual_module(y), bound),
                    "dual_over_opposite")
 
 
-def gf_check_right(x: RightModule,
+def gf_check_right(x: LeftModule,
                    bound: Optional[int] = None) -> GorensteinVerdict:
-    """Gorenstein flatness of a right module through its character module
-    (realized as the linear dual, a left module)."""
+    """Gorenstein flatness of a right module (a module over the opposite
+    algebra) through its character module, realized as the linear dual."""
     return _routed(gi_check(dual_module(x), bound), "character_dual")
 
 
@@ -260,10 +256,9 @@ def thm_copair_hypotheses(copair: CopairModule,
 
 def _right_pair_hypotheses(rp: RightPairModule, bound: Optional[int]) -> dict:
     """Those of the left pair over the opposite extension, with Gorenstein
-    flatness of coker(alpha) read back as a right module."""
-    coker = RightModule.from_left_over_opposite(functor_C(rp.pair)[0])
+    flatness of coker(alpha), a right module over the base."""
     return {"middle_exact": is_exact_at(rp.pair.m_alpha(), rp.pair.alpha),
-            "coker_verdict": gf_check_right(coker, bound)}
+            "coker_verdict": gf_check_right(functor_C(rp.pair)[0], bound)}
 
 
 # ---------------------------------------------------------------------------
@@ -316,11 +311,9 @@ def _right_half(c: LeftModule, window: int
     minimal resolution of Hom(c, A) over the opposite algebra, with the
     mono c -> P^0: evaluation after the augmentation."""
     cstar, hs = star_module(c)
-    res = minimal_projective_resolution(as_left(cstar), window)
-    # P^j := Hom_op(Q_j, op), a left module over c's algebra
-    stars = [star_module(q) for q in res.terms]
-    terms = [as_left(mod) for mod, _ in stars]
-    spaces = [sp for _, sp in stars]
+    res = minimal_projective_resolution(cstar, window)
+    # P^j := Hom_op(Q_j, op), a module over c's algebra
+    terms, spaces = zip(*[star_module(q) for q in res.terms])
     diffs = [ModuleHom(terms[j], terms[j + 1], _precompose_matrix(
         spaces[j], spaces[j + 1], d), validate=False)
         for j, d in enumerate(res.diffs)]
@@ -346,9 +339,7 @@ def complete_resolution(c, window: int) -> CompleteResolution:
     """Degrees < 0 from the minimal projective resolution of c, degrees
     >= 0 from `_right_half`.  The output is a genuine complete-resolution
     window exactly when c is totally reflexive on the window (validated by
-    callers).  A right module is resolved as a left module over the
-    opposite algebra."""
-    c = as_left(c)
+    callers)."""
     return _spliced(c, c, window - 1, *_right_half(c, window))
 
 
@@ -454,11 +445,9 @@ def build_copair_complete_coresolution(copair: CopairModule,
         raise GorensteinError("coresolution hypotheses unmet")
     top = opposite_extension(t)
     mid = copair_to_module(copair)
-    dual_mid = LeftModule(top.total, [mm.transpose() for mm in mid.action])
-    res_d = build_pair_complete_resolution(module_to_pair(dual_mid, top),
-                                           window)
-    mods = [LeftModule(t.total, [mm.transpose() for mm in
-                                 res_d.complex.module_at(-1 - j).action])
+    res_d = build_pair_complete_resolution(
+        module_to_pair(dual_module(mid), top), window)
+    mods = [dual_module(res_d.complex.module_at(-1 - j))
             for j in range(-window, window + 1)]
     diffs = [ModuleHom(mods[idx], mods[idx + 1],
                        res_d.complex.diff_at(-2 - j).matrix.transpose())

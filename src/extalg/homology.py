@@ -2,8 +2,8 @@
 bounded projective/injective/flat dimension verdicts.
 
 Complexes are finite windows with ascending differentials d^i: X^i ->
-X^{i+1}.  A right module is resolved as the left module over the opposite
-algebra (`as_left`).  Injective dimension is computed as the projective
+X^{i+1}.  A right module is a left module over the opposite algebra and is
+resolved as any other.  Injective dimension is computed as the projective
 dimension of the dual over the opposite algebra; flat dimension coincides
 with the projective one for the finite-dimensional modules handled here.
 Both resolution builders run one covering loop, fed the minimal or the
@@ -27,7 +27,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .algebra import (Algebra, AlgebraError, HomSpace, ModuleHom,
-                      _content, _same_algebra, as_left, block_sum_module,
+                      _content, _same_algebra, block_sum_module,
                       dual_module, field_space, hom_space, is_exact_at, kept,
                       kernel_module)
 from .linalg import FpMatrix, echelon_coords, hstack, rank
@@ -179,7 +179,6 @@ def ext_dims(res: Resolution, n, upto: int) -> Iterator[ExtResult]:
     summands P_i of P_j.  A map on P_{j+1} is fixed by its values on the
     generators e_i of the summands, so precomposition with d_j has the rank
     of psi -> (psi(d_j(e_i)))_i."""
-    n = as_left(n)
     if not _same_algebra(res.module.over, n.over):
         raise AlgebraError("hom space requires a common algebra")
     return _ext_degrees(res, n, upto)

@@ -13,12 +13,13 @@ read the (co)pair off that module; theta_inverse reads the blocks back.
 The theorem harnesses are the corollary harness over the extension by
 U + V, plus the sufficiency reports on U and V.
 
-Right tuples (W, Q, f, g) are the left tuples (W, Q, g, f) over the
-opposite context (A^op, B^op, V^swap, U^swap), whose ring `MoritaRing.opposite`
-is built once per ring.  Its ideal blocks come in the order V, U, so the
-right-side translations are theta/theta_inverse there plus one permutation
-of the ideal blocks (`_swap_ideal`); f and g move between the coordinates
-of Q ox U, W ox V and their swapped left tensors through `swapped_tensor`.
+Right tuples (W, Q, f, g), W and Q modules over A^op and B^op, are the
+left tuples (W, Q, g, f) over the opposite context (A^op, B^op, V^swap,
+U^swap), whose ring `MoritaRing.opposite` is built once per ring.  Its
+ideal blocks come in the order V, U, so the right-side translations are
+theta/theta_inverse there plus one permutation of the ideal blocks
+(`_swap_ideal`); f and g move between the coordinates of Q ox U, W ox V
+and their swapped left tensors through `swapped_tensor`.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .algebra import (Algebra, Bimodule, LeftModule, ModuleHom, RightModule,
+from .algebra import (Algebra, Bimodule, LeftModule, ModuleHom,
                       cokernel_module, hom_from_bimodule, invariant_action,
                       is_exact_at, kernel_module, opposite_algebra,
                       product_algebra, row_space_of_columns, swapped_tensor,
@@ -167,29 +168,25 @@ class TupleModule(_RingPresented):
 
 
 class RightTupleModule:
-    """(W, Q, f, g): W over A, Q over B on the right, f: Q ox U -> W,
-    g: W ox V -> Q, with both composites zero.
+    """(W, Q, f, g): W over A, Q over B on the right (modules over A^op and
+    B^op), f: Q ox U -> W, g: W ox V -> Q, with both composites zero.
 
     Held as the left tuple `left` = (W, Q, g, f) over the opposite
     context; f and g keep the quotient coordinates of Q ox U and W ox V."""
 
-    def __init__(self, ring: MoritaRing, w: RightModule, q: RightModule,
+    def __init__(self, ring: MoritaRing, w: LeftModule, q: LeftModule,
                  f_matrix: FpMatrix, g_matrix: FpMatrix,
                  validate: bool = True):
         self.ring = ring
         self.w = w
         self.q = q
         op = ring.opposite
-        wl, ql = w.as_left_over_opposite(), q.as_left_over_opposite()
-        qu = swapped_tensor(op.context.v, ql)
-        wv = swapped_tensor(op.context.u, wl)
+        qu = swapped_tensor(op.context.v, q)
+        wv = swapped_tensor(op.context.u, w)
         self.f = ModuleHom(qu.space, w, f_matrix, validate=False)
         self.g = ModuleHom(wv.space, q, g_matrix, validate=False)
-        self.left = TupleModule(op, wl, ql, g_matrix @ wv.to_left,
+        self.left = TupleModule(op, w, q, g_matrix @ wv.to_left,
                                 f_matrix @ qu.to_left, validate)
-
-    def same_presentation(self, other: "RightTupleModule") -> bool:
-        return self.left.same_presentation(other.left)
 
 
 class CoTupleModule(_RingPresented):
@@ -302,15 +299,15 @@ def _swap_ideal(ring: MoritaRing, action: list) -> list:
     return action[:k] + action[k + du:] + action[k:k + du]
 
 
-def _right_module(rt: RightTupleModule) -> RightModule:
-    """upsilon(rt) as a right module over the ring: theta over the opposite
-    context with the ideal blocks put back in the order U, V.  The total
-    algebra of the opposite context is the opposite of the ring's, up to
-    that reordering of its basis, so the law of the tuple's total module
-    carries over."""
-    return RightModule(rt.ring.total, _swap_ideal(rt.ring.opposite,
-                                                  rt.left.module.action),
-                       validate=False)
+def _right_module(rt: RightTupleModule) -> LeftModule:
+    """upsilon(rt) as a right module over the ring, a module over its
+    opposite: theta over the opposite context with the ideal blocks put
+    back in the order U, V.  The total algebra of the opposite context is
+    the opposite of the ring's, up to that reordering of its basis, so the
+    law of the tuple's total module carries over."""
+    return LeftModule(opposite_algebra(rt.ring.total),
+                      _swap_ideal(rt.ring.opposite, rt.left.module.action),
+                      validate=False)
 
 
 def upsilon(rt: RightTupleModule) -> RightPairModule:
@@ -327,9 +324,7 @@ def upsilon_inverse(rp: RightPairModule, ring: MoritaRing) -> RightTupleModule:
     lt = theta_inverse(module_to_pair(mod, op.ext), op)
     qu = swapped_tensor(op.context.v, lt.y)
     wv = swapped_tensor(op.context.u, lt.x)
-    return RightTupleModule(ring, RightModule.from_left_over_opposite(lt.x),
-                            RightModule.from_left_over_opposite(lt.y),
-                            lt.g.matrix @ qu.to_right,
+    return RightTupleModule(ring, lt.x, lt.y, lt.g.matrix @ qu.to_right,
                             lt.f.matrix @ wv.to_right, validate=False)
 
 
@@ -394,10 +389,7 @@ _EXCHANGE_FG = {"seq1_exact": "seq2_exact", "seq2_exact": "seq1_exact",
 def verify_thm54(rt: RightTupleModule, bound=None) -> dict:
     """Right-module mirror: hypotheses vs Gorenstein flatness, through the
     left tuple over the opposite context."""
-    def decide(coker, bound):
-        return gf_check_right(RightModule.from_left_over_opposite(coker),
-                              bound)
-    left = _tuple_hypotheses(rt.left, decide, bound)
+    left = _tuple_hypotheses(rt.left, gf_check_right, bound)
     return verify_theorem(rt.ring, gf_check_right(_right_module(rt), bound),
                           {_EXCHANGE_FG[k]: v for k, v in left.items()},
                           bound)

@@ -11,14 +11,14 @@ non-isomorphic for different blocks.  `split_module` applies the same
 steps to End(m), and `find_isomorphism` matches the indecomposable
 summands of two modules, so its None is a certified "not isomorphic".
 
-A right module is covered and resolved as the left module over the
-opposite algebra (`as_left`); injective envelopes are duals of projective
-covers over the opposite algebra.  Covers are shared per algebra by module
+A right module over A is a left module over A^op, so it is covered and
+resolved as any other; injective envelopes are duals of projective covers
+over the opposite algebra.  Covers are shared per algebra by module
 content: equal modules get the same cover, kernel and epimorphism matrix,
 held only while some module holds them.  Twins keep their holders alive:
-the regular modules live on the algebra; the dual, a right module's left
-view and a bimodule's legs on their module.  A^op reads A's radical and
-primitive idempotents, and is A itself when A is commutative.
+the regular modules live on the algebra; the dual and a bimodule's legs on
+their module.  A^op reads A's radical and primitive idempotents, and is A
+itself when A is commutative.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .algebra import (Algebra, LeftModule, ModuleHom, _echelon_submodule,
-                      _stack, as_left, block_sum_module, dual_module,
+                      _stack, block_sum_module, dual_module,
                       hom_space, kept, opposite_algebra, quotient_module,
                       row_space_of_columns, shared)
 from .linalg import (FieldSpec, FpMatrix, echelon_coords,
@@ -420,17 +420,15 @@ def projective_cover(m) -> ProjectivePresentation:
     The cover is a function of the algebra and the action matrices alone,
     so equal modules share it (`shared`): its parts are kept on m, and the
     algebra indexes them weakly by m's content while a module holds them.
-    A right module is covered as a left module over the opposite algebra.
     """
-    left = as_left(m)
-    if left.dim == 0:
-        z = LeftModule.zero(left.over)
-        return ProjectivePresentation(left, z, ModuleHom.zero(z, left), z,
+    if m.dim == 0:
+        z = LeftModule.zero(m.over)
+        return ProjectivePresentation(m, z, ModuleHom.zero(z, m), z,
                                       ModuleHom.zero(z, z), (), True)
-    cover, epi, *parts = shared(
-        m, left.over, "covers", (), lambda: _cover_parts(left))
-    return ProjectivePresentation(left, cover, ModuleHom(
-        cover, left, epi, validate=False), *parts)
+    cover, epi, *parts = shared(m, m.over, "covers", (),
+                                lambda: _cover_parts(m))
+    return ProjectivePresentation(m, cover, ModuleHom(
+        cover, m, epi, validate=False), *parts)
 
 
 def pim_homs(m) -> List[np.ndarray]:
@@ -508,7 +506,7 @@ def injective_envelope(m):
     """(E, essential mono m -> E), computed as the dual of the projective
     cover of the dual over the opposite algebra."""
     pres = projective_cover(dual_module(m))
-    env = type(m)(m.over, dual_module(pres.cover).action, validate=False)
+    env = LeftModule(m.over, dual_module(pres.cover).action, validate=False)
     mono = ModuleHom(m, env, pres.epi.matrix.transpose(), validate=False)
     return env, mono
 
@@ -521,5 +519,5 @@ def injective_indecomposables(a: Algebra):
     """List of (E_i, socle simple S_i), dual to the projective
     indecomposables of the opposite algebra."""
     return kept(a, "iims", lambda: [
-        (as_left(dual_module(p0)), as_left(dual_module(s)))
+        (dual_module(p0), dual_module(s))
         for p0, s in projective_indecomposables(opposite_algebra(a))])

@@ -17,10 +17,11 @@ A pair or copair holds its total module and is checked once, by its law
 axiom.  `module_to_pair` reads a valid module and does not check again.
 
 Right modules over R |x M are left modules over R^op |x M^swap
-(`opposite_extension`, whose total algebra is registered as the opposite
-of the original one).  A right pair (X, alpha: X ox M -> X) is held as the
-left pair over that extension; the only adapter is `swapped_tensor`, which
-moves alpha between the quotient coordinates of X ox M and M^swap ox X.
+(`opposite_extension`, whose total algebra is the opposite of the original
+one).  A right pair (X, alpha: X ox M -> X), X a left module over R^op, is
+held as the left pair over that extension; the only adapter is
+`swapped_tensor`, which moves alpha between the quotient coordinates of
+X ox M and M^swap ox X.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .algebra import (Algebra, AlgebraError, Bimodule, LeftModule, ModuleHom,
-                      RightModule, _stack, block_sum_module, cokernel_module,
+                      _stack, block_sum_module, cokernel_module,
                       field_space, hom_from_bimodule, hom_space, image_module,
                       is_kernel_inclusion, kernel_module, opposite_algebra,
                       swapped_tensor, tensor_bimodule_left, tensor_map_second,
@@ -84,19 +85,18 @@ def trivial_extension(base: Algebra, bimodule: Bimodule) -> TrivialExtension:
 
 
 def opposite_extension(t: TrivialExtension) -> TrivialExtension:
-    """The extension of the opposite base by the leg-swapped bimodule; its
-    total algebra has literally the opposite multiplication table and is
-    registered as such, so a right module over t.total read as a left
-    module over its opposite lives over this extension.  A commutative
-    extension is its own opposite, as its total algebra is."""
+    """The extension of the opposite base by the leg-swapped bimodule.  Its
+    total algebra has literally the opposite multiplication table, so it is
+    opposite_algebra(t.total), and a right module over t.total lives over
+    this extension.  A commutative extension is its own opposite, as its
+    total algebra is."""
     if "opposite" not in t._cache:
         sc = t.total.sc
         top = t if (sc == sc.transpose(1, 0, 2)).all() else TrivialExtension(
             opposite_algebra(t.base), t.bimodule.swap())
+        top.total = opposite_algebra(t.total)
         top._cache["opposite"] = t
         t._cache["opposite"] = top
-        top.total._cache["opposite"] = t.total
-        t.total._cache.setdefault("opposite", top.total)
     return t._cache["opposite"]
 
 
@@ -121,11 +121,6 @@ class Presented:
     def axiom(self, i: int, j: int) -> Optional[str]:
         if min(i, j) >= self.t.base_dim:
             return self.law
-
-    def same_presentation(self, other) -> bool:
-        m, n = self.module, other.module
-        return m.dim == n.dim and all(a == b for a, b in zip(m.action,
-                                                             n.action))
 
 
 class PairModule(Presented):
@@ -188,23 +183,20 @@ class CopairModule(Presented):
 
 
 class RightPairModule:
-    """(X, alpha) on the right: alpha: X ox M -> X killing X ox M ox M.
+    """(X, alpha) on the right: X a module over the opposite base and
+    alpha: X ox M -> X killing X ox M ox M.
 
     Held as the left pair `pair` over the opposite extension; `alpha`
     keeps the quotient coordinates of X ox M."""
 
-    def __init__(self, t: TrivialExtension, x: RightModule,
+    def __init__(self, t: TrivialExtension, x: LeftModule,
                  alpha_matrix: FpMatrix, validate: bool = True):
         self.t = t
         self.x = x
         top = opposite_extension(t)
-        xl = x.as_left_over_opposite()
-        st = swapped_tensor(top.bimodule, xl)
+        st = swapped_tensor(top.bimodule, x)
         self.alpha = ModuleHom(st.space, x, alpha_matrix, validate=False)
-        self.pair = PairModule(top, xl, alpha_matrix @ st.to_left, validate)
-
-    def same_presentation(self, other: "RightPairModule") -> bool:
-        return self.pair.same_presentation(other.pair)
+        self.pair = PairModule(top, x, alpha_matrix @ st.to_left, validate)
 
     def __repr__(self):
         return f"RightPairModule(x_dim={self.x.dim}, over={self.t!r})"
@@ -255,16 +247,20 @@ def module_to_copair(mod: LeftModule, t: TrivialExtension) -> CopairModule:
     return CopairModule(t, y, beta_mat, validate=False)
 
 
-def right_pair_to_module(rp: RightPairModule) -> RightModule:
-    """x.(r, m) = x.r + alpha(x ox m), through the left pair."""
-    return RightModule.from_left_over_opposite(pair_to_module(rp.pair))
+def right_pair_to_module(rp: RightPairModule) -> LeftModule:
+    """x.(r, m) = x.r + alpha(x ox m), the module over the opposite total
+    algebra that the left pair holds."""
+    return pair_to_module(rp.pair)
 
 
-def module_to_right_pair(mod: RightModule, t: TrivialExtension) -> RightPairModule:
-    pair = module_to_pair(mod.as_left_over_opposite(), opposite_extension(t))
+def module_to_right_pair(mod: LeftModule, t: TrivialExtension
+                         ) -> RightPairModule:
+    """Inverse of right_pair_to_module for a valid mod over the opposite
+    total algebra, not checked again."""
+    pair = module_to_pair(mod, opposite_extension(t))
     to_right = swapped_tensor(pair.t.bimodule, pair.x).to_right
-    return RightPairModule(t, RightModule.from_left_over_opposite(pair.x),
-                           pair.alpha.matrix @ to_right, validate=False)
+    return RightPairModule(t, pair.x, pair.alpha.matrix @ to_right,
+                           validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -358,11 +354,10 @@ class ShortExactSequence:
                 and rank(self.epi.matrix) == self.quo.dim)
 
 
-def _inflate(t: TrivialExtension, x):
-    """Z(X) directly as a total module, on the side of X: the ideal acts
-    as zero."""
+def _inflate(t: TrivialExtension, x: LeftModule) -> LeftModule:
+    """Z(X) directly as a total module: the ideal acts as zero."""
     z = FpMatrix.zeros(x.dim, x.dim, t.field)
-    return type(x)(t.total, x.action + [z] * t.ideal_dim, validate=False)
+    return LeftModule(t.total, x.action + [z] * t.ideal_dim, validate=False)
 
 
 def _glued(t: TrivialExtension, first: LeftModule, second: LeftModule,
@@ -457,13 +452,13 @@ def induced_gamma(copair: CopairModule) -> ModuleHom:
 # the comparison isomorphisms
 
 
-def tensor_iso_pair(w: RightModule, pair: PairModule) -> ModuleHom:
+def tensor_iso_pair(w: LeftModule, pair: PairModule) -> ModuleHom:
     """The canonical iso Z(W) ox_total (X, alpha) -> W ox_base coker(alpha)
-    induced by w ox x -> w ox proj(x); returned as an invertible map of
-    plain spaces."""
+    for a right base module W (a module over the opposite base), induced by
+    w ox x -> w ox proj(x); returned as an invertible map of plain spaces."""
     t = pair.t
     mid = pair_to_module(pair)
-    zw = _inflate(t, w)
+    zw = _inflate(opposite_extension(t), w)
     lhs = tensor_right_left(zw, mid)
     quo, proj = cokernel_module(pair.alpha)
     iso = tensor_map_second(lhs, tensor_right_left(w, quo), proj)

@@ -3,16 +3,17 @@ random generators for modules, pairs, copairs and tuples."""
 
 import functools
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from extalg import structure
-from extalg.algebra import (Bimodule, LeftModule, RightModule,
+from extalg import algebra, structure
+from extalg.algebra import (AlgebraError, Bimodule, LeftModule,
                             block_sum_module, field_algebra, hom_space,
-                            monomial_quiver_algebra, product_algebra,
-                            quotient_module, submodule,
+                            monomial_quiver_algebra, opposite_algebra,
+                            product_algebra, quotient_module, submodule,
                             tensor_bimodule_left)
 from extalg.linalg import FieldSpec, FpMatrix, direct_sum, row_basis
 from extalg.morita import (MoritaContextData, morita_ring, theta_inverse,
@@ -89,10 +90,11 @@ def product_morita_ring(field):
 # seeded random generators
 
 
-def random_module(a, rng, max_dim=4, cls=LeftModule, tries=30):
+def random_module(a, rng, max_dim=4, tries=30):
     """A random nonzero module of dimension <= max_dim: a random spun
-    submodule or quotient of the free module of rank 2."""
-    reg = cls.regular(a)
+    submodule or quotient of the free module of rank 2.  A right module
+    over A is one over opposite_algebra(A)."""
+    reg = LeftModule.regular(a)
     free = block_sum_module([reg, reg])
     for _ in range(tries):
         rows = []
@@ -123,7 +125,12 @@ def random_copair(t, rng, max_dim=4):
 
 def random_right_pair(t, rng, max_dim=4):
     return module_to_right_pair(
-        random_module(t.total, rng, max_dim, cls=RightModule), t)
+        random_module(opposite_algebra(t.total), rng, max_dim), t)
+
+
+def same_action(m, n) -> bool:
+    """m and n are the same module: equal dimension and action matrices."""
+    return m.dim == n.dim and all(a == b for a, b in zip(m.action, n.action))
 
 
 def random_tuple(ring, rng, max_dim=4):
@@ -132,6 +139,16 @@ def random_tuple(ring, rng, max_dim=4):
 
 def random_right_tuple(ring, rng, max_dim=4):
     return upsilon_inverse(random_right_pair(ring.ext, rng, max_dim), ring)
+
+
+def small_quiver_algebra(n, arrows, relations, field, paths=30):
+    """The monomial quiver algebra, or None when it has more than `paths`
+    paths: the library's dimension bound, lowered for the call."""
+    with mock.patch.object(algebra, "_QUIVER_MAX_DIM", paths):
+        try:
+            return monomial_quiver_algebra(n, arrows, relations, field)
+        except AlgebraError:
+            return None
 
 
 @st.composite
@@ -205,7 +222,7 @@ def enumerate_pairs(t, max_total):
     return out
 
 
-def dual_numbers_modules(max_dim, field, cls=LeftModule):
+def dual_numbers_modules(max_dim, field):
     """All modules over k[y]/(y^2) of dimension <= max_dim: one square-zero
     action matrix each."""
     p = field.p
@@ -215,7 +232,8 @@ def dual_numbers_modules(max_dim, field, cls=LeftModule):
         for entries in itertools.product(range(p), repeat=n * n):
             nil = FpMatrix(np.reshape(entries, (n, n)), field)
             if (nil @ nil).is_zero():
-                out.append(cls(total, [FpMatrix.identity(n, field), nil]))
+                out.append(LeftModule(total, [FpMatrix.identity(n, field),
+                                              nil]))
     return out
 
 

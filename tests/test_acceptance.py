@@ -14,9 +14,11 @@ from conftest import (FIELD2, FIELD3, a2_algebra, a2_morita_ring, criterion,
                       dual_numbers_modules, enumerate_pairs, nakayama_ring,
                       product_morita_ring, random_copair, random_module,
                       random_pair, random_right_tuple, random_tuple,
-                      square_zero_extension, triangular_extension)
+                      same_action, square_zero_extension,
+                      triangular_extension)
 from test_gorenstein import nontrivial_dd_pair
-from extalg.algebra import LeftModule, RightModule, dual_module, hom_space
+from extalg.algebra import (LeftModule, dual_module, hom_space,
+                            opposite_algebra)
 from extalg.cli import Workspace, emit_builtin_examples, main, run
 from extalg.gorenstein import (CERTIFIED_NO, CERTIFIED_YES,
                                build_copair_complete_coresolution,
@@ -130,7 +132,7 @@ def test_criterion_3_structure_sequences_random():
             pair = random_pair(t, rng, max_dim=3)
             assert ses_of_pair(pair).is_exact()
             induced_delta(pair).validate()
-            w = random_module(t.base, rng, max_dim=3, cls=RightModule)
+            w = random_module(opposite_algebra(t.base), rng, max_dim=3)
             assert is_invertible(tensor_iso_pair(w, pair).matrix)
 
             copair = random_copair(t, rng, max_dim=3)
@@ -285,7 +287,7 @@ def test_criterion_8_homological_oracles():
 
     assert id_bounded(LeftModule.regular(d.total)) == \
         DimensionVerdict.finite(0)
-    assert id_bounded(RightModule.regular(d.total)) == \
+    assert id_bounded(LeftModule.regular(opposite_algebra(d.total))) == \
         DimensionVerdict.finite(0)
 
 
@@ -301,7 +303,8 @@ def test_criterion_9_morita_ring_suite():
     rng = np.random.default_rng(99)
     tuples = [random_tuple(nak, rng, max_dim=3) for _ in range(40)]
     for tup in tuples:
-        assert theta_inverse(theta(tup), nak).same_presentation(tup)
+        assert same_action(theta_inverse(theta(tup), nak).module,
+                           tup.module)
         assert verify_thm52(tup)["classification"] != "violation"
     for s, u in zip(tuples, tuples[1:]):
         assert hom_space(s.module, u.module).dim == hom_space(
@@ -309,7 +312,8 @@ def test_criterion_9_morita_ring_suite():
 
     for _ in range(15):
         rt = random_right_tuple(nak, rng, max_dim=3)
-        assert upsilon_inverse(upsilon(rt), nak).same_presentation(rt)
+        assert same_action(upsilon_inverse(upsilon(rt), nak).left.module,
+                           rt.left.module)
         assert verify_thm54(rt)["classification"] != "violation"
 
     kx = LeftModule.regular(nak.context.a)

@@ -182,6 +182,14 @@ def test_unknown_references_name_both_entities(corpus):
      'module \'m\': side: expected "left" or "right", got "rigth"'),
     ({"modules": {"m": {"over": "k2", "action": [[[1.5]]]}}},
      "module 'm': action: expected an integer, got 1.5"),
+    # the left regular action of the A2 path algebra, declared a right one
+    ({"algebras": {"a2": {"quiver": {"vertices": 2, "arrows": [[0, 1]]}}},
+      "bimodules": {},
+      "modules": {"m": {"over": "a2", "side": "right",
+                        "action": [[[1, 0, 0], [0, 0, 0], [0, 0, 0]],
+                                   [[0, 0, 0], [0, 1, 0], [0, 0, 1]],
+                                   [[0, 0, 0], [0, 0, 0], [1, 0, 0]]]}}},
+     "module 'm': module law violated at (0,2)"),
     ({"algebras": {"k": {"structure_constants": [[[True]]], "unit": [1]}}},
      "algebra 'k': structure_constants: expected an integer, got true"),
     ({"algebras": {"k": {"structure_constants": [[[1]]], "unit": [1.0]}}},
@@ -203,7 +211,7 @@ def test_unknown_references_name_both_entities(corpus):
         "quiver_relation_index", "quiver_path_index", "quiver_arrow_vertex",
         "bimodule_action_sizes", "quiver_relation_bool",
         "quiver_vertices_float", "quiver_relation_float",
-        "quiver_arrow_text", "module_side", "action_float",
+        "quiver_arrow_text", "module_side", "action_float", "right_law",
         "structure_constants_bool", "unit_float", "action_ragged",
         "action_not_a_list", "action_huge_int", "quiver_arrow_not_a_list",
         "quiver_arrow_three_ends"])

@@ -10,8 +10,8 @@ from conftest import (FIELD2, FIELD3, a2_algebra, a2_morita_ring,
                       product_morita_ring, random_copair, random_module,
                       random_pair, square_zero_extension,
                       triangular_extension)
-from extalg.algebra import (Bimodule, LeftModule, ModuleHom, RightModule,
-                            as_left, dual_module, field_algebra, hom_space,
+from extalg.algebra import (Bimodule, LeftModule, ModuleHom, dual_module,
+                            field_algebra, hom_space,
                             is_kernel_inclusion, monomial_quiver_algebra,
                             opposite_algebra, product_algebra,
                             tensor_bimodule_left)
@@ -88,10 +88,9 @@ def test_regime_cached(d_ext):
 def test_star_of_regular(d_ext):
     reg = LeftModule.regular(d_ext.total)
     star, _ = star_module(reg)
-    assert isinstance(star, RightModule)
-    assert find_isomorphism(star.as_left_over_opposite(),
-                            RightModule.regular(d_ext.total)
-                            .as_left_over_opposite()) is not None
+    op = opposite_algebra(d_ext.total)
+    assert star.over is op
+    assert find_isomorphism(star, LeftModule.regular(op)) is not None
     ev = biduality_map(reg)
     assert is_invertible(ev.matrix)
 
@@ -172,7 +171,6 @@ def test_gp_unknown_regime_probable_yes(p):
 def _gp_oracle(g, bound):
     """gp_check's answer and certificate off the full battery: every
     Ext^i(-, A), i <= limit, read off a resolution of length limit + 1."""
-    g = as_left(g)
     regime, dl, dr = gorenstein_regime(g.over, bound)
     if g.dim == 0 or is_projective(g):
         return CERTIFIED_YES, {"reason": "projective"}
@@ -180,7 +178,7 @@ def _gp_oracle(g, bound):
         return CERTIFIED_YES, {"reason": "self_injective_regime"}
     limit = dl.value if regime == IWANAGA_GORENSTEIN else bound
     for side in ("module", "transpose"):
-        mod = g if side == "module" else as_left(star_module(g)[0])
+        mod = g if side == "module" else star_module(g)[0]
         res = minimal_projective_resolution(mod, limit + 1)
         dims = list(ext_dims(res, LeftModule.regular(mod.over), limit))
         assert res.length() == limit + 1
@@ -224,11 +222,12 @@ def test_early_stopping_battery_matches_the_full_one(p):
         commutative.append(np.array_equal(a.sc, a.sc.transpose(1, 0, 2)))
         assert (opposite_algebra(a) is a) == commutative[-1]
         mods = simples(a) + [random_module(a, rng) for _ in range(2)] + [
-            random_module(a, rng, cls=RightModule)]
+            random_module(opposite_algebra(a), rng)]
         for m in mods:
             v = gp_check(m, 3)
+            over = b if m.over is a else opposite_algebra(b)
             assert (v.answer, v.certificate) == \
-                _gp_oracle(type(m)(b, m.action), 3)
+                _gp_oracle(LeftModule(over, m.action), 3)
     assert 0 < sum(commutative) < len(builders)
 
 
@@ -237,8 +236,8 @@ def test_gi_and_gf_routes(d_ext):
     vi = gi_check(s)
     assert vi.answer == CERTIFIED_YES
     assert vi.certificate["route"] == "dual_over_opposite"
-    sr = RightModule(d_ext.total, [FpMatrix.identity(1, FIELD2),
-                                   FpMatrix.zeros(1, 1, FIELD2)])
+    sr = LeftModule(opposite_algebra(d_ext.total), [
+        FpMatrix.identity(1, FIELD2), FpMatrix.zeros(1, 1, FIELD2)])
     vf = gf_check_right(sr)
     assert vf.answer == CERTIFIED_YES
     assert vf.certificate["route"] == "character_dual"
@@ -248,8 +247,7 @@ def test_gp_gi_duality_coherence(tri_ext):
     # gp of m agrees with gi of its linear dual on the other side
     for s in simples(tri_ext.total):
         gp = gp_check(s)
-        dual = dual_module(s)  # right module over the same algebra
-        gi = gi_check(dual.as_left_over_opposite())
+        gi = gi_check(dual_module(s))  # a module over the opposite algebra
         assert gp.is_yes() == gi.is_yes()
 
 
@@ -397,7 +395,7 @@ def test_pair_lifting_builds_nothing_past_its_window(d_ext, monkeypatch,
     res = build_pair_complete_resolution(pair, window)
     assert calls and max(n for _, n in calls) <= window
     assert cokers and not any(m is c for m, _ in calls for c in cokers)
-    star = as_left(star_module(cokernel(pair)[0])[0])
+    star = star_module(cokernel(pair)[0])[0]
     assert sorted(m is pair.module for m, _ in calls) == [False, True]
     assert all(m is pair.module or m.action == star.action
                for m, _ in calls)
@@ -561,7 +559,7 @@ def test_compatibility_via_finite_fd_and_id():
     # D(wild) as a wild-k bimodule: injective but of infinite projective
     # dimension on the left, flat on the right
     w = local_wild_algebra(FIELD2)
-    dw = dual_module(RightModule.regular(w))
+    dw = dual_module(LeftModule.regular(opposite_algebra(w)))
     n = Bimodule(w, field_algebra(FIELD2), dw.action,
                  [FpMatrix.identity(dw.dim, FIELD2)])
     rep = compatibility_report(n, 4)
@@ -596,7 +594,8 @@ def test_verify_cor_copair_and_right_pair(d_ext):
     rc = verify_cor45(copair)
     assert rc["classification"] in ("agree", "consistent")
     assert rc["agreement"]
-    rp = module_to_right_pair(RightModule.regular(d_ext.total), d_ext)
+    rp = module_to_right_pair(
+        LeftModule.regular(opposite_algebra(d_ext.total)), d_ext)
     rr = verify_cor48(rp)
     assert rr["agreement"]
 

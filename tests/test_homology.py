@@ -6,10 +6,12 @@ from hypothesis import strategies as st
 from conftest import (FIELD2, a2_algebra, a2_morita_ring, double_extension,
                       local_wild_algebra, monomial_quivers, nakayama_ring,
                       product_morita_ring, random_module,
-                      square_zero_extension, triangular_extension)
+                      small_quiver_algebra, square_zero_extension,
+                      triangular_extension)
 from extalg.algebra import (Algebra, AlgebraError, Bimodule, HomSpace,
-                            LeftModule, RightModule, dual_module, hom_space,
-                            monomial_quiver_algebra, product_algebra)
+                            LeftModule, dual_module, hom_space,
+                            monomial_quiver_algebra, opposite_algebra,
+                            product_algebra)
 from extalg.gorenstein import CERTIFIED_NO, gp_check
 from extalg.homology import (ChainComplex, DimensionVerdict,
                              _precompose_matrix, default_bound, ext, ext_dims,
@@ -72,10 +74,8 @@ def test_ext_is_independent_of_the_resolution(quiver, p, seed):
     # the padded resolution has an extra summand in degrees 0 and 1, so
     # its cocycles and coboundaries differ there; Ext^i does not
     n, arrows, relations = quiver
-    try:
-        a = monomial_quiver_algebra(n, arrows, relations, FieldSpec(p),
-                                    max_dim=30)
-    except AlgebraError:
+    a = small_quiver_algebra(n, arrows, relations, FieldSpec(p))
+    if a is None:
         return  # more than 30 paths
     rng = np.random.default_rng(seed)
     m, y = simples(a)[rng.integers(n)], random_module(a, rng)
@@ -121,10 +121,8 @@ def test_block_read_ext_matches_the_hom_space_oracle(quiver, p, seed):
     # e_i.N = 0 for most pairs of vertices of the five-vertex quiver; with
     # a seed, the algebra is taken in a random basis
     n, arrows, relations = quiver
-    try:
-        a = monomial_quiver_algebra(n, arrows, relations, FieldSpec(p),
-                                    max_dim=30)
-    except AlgebraError:
+    a = small_quiver_algebra(n, arrows, relations, FieldSpec(p))
+    if a is None:
         return  # more than 30 paths
     if seed is not None:
         a = _rebased(a, np.random.default_rng(seed))
@@ -174,7 +172,7 @@ def test_pd_of_triangular_simples():
 def test_id_of_dual_numbers_regular(d_total):
     v = id_bounded(LeftModule.regular(d_total))
     assert v == DimensionVerdict.finite(0)
-    vr = id_bounded(RightModule.regular(d_total))
+    vr = id_bounded(LeftModule.regular(opposite_algebra(d_total)))
     assert vr == DimensionVerdict.finite(0)
 
 
@@ -214,14 +212,14 @@ def _walked_pd(m, bound, cap=None):
 def _check_dimension_walks(a, seed, top=5, cap=None):
     """pd_bounded and id_bounded against _walked_pd at bounds 0..top, on
     the simples, both regular modules, both duals of A and a seeded random
-    module, left and right."""
-    rng = np.random.default_rng(seed)
+    module, left and right (over A^op)."""
+    rng, op = np.random.default_rng(seed), opposite_algebra(a)
     left = simples(a) + [LeftModule.regular(a),
-                         dual_module(RightModule.regular(a)),
+                         dual_module(LeftModule.regular(op)),
                          random_module(a, rng)]
     right = [dual_module(s) for s in simples(a)] + [
-        RightModule.regular(a), dual_module(LeftModule.regular(a)),
-        random_module(a, rng, cls=RightModule)]
+        LeftModule.regular(op), dual_module(LeftModule.regular(a)),
+        random_module(op, rng)]
     for m in left + right:
         for bound in range(top + 1):
             want = _walked_pd(m, bound, cap)
@@ -294,10 +292,8 @@ def test_dimension_verdicts_over_monomial_quivers_match_the_walk(quiver, p,
     # non-semisimple syzygy whose covers name the same PIM: a repeated
     # support certifies nothing unless both syzygies are semisimple
     n, arrows, relations = quiver
-    try:
-        a = monomial_quiver_algebra(n, arrows, relations, FieldSpec(p),
-                                    max_dim=30)
-    except AlgebraError:
+    a = small_quiver_algebra(n, arrows, relations, FieldSpec(p))
+    if a is None:
         return  # more than 30 paths
     # wild algebras: the walk to bound 5 meets syzygies of dimension 6^5
     _check_dimension_walks(a, seed, cap=64)

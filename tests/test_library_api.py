@@ -103,21 +103,32 @@ def test_no_unused_imports():
     assert unused == []
 
 
+def _attributes(node, inside=None):
+    """The attribute names referenced under node, except those referenced
+    inside a function of the same name (inside names the innermost
+    function around node)."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Attribute) and child.attr != inside:
+            yield child.attr
+        yield from _attributes(child, child.name if isinstance(
+            child, (ast.FunctionDef, ast.AsyncFunctionDef)) else inside)
+
+
 def test_every_public_name_is_used_or_listed():
     """Every public function, class and public method of the library is
     referenced somewhere in src/extalg, or is on PAPER_API or TEST_SUPPORT,
     and every name on those lists is public and referenced nowhere there.
-    A method counts as referenced only through an attribute of its name:
-    local variables called like a method (mult, coords) do not use it."""
+    A method counts as referenced only through an attribute of its name,
+    and not from inside a method of that name: local variables called like
+    a method (mult, coords) do not use it, and neither does a method that
+    only forwards to the same method of an object it holds."""
     trees = {path.stem: ast.parse(path.read_text())
              for path in sorted(SRC.glob("*.py"))}
     names, attrs = set(), set()
     for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                attrs.add(node.attr)
+        names |= {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name)}
+        attrs |= set(_attributes(tree))
     unused = []
     for layer in LIBRARY:
         for node in trees[layer].body:

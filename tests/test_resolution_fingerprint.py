@@ -11,8 +11,8 @@ import hashlib
 
 import numpy as np
 
-from extalg.algebra import (LeftModule, RightModule, _stack, dual_module,
-                            monomial_quiver_algebra)
+from extalg.algebra import (LeftModule, _stack, dual_module,
+                            monomial_quiver_algebra, opposite_algebra)
 from extalg.homology import minimal_projective_resolution
 from extalg.linalg import FieldSpec
 from extalg.structure import projective_indecomposables, simples
@@ -67,7 +67,7 @@ def resolution_fingerprint() -> str:
             mods = (simples(a) + [pim for pim, _ in
                                   projective_indecomposables(a)]
                     + [LeftModule.regular(a),
-                       dual_module(RightModule.regular(a))])
+                       dual_module(LeftModule.regular(opposite_algebra(a)))])
             h.update(f"{name}@{p}:{len(mods)}".encode())
             for m in mods:
                 _put_resolution(h, minimal_projective_resolution(m, LENGTH))
