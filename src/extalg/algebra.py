@@ -644,13 +644,12 @@ class SwappedTensor:
     """X ox_R M for a right R-module X and an R-B-bimodule M, carried by
     the left tensor N ox X over R^op with N = M^swap.
 
-    This is the one place a right tensor appears.  `to_left` and
-    `to_right` are the mutually inverse changes between the quotient
-    coordinates of X ox M (plain index (x, m) -> x * dim(M) + m) and those
-    of N ox X (plain index (m, x)); `space` is X ox M as a left module
-    over B^op in its own coordinates.
+    This is the one place a right tensor appears: where a map on X ox M is
+    given in the paper's coordinates.  `to_left` and `to_right` are the
+    mutually inverse changes between the quotient coordinates of X ox M
+    (plain index (x, m) -> x * dim(M) + m) and those of N ox X (plain index
+    (m, x)).
     """
-    space: LeftModule
     to_left: FpMatrix
     to_right: FpMatrix
 
@@ -662,13 +661,9 @@ def swapped_tensor(n: Bimodule, x: LeftModule) -> SwappedTensor:
     right = _balanced_quotient(x.action, n.right_action, x.over)
     # entry k = m * dim(X) + x of this array is the plain index x * dim(M) + m
     mx = np.arange(x.dim * n.dim).reshape(x.dim, n.dim).T.reshape(-1)
-    to_left = FpMatrix(right.project.arr[:, mx], field) @ left.include
-    to_right = FpMatrix(left.project.arr[:, np.argsort(mx)],
-                        field) @ right.include
-    space = LeftModule(n.left_over,
-                       [to_right @ a @ to_left for a in left.space.action],
-                       validate=False)
-    return SwappedTensor(space, to_left, to_right)
+    return SwappedTensor(
+        FpMatrix(right.project.arr[:, mx], field) @ left.include,
+        FpMatrix(left.project.arr[:, np.argsort(mx)], field) @ right.include)
 
 
 # ---------------------------------------------------------------------------

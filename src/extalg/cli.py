@@ -20,7 +20,7 @@ import numpy as np
 
 from .algebra import (Algebra, AlgebraError, Bimodule, LeftModule,
                       monomial_quiver_algebra, opposite_algebra,
-                      product_algebra)
+                      product_algebra, swapped_tensor)
 from .gorenstein import (GorensteinError, build_copair_complete_coresolution,
                          build_pair_complete_resolution, gf_check_right,
                          gi_check, gp_check,
@@ -29,13 +29,13 @@ from .gorenstein import (GorensteinError, build_copair_complete_coresolution,
                          verify_cor45, verify_cor48)
 from .linalg import FieldSpec, FpMatrix, LinalgError
 from .morita import (CoTupleModule, MoritaContextData, MoritaError,
-                     RightTupleModule, TupleModule, morita_ring,
-                     verify_thm52, verify_thm53, verify_thm54)
+                     TupleModule, morita_ring, right_tuple, verify_thm52,
+                     verify_thm53, verify_thm54)
 from .structure import StructureError
-from .trivext import (CopairModule, PairModule, RightPairModule,
-                      TrivextError, copair_to_module, module_to_copair,
-                      module_to_pair, module_to_right_pair, pair_to_module,
-                      right_pair_to_module, trivial_extension)
+from .trivext import (CopairModule, PairModule, TrivextError,
+                      copair_to_module, module_to_copair, module_to_pair,
+                      opposite_extension, pair_to_module, right_pair,
+                      trivial_extension)
 
 SCHEMA_VERSION = 1
 
@@ -152,21 +152,21 @@ def _context(spec, ref, _):
         ref("bimodules", spec["u"]), ref("bimodules", spec["v"])))
 
 
-def _presented(cls, module_key: str, map_key: str):
-    """Builder of a (co)pair: an extension, a module and one map."""
+def _presented(make, module_key: str, map_key: str):
+    """Builder of a (co, right) pair: an extension, a module and one map."""
     def build(spec, ref, _):
         t = ref("extensions", spec["extension"])
-        return cls(t, ref("modules", spec[module_key]),
+        return make(t, ref("modules", spec[module_key]),
                    _mat(spec[map_key], t.field, map_key))
     return build
 
 
-def _tuple(cls, first: str, second: str):
+def _tuple(make, first: str, second: str):
     """Builder of a (co, right) tuple: a context, the two modules under the
     keys first and second, f and g."""
     def build(spec, ref, _):
         ring = ref("contexts", spec["context"])
-        return cls(ring, ref("modules", spec[first]),
+        return make(ring, ref("modules", spec[first]),
                    ref("modules", spec[second]),
                    _mat(spec["f"], ring.prod.field, "f"),
                    _mat(spec["g"], ring.prod.field, "g"))
@@ -184,11 +184,11 @@ ENTITIES = (
     ("pairs", "pairs", "pair", _presented(PairModule, "x", "alpha")),
     ("copairs", "copairs", "copair", _presented(CopairModule, "y", "beta")),
     ("right_pairs", "right_pairs", "right pair",
-     _presented(RightPairModule, "x", "alpha")),
+     _presented(right_pair, "x", "alpha")),
     ("tuples", "tuples", "tuple", _tuple(TupleModule, "x", "y")),
     ("cotuples", "cotuples", "cotuple", _tuple(CoTupleModule, "x", "y")),
     ("right_tuples", "right_tuples", "right tuple",
-     _tuple(RightTupleModule, "w", "q")),
+     _tuple(right_tuple, "w", "q")),
 )
 
 
@@ -312,7 +312,7 @@ COMMANDS = {
     "check gi": ("copairs", "copair", lambda x, a: gi_check(
         copair_to_module(x), a.bound)),
     "check gf": ("right_pairs", "right pair", lambda x, a: gf_check_right(
-        right_pair_to_module(x), a.bound)),
+        pair_to_module(x), a.bound)),
     "verify cor35": ("pairs", "pair",
                      lambda x, a: verify_cor35(x, a.bound)),
     "verify cor45": ("copairs", "copair",
@@ -374,8 +374,12 @@ def emit_builtin_examples() -> dict:
     dext = trivial_extension(k2, dbim)
     d_reg_pair = module_to_pair(LeftModule.regular(dext.total), dext)
     d_reg_copair = module_to_copair(LeftModule.regular(dext.total), dext)
-    d_reg_right = module_to_right_pair(
-        LeftModule.regular(opposite_algebra(dext.total)), dext)
+    d_reg_right = module_to_pair(
+        LeftModule.regular(opposite_algebra(dext.total)),
+        opposite_extension(dext))
+    # a workspace gives a right pair's alpha on X ox M
+    d_right_alpha = d_reg_right.alpha.matrix @ swapped_tensor(
+        d_reg_right.t.bimodule, d_reg_right.x).to_right
     # triangular 2x2 as an extension of k x k
     e1_on_m = FpMatrix.zeros(1, 1, field)
     e2_on_m = FpMatrix.identity(1, field)
@@ -454,8 +458,7 @@ def emit_builtin_examples() -> dict:
         },
         "right_pairs": {
             "d_regular_right_pair": {"extension": "d", "x": "d_regular_w",
-                                     "alpha": _dump_mat(
-                                         d_reg_right.alpha.matrix)},
+                                     "alpha": _dump_mat(d_right_alpha)},
         },
         "tuples": {
             "nakayama_unit_tuple": {"context": "nakayama4", "x": "k_left",

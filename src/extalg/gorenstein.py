@@ -19,6 +19,10 @@ of the module they resolve in degrees < 0, mono o epi at degree -1, and a
 right half from degree 0 on.  The pair builder lifts the right half of
 coker(alpha) degree by degree over the total algebra, one constrained Hom
 solve per degree into the extended projective T(P^i).
+
+A right pair is the `PairModule` over the opposite extension; the
+flatness harness `verify_cor48` reads the sufficiency reports off the
+extension it is a right pair over.
 """
 
 from __future__ import annotations
@@ -36,11 +40,10 @@ from .homology import (ChainComplex, _precompose_matrix,
 from .linalg import FpMatrix, is_invertible, rank, rref, solve
 from .structure import (injective_indecomposables, is_injective,
                         is_projective, projective_indecomposables)
-from .trivext import (CopairModule, PairModule, RightPairModule,
-                      TrivialExtension, _coextend, _extend, _inflate,
-                      copair_to_module, functor_C, functor_K,
-                      module_to_pair, opposite_extension, pair_to_module,
-                      right_pair_to_module)
+from .trivext import (CopairModule, PairModule, TrivialExtension,
+                      _coextend, _extend, _inflate, copair_to_module,
+                      functor_C, functor_K, module_to_pair,
+                      opposite_extension, pair_to_module)
 
 
 class GorensteinError(ValueError):
@@ -252,13 +255,6 @@ def thm_copair_hypotheses(copair: CopairModule,
     injectivity of ker(beta) over the base."""
     return {"middle_exact": is_exact_at(copair.beta, copair.beta_post()),
             "ker_verdict": gi_check(functor_K(copair)[0], bound)}
-
-
-def _right_pair_hypotheses(rp: RightPairModule, bound: Optional[int]) -> dict:
-    """Those of the left pair over the opposite extension, with Gorenstein
-    flatness of coker(alpha), a right module over the base."""
-    return {"middle_exact": is_exact_at(rp.pair.m_alpha(), rp.pair.alpha),
-            "coker_verdict": gf_check_right(functor_C(rp.pair)[0], bound)}
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +509,11 @@ def verify_cor45(copair: CopairModule, bound: Optional[int] = None) -> dict:
                             thm_copair_hypotheses(copair, bound), bound)
 
 
-def verify_cor48(rp: RightPairModule, bound: Optional[int] = None) -> dict:
-    """Gorenstein flatness of a right pair vs its structure sequence."""
-    return verify_corollary(rp.t, gf_check_right(right_pair_to_module(rp),
-                                                 bound),
-                            _right_pair_hypotheses(rp, bound), bound)
+def verify_cor48(rp: PairModule, bound: Optional[int] = None) -> dict:
+    """Gorenstein flatness of a right pair (a pair over the opposite
+    extension) vs its structure sequence and the flatness of coker(alpha),
+    a right module over the base."""
+    return verify_corollary(
+        opposite_extension(rp.t), gf_check_right(pair_to_module(rp), bound),
+        {"middle_exact": is_exact_at(rp.m_alpha(), rp.alpha),
+         "coker_verdict": gf_check_right(functor_C(rp)[0], bound)}, bound)

@@ -7,19 +7,19 @@ trivial extension, whose structure constants are checked entry by entry
 against those of the matrix multiplication rule.  A (co)tuple holds the
 module over the ring whose U and V blocks are f and g (resp. evaluate
 them), built once in its constructor and checked once, by that module's
-law: given valid X, Y and linear f, g, the law fails only at u_i v_j = 0
-or v_i u_j = 0, the two composite axioms.  theta and theta_co
+law: given valid X, Y and linear f, g, the law fails at a (base, ideal)
+basis pair when f or g is not a module map, and at u_i v_j = 0 or
+v_i u_j = 0 when one of the two composite axioms does.  theta and theta_co
 read the (co)pair off that module; theta_inverse reads the blocks back.
 The theorem harnesses are the corollary harness over the extension by
 U + V, plus the sufficiency reports on U and V.
 
-Right tuples (W, Q, f, g), W and Q modules over A^op and B^op, are the
-left tuples (W, Q, g, f) over the opposite context (A^op, B^op, V^swap,
-U^swap), whose ring `MoritaRing.opposite` is built once per ring.  Its
-ideal blocks come in the order V, U, so the right-side translations are
-theta/theta_inverse there plus one permutation of the ideal blocks
-(`_swap_ideal`); f and g move between the coordinates of Q ox U, W ox V
-and their swapped left tensors through `swapped_tensor`.
+A right tuple (W, Q, f, g), W and Q modules over A^op and B^op, is the
+`TupleModule` (W, Q, g, f) over the opposite context (A^op, B^op, V^swap,
+U^swap), whose ring `MoritaRing.opposite` links back.  Its ideal blocks
+come in the order V, U, so upsilon and its inverse are theta and
+theta_inverse there plus `_swap_ideal`.  `right_tuple` reads f and g in
+the coordinates of Q ox U and W ox V, the one place they enter.
 """
 
 from __future__ import annotations
@@ -38,10 +38,9 @@ from .algebra import (Algebra, Bimodule, LeftModule, ModuleHom,
 from .gorenstein import (compatibility_report, gf_check_right, gi_check,
                          gp_check, verify_corollary)
 from .linalg import FpMatrix, direct_sum, echelon_coords
-from .trivext import (CopairModule, PairModule, RightPairModule,
-                      Presented, TrivialExtension, module_to_copair,
-                      module_to_pair, module_to_right_pair, pair_to_module,
-                      trivial_extension)
+from .trivext import (CopairModule, PairModule, Presented,
+                      TrivialExtension, module_to_copair, module_to_pair,
+                      opposite_extension, pair_to_module, trivial_extension)
 
 
 class MoritaError(ValueError):
@@ -79,11 +78,14 @@ class MoritaRing:
 
     @cached_property
     def opposite(self) -> "MoritaRing":
-        """The ring of the opposite context (A^op, B^op, V^swap, U^swap)."""
+        """The ring of the opposite context (A^op, B^op, V^swap, U^swap),
+        whose opposite is this ring."""
         c = self.context
-        return morita_ring(MoritaContextData(
+        op = morita_ring(MoritaContextData(
             opposite_algebra(c.a), opposite_algebra(c.b), c.v.swap(),
             c.u.swap()))
+        op.opposite = self
+        return op
 
 
 def morita_ring(d: MoritaContextData) -> MoritaRing:
@@ -126,14 +128,17 @@ def morita_ring(d: MoritaContextData) -> MoritaRing:
 
 class _RingPresented(Presented):
     """A (co)tuple: its module over the ring has U and V blocks f and g
-    (resp. their evaluations), and its law can fail only at v_i u_j = 0,
-    the first of its `axioms`, or at u_i v_j = 0, the second."""
+    (resp. their evaluations), and its law fails at a (base, U) or
+    (base, V) basis pair when f or g is not a module map, at v_i u_j = 0
+    with the first of its `axioms`, and at u_i v_j = 0 with the second."""
     error = MoritaError
 
     def axiom(self, i: int, j: int) -> Optional[str]:
         k, du = self.ring.prod.dim, self.ring.context.u.dim
         if min(i, j) >= k:
             return self.axioms[i < k + du]
+        if max(i, j) >= k:
+            return "fg"[max(i, j) >= k + du] + " is not a module map"
 
 
 class TupleModule(_RingPresented):
@@ -149,8 +154,8 @@ class TupleModule(_RingPresented):
         self.y = y
         self.tsux = tensor_bimodule_left(ring.context.u, x)
         self.tsvy = tensor_bimodule_left(ring.context.v, y)
-        self.f = ModuleHom(self.tsux.space, y, f_matrix, validate=validate)
-        self.g = ModuleHom(self.tsvy.space, x, g_matrix, validate=validate)
+        self.f = ModuleHom(self.tsux.space, y, f_matrix, validate=False)
+        self.g = ModuleHom(self.tsvy.space, x, g_matrix, validate=False)
         du, dv = ring.context.u.dim, ring.context.v.dim
         f = (f_matrix @ self.tsux.project).arr.reshape(y.dim, du, x.dim)
         g = (g_matrix @ self.tsvy.project).arr.reshape(x.dim, dv, y.dim)
@@ -167,26 +172,16 @@ class TupleModule(_RingPresented):
                 tensor_map_second(ts_uvy, self.tsux, self.g))
 
 
-class RightTupleModule:
-    """(W, Q, f, g): W over A, Q over B on the right (modules over A^op and
-    B^op), f: Q ox U -> W, g: W ox V -> Q, with both composites zero.
-
-    Held as the left tuple `left` = (W, Q, g, f) over the opposite
-    context; f and g keep the quotient coordinates of Q ox U and W ox V."""
-
-    def __init__(self, ring: MoritaRing, w: LeftModule, q: LeftModule,
-                 f_matrix: FpMatrix, g_matrix: FpMatrix,
-                 validate: bool = True):
-        self.ring = ring
-        self.w = w
-        self.q = q
-        op = ring.opposite
-        qu = swapped_tensor(op.context.v, q)
-        wv = swapped_tensor(op.context.u, w)
-        self.f = ModuleHom(qu.space, w, f_matrix, validate=False)
-        self.g = ModuleHom(wv.space, q, g_matrix, validate=False)
-        self.left = TupleModule(op, w, q, g_matrix @ wv.to_left,
-                                f_matrix @ qu.to_left, validate)
+def right_tuple(ring: MoritaRing, w: LeftModule, q: LeftModule,
+                f_matrix: FpMatrix, g_matrix: FpMatrix) -> TupleModule:
+    """The right tuple (W, Q, f, g): W over A and Q over B on the right
+    (modules over A^op and B^op), f: Q ox U -> W and g: W ox V -> Q in the
+    coordinates of Q ox U and W ox V, with both composites zero.  It is
+    the tuple (W, Q, g, f) over the opposite context."""
+    op = ring.opposite
+    return TupleModule(op, w, q,
+                       g_matrix @ swapped_tensor(op.context.u, w).to_left,
+                       f_matrix @ swapped_tensor(op.context.v, q).to_left)
 
 
 class CoTupleModule(_RingPresented):
@@ -201,8 +196,8 @@ class CoTupleModule(_RingPresented):
         self.y = y
         self.hom_uy = hom_from_bimodule(ring.context.u, y)
         self.hom_vx = hom_from_bimodule(ring.context.v, x)
-        self.f = ModuleHom(x, self.hom_uy.space, f_matrix)
-        self.g = ModuleHom(y, self.hom_vx.space, g_matrix)
+        self.f = ModuleHom(x, self.hom_uy.space, f_matrix, validate=False)
+        self.g = ModuleHom(y, self.hom_vx.space, g_matrix, validate=False)
         # block k sends b to f(b)(u_k), resp. g(b)(v_k)
         self.module = _ring_module(ring, x, y, *(
             hm.homs.basis_array().transpose(2, 1, 0) @ mat.arr
@@ -299,33 +294,31 @@ def _swap_ideal(ring: MoritaRing, action: list) -> list:
     return action[:k] + action[k + du:] + action[k:k + du]
 
 
-def _right_module(rt: RightTupleModule) -> LeftModule:
-    """upsilon(rt) as a right module over the ring, a module over its
-    opposite: theta over the opposite context with the ideal blocks put
-    back in the order U, V.  The total algebra of the opposite context is
-    the opposite of the ring's, up to that reordering of its basis, so the
-    law of the tuple's total module carries over."""
-    return LeftModule(opposite_algebra(rt.ring.total),
-                      _swap_ideal(rt.ring.opposite, rt.left.module.action),
-                      validate=False)
+def _right_module(rt: TupleModule) -> LeftModule:
+    """upsilon(rt) as a right module over R = rt.ring.opposite, a module
+    over R^op: rt's module with the ideal blocks put back in the order U, V.
+    The total algebra of rt.ring is R^op up to that reordering of its
+    basis, so the law of rt's module carries over."""
+    return LeftModule(opposite_algebra(rt.ring.opposite.total),
+                      _swap_ideal(rt.ring, rt.module.action), validate=False)
 
 
-def upsilon(rt: RightTupleModule) -> RightPairModule:
-    """The right pair ((W, Q), (f, g)) over the extension."""
-    return module_to_right_pair(_right_module(rt), rt.ring.ext)
+def upsilon(rt: TupleModule) -> PairModule:
+    """The right pair ((W, Q), (f, g)) over the extension of
+    rt.ring.opposite: the pair over the opposite extension."""
+    return module_to_pair(_right_module(rt),
+                          opposite_extension(rt.ring.opposite.ext))
 
 
-def upsilon_inverse(rp: RightPairModule, ring: MoritaRing) -> RightTupleModule:
-    if rp.t is not ring.ext:
+def upsilon_inverse(rp: PairModule, ring: MoritaRing) -> TupleModule:
+    """The right tuple of the right pair rp over the ring's extension:
+    theta_inverse over the opposite context, after putting the ideal
+    blocks in the order V, U."""
+    if rp.t is not opposite_extension(ring.ext):
         raise MoritaError("pair does not live over this ring")
     op = ring.opposite
-    mod = LeftModule(op.total,
-                     _swap_ideal(ring, pair_to_module(rp.pair).action))
-    lt = theta_inverse(module_to_pair(mod, op.ext), op)
-    qu = swapped_tensor(op.context.v, lt.y)
-    wv = swapped_tensor(op.context.u, lt.x)
-    return RightTupleModule(ring, lt.x, lt.y, lt.g.matrix @ qu.to_right,
-                            lt.f.matrix @ wv.to_right, validate=False)
+    mod = LeftModule(op.total, _swap_ideal(ring, pair_to_module(rp).action))
+    return theta_inverse(module_to_pair(mod, op.ext), op)
 
 
 def theta_co(ct: CoTupleModule) -> CopairModule:
@@ -379,17 +372,17 @@ def verify_thm53(ct: CoTupleModule, bound=None) -> dict:
                           bound)
 
 
-# the left tuple (W, Q, g, f) of a right tuple lists f and g the other way
-# round
+# a right tuple (W, Q, f, g) is the tuple (W, Q, g, f): f and g swap
 _EXCHANGE_FG = {"seq1_exact": "seq2_exact", "seq2_exact": "seq1_exact",
                 "coker_f_verdict": "coker_g_verdict",
                 "coker_g_verdict": "coker_f_verdict"}
 
 
-def verify_thm54(rt: RightTupleModule, bound=None) -> dict:
-    """Right-module mirror: hypotheses vs Gorenstein flatness, through the
-    left tuple over the opposite context."""
-    left = _tuple_hypotheses(rt.left, gf_check_right, bound)
-    return verify_theorem(rt.ring, gf_check_right(_right_module(rt), bound),
-                          {_EXCHANGE_FG[k]: v for k, v in left.items()},
+def verify_thm54(rt: TupleModule, bound=None) -> dict:
+    """Right-module mirror: hypotheses vs Gorenstein flatness of a right
+    tuple, the tuple over the opposite context."""
+    hyp = _tuple_hypotheses(rt, gf_check_right, bound)
+    return verify_theorem(rt.ring.opposite,
+                          gf_check_right(_right_module(rt), bound),
+                          {_EXCHANGE_FG[k]: v for k, v in hyp.items()},
                           bound)

@@ -13,15 +13,16 @@ are built once each as total modules; `functor_T` and `functor_H` read
 their pair and copair off them, as `morita.theta` and `theta_co` do.
 
 A pair or copair holds its total module and is checked once, by its law
-(`Presented`): beyond linearity, that is m_i m_j = 0, the square-zero
-axiom.  `module_to_pair` reads a valid module and does not check again.
+(`Presented`): at a (base, ideal) basis pair the law says that the
+(co)structure map is a module map, and m_i m_j = 0 is the square-zero
+axiom.
+`module_to_pair` reads a valid module and does not check again.
 
 Right modules over R |x M are left modules over R^op |x M^swap
 (`opposite_extension`, whose total algebra is the opposite of the original
-one).  A right pair (X, alpha: X ox M -> X), X a left module over R^op, is
-held as the left pair over that extension; the only adapter is
-`swapped_tensor`, which moves alpha between the quotient coordinates of
-X ox M and M^swap ox X.
+one), and a right pair (X, alpha: X ox M -> X) is the `PairModule` over
+that extension.  `right_pair` builds one from alpha in the coordinates of
+X ox M, the one place those coordinates enter (`swapped_tensor`).
 """
 
 from __future__ import annotations
@@ -107,8 +108,9 @@ def opposite_extension(t: TrivialExtension) -> TrivialExtension:
 class Presented:
     """A presentation of the total module `module`, built by its
     constructor.  Given valid base modules and linear maps, the law of that
-    module can fail only at a product of two ideal basis elements, which is
-    an axiom; `axiom(i, j)` names the one that the basis pair tests."""
+    module fails at a (base, ideal) basis pair when the map is not a module
+    map, and at a product of two ideal basis elements when the square-zero
+    axiom fails; `axiom(i, j)` names what the basis pair tests."""
     error = TrivextError
 
     def validate(self):
@@ -119,15 +121,18 @@ class Presented:
                              or str(exc)) from exc
 
     def axiom(self, i: int, j: int) -> Optional[str]:
-        if min(i, j) >= self.t.base_dim:
-            return self.law
+        n = self.t.base_dim
+        if min(i, j) >= n:
+            return f"{self.map_name} does not square to zero"
+        if max(i, j) >= n:
+            return f"{self.map_name} is not a module map"
 
 
 class PairModule(Presented):
     """(X, alpha) with X a left module over the base and alpha a module map
     M ox X -> X killing M ox M ox X; (r, m) acts on the total module as
     r.x + alpha(m ox x)."""
-    law = "structure map does not square to zero"
+    map_name = "structure map"
 
     def __init__(self, t: TrivialExtension, x: LeftModule,
                  alpha_matrix: FpMatrix, validate: bool = True):
@@ -135,7 +140,7 @@ class PairModule(Presented):
         self.x = x
         self.tensor = tensor_bimodule_left(t.bimodule, x)
         self.alpha = ModuleHom(self.tensor.space, x, alpha_matrix,
-                               validate=validate)
+                               validate=False)
         # block j sends b to alpha(m_j ox b)
         ideal = (alpha_matrix @ self.tensor.project).arr.reshape(
             x.dim, t.ideal_dim, x.dim).transpose(1, 0, 2)
@@ -156,7 +161,7 @@ class PairModule(Presented):
 class CopairModule(Presented):
     """[Y, beta] with beta: Y -> Hom(M, Y) killed by postcomposition with
     itself; (r, m) acts on the total module as r.y + (beta y)(m)."""
-    law = "costructure map does not square to zero"
+    map_name = "costructure map"
 
     def __init__(self, t: TrivialExtension, y: LeftModule,
                  beta_matrix: FpMatrix, validate: bool = True):
@@ -164,7 +169,7 @@ class CopairModule(Presented):
         self.y = y
         self.hom = hom_from_bimodule(t.bimodule, y)
         self.beta = ModuleHom(y, self.hom.space, beta_matrix,
-                              validate=validate)
+                              validate=False)
         # block j sends b to beta(b)(m_j)
         ideal = self.hom.homs.basis_array().transpose(2, 1, 0) @ \
             beta_matrix.arr
@@ -182,24 +187,14 @@ class CopairModule(Presented):
         return f"CopairModule(y_dim={self.y.dim}, over={self.t!r})"
 
 
-class RightPairModule:
-    """(X, alpha) on the right: X a module over the opposite base and
-    alpha: X ox M -> X killing X ox M ox M.
-
-    Held as the left pair `pair` over the opposite extension; `alpha`
-    keeps the quotient coordinates of X ox M."""
-
-    def __init__(self, t: TrivialExtension, x: LeftModule,
-                 alpha_matrix: FpMatrix, validate: bool = True):
-        self.t = t
-        self.x = x
-        top = opposite_extension(t)
-        st = swapped_tensor(top.bimodule, x)
-        self.alpha = ModuleHom(st.space, x, alpha_matrix, validate=False)
-        self.pair = PairModule(top, x, alpha_matrix @ st.to_left, validate)
-
-    def __repr__(self):
-        return f"RightPairModule(x_dim={self.x.dim}, over={self.t!r})"
+def right_pair(t: TrivialExtension, x: LeftModule,
+               alpha_matrix: FpMatrix) -> PairModule:
+    """The right pair (X, alpha: X ox M -> X), X a module over the opposite
+    base and alpha in the coordinates of X ox M: the pair over the opposite
+    extension, on which x.(r, m) = x.r + alpha(x ox m)."""
+    top = opposite_extension(t)
+    return PairModule(top, x, alpha_matrix @ swapped_tensor(
+        top.bimodule, x).to_left)
 
 
 # ---------------------------------------------------------------------------
@@ -245,22 +240,6 @@ def module_to_copair(mod: LeftModule, t: TrivialExtension) -> CopairModule:
         raise TrivextError("ideal action is not given by module maps from "
                            "the bimodule") from exc
     return CopairModule(t, y, beta_mat, validate=False)
-
-
-def right_pair_to_module(rp: RightPairModule) -> LeftModule:
-    """x.(r, m) = x.r + alpha(x ox m), the module over the opposite total
-    algebra that the left pair holds."""
-    return pair_to_module(rp.pair)
-
-
-def module_to_right_pair(mod: LeftModule, t: TrivialExtension
-                         ) -> RightPairModule:
-    """Inverse of right_pair_to_module for a valid mod over the opposite
-    total algebra, not checked again."""
-    pair = module_to_pair(mod, opposite_extension(t))
-    to_right = swapped_tensor(pair.t.bimodule, pair.x).to_right
-    return RightPairModule(t, pair.x, pair.alpha.matrix @ to_right,
-                           validate=False)
 
 
 # ---------------------------------------------------------------------------

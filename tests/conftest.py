@@ -20,7 +20,7 @@ from extalg.morita import (MoritaContextData, morita_ring, theta_inverse,
                            upsilon_inverse)
 from extalg.structure import chop, spin
 from extalg.trivext import (PairModule, TrivextError, module_to_copair,
-                            module_to_pair, module_to_right_pair,
+                            module_to_pair, opposite_extension,
                             trivial_extension)
 
 FIELD2 = FieldSpec(2)
@@ -124,8 +124,10 @@ def random_copair(t, rng, max_dim=4):
 
 
 def random_right_pair(t, rng, max_dim=4):
-    return module_to_right_pair(
-        random_module(opposite_algebra(t.total), rng, max_dim), t)
+    """A right pair over t: a pair over the opposite extension."""
+    return module_to_pair(
+        random_module(opposite_algebra(t.total), rng, max_dim),
+        opposite_extension(t))
 
 
 def same_action(m, n) -> bool:

@@ -312,8 +312,8 @@ def test_criterion_9_morita_ring_suite():
 
     for _ in range(15):
         rt = random_right_tuple(nak, rng, max_dim=3)
-        assert same_action(upsilon_inverse(upsilon(rt), nak).left.module,
-                           rt.left.module)
+        assert same_action(upsilon_inverse(upsilon(rt), nak).module,
+                           rt.module)
         assert verify_thm54(rt)["classification"] != "violation"
 
     kx = LeftModule.regular(nak.context.a)

@@ -23,7 +23,7 @@ from extalg.algebra import (Algebra, AlgebraError, Bimodule, LeftModule,
                             tensor_right_left, validate_algebra)
 from extalg.gorenstein import solve_module_hom
 from extalg.linalg import (FieldSpec, FpMatrix, hstack, kernel_basis, kron,
-                           quotient_maps, rank, solve, vstack)
+                           quotient_maps, solve, vstack)
 from extalg.structure import find_isomorphism
 from test_linalg import _record_casts
 

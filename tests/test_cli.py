@@ -205,6 +205,20 @@ def test_unknown_references_name_both_entities(corpus):
     ({"algebras": {"q": {"quiver": {"vertices": 2,
                                     "arrows": [[0, 1, 1]]}}}},
      "algebra 'q': quiver.arrows: expected [source, target], got [0, 1, 1]"),
+    # alpha on X ox M = k ox k over the dual numbers: m acts as 1
+    ({"right_pairs": {"rp": {"extension": "d", "x": "k_right",
+                             "alpha": [[1]]}}},
+     "right pair 'rp': structure map does not square to zero"),
+    # over (k, k, k, k) with dim W = 2, dim Q = 1 only W ox V ox U -> W
+    # breaks, named as in the tuple (W, Q, g, f) over the opposite context
+    ({"modules": {"w": {"over": "k2", "side": "right",
+                        "action": [[[1, 0], [0, 1]]]},
+                  "q": {"over": "k2", "side": "right", "action": [[[1]]]}},
+      "pairs": {}, "copairs": {}, "right_pairs": {}, "tuples": {},
+      "cotuples": {},
+      "right_tuples": {"rt": {"context": "nakayama4", "w": "w", "q": "q",
+                              "f": [[0], [1]], "g": [[1, 0]]}}},
+     "right tuple 'rt': g o (V ox f) != 0"),
 ], ids=["missing", "not_utf8", "list", "field_int", "p_text", "p_composite",
         "p_too_large", "p_float", "p_numeric_text", "p_bool",
         "algebra_p_float", "algebra_p_text", "algebras_list",
@@ -214,7 +228,7 @@ def test_unknown_references_name_both_entities(corpus):
         "quiver_arrow_text", "module_side", "action_float", "right_law",
         "structure_constants_bool", "unit_float", "action_ragged",
         "action_not_a_list", "action_huge_int", "quiver_arrow_not_a_list",
-        "quiver_arrow_three_ends"])
+        "quiver_arrow_three_ends", "right_pair_square", "right_tuple_axiom"])
 def test_bad_workspace_exits_2_naming_the_fault(tmp_path, capsys, corpus,
                                                 content, named):
     # content: raw bytes, or keys that replace those of the built-in corpus

@@ -10,7 +10,7 @@ from conftest import (FIELD2, FIELD3, a2_algebra, a2_morita_ring,
                       product_morita_ring, random_copair, random_module,
                       random_pair, square_zero_extension,
                       triangular_extension)
-from extalg.algebra import (Bimodule, LeftModule, ModuleHom, dual_module,
+from extalg.algebra import (Bimodule, LeftModule, dual_module,
                             field_algebra, hom_space,
                             is_kernel_inclusion, monomial_quiver_algebra,
                             opposite_algebra, product_algebra,
@@ -32,16 +32,14 @@ from extalg.gorenstein import (CERTIFIED_NO, CERTIFIED_YES,
                                validate_pair_complete_resolution,
                                verify_cor35, verify_cor45, verify_cor48,
                                zr_bimodule)
-from extalg.homology import (ext, ext_dims, ext_from_resolution,
+from extalg.homology import (ext_dims, ext_from_resolution,
                              minimal_projective_resolution,
                              non_minimal_resolution)
 from extalg.linalg import FieldSpec, FpMatrix, is_invertible, rank
 from extalg.structure import find_isomorphism, is_projective, simples
 from extalg.trivext import (_extend, functor_C, functor_Z_copair,
-                            functor_Z_pair, functor_T, module_to_copair,
-                            module_to_pair,
-                            module_to_right_pair, pair_to_module,
-                            copair_to_module, right_pair_to_module)
+                            functor_Z_pair, module_to_copair, module_to_pair,
+                            opposite_extension, pair_to_module)
 
 
 @pytest.fixture(scope="module")
@@ -594,8 +592,8 @@ def test_verify_cor_copair_and_right_pair(d_ext):
     rc = verify_cor45(copair)
     assert rc["classification"] in ("agree", "consistent")
     assert rc["agreement"]
-    rp = module_to_right_pair(
-        LeftModule.regular(opposite_algebra(d_ext.total)), d_ext)
+    rp = module_to_pair(LeftModule.regular(opposite_algebra(d_ext.total)),
+                        opposite_extension(d_ext))
     rr = verify_cor48(rp)
     assert rr["agreement"]
 

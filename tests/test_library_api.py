@@ -13,7 +13,8 @@ import pytest
 
 LIBRARY = ("linalg", "algebra", "structure", "homology", "trivext",
            "gorenstein", "morita")
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "extalg"
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "extalg"
 
 # The two closed lists of public names that nothing in src/extalg uses.
 # The paper's constructions, kept as the paper states them:
@@ -39,8 +40,10 @@ PAPER_API = {
                                     "resolution, Hom into projectives",
     "theta": "the isomorphism from tuples to pairs over the extension",
     "theta_co": "the isomorphism from cotuples to copairs",
-    "upsilon": "the isomorphism from right tuples to right pairs",
-    "upsilon_inverse": "the inverse of upsilon",
+    "upsilon": "the isomorphism from right tuples to right pairs; it "
+               "returns the pair over the opposite extension",
+    "upsilon_inverse": "the inverse of upsilon; it returns the tuple over "
+                       "the opposite context",
 }
 # Names that do work no other public name does, for the tests:
 TEST_SUPPORT = {
@@ -83,8 +86,8 @@ def test_no_library_function_takes_a_seed_or_budget(layer):
 
 
 def test_no_unused_imports():
-    """Every name a library or CLI module imports is used in it."""
-    paths = sorted(SRC.glob("*.py"))
+    """Every name a library, CLI or test module imports is used in it."""
+    paths = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
     assert paths
     unused = []
     for path in paths:

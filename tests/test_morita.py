@@ -16,13 +16,12 @@ from extalg.gorenstein import SELF_INJECTIVE, IWANAGA_GORENSTEIN, \
     gorenstein_regime
 from extalg.linalg import FpMatrix
 from extalg.morita import (CoTupleModule, MoritaContextData, MoritaError,
-                           RightTupleModule, TupleModule, _right_module,
-                           morita_ring, theta, theta_co, theta_inverse,
+                           TupleModule, _right_module, morita_ring,
+                           right_tuple, theta, theta_co, theta_inverse,
                            upsilon, upsilon_inverse, verify_thm52,
                            verify_thm53, verify_thm54)
 from extalg.structure import find_isomorphism, simples
-from extalg.trivext import (copair_to_module, pair_to_module,
-                            right_pair_to_module)
+from extalg.trivext import copair_to_module, pair_to_module
 
 
 @pytest.fixture(scope="module")
@@ -116,13 +115,22 @@ def test_upsilon_round_trips(nak):
     w = LeftModule.regular(opposite_algebra(nak.context.a))
     one = FpMatrix([[1]], FIELD2)
     zero = FpMatrix.zeros(1, 1, FIELD2)
-    rt = RightTupleModule(nak, w, w, one, zero)
+    rt = right_tuple(nak, w, w, one, zero)
     back = upsilon_inverse(upsilon(rt), nak)
-    assert same_action(back.left.module, rt.left.module)
+    assert back.ring is rt.ring is nak.opposite
+    assert same_action(back.module, rt.module)
     for _ in range(5):
         rt = random_right_tuple(nak, rng)
         back = upsilon_inverse(upsilon(rt), nak)
-        assert same_action(back.left.module, rt.left.module)
+        assert same_action(back.module, rt.module)
+
+
+@pytest.mark.parametrize("build", [nakayama_ring, a2_morita_ring,
+                                   product_morita_ring])
+def test_opposite_ring_links_back(build):
+    ring = build(FIELD2)
+    assert ring.opposite is ring.opposite
+    assert ring.opposite.opposite is ring
 
 
 def test_theta_co_builds_valid_copair(nak):
@@ -202,7 +210,7 @@ def test_verify_thm53_and_54_canned(nak):
     r53 = verify_thm53(CoTupleModule(nak, k, k, one, zero))
     assert r53["agreement"]
     w = LeftModule.regular(opposite_algebra(nak.context.a))
-    r54 = verify_thm54(RightTupleModule(nak, w, w, one, zero))
+    r54 = verify_thm54(right_tuple(nak, w, w, one, zero))
     assert r54["agreement"]
 
 
@@ -274,7 +282,27 @@ def test_right_tuple_axiom_is_named(nak):
         q = LeftModule(opposite_algebra(nak.context.b),
                        [FpMatrix.identity(dq, FIELD2)])
         with pytest.raises(MoritaError, match=re.escape(names[broken])):
-            RightTupleModule(nak, w, q, f, g)
+            right_tuple(nak, w, q, f, g)
+
+
+def test_maps_that_are_not_module_maps_are_named():
+    # over (k x k, k x k, M, M) with M = k, (a, b).m = b m and m.(a, b) =
+    # m a, both M ox R and Hom(M, R) of R = k x k are one-dimensional, and
+    # a module map lands in, resp. comes from, one summand of R
+    k = field_algebra(FIELD2)
+    prod, _, _ = product_algebra(k, k)
+    zero, one = FpMatrix.zeros(1, 1, FIELD2), FpMatrix.identity(1, FIELD2)
+    m = Bimodule(prod, prod, [zero, one], [one, zero])
+    ring = morita_ring(MoritaContextData(prod, prod, m, m))
+    x = LeftModule.regular(prod)
+    for build, good, bad in ((TupleModule, [[0], [1]], [[1], [0]]),
+                             (CoTupleModule, [[1, 0]], [[0, 1]])):
+        good, bad = FpMatrix(good, FIELD2), FpMatrix(bad, FIELD2)
+        build(ring, x, x, good, good)
+        for f, g, name in ((bad, good, "f"), (good, bad, "g")):
+            with pytest.raises(MoritaError,
+                               match=f"^{name} is not a module map$"):
+                build(ring, x, x, f, g)
 
 
 def test_law_check_matches_the_composites():

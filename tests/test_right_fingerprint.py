@@ -26,7 +26,7 @@ from extalg.gorenstein import (compatibility_report, gf_check_right,
 from extalg.linalg import FieldSpec
 from extalg.morita import upsilon, verify_thm54
 from extalg.structure import injective_envelope
-from extalg.trivext import right_pair_to_module, tensor_iso_pair
+from extalg.trivext import pair_to_module, tensor_iso_pair
 from test_resolution_fingerprint import _put, _put_module
 
 PRIMES = (2, 3, 101)
@@ -70,7 +70,7 @@ def right_fingerprint() -> str:
             h.update(f"{make.__name__}@{p}".encode())
             for _ in range(4):
                 rp = random_right_pair(t, rng)
-                _put_right_module(h, right_pair_to_module(rp))
+                _put_right_module(h, pair_to_module(rp))
                 _put_report(h, verify_cor48(rp))
                 _put_tensor_iso(h, t, rng)
             for n in (t.bimodule, zr_bimodule(t)):
@@ -81,7 +81,7 @@ def right_fingerprint() -> str:
             h.update(f"{make.__name__}@{p}".encode())
             for _ in range(3):
                 rt = random_right_tuple(ring, rng, 3)
-                _put_right_module(h, right_pair_to_module(upsilon(rt)))
+                _put_right_module(h, pair_to_module(upsilon(rt)))
                 _put_report(h, verify_thm54(rt))
                 _put_tensor_iso(h, ring.ext, rng)
             for n in (ring.context.u, ring.context.v):

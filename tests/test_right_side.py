@@ -14,26 +14,33 @@ from conftest import (a2_morita_ring, double_extension, local_wild_algebra,
                       nakayama_ring, product_morita_ring, random_module,
                       random_right_pair, random_right_tuple, same_action,
                       square_zero_extension, triangular_extension)
-from extalg.algebra import Algebra, LeftModule, opposite_algebra
+from extalg.algebra import (Algebra, LeftModule, opposite_algebra,
+                            swapped_tensor)
 from extalg.gorenstein import gp_check
 from extalg.homology import fd_bounded, id_bounded, pd_bounded
 from extalg.linalg import FieldSpec, FpMatrix, hstack, kron, quotient_maps
 from extalg.morita import upsilon, upsilon_inverse, verify_thm54
 from extalg.structure import (chop, injective_envelope, is_projective,
                               top_of_module)
-from extalg.trivext import module_to_right_pair, right_pair_to_module
+from extalg.trivext import (module_to_pair, opposite_extension,
+                            pair_to_module, right_pair)
 
 PRIMES = (2, 3, 101)
 EXTENSIONS = (square_zero_extension, triangular_extension, double_extension)
 RINGS = (nakayama_ring, a2_morita_ring, product_morita_ring)
 
 
-def explicit_right_action(rp):
-    """The action of the total algebra on a right pair, with X ox M
+def right_alpha(rp):
+    """alpha of the right pair rp in the quotient coordinates of X ox M."""
+    return rp.alpha.matrix @ swapped_tensor(rp.t.bimodule, rp.x).to_right
+
+
+def explicit_right_action(t, rp):
+    """The action of the total algebra on a right pair over t, with X ox M
     presented directly: the plain tensor (index x * dim(M) + m) modulo
     x.r ox m - x ox r.m; the ideal basis vector m_j sends x to
     alpha(x ox m_j)."""
-    t, x, m = rp.t, rp.x, rp.t.bimodule
+    x, m = rp.x, t.bimodule
     field = t.field
     ix = FpMatrix.identity(x.dim, field)
     im = FpMatrix.identity(m.dim, field)
@@ -44,7 +51,7 @@ def explicit_right_action(rp):
     for j in range(m.dim):
         ej = FpMatrix.zeros(m.dim, 1, field)
         ej.arr[j, 0] = 1
-        action.append(rp.alpha.matrix @ project @ kron(ix, ej))
+        action.append(right_alpha(rp) @ project @ kron(ix, ej))
     return action
 
 
@@ -55,10 +62,10 @@ def test_right_pair_module_matches_explicit_action(make, p):
     rng = np.random.default_rng(p)
     for _ in range(5):
         rp = random_right_pair(t, rng)
-        mod = right_pair_to_module(rp)
+        mod = pair_to_module(rp)
         assert mod.over is opposite_algebra(t.total)
         assert all(a == b for a, b in zip(mod.action,
-                                          explicit_right_action(rp)))
+                                          explicit_right_action(t, rp)))
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -68,12 +75,13 @@ def test_right_pair_round_trips(make, p):
     rng = np.random.default_rng(10 + p)
     for _ in range(5):
         mod = random_module(opposite_algebra(t.total), rng)
-        rp = module_to_right_pair(mod, t)
-        back = right_pair_to_module(rp)
-        assert all(a == b for a, b in zip(back.action, mod.action))
-        again = module_to_right_pair(back, t)
-        assert same_action(again.pair.module, rp.pair.module)
-        assert again.alpha.matrix == rp.alpha.matrix
+        rp = module_to_pair(mod, opposite_extension(t))
+        assert same_action(pair_to_module(rp), mod)
+        # alpha given on X ox M comes back through to_right
+        alpha = right_alpha(rp)
+        again = right_pair(t, rp.x, alpha)
+        assert same_action(again.module, rp.module)
+        assert right_alpha(again) == alpha
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -84,7 +92,7 @@ def test_upsilon_round_trips_on_every_ring(make, p):
     for _ in range(4):
         rt = random_right_tuple(ring, rng, max_dim=3)
         back = upsilon_inverse(upsilon(rt), ring)
-        assert same_action(back.left.module, rt.left.module)
+        assert same_action(back.module, rt.module)
 
 
 # (classification, lhs answer, rhs_holds) of verify_thm54 on the first four

@@ -13,15 +13,14 @@ from extalg.homology import id_bounded, pd_bounded
 from extalg.linalg import FieldSpec, FpMatrix, is_invertible
 from extalg.structure import (is_injective, is_projective,
                               projective_indecomposables, simples)
-from extalg.trivext import (CopairModule, PairModule, RightPairModule,
-                            TrivextError, _coextend, _extend,
-                            classify_injective, classify_projective,
-                            copair_to_module, functor_C, functor_H,
-                            functor_K, functor_T, functor_U, functor_Z_copair,
-                            functor_Z_pair, hom_iso_copair, induced_delta,
-                            induced_gamma, module_to_copair, module_to_pair,
-                            module_to_right_pair, opposite_extension,
-                            pair_to_module, right_pair_to_module, ses_of_copair,
+from extalg.trivext import (CopairModule, PairModule, TrivextError,
+                            _coextend, _extend, classify_injective,
+                            classify_projective, copair_to_module, functor_C,
+                            functor_H, functor_K, functor_T, functor_U,
+                            functor_Z_copair, functor_Z_pair, hom_iso_copair,
+                            induced_delta, induced_gamma, module_to_copair,
+                            module_to_pair, opposite_extension,
+                            pair_to_module, right_pair, ses_of_copair,
                             ses_of_pair, tensor_iso_pair, trivial_extension)
 
 
@@ -90,10 +89,9 @@ def test_pair_round_trips(exts):
             backc = module_to_copair(copair_to_module(copair), t)
             assert same_action(backc.module, copair.module)
             rp = random_right_pair(t, rng)
-            mod = right_pair_to_module(rp)
-            back_r = module_to_right_pair(mod, t)
+            back_r = module_to_pair(pair_to_module(rp), opposite_extension(t))
             assert back_r.alpha.matrix == rp.alpha.matrix
-            assert all(a == b for a, b in zip(back_r.x.action, rp.x.action))
+            assert same_action(back_r.x, rp.x)
 
 
 def test_pair_copair_same_module(exts):
@@ -280,8 +278,23 @@ def test_each_pair_axiom_is_named():
         CopairModule(t, LeftModule.regular(t.base), one)
     with pytest.raises(TrivextError,
                        match="^structure map does not square to zero$"):
-        RightPairModule(t, LeftModule.regular(opposite_algebra(t.base)),
-                        one)
+        right_pair(t, LeftModule.regular(opposite_algebra(t.base)), one)
+
+
+def test_maps_that_are_not_module_maps_are_named(tri_ext):
+    # over the triangular extension M ox R and Hom(M, R) of R = k x k are
+    # one-dimensional, and a module map lands in, resp. comes from, one
+    # summand of R
+    x = LeftModule.regular(tri_ext.base)
+    w = LeftModule.regular(opposite_algebra(tri_ext.base))
+    for build, module, good, bad, name in (
+            (PairModule, x, [[0], [1]], [[1], [0]], "structure map"),
+            (CopairModule, x, [[1, 0]], [[0, 1]], "costructure map"),
+            (right_pair, w, [[1], [0]], [[0], [1]], "structure map")):
+        build(tri_ext, module, FpMatrix(good, FIELD2))
+        with pytest.raises(TrivextError,
+                           match=f"^{name} is not a module map$"):
+            build(tri_ext, module, FpMatrix(bad, FIELD2))
 
 
 @pytest.mark.parametrize("p", [2, 3])
