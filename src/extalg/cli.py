@@ -28,9 +28,8 @@ from .gorenstein import (GorensteinError, build_copair_complete_coresolution,
                          validate_pair_complete_resolution, verify_cor35,
                          verify_cor45, verify_cor48)
 from .linalg import FieldSpec, FpMatrix, LinalgError
-from .morita import (CoTupleModule, MoritaContextData, MoritaError,
-                     TupleModule, morita_ring, right_tuple, verify_thm52,
-                     verify_thm53, verify_thm54)
+from .morita import (CoTupleModule, MoritaError, MoritaRing, TupleModule,
+                     right_tuple, verify_thm52, verify_thm53, verify_thm54)
 from .structure import StructureError
 from .trivext import (CopairModule, PairModule, TrivextError,
                       copair_to_module, module_to_copair, module_to_pair,
@@ -147,9 +146,8 @@ def _extension(spec, ref, _):
 
 
 def _context(spec, ref, _):
-    return morita_ring(MoritaContextData(
-        ref("algebras", spec["a"]), ref("algebras", spec["b"]),
-        ref("bimodules", spec["u"]), ref("bimodules", spec["v"])))
+    return MoritaRing(ref("algebras", spec["a"]), ref("algebras", spec["b"]),
+                      ref("bimodules", spec["u"]), ref("bimodules", spec["v"]))
 
 
 def _presented(make, module_key: str, map_key: str):

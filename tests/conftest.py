@@ -16,8 +16,7 @@ from extalg.algebra import (AlgebraError, Bimodule, LeftModule,
                             product_algebra, quotient_module, submodule,
                             tensor_bimodule_left)
 from extalg.linalg import FieldSpec, FpMatrix, direct_sum, row_basis
-from extalg.morita import (MoritaContextData, morita_ring, theta_inverse,
-                           upsilon_inverse)
+from extalg.morita import MoritaRing, theta_inverse, upsilon_inverse
 from extalg.structure import chop, spin
 from extalg.trivext import (PairModule, TrivextError, module_to_copair,
                             module_to_pair, opposite_extension,
@@ -67,23 +66,20 @@ def nakayama_ring(field):
     """Morita ring of (k, k, k, k): the 4-dim self-injective Nakayama
     algebra."""
     k = field_algebra(field)
-    return morita_ring(MoritaContextData(k, k, Bimodule.regular(k),
-                                         Bimodule.regular(k)))
+    return MoritaRing(k, k, Bimodule.regular(k), Bimodule.regular(k))
 
 
 def a2_morita_ring(field):
     """Morita ring of (k, k, k, 0): total algebra is 3-dimensional,
     isomorphic to the triangular matrix ring."""
     k = field_algebra(field)
-    return morita_ring(MoritaContextData(k, k, Bimodule.regular(k),
-                                         Bimodule.zero(k)))
+    return MoritaRing(k, k, Bimodule.regular(k), Bimodule.zero(k))
 
 
 def product_morita_ring(field):
     """Morita ring of (k, k, 0, 0): degenerates to k x k."""
     k = field_algebra(field)
-    return morita_ring(MoritaContextData(k, k, Bimodule.zero(k),
-                                         Bimodule.zero(k)))
+    return MoritaRing(k, k, Bimodule.zero(k), Bimodule.zero(k))
 
 
 # ---------------------------------------------------------------------------

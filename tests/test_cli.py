@@ -209,8 +209,8 @@ def test_unknown_references_name_both_entities(corpus):
     ({"right_pairs": {"rp": {"extension": "d", "x": "k_right",
                              "alpha": [[1]]}}},
      "right pair 'rp': structure map does not square to zero"),
-    # over (k, k, k, k) with dim W = 2, dim Q = 1 only W ox V ox U -> W
-    # breaks, named as in the tuple (W, Q, g, f) over the opposite context
+    # over (k, k, k, k) with dim W = 2, dim Q = 1 only the composite
+    # f o (g ox U): W ox V ox U -> W breaks
     ({"modules": {"w": {"over": "k2", "side": "right",
                         "action": [[[1, 0], [0, 1]]]},
                   "q": {"over": "k2", "side": "right", "action": [[[1]]]}},
@@ -218,7 +218,12 @@ def test_unknown_references_name_both_entities(corpus):
       "cotuples": {},
       "right_tuples": {"rt": {"context": "nakayama4", "w": "w", "q": "q",
                               "f": [[0], [1]], "g": [[1, 0]]}}},
-     "right tuple 'rt': g o (V ox f) != 0"),
+     "right tuple 'rt': f o (g ox U) != 0"),
+    # U = k over k on both sides is not a B-A-bimodule for A = k x k
+    ({"morita_contexts": {"c": {"a": "k2xk2", "b": "k2", "u": "morita_u",
+                                "v": "morita_v"}},
+      "tuples": {}, "cotuples": {}, "right_tuples": {}},
+     "morita context 'c': u must be a B-A-bimodule"),
 ], ids=["missing", "not_utf8", "list", "field_int", "p_text", "p_composite",
         "p_too_large", "p_float", "p_numeric_text", "p_bool",
         "algebra_p_float", "algebra_p_text", "algebras_list",
@@ -228,7 +233,8 @@ def test_unknown_references_name_both_entities(corpus):
         "quiver_arrow_text", "module_side", "action_float", "right_law",
         "structure_constants_bool", "unit_float", "action_ragged",
         "action_not_a_list", "action_huge_int", "quiver_arrow_not_a_list",
-        "quiver_arrow_three_ends", "right_pair_square", "right_tuple_axiom"])
+        "quiver_arrow_three_ends", "right_pair_square", "right_tuple_axiom",
+        "context_leg"])
 def test_bad_workspace_exits_2_naming_the_fault(tmp_path, capsys, corpus,
                                                 content, named):
     # content: raw bytes, or keys that replace those of the built-in corpus

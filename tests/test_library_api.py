@@ -42,6 +42,7 @@ PAPER_API = {
     "theta_co": "the isomorphism from cotuples to copairs",
     "upsilon": "the isomorphism from right tuples to right pairs; it "
                "returns the pair over the opposite extension",
+    "theta_inverse": "the inverse of theta, from pairs to tuples",
     "upsilon_inverse": "the inverse of upsilon; it returns the tuple over "
                        "the opposite context",
 }

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import re
 
@@ -7,21 +8,20 @@ import pytest
 from conftest import (FIELD2, a2_morita_ring, nakayama_ring,
                       product_morita_ring, random_right_tuple, random_tuple,
                       same_action, triangular_extension)
-from extalg import morita
 from extalg.algebra import (Algebra, AlgebraError, Bimodule, LeftModule,
                             ModuleHom, field_algebra, hom_from_bimodule,
                             hom_space, opposite_algebra, product_algebra,
                             tensor_bimodule_left, tensor_map_second)
 from extalg.gorenstein import SELF_INJECTIVE, IWANAGA_GORENSTEIN, \
     gorenstein_regime
-from extalg.linalg import FpMatrix
-from extalg.morita import (CoTupleModule, MoritaContextData, MoritaError,
-                           TupleModule, _right_module, morita_ring,
-                           right_tuple, theta, theta_co, theta_inverse,
-                           upsilon, upsilon_inverse, verify_thm52,
-                           verify_thm53, verify_thm54)
+from extalg.linalg import FieldSpec, FpMatrix
+from extalg.morita import (CoTupleModule, MoritaError, MoritaRing,
+                           TupleModule, _right_module, right_tuple, theta,
+                           theta_co, theta_inverse, upsilon, upsilon_inverse,
+                           verify_thm52, verify_thm53, verify_thm54)
 from extalg.structure import find_isomorphism, simples
 from extalg.trivext import copair_to_module, pair_to_module
+from test_resolution_fingerprint import _put, _put_module
 
 
 @pytest.fixture(scope="module")
@@ -34,25 +34,39 @@ def a2m():
     return a2_morita_ring(FIELD2)
 
 
-def test_ring_constructions_agree(nak, a2m, monkeypatch):
-    prod = product_morita_ring(FIELD2)
-    assert nak.total.dim == 4
-    assert a2m.total.dim == 3
-    assert prod.total.dim == 2
-    # morita_ring checks the extension's table against the matrix rule:
-    # one flipped structure constant makes it refuse the ring
-    build = morita.trivial_extension
+def _matrix_rule_table(ring):
+    """The structure constants and unit of [[A, V], [U, B]] with zero
+    pairings, by the matrix multiplication rule, in the basis A, B, U, V."""
+    a, b, u, v = ring.a, ring.b, ring.u, ring.v
+    na, nb, du, dv = a.dim, b.dim, u.dim, v.dim
+    oa, ob, ou, ov = 0, na, na + nb, na + nb + du
+    n = ov + dv
+    sc = np.zeros((n, n, n), dtype=np.int64)
+    sc[oa:ob, oa:ob, oa:ob] = a.sc
+    sc[ob:ou, ob:ou, ob:ou] = b.sc
+    for i in range(na):
+        sc[oa + i, ov:, ov:] = v.left_action[i].arr.T
+        sc[ou:ov, oa + i, ou:ov] = u.right_action[i].arr.T
+    for j in range(nb):
+        sc[ob + j, ou:ov, ou:ov] = u.left_action[j].arr.T
+        sc[ov:, ob + j, ov:] = v.right_action[j].arr.T
+    unit = np.zeros(n, dtype=np.int64)
+    unit[oa:ob] = a.unit
+    unit[ob:ou] = b.unit
+    return sc, unit
 
-    def perturbed(base, bim):
-        ext = build(base, bim)
-        ext.total.sc[-1, -1, -1] ^= 1
-        return ext
 
-    monkeypatch.setattr(morita, "trivial_extension", perturbed)
-    for ring in (nak, a2m, prod):
-        with pytest.raises(MoritaError,
-                           match="the two ring constructions disagree"):
-            morita_ring(ring.context)
+def test_ring_constructions_agree():
+    # the extension (A x B) |x (U + V) has the table of the matrix rule,
+    # for each ring and for the ring of its opposite context
+    dims = {nakayama_ring: 4, a2_morita_ring: 3, product_morita_ring: 2}
+    for p, (make, dim) in itertools.product((2, 3), dims.items()):
+        ring = make(FieldSpec(p))
+        assert ring.total.dim == dim
+        for r in (ring, ring.opposite):
+            sc, unit = _matrix_rule_table(r)
+            assert (r.total.sc == sc).all()
+            assert (r.total.unit == unit).all()
 
 
 def test_degenerate_ring_is_product():
@@ -79,12 +93,15 @@ def test_context_leg_checks():
     k = field_algebra(FIELD2)
     # legs are compared by identity: an equal but distinct copy of k
     other = Algebra(FIELD2, k.sc, k.unit)
-    with pytest.raises(MoritaError):
-        MoritaContextData(k, other, Bimodule.regular(k), Bimodule.regular(k))
+    with pytest.raises(MoritaError, match="^u must be a B-A-bimodule$"):
+        MoritaRing(k, other, Bimodule.regular(k), Bimodule.regular(k))
+    with pytest.raises(MoritaError, match="^v must be an A-B-bimodule$"):
+        MoritaRing(k, k, Bimodule.regular(k), Bimodule(k, other, k.lmats,
+                                                      k.rmats))
 
 
 def test_tuple_validation(nak):
-    k = LeftModule.regular(nak.context.a)
+    k = LeftModule.regular(nak.a)
     one = FpMatrix([[1]], FIELD2)
     zero = FpMatrix.zeros(1, 1, FIELD2)
     TupleModule(nak, k, k, one, zero)  # f then g: composite zero
@@ -93,7 +110,7 @@ def test_tuple_validation(nak):
 
 
 def test_theta_round_trip_canned(nak):
-    k = LeftModule.regular(nak.context.a)
+    k = LeftModule.regular(nak.a)
     one = FpMatrix([[1]], FIELD2)
     zero = FpMatrix.zeros(1, 1, FIELD2)
     for f, g in ((one, zero), (zero, one), (zero, zero)):
@@ -112,7 +129,7 @@ def test_theta_round_trips_random(nak):
 
 def test_upsilon_round_trips(nak):
     rng = np.random.default_rng(13)
-    w = LeftModule.regular(opposite_algebra(nak.context.a))
+    w = LeftModule.regular(opposite_algebra(nak.a))
     one = FpMatrix([[1]], FIELD2)
     zero = FpMatrix.zeros(1, 1, FIELD2)
     rt = right_tuple(nak, w, w, one, zero)
@@ -134,7 +151,7 @@ def test_opposite_ring_links_back(build):
 
 
 def test_theta_co_builds_valid_copair(nak):
-    k = LeftModule.regular(nak.context.a)
+    k = LeftModule.regular(nak.a)
     one = FpMatrix([[1]], FIELD2)
     zero = FpMatrix.zeros(1, 1, FIELD2)
     ct = CoTupleModule(nak, k, k, one, zero)
@@ -194,7 +211,7 @@ def test_tuple_hom_dim_counts_tuple_morphisms(make):
 
 
 def test_verify_thm52_canned(nak):
-    k = LeftModule.regular(nak.context.a)
+    k = LeftModule.regular(nak.a)
     one = FpMatrix([[1]], FIELD2)
     zero = FpMatrix.zeros(1, 1, FIELD2)
     report = verify_thm52(TupleModule(nak, k, k, one, zero))
@@ -204,12 +221,12 @@ def test_verify_thm52_canned(nak):
 
 
 def test_verify_thm53_and_54_canned(nak):
-    k = LeftModule.regular(nak.context.a)
+    k = LeftModule.regular(nak.a)
     one = FpMatrix([[1]], FIELD2)
     zero = FpMatrix.zeros(1, 1, FIELD2)
     r53 = verify_thm53(CoTupleModule(nak, k, k, one, zero))
     assert r53["agreement"]
-    w = LeftModule.regular(opposite_algebra(nak.context.a))
+    w = LeftModule.regular(opposite_algebra(nak.a))
     r54 = verify_thm54(right_tuple(nak, w, w, one, zero))
     assert r54["agreement"]
 
@@ -219,9 +236,9 @@ def test_thm52_exhaustive_a2(a2m):
     seen = 0
     for dx in range(3):
         for dy in range(3 - dx):
-            x = LeftModule(a2m.context.a,
+            x = LeftModule(a2m.a,
                            [FpMatrix.identity(dx, FIELD2)])
-            y = LeftModule(a2m.context.b,
+            y = LeftModule(a2m.b,
                            [FpMatrix.identity(dy, FIELD2)])
             for entries in itertools.product(range(2), repeat=dy * dx):
                 f = FpMatrix(np.reshape(entries, (dy, dx)), FIELD2)
@@ -252,7 +269,7 @@ _ONE_AXIOM_BROKEN = (
 def test_each_tuple_axiom_is_named(nak):
     names = ("g o (V ox f) != 0", "f o (U ox g) != 0")
     for dx, dy, f, g, broken in _ONE_AXIOM_BROKEN:
-        x, y = _space(nak.context.a, dx), _space(nak.context.b, dy)
+        x, y = _space(nak.a, dx), _space(nak.b, dy)
         unchecked = TupleModule(nak, x, y, f, g, validate=False)
         assert [not c.is_zero() for c in (
             g @ unchecked.composites()[0].matrix,
@@ -265,21 +282,20 @@ def test_each_tuple_axiom_is_named(nak):
 def test_each_cotuple_axiom_is_named(nak):
     names = ("Hom(U, g) o f != 0", "Hom(V, f) o g != 0")
     for dx, dy, f, g, broken in _ONE_AXIOM_BROKEN:
-        x, y = _space(nak.context.a, dx), _space(nak.context.b, dy)
+        x, y = _space(nak.a, dx), _space(nak.b, dy)
         with pytest.raises(MoritaError, match=re.escape(names[broken])):
             CoTupleModule(nak, x, y, f, g)
 
 
 def test_right_tuple_axiom_is_named(nak):
     # f: Q ox U -> W and g: W ox V -> Q; with dim W = 2, dim Q = 1 only the
-    # composite W ox V ox U -> W breaks, which in the left tuple (W, Q, g, f)
-    # over the opposite context is g o (V ox f); with dim W = 1, dim Q = 2
-    # only Q ox U ox V -> Q breaks, there f o (U ox g)
-    names = ("g o (V ox f) != 0", "f o (U ox g) != 0")
+    # composite f o (g ox U): W ox V ox U -> W breaks; with dim W = 1,
+    # dim Q = 2 only g o (f ox V): Q ox U ox V -> Q
+    names = ("f o (g ox U) != 0", "g o (f ox V) != 0")
     for dw, dq, g, f, broken in _ONE_AXIOM_BROKEN:
-        w = LeftModule(opposite_algebra(nak.context.a),
+        w = LeftModule(opposite_algebra(nak.a),
                        [FpMatrix.identity(dw, FIELD2)])
-        q = LeftModule(opposite_algebra(nak.context.b),
+        q = LeftModule(opposite_algebra(nak.b),
                        [FpMatrix.identity(dq, FIELD2)])
         with pytest.raises(MoritaError, match=re.escape(names[broken])):
             right_tuple(nak, w, q, f, g)
@@ -293,7 +309,7 @@ def test_maps_that_are_not_module_maps_are_named():
     prod, _, _ = product_algebra(k, k)
     zero, one = FpMatrix.zeros(1, 1, FIELD2), FpMatrix.identity(1, FIELD2)
     m = Bimodule(prod, prod, [zero, one], [one, zero])
-    ring = morita_ring(MoritaContextData(prod, prod, m, m))
+    ring = MoritaRing(prod, prod, m, m)
     x = LeftModule.regular(prod)
     for build, good, bad in ((TupleModule, [[0], [1]], [[1], [0]]),
                              (CoTupleModule, [[1, 0]], [[0, 1]])):
@@ -303,6 +319,13 @@ def test_maps_that_are_not_module_maps_are_named():
             with pytest.raises(MoritaError,
                                match=f"^{name} is not a module map$"):
                 build(ring, x, x, f, g)
+    # a right tuple (W, W, f, g) is the tuple (W, W, g, f) over the
+    # opposite context, but a g that is not a module map is still named g
+    w = LeftModule.regular(opposite_algebra(prod))
+    good, bad = FpMatrix([[1], [0]], FIELD2), FpMatrix([[0], [1]], FIELD2)
+    right_tuple(ring, w, w, good, good)
+    with pytest.raises(MoritaError, match="^g is not a module map$"):
+        right_tuple(ring, w, w, good, bad)
 
 
 def test_law_check_matches_the_composites():
@@ -311,9 +334,9 @@ def test_law_check_matches_the_composites():
     rng = np.random.default_rng(3)
     seen = set()
     for ring in [nakayama_ring(FIELD2)] * 12 + [a2_morita_ring(FIELD2)] * 4:
-        u, v = ring.context.u, ring.context.v
-        x = _space(ring.context.a, int(rng.integers(1, 3)))
-        y = _space(ring.context.b, int(rng.integers(1, 3)))
+        u, v = ring.u, ring.v
+        x = _space(ring.a, int(rng.integers(1, 3)))
+        y = _space(ring.b, int(rng.integers(1, 3)))
         tsux, tsvy = tensor_bimodule_left(u, x), tensor_bimodule_left(v, y)
         huy, hvx = hom_from_bimodule(u, y), hom_from_bimodule(v, x)
         for kind in ("tuple", "cotuple"):
@@ -353,3 +376,27 @@ def test_right_module_of_a_right_tuple_satisfies_the_law(build):
     rng = np.random.default_rng(23)
     for _ in range(4):
         _right_module(random_right_tuple(ring, rng, max_dim=3)).validate()
+
+
+# recorded on the implementation that split X and Y off with stored
+# idempotent vectors and read each block with its own helper
+TUPLE_PIN = "e12699711ccec4c3ac4781f75995aeaebe9621ec3ba73ea3047ed614ffc7e386"
+
+
+def test_tuple_readers_match_the_pinned_fingerprint():
+    # x, y, f, g and the module over the ring of seeded left and right
+    # tuples read off random pairs by theta_inverse and upsilon_inverse
+    h = hashlib.sha256()
+    for p in (2, 3, 101):
+        for make in (nakayama_ring, a2_morita_ring, product_morita_ring):
+            ring = make(FieldSpec(p))
+            rng = np.random.default_rng(70 + p)
+            h.update(f"{make.__name__}@{p}".encode())
+            for read in (random_tuple, random_right_tuple):
+                for _ in range(4):
+                    t = read(ring, rng)
+                    for m in (t.x, t.y, t.module):
+                        _put_module(h, m)
+                    _put(h, t.f.matrix.arr)
+                    _put(h, t.g.matrix.arr)
+    assert h.hexdigest() == TUPLE_PIN

@@ -84,7 +84,7 @@ def right_fingerprint() -> str:
                 _put_right_module(h, pair_to_module(upsilon(rt)))
                 _put_report(h, verify_thm54(rt))
                 _put_tensor_iso(h, ring.ext, rng)
-            for n in (ring.context.u, ring.context.v):
+            for n in (ring.u, ring.v):
                 _put_report(h, compatibility_report(n).dims)
     return h.hexdigest()
 
