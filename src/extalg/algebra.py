@@ -653,6 +653,16 @@ class SwappedTensor:
     to_left: FpMatrix
     to_right: FpMatrix
 
+    def on_left(self, name: str, matrix: FpMatrix, rows: int) -> FpMatrix:
+        """The map `name` from X ox M to a space of dimension rows, given in
+        the coordinates of X ox M, in those of N ox X; a matrix of another
+        shape is named."""
+        cols = self.to_left.rows
+        if (matrix.rows, matrix.cols) != (rows, cols):
+            raise AlgebraError(f"{name} shape {matrix.rows}x{matrix.cols} "
+                               f"does not match {rows}x{cols}")
+        return matrix @ self.to_left
+
 
 def swapped_tensor(n: Bimodule, x: LeftModule) -> SwappedTensor:
     """X ox M from N = M^swap and X read as a left module over R^op."""

@@ -1,6 +1,8 @@
 """Command-line entry point: load workspaces of named algebraic entities
 from JSON files, run checkers and verifiers over named instances, and emit
-deterministic verdict reports.
+deterministic verdict reports.  A command builds and checks only the
+entities it reads, each when first read, with what it references;
+`validate` reads them all.
 
 Workspace and report formats are versioned JSON trees of integers and
 strings; reports are byte-identical across reruns with the same inputs
@@ -14,6 +16,7 @@ import dataclasses
 import json
 import sys
 import time
+from collections.abc import Mapping
 from typing import Optional
 
 import numpy as np
@@ -102,8 +105,8 @@ def _field(value, where: str) -> FieldSpec:
         raise WorkspaceError(f"{where}: {e}") from e
 
 
-def _algebra(spec, ref, default_field):
-    field = _field(spec["p"], "p") if "p" in spec else default_field
+def _algebra(spec, ws):
+    field = _field(spec["p"], "p") if "p" in spec else ws.field
     if "quiver" in spec:
         q = spec["quiver"]
         arrows = _ints(q["arrows"], "quiver.arrows", 2)
@@ -121,16 +124,16 @@ def _algebra(spec, ref, default_field):
                    _array(spec["unit"], "unit", 1))
 
 
-def _bimodule(spec, ref, _):
-    lo = ref("algebras", spec["left_over"])
-    ro = ref("algebras", spec["right_over"])
+def _bimodule(spec, ws):
+    lo = ws.algebras[spec["left_over"]]
+    ro = ws.algebras[spec["right_over"]]
     return Bimodule(lo, ro,
                     _mat_list(spec["left_action"], lo.field, "left_action"),
                     _mat_list(spec["right_action"], ro.field, "right_action"))
 
 
-def _module(spec, ref, _):
-    over = ref("algebras", spec["over"])
+def _module(spec, ws):
+    over = ws.algebras[spec["over"]]
     side = spec.get("side", "left")
     if side not in ("left", "right"):
         raise WorkspaceError('side: expected "left" or "right", got '
@@ -140,34 +143,33 @@ def _module(spec, ref, _):
                       _mat_list(spec["action"], over.field, "action"))
 
 
-def _extension(spec, ref, _):
-    return trivial_extension(ref("algebras", spec["base"]),
-                             ref("bimodules", spec["bimodule"]))
+def _extension(spec, ws):
+    return trivial_extension(ws.algebras[spec["base"]],
+                             ws.bimodules[spec["bimodule"]])
 
 
-def _context(spec, ref, _):
-    return MoritaRing(ref("algebras", spec["a"]), ref("algebras", spec["b"]),
-                      ref("bimodules", spec["u"]), ref("bimodules", spec["v"]))
+def _context(spec, ws):
+    return MoritaRing(ws.algebras[spec["a"]], ws.algebras[spec["b"]],
+                      ws.bimodules[spec["u"]], ws.bimodules[spec["v"]])
 
 
 def _presented(make, module_key: str, map_key: str):
     """Builder of a (co, right) pair: an extension, a module and one map."""
-    def build(spec, ref, _):
-        t = ref("extensions", spec["extension"])
-        return make(t, ref("modules", spec[module_key]),
-                   _mat(spec[map_key], t.field, map_key))
+    def build(spec, ws):
+        t = ws.extensions[spec["extension"]]
+        return make(t, ws.modules[spec[module_key]],
+                    _mat(spec[map_key], t.field, map_key))
     return build
 
 
 def _tuple(make, first: str, second: str):
     """Builder of a (co, right) tuple: a context, the two modules under the
     keys first and second, f and g."""
-    def build(spec, ref, _):
-        ring = ref("contexts", spec["context"])
-        return make(ring, ref("modules", spec[first]),
-                   ref("modules", spec[second]),
-                   _mat(spec["f"], ring.prod.field, "f"),
-                   _mat(spec["g"], ring.prod.field, "g"))
+    def build(spec, ws):
+        ring = ws.contexts[spec["context"]]
+        return make(ring, ws.modules[spec[first]], ws.modules[spec[second]],
+                    _mat(spec["f"], ring.prod.field, "f"),
+                    _mat(spec["g"], ring.prod.field, "g"))
     return build
 
 
@@ -190,8 +192,42 @@ ENTITIES = (
 )
 
 
+class _Named(WorkspaceError):
+    """A fault of an entity in the file, named by it; builds pass it on."""
+
+
+class _Table(Mapping):
+    """The entities of one kind by name, each built when first read."""
+
+    def __init__(self, ws: "Workspace", kind: str, build, specs: dict):
+        self.ws, self.kind, self.build, self.specs = ws, kind, build, specs
+        self.built = {}
+
+    def __getitem__(self, name: str):
+        if name not in self.specs:
+            raise WorkspaceError(f"unknown {self.kind} '{name}'")
+        if name not in self.built:
+            try:
+                self.built[name] = self.build(self.specs[name], self.ws)
+            except _Named:
+                raise
+            except Exception as e:
+                what = f"missing key {e}" if isinstance(e, KeyError) else e
+                raise _Named(f"{self.kind} '{name}': {what}") from e
+        return self.built[name]
+
+    def __contains__(self, name) -> bool:
+        return name in self.specs
+
+    def __iter__(self):
+        return iter(sorted(self.specs))
+
+    def __len__(self) -> int:
+        return len(self.specs)
+
+
 class Workspace:
-    """Named entities resolved from a workspace file."""
+    """Named entities of a workspace file, each built on first read."""
 
     def __init__(self, data: dict):
         if not isinstance(data, dict):
@@ -203,37 +239,21 @@ class Workspace:
         if not isinstance(field, dict):
             raise WorkspaceError("field: expected an object like {\"p\": 2}")
         self.field = _field(field.get("p", 2), "field.p")
-        kinds = {attr: kind for _, attr, kind, _ in ENTITIES}
-
-        def ref(attr, name):
-            table = getattr(self, attr)
-            if name not in table:
-                raise WorkspaceError(f"unknown {kinds[attr]} '{name}'")
-            return table[name]
-
         for key, attr, kind, build in ENTITIES:
-            table = {}
-            setattr(self, attr, table)
             specs = data.get(key, {})
             if not isinstance(specs, dict):
                 raise WorkspaceError(f"{key}: expected an object of named "
                                      "entries")
-            for name, spec in sorted(specs.items()):
-                try:
-                    table[name] = build(spec, ref, self.field)
-                except KeyError as e:
-                    raise WorkspaceError(f"{kind} '{name}': missing key "
-                                         f"{e}") from e
-                except Exception as e:
-                    raise WorkspaceError(f"{kind} '{name}': {e}") from e
+            setattr(self, attr, _Table(self, kind, build, specs))
 
-    def counts(self) -> dict:
-        return {key: len(getattr(self, attr))
+    def validate(self) -> dict:
+        """Build every entity, kind by kind; the number of each kind."""
+        return {key: len(list(getattr(self, attr).values()))
                 for key, attr, _, _ in ENTITIES}
 
 
 def load(path: str) -> Workspace:
-    """The workspace in the file at path; every error names the file."""
+    """The workspace at path; its faults, found here or in main, name it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -275,14 +295,6 @@ def _base_report(command: str, args) -> dict:
 # command implementations
 
 
-def _select(table: dict, target: Optional[str], kind: str):
-    if target is not None:
-        if target not in table:
-            raise WorkspaceError(f"unknown {kind} '{target}'")
-        return [(target, table[target])]
-    return sorted(table.items())
-
-
 # the errors a command can meet in the library; each is reported against the
 # instance it was raised for
 LIBRARY_ERRORS = (AlgebraError, LinalgError, StructureError, TrivextError,
@@ -301,32 +313,25 @@ def _resolve(inst, args, build, validate) -> dict:
             "validation": validate(res)}
 
 
-# command -> (workspace table, instance kind, (instance, args) -> result);
+# command -> (workspace table, (instance, args) -> result);
 # the lambdas look every function up when they run, so rebinding a module
 # name (as perfbench/tracer.py does) reaches these calls too
 COMMANDS = {
-    "check gp": ("pairs", "pair", lambda x, a: gp_check(
-        pair_to_module(x), a.bound)),
-    "check gi": ("copairs", "copair", lambda x, a: gi_check(
+    "check gp": ("pairs", lambda x, a: gp_check(pair_to_module(x), a.bound)),
+    "check gi": ("copairs", lambda x, a: gi_check(
         copair_to_module(x), a.bound)),
-    "check gf": ("right_pairs", "right pair", lambda x, a: gf_check_right(
+    "check gf": ("right_pairs", lambda x, a: gf_check_right(
         pair_to_module(x), a.bound)),
-    "verify cor35": ("pairs", "pair",
-                     lambda x, a: verify_cor35(x, a.bound)),
-    "verify cor45": ("copairs", "copair",
-                     lambda x, a: verify_cor45(x, a.bound)),
-    "verify cor48": ("right_pairs", "right pair",
-                     lambda x, a: verify_cor48(x, a.bound)),
-    "verify thm52": ("tuples", "tuple",
-                     lambda x, a: verify_thm52(x, a.bound)),
-    "verify thm53": ("cotuples", "cotuple",
-                     lambda x, a: verify_thm53(x, a.bound)),
-    "verify thm54": ("right_tuples", "right tuple",
-                     lambda x, a: verify_thm54(x, a.bound)),
-    "resolve pair": ("pairs", "pair", lambda x, a: _resolve(
+    "verify cor35": ("pairs", lambda x, a: verify_cor35(x, a.bound)),
+    "verify cor45": ("copairs", lambda x, a: verify_cor45(x, a.bound)),
+    "verify cor48": ("right_pairs", lambda x, a: verify_cor48(x, a.bound)),
+    "verify thm52": ("tuples", lambda x, a: verify_thm52(x, a.bound)),
+    "verify thm53": ("cotuples", lambda x, a: verify_thm53(x, a.bound)),
+    "verify thm54": ("right_tuples", lambda x, a: verify_thm54(x, a.bound)),
+    "resolve pair": ("pairs", lambda x, a: _resolve(
         x, a, build_pair_complete_resolution,
         validate_pair_complete_resolution)),
-    "resolve copair": ("copairs", "copair", lambda x, a: _resolve(
+    "resolve copair": ("copairs", lambda x, a: _resolve(
         x, a, build_copair_complete_coresolution,
         validate_copair_complete_coresolution)),
 }
@@ -341,17 +346,19 @@ SUBCOMMANDS = (("check", "mode", "single Gorenstein checks"),
 def run(command: str, ws: Workspace, args) -> dict:
     report = _base_report(command, args)
     if command == "validate":
-        report["entities"] = ws.counts()
+        report["entities"] = ws.validate()
         return report
     if command not in COMMANDS:
         raise WorkspaceError(f"unknown command '{command}'")
-    attr, kind, fn = COMMANDS[command]
-    results = {}
-    for name, inst in _select(getattr(ws, attr), args.target, kind):
+    attr, fn = COMMANDS[command]
+    table, results = getattr(ws, attr), {}
+    # every selected instance is built before the first one runs
+    names = sorted(table) if args.target is None else [args.target]
+    for name, inst in [(name, table[name]) for name in names]:
         try:
             results[name] = _jsonify(fn(inst, args))
         except LIBRARY_ERRORS as e:
-            raise WorkspaceError(f"{kind} '{name}': {e}") from e
+            raise WorkspaceError(f"{table.kind} '{name}': {e}") from e
     report["results"] = results
     return report
 
@@ -506,7 +513,7 @@ def _int_at_least(low: int):
     return parse
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="extalg",
         description="Checkers and verifiers for square-zero extension "
@@ -532,8 +539,15 @@ def main(argv=None) -> int:
     pe = sub.add_parser("examples", help="built-in corpus")
     pe.add_argument("action", choices=["emit"])
     common(pe, needs_file=False)
+    return parser
 
-    args = parser.parse_args(argv)
+
+# built once per process: building it costs some 40 times a parse
+_PARSER = _parser()
+
+
+def main(argv=None) -> int:
+    args = _PARSER.parse_args(argv)
     started = time.monotonic()
     try:
         if args.cmd == "examples":
@@ -547,7 +561,8 @@ def main(argv=None) -> int:
         _write_report(report, args.out)
         return 0
     except WorkspaceError as e:
-        sys.stderr.write(f"error: {e}\n")
+        where = f"'{args.workspace}': " if isinstance(e, _Named) else ""
+        sys.stderr.write(f"error: {where}{e}\n")
         return 2
 
 

@@ -149,8 +149,9 @@ def right_tuple(ring: MoritaRing, w: LeftModule, q: LeftModule,
     the tuple (W, Q, g, f) over the opposite context, named in its own
     letters."""
     op = ring.opposite
-    rt = TupleModule(op, w, q, g_matrix @ swapped_tensor(op.u, w).to_left,
-                     f_matrix @ swapped_tensor(op.v, q).to_left,
+    rt = TupleModule(op, w, q,
+                     swapped_tensor(op.u, w).on_left("g", g_matrix, q.dim),
+                     swapped_tensor(op.v, q).on_left("f", f_matrix, w.dim),
                      validate=False)
     rt.letters = "gf"
     rt.axioms = ("f o (g ox U) != 0", "g o (f ox V) != 0")

@@ -193,8 +193,8 @@ def right_pair(t: TrivialExtension, x: LeftModule,
     base and alpha in the coordinates of X ox M: the pair over the opposite
     extension, on which x.(r, m) = x.r + alpha(x ox m)."""
     top = opposite_extension(t)
-    return PairModule(top, x, alpha_matrix @ swapped_tensor(
-        top.bimodule, x).to_left)
+    return PairModule(top, x, swapped_tensor(top.bimodule, x).on_left(
+        "alpha", alpha_matrix, x.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -352,10 +352,13 @@ def _glued(t: TrivialExtension, first: LeftModule, second: LeftModule,
 
 def _extend(t: TrivialExtension, x: LeftModule) -> LeftModule:
     """T(X) = X + M ox X as a total module: m_j sends x to m_j ox x, read
-    off the columns j * dim X .. (j+1) * dim X - 1 of the projection."""
+    off the columns j * dim X .. (j+1) * dim X - 1 of the projection.
+    T(X) keeps X, and so the M ox X that X holds for its content."""
     ts = tensor_bimodule_left(t.bimodule, x)
     ideal = ts.project.arr.reshape(ts.space.dim, t.ideal_dim, x.dim)
-    return _glued(t, x, ts.space, ideal.transpose(1, 0, 2))
+    tx = _glued(t, x, ts.space, ideal.transpose(1, 0, 2))
+    tx._cache["extended from"] = x
+    return tx
 
 
 def _coextend(t: TrivialExtension, y: LeftModule) -> LeftModule:

@@ -1,4 +1,5 @@
 import argparse
+import collections
 import copy
 import hashlib
 import json
@@ -49,7 +50,7 @@ def default_args(**over):
 
 
 def test_corpus_counts(ws):
-    counts = ws.counts()
+    counts = ws.validate()
     assert counts["algebras"] == 3
     assert counts["extensions"] == 2
     assert counts["morita_contexts"] == 3
@@ -70,12 +71,17 @@ def test_corpus_content(ws):
 
 def test_load_validates_only_the_workspace_algebras(corpus, monkeypatch):
     # opposites, products, extension totals and Morita rings are built from
-    # validated parts and are not checked again
+    # validated parts and are not checked again; loading alone validates
+    # none, a command only those it reads (zk_over_d reads k2 alone)
     validated = []
     check = algebra.validate_algebra
     monkeypatch.setattr(algebra, "validate_algebra",
                         lambda a: validated.append(a) or check(a))
-    Workspace(copy.deepcopy(corpus))
+    ws = Workspace(copy.deepcopy(corpus))
+    assert validated == []
+    run("check gp", ws, default_args(target="zk_over_d"))
+    assert len(validated) == 1
+    ws.validate()
     assert len(validated) == len(corpus["algebras"]) == 3
 
 
@@ -93,7 +99,7 @@ def test_emit_load_round_trip(tmp_path, corpus):
     path = tmp_path / "ws.json"
     path.write_text(json.dumps(corpus))
     loaded = load(str(path))
-    assert loaded.counts() == Workspace(copy.deepcopy(corpus)).counts()
+    assert loaded.validate() == Workspace(copy.deepcopy(corpus)).validate()
 
 
 def test_schema_version_required(corpus):
@@ -108,12 +114,12 @@ def test_error_names_entity(corpus):
     bad["pairs"]["broken"] = {"extension": "d", "x": "missing",
                               "alpha": [[0]]}
     with pytest.raises(WorkspaceError, match="pair"):
-        Workspace(bad)
+        Workspace(bad).validate()
     bad2 = copy.deepcopy(corpus)
     bad2["algebras"]["oops"] = {"structure_constants": [[[1], [1]]],
                                 "unit": [1]}
     with pytest.raises(WorkspaceError, match="oops"):
-        Workspace(bad2)
+        Workspace(bad2).validate()
 
 
 def test_unknown_references_name_both_entities(corpus):
@@ -122,12 +128,47 @@ def test_unknown_references_name_both_entities(corpus):
                               "alpha": [[0]]}
     with pytest.raises(WorkspaceError,
                        match="^pair 'broken': unknown module 'missing'$"):
-        Workspace(bad)
+        Workspace(bad).validate()
+    with pytest.raises(WorkspaceError,
+                       match="^pair 'broken': unknown module 'missing'$"):
+        run("check gp", Workspace(bad), default_args())
     bad2 = copy.deepcopy(corpus)
     del bad2["tuples"]["nakayama_zero_tuple"]["x"]
     with pytest.raises(WorkspaceError,
                        match="^tuple 'nakayama_zero_tuple': missing key 'x'$"):
-        Workspace(bad2)
+        Workspace(bad2).validate()
+
+
+def test_a_fault_is_named_by_the_entity_that_has_it(corpus):
+    # the unit of k2 acts on m as 0; the pair that reads m does not name it
+    bad = copy.deepcopy(corpus)
+    bad["modules"]["m"] = {"over": "k2", "action": [[[0]]]}
+    bad["pairs"]["p"] = {"extension": "d", "x": "m", "alpha": [[0]]}
+    ws = Workspace(bad)
+    with pytest.raises(WorkspaceError,
+                       match="^module 'm': unit does not act as identity$"):
+        run("check gp", ws, default_args(target="p"))
+
+
+def test_a_command_does_not_fail_on_an_entity_it_does_not_read(
+        tmp_path, capsys, corpus):
+    # over the 4-dim Nakayama ring, f = g = 1 breaks both composite axioms
+    bad = copy.deepcopy(corpus)
+    bad["tuples"]["broken_tuple"] = {"context": "nakayama4", "x": "k_left",
+                                     "y": "k_left", "f": [[1]], "g": [[1]]}
+    good_path, bad_path = tmp_path / "good.json", tmp_path / "bad.json"
+    good_path.write_text(json.dumps(corpus))
+    bad_path.write_text(json.dumps(bad))
+    reports = []
+    for path in (good_path, bad_path):
+        assert main(["check", "gp", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        report.pop("timing_ms")
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert main(["validate", str(bad_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: '{bad_path}': tuple 'broken_tuple': f o (U ox g) != 0\n")
 
 
 @pytest.mark.parametrize("content, named", [
@@ -219,6 +260,17 @@ def test_unknown_references_name_both_entities(corpus):
       "right_tuples": {"rt": {"context": "nakayama4", "w": "w", "q": "q",
                               "f": [[0], [1]], "g": [[1, 0]]}}},
      "right tuple 'rt': f o (g ox U) != 0"),
+    # a right pair's alpha and a right tuple's f and g are read on X ox M,
+    # Q ox U and W ox V, here all 1-dimensional
+    ({"right_pairs": {"rp": {"extension": "d", "x": "k_right",
+                             "alpha": [[1, 0]]}}},
+     "right pair 'rp': alpha shape 1x2 does not match 1x1"),
+    ({"right_tuples": {"rt": {"context": "nakayama4", "w": "k_right",
+                              "q": "k_right", "f": [[1, 0]], "g": [[0]]}}},
+     "right tuple 'rt': f shape 1x2 does not match 1x1"),
+    ({"right_tuples": {"rt": {"context": "nakayama4", "w": "k_right",
+                              "q": "k_right", "f": [[1]], "g": [[0], [0]]}}},
+     "right tuple 'rt': g shape 2x1 does not match 1x1"),
     # U = k over k on both sides is not a B-A-bimodule for A = k x k
     ({"morita_contexts": {"c": {"a": "k2xk2", "b": "k2", "u": "morita_u",
                                 "v": "morita_v"}},
@@ -234,7 +286,8 @@ def test_unknown_references_name_both_entities(corpus):
         "structure_constants_bool", "unit_float", "action_ragged",
         "action_not_a_list", "action_huge_int", "quiver_arrow_not_a_list",
         "quiver_arrow_three_ends", "right_pair_square", "right_tuple_axiom",
-        "context_leg"])
+        "right_pair_alpha_columns", "right_tuple_f_columns",
+        "right_tuple_g_rows", "context_leg"])
 def test_bad_workspace_exits_2_naming_the_fault(tmp_path, capsys, corpus,
                                                 content, named):
     # content: raw bytes, or keys that replace those of the built-in corpus
@@ -445,30 +498,40 @@ def test_every_library_error_exits_2(tmp_path, capsys, monkeypatch, error):
 
 def test_readme_pass_builds_each_tensor_and_hom_module_once(tmp_path,
                                                            monkeypatch):
-    # each command is one job with a fresh load; within a job, tensor
-    # products and Hom modules are shared by content, so the pass builds
-    # 45 and 25 of them, and `resolve pair --window 3` one per content:
-    # the lift builds only the tensors of its extended projectives T(P^i)
-    built = {"tensor": 0, "hom": 0}
+    # each command is one job with a fresh load that builds only the
+    # instances it reads; within a job, tensor products and Hom modules are
+    # shared by content, so each content is built once (T(X) keeps X, and
+    # with it M ox X, for the tests of a resolution), and the pass builds
+    # 25 and 9 of them
+    built = []
     build_tensor, build_hom = algebra._tensor_space, algebra.HomModule.__init__
 
+    def record(kind, m, x):
+        built.append((kind, id(x.over), id(m.left_over),
+                      algebra._content(m), algebra._content(x)))
+
     def tensor(m, x):
-        built["tensor"] += 1
+        record("tensor", m, x)
         return build_tensor(m, x)
 
     def hom(self, m, y):
-        built["hom"] += 1
+        record("hom", m, y)
         build_hom(self, m, y)
 
     monkeypatch.setattr(algebra, "_tensor_space", tensor)
     monkeypatch.setattr(algebra.HomModule, "__init__", hom)
     ws_path, out_path = tmp_path / "ws.json", tmp_path / "report.json"
     assert main(["examples", "emit", "--out", str(ws_path)]) == 0
+    targeted = ("resolve", "pair", "--window", "3", "--target",
+                "d_regular_pair")
     per_command = {}
-    for command in README_COMMANDS:
-        before = dict(built)
+    for command in README_COMMANDS + (targeted,):
+        built.clear()
         argv = list(command[:2]) + [str(ws_path)] + list(command[2:])
         assert main(argv + ["--out", str(out_path)]) == 0
-        per_command[command[:2]] = {k: built[k] - before[k] for k in built}
-    assert built["tensor"] <= 60 and built["hom"] <= 30, built
-    assert per_command["resolve", "pair"]["tensor"] <= 8, per_command
+        assert len(set(built)) == len(built), command
+        per_command[command] = collections.Counter(b[0] for b in built)
+    assert per_command.pop(targeted)["tensor"] <= 3, per_command
+    total = sum(per_command.values(), collections.Counter())
+    assert total["tensor"] <= 25 and total["hom"] <= 9, per_command
+    assert per_command["resolve", "pair", "--window", "3"]["tensor"] <= 8
