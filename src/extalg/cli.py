@@ -542,7 +542,7 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-# built once per process: building it costs some 40 times a parse
+# built once per process, which saves only where main() runs more than once
 _PARSER = _parser()
 
 

@@ -352,12 +352,14 @@ def _glued(t: TrivialExtension, first: LeftModule, second: LeftModule,
 
 def _extend(t: TrivialExtension, x: LeftModule) -> LeftModule:
     """T(X) = X + M ox X as a total module: m_j sends x to m_j ox x, read
-    off the columns j * dim X .. (j+1) * dim X - 1 of the projection.
-    T(X) keeps X, and so the M ox X that X holds for its content."""
+    off the columns j * dim X .. (j+1) * dim X - 1 of the projection."""
     ts = tensor_bimodule_left(t.bimodule, x)
     ideal = ts.project.arr.reshape(ts.space.dim, t.ideal_dim, x.dim)
     tx = _glued(t, x, ts.space, ideal.transpose(1, 0, 2))
-    tx._cache["extended from"] = x
+    # X holds M ox X, and `shared` hands it to a content-equal module only
+    # while X lives: T(X) keeps X, so the tests of a resolution of T(X)
+    # read the tensor its lift built
+    tx.extended_from = x
     return tx
 
 

@@ -501,8 +501,8 @@ def test_readme_pass_builds_each_tensor_and_hom_module_once(tmp_path,
     # each command is one job with a fresh load that builds only the
     # instances it reads; within a job, tensor products and Hom modules are
     # shared by content, so each content is built once (T(X) keeps X, and
-    # with it M ox X, for the tests of a resolution), and the pass builds
-    # 25 and 9 of them
+    # with it M ox X, for the tests of a resolution), and the pass, with
+    # `examples emit`, builds 27 and 10 of them
     built = []
     build_tensor, build_hom = algebra._tensor_space, algebra.HomModule.__init__
 
@@ -521,17 +521,21 @@ def test_readme_pass_builds_each_tensor_and_hom_module_once(tmp_path,
     monkeypatch.setattr(algebra, "_tensor_space", tensor)
     monkeypatch.setattr(algebra.HomModule, "__init__", hom)
     ws_path, out_path = tmp_path / "ws.json", tmp_path / "report.json"
-    assert main(["examples", "emit", "--out", str(ws_path)]) == 0
+    emit = ("examples", "emit")
     targeted = ("resolve", "pair", "--window", "3", "--target",
                 "d_regular_pair")
     per_command = {}
-    for command in README_COMMANDS + (targeted,):
+    for command in (emit,) + README_COMMANDS + (targeted,):
         built.clear()
-        argv = list(command[:2]) + [str(ws_path)] + list(command[2:])
-        assert main(argv + ["--out", str(out_path)]) == 0
+        if command == emit:
+            argv = list(emit) + ["--out", str(ws_path)]
+        else:
+            argv = (list(command[:2]) + [str(ws_path)] + list(command[2:])
+                    + ["--out", str(out_path)])
+        assert main(argv) == 0
         assert len(set(built)) == len(built), command
         per_command[command] = collections.Counter(b[0] for b in built)
     assert per_command.pop(targeted)["tensor"] <= 3, per_command
     total = sum(per_command.values(), collections.Counter())
-    assert total["tensor"] <= 25 and total["hom"] <= 9, per_command
+    assert total["tensor"] <= 27 and total["hom"] <= 10, per_command
     assert per_command["resolve", "pair", "--window", "3"]["tensor"] <= 8
