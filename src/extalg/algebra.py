@@ -183,19 +183,16 @@ def algebra_generators(a: Algebra) -> List[int]:
     return a._cache["generators"]
 
 
-def product_algebra(a: Algebra, b: Algebra) -> Tuple[Algebra, np.ndarray, np.ndarray]:
-    """Componentwise product; also returns the two central orthogonal
-    idempotents (1,0) and (0,1) as coordinate vectors."""
+def product_algebra(a: Algebra, b: Algebra) -> Algebra:
+    """Componentwise product, in the basis of A followed by that of B."""
     if a.field != b.field:
         raise AlgebraError("field mismatch")
     n, m = a.dim, b.dim
     sc = np.zeros((n + m, n + m, n + m), dtype=np.int64)
     sc[:n, :n, :n] = a.sc
     sc[n:, n:, n:] = b.sc
-    unit = np.concatenate([a.unit, b.unit])
-    e1 = np.concatenate([a.unit, np.zeros(m, dtype=np.int64)])
-    e2 = np.concatenate([np.zeros(n, dtype=np.int64), b.unit])
-    return Algebra(a.field, sc, unit, validate=False), e1, e2
+    return Algebra(a.field, sc, np.concatenate([a.unit, b.unit]),
+                   validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +336,16 @@ class Bimodule:
     def __repr__(self):
         return (f"Bimodule(dim={self.dim}, left={self.left_over!r}, "
                 f"right={self.right_over!r})")
+
+
+def check_shape(name: str, matrix: FpMatrix, rows: int,
+                cols: int) -> FpMatrix:
+    """matrix, the map `name` where the data gives it; a matrix that is not
+    rows x cols is refused, naming the map and both shapes."""
+    if (matrix.rows, matrix.cols) != (rows, cols):
+        raise AlgebraError(f"{name} shape {matrix.rows}x{matrix.cols} "
+                           f"does not match {rows}x{cols}")
+    return matrix
 
 
 class ModuleHom:
@@ -655,13 +662,9 @@ class SwappedTensor:
 
     def on_left(self, name: str, matrix: FpMatrix, rows: int) -> FpMatrix:
         """The map `name` from X ox M to a space of dimension rows, given in
-        the coordinates of X ox M, in those of N ox X; a matrix of another
-        shape is named."""
-        cols = self.to_left.rows
-        if (matrix.rows, matrix.cols) != (rows, cols):
-            raise AlgebraError(f"{name} shape {matrix.rows}x{matrix.cols} "
-                               f"does not match {rows}x{cols}")
-        return matrix @ self.to_left
+        the coordinates of X ox M, in those of N ox X (`check_shape`)."""
+        return check_shape(name, matrix, rows, self.to_left.rows) @ \
+            self.to_left
 
 
 def swapped_tensor(n: Bimodule, x: LeftModule) -> SwappedTensor:

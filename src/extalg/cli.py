@@ -373,7 +373,7 @@ def emit_builtin_examples() -> dict:
     the inflation counterexample instance."""
     field = FieldSpec(2)
     k2 = Algebra(field, np.ones((1, 1, 1), dtype=np.int64), [1])
-    prod, _, _ = product_algebra(k2, k2)
+    prod = product_algebra(k2, k2)
     # D = k |x k
     dbim = Bimodule.regular(k2)
     dext = trivial_extension(k2, dbim)

@@ -2,11 +2,12 @@
 categories, and the category isomorphisms onto modules over the trivial
 extension (A x B) |x (U + V).
 
-The ring is that extension, built once (`MoritaRing`); basis order
-everywhere: A, B, U, V.  A (co)tuple holds the module over the ring whose
-U and V blocks are f and g (resp. evaluate them), built once in its
-constructor and checked once, by that module's law: given valid X, Y and
-linear f, g, the law fails at a (base, ideal) basis pair when f or g is
+The ring is that extension, built once (`MoritaRing`); its basis holds
+A, B and then the U and V blocks, at the slices the ring records (U before
+V for a ring built from a context).  A (co)tuple holds the module over the
+ring whose U and V blocks are f and g (resp. evaluate them), built once in
+its constructor and checked once, by that module's law: given valid X, Y
+and linear f, g, the law fails at a (base, ideal) basis pair when f or g is
 not a module map, and at u_i v_j = 0 or v_i u_j = 0 when one of the two
 composite axioms does.  theta and theta_co read the (co)pair off that
 module; theta_inverse reads the blocks back between the images X and Y of
@@ -16,11 +17,12 @@ sufficiency reports on U and V.
 
 A right tuple (W, Q, f, g), W and Q modules over A^op and B^op, is the
 `TupleModule` (W, Q, g, f) over the opposite context (A^op, B^op, V^swap,
-U^swap), whose ring `MoritaRing.opposite` links back; it names its faults
-in its own letters.  Its ideal blocks come in the order V, U, so upsilon
-and its inverse read modules over the opposite ring through `_swap_ideal`.
-`right_tuple` reads f and g in the coordinates of Q ox U and W ox V, the
-one place they enter.
+U^swap); it names its faults in its own letters.  The ring of that context,
+`MoritaRing.opposite`, is the opposite extension of this ring's, so a right
+tuple's module is the right module over this ring, and upsilon and its
+inverse are theta and theta_inverse over the opposite ring.  There the
+opposite context's V block, U^swap, comes first.  `right_tuple` reads f
+and g in the coordinates of Q ox U and W ox V, the one place they enter.
 """
 
 from __future__ import annotations
@@ -31,9 +33,9 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .algebra import (Algebra, Bimodule, LeftModule, ModuleHom, _stack,
-                      cokernel_module, hom_from_bimodule, is_exact_at,
-                      kernel_module, opposite_algebra, product_algebra,
-                      row_space_of_columns, swapped_tensor,
+                      check_shape, cokernel_module, hom_from_bimodule,
+                      is_exact_at, kernel_module, opposite_algebra,
+                      product_algebra, row_space_of_columns, swapped_tensor,
                       tensor_bimodule_left, tensor_map_second)
 from .gorenstein import (compatibility_report, gf_check_right, gi_check,
                          gp_check, verify_corollary)
@@ -50,7 +52,9 @@ class MoritaError(ValueError):
 class MoritaRing:
     """The Morita context ring of (A, B, U, V), U a B-A-bimodule and V an
     A-B-bimodule, with both pairings zero: the matrix ring [[A, V], [U, B]]
-    as the trivial extension ext = (A x B) |x (U + V), built once here."""
+    as the trivial extension ext = (A x B) |x (U + V), built once here.
+    u_slice and v_slice are the basis indices of the U and V blocks of its
+    total algebra."""
 
     def __init__(self, a: Algebra, b: Algebra, u: Bimodule, v: Bimodule):
         if u.left_over is not b or u.right_over is not a:
@@ -58,7 +62,7 @@ class MoritaRing:
         if v.left_over is not a or v.right_over is not b:
             raise MoritaError("v must be an A-B-bimodule")
         self.a, self.b, self.u, self.v = a, b, u, v
-        prod = product_algebra(a, b)[0]
+        prod = product_algebra(a, b)
         zu = FpMatrix.zeros(u.dim, u.dim, a.field)
         zv = FpMatrix.zeros(v.dim, v.dim, a.field)
         # A x B acts on U + V by B on the left of U and A on its right,
@@ -69,6 +73,9 @@ class MoritaRing:
             [direct_sum(zu, m) for m in v.right_action]
         self.ext = trivial_extension(
             prod, Bimodule(prod, prod, left, right, validate=False))
+        k = prod.dim
+        self.u_slice = slice(k, k + u.dim)
+        self.v_slice = slice(k + u.dim, k + u.dim + v.dim)
 
     @property
     def prod(self) -> Algebra:
@@ -82,9 +89,14 @@ class MoritaRing:
     @cached_property
     def opposite(self) -> "MoritaRing":
         """The ring of the opposite context (A^op, B^op, V^swap, U^swap),
-        whose opposite is this ring."""
-        op = MoritaRing(opposite_algebra(self.a), opposite_algebra(self.b),
-                        self.v.swap(), self.u.swap())
+        over `opposite_extension(self.ext)`: the opposite of this ring, with
+        no algebra of its own.  Its U block V^swap lies at this ring's
+        v_slice and its V block at u_slice.  Its opposite is this ring."""
+        op = MoritaRing.__new__(MoritaRing)
+        op.a, op.b = opposite_algebra(self.a), opposite_algebra(self.b)
+        op.u, op.v = self.v.swap(), self.u.swap()
+        op.ext = opposite_extension(self.ext)
+        op.u_slice, op.v_slice = self.v_slice, self.u_slice
         op.opposite = self
         return op
 
@@ -103,11 +115,13 @@ class _RingPresented(Presented):
     letters = "fg"
 
     def axiom(self, i: int, j: int) -> Optional[str]:
-        k, du = self.ring.prod.dim, self.ring.u.dim
+        k = self.ring.prod.dim
+        u_block = range(self.ring.total.dim)[self.ring.u_slice]
         if min(i, j) >= k:
-            return self.axioms[i < k + du]
+            return self.axioms[i in u_block]
         if max(i, j) >= k:
-            return self.letters[max(i, j) >= k + du] + " is not a module map"
+            return self.letters[max(i, j) not in u_block] + \
+                " is not a module map"
 
 
 class TupleModule(_RingPresented):
@@ -123,8 +137,10 @@ class TupleModule(_RingPresented):
         self.y = y
         self.tsux = tensor_bimodule_left(ring.u, x)
         self.tsvy = tensor_bimodule_left(ring.v, y)
-        self.f = ModuleHom(self.tsux.space, y, f_matrix, validate=False)
-        self.g = ModuleHom(self.tsvy.space, x, g_matrix, validate=False)
+        self.f = ModuleHom(self.tsux.space, y, check_shape(
+            "f", f_matrix, y.dim, self.tsux.space.dim), validate=False)
+        self.g = ModuleHom(self.tsvy.space, x, check_shape(
+            "g", g_matrix, x.dim, self.tsvy.space.dim), validate=False)
         du, dv = ring.u.dim, ring.v.dim
         f = (f_matrix @ self.tsux.project).arr.reshape(y.dim, du, x.dim)
         g = (g_matrix @ self.tsvy.project).arr.reshape(x.dim, dv, y.dim)
@@ -171,8 +187,10 @@ class CoTupleModule(_RingPresented):
         self.y = y
         self.hom_uy = hom_from_bimodule(ring.u, y)
         self.hom_vx = hom_from_bimodule(ring.v, x)
-        self.f = ModuleHom(x, self.hom_uy.space, f_matrix, validate=False)
-        self.g = ModuleHom(y, self.hom_vx.space, g_matrix, validate=False)
+        self.f = ModuleHom(x, self.hom_uy.space, check_shape(
+            "f", f_matrix, self.hom_uy.space.dim, x.dim), validate=False)
+        self.g = ModuleHom(y, self.hom_vx.space, check_shape(
+            "g", g_matrix, self.hom_vx.space.dim, y.dim), validate=False)
         # block k sends b to f(b)(u_k), resp. g(b)(v_k)
         self.module = _ring_module(ring, x, y, *(
             hm.homs.basis_array().transpose(2, 1, 0) @ mat.arr
@@ -196,13 +214,13 @@ def _ring_module(ring: MoritaRing, x: LeftModule, y: LeftModule,
     """X + Y as a module over the ring: A and B act on X and Y, the k-th
     basis element of U by u_blocks[k]: X -> Y and that of V by
     v_blocks[k]: Y -> X."""
-    na, k, du = ring.a.dim, ring.prod.dim, ring.u.dim
+    na, k = ring.a.dim, ring.prod.dim
     dx, n = x.dim, x.dim + y.dim
     action = np.zeros((ring.total.dim, n, n), dtype=np.int64)
     action[:na, :dx, :dx] = [m.arr for m in x.action]
     action[na:k, dx:, dx:] = [m.arr for m in y.action]
-    action[k:k + du, dx:, :dx] = u_blocks
-    action[k + du:, :dx, dx:] = v_blocks
+    action[ring.u_slice, dx:, :dx] = u_blocks
+    action[ring.v_slice, :dx, dx:] = v_blocks
     return LeftModule(ring.total, [FpMatrix(m, ring.prod.field)
                                    for m in action], validate=False)
 
@@ -218,7 +236,7 @@ def _tuple_of(mod: LeftModule, ring: MoritaRing) -> TupleModule:
     central idempotents (1, 0) and (0, 1) of A x B, so submodules, and
     u = (0, 1) u (1, 0) maps X into Y, v maps Y into X: every block of the
     action is read between their RREF bases."""
-    na, k, du = ring.a.dim, ring.prod.dim, ring.u.dim
+    na, k = ring.a.dim, ring.prod.dim
     field, acts = mod.over.field, _stack(mod.action, mod.dim)
 
     def read(s: slice, src: FpMatrix, tgt: FpMatrix) -> FpMatrix:
@@ -238,10 +256,8 @@ def _tuple_of(mod: LeftModule, ring: MoritaRing) -> TupleModule:
 
     bx, x = summand(ring.a, slice(na))
     by, y = summand(ring.b, slice(na, k))
-    f = read(slice(k, k + du), bx, by) @ \
-        tensor_bimodule_left(ring.u, x).include
-    g = read(slice(k + du, None), by, bx) @ \
-        tensor_bimodule_left(ring.v, y).include
+    f = read(ring.u_slice, bx, by) @ tensor_bimodule_left(ring.u, x).include
+    g = read(ring.v_slice, by, bx) @ tensor_bimodule_left(ring.v, y).include
     return TupleModule(ring, x, y, f, g, validate=False)
 
 
@@ -252,39 +268,16 @@ def theta_inverse(pair: PairModule, ring: MoritaRing) -> TupleModule:
     return _tuple_of(pair_to_module(pair), ring)
 
 
-def _swap_ideal(ring: MoritaRing, action: list) -> list:
-    """Reorder per-basis-element matrices of `ring`'s total algebra from
-    ideal blocks U, V to V, U, the order of the opposite context's ring;
-    with `ring.opposite` in place of `ring` this is the way back."""
-    k, du = ring.prod.dim, ring.u.dim
-    return action[:k] + action[k + du:] + action[k:k + du]
-
-
-def _right_module(rt: TupleModule) -> LeftModule:
-    """upsilon(rt) as a right module over R = rt.ring.opposite, a module
-    over R^op: rt's module with the ideal blocks put back in the order U, V.
-    The total algebra of rt.ring is R^op up to that reordering of its
-    basis, so the law of rt's module carries over."""
-    return LeftModule(opposite_algebra(rt.ring.opposite.total),
-                      _swap_ideal(rt.ring, rt.module.action), validate=False)
-
-
 def upsilon(rt: TupleModule) -> PairModule:
     """The right pair ((W, Q), (f, g)) over the extension of
-    rt.ring.opposite: the pair over the opposite extension."""
-    return module_to_pair(_right_module(rt),
-                          opposite_extension(rt.ring.opposite.ext))
+    rt.ring.opposite, a pair over the opposite extension: theta(rt)."""
+    return theta(rt)
 
 
 def upsilon_inverse(rp: PairModule, ring: MoritaRing) -> TupleModule:
     """The right tuple of the right pair rp over the ring's extension: the
-    tuple over the opposite context of rp's module with the ideal blocks
-    put in the order V, U."""
-    if rp.t is not opposite_extension(ring.ext):
-        raise MoritaError("pair does not live over this ring")
-    op = ring.opposite
-    return _tuple_of(LeftModule(op.total, _swap_ideal(
-        ring, pair_to_module(rp).action), validate=False), op)
+    tuple over the opposite context, theta_inverse(rp, ring.opposite)."""
+    return theta_inverse(rp, ring.opposite)
 
 
 def theta_co(ct: CoTupleModule) -> CopairModule:
@@ -348,7 +341,6 @@ def verify_thm54(rt: TupleModule, bound=None) -> dict:
     """Right-module mirror: hypotheses vs Gorenstein flatness of a right
     tuple, the tuple over the opposite context."""
     hyp = _tuple_hypotheses(rt, gf_check_right, bound)
-    return verify_theorem(rt.ring.opposite,
-                          gf_check_right(_right_module(rt), bound),
+    return verify_theorem(rt.ring.opposite, gf_check_right(rt.module, bound),
                           {_EXCHANGE_FG[k]: v for k, v in hyp.items()},
                           bound)

@@ -33,7 +33,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .algebra import (Algebra, AlgebraError, Bimodule, LeftModule, ModuleHom,
-                      _stack, block_sum_module, cokernel_module,
+                      _stack, block_sum_module, check_shape, cokernel_module,
                       field_space, hom_from_bimodule, hom_space, image_module,
                       is_kernel_inclusion, kernel_module, opposite_algebra,
                       swapped_tensor, tensor_bimodule_left, tensor_map_second,
@@ -139,8 +139,9 @@ class PairModule(Presented):
         self.t = t
         self.x = x
         self.tensor = tensor_bimodule_left(t.bimodule, x)
-        self.alpha = ModuleHom(self.tensor.space, x, alpha_matrix,
-                               validate=False)
+        self.alpha = ModuleHom(self.tensor.space, x, check_shape(
+            "alpha", alpha_matrix, x.dim, self.tensor.space.dim),
+            validate=False)
         # block j sends b to alpha(m_j ox b)
         ideal = (alpha_matrix @ self.tensor.project).arr.reshape(
             x.dim, t.ideal_dim, x.dim).transpose(1, 0, 2)
@@ -168,8 +169,8 @@ class CopairModule(Presented):
         self.t = t
         self.y = y
         self.hom = hom_from_bimodule(t.bimodule, y)
-        self.beta = ModuleHom(y, self.hom.space, beta_matrix,
-                              validate=False)
+        self.beta = ModuleHom(y, self.hom.space, check_shape(
+            "beta", beta_matrix, self.hom.space.dim, y.dim), validate=False)
         # block j sends b to beta(b)(m_j)
         ideal = self.hom.homs.basis_array().transpose(2, 1, 0) @ \
             beta_matrix.arr

@@ -36,7 +36,7 @@ def triangular_extension(field):
     """(k x k) |x M with (a,b).m = b m and m.(a,b) = m a; the total algebra
     is the lower-triangular 2x2 matrix ring."""
     k = field_algebra(field)
-    prod, _, _ = product_algebra(k, k)
+    prod = product_algebra(k, k)
     zero = FpMatrix.zeros(1, 1, field)
     one = FpMatrix.identity(1, field)
     bim = Bimodule(prod, prod, [zero, one], [one, zero])

@@ -271,6 +271,23 @@ def test_a_command_does_not_fail_on_an_entity_it_does_not_read(
     ({"right_tuples": {"rt": {"context": "nakayama4", "w": "k_right",
                               "q": "k_right", "f": [[1]], "g": [[0], [0]]}}},
      "right tuple 'rt': g shape 2x1 does not match 1x1"),
+    # the structure maps of left pairs, copairs, tuples and cotuples are
+    # named as well: M ox k, U ox k, Hom(U, k) are 1-dimensional, Hom(M, D)
+    # over the dual numbers D is 2-dimensional
+    ({"pairs": {"zk_over_d": {"extension": "d", "x": "zk",
+                              "alpha": [[0, 0]]}}},
+     "pair 'zk_over_d': alpha shape 1x2 does not match 1x1"),
+    ({"copairs": {"d_regular_copair": {"extension": "d", "y": "d_regular_y",
+                                       "beta": [[0, 0]]}}},
+     "copair 'd_regular_copair': beta shape 1x2 does not match 2x2"),
+    ({"tuples": {"nakayama_unit_tuple": {
+        "context": "nakayama4", "x": "k_left", "y": "k_left",
+        "f": [[1, 0]], "g": [[0]]}}},
+     "tuple 'nakayama_unit_tuple': f shape 1x2 does not match 1x1"),
+    ({"cotuples": {"nakayama_unit_cotuple": {
+        "context": "nakayama4", "x": "k_left", "y": "k_left",
+        "f": [[1, 0]], "g": [[0]]}}},
+     "cotuple 'nakayama_unit_cotuple': f shape 1x2 does not match 1x1"),
     # U = k over k on both sides is not a B-A-bimodule for A = k x k
     ({"morita_contexts": {"c": {"a": "k2xk2", "b": "k2", "u": "morita_u",
                                 "v": "morita_v"}},
@@ -287,7 +304,8 @@ def test_a_command_does_not_fail_on_an_entity_it_does_not_read(
         "action_not_a_list", "action_huge_int", "quiver_arrow_not_a_list",
         "quiver_arrow_three_ends", "right_pair_square", "right_tuple_axiom",
         "right_pair_alpha_columns", "right_tuple_f_columns",
-        "right_tuple_g_rows", "context_leg"])
+        "right_tuple_g_rows", "pair_alpha_columns", "copair_beta_rows",
+        "tuple_f_columns", "cotuple_f_columns", "context_leg"])
 def test_bad_workspace_exits_2_naming_the_fault(tmp_path, capsys, corpus,
                                                 content, named):
     # content: raw bytes, or keys that replace those of the built-in corpus

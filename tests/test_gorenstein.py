@@ -153,7 +153,7 @@ def test_gp_unknown_regime_probable_yes(p):
     # the battery and the biduality check; the wild simple fails the first
     field = FieldSpec(p)
     dual = monomial_quiver_algebra(1, [(0, 0)], [[0, 0]], field)
-    a, _, _ = product_algebra(dual, local_wild_algebra(field))
+    a = product_algebra(dual, local_wild_algebra(field))
     # the unit of the first factor acts as 1 on that factor's simple only
     first, wild = sorted(simples(a), key=lambda s: -s.action[0].arr[0, 0])
     v = gp_check(first, bound=3)
@@ -213,7 +213,7 @@ def test_early_stopping_battery_matches_the_full_one(p):
         lambda: a2_morita_ring(field).total,
         lambda: product_morita_ring(field).total,
         lambda: product_algebra(monomial_quiver_algebra(
-            1, [(0, 0)], [[0, 0]], field), local_wild_algebra(field))[0]]
+            1, [(0, 0)], [[0, 0]], field), local_wild_algebra(field))]
     commutative = []
     for build in builders:
         a, b = build(), build()
@@ -535,7 +535,9 @@ def test_gp_iwanaga_gorenstein_battery_decides(p):
     # battery stops at Ext^1: the simples of the self-injective factor pass,
     # the non-projective simple of the hereditary factor fails
     field = FieldSpec(p)
-    prod, e1, _ = product_algebra(nakayama_22(field), a2_algebra(field))
+    nak22, a2 = nakayama_22(field), a2_algebra(field)
+    prod = product_algebra(nak22, a2)
+    e1 = np.concatenate([nak22.unit, 0 * a2.unit])    # (1, 0)
     regime, dl, dr = gorenstein_regime(prod)
     assert (regime, dl.value, dr.value) == (IWANAGA_GORENSTEIN, 1, 1)
     nak = [s for s in simples(prod) if not s.act_matrix(e1).is_zero()]

@@ -244,7 +244,7 @@ def _nakayama(n, k):
 
 def _times_wild(first):
     return lambda field: product_algebra(first(field),
-                                         local_wild_algebra(field))[0]
+                                         local_wild_algebra(field))
 
 
 DIMENSION_ALGEBRAS = {

@@ -38,11 +38,9 @@ PAPER_API = {
                            "base",
     "validate_complete_resolution": "the defining checks of a complete "
                                     "resolution, Hom into projectives",
-    "theta": "the isomorphism from tuples to pairs over the extension",
     "theta_co": "the isomorphism from cotuples to copairs",
     "upsilon": "the isomorphism from right tuples to right pairs; it "
                "returns the pair over the opposite extension",
-    "theta_inverse": "the inverse of theta, from pairs to tuples",
     "upsilon_inverse": "the inverse of upsilon; it returns the tuple over "
                        "the opposite context",
 }

@@ -9,18 +9,20 @@ from conftest import (FIELD2, a2_morita_ring, nakayama_ring,
                       product_morita_ring, random_right_tuple, random_tuple,
                       same_action, triangular_extension)
 from extalg.algebra import (Algebra, AlgebraError, Bimodule, LeftModule,
-                            ModuleHom, field_algebra, hom_from_bimodule,
-                            hom_space, opposite_algebra, product_algebra,
-                            tensor_bimodule_left, tensor_map_second)
+                            ModuleHom, _stack, field_algebra,
+                            hom_from_bimodule, hom_space, opposite_algebra,
+                            product_algebra, tensor_bimodule_left,
+                            tensor_map_second)
 from extalg.gorenstein import SELF_INJECTIVE, IWANAGA_GORENSTEIN, \
     gorenstein_regime
 from extalg.linalg import FieldSpec, FpMatrix
 from extalg.morita import (CoTupleModule, MoritaError, MoritaRing,
-                           TupleModule, _right_module, right_tuple, theta,
-                           theta_co, theta_inverse, upsilon, upsilon_inverse,
+                           TupleModule, right_tuple, theta, theta_co,
+                           theta_inverse, upsilon, upsilon_inverse,
                            verify_thm52, verify_thm53, verify_thm54)
 from extalg.structure import find_isomorphism, simples
-from extalg.trivext import copair_to_module, pair_to_module
+from extalg.trivext import (copair_to_module, opposite_extension,
+                            pair_to_module)
 from test_resolution_fingerprint import _put, _put_module
 
 
@@ -36,23 +38,22 @@ def a2m():
 
 def _matrix_rule_table(ring):
     """The structure constants and unit of [[A, V], [U, B]] with zero
-    pairings, by the matrix multiplication rule, in the basis A, B, U, V."""
+    pairings, by the matrix multiplication rule, in the basis A, B and the
+    U and V blocks at the slices the ring records."""
     a, b, u, v = ring.a, ring.b, ring.u, ring.v
-    na, nb, du, dv = a.dim, b.dim, u.dim, v.dim
-    oa, ob, ou, ov = 0, na, na + nb, na + nb + du
-    n = ov + dv
+    na, nb = a.dim, b.dim
+    su, sv = ring.u_slice, ring.v_slice
+    n = na + nb + u.dim + v.dim
     sc = np.zeros((n, n, n), dtype=np.int64)
-    sc[oa:ob, oa:ob, oa:ob] = a.sc
-    sc[ob:ou, ob:ou, ob:ou] = b.sc
+    sc[:na, :na, :na] = a.sc
+    sc[na:na + nb, na:na + nb, na:na + nb] = b.sc
     for i in range(na):
-        sc[oa + i, ov:, ov:] = v.left_action[i].arr.T
-        sc[ou:ov, oa + i, ou:ov] = u.right_action[i].arr.T
+        sc[i, sv, sv] = v.left_action[i].arr.T
+        sc[su, i, su] = u.right_action[i].arr.T
     for j in range(nb):
-        sc[ob + j, ou:ov, ou:ov] = u.left_action[j].arr.T
-        sc[ov:, ob + j, ov:] = v.right_action[j].arr.T
-    unit = np.zeros(n, dtype=np.int64)
-    unit[oa:ob] = a.unit
-    unit[ob:ou] = b.unit
+        sc[na + j, su, su] = u.left_action[j].arr.T
+        sc[sv, na + j, sv] = v.right_action[j].arr.T
+    unit = np.concatenate([a.unit, b.unit, np.zeros(n - na - nb, int)])
     return sc, unit
 
 
@@ -72,7 +73,7 @@ def test_ring_constructions_agree():
 def test_degenerate_ring_is_product():
     prod = product_morita_ring(FIELD2)
     k = field_algebra(FIELD2)
-    expect, _, _ = product_algebra(k, k)
+    expect = product_algebra(k, k)
     assert (prod.total.sc == expect.sc).all()
 
 
@@ -145,9 +146,17 @@ def test_upsilon_round_trips(nak):
 @pytest.mark.parametrize("build", [nakayama_ring, a2_morita_ring,
                                    product_morita_ring])
 def test_opposite_ring_links_back(build):
-    ring = build(FIELD2)
-    assert ring.opposite is ring.opposite
-    assert ring.opposite.opposite is ring
+    # the opposite context's ring is the opposite extension of the ring's,
+    # built once; a commutative total algebra is its own opposite
+    for p in (2, 3):
+        ring = build(FieldSpec(p))
+        assert ring.opposite is ring.opposite
+        assert ring.opposite.opposite is ring
+        assert ring.opposite.ext is opposite_extension(ring.ext)
+        sc = ring.total.sc
+        commutative = (sc == sc.transpose(1, 0, 2)).all()
+        assert (ring.opposite.ext is ring.ext) == commutative
+        assert commutative == (build is product_morita_ring)
 
 
 def test_theta_co_builds_valid_copair(nak):
@@ -306,7 +315,7 @@ def test_maps_that_are_not_module_maps_are_named():
     # m a, both M ox R and Hom(M, R) of R = k x k are one-dimensional, and
     # a module map lands in, resp. comes from, one summand of R
     k = field_algebra(FIELD2)
-    prod, _, _ = product_algebra(k, k)
+    prod = product_algebra(k, k)
     zero, one = FpMatrix.zeros(1, 1, FIELD2), FpMatrix.identity(1, FIELD2)
     m = Bimodule(prod, prod, [zero, one], [one, zero])
     ring = MoritaRing(prod, prod, m, m)
@@ -375,7 +384,9 @@ def test_right_module_of_a_right_tuple_satisfies_the_law(build):
     ring = build(FIELD2)
     rng = np.random.default_rng(23)
     for _ in range(4):
-        _right_module(random_right_tuple(ring, rng, max_dim=3)).validate()
+        rt = random_right_tuple(ring, rng, max_dim=3)
+        assert rt.module.over is opposite_algebra(ring.total)
+        rt.module.validate()
 
 
 # recorded on the implementation that split X and Y off with stored
@@ -395,8 +406,13 @@ def test_tuple_readers_match_the_pinned_fingerprint():
             for read in (random_tuple, random_right_tuple):
                 for _ in range(4):
                     t = read(ring, rng)
-                    for m in (t.x, t.y, t.module):
-                        _put_module(h, m)
+                    _put_module(h, t.x)
+                    _put_module(h, t.y)
+                    # the module in its own context's basis order A, B, U, V
+                    k = t.ring.prod.dim
+                    action = t.module.action
+                    _put(h, _stack(action[:k] + action[t.ring.u_slice]
+                                   + action[t.ring.v_slice], t.module.dim))
                     _put(h, t.f.matrix.arr)
                     _put(h, t.g.matrix.arr)
     assert h.hexdigest() == TUPLE_PIN
