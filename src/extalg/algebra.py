@@ -1,8 +1,9 @@
 """Finite-dimensional associative algebras over GF(p) and their modules.
 
 An algebra is a structure-constant table c[i][j] = coordinates of b_i * b_j
-plus a unit vector.  Modules carry one action matrix per algebra basis
-element, acting on the left of coordinate column vectors.  There is one
+plus a unit vector.  A module carries its action as one reduced int64
+stack `acts` of shape (dim A, d, d): acts[i] is the matrix of b_i, acting
+on the left of coordinate column vectors.  There is one
 module class: a right module over A is the `LeftModule` over A^op
 (`opposite_algebra`) with the same matrices, so the linear dual, Hom(-, A)
 and the right leg of a bimodule are left modules over the opposite algebra.
@@ -63,12 +64,19 @@ class Algebra:
         if n < 1:
             raise AlgebraError("zero ring not allowed (dim >= 1 required)")
         self.dim = n
-        # left/right multiplication matrices of the basis elements
-        self.lmats = [FpMatrix(self.sc[i].T, field) for i in range(n)]
-        self.rmats = [FpMatrix(self.sc[:, i, :].T, field) for i in range(n)]
         self._cache: dict = {}
         if validate:
             validate_algebra(self)
+
+    @functools.cached_property
+    def lmats(self) -> List[FpMatrix]:
+        """Left multiplication by each b_i; `rmats` is the right one."""
+        return [FpMatrix.reduced(m.T, self.field) for m in self.sc]
+
+    @functools.cached_property
+    def rmats(self) -> List[FpMatrix]:
+        return [FpMatrix.reduced(m, self.field)
+                for m in self.sc.transpose(1, 2, 0)]
 
     def mult(self, x, y) -> np.ndarray:
         x = np.asarray(x, dtype=np.int64) % self.field.p
@@ -94,7 +102,7 @@ def validate_algebra(a: Algebra) -> dict:
             raise AlgebraError(f"unit law violated: b_{j} * 1 != b_{j}")
     # associativity via multiplication matrices, L(b_i b_j) = L(b_i) L(b_j),
     # for every j at once; column k of each side is (b_i b_j) b_k
-    lm = _stack(a.lmats, n)
+    lm = a.sc.transpose(0, 2, 1)
     by_row = lm.transpose(1, 0, 2).reshape(n, n * n)
     for i in range(n):
         lhs = matmul_mod(a.sc[i], lm.reshape(n, n * n), p).reshape(n, n, n)
@@ -125,10 +133,10 @@ def kept(obj, key, build):
 
 def _content(obj) -> tuple:
     """dim and action bytes of a (bi)module, kept on it (it is immutable)."""
-    return kept(obj, "content", lambda: (obj.dim,) + tuple(
-        _stack(acts, obj.dim).tobytes() for acts in (
-            (obj.left_action, obj.right_action) if isinstance(obj, Bimodule)
-            else (obj.action,))))
+    return kept(obj, "content", lambda: (obj.dim,) + (tuple(
+        _stack(acts, obj.dim).tobytes()
+        for acts in (obj.left_action, obj.right_action))
+        if isinstance(obj, Bimodule) else (obj.acts.tobytes(),)))
 
 
 def shared(obj, over: Algebra, name: str, key, build):
@@ -200,30 +208,40 @@ def product_algebra(a: Algebra, b: Algebra) -> Algebra:
 
 
 class LeftModule:
-    """Left module: action[i] is the matrix of b_i acting on coordinates,
-    with action(b_i) @ action(b_j) = sum_k sc[i][j][k] action(b_k)."""
+    """Left module: acts[i] is the matrix of b_i, with acts[i] @ acts[j] =
+    sum_k sc[i][j][k] acts[k].  `action` is a list of `FpMatrix` (from the
+    CLI or tests) or, inside the library, a stack built reduced, taken as
+    it is; the tuple `action` is built from the stack on first read."""
 
-    def __init__(self, over: Algebra, action: Sequence[FpMatrix],
-                 validate: bool = True):
+    def __init__(self, over: Algebra, action, validate: bool = True):
         self.over = over
-        self.action = list(action)
         self._cache: dict = {}
-        if len(self.action) != over.dim:
+        if not isinstance(action, np.ndarray):
+            action = list(action)
+            # matrices of unequal shapes stay a list, refused below
+            if len({m.arr.shape for m in action}) == 1:
+                action = np.array([m.arr for m in action])
+        if len(action) != over.dim:
             raise AlgebraError("need one action matrix per basis element")
-        self.dim = self.action[0].rows if self.action else 0
-        for m in self.action:
-            if m.rows != self.dim or m.cols != self.dim:
-                raise AlgebraError("action matrices must be square of equal size")
+        if not isinstance(action, np.ndarray) or action.ndim != 3 or \
+                action.shape[1] != action.shape[2]:
+            raise AlgebraError("action matrices must be square of equal size")
+        self.acts = action
+        self.dim = action.shape[1]
         if validate:
             self.validate()
+
+    @property
+    def action(self) -> Tuple[FpMatrix, ...]:
+        return kept(self, "action", lambda: tuple(
+            FpMatrix.reduced(m, self.over.field) for m in self.acts))
 
     def validate(self):
         unit_act = self.act_matrix(self.over.unit)
         if not (unit_act.arr == np.eye(self.dim, dtype=np.int64)).all():
             raise AlgebraError("unit does not act as identity")
         p, n, d = self.over.field.p, self.over.dim, self.dim
-        sc = self.over.sc
-        acts = _stack(self.action, d)
+        sc, acts = self.over.sc, self.acts
         flat = acts.reshape(n, d * d)
         for i in range(n):
             # row i of the law: action(b_i) @ action(b_j) for every j at once
@@ -235,21 +253,18 @@ class LeftModule:
                 raise exc
 
     def act_matrix(self, elem) -> FpMatrix:
-        elem = np.asarray(elem, dtype=np.int64)
-        acc = np.zeros((self.dim, self.dim), dtype=np.int64)
-        for i in range(self.over.dim):
-            if elem[i] % self.over.field.p:
-                acc += int(elem[i]) * self.action[i].arr
-        return FpMatrix(acc, self.over.field)
+        p, n, d = self.over.field.p, self.over.dim, self.dim
+        x = np.asarray(elem, dtype=np.int64) % p @ self.acts.reshape(n, d * d)
+        return FpMatrix.reduced(x.reshape(d, d) % p, self.over.field)
 
     @classmethod
     def regular(cls, a: Algebra) -> "LeftModule":
-        return kept(a, "regular", lambda: cls(a, a.lmats, validate=False))
+        return kept(a, "regular", lambda: cls(a, a.sc.transpose(0, 2, 1),
+                                              validate=False))
 
     @classmethod
     def zero(cls, a: Algebra) -> "LeftModule":
-        z = FpMatrix.zeros(0, 0, a.field)
-        return cls(a, [z] * a.dim, validate=False)
+        return cls(a, np.zeros((a.dim, 0, 0), dtype=np.int64), validate=False)
 
     def __repr__(self):
         return f"{type(self).__name__}(dim={self.dim}, over={self.over!r})"
@@ -271,8 +286,8 @@ def _kron_rows(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 def field_space(field: FieldSpec, d: int) -> LeftModule:
     """GF(p)^d as a module over the 1-dimensional algebra GF(p)."""
-    return LeftModule(field_algebra(field), [FpMatrix.identity(d, field)],
-                      validate=False)
+    return LeftModule(field_algebra(field),
+                      np.eye(d, dtype=np.int64)[None], validate=False)
 
 
 class Bimodule:
@@ -300,11 +315,9 @@ class Bimodule:
         if left.dim != right.dim:
             raise AlgebraError(f"left action is {left.dim}-dimensional but "
                                f"right action is {right.dim}-dimensional")
-        p = self.left_over.field.p
-        for l in self.left_action:
-            for r in self.right_action:
-                if not ((l.arr @ r.arr) % p == (r.arr @ l.arr) % p).all():
-                    raise AlgebraError("left and right actions do not commute")
+        p, r = self.left_over.field.p, right.acts
+        if any(((l @ r) % p != (r @ l) % p).any() for l in left.acts):
+            raise AlgebraError("left and right actions do not commute")
 
     def left_module(self) -> LeftModule:
         return kept(self, "left", lambda: LeftModule(
@@ -366,11 +379,10 @@ class ModuleHom:
     def validate(self):
         if not _same_algebra(self.source.over, self.target.over):
             raise AlgebraError("source and target over different algebras")
-        for i in range(self.source.over.dim):
-            lhs = self.matrix @ self.source.action[i]
-            rhs = self.target.action[i] @ self.matrix
-            if lhs != rhs:
-                raise AlgebraError(f"hom does not intertwine basis element {i}")
+        p, mat = self.matrix.field.p, self.matrix.arr
+        bad = (mat @ self.source.acts - self.target.acts @ mat) % p
+        for i in np.flatnonzero(bad.any(axis=(1, 2)))[:1]:
+            raise AlgebraError(f"hom does not intertwine basis element {i}")
 
     def compose(self, other: "ModuleHom") -> "ModuleHom":
         """self after other."""
@@ -419,8 +431,7 @@ class HomSpace:
         self.field = source.over.field
         gens = algebra_generators(source.over)
         self.mat = kernel_basis(FpMatrix(-_kron_rows(
-            _stack(target.action, target.dim)[gens],
-            _stack(source.action, source.dim)[gens].transpose(0, 2, 1)),
+            target.acts[gens], source.acts[gens].transpose(0, 2, 1)),
             self.field))
 
     @property
@@ -446,11 +457,17 @@ class HomSpace:
     def coords_many(self, mats) -> FpMatrix:
         """Coordinates of a stack of target.dim x source.dim integer arrays,
         one column per array; raises if any is not in the span."""
-        v = np.asarray(mats, dtype=np.int64)
-        x = echelon_coords(self.mat, v.reshape(len(v), self.mat.cols))
+        return FpMatrix.reduced(self.coords_stack(
+            np.asarray(mats, dtype=np.int64)[None])[0], self.field)
+
+    def coords_stack(self, mats: np.ndarray) -> np.ndarray:
+        """The (n, dim, k) stack whose i-th matrix has as column j the
+        coordinates of mats[i, j], for an (n, k, ...) stack of homs."""
+        x = echelon_coords(self.mat, mats.reshape(
+            mats.shape[:2] + (self.mat.cols,)))
         if x is None:
             raise AlgebraError("matrix is not in the hom space")
-        return FpMatrix(x.T, self.field)
+        return x.transpose(0, 2, 1)
 
     def element(self, coords) -> ModuleHom:
         coords = np.asarray(coords, dtype=np.int64)
@@ -472,20 +489,6 @@ def hom_space(m, n) -> HomSpace:
 # kernels, cokernels, images, subquotients
 
 
-def invariant_action(action: Sequence[FpMatrix], basis: FpMatrix,
-                     moved=None) -> Optional[List[FpMatrix]]:
-    """The matrices by which `action` acts on the row span of `basis` (in
-    RREF), in that basis; None when the span is not invariant.  moved[i, j]
-    is action[i] applied to basis row j, computed here unless given."""
-    if moved is None:
-        moved = matmul_mod(basis.arr, _stack(action, basis.cols).transpose(
-            0, 2, 1), basis.field.p)
-    coords = echelon_coords(basis, moved)
-    if coords is None:
-        return None
-    return [FpMatrix.reduced(c.T, basis.field) for c in coords]
-
-
 def submodule(x, basis_rows: FpMatrix):
     """Submodule spanned by the given rows; returns (module, inclusion).
     Raises unless their span is invariant.  The rows are echelonized here,
@@ -495,25 +498,28 @@ def submodule(x, basis_rows: FpMatrix):
 
 
 def _echelon_submodule(x, basis: FpMatrix, moved=None):
-    """`submodule` for a basis in RREF without zero rows (`moved` as in
-    `invariant_action`)."""
-    action = invariant_action(x.action, basis, moved)
-    if action is None:
+    """`submodule` for a basis in RREF without zero rows.  moved[i, j] is
+    x.acts[i] applied to basis row j, computed here unless given; its
+    coordinates in the basis are the action of the submodule."""
+    if moved is None:
+        moved = matmul_mod(basis.arr, x.acts.transpose(0, 2, 1), basis.field.p)
+    coords = echelon_coords(basis, moved)
+    if coords is None:
         raise AlgebraError("rows do not span a submodule")
-    mod = LeftModule(x.over, action, validate=False)
+    mod = LeftModule(x.over, coords.transpose(0, 2, 1), validate=False)
     return mod, ModuleHom(mod, x, basis.transpose(), validate=False)
 
 
 def quotient_module(x, relation_cols: FpMatrix):
     """Quotient of x by the span of the columns of relation_cols; returns
     (module, projection, section).  Raises unless the span is invariant."""
-    field = x.over.field
+    p = x.over.field.p
     qm = quotient_maps(relation_cols)
-    moved = (qm.project.arr @ _stack(x.action, x.dim)) % field.p
-    if ((moved @ relation_cols.arr) % field.p).any():
+    moved = (qm.project.arr @ x.acts) % p
+    if ((moved @ relation_cols.arr) % p).any():
         raise AlgebraError("relations do not span a submodule")
-    mod = LeftModule(x.over, [FpMatrix(m @ qm.include.arr, field)
-                              for m in moved], validate=False)
+    # include picks the free columns, so the product stays reduced
+    mod = LeftModule(x.over, moved @ qm.include.arr, validate=False)
     return mod, ModuleHom(x, mod, qm.project, validate=False), qm.include
 
 
@@ -574,10 +580,9 @@ def block_sum_module(mods: Sequence):
     acc = np.zeros((over.dim, total, total), dtype=np.int64)
     off = 0
     for m in mods:
-        acc[:, off:off + m.dim, off:off + m.dim] = _stack(m.action, m.dim)
+        acc[:, off:off + m.dim, off:off + m.dim] = m.acts
         off += m.dim
-    return LeftModule(over, [FpMatrix.reduced(x, over.field) for x in acc],
-                      validate=False)
+    return LeftModule(over, acc, validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -598,16 +603,17 @@ class TensorSpace:
     first_dim: int
 
 
-def _balanced_quotient(rho: Sequence[FpMatrix], lam: Sequence[FpMatrix],
+def _balanced_quotient(rho: np.ndarray, lam: np.ndarray,
                        over: Algebra) -> QuotientMaps:
     """Quotient maps of M ox X by the relations m.r ox x - m ox r.x, where r
-    runs over the generators of `over` acting by rho on M and lam on X."""
+    runs over the generators of `over` acting by the stacks rho on M and
+    lam on X."""
     gens = algebra_generators(over)
     # one block of columns per generator: the transpose of the blocks
     # rho_g^T ox I - I ox lam_g^T stacked by rows
     return quotient_maps(FpMatrix(_kron_rows(
-        _stack(rho, rho[0].rows)[gens].transpose(0, 2, 1),
-        _stack(lam, lam[0].rows)[gens].transpose(0, 2, 1)).T, over.field))
+        rho[gens].transpose(0, 2, 1), lam[gens].transpose(0, 2, 1)).T,
+        over.field))
 
 
 def tensor_bimodule_left(m: Bimodule, x: LeftModule) -> TensorSpace:
@@ -621,7 +627,7 @@ def tensor_bimodule_left(m: Bimodule, x: LeftModule) -> TensorSpace:
 
 def _tensor_space(m: Bimodule, x: LeftModule) -> TensorSpace:
     field = x.over.field
-    qm = _balanced_quotient(m.right_action, x.action, x.over)
+    qm = _balanced_quotient(_stack(m.right_action, m.dim), x.acts, x.over)
     ix = FpMatrix.identity(x.dim, field)
     action = [qm.project @ kron(la, ix) @ qm.include for la in m.left_action]
     space = LeftModule(m.left_over, action, validate=False)
@@ -671,7 +677,7 @@ def swapped_tensor(n: Bimodule, x: LeftModule) -> SwappedTensor:
     """X ox M from N = M^swap and X read as a left module over R^op."""
     field = x.over.field
     left = tensor_bimodule_left(n, x)
-    right = _balanced_quotient(x.action, n.right_action, x.over)
+    right = _balanced_quotient(x.acts, _stack(n.right_action, n.dim), x.over)
     # entry k = m * dim(X) + x of this array is the plain index x * dim(M) + m
     mx = np.arange(x.dim * n.dim).reshape(x.dim, n.dim).T.reshape(-1)
     return SwappedTensor(
@@ -689,10 +695,10 @@ class HomModule:
 
     def __init__(self, m: Bimodule, y: LeftModule):
         self.homs = HomSpace(m.left_module(), LeftModule(
-            y.over, y.action, validate=False))
-        stack = self.homs.basis_array()
-        self.space = LeftModule(m.right_over, [self.homs.coords_many(
-            stack @ ra.arr) for ra in m.right_action], validate=False)
+            y.over, y.acts, validate=False))
+        self.space = LeftModule(m.right_over, self.homs.coords_stack(
+            self.homs.basis_array() @ _stack(m.right_action, m.dim)[:, None]),
+            validate=False)
 
     def postcompose(self, other: "HomModule", u: ModuleHom) -> ModuleHom:
         """Induced map Hom(M, Y) -> Hom(M, Y') for u: Y -> Y'
@@ -721,8 +727,7 @@ def dual_module(x: LeftModule) -> LeftModule:
     Kept on x; the dual holds no link back to x.
     """
     return kept(x, "dual", lambda: LeftModule(
-        opposite_algebra(x.over), [m.transpose() for m in x.action],
-        validate=False))
+        opposite_algebra(x.over), x.acts.transpose(0, 2, 1), validate=False))
 
 
 # ---------------------------------------------------------------------------

@@ -93,10 +93,6 @@ def _mat_list(data, field, where: str):
     return [_mat(m, field, where) for m in _list(data, where)]
 
 
-def _dump_mat(m: FpMatrix):
-    return m.arr.tolist()
-
-
 def _field(value, where: str) -> FieldSpec:
     """GF(value) for a JSON integer value."""
     try:
@@ -405,9 +401,9 @@ def emit_builtin_examples() -> dict:
             "d_ideal": {"left_over": "k2", "right_over": "k2",
                         "left_action": [[[1]]], "right_action": [[[1]]]},
             "tri_ideal": {"left_over": "k2xk2", "right_over": "k2xk2",
-                          "left_action": [_dump_mat(m) for m in
+                          "left_action": [m.arr.tolist() for m in
                                           tri_bim.left_action],
-                          "right_action": [_dump_mat(m) for m in
+                          "right_action": [m.arr.tolist() for m in
                                            tri_bim.right_action]},
             "morita_u": {"left_over": "k2", "right_over": "k2",
                          "left_action": [[[1]]], "right_action": [[[1]]]},
@@ -417,18 +413,13 @@ def emit_builtin_examples() -> dict:
                             "left_action": [[]], "right_action": [[]]},
         },
         "modules": {
-            "d_regular": {"over": "k2",
-                          "action": [_dump_mat(m) for m in
-                                     d_reg_pair.x.action]},
+            "d_regular": {"over": "k2", "action": d_reg_pair.x.acts.tolist()},
             "d_regular_y": {"over": "k2",
-                            "action": [_dump_mat(m) for m in
-                                       d_reg_copair.y.action]},
+                            "action": d_reg_copair.y.acts.tolist()},
             "d_regular_w": {"over": "k2", "side": "right",
-                            "action": [_dump_mat(m) for m in
-                                       d_reg_right.x.action]},
+                            "action": d_reg_right.x.acts.tolist()},
             "tri_regular": {"over": "k2xk2",
-                            "action": [_dump_mat(m) for m in
-                                       tri_pair.x.action]},
+                            "action": tri_pair.x.acts.tolist()},
             "zk": {"over": "k2", "action": [[[1]]]},
             "k_left": {"over": "k2", "action": [[[1]]]},
             "k_right": {"over": "k2", "side": "right", "action": [[[1]]]},
@@ -447,23 +438,22 @@ def emit_builtin_examples() -> dict:
         },
         "pairs": {
             "d_regular_pair": {"extension": "d", "x": "d_regular",
-                               "alpha": _dump_mat(d_reg_pair.alpha.matrix)},
+                               "alpha": d_reg_pair.alpha.matrix.arr.tolist()},
             "tri_regular_pair": {"extension": "triangular",
                                  "x": "tri_regular",
-                                 "alpha": _dump_mat(
-                                     tri_pair.alpha.matrix)},
+                                 "alpha": tri_pair.alpha.matrix.arr.tolist()},
             "zk_over_d": {"extension": "d", "x": "zk", "alpha": [[0]]},
         },
         "copairs": {
-            "d_regular_copair": {"extension": "d", "y": "d_regular_y",
-                                 "beta": _dump_mat(
-                                     d_reg_copair.beta.matrix)},
+            "d_regular_copair": {
+                "extension": "d", "y": "d_regular_y",
+                "beta": d_reg_copair.beta.matrix.arr.tolist()},
             "zk_over_d_copair": {"extension": "d", "y": "zk",
                                  "beta": [[0]]},
         },
         "right_pairs": {
             "d_regular_right_pair": {"extension": "d", "x": "d_regular_w",
-                                     "alpha": _dump_mat(d_right_alpha)},
+                                     "alpha": d_right_alpha.arr.tolist()},
         },
         "tuples": {
             "nakayama_unit_tuple": {"context": "nakayama4", "x": "k_left",

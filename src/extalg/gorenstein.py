@@ -80,10 +80,10 @@ class GorensteinVerdict:
 def star_module(m: LeftModule) -> Tuple[LeftModule, HomSpace]:
     """Hom into the regular module, a module over the opposite algebra
     acting through multiplication on the values."""
-    hs = hom_space(m, LeftModule.regular(m.over))
-    stack = hs.basis_array()
-    action = [hs.coords_many(mult.arr @ stack) for mult in m.over.rmats]
-    return LeftModule(opposite_algebra(m.over), action, validate=False), hs
+    hs, op = hom_space(m, LeftModule.regular(m.over)), opposite_algebra(m.over)
+    # b acts by right multiplication on the values, as A^op acts on itself
+    moved = LeftModule.regular(op).acts[:, None] @ hs.basis_array()
+    return LeftModule(op, hs.coords_stack(moved), validate=False), hs
 
 
 def biduality_map(m) -> ModuleHom:

@@ -5,12 +5,12 @@ kernels and solves computed here.  Matrices are dense, row-major, with
 entries stored as reduced residues in numpy int64 arrays; p <= 65521 keeps
 a product with inner dimension k < 2 * 10^9 inside int64.  The public
 `FpMatrix` constructor reduces its input; `FpMatrix.reduced` wraps arrays
-that are reduced by construction (RREF results, bases, transposes)
-without doing it again.  numpy runs int64 products without BLAS, so
-`matmul_mod` sends deep products (k >= 16) to float64 BLAS, exact while
-k * (p-1)^2 < 2^53, and keeps shallow ones in int64; it serves
-`echelon_coords`, `algebra.invariant_action` and `validate_algebra`, the
-kernel action of a cover and the radical chain in `structure`.
+reduced by construction (RREF results, bases, transposes), as a module's
+action stack `algebra.LeftModule.acts` is.  numpy runs int64 products
+without BLAS, so `matmul_mod` sends deep products (k >= 16) to float64
+BLAS, exact while k * (p-1)^2 < 2^53, and keeps shallow ones in int64; it
+serves `echelon_coords`, `validate_algebra` and the module actions of
+submodules, covers, PIM homs and radicals.
 Elimination visits only the columns that are nonzero in its input.
 
 Zero-row and zero-column matrices are first-class citizens: zero modules
@@ -184,7 +184,9 @@ def _null_rows(r: RrefResult, p: int):
     """(free columns, one null-space vector per free column f: 1 at f, 0 at
     the other free columns) for the matrix whose RREF is r."""
     cols = r.reduced.cols
-    free = [c for c in range(cols) if c not in r.pivot_cols]
+    mask = np.ones(cols, dtype=bool)
+    mask[r.pivot_cols] = False
+    free = mask.nonzero()[0]
     rows = np.zeros((len(free), cols), dtype=np.int64)
     rows[np.arange(len(free)), free] = 1
     rows[:, r.pivot_cols] = (-r.reduced.arr[: r.rank, free]).T % p
@@ -199,7 +201,7 @@ def kernel_basis(m: FpMatrix) -> FpMatrix:
     when each one's first nonzero entry is the 1 at its free column.
     """
     free, rows = _null_rows(rref(m), m.field.p)
-    if free and (np.argmax(rows != 0, axis=1) != free).any():
+    if len(free) and (np.argmax(rows != 0, axis=1) != free).any():
         rows = rref(FpMatrix.reduced(rows, m.field)).reduced.arr
     return FpMatrix.reduced(rows, m.field)
 

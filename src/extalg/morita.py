@@ -32,10 +32,10 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .algebra import (Algebra, Bimodule, LeftModule, ModuleHom, _stack,
-                      check_shape, cokernel_module, hom_from_bimodule,
-                      is_exact_at, kernel_module, opposite_algebra,
-                      product_algebra, row_space_of_columns, swapped_tensor,
+from .algebra import (Algebra, Bimodule, LeftModule, ModuleHom, check_shape,
+                      cokernel_module, hom_from_bimodule, is_exact_at,
+                      kernel_module, opposite_algebra, product_algebra,
+                      row_space_of_columns, swapped_tensor,
                       tensor_bimodule_left, tensor_map_second)
 from .gorenstein import (compatibility_report, gf_check_right, gi_check,
                          gp_check, verify_corollary)
@@ -192,8 +192,8 @@ class CoTupleModule(_RingPresented):
         self.g = ModuleHom(y, self.hom_vx.space, check_shape(
             "g", g_matrix, self.hom_vx.space.dim, y.dim), validate=False)
         # block k sends b to f(b)(u_k), resp. g(b)(v_k)
-        self.module = _ring_module(ring, x, y, *(
-            hm.homs.basis_array().transpose(2, 1, 0) @ mat.arr
+        self.module = _ring_module(ring, x, y, *(matmul_mod(
+            hm.homs.basis_array().transpose(2, 1, 0), mat.arr, x.over.field.p)
             for hm, mat in ((self.hom_uy, f_matrix), (self.hom_vx, g_matrix))))
         self.validate()
 
@@ -216,13 +216,12 @@ def _ring_module(ring: MoritaRing, x: LeftModule, y: LeftModule,
     v_blocks[k]: Y -> X."""
     na, k = ring.a.dim, ring.prod.dim
     dx, n = x.dim, x.dim + y.dim
-    action = np.zeros((ring.total.dim, n, n), dtype=np.int64)
-    action[:na, :dx, :dx] = [m.arr for m in x.action]
-    action[na:k, dx:, dx:] = [m.arr for m in y.action]
-    action[ring.u_slice, dx:, :dx] = u_blocks
-    action[ring.v_slice, :dx, dx:] = v_blocks
-    return LeftModule(ring.total, [FpMatrix(m, ring.prod.field)
-                                   for m in action], validate=False)
+    acts = np.zeros((ring.total.dim, n, n), dtype=np.int64)
+    acts[:na, :dx, :dx] = x.acts
+    acts[na:k, dx:, dx:] = y.acts
+    acts[ring.u_slice, dx:, :dx] = u_blocks
+    acts[ring.v_slice, :dx, dx:] = v_blocks
+    return LeftModule(ring.total, acts, validate=False)
 
 
 def theta(t: TupleModule) -> PairModule:
@@ -237,7 +236,7 @@ def _tuple_of(mod: LeftModule, ring: MoritaRing) -> TupleModule:
     u = (0, 1) u (1, 0) maps X into Y, v maps Y into X: every block of the
     action is read between their RREF bases."""
     na, k = ring.a.dim, ring.prod.dim
-    field, acts = mod.over.field, _stack(mod.action, mod.dim)
+    field, acts = mod.over.field, mod.acts
 
     def read(s: slice, src: FpMatrix, tgt: FpMatrix) -> FpMatrix:
         """The blocks of acts[s] from the span of src to that of tgt, in
@@ -250,9 +249,9 @@ def _tuple_of(mod: LeftModule, ring: MoritaRing) -> TupleModule:
         """The image of alg's unit acting by acts[s], with its RREF basis."""
         basis = row_space_of_columns(
             FpMatrix(np.tensordot(alg.unit, acts[s], 1), field))
-        blocks = np.split(read(s, basis, basis).arr, alg.dim, axis=1)
-        return basis, LeftModule(alg, [FpMatrix.reduced(m, field)
-                                       for m in blocks], validate=False)
+        r = basis.rows
+        return basis, LeftModule(alg, read(s, basis, basis).arr.reshape(
+            r, alg.dim, r).transpose(1, 0, 2), validate=False)
 
     bx, x = summand(ring.a, slice(na))
     by, y = summand(ring.b, slice(na, k))

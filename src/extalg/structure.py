@@ -32,9 +32,9 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .algebra import (Algebra, LeftModule, ModuleHom, _echelon_submodule,
-                      _stack, block_sum_module, dual_module,
-                      hom_space, kept, opposite_algebra, quotient_module,
-                      row_space_of_columns, shared)
+                      block_sum_module, dual_module, hom_space, kept,
+                      opposite_algebra, quotient_module, row_space_of_columns,
+                      shared)
 from .linalg import (FieldSpec, FpMatrix, echelon_coords,
                      echelon_quotient_maps, hstack, inverse, kernel_basis,
                      matmul_mod, rref, row_basis, solve, vstack)
@@ -58,7 +58,7 @@ def spin(m, vec) -> FpMatrix:
     alone: A is unital and closed under products."""
     field = m.over.field
     v = np.asarray(vec, dtype=np.int64).reshape(-1) % field.p
-    return row_basis(FpMatrix(_stack(m.action, m.dim) @ v, field))
+    return row_basis(FpMatrix(m.acts @ v, field))
 
 
 # ---------------------------------------------------------------------------
@@ -234,12 +234,13 @@ def algebra_radical(a: Algebra) -> FpMatrix:
 def _radical_span(m, rows: np.ndarray) -> FpMatrix:
     """Row basis of rad(A) applied to the row span of `rows` (coordinates
     of m); rad(A) is a two-sided ideal, so this serves either side."""
-    p = m.over.field.p
-    acts = np.tensordot(algebra_radical(m.over).arr,
-                        _stack(m.action, m.dim), 1) % p
-    moved = rows @ acts.transpose(0, 2, 1)
-    return row_basis(FpMatrix(moved.reshape(len(acts) * len(rows), m.dim),
-                              m.over.field))
+    field, n, d = m.over.field, m.over.dim, m.dim
+    rad = algebra_radical(m.over).arr
+    acts = matmul_mod(rad, m.acts.reshape(n, d * d), field.p)
+    moved = matmul_mod(rows, acts.reshape(len(rad), d, d).transpose(0, 2, 1),
+                       field.p)
+    return row_basis(FpMatrix.reduced(
+        moved.reshape(len(rad) * len(rows), d), field))
 
 
 def radical_of_module(m) -> Tuple[object, ModuleHom]:
@@ -436,16 +437,18 @@ def pim_homs(m) -> List[np.ndarray]:
     = e_i.m, w in the RREF basis of e_i.m, as a (dim e_i.m, m.dim, P_i.dim)
     array.  The actions of all the e_i come from one product."""
     p, pims = m.over.field.p, _pim_triples(m.over)
-    acts = _stack(m.action, m.dim)
+    n, d = m.over.dim, m.dim
+    e_acts = matmul_mod(np.array([e for _, e, _ in pims]),
+                        m.acts.reshape(n, d * d), p).reshape(len(pims), d, d)
     out = []
-    for (piece, _, incl), e_act in zip(pims, np.tensordot(
-            [e for _, e, _ in pims], acts, 1) % p):
+    for (piece, _, incl), e_act in zip(pims, e_acts):
         if not e_act.any():
-            out.append(np.zeros((0, m.dim, piece.dim), dtype=np.int64))
+            out.append(np.zeros((0, d, piece.dim), dtype=np.int64))
             continue
         ws = row_basis(FpMatrix.reduced(e_act.T, m.over.field)).arr
         # phi[b, :, k] is column b of incl acting on ws[k]
-        phi = ((np.tensordot(incl.arr.T, acts, 1) % p) @ ws.T) % p
+        phi = matmul_mod(incl.arr.T, matmul_mod(m.acts, ws.T, p).reshape(
+            n, d * len(ws)), p).reshape(piece.dim, d, len(ws))
         out.append(phi.transpose(2, 1, 0))
     return out
 
@@ -478,15 +481,15 @@ def _cover_parts(m: LeftModule):
     chosen = [cands[k] for k in dict.fromkeys(owner[reduced.pivot_cols])]
     pims = _pim_triples(m.over)
     cover = block_sum_module([pims[i][0] for i, _ in chosen])
-    epi = FpMatrix(np.hstack([phi for _, phi in chosen]), field)
+    epi = FpMatrix.reduced(np.hstack([phi for _, phi in chosen]), field)
     # the summands come sorted by PIM: one product per run of copies of P_i
     rows, moved, off = kernel_basis(epi), [], 0
     for i, run in groupby(i for i, _ in chosen):
         pim, width = pims[i][0], pims[i][0].dim * len(list(run))
         part = rows.arr[:, off:off + width].reshape(-1, pim.dim)
         off += width
-        moved.append(matmul_mod(part, _stack(pim.action, pim.dim).transpose(
-            0, 2, 1), field.p).reshape(m.over.dim, rows.rows, width))
+        moved.append(matmul_mod(part, pim.acts.transpose(0, 2, 1),
+                                field.p).reshape(m.over.dim, rows.rows, width))
     ker, ker_incl = _echelon_submodule(cover, rows, np.concatenate(moved, 2))
     if ker.dim != cover.dim - m.dim:
         raise StructureError("candidate cover map is not surjective")
@@ -506,7 +509,7 @@ def injective_envelope(m):
     """(E, essential mono m -> E), computed as the dual of the projective
     cover of the dual over the opposite algebra."""
     pres = projective_cover(dual_module(m))
-    env = LeftModule(m.over, dual_module(pres.cover).action, validate=False)
+    env = LeftModule(m.over, dual_module(pres.cover).acts, validate=False)
     mono = ModuleHom(m, env, pres.epi.matrix.transpose(), validate=False)
     return env, mono
 

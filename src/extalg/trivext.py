@@ -28,17 +28,18 @@ X ox M, the one place those coordinates enter (`swapped_tensor`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .algebra import (Algebra, AlgebraError, Bimodule, LeftModule, ModuleHom,
-                      _stack, block_sum_module, check_shape, cokernel_module,
-                      field_space, hom_from_bimodule, hom_space, image_module,
+                      _stack, check_shape, cokernel_module, field_space,
+                      hom_from_bimodule, hom_space, image_module,
                       is_kernel_inclusion, kernel_module, opposite_algebra,
                       swapped_tensor, tensor_bimodule_left, tensor_map_second,
                       tensor_right_left)
-from .linalg import FpMatrix, is_invertible, rank, solve
+from .linalg import FpMatrix, is_invertible, matmul_mod, rank, solve
 from .structure import find_isomorphism, is_injective, is_projective
 
 
@@ -56,25 +57,25 @@ class TrivialExtension:
     def __init__(self, base: Algebra, bimodule: Bimodule):
         if bimodule.left_over is not base or bimodule.right_over is not base:
             raise TrivextError("bimodule legs must both be the base algebra")
-        self.base = base
-        self.bimodule = bimodule
-        n, d = base.dim, bimodule.dim
-        sc = np.zeros((n + d, n + d, n + d), dtype=np.int64)
-        sc[:n, :n, :n] = base.sc
-        for i in range(n):
-            # r_i * m_j and m_j * r_i land in the M part
-            sc[i, n:, n:] = bimodule.left_action[i].arr.T
-            sc[n:, i, n:] = bimodule.right_action[i].arr.T
-        unit = np.concatenate([base.unit, np.zeros(d, dtype=np.int64)])
-        # associative because the bimodule is: no need to validate again
-        self.total = Algebra(base.field, sc, unit, validate=False)
-        self.base_dim = n
-        self.ideal_dim = d
+        self.base, self.bimodule = base, bimodule
+        self.base_dim, self.ideal_dim = base.dim, bimodule.dim
         self._cache: dict = {}
 
     @property
     def field(self):
         return self.base.field
+
+    @cached_property
+    def total(self) -> Algebra:
+        n, d, m = self.base_dim, self.ideal_dim, self.bimodule
+        sc = np.zeros((n + d, n + d, n + d), dtype=np.int64)
+        sc[:n, :n, :n] = self.base.sc
+        # r_i * m_j and m_j * r_i land in the M part
+        sc[:n, n:, n:] = _stack(m.left_action, d).transpose(0, 2, 1)
+        sc[n:, :n, n:] = _stack(m.right_action, d).transpose(2, 0, 1)
+        unit = np.concatenate([self.base.unit, np.zeros(d, dtype=np.int64)])
+        # associative because the bimodule is: no need to validate again
+        return Algebra(self.base.field, sc, unit, validate=False)
 
     def __repr__(self):
         return (f"TrivialExtension(base_dim={self.base_dim}, "
@@ -88,9 +89,9 @@ def trivial_extension(base: Algebra, bimodule: Bimodule) -> TrivialExtension:
 def opposite_extension(t: TrivialExtension) -> TrivialExtension:
     """The extension of the opposite base by the leg-swapped bimodule.  Its
     total algebra has literally the opposite multiplication table, so it is
-    opposite_algebra(t.total), and a right module over t.total lives over
-    this extension.  A commutative extension is its own opposite, as its
-    total algebra is."""
+    opposite_algebra(t.total), set before the extension builds one of its
+    own, and a right module over t.total lives over this extension.  A
+    commutative extension is its own opposite, as its total algebra is."""
     if "opposite" not in t._cache:
         sc = t.total.sc
         top = t if (sc == sc.transpose(1, 0, 2)).all() else TrivialExtension(
@@ -145,8 +146,8 @@ class PairModule(Presented):
         # block j sends b to alpha(m_j ox b)
         ideal = (alpha_matrix @ self.tensor.project).arr.reshape(
             x.dim, t.ideal_dim, x.dim).transpose(1, 0, 2)
-        self.module = LeftModule(t.total, x.action + [
-            FpMatrix(a, t.field) for a in ideal], validate=False)
+        self.module = LeftModule(t.total, np.concatenate([x.acts, ideal]),
+                                 validate=False)
         if validate:
             self.validate()
 
@@ -172,10 +173,10 @@ class CopairModule(Presented):
         self.beta = ModuleHom(y, self.hom.space, check_shape(
             "beta", beta_matrix, self.hom.space.dim, y.dim), validate=False)
         # block j sends b to beta(b)(m_j)
-        ideal = self.hom.homs.basis_array().transpose(2, 1, 0) @ \
-            beta_matrix.arr
-        self.module = LeftModule(t.total, y.action + [
-            FpMatrix(a, t.field) for a in ideal], validate=False)
+        ideal = matmul_mod(self.hom.homs.basis_array().transpose(2, 1, 0),
+                           beta_matrix.arr, t.field.p)
+        self.module = LeftModule(t.total, np.concatenate([y.acts, ideal]),
+                                 validate=False)
         if validate:
             self.validate()
 
@@ -211,11 +212,11 @@ def module_to_pair(mod: LeftModule, t: TrivialExtension) -> PairModule:
     """Inverse of pair_to_module for a valid mod: the structure map is read
     off the action of the ideal basis, and the pair is not checked again."""
     n, d = t.base_dim, t.ideal_dim
-    x = LeftModule(t.base, mod.action[:n], validate=False)
+    x = LeftModule(t.base, mod.acts[:n], validate=False)
     ts = tensor_bimodule_left(t.bimodule, x)
     # column j * dim X + b of plain is m_j acting on b
-    plain = FpMatrix(_stack(mod.action[n:], x.dim).transpose(1, 0, 2)
-                     .reshape(x.dim, d * x.dim), t.field)
+    plain = FpMatrix.reduced(mod.acts[n:].transpose(1, 0, 2).reshape(
+        x.dim, d * x.dim), t.field)
     alpha_mat = plain @ ts.include
     if alpha_mat @ ts.project != plain:
         raise TrivextError("ideal action does not factor through the "
@@ -231,12 +232,11 @@ def copair_to_module(copair: CopairModule) -> LeftModule:
 def module_to_copair(mod: LeftModule, t: TrivialExtension) -> CopairModule:
     """Inverse of copair_to_module for a valid mod, not checked again."""
     n = t.base_dim
-    y = LeftModule(t.base, mod.action[:n], validate=False)
+    y = LeftModule(t.base, mod.acts[:n], validate=False)
     hm = hom_from_bimodule(t.bimodule, y)
-    # y's basis vector b goes to the map m_j -> (action of m_j)[:, b]
-    ideal = _stack(mod.action[n:], y.dim)
     try:
-        beta_mat = hm.homs.coords_many(ideal.transpose(2, 1, 0))
+        # y's basis vector b goes to the map m_j -> (action of m_j)[:, b]
+        beta_mat = hm.homs.coords_many(mod.acts[n:].transpose(2, 1, 0))
     except AlgebraError as exc:
         raise TrivextError("ideal action is not given by module maps from "
                            "the bimodule") from exc
@@ -336,19 +336,20 @@ class ShortExactSequence:
 
 def _inflate(t: TrivialExtension, x: LeftModule) -> LeftModule:
     """Z(X) directly as a total module: the ideal acts as zero."""
-    z = FpMatrix.zeros(x.dim, x.dim, t.field)
-    return LeftModule(t.total, x.action + [z] * t.ideal_dim, validate=False)
+    zero = np.zeros((t.ideal_dim, x.dim, x.dim), dtype=np.int64)
+    return LeftModule(t.total, np.concatenate([x.acts, zero]), validate=False)
 
 
 def _glued(t: TrivialExtension, first: LeftModule, second: LeftModule,
            ideal: np.ndarray) -> LeftModule:
     """first + second as a total module (unchecked): the base acts
     block-diagonally and m_j by the block ideal[j]: first -> second."""
-    base = block_sum_module([first, second])
-    acts = np.zeros((t.ideal_dim, base.dim, base.dim), dtype=np.int64)
-    acts[:, first.dim:, :first.dim] = ideal
-    return LeftModule(t.total, base.action + [FpMatrix(m, t.field)
-                                              for m in acts], validate=False)
+    n, d1, d = t.base_dim, first.dim, first.dim + second.dim
+    acts = np.zeros((t.total.dim, d, d), dtype=np.int64)
+    acts[:n, :d1, :d1] = first.acts
+    acts[:n, d1:, d1:] = second.acts
+    acts[n:, d1:, :d1] = ideal
+    return LeftModule(t.total, acts, validate=False)
 
 
 def _extend(t: TrivialExtension, x: LeftModule) -> LeftModule:

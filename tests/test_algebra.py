@@ -165,6 +165,20 @@ def test_module_law_enforced():
     assert good.dim == 3
     with pytest.raises(AlgebraError):
         LeftModule(a, [FpMatrix.identity(1, FIELD2)] * 3)
+    # the list of matrices and their stack give the same module
+    listed = LeftModule(a, list(good.action))
+    stacked = LeftModule(a, np.array([m.arr for m in good.action]))
+    for m in (listed, stacked):
+        assert algebra._content(m) == algebra._content(good)
+        assert m.action == good.action
+    with pytest.raises(AttributeError):
+        good.action = listed.action
+    # a stack is checked for its shape as a list is
+    for bad, message in ((good.acts[0], "square"),
+                         (good.acts[:, :2], "square"),
+                         (good.acts[:2], "one action matrix per basis")):
+        with pytest.raises(AlgebraError, match=message):
+            LeftModule(a, bad)
 
 
 def test_right_module_opposite_round_trip():

@@ -223,6 +223,16 @@ def test_a_command_does_not_fail_on_an_entity_it_does_not_read(
      'module \'m\': side: expected "left" or "right", got "rigth"'),
     ({"modules": {"m": {"over": "k2", "action": [[[1.5]]]}}},
      "module 'm': action: expected an integer, got 1.5"),
+    # one square action matrix per basis element, all of one size
+    ({"modules": {"m": {"over": "k2", "action": [[[1]], [[1]]]}}},
+     "module 'm': need one action matrix per basis element"),
+    ({"modules": {"m": {"over": "k2", "action": [[[1, 0]]]}}},
+     "module 'm': action matrices must be square of equal size"),
+    ({"algebras": {"a2": {"quiver": {"vertices": 2, "arrows": [[0, 1]]}}},
+      "bimodules": {},
+      "modules": {"m": {"over": "a2",
+                        "action": [[[1]], [[1, 0], [0, 1]], [[0]]]}}},
+     "module 'm': action matrices must be square of equal size"),
     # the left regular action of the A2 path algebra, declared a right one
     ({"algebras": {"a2": {"quiver": {"vertices": 2, "arrows": [[0, 1]]}}},
       "bimodules": {},
@@ -299,7 +309,8 @@ def test_a_command_does_not_fail_on_an_entity_it_does_not_read(
         "quiver_relation_index", "quiver_path_index", "quiver_arrow_vertex",
         "bimodule_action_sizes", "quiver_relation_bool",
         "quiver_vertices_float", "quiver_relation_float",
-        "quiver_arrow_text", "module_side", "action_float", "right_law",
+        "quiver_arrow_text", "module_side", "action_float",
+        "action_count", "action_not_square", "action_sizes", "right_law",
         "structure_constants_bool", "unit_float", "action_ragged",
         "action_not_a_list", "action_huge_int", "quiver_arrow_not_a_list",
         "quiver_arrow_three_ends", "right_pair_square", "right_tuple_axiom",
@@ -512,6 +523,24 @@ def test_every_library_error_exits_2(tmp_path, capsys, monkeypatch, error):
     assert main(["examples", "emit", "--out", str(ws_path)]) == 0
     assert main(["check", "gp", str(ws_path)]) == 2
     assert capsys.readouterr().err == "error: pair 'd_regular_pair': boom\n"
+
+
+def test_verify_thm54_builds_each_algebra_once(tmp_path, monkeypatch,
+                                               capsys):
+    # k2, k2 x k2, the Morita ring's total algebra and its opposite: the
+    # opposite extension takes that opposite as its total algebra
+    ws_path = tmp_path / "ws.json"
+    assert main(["examples", "emit", "--out", str(ws_path)]) == 0
+    built, init = [], algebra.Algebra.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.dim)
+
+    monkeypatch.setattr(algebra.Algebra, "__init__", counted)
+    assert main(["verify", "thm54", str(ws_path)]) == 0
+    capsys.readouterr()
+    assert sorted(built) == [1, 2, 4, 4]
 
 
 def test_readme_pass_builds_each_tensor_and_hom_module_once(tmp_path,

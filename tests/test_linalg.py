@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from extalg import cli
+from extalg.algebra import LeftModule
 from extalg.linalg import (MAX_PRIME, FieldSpec, FpMatrix, LinalgError,
                            _rref_inplace, direct_sum, echelon_coords, hstack,
                            inverse, is_invertible, kernel_basis, kron,
@@ -362,10 +363,12 @@ def test_matmul_mod_is_exact_on_both_sides_of_the_depth_rule(k, in_float, p):
 
 def test_reduced_wraps_only_reduced_arrays(monkeypatch, tmp_path, capsys):
     # every array the library wraps without `% p` is a reduced 2-d int64
-    # array: checked over the pinned resolutions (the quiver ladder and
-    # more, at four primes) and one pass of the README commands
-    wrap = FpMatrix.reduced
-    seen = []
+    # array, and every action stack a module takes as it is a reduced 3-d
+    # int64 array of shape (dim A, d, d): checked over the pinned
+    # resolutions (the quiver ladder and more, at four primes) and one
+    # pass of the README commands
+    wrap, init = FpMatrix.reduced, LeftModule.__init__
+    seen, stacks = [], []
 
     def checked(cls, arr, field):
         assert isinstance(arr, np.ndarray) and arr.ndim == 2
@@ -374,7 +377,17 @@ def test_reduced_wraps_only_reduced_arrays(monkeypatch, tmp_path, capsys):
         seen.append(arr.shape)
         return wrap(arr, field)
 
+    def checked_init(self, over, action, validate=True):
+        if isinstance(action, np.ndarray):
+            assert action.ndim == 3 and action.dtype == np.int64
+            assert action.size == 0 or (action.min() >= 0
+                                        and action.max() < over.field.p)
+            assert action.shape == (over.dim,) + action.shape[1:2] * 2
+            stacks.append(action.shape)
+        init(self, over, action, validate)
+
     monkeypatch.setattr(FpMatrix, "reduced", classmethod(checked))
+    monkeypatch.setattr(LeftModule, "__init__", checked_init)
     assert resolution_fingerprint() == PINNED
     ws = str(tmp_path / "ws.json")
     assert cli.main(["examples", "emit", "--out", ws]) == 0
@@ -382,4 +395,4 @@ def test_reduced_wraps_only_reduced_arrays(monkeypatch, tmp_path, capsys):
         argv = list(command[:2]) + [ws] + list(command[2:])
         assert cli.main(argv) == 0
     capsys.readouterr()
-    assert len(seen) > 1000
+    assert len(seen) > 1000 and len(stacks) > 1000
