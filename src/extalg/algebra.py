@@ -9,11 +9,14 @@ module class: a right module over A is the `LeftModule` over A^op
 and the right leg of a bimodule are left modules over the opposite algebra.
 
 Constructors validate their invariants by default, so data is checked where
-it enters.  Objects derived from validated parts by a construction that
-keeps the axioms skip the check: opposite and product algebras, the total
-algebras of extensions, regular modules (their law is the associativity of
-the algebra), bimodule legs, swapped bimodules, duals, tensor products, Hom
-modules and zero modules.
+it enters.  Objects that are right by construction skip the check: quiver
+algebras (a path algebra modulo monomial relations is associative and
+unital; `monomial_quiver_algebra` checks its indices and relations), and
+objects derived from validated parts by a construction that keeps the
+axioms: opposite and product algebras, the total algebras of extensions,
+regular modules (their law is the associativity of the algebra), bimodule
+legs, swapped bimodules, duals, tensor products, Hom modules and zero
+modules.
 Submodules and quotients are checked by invariance instead of by the law:
 an invariant subspace of a module, and the quotient by one, satisfy the
 law because the inclusion is injective and the projection surjective.
@@ -747,6 +750,8 @@ def monomial_quiver_algebra(num_vertices: int,
     Arrows are (source, target) pairs of 0-based vertex indices; a relation
     is a list of arrow indices [a_0, a_1, ...] read as the path a_0 then a_1
     etc.  Basis = paths avoiding every relation as a contiguous subpath.
+    The table is associative and unital by construction, so it is not
+    checked by `validate_algebra`; the indices and relations are.
     """
     for i, arrow in enumerate(arrows):
         bad = [v for v in arrow if not 0 <= v < num_vertices]
@@ -761,7 +766,10 @@ def monomial_quiver_algebra(num_vertices: int,
                                f"among the {len(arrows)} arrows")
         for a, b in zip(r, r[1:]):
             if arrows[a][1] != arrows[b][0]:
-                raise AlgebraError("relation is not a composable path")
+                raise AlgebraError(
+                    f"relation {list(r)}: arrow {a} ends at vertex "
+                    f"{arrows[a][1]} but arrow {b} starts at vertex "
+                    f"{arrows[b][0]}")
     # paths as tuples of arrow indices; () paths are the vertex idempotents,
     # tracked as ("e", v).
     paths: List = [("e", v) for v in range(num_vertices)]
@@ -790,7 +798,7 @@ def monomial_quiver_algebra(num_vertices: int,
     unit = np.zeros(n, dtype=np.int64)
     for v in range(num_vertices):
         unit[index[("e", v)]] = 1
-    return Algebra(field, sc, unit)
+    return Algebra(field, sc, unit, validate=False)
 
 
 def _path_source(p, arrows):

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (FIELD2, FIELD3, a2_algebra, a2_morita_ring,
-                      double_extension, local_wild_algebra, nakayama_ring,
-                      random_module, square_zero_extension,
-                      triangular_extension)
+                      double_extension, local_wild_algebra, monomial_quivers,
+                      nakayama_ring, random_module, small_quiver_algebra,
+                      square_zero_extension, triangular_extension)
 from extalg import algebra
 from extalg.algebra import (Algebra, AlgebraError, Bimodule, LeftModule,
                             ModuleHom, algebra_generators,
@@ -131,14 +131,39 @@ def test_quiver_relations():
     (3, [(0, 1), (1, 2)], [[0, 9]], "relation [0, 9]: no arrow 9"),
     (3, [(0, 3)], [], "arrow 0 (0, 3): no vertex 3"),
     (2, [(0, 1), (-1, 0)], [], "arrow 1 (-1, 0): no vertex -1"),
+    (2, [(0, 1)], [[0, 0]], "relation [0, 0]: arrow 0 ends at vertex 1 but "
+     "arrow 0 starts at vertex 0"),
 ], ids=["relation_index", "negative_relation", "path_index", "arrow_vertex",
-        "negative_vertex"])
+        "negative_vertex", "not_composable"])
 def test_quiver_indices_out_of_range_raise(vertices, arrows, relations,
                                             named):
     # no relation is dropped and no index error leaks: the message names
-    # the arrow or relation whose index is out of range
+    # the arrow or relation whose index is out of range, or the two arrows
+    # of a relation that do not compose
     with pytest.raises(AlgebraError, match=re.escape(named)):
         monomial_quiver_algebra(vertices, arrows, relations, FIELD2)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(quiver=monomial_quivers(), p=st.sampled_from([2, 3, 101, 65521]))
+def test_quiver_tables_are_associative_and_unital(quiver, p):
+    # monomial_quiver_algebra skips validate_algebra: its table is right
+    # by construction, and this checks the construction instead
+    a = small_quiver_algebra(*quiver, FieldSpec(p))
+    if a is not None:
+        assert validate_algebra(a) == {"dim": a.dim, "p": p,
+                                       "associative": True, "unital": True}
+
+
+def test_quiver_algebras_skip_the_table_check(monkeypatch):
+    # a table given as structure constants is checked where it enters
+    calls, check = [], algebra.validate_algebra
+    monkeypatch.setattr(algebra, "validate_algebra",
+                        lambda a: calls.append(a) or check(a))
+    quiver = monomial_quiver_algebra(3, [(0, 1), (1, 2)], [[0, 1]], FIELD2)
+    assert calls == []
+    table = Algebra(FIELD2, quiver.sc, quiver.unit)
+    assert calls == [table]
 
 
 def test_bimodule_actions_of_different_sizes_raise():

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (FIELD2, _count_cover_builds, a2_algebra,
-                      double_extension, local_wild_algebra, monomial_quivers,
+                      a2_morita_ring, double_extension, local_wild_algebra,
+                      monomial_quivers, nakayama_ring, product_morita_ring,
                       random_module, small_quiver_algebra,
                       square_zero_extension, triangular_extension)
 from extalg import structure
@@ -29,7 +31,7 @@ from extalg.structure import (_pim_triples, algebra_radical, chop,
                               projective_indecomposables, radical_of_module,
                               simples, split_module, spin, top_of_module)
 from test_linalg import _record_casts
-from test_resolution_fingerprint import _quivers
+from test_resolution_fingerprint import _put, _quivers
 
 
 @pytest.fixture(scope="module")
@@ -740,3 +742,41 @@ def test_regime_builds_no_tops_over_the_opposite(monkeypatch):
     # the tops are built for `simples` alone, once
     simples(a), simples(a)
     assert len([x for x in tops if x is a]) == 4
+
+
+# ---------------------------------------------------------------------------
+# the primitive idempotents, pinned
+
+
+def _idempotent_algebras(field):
+    """The oracle algebras, the Morita ring totals, the opposites of all of
+    these, and the non-basic M_2(k), M_3(k) and their products with A2."""
+    algebras = _oracle_algebras(field) + [
+        make(field).total
+        for make in (nakayama_ring, a2_morita_ring, product_morita_ring)]
+    algebras += [opposite_algebra(a) for a in algebras]
+    for n in (2, 3):
+        full = Algebra(field, *_matrix_algebra(n))
+        algebras += [full, product_algebra(full, a2_algebra(field))]
+    return algebras
+
+
+# recorded on the implementation that cut every part along every root with
+# f - (b.f - r.f)^(p-1), one minimal polynomial per (element, part)
+IDEMPOTENT_PIN = "b1b78cf6ef817e1967b7a5109fb41616d9d4eda5d671bbeef8a0b346f293d59b"
+
+
+def test_primitive_idempotents_match_the_pinned_digest():
+    # every idempotent, in order and grouped by block, built afresh from
+    # the table (no cache, so an algebra and its opposite both compute)
+    h = hashlib.sha256()
+    for p in (2, 3, 101, 65521):
+        field = FieldSpec(p)
+        for k, a in enumerate(_idempotent_algebras(field)):
+            groups = structure._primitive_idempotents(
+                a.sc, a.unit, algebra_radical(a), field)
+            h.update(f"{k}@{p}:{[len(g) for g in groups]}".encode())
+            for group in groups:
+                for e in group:
+                    _put(h, e)
+    assert h.hexdigest() == IDEMPOTENT_PIN
