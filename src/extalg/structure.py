@@ -127,6 +127,70 @@ def _minimal_polynomial(x: np.ndarray, one: np.ndarray, mul,
         powers.append(nxt)
 
 
+# polynomials over GF(p) are lists of Python ints, constant term first,
+# reduced mod p and without trailing zeros ([] is zero)
+
+
+def _poly_divmod(u: List[int], v: List[int], p: int):
+    """(quotient, remainder) of u by v != 0."""
+    u, dv = list(u), len(v) - 1
+    inv, quot = pow(v[-1], -1, p), [0] * max(len(u) - dv, 0)
+    for k in range(len(u) - 1, dv - 1, -1):
+        c = quot[k - dv] = u[k] % p * inv % p
+        for i, vi in enumerate(v):
+            u[k - dv + i] -= c * vi
+    rem = [c % p for c in u[:dv]]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quot, rem
+
+
+def _poly_mulmod(u: List[int], v: List[int], f: List[int],
+                 p: int) -> List[int]:
+    """u * v mod f."""
+    prod = [0] * (len(u) + len(v) - 1)
+    for i, ui in enumerate(u):
+        for j, vj in enumerate(v):
+            prod[i + j] += ui * vj
+    return _poly_divmod(prod, f, p)[1]
+
+
+def _split_roots(f: List[int], p: int, k: int = 0) -> List[int]:
+    """The roots, ascending, of the monic f over GF(p), a product of
+    distinct linear factors t - r.
+
+    Equal-degree splitting (Cantor-Zassenhaus, Rabin): g = gcd(f, (t + a)
+    ^ ((p-1)/2) - 1) is the product of the t - r with r + a a nonzero
+    square, and f splits into g and f/g once 0 < deg g < deg f.  The
+    shifts are a = k.s mod p for k = 0, 1, ..., with s = floor(0.618 p):
+    consecutive shifts would part small roots slowly, as every integer up
+    to 16 is a square mod 65521.  They run over all of GF(p), and (p-1)/2
+    shifts part any two roots, so a split comes before k = p; a shift that
+    parts no two roots of f parts none of g or f/g, so these go on from
+    k + 1.  A shift costs log2 p squarings mod f, O(deg^2) each; for p = 2
+    the roots are read off f(0) and f(1)."""
+    if len(f) == 2:
+        return [-f[0] % p]
+    if p == 2:
+        return [r for r, value in ((0, f[0]), (1, sum(f) % 2)) if not value]
+    while True:
+        shift, h = [k * ((p * 40503) >> 16) % p, 1], [1]
+        for bit in bin((p - 1) // 2)[2:]:
+            h = _poly_mulmod(h, h, f, p)
+            if bit == "1":
+                h = _poly_mulmod(h, shift, f, p)
+        g, h = f, _poly_divmod([h[0] - 1] + h[1:], f, p)[1]
+        while h:
+            g, h = h, _poly_divmod(g, h, p)[1]
+        if 1 < len(g) < len(f):
+            inv = pow(g[-1], -1, p)
+            g = [c * inv % p for c in g]
+            rest = _poly_divmod(f, g, p)[0]
+            return sorted(_split_roots(g, p, k + 1)
+                          + _split_roots(rest, p, k + 1))
+        k += 1
+
+
 def _frobenius_fixed(basis: np.ndarray, mul, field: FieldSpec) -> np.ndarray:
     """Rows spanning {z : z^p = z}, the span of the primitive idempotents,
     in the commutative subalgebra spanned by `basis` (z -> z^p is linear)."""
@@ -139,10 +203,11 @@ def _eigen_split(e: np.ndarray, bs: np.ndarray, mul,
     """The primitive idempotents summing to e of the span of bs, which
     commute, contain e and satisfy b^p = b.  Each b cuts every part f so
     far along the eigenvalues r of x = b.e, which lie in GF(p): they are
-    the roots of the minimal polynomial of x over e, found by one Horner
-    pass over GF(p).  The Lagrange projector E_r = prod_{s != r} (x - s.e)
-    / (r - s) is the idempotent of the eigenspace of r, and f becomes the
-    nonzero f.E_r, ordered by f, then by r.
+    the roots of the minimal polynomial of x over e, a product of distinct
+    linear factors as x^p = x, found by gcd splitting (`_split_roots`) in
+    O(deg^2 log p), with no pass over GF(p).  The Lagrange projector E_r =
+    prod_{s != r} (x - s.e) / (r - s) is the idempotent of the eigenspace
+    of r, and f becomes the nonzero f.E_r, ordered by f, then by r.
 
     This is the cut along the minimal polynomial of b.f over f, once per
     element instead of once per part: the span is a product of copies of
@@ -150,16 +215,13 @@ def _eigen_split(e: np.ndarray, bs: np.ndarray, mul,
     eigenvalue of b.f, and then it is f - (b.f - r.f)^(p-1), the same
     array.  A root costs deg - 1 products, not about 2 log2 p."""
     p = field.p
-    t = np.arange(p, dtype=np.int64)
     parts = e[None]
     for b in bs:
         if len(parts) == len(bs):
             break
         x = mul(b, e)
-        value = np.ones(p, dtype=np.int64)
-        for c in _minimal_polynomial(x, e, mul, field)[0][::-1]:
-            value = (value * t - c) % p
-        roots = np.flatnonzero(value == 0)
+        c = _minimal_polynomial(x, e, mul, field)[0]
+        roots = _split_roots([-int(ci) % p for ci in c] + [1], p)
         if len(roots) == 1:
             continue
         # row k of proj ends as E_{roots[k]}; the factor x - s.e joins
@@ -168,7 +230,7 @@ def _eigen_split(e: np.ndarray, bs: np.ndarray, mul,
         for k, s in enumerate(roots):
             others = np.arange(len(roots)) != k
             proj[others] = mul(proj[others], (x - s * e) % p)
-        scale = [pow(math.prod(int(r - s) for s in roots if s != r), -1, p)
+        scale = [pow(math.prod(r - s for s in roots if s != r), -1, p)
                  for r in roots]
         proj = proj * np.array(scale)[:, None] % p
         cut = mul(parts[:, None], proj[None]).reshape(-1, len(e))
@@ -483,6 +545,7 @@ def _cover_parts(m: LeftModule):
     grows by a full copy of the top simple, so the multiplicities are the
     minimal ones.  The projection onto top(m) is read off the RREF rows of
     rad(m), and the kernel is acted on one PIM block of the cover at a time.
+    A cover of m's own dimension is m itself up to the epi, with kernel 0.
     """
     field = m.over.field
     pi = echelon_quotient_maps(_radical_span(m, None)).project.arr
@@ -499,6 +562,12 @@ def _cover_parts(m: LeftModule):
     pims = _pim_triples(m.over)
     cover = block_sum_module([pims[i][0] for i, _ in chosen])
     epi = FpMatrix.reduced(np.hstack([phi for _, phi in chosen]), field)
+    summands, semisimple = tuple(i for i, _ in chosen), len(pi) == m.dim
+    if cover.dim == m.dim:
+        # epi is onto (it reaches the top), so bijective: the kernel is 0
+        z = LeftModule.zero(m.over)
+        return (cover, epi, z, ModuleHom(z, cover, FpMatrix.zeros(
+            cover.dim, 0, field), validate=False), summands, semisimple)
     # the summands come sorted by PIM: one product per run of copies of P_i
     rows, moved, off = kernel_basis(epi), [], 0
     for i, run in groupby(i for i, _ in chosen):
@@ -510,8 +579,7 @@ def _cover_parts(m: LeftModule):
     ker, ker_incl = _echelon_submodule(cover, rows, np.concatenate(moved, 2))
     if ker.dim != cover.dim - m.dim:
         raise StructureError("candidate cover map is not surjective")
-    return (cover, epi, ker, ker_incl, tuple(i for i, _ in chosen),
-            len(pi) == m.dim)
+    return cover, epi, ker, ker_incl, summands, semisimple
 
 
 def is_projective(m) -> bool:

@@ -1,5 +1,7 @@
 import gc
 import hashlib
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +14,8 @@ from conftest import (FIELD2, _count_cover_builds, a2_algebra,
                       random_module, small_quiver_algebra,
                       square_zero_extension, triangular_extension)
 from extalg import structure
-from extalg.algebra import (Algebra, HomSpace, LeftModule, block_sum_module,
+from extalg.algebra import (Algebra, HomSpace, LeftModule, _content,
+                            block_sum_module,
                             dual_module, field_algebra, hom_space,
                             monomial_quiver_algebra, opposite_algebra,
                             product_algebra, quotient_module,
@@ -21,9 +24,9 @@ from extalg.gorenstein import (CERTIFIED_NO, UNKNOWN, gorenstein_regime,
                                gp_check)
 from extalg.homology import (DimensionVerdict, id_bounded,
                              minimal_projective_resolution, pd_bounded)
-from extalg.linalg import (FieldSpec, FpMatrix, echelon_coords, inverse,
-                           kernel_basis, quotient_maps, rank, row_basis,
-                           vstack)
+from extalg.linalg import (FieldSpec, FpMatrix, LinalgError, echelon_coords,
+                           inverse, kernel_basis, quotient_maps, rank,
+                           row_basis, vstack)
 from extalg.structure import (_pim_triples, algebra_radical, chop,
                               injective_envelope,
                               find_isomorphism, injective_indecomposables,
@@ -594,6 +597,25 @@ def test_equal_modules_share_one_cover(monkeypatch):
         assert np.array_equal(second.epi.matrix.arr, first.epi.matrix.arr)
 
 
+def test_a_cover_of_the_same_dimension_has_no_kernel_to_compute(
+        monkeypatch):
+    # a PIM, and D(A) over a self-injective algebra, are their own covers:
+    # the epi is bijective, so no kernel is eliminated for
+    a3 = monomial_quiver_algebra(3, [(0, 1), (1, 2)], [], FieldSpec(65521))
+    nakayama = nakayama_ring(FIELD2).total
+    modules = [pim for a in (a3, nakayama) for pim, _, _ in _pim_triples(a)]
+    modules.append(dual_module(LeftModule.regular(nakayama)))
+    calls, build = [], structure.kernel_basis
+    monkeypatch.setattr(structure, "kernel_basis",
+                        lambda m: calls.append(m) or build(m))
+    for m in modules:
+        pres = projective_cover(m)
+        assert pres.cover.dim == m.dim and pres.epi.is_iso()
+        assert _content(pres.kernel) == _content(LeftModule.zero(m.over))
+        assert pres.kernel_inclusion.matrix.arr.shape == (m.dim, 0)
+    assert not calls
+
+
 def test_cover_index_entry_goes_with_its_module():
     # a covered module holds its cover, kernel and the kernel's own cover,
     # and nothing of these points back to it: its index entry goes on the
@@ -780,3 +802,61 @@ def test_primitive_idempotents_match_the_pinned_digest():
                 for e in group:
                     _put(h, e)
     assert h.hexdigest() == IDEMPOTENT_PIN
+
+
+# ---------------------------------------------------------------------------
+# eigenvalues by gcd splitting
+
+
+def _prime_at_most(n):
+    """The largest prime <= n that FieldSpec accepts."""
+    while True:
+        try:
+            return FieldSpec(n).p
+        except LinalgError:
+            n -= 1
+
+
+def _horner_roots(f, p):
+    """The roots of f over GF(p) by one Horner pass over all of GF(p)."""
+    t, value = np.arange(p, dtype=np.int64), np.zeros(p, dtype=np.int64)
+    for c in reversed(f):
+        value = (value * t + c) % p
+    return np.flatnonzero(value == 0).tolist()
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(p=st.integers(2, 65521).map(_prime_at_most), k=st.integers(1, 8),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(p=2, k=8, seed=0)
+@example(p=3, k=8, seed=0)
+@example(p=5, k=8, seed=0)
+@example(p=7, k=8, seed=0)
+@example(p=101, k=8, seed=1)
+@example(p=65521, k=8, seed=1)
+@example(p=65521, k=1, seed=2)
+def test_split_roots_match_the_horner_scan(p, k, seed):
+    # f = prod (t - r) over k distinct roots; for k = p, f = t^p - t
+    roots = random.Random(seed).sample(range(p), min(k, p))
+    f = [1]
+    for r in roots:
+        f = [(lo - r * hi) % p for lo, hi in zip([0] + f, f + [0])]
+    assert f[-1] == 1 and len(f) == len(roots) + 1
+    assert structure._split_roots(f, p) == _horner_roots(f, p) \
+        == sorted(roots)
+
+
+def test_primitive_idempotents_allocate_nothing_of_the_size_of_the_field():
+    # finding eigenvalues by a pass over GF(65521) allocated about 2 MB
+    quivers = {name: rest for name, *rest in _quivers()}
+    field = FieldSpec(65521)
+    for name in ("N(2,2)", "A3"):
+        a = monomial_quiver_algebra(*quivers[name], field)
+        rad = algebra_radical(a)
+        tracemalloc.start()
+        try:
+            structure._primitive_idempotents(a.sc, a.unit, rad, field)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 1024, (name, peak)
