@@ -137,13 +137,15 @@ def _rref_inplace(a: np.ndarray, p: int):
     """Row-reduce the reduced int64 array a in place; its pivot columns.
 
     Only the columns that are nonzero in the input are visited: row
-    operations keep a zero column zero.  Row r is zero left of its pivot
-    column c, so the updates touch columns c and after only, and a pivot
-    that is already 1 is not scaled."""
+    operations keep a zero column zero.  Rows r and after are zero left of
+    column c, so the swap and the updates touch columns c and after only; a
+    pivot that is already 1 is not scaled, and a pivot column with no other
+    nonzero entry updates no row.  The update is one broadcast product,
+    so a pivot costs a handful of numpy calls."""
     rows = a.shape[0]
     pivots = []
     r = 0
-    for c in np.flatnonzero(a.any(axis=0)).tolist():
+    for c in a.any(axis=0).nonzero()[0].tolist():
         if r >= rows:
             break
         if not a[r, c]:
@@ -151,13 +153,13 @@ def _rref_inplace(a: np.ndarray, p: int):
             if not below.size:
                 continue
             piv = r + 1 + below[0]
-            a[[r, piv]] = a[[piv, r]]
+            a[[r, piv], c:] = a[[piv, r], c:]
         if a[r, c] != 1:
-            a[r, c:] = (a[r, c:] * pow(int(a[r, c]), -1, p)) % p
-        nz = np.nonzero(a[:, c])[0]
-        nz = nz[nz != r]
-        if nz.size:
-            a[nz, c:] = (a[nz, c:] - np.outer(a[nz, c], a[r, c:])) % p
+            a[r, c:] = a[r, c:] * pow(int(a[r, c]), -1, p) % p
+        nz = a[:, c].nonzero()[0]
+        if nz.size > 1:
+            nz = nz[nz != r]
+            a[nz, c:] = (a[nz, c:] - a[nz, c, None] * a[r, c:]) % p
         pivots.append(c)
         r += 1
     return pivots

@@ -266,7 +266,12 @@ def _primitive_idempotents(sc: np.ndarray, unit: np.ndarray, rad: FpMatrix,
                            field: FieldSpec) -> List[List[np.ndarray]]:
     """Orthogonal primitive idempotents of the algebra (sc, unit) with
     radical rad, summing to 1 and grouped by the simple block of A/rad
-    that their images lie in."""
+    that their images lie in.
+
+    The blocks are the primitive idempotents of the centre of Q = A/rad.
+    A centre of dimension 1 is GF(p).1, so Q is simple and its one block
+    is 1: the Frobenius power and the eigenvalue split are skipped, as for
+    every local algebra."""
     p = field.p
     qm = echelon_quotient_maps(rad)
     free = qm.include.arr.argmax(axis=0)     # Q has basis b_free[a] + rad
@@ -275,8 +280,10 @@ def _primitive_idempotents(sc: np.ndarray, unit: np.ndarray, rad: FpMatrix,
     m = len(free)
     comm = (qsc - qsc.transpose(1, 0, 2)) % p
     centre = kernel_basis(FpMatrix(comm.reshape(m, m * m).T, field)).arr
-    blocks = _eigen_split(qm.project.arr @ unit % p,
-                          _frobenius_fixed(centre, qmul, field), qmul, field)
+    blocks = [qm.project.arr @ unit % p]
+    if len(centre) > 1:
+        blocks = _eigen_split(blocks[0], _frobenius_fixed(centre, qmul, field),
+                              qmul, field)
     # lift each to an idempotent of uAu, u = 1 - (those lifted so far)
     groups, u = [], unit
     for block in blocks:
@@ -325,8 +332,15 @@ def _radical_span(m, rows: Optional[np.ndarray]) -> FpMatrix:
 
 
 def radical_of_module(m) -> Tuple[object, ModuleHom]:
-    """rad(m) = rad(A).m with its inclusion."""
-    return _echelon_submodule(m, _radical_span(m, None))
+    """rad(m) = rad(A).m with its inclusion, whose matrix is the transposed
+    RREF basis of rad(m).  rad(m) and that matrix are kept on m: `simples`
+    builds them for every PIM P_i, and a semisimple module's cover reads
+    its kernel off the rad(P_i).  The kept pair holds no link back to m."""
+    if "radical" not in m._cache:
+        rad, incl = _echelon_submodule(m, _radical_span(m, None))
+        m._cache["radical"] = rad, incl.matrix
+    rad, incl = m._cache["radical"]
+    return rad, ModuleHom(rad, m, incl, validate=False)
 
 
 def top_of_module(m) -> Tuple[object, ModuleHom]:
@@ -546,6 +560,15 @@ def _cover_parts(m: LeftModule):
     minimal ones.  The projection onto top(m) is read off the RREF rows of
     rad(m), and the kernel is acted on one PIM block of the cover at a time.
     A cover of m's own dimension is m itself up to the epi, with kernel 0.
+
+    A semisimple m needs no kernel elimination: rad(A).w lies in rad(m) =
+    0, so phi_w kills rad(P_i) and its image A.w is a copy of S_i, which
+    the greedy choice keeps only when it meets the images before it in 0.
+    So ker(epi) is the sum of the rad(P_i) over the summands, and the
+    block-diagonal of their RREF bases is the RREF basis of ker(epi): the
+    kernel is the block sum of the kept rad(P_i) (`radical_of_module`), its
+    inclusion the block-diagonal of theirs, the arrays that eliminating
+    epi gives.
     """
     field = m.over.field
     pi = echelon_quotient_maps(_radical_span(m, None)).project.arr
@@ -568,6 +591,18 @@ def _cover_parts(m: LeftModule):
         z = LeftModule.zero(m.over)
         return (cover, epi, z, ModuleHom(z, cover, FpMatrix.zeros(
             cover.dim, 0, field), validate=False), summands, semisimple)
+    if semisimple:
+        rads = [radical_of_module(pims[i][0]) for i in summands]
+        ker = block_sum_module([rad for rad, _ in rads])
+        if ker.dim != cover.dim - m.dim:
+            raise StructureError("candidate cover map is not surjective")
+        incl, row, col = np.zeros((cover.dim, ker.dim), dtype=np.int64), 0, 0
+        for _, inc in rads:
+            height, width = inc.matrix.arr.shape
+            incl[row:row + height, col:col + width] = inc.matrix.arr
+            row, col = row + height, col + width
+        return (cover, epi, ker, ModuleHom(ker, cover, FpMatrix.reduced(
+            incl, field), validate=False), summands, semisimple)
     # the summands come sorted by PIM: one product per run of copies of P_i
     rows, moved, off = kernel_basis(epi), [], 0
     for i, run in groupby(i for i, _ in chosen):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from extalg import cli
 from extalg.algebra import LeftModule
@@ -325,6 +327,52 @@ def test_rref_inplace_matches_a_plain_elimination(p):
         pivots = _rref_inplace(got, p)
         assert pivots == want_pivots
         assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+@st.composite
+def _rref_inputs(draw):
+    """(p, a): a matrix over GF(p) of any shape down to 0 x n and n x 0,
+    with entries 0, 1 and p - 1 drawn often, some rows and columns zeroed
+    and some rows repeated."""
+    p = draw(st.sampled_from(KERNEL_PRIMES))
+    rows, cols = draw(st.integers(0, 8)), draw(st.integers(0, 10))
+    entry = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
+    a = np.array(draw(st.lists(entry, min_size=rows * cols,
+                               max_size=rows * cols)),
+                 dtype=np.int64).reshape(rows, cols)
+    if rows:
+        row = st.integers(0, rows - 1)
+        a[draw(st.lists(row, max_size=2))] = 0
+        for i, j in draw(st.lists(st.tuples(row, row), max_size=3)):
+            a[i] = a[j]
+    if cols:
+        a[:, draw(st.lists(st.integers(0, cols - 1), max_size=3))] = 0
+    return p, a
+
+
+def _wide_case(p):
+    """A 64 x 192 matrix of rank at most 48, with zero columns, 8 repeated
+    rows and a row of entries p - 1 on every third column."""
+    rng = np.random.default_rng(192)
+    a = rng.integers(0, p, size=(64, 48)) @ rng.integers(0, p, size=(48, 192))
+    a %= p
+    a[:, rng.random(192) < 0.2] = 0
+    a[40:48] = a[:8]
+    a[5, ::3] = p - 1
+    return p, a
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(case=_rref_inputs())
+@example(case=_wide_case(65521))
+@example(case=(3, np.zeros((0, 4), dtype=np.int64)))
+@example(case=(101, np.zeros((4, 0), dtype=np.int64)))
+def test_rref_inplace_matches_the_reference_on_drawn_matrices(case):
+    p, a = case
+    want, want_pivots = _reference_rref(a, p)
+    got = a.copy()
+    assert _rref_inplace(got, p) == want_pivots
+    assert got.dtype == np.int64 and np.array_equal(got, want)
 
 
 class _CastSpy(np.ndarray):

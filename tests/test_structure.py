@@ -15,7 +15,7 @@ from conftest import (FIELD2, _count_cover_builds, a2_algebra,
                       square_zero_extension, triangular_extension)
 from extalg import structure
 from extalg.algebra import (Algebra, HomSpace, LeftModule, _content,
-                            block_sum_module,
+                            _echelon_submodule, block_sum_module,
                             dual_module, field_algebra, hom_space,
                             monomial_quiver_algebra, opposite_algebra,
                             product_algebra, quotient_module,
@@ -614,6 +614,97 @@ def test_a_cover_of_the_same_dimension_has_no_kernel_to_compute(
         assert _content(pres.kernel) == _content(LeftModule.zero(m.over))
         assert pres.kernel_inclusion.matrix.arr.shape == (m.dim, 0)
     assert not calls
+
+
+# ---------------------------------------------------------------------------
+# semisimple covers: the kernel read off the PIM table
+
+
+def _semisimple_test_algebras(field):
+    """A4, N(3,3), the wild algebra, M_2(k) (x) k[x]/(x^2), M_3(k) and
+    M_2(GF(p^2)) (M_2(GF(4)) at p = 2), each in a random basis."""
+    quivers = {name: rest for name, *rest in _quivers()}
+    tables = [(a.sc, a.unit) for a in (
+        monomial_quiver_algebra(*quivers[name], field)
+        for name in ("A4", "N(3,3)", "wild"))]
+    tables += [_tensor(_matrix_algebra(2), DUAL), _matrix_algebra(3),
+               _tensor(_matrix_algebra(2), _quadratic_field(field.p))]
+    rng = np.random.default_rng(field.p)
+    return [_scramble(sc, unit, field, rng) for sc, unit in tables]
+
+
+def _random_semisimple(a, rng):
+    """A sum of one to four simples of a, with repeats, in a random
+    basis."""
+    tops = simples(a)
+    picks = rng.integers(0, len(tops), size=rng.integers(1, 5))
+    return _conjugate(block_sum_module([tops[i] for i in picks]), rng)
+
+
+@pytest.mark.parametrize("p", [2, 3, 65521])
+def test_semisimple_covers_match_the_elimination_path(p):
+    # the kernel, its action and its inclusion are the arrays that
+    # eliminating epi gives: its RREF kernel basis spans a submodule of the
+    # cover whose action is read off the moved basis
+    field, rng = FieldSpec(p), np.random.default_rng(p)
+    kernels = 0
+    for a in _semisimple_test_algebras(field):
+        for _ in range(6):
+            m = _random_semisimple(a, rng)
+            pres = projective_cover(m)
+            assert pres.semisimple
+            ker, incl = _echelon_submodule(pres.cover,
+                                           kernel_basis(pres.epi.matrix))
+            for got, want in ((pres.kernel.acts, ker.acts),
+                              (pres.kernel_inclusion.matrix.arr,
+                               incl.matrix.arr)):
+                assert got.dtype == want.dtype == np.int64
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+            kernels += ker.dim > 0
+    assert kernels >= 12
+
+
+def test_a_semisimple_cover_eliminates_no_kernel(monkeypatch):
+    # each kept image A.w of a semisimple module is a simple independent of
+    # those before it, so ker(epi) is the block sum of the kept rad(P_i);
+    # the first four algebras have a radical, so most covers have a kernel
+    rng = np.random.default_rng(38)
+    algebras = _semisimple_test_algebras(FieldSpec(3))[:4]
+    modules = [m for a in algebras
+               for m in simples(a) + [_random_semisimple(a, rng)
+                                      for _ in range(3)]]
+    calls, build = [], structure.kernel_basis
+    monkeypatch.setattr(structure, "kernel_basis",
+                        lambda m: calls.append(m) or build(m))
+    covered = [projective_cover(m) for m in modules]
+    assert all(pres.semisimple for pres in covered)
+    assert sum(pres.kernel.dim > 0 for pres in covered) >= 12
+    assert not calls
+
+
+@pytest.mark.parametrize("p", [2, 65521])
+def test_a_simple_top_needs_no_frobenius_power(monkeypatch, p):
+    # the centre of A/rad is GF(p).1 over the wild algebra and k[x]/(x^2),
+    # so their one block is 1; k x k and GF(p^2) have a 2-dim centre
+    field = FieldSpec(p)
+    calls, build = [], structure._frobenius_fixed
+    monkeypatch.setattr(structure, "_frobenius_fixed",
+                        lambda *args: calls.append(args) or build(*args))
+
+    def idempotents(a):
+        groups = structure._primitive_idempotents(
+            a.sc, a.unit, algebra_radical(a), field)
+        return [len(g) for g in groups]
+
+    assert idempotents(local_wild_algebra(field)) == [1]
+    assert idempotents(Algebra(field, *DUAL)) == [1]
+    assert not calls
+    k = field_algebra(field)
+    assert idempotents(product_algebra(k, k)) == [1, 1]
+    assert len(calls) == 1
+    assert idempotents(Algebra(field, *_quadratic_field(p))) == [1]
+    assert len(calls) == 2
 
 
 def test_cover_index_entry_goes_with_its_module():
