@@ -43,8 +43,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .linalg import (FieldSpec, FpMatrix, QuotientMaps, echelon_coords,
-                     is_invertible, kernel_basis, kron, matmul_mod,
-                     quotient_maps, rank, row_basis, vstack)
+                     echelon_quotient_maps, is_invertible, kernel_basis, kron,
+                     matmul_mod, quotient_maps, rank, row_basis, vstack)
 
 
 class AlgebraError(ValueError):
@@ -516,10 +516,16 @@ def _echelon_submodule(x, basis: FpMatrix, moved=None):
 def quotient_module(x, relation_cols: FpMatrix):
     """Quotient of x by the span of the columns of relation_cols; returns
     (module, projection, section).  Raises unless the span is invariant."""
+    return _echelon_quotient_module(x, row_basis(relation_cols.transpose()))
+
+
+def _echelon_quotient_module(x, basis: FpMatrix):
+    """`quotient_module` modulo the row span of `basis`, in RREF without
+    zero rows: its pivots are read off, not eliminated again."""
     p = x.over.field.p
-    qm = quotient_maps(relation_cols)
+    qm = echelon_quotient_maps(basis)
     moved = (qm.project.arr @ x.acts) % p
-    if ((moved @ relation_cols.arr) % p).any():
+    if ((moved @ basis.arr.T) % p).any():
         raise AlgebraError("relations do not span a submodule")
     # include picks the free columns, so the product stays reduced
     mod = LeftModule(x.over, moved @ qm.include.arr, validate=False)

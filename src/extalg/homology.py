@@ -30,7 +30,7 @@ from .algebra import (Algebra, AlgebraError, HomSpace, ModuleHom,
                       _content, _same_algebra, block_sum_module,
                       dual_module, field_space, hom_space, is_exact_at, kept,
                       kernel_module)
-from .linalg import FpMatrix, echelon_coords, hstack, rank
+from .linalg import FpMatrix, echelon_coords, hstack, matmul_mod, rank
 from .structure import (ProjectivePresentation, _pim_triples, pim_homs,
                         projective_cover, projective_indecomposables)
 
@@ -111,7 +111,10 @@ class Resolution:
         nxt = projective_cover(self.syzygies[-1])
         self.terms.append(nxt.cover)
         self.summands.append(nxt.summands)
-        self.diffs.append(self.syz_incl[-1].compose(nxt.epi))
+        incl, field = self.syz_incl[-1], nxt.epi.matrix.field
+        self.diffs.append(ModuleHom(nxt.cover, incl.target, FpMatrix.reduced(
+            matmul_mod(incl.matrix.arr, nxt.epi.matrix.arr, field.p), field),
+            validate=False))
         self.syzygies.append(nxt.kernel)
         self.syz_incl.append(nxt.kernel_inclusion)
 

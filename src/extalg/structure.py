@@ -32,13 +32,14 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .algebra import (Algebra, LeftModule, ModuleHom, _echelon_submodule,
-                      block_sum_module, dual_module, hom_space, kept,
-                      opposite_algebra, quotient_module, row_space_of_columns,
-                      shared)
-from .linalg import (FieldSpec, FpMatrix, echelon_coords,
-                     echelon_quotient_maps, hstack, inverse, kernel_basis,
-                     matmul_mod, rref, row_basis, solve, vstack)
+from .algebra import (Algebra, LeftModule, ModuleHom, _echelon_quotient_module,
+                      _echelon_submodule, block_sum_module, dual_module,
+                      hom_space, kept, opposite_algebra, quotient_module,
+                      row_space_of_columns, shared)
+from .linalg import (FieldSpec, FpMatrix, RrefResult, _null_rows,
+                     _rref_inplace, echelon_coords, echelon_quotient_maps,
+                     hstack, inverse, kernel_basis, matmul_mod, row_basis,
+                     solve, vstack)
 
 # The split of a matrix block draws its candidates from
 # random.Random(_SPLIT_STREAM), fresh for every split; the draws change how
@@ -262,16 +263,31 @@ def _split_simple(e: np.ndarray, mul, field: FieldSpec) -> List[np.ndarray]:
             return [g for f in parts for g in _split_simple(f, mul, field)]
 
 
+def _centre_blocks(centre: np.ndarray, one: np.ndarray, mul,
+                   field: FieldSpec) -> List[np.ndarray]:
+    """The primitive idempotents of the centre of Q = A/rad, RREF rows
+    `centre`, unit `one`, in `_eigen_split`'s order.  Rows that are
+    orthogonal idempotents summing to one, as a basic algebra's vertices
+    are, are those: `_frobenius_fixed` keeps them (z^p = z), and each c
+    cuts along its roots 0 < 1, so `_eigen_split` gives [c_(r-1) .. c_0]."""
+    if len(centre) == 1:
+        return [one]
+    orthogonal = np.eye(len(centre), dtype=np.int64)[..., None] * centre
+    if ((mul(centre[:, None], centre[None]) == orthogonal).all()
+            and (centre.sum(axis=0) % field.p == one).all()):
+        return list(centre[::-1])
+    return _eigen_split(one, _frobenius_fixed(centre, mul, field), mul, field)
+
+
 def _primitive_idempotents(sc: np.ndarray, unit: np.ndarray, rad: FpMatrix,
                            field: FieldSpec) -> List[List[np.ndarray]]:
     """Orthogonal primitive idempotents of the algebra (sc, unit) with
     radical rad, summing to 1 and grouped by the simple block of A/rad
     that their images lie in.
 
-    The blocks are the primitive idempotents of the centre of Q = A/rad.
-    A centre of dimension 1 is GF(p).1, so Q is simple and its one block
-    is 1: the Frobenius power and the eigenvalue split are skipped, as for
-    every local algebra."""
+    The blocks are the primitive idempotents of the centre of Q = A/rad
+    (`_centre_blocks`), primitive in Q when Q is commutative.  Newton's
+    step g -> 3g^2 - 2g^3 lifts each until g^2 = g."""
     p = field.p
     qm = echelon_quotient_maps(rad)
     free = qm.include.arr.argmax(axis=0)     # Q has basis b_free[a] + rad
@@ -280,21 +296,18 @@ def _primitive_idempotents(sc: np.ndarray, unit: np.ndarray, rad: FpMatrix,
     m = len(free)
     comm = (qsc - qsc.transpose(1, 0, 2)) % p
     centre = kernel_basis(FpMatrix(comm.reshape(m, m * m).T, field)).arr
-    blocks = [qm.project.arr @ unit % p]
-    if len(centre) > 1:
-        blocks = _eigen_split(blocks[0], _frobenius_fixed(centre, qmul, field),
-                              qmul, field)
+    blocks = _centre_blocks(centre, qm.project.arr @ unit % p, qmul, field)
     # lift each to an idempotent of uAu, u = 1 - (those lifted so far)
     groups, u = [], unit
     for block in blocks:
         groups.append([])
-        for ebar in _split_simple(block, qmul, field):
+        for ebar in ([block] if len(centre) == m
+                     else _split_simple(block, qmul, field)):
             pre = np.zeros_like(unit)
             pre[free] = ebar
-            g, prev = amul(amul(u, pre), u), None
-            while prev is None or (g != prev).any():
-                sq = amul(g, g)
-                g, prev = (3 * sq - 2 * amul(sq, g)) % p, g
+            g = amul(amul(u, pre), u)
+            while ((sq := amul(g, g)) != g).any():
+                g = (3 * sq - 2 * amul(sq, g)) % p
             groups[-1].append(g)
             u = (u - g) % p
     return groups
@@ -318,17 +331,38 @@ def algebra_radical(a: Algebra) -> FpMatrix:
         a.sc.transpose(0, 2, 1), a.sc, a.field))
 
 
-def _radical_span(m, rows: Optional[np.ndarray]) -> FpMatrix:
-    """Row basis of rad(A) applied to the row span of `rows` (coordinates
-    of m), or to all of m when rows is None; rad(A) is a two-sided ideal,
-    so this serves either side."""
+def _radical_generators(a: Algebra) -> np.ndarray:
+    """The rows of RREF(rad A) whose pivots are not pivots of RREF(rad^2)
+    (the arrows of a path algebra): they span a complement of rad^2 in
+    rad, so generate rad as a right ideal (Nakayama), for A and A^op."""
+    def build():
+        rad, p, n = algebra_radical(a).arr, a.field.p, a.dim
+        # left[i] is left multiplication by r_i, so square[i, j] = r_i r_j
+        left = matmul_mod(rad, a.sc.reshape(n, n * n), p).reshape(-1, n, n)
+        square = matmul_mod(rad, left, p).reshape(-1, n)
+        squares = set(_rref_inplace(square, p))
+        return rad[[r.nonzero()[0][0] not in squares for r in rad]]
+    return _twin_kept(a, "radical_generators", build)
+
+
+def _radical_rref(m, rows: Optional[np.ndarray]):
+    """(stack, pivots): the g.u for g in `_radical_generators` and u in the
+    submodule U spanned by `rows` (all of m if None), RREF in place, whose
+    first len(pivots) rows are the basis of rad(A).U = G.A.U = G.U; so 5
+    blocks, not dim rad = 15, over A6.  rad(A) is two-sided: either side."""
     field, n, d = m.over.field, m.over.dim, m.dim
-    rad = algebra_radical(m.over).arr
-    acts = matmul_mod(rad, m.acts.reshape(n, d * d), field.p).reshape(
-        len(rad), d, d).transpose(0, 2, 1)
+    gens = _radical_generators(m.over)
+    acts = matmul_mod(gens, m.acts.reshape(n, d * d), field.p).reshape(
+        len(gens), d, d).transpose(0, 2, 1)
     moved = acts if rows is None else matmul_mod(rows, acts, field.p)
-    return row_basis(FpMatrix.reduced(
-        moved.reshape(len(moved) * moved.shape[1], d), field))
+    stack = moved.reshape(len(moved) * moved.shape[1], d)
+    return stack, _rref_inplace(stack, field.p)
+
+
+def _radical_span(m, rows: Optional[np.ndarray]) -> FpMatrix:
+    """Row basis (RREF) of rad(A).U (`_radical_rref`)."""
+    stack, pivots = _radical_rref(m, rows)
+    return FpMatrix.reduced(stack[:len(pivots)], m.over.field)
 
 
 def radical_of_module(m) -> Tuple[object, ModuleHom]:
@@ -344,8 +378,10 @@ def radical_of_module(m) -> Tuple[object, ModuleHom]:
 
 
 def top_of_module(m) -> Tuple[object, ModuleHom]:
-    """m / rad(m) with the projection."""
-    return quotient_module(m, radical_of_module(m)[1].matrix)[:2]
+    """m / rad(m) with the projection, modulo the RREF basis of rad(m)
+    that `radical_of_module` keeps, with no second elimination."""
+    return _echelon_quotient_module(
+        m, radical_of_module(m)[1].matrix.transpose())[:2]
 
 
 def _pim_triples(a: Algebra):
@@ -529,21 +565,28 @@ def projective_cover(m) -> ProjectivePresentation:
 def pim_homs(m) -> List[np.ndarray]:
     """For each PIM P_i = A.e_i, the basis phi_w: x -> x.w of Hom(P_i, m)
     = e_i.m, w in the RREF basis of e_i.m, as a (dim e_i.m, m.dim, P_i.dim)
-    array.  The actions of all the e_i come from one product."""
+    array.  The actions E_i of all the e_i come from one product.  If all
+    are diagonal (a path basis), so 0/1, e_i.m has the unit rows at diag
+    E_i's support as basis, and the action on them is a column slice."""
     p, pims = m.over.field.p, _pim_triples(m.over)
     n, d = m.over.dim, m.dim
     e_acts = matmul_mod(np.array([e for _, e, _ in pims]),
                         m.acts.reshape(n, d * d), p).reshape(len(pims), d, d)
+    weights = np.count_nonzero(e_acts) == np.count_nonzero(
+        np.diagonal(e_acts, axis1=1, axis2=2))
     out = []
     for (piece, _, incl), e_act in zip(pims, e_acts):
         if not e_act.any():
             out.append(np.zeros((0, d, piece.dim), dtype=np.int64))
             continue
-        ws = row_basis(FpMatrix.reduced(e_act.T, m.over.field)).arr
-        # phi[b, :, k] is column b of incl acting on ws[k]
-        phi = matmul_mod(incl.arr.T, matmul_mod(m.acts, ws.T, p).reshape(
-            n, d * len(ws)), p).reshape(piece.dim, d, len(ws))
-        out.append(phi.transpose(2, 1, 0))
+        if weights:
+            moved = m.acts[:, :, np.diagonal(e_act).nonzero()[0]]
+        else:
+            ws = row_basis(FpMatrix.reduced(e_act.T, m.over.field)).arr
+            moved = matmul_mod(m.acts, ws.T, p)
+        # phi[b, :, k] is column b of incl acting on basis vector k of e_i.m
+        phi = matmul_mod(incl.arr.T, moved.reshape(n, -1), p)
+        out.append(phi.reshape(piece.dim, d, -1).transpose(2, 1, 0))
     return out
 
 
@@ -557,9 +600,10 @@ def _cover_parts(m: LeftModule):
     holds a pivot, i.e. when its image is not inside the images of the
     candidates before it: the greedy choice, for any algebra.  A kept image
     grows by a full copy of the top simple, so the multiplicities are the
-    minimal ones.  The projection onto top(m) is read off the RREF rows of
-    rad(m), and the kernel is acted on one PIM block of the cover at a time.
-    A cover of m's own dimension is m itself up to the epi, with kernel 0.
+    minimal ones.  The projection pi onto top(m) is read off the pivots of
+    rad(m)'s in-place elimination, pi = 1 for a semisimple m; a kernel is
+    acted on one PIM block at a time, and is 0 for a cover of dim m.  So a
+    cover runs two eliminations (rad(m), the choice), plus the kernel's.
 
     A semisimple m needs no kernel elimination: rad(A).w lies in rad(m) =
     0, so phi_w kills rad(P_i) and its image A.w is a copy of S_i, which
@@ -570,29 +614,33 @@ def _cover_parts(m: LeftModule):
     inclusion the block-diagonal of theirs, the arrays that eliminating
     epi gives.
     """
-    field = m.over.field
-    pi = echelon_quotient_maps(_radical_span(m, None)).project.arr
+    field, d = m.over.field, m.dim
+    stack, pivots = _radical_rref(m, None)
     homs = pim_homs(m)
     cands = [(i, phi) for i, phis in enumerate(homs) for phi in phis]
-    reduced = rref(FpMatrix(np.hstack([
-        (pi @ phis).transpose(1, 0, 2).reshape(len(pi), -1)
-        for phis in homs]), field))
-    if reduced.rank != len(pi):
+    tops = np.hstack([f.transpose(1, 0, 2).reshape(d, -1) for f in homs])
+    if pivots:
+        pi = _null_rows(RrefResult(FpMatrix.reduced(stack, field),
+                                   len(pivots), pivots), field.p)[1]
+        tops = matmul_mod(pi, tops, field.p)
+    picked = _rref_inplace(tops, field.p)
+    if len(picked) != d - len(pivots):
         raise StructureError("projective cover search failed to reach the top")
     owner = np.repeat(np.arange(len(cands)), [f.shape[1] for _, f in cands])
     # distinct owners in pivot order (np.unique imports numpy.ma, 30 ms)
-    chosen = [cands[k] for k in dict.fromkeys(owner[reduced.pivot_cols])]
+    chosen = [cands[k] for k in dict.fromkeys(owner[picked])]
     pims = _pim_triples(m.over)
     cover = block_sum_module([pims[i][0] for i, _ in chosen])
     epi = FpMatrix.reduced(np.hstack([phi for _, phi in chosen]), field)
-    summands, semisimple = tuple(i for i, _ in chosen), len(pi) == m.dim
+    summands, semisimple = tuple(i for i, _ in chosen), not pivots
     if cover.dim == m.dim:
         # epi is onto (it reaches the top), so bijective: the kernel is 0
         z = LeftModule.zero(m.over)
         return (cover, epi, z, ModuleHom(z, cover, FpMatrix.zeros(
             cover.dim, 0, field), validate=False), summands, semisimple)
     if semisimple:
-        rads = [radical_of_module(pims[i][0]) for i in summands]
+        rad_of = {i: radical_of_module(pims[i][0]) for i in set(summands)}
+        rads = [rad_of[i] for i in summands]
         ker = block_sum_module([rad for rad, _ in rads])
         if ker.dim != cover.dim - m.dim:
             raise StructureError("candidate cover map is not surjective")

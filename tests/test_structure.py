@@ -686,7 +686,9 @@ def test_a_semisimple_cover_eliminates_no_kernel(monkeypatch):
 @pytest.mark.parametrize("p", [2, 65521])
 def test_a_simple_top_needs_no_frobenius_power(monkeypatch, p):
     # the centre of A/rad is GF(p).1 over the wild algebra and k[x]/(x^2),
-    # so their one block is 1; k x k and GF(p^2) have a 2-dim centre
+    # so their one block is 1; k x k and GF(p^2) have a 2-dim centre, but
+    # the basis (1,0), (0,1) of k x k's is its blocks, read off without a
+    # Frobenius power, while GF(p^2)'s is a field and needs one
     field = FieldSpec(p)
     calls, build = [], structure._frobenius_fixed
     monkeypatch.setattr(structure, "_frobenius_fixed",
@@ -702,9 +704,9 @@ def test_a_simple_top_needs_no_frobenius_power(monkeypatch, p):
     assert not calls
     k = field_algebra(field)
     assert idempotents(product_algebra(k, k)) == [1, 1]
-    assert len(calls) == 1
+    assert not calls
     assert idempotents(Algebra(field, *_quadratic_field(p))) == [1]
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_cover_index_entry_goes_with_its_module():
@@ -951,3 +953,134 @@ def test_primitive_idempotents_allocate_nothing_of_the_size_of_the_field():
         finally:
             tracemalloc.stop()
         assert peak <= 64 * 1024, (name, peak)
+
+
+# ---------------------------------------------------------------------------
+# idempotent-adapted bases against the general paths
+
+
+def _centre_test_algebras(field):
+    """k^2, k^3, A3-A6, N(3,3), N(4,3) and M_2(k) x k."""
+    quivers = {name: rest for name, *rest in _quivers()}
+    k = field_algebra(field)
+    kk = product_algebra(k, k)
+    return [kk, product_algebra(kk, k)] + [
+        monomial_quiver_algebra(*quivers[name], field)
+        for name in ("A3", "A4", "A5", "A6", "N(3,3)", "N(4,3)")] + [
+        product_algebra(Algebra(field, *_matrix_algebra(2)), k)]
+
+
+def _frobenius_blocks(centre, one, mul, field):
+    """The blocks of the centre by a Frobenius power and eigenvalue cuts."""
+    if len(centre) == 1:
+        return [one]
+    return structure._eigen_split(
+        one, structure._frobenius_fixed(centre, mul, field), mul, field)
+
+
+@pytest.mark.parametrize("p", [2, 3, 65521])
+def test_centre_blocks_match_the_frobenius_split(monkeypatch, p):
+    # the RREF centre of these algebras' tops is a basis of orthogonal
+    # idempotents, read off as the blocks; the Frobenius path gives the
+    # same arrays in the same order, and so the same lifted idempotents
+    field, read, build = FieldSpec(p), [], structure._centre_blocks
+
+    def recorded(*args):
+        read.append((args, build(*args)))
+        return read[-1][1]
+    for a in _centre_test_algebras(field):
+        rad = algebra_radical(a)
+        monkeypatch.setattr(structure, "_centre_blocks", recorded)
+        got = structure._primitive_idempotents(a.sc, a.unit, rad, field)
+        monkeypatch.setattr(structure, "_centre_blocks", _frobenius_blocks)
+        want = structure._primitive_idempotents(a.sc, a.unit, rad, field)
+        assert [len(g) for g in got] == [len(g) for g in want]
+        for g, w in zip(sum(got, []), sum(want, [])):
+            assert g.dtype == w.dtype == np.int64 and np.array_equal(g, w)
+        args, blocks = read[-1]
+        oracle = _frobenius_blocks(*args)
+        assert len(args[0]) == len(blocks) == len(oracle) > 1
+        for b, c, o in zip(blocks, args[0][::-1], oracle):
+            assert np.array_equal(b, c) and np.array_equal(b, o)
+
+
+@pytest.mark.parametrize("p", [2, 65521])
+def test_an_idempotent_centre_basis_needs_no_frobenius_power(monkeypatch, p):
+    field, calls = FieldSpec(p), []
+    for name in ("_frobenius_fixed", "_eigen_split"):
+        build = getattr(structure, name)
+        monkeypatch.setattr(structure, name, lambda *args, name=name,
+                            build=build: calls.append(name) or build(*args))
+
+    def blocks(a):
+        groups = structure._primitive_idempotents(
+            a.sc, a.unit, algebra_radical(a), field)
+        return [len(g) for g in groups]
+    quivers = {name: rest for name, *rest in _quivers()}
+    k = field_algebra(field)
+    assert blocks(monomial_quiver_algebra(*quivers["A3"], field)) == [1] * 3
+    assert blocks(product_algebra(k, k)) == [1, 1]
+    assert not calls
+    assert blocks(Algebra(field, *_quadratic_field(p))) == [1]
+    assert sorted(calls) == ["_eigen_split", "_frobenius_fixed"]
+
+
+def _e_actions(m):
+    """The actions of the e_i of the PIM table on m."""
+    return [m.act_matrix(e).arr for _, e, _ in _pim_triples(m.over)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, 65521])
+def test_pim_homs_weight_bases_match_the_elimination(p):
+    # the conftest and quiver modules have diagonal e_i-actions, so
+    # pim_homs slices; in a random basis they are not, and it eliminates
+    field, rng = FieldSpec(p), np.random.default_rng(p)
+    paths = {True: 0, False: 0}
+    for a in _oracle_algebras(field):
+        mods = (simples(a) + [pm for pm, _ in projective_indecomposables(a)]
+                + [random_module(a, rng, 8) for _ in range(2)])
+        for m in mods + [_conjugate(m, rng) for m in mods]:
+            paths[all(np.array_equal(e, np.diag(np.diag(e)))
+                      for e in _e_actions(m))] += 1
+            got, want = structure.pim_homs(m), _per_idempotent_pim_homs(m)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.dtype == np.int64 and g.shape == w.shape
+                assert np.array_equal(g, w)
+    assert paths[True] >= 40 and paths[False] >= 20
+
+
+def _full_radical_span(m, rows):
+    """rad(A).U from every basis element of rad(A), U the span of rows."""
+    p = m.over.field.p
+    acts = np.tensordot(algebra_radical(m.over).arr, m.acts, 1) % p
+    moved = rows @ acts.transpose(0, 2, 1) % p
+    return row_basis(FpMatrix(moved.reshape(-1, m.dim), m.over.field))
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, 65521])
+def test_radical_span_matches_the_full_radical(p):
+    # the generators of rad as a right ideal move every submodule U onto
+    # rad(A).U: checked on the radical layers of random modules, left and
+    # right, down to 0
+    field, rng = FieldSpec(p), np.random.default_rng(p)
+    algebras = [make(field).total for make in (
+        square_zero_extension, triangular_extension, double_extension,
+        nakayama_ring, a2_morita_ring, product_morita_ring)]
+    algebras += [a2_algebra(field), local_wild_algebra(field)]
+    layers = 0
+    for a in algebras + [opposite_algebra(a) for a in algebras]:
+        for m in [LeftModule.regular(a)] + [random_module(a, rng, 6)
+                                            for _ in range(3)]:
+            rows = np.eye(m.dim, dtype=np.int64)
+            while len(rows):
+                got = structure._radical_span(m, rows)
+                assert got == _full_radical_span(m, rows)
+                rows, layers = got.arr, layers + 1
+        gens = structure._radical_generators(a)
+        assert len(gens) <= algebra_radical(a).rows
+    assert layers >= 100
+    a6 = monomial_quiver_algebra(
+        *{name: rest for name, *rest in _quivers()}["A6"], field)
+    assert len(structure._radical_generators(a6)) == 5
+    assert algebra_radical(a6).rows == 15
