@@ -35,6 +35,7 @@ pivot columns.  M ox X and Hom(M, Y) are shared by content (`shared`).
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import weakref
 from dataclasses import dataclass
@@ -70,16 +71,6 @@ class Algebra:
         self._cache: dict = {}
         if validate:
             validate_algebra(self)
-
-    @functools.cached_property
-    def lmats(self) -> List[FpMatrix]:
-        """Left multiplication by each b_i; `rmats` is the right one."""
-        return [FpMatrix.reduced(m.T, self.field) for m in self.sc]
-
-    @functools.cached_property
-    def rmats(self) -> List[FpMatrix]:
-        return [FpMatrix.reduced(m, self.field)
-                for m in self.sc.transpose(1, 2, 0)]
 
     def mult(self, x, y) -> np.ndarray:
         x = np.asarray(x, dtype=np.int64) % self.field.p
@@ -135,11 +126,11 @@ def kept(obj, key, build):
 
 
 def _content(obj) -> tuple:
-    """dim and action bytes of a (bi)module, kept on it (it is immutable)."""
-    return kept(obj, "content", lambda: (obj.dim,) + (tuple(
-        _stack(acts, obj.dim).tobytes()
-        for acts in (obj.left_action, obj.right_action))
-        if isinstance(obj, Bimodule) else (obj.acts.tobytes(),)))
+    """dim and action bytes of a module, kept on it (it is immutable), or
+    those of the two legs of a bimodule."""
+    if isinstance(obj, Bimodule):
+        return _content(obj.left) + _content(obj.right)
+    return kept(obj, "content", lambda: (obj.dim, obj.acts.tobytes()))
 
 
 def shared(obj, over: Algebra, name: str, key, build):
@@ -273,11 +264,6 @@ class LeftModule:
         return f"{type(self).__name__}(dim={self.dim}, over={self.over!r})"
 
 
-def _stack(action: Sequence[FpMatrix], d: int) -> np.ndarray:
-    """Action matrices as one (len(action), d, d) array."""
-    return np.array([m.arr for m in action]).reshape(len(action), d, d)
-
-
 def _kron_rows(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """The blocks left[g] ox I - I ox right[g], one under the other, as one
     unreduced int64 array; left and right are stacks of square matrices."""
@@ -294,64 +280,81 @@ def field_space(field: FieldSpec, d: int) -> LeftModule:
 
 
 class Bimodule:
-    """Space with commuting left A-action and right B-action."""
+    """Space with commuting left A-action and right B-action, kept as its
+    two legs: `left`, a module over A, and `right`, the module over B^op
+    with the right action's matrices.  Each leg is built from a list of
+    `FpMatrix` or a stack, as a `LeftModule` is, and a shape fault names
+    its side."""
 
     def __init__(self, left_over: Algebra, right_over: Algebra,
-                 left_action: Sequence[FpMatrix],
-                 right_action: Sequence[FpMatrix], validate: bool = True):
+                 left_action, right_action, validate: bool = True):
         self.left_over = left_over
         self.right_over = right_over
-        self.left_action = list(left_action)
-        self.right_action = list(right_action)
-        self.dim = self.left_action[0].rows if self.left_action else 0
+        with _side("left"):
+            self.left = LeftModule(left_over, left_action, validate=False)
+        with _side("right"):
+            self.right = LeftModule(opposite_algebra(right_over),
+                                    right_action, validate=False)
+        self.dim = self.left.dim
         self._cache: dict = {}
         if validate:
             self.validate()
 
+    @property
+    def left_action(self) -> Tuple[FpMatrix, ...]:
+        return self.left.action
+
+    @property
+    def right_action(self) -> Tuple[FpMatrix, ...]:
+        return self.right.action
+
     def validate(self):
-        left, right = self.left_module(), self.right_module()
-        for side, mod in (("left", left), ("right", right)):
-            try:
+        p, q = self.left_over.field.p, self.right_over.field.p
+        if p != q:
+            raise AlgebraError(f"left algebra is over GF({p}) but right "
+                               f"algebra is over GF({q})")
+        for side, mod in (("left", self.left), ("right", self.right)):
+            with _side(side):
                 mod.validate()
-            except AlgebraError as exc:
-                raise AlgebraError(f"{side} action: {exc}") from exc
-        if left.dim != right.dim:
-            raise AlgebraError(f"left action is {left.dim}-dimensional but "
-                               f"right action is {right.dim}-dimensional")
-        p, r = self.left_over.field.p, right.acts
-        if any(((l @ r) % p != (r @ l) % p).any() for l in left.acts):
+        d, e = self.left.dim, self.right.dim
+        if d != e:
+            raise AlgebraError(f"left action is {d}-dimensional but right "
+                               f"action is {e}-dimensional")
+        r = self.right.acts
+        if any(((l @ r) % p != (r @ l) % p).any() for l in self.left.acts):
             raise AlgebraError("left and right actions do not commute")
-
-    def left_module(self) -> LeftModule:
-        return kept(self, "left", lambda: LeftModule(
-            self.left_over, self.left_action, validate=False))
-
-    def right_module(self) -> LeftModule:
-        """The right action, as a left module over the opposite algebra."""
-        return kept(self, "right", lambda: LeftModule(
-            opposite_algebra(self.right_over), self.right_action,
-            validate=False))
 
     def swap(self) -> "Bimodule":
         """Same space as a bimodule over the opposite algebras, with the two
         actions exchanged."""
         return Bimodule(opposite_algebra(self.right_over),
                         opposite_algebra(self.left_over),
-                        self.right_action, self.left_action, validate=False)
+                        self.right.acts, self.left.acts, validate=False)
 
     @classmethod
     def regular(cls, a: Algebra) -> "Bimodule":
-        return cls(a, a, a.lmats, a.rmats)
+        return cls(a, a, LeftModule.regular(a).acts,
+                   LeftModule.regular(opposite_algebra(a)).acts,
+                   validate=False)
 
     @classmethod
     def zero(cls, a: Algebra, b: Optional[Algebra] = None) -> "Bimodule":
         b = b or a
-        z = FpMatrix.zeros(0, 0, a.field)
-        return cls(a, b, [z] * a.dim, [z] * b.dim)
+        return cls(a, b, np.zeros((a.dim, 0, 0), dtype=np.int64),
+                   np.zeros((b.dim, 0, 0), dtype=np.int64))
 
     def __repr__(self):
         return (f"Bimodule(dim={self.dim}, left={self.left_over!r}, "
                 f"right={self.right_over!r})")
+
+
+@contextlib.contextmanager
+def _side(side: str):
+    """Names the side of a bimodule's action in the faults raised inside."""
+    try:
+        yield
+    except AlgebraError as exc:
+        raise AlgebraError(f"{side} action: {exc}") from exc
 
 
 def check_shape(name: str, matrix: FpMatrix, rows: int,
@@ -635,12 +638,15 @@ def tensor_bimodule_left(m: Bimodule, x: LeftModule) -> TensorSpace:
 
 
 def _tensor_space(m: Bimodule, x: LeftModule) -> TensorSpace:
-    field = x.over.field
-    qm = _balanced_quotient(_stack(m.right_action, m.dim), x.acts, x.over)
-    ix = FpMatrix.identity(x.dim, field)
-    action = [qm.project @ kron(la, ix) @ qm.include for la in m.left_action]
+    p, n, d, e = x.over.field.p, m.left_over.dim, m.dim, x.dim
+    qm = _balanced_quotient(m.right.acts, x.acts, x.over)
+    k = qm.include.cols
+    # (L_b ox I) @ include for every b at once: L_b acts on the first index
+    # of the plain index (a, c) of include's rows
+    moved = matmul_mod(m.left.acts, qm.include.arr.reshape(d, e * k), p)
+    action = matmul_mod(qm.project.arr, moved.reshape(n, d * e, k), p)
     space = LeftModule(m.left_over, action, validate=False)
-    return TensorSpace(space, qm.project, qm.include, m.dim)
+    return TensorSpace(space, qm.project, qm.include, d)
 
 
 def tensor_right_left(w: LeftModule, x: LeftModule) -> TensorSpace:
@@ -648,8 +654,7 @@ def tensor_right_left(w: LeftModule, x: LeftModule) -> TensorSpace:
     GF(p)-R-bimodule."""
     k = field_space(w.over.field, w.dim)
     return tensor_bimodule_left(Bimodule(k.over, opposite_algebra(w.over),
-                                         k.action, w.action,
-                                         validate=False), x)
+                                         k.acts, w.acts, validate=False), x)
 
 
 def tensor_map_second(ts_from: TensorSpace, ts_to: TensorSpace,
@@ -686,7 +691,7 @@ def swapped_tensor(n: Bimodule, x: LeftModule) -> SwappedTensor:
     """X ox M from N = M^swap and X read as a left module over R^op."""
     field = x.over.field
     left = tensor_bimodule_left(n, x)
-    right = _balanced_quotient(x.acts, _stack(n.right_action, n.dim), x.over)
+    right = _balanced_quotient(x.acts, n.right.acts, x.over)
     # entry k = m * dim(X) + x of this array is the plain index x * dim(M) + m
     mx = np.arange(x.dim * n.dim).reshape(x.dim, n.dim).T.reshape(-1)
     return SwappedTensor(
@@ -703,11 +708,10 @@ class HomModule:
     B-module via (b . f)(m) = f(m . b); shared, so it links to neither."""
 
     def __init__(self, m: Bimodule, y: LeftModule):
-        self.homs = HomSpace(m.left_module(), LeftModule(
-            y.over, y.acts, validate=False))
+        self.homs = HomSpace(m.left, LeftModule(y.over, y.acts,
+                                                validate=False))
         self.space = LeftModule(m.right_over, self.homs.coords_stack(
-            self.homs.basis_array() @ _stack(m.right_action, m.dim)[:, None]),
-            validate=False)
+            self.homs.basis_array() @ m.right.acts[:, None]), validate=False)
 
     def postcompose(self, other: "HomModule", u: ModuleHom) -> ModuleHom:
         """Induced map Hom(M, Y) -> Hom(M, Y') for u: Y -> Y'
@@ -776,43 +780,33 @@ def monomial_quiver_algebra(num_vertices: int,
                     f"relation {list(r)}: arrow {a} ends at vertex "
                     f"{arrows[a][1]} but arrow {b} starts at vertex "
                     f"{arrows[b][0]}")
-    # paths as tuples of arrow indices; () paths are the vertex idempotents,
-    # tracked as ("e", v).
-    paths: List = [("e", v) for v in range(num_vertices)]
-    frontier: List[Tuple[int, ...]] = [(i,) for i in range(len(arrows))
-                                       if _path_ok((i,), relations)]
+    # a path is (source, target, arrow indices), a vertex idempotent
+    # (v, v, ()); the vertices come first, then the paths by length
+    paths = [(v, v, ()) for v in range(num_vertices)]
+    frontier = [(s, t, (i,)) for i, (s, t) in enumerate(arrows)
+                if _path_ok((i,), relations)]
     while frontier:
         paths.extend(frontier)
         if len(paths) > _QUIVER_MAX_DIM:
             raise AlgebraError("quiver algebra exceeds the dimension bound; "
                                "relations are not admissible")
-        nxt = []
-        for path in frontier:
-            last_target = arrows[path[-1]][1]
-            for i, (s, t) in enumerate(arrows):
-                if s == last_target and _path_ok(path + (i,), relations):
-                    nxt.append(path + (i,))
-        frontier = nxt
-    index = {pth: k for k, pth in enumerate(paths)}
+        frontier = [(s, t, path + (i,)) for s, end, path in frontier
+                    for i, (start, t) in enumerate(arrows)
+                    if start == end and _path_ok(path + (i,), relations)]
+    index = {path: k for k, path in enumerate(paths)}
+    ending = [[] for _ in range(num_vertices)]
+    for j, (s, t, path) in enumerate(paths):
+        ending[t].append((j, s, path))
     n = len(paths)
     sc = np.zeros((n, n, n), dtype=np.int64)
-    for i, pi in enumerate(paths):
-        for j, pj in enumerate(paths):
-            prod = _compose_paths(pi, pj, arrows, relations)
-            if prod is not None:
-                sc[i, j, index[prod]] = 1
+    for i, (si, ti, pi) in enumerate(paths):
+        # b_i * b_j runs p_j, then p_i: nonzero only if p_j ends at s_i
+        for j, sj, pj in ending[si]:
+            if not (pi and pj) or _path_ok(pj + pi, relations):
+                sc[i, j, index[sj, ti, pj + pi]] = 1
     unit = np.zeros(n, dtype=np.int64)
-    for v in range(num_vertices):
-        unit[index[("e", v)]] = 1
+    unit[:num_vertices] = 1
     return Algebra(field, sc, unit, validate=False)
-
-
-def _path_source(p, arrows):
-    return p[1] if p[0] == "e" else arrows[p[0]][0]
-
-
-def _path_target(p, arrows):
-    return p[1] if p[0] == "e" else arrows[p[-1]][1]
 
 
 def _path_ok(p: Tuple[int, ...], relations) -> bool:
@@ -821,19 +815,3 @@ def _path_ok(p: Tuple[int, ...], relations) -> bool:
         if k and any(p[i:i + k] == r for i in range(len(p) - k + 1)):
             return False
     return True
-
-
-def _compose_paths(pi, pj, arrows, relations):
-    """Product pi * pj: traverse pj first, then pi (paths act on the left)."""
-    ei = pi[0] == "e"
-    ej = pj[0] == "e"
-    if ei and ej:
-        return pi if pi[1] == pj[1] else None
-    if ei:
-        return pj if _path_target(pj, arrows) == pi[1] else None
-    if ej:
-        return pi if _path_source(pi, arrows) == pj[1] else None
-    if arrows[pj[-1]][1] != arrows[pi[0]][0]:
-        return None
-    prod = pj + pi
-    return prod if _path_ok(prod, relations) else None

@@ -62,6 +62,12 @@ def _list(value, where: str) -> list:
     return value
 
 
+def _object(value, where: str, error=WorkspaceError) -> dict:
+    if not isinstance(value, dict):
+        raise error(f"{where}: expected an object, got {json.dumps(value)}")
+    return value
+
+
 def _ints(value, where: str, depth: int):
     """A JSON array nested `depth` deep of integers (`_int`), as lists."""
     if depth == 0:
@@ -104,7 +110,7 @@ def _field(value, where: str) -> FieldSpec:
 def _algebra(spec, ws):
     field = _field(spec["p"], "p") if "p" in spec else ws.field
     if "quiver" in spec:
-        q = spec["quiver"]
+        q = _object(spec["quiver"], "quiver")
         arrows = _ints(q["arrows"], "quiver.arrows", 2)
         for arrow in arrows:
             if len(arrow) != 2:
@@ -203,13 +209,15 @@ class _Table(Mapping):
         if name not in self.specs:
             raise WorkspaceError(f"unknown {self.kind} '{name}'")
         if name not in self.built:
+            where = f"{self.kind} '{name}'"
+            spec = _object(self.specs[name], where, _Named)
             try:
-                self.built[name] = self.build(self.specs[name], self.ws)
+                self.built[name] = self.build(spec, self.ws)
             except _Named:
                 raise
             except Exception as e:
                 what = f"missing key {e}" if isinstance(e, KeyError) else e
-                raise _Named(f"{self.kind} '{name}': {what}") from e
+                raise _Named(f"{where}: {what}") from e
         return self.built[name]
 
     def __contains__(self, name) -> bool:

@@ -204,10 +204,9 @@ def compatibility_report(n: Bimodule,
     on the left leg.  Memoised on the bimodule."""
     key = ("compatibility", bound)
     if key not in n._cache:
-        left = n.left_module()
-        dims = {"fd_right": fd_bounded(n.right_module(), bound),
-                "pd_left": pd_bounded(left, bound),
-                "id_left": id_bounded(left, bound)}
+        dims = {"fd_right": fd_bounded(n.right, bound),
+                "pd_left": pd_bounded(n.left, bound),
+                "id_left": id_bounded(n.left, bound)}
         via = None
         if dims["fd_right"].is_finite() and dims["pd_left"].is_finite():
             via = "finite_fd_and_pd"
@@ -223,11 +222,10 @@ def zr_bimodule(t: TrivialExtension) -> Bimodule:
     the regular bimodule of R pulled back along the algebra map
     R |x M -> R that kills M, so the law holds by construction."""
     if "zr_bimodule" not in t._cache:
-        n = t.base_dim
-        z = [FpMatrix.zeros(n, n, t.field)] * t.ideal_dim
+        reg = Bimodule.regular(t.base)
         t._cache["zr_bimodule"] = Bimodule(
-            t.total, t.total, t.base.lmats + z, t.base.rmats + z,
-            validate=False)
+            t.total, t.total, _inflate(t, reg.left).acts,
+            _inflate(opposite_extension(t), reg.right).acts, validate=False)
     return t._cache["zr_bimodule"]
 
 

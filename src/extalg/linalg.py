@@ -246,15 +246,6 @@ def kron(a: FpMatrix, b: FpMatrix) -> FpMatrix:
     return FpMatrix(out.reshape(a.rows * b.rows, a.cols * b.cols), a.field)
 
 
-def direct_sum(a: FpMatrix, b: FpMatrix) -> FpMatrix:
-    if a.field != b.field:
-        raise LinalgError("field mismatch")
-    out = np.zeros((a.rows + b.rows, a.cols + b.cols), dtype=np.int64)
-    out[: a.rows, : a.cols] = a.arr
-    out[a.rows:, a.cols:] = b.arr
-    return FpMatrix(out, a.field)
-
-
 def hstack(mats: Sequence[FpMatrix]) -> FpMatrix:
     field = mats[0].field
     return FpMatrix(np.hstack([m.arr for m in mats]), field)

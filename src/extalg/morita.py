@@ -39,7 +39,7 @@ from .algebra import (Algebra, Bimodule, LeftModule, ModuleHom, check_shape,
                       tensor_bimodule_left, tensor_map_second)
 from .gorenstein import (compatibility_report, gf_check_right, gi_check,
                          gp_check, verify_corollary)
-from .linalg import FpMatrix, direct_sum, echelon_coords, matmul_mod
+from .linalg import FpMatrix, echelon_coords, matmul_mod
 from .trivext import (CopairModule, PairModule, Presented, module_to_copair,
                       module_to_pair, opposite_extension, pair_to_module,
                       trivial_extension)
@@ -63,19 +63,17 @@ class MoritaRing:
             raise MoritaError("v must be an A-B-bimodule")
         self.a, self.b, self.u, self.v = a, b, u, v
         prod = product_algebra(a, b)
-        zu = FpMatrix.zeros(u.dim, u.dim, a.field)
-        zv = FpMatrix.zeros(v.dim, v.dim, a.field)
+        na, nu, k, d = a.dim, u.dim, prod.dim, u.dim + v.dim
+        left = np.zeros((k, d, d), dtype=np.int64)
+        right = np.zeros_like(left)
         # A x B acts on U + V by B on the left of U and A on its right,
         # and by A on the left of V and B on its right
-        left = [direct_sum(zu, m) for m in v.left_action] + \
-            [direct_sum(m, zv) for m in u.left_action]
-        right = [direct_sum(m, zv) for m in u.right_action] + \
-            [direct_sum(zu, m) for m in v.right_action]
+        left[na:, :nu, :nu], right[:na, :nu, :nu] = u.left.acts, u.right.acts
+        left[:na, nu:, nu:], right[na:, nu:, nu:] = v.left.acts, v.right.acts
         self.ext = trivial_extension(
             prod, Bimodule(prod, prod, left, right, validate=False))
-        k = prod.dim
-        self.u_slice = slice(k, k + u.dim)
-        self.v_slice = slice(k + u.dim, k + u.dim + v.dim)
+        self.u_slice = slice(k, k + nu)
+        self.v_slice = slice(k + nu, k + d)
 
     @property
     def prod(self) -> Algebra:

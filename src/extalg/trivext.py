@@ -34,7 +34,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .algebra import (Algebra, AlgebraError, Bimodule, LeftModule, ModuleHom,
-                      _stack, check_shape, cokernel_module, field_space,
+                      check_shape, cokernel_module, field_space,
                       hom_from_bimodule, hom_space, image_module,
                       is_kernel_inclusion, kernel_module, opposite_algebra,
                       swapped_tensor, tensor_bimodule_left, tensor_map_second,
@@ -71,8 +71,8 @@ class TrivialExtension:
         sc = np.zeros((n + d, n + d, n + d), dtype=np.int64)
         sc[:n, :n, :n] = self.base.sc
         # r_i * m_j and m_j * r_i land in the M part
-        sc[:n, n:, n:] = _stack(m.left_action, d).transpose(0, 2, 1)
-        sc[n:, :n, n:] = _stack(m.right_action, d).transpose(2, 0, 1)
+        sc[:n, n:, n:] = m.left.acts.transpose(0, 2, 1)
+        sc[n:, :n, n:] = m.right.acts.transpose(2, 0, 1)
         unit = np.concatenate([self.base.unit, np.zeros(d, dtype=np.int64)])
         # associative because the bimodule is: no need to validate again
         return Algebra(self.base.field, sc, unit, validate=False)

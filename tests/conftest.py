@@ -15,7 +15,7 @@ from extalg.algebra import (AlgebraError, Bimodule, LeftModule,
                             monomial_quiver_algebra, opposite_algebra,
                             product_algebra, quotient_module, submodule,
                             tensor_bimodule_left)
-from extalg.linalg import FieldSpec, FpMatrix, direct_sum, row_basis
+from extalg.linalg import FieldSpec, FpMatrix, row_basis
 from extalg.morita import MoritaRing, theta_inverse, upsilon_inverse
 from extalg.structure import chop, spin
 from extalg.trivext import (PairModule, TrivextError, module_to_copair,
@@ -194,12 +194,9 @@ def _count_cover_builds(monkeypatch, limit=None):
 def two_block_module(prod_alg, d1, d2):
     """The (d1, d2)-dimensional module over a product of two copies of k:
     the two unit idempotents act as the complementary block projections."""
-    field = prod_alg.field
-    a1 = direct_sum(FpMatrix.identity(d1, field),
-                    FpMatrix.zeros(d2, d2, field))
-    a2 = direct_sum(FpMatrix.zeros(d1, d1, field),
-                    FpMatrix.identity(d2, field))
-    return LeftModule(prod_alg, [a1, a2])
+    on_first = np.arange(d1 + d2) < d1
+    return LeftModule(prod_alg, [FpMatrix(np.diag(on), prod_alg.field)
+                                 for on in (on_first, ~on_first)])
 
 
 def enumerate_pairs(t, max_total):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import re
 
@@ -26,6 +27,7 @@ from extalg.linalg import (FieldSpec, FpMatrix, hstack, kernel_basis, kron,
                            quotient_maps, solve, vstack)
 from extalg.structure import find_isomorphism
 from test_linalg import _record_casts
+from test_resolution_fingerprint import _put
 
 
 def test_validate_catches_broken_tables():
@@ -155,6 +157,44 @@ def test_quiver_tables_are_associative_and_unital(quiver, p):
                                        "associative": True, "unital": True}
 
 
+# recorded before a quiver path became one (source, target, arrows)
+# record; the basis order, the tables and the refusals must stay
+QUIVER_PIN = "62043437a288aa0bfb94e8ab699e801bd8cdf8e0bd9cfefcf051ca0e71eeebbc"
+
+
+def _pinned_quivers():
+    """A_1-A_11, the Nakayama algebras N(n, k) for n <= 5 and k <= 6, the
+    local wild algebra, a quiver with relations of three lengths and four
+    inputs that are refused."""
+    out = [(f"A{n}", n, [(i, i + 1) for i in range(n - 1)], [])
+           for n in range(1, 12)]
+    for n, k in itertools.product(range(1, 6), range(1, 7)):
+        out.append((f"N({n},{k})", n, [(i, (i + 1) % n) for i in range(n)],
+                    [[(s + j) % n for j in range(k)] for s in range(n)]))
+    return out + [
+        ("wild", 1, [(0, 0), (0, 0)], [[0, 0], [0, 1], [1, 0], [1, 1]]),
+        ("mixed", 3, [(0, 1), (1, 2), (2, 0), (1, 1)],
+         [[3, 3], [0, 1, 2], [2, 0, 3], [1, 2, 0, 1]]),
+        ("cycle", 2, [(0, 1), (1, 0)], []),
+        ("no_vertex", 2, [(0, 2)], []),
+        ("no_arrow", 2, [(0, 1)], [[1]]),
+        ("loose", 2, [(0, 1)], [[0, 0]])]
+
+
+def test_quiver_tables_match_the_pinned_fingerprint():
+    h = hashlib.sha256()
+    for name, n, arrows, relations in _pinned_quivers():
+        h.update(name.encode())
+        try:
+            a = monomial_quiver_algebra(n, arrows, relations, FIELD2)
+        except AlgebraError as e:
+            h.update(f"error: {e}".encode())
+            continue
+        _put(h, a.sc)
+        _put(h, a.unit)
+    assert h.hexdigest() == QUIVER_PIN
+
+
 def test_quiver_algebras_skip_the_table_check(monkeypatch):
     # a table given as structure constants is checked where it enters
     calls, check = [], algebra.validate_algebra
@@ -213,7 +253,8 @@ def test_right_module_opposite_round_trip():
     op = opposite_algebra(a)
     assert op is not a and opposite_algebra(op) is a
     r = LeftModule.regular(op)
-    assert all(x == y for x, y in zip(r.action, a.rmats))
+    # b_j acts by right multiplication: entry (k, i) is sc[i, j, k]
+    assert (r.acts == a.sc.transpose(1, 2, 0)).all()
     assert dual_module(r).over is a
     back = dual_module(dual_module(r))
     assert back.over is op
@@ -368,7 +409,8 @@ def test_law_violation_names_first_pair(side):
                        match=r"^module law violated at \(0,2\)$"):
         LeftModule(over, action)
     # a bimodule names the action whose law fails
-    legs = {"left": a.lmats, "right": a.rmats, side: action}
+    reg = Bimodule.regular(a)
+    legs = {"left": reg.left_action, "right": reg.right_action, side: action}
     with pytest.raises(AlgebraError, match=rf"^{side} action: module law "
                        r"violated at \(0,2\)$"):
         Bimodule(a, a, legs["left"], legs["right"])
@@ -467,7 +509,8 @@ def _full_basis_solve(m, n, fixed):
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
-@given(name=st.sampled_from(sorted(ALGEBRAS)), p=st.sampled_from([2, 3, 101]),
+@given(name=st.sampled_from(sorted(ALGEBRAS)),
+       p=st.sampled_from([2, 3, 101, 65521]),
        side=st.sampled_from(["left", "right"]),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_generator_hom_system_matches_full_basis(name, p, side, seed):
@@ -487,12 +530,18 @@ def test_generator_hom_system_matches_full_basis(name, p, side, seed):
         got = solve_module_hom(src, tgt, fixed)
         assert got.matrix == _full_basis_solve(src, tgt, fixed)
     # tensor products and Hom modules are built without the law check
-    dual = Bimodule(a, a, [r.transpose() for r in a.rmats],
-                    [l.transpose() for l in a.lmats])
-    for bim in (Bimodule.regular(a), dual):
+    reg = Bimodule.regular(a)
+    dual = Bimodule(a, a, reg.right.acts.transpose(0, 2, 1),
+                    reg.left.acts.transpose(0, 2, 1))
+    for bim in (reg, dual):
         ts = tensor_bimodule_left(bim, m)
         qm = _full_basis_tensor(bim, m)
         assert ts.project == qm.project and ts.include == qm.include
+        # the action of each b is M's left action on the first factor,
+        # carried to the quotient
+        one = FpMatrix.identity(m.dim, a.field)
+        assert ts.space.action == tuple(
+            qm.project @ kron(la, one) @ qm.include for la in bim.left_action)
         ts.space.validate()
         hom_from_bimodule(bim, n).space.validate()
 
@@ -530,13 +579,13 @@ def test_content_equal_modules_share_one_tensor_and_hom_module():
     # a content-equal bimodule over another left (resp. right) algebra
     # object shares nothing: the space lives over that algebra
     b = a2_algebra(FIELD3)
-    other = Bimodule(b, a, b.lmats, a.rmats)
+    other = Bimodule(b, a, Bimodule.regular(b).left.acts, bim.right.acts)
     x = random_module(a, np.random.default_rng(7))
     ts, ts_other = tensor_bimodule_left(bim, x), tensor_bimodule_left(other, x)
     assert ts is not ts_other
     assert ts.space.over is a and ts_other.space.over is b
     assert ts.project == ts_other.project
-    flipped = Bimodule(a, b, a.lmats, b.rmats)
+    flipped = Bimodule(a, b, bim.left.acts, Bimodule.regular(b).right.acts)
     assert hom_from_bimodule(bim, x) is not hom_from_bimodule(flipped, x)
     assert hom_from_bimodule(flipped, x).space.over is b
 

@@ -12,7 +12,8 @@ import pytest
 
 from conftest import _count_cover_builds
 from extalg import algebra, cli
-from extalg.algebra import AlgebraError, monomial_quiver_algebra
+from extalg.algebra import (AlgebraError, LeftModule,
+                            monomial_quiver_algebra)
 from extalg.cli import (SCHEMA_VERSION, Workspace, WorkspaceError,
                         emit_builtin_examples, load, main, run)
 from extalg.gorenstein import GorensteinError
@@ -298,6 +299,27 @@ def test_a_command_does_not_fail_on_an_entity_it_does_not_read(
         "context": "nakayama4", "x": "k_left", "y": "k_left",
         "f": [[1, 0]], "g": [[0]]}}},
      "cotuple 'nakayama_unit_cotuple': f shape 1x2 does not match 1x1"),
+    # a bimodule's two algebras are over one field
+    ({"bimodules": {"b": {"left_over": "k2", "right_over": "k3",
+                          "left_action": [[[1]]], "right_action": [[[1]]]}}},
+     "bimodule 'b': left algebra is over GF(2) but right algebra is over "
+     "GF(3)"),
+    # a shape fault of a bimodule names the side of its action
+    ({"bimodules": {"b": {"left_over": "k2", "right_over": "k2",
+                          "left_action": [[[1]], [[1]]],
+                          "right_action": [[[1]]]}}},
+     "bimodule 'b': left action: need one action matrix per basis element"),
+    ({"bimodules": {"b": {"left_over": "k2", "right_over": "k2",
+                          "left_action": [[[1]]],
+                          "right_action": [[[1, 0]]]}}},
+     "bimodule 'b': right action: action matrices must be square of equal "
+     "size"),
+    # an entity, and a quiver, is a JSON object
+    ({"modules": {"m": [1]}}, "module 'm': expected an object, got [1]"),
+    ({"pairs": {"p": "x"}}, "pair 'p': expected an object, got \"x\""),
+    ({"algebras": {"a": 3}}, "algebra 'a': expected an object, got 3"),
+    ({"algebras": {"q": {"quiver": 3}}},
+     "algebra 'q': quiver: expected an object, got 3"),
     # U = k over k on both sides is not a B-A-bimodule for A = k x k
     ({"morita_contexts": {"c": {"a": "k2xk2", "b": "k2", "u": "morita_u",
                                 "v": "morita_v"}},
@@ -316,7 +338,10 @@ def test_a_command_does_not_fail_on_an_entity_it_does_not_read(
         "quiver_arrow_three_ends", "right_pair_square", "right_tuple_axiom",
         "right_pair_alpha_columns", "right_tuple_f_columns",
         "right_tuple_g_rows", "pair_alpha_columns", "copair_beta_rows",
-        "tuple_f_columns", "cotuple_f_columns", "context_leg"])
+        "tuple_f_columns", "cotuple_f_columns", "bimodule_two_fields",
+        "bimodule_left_count", "bimodule_right_not_square",
+        "module_not_an_object", "pair_not_an_object",
+        "algebra_not_an_object", "quiver_not_an_object", "context_leg"])
 def test_bad_workspace_exits_2_naming_the_fault(tmp_path, capsys, corpus,
                                                 content, named):
     # content: raw bytes, or keys that replace those of the built-in corpus
@@ -459,7 +484,7 @@ def nakayama_workspace(path):
                                "left_action": [[]] * n.dim,
                                "right_action": [[]] * n.dim}},
         "modules": {"reg": {"over": "n33",
-                            "action": [m.arr.tolist() for m in n.lmats]}},
+                            "action": LeftModule.regular(n).acts.tolist()}},
         "extensions": {"e": {"base": "n33", "bimodule": "zero"}},
         "pairs": {"reg_pair": {"extension": "e", "x": "reg",
                                "alpha": [[]] * n.dim}},

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from extalg import cli
 from extalg.algebra import LeftModule
 from extalg.linalg import (MAX_PRIME, FieldSpec, FpMatrix, LinalgError,
-                           _rref_inplace, direct_sum, echelon_coords, hstack,
+                           _rref_inplace, echelon_coords, hstack,
                            inverse, is_invertible, kernel_basis, kron,
                            matmul_mod, quotient_maps, rank, row_basis, rref,
                            solve, vstack)
@@ -116,8 +116,6 @@ def test_stacks_and_direct_sum():
     b = FpMatrix([[0]], F2)
     assert hstack([a, b]).arr.shape == (1, 2)
     assert vstack([a, b]).arr.shape == (2, 1)
-    ds = direct_sum(a, FpMatrix.identity(2, F2))
-    assert ds.arr.shape == (3, 3) and rank(ds) == 3
 
 
 def test_row_basis_and_span():

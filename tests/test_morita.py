@@ -9,7 +9,7 @@ from conftest import (FIELD2, a2_morita_ring, nakayama_ring,
                       product_morita_ring, random_right_tuple, random_tuple,
                       same_action, triangular_extension)
 from extalg.algebra import (Algebra, AlgebraError, Bimodule, LeftModule,
-                            ModuleHom, _stack, field_algebra,
+                            ModuleHom, field_algebra,
                             hom_from_bimodule, hom_space, opposite_algebra,
                             product_algebra, tensor_bimodule_left,
                             tensor_map_second)
@@ -97,8 +97,8 @@ def test_context_leg_checks():
     with pytest.raises(MoritaError, match="^u must be a B-A-bimodule$"):
         MoritaRing(k, other, Bimodule.regular(k), Bimodule.regular(k))
     with pytest.raises(MoritaError, match="^v must be an A-B-bimodule$"):
-        MoritaRing(k, k, Bimodule.regular(k), Bimodule(k, other, k.lmats,
-                                                      k.rmats))
+        one = [FpMatrix.identity(1, FIELD2)]
+        MoritaRing(k, k, Bimodule.regular(k), Bimodule(k, other, one, one))
 
 
 def test_tuple_validation(nak):
@@ -410,9 +410,9 @@ def test_tuple_readers_match_the_pinned_fingerprint():
                     _put_module(h, t.y)
                     # the module in its own context's basis order A, B, U, V
                     k = t.ring.prod.dim
-                    action = t.module.action
-                    _put(h, _stack(action[:k] + action[t.ring.u_slice]
-                                   + action[t.ring.v_slice], t.module.dim))
+                    acts = t.module.acts
+                    _put(h, np.concatenate([acts[:k], acts[t.ring.u_slice],
+                                            acts[t.ring.v_slice]]))
                     _put(h, t.f.matrix.arr)
                     _put(h, t.g.matrix.arr)
     assert h.hexdigest() == TUPLE_PIN

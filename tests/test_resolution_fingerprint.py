@@ -11,7 +11,7 @@ import hashlib
 
 import numpy as np
 
-from extalg.algebra import (LeftModule, _stack, dual_module,
+from extalg.algebra import (LeftModule, dual_module,
                             monomial_quiver_algebra, opposite_algebra)
 from extalg.homology import minimal_projective_resolution
 from extalg.linalg import FieldSpec
@@ -43,7 +43,7 @@ def _put(h, arr):
 
 
 def _put_module(h, m):
-    _put(h, _stack(m.action, m.dim))
+    _put(h, m.acts)
 
 
 def _put_resolution(h, res):
