@@ -16,7 +16,7 @@ objects derived from validated parts by a construction that keeps the
 axioms: opposite and product algebras, the total algebras of extensions,
 regular modules (their law is the associativity of the algebra), bimodule
 legs, swapped bimodules, duals, tensor products, Hom modules and zero
-modules.
+modules.  Such algebras take their tables as built (`Algebra.reduced`).
 Submodules and quotients are checked by invariance instead of by the law:
 an invariant subspace of a module, and the quotient by one, satisfy the
 law because the inclusion is injective and the projection surjective.
@@ -44,7 +44,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .linalg import (FieldSpec, FpMatrix, QuotientMaps, echelon_coords,
-                     echelon_quotient_maps, is_invertible, kernel_basis, kron,
+                     echelon_quotient_maps, is_invertible, kernel_basis,
                      matmul_mod, quotient_maps, rank, row_basis, vstack)
 
 
@@ -71,6 +71,14 @@ class Algebra:
         self._cache: dict = {}
         if validate:
             validate_algebra(self)
+
+    @classmethod
+    def reduced(cls, field: FieldSpec, sc, unit) -> "Algebra":
+        """A C-contiguous int64 table and unit, reduced and right by
+        construction, taken as they are: no copy, `% p` or check."""
+        a = cls.__new__(cls)
+        a.field, a.sc, a.unit, a.dim, a._cache = field, sc, unit, len(unit), {}
+        return a
 
     def mult(self, x, y) -> np.ndarray:
         x = np.asarray(x, dtype=np.int64) % self.field.p
@@ -113,8 +121,8 @@ def field_algebra(field: FieldSpec) -> Algebra:
     """GF(p) viewed as a 1-dimensional algebra over itself; one algebra per
     field, so the spaces built over it (`field_space`) share their tensors
     and Hom modules by content."""
-    return Algebra(field, np.ones((1, 1, 1), dtype=np.int64), [1],
-                   validate=False)
+    return Algebra.reduced(field, np.ones((1, 1, 1), dtype=np.int64),
+                           np.ones(1, dtype=np.int64))
 
 
 def kept(obj, key, build):
@@ -150,9 +158,8 @@ def shared(obj, over: Algebra, name: str, key, build):
 def opposite_algebra(a: Algebra) -> Algebra:
     """A^op, kept on A and A on it; A itself when A is commutative."""
     if "opposite" not in a._cache:
-        sc = np.transpose(a.sc, (1, 0, 2))
-        op = a if (sc == a.sc).all() else Algebra(a.field, sc, a.unit,
-                                                  validate=False)
+        sc = np.ascontiguousarray(np.transpose(a.sc, (1, 0, 2)))
+        op = a if (sc == a.sc).all() else Algebra.reduced(a.field, sc, a.unit)
         op._cache["opposite"] = a
         a._cache["opposite"] = op
     return a._cache["opposite"]
@@ -193,8 +200,7 @@ def product_algebra(a: Algebra, b: Algebra) -> Algebra:
     sc = np.zeros((n + m, n + m, n + m), dtype=np.int64)
     sc[:n, :n, :n] = a.sc
     sc[n:, n:, n:] = b.sc
-    return Algebra(a.field, sc, np.concatenate([a.unit, b.unit]),
-                   validate=False)
+    return Algebra.reduced(a.field, sc, np.concatenate([a.unit, b.unit]))
 
 
 # ---------------------------------------------------------------------------
@@ -660,9 +666,11 @@ def tensor_right_left(w: LeftModule, x: LeftModule) -> TensorSpace:
 def tensor_map_second(ts_from: TensorSpace, ts_to: TensorSpace,
                       f: ModuleHom) -> ModuleHom:
     """Induced map M ox f : M ox X -> M ox Y for f: X -> Y (second slot)."""
-    field = f.matrix.field
-    im = FpMatrix.identity(ts_from.first_dim, field)
-    mat = ts_to.project @ kron(im, f.matrix) @ ts_from.include
+    field, d, k = f.matrix.field, ts_from.first_dim, ts_from.include.cols
+    # (I ox f) @ include: f acts on the second index of include's rows
+    moved = matmul_mod(f.matrix.arr, ts_from.include.arr.reshape(
+        d, f.matrix.cols, k), field.p).reshape(d * f.matrix.rows, k)
+    mat = ts_to.project @ FpMatrix.reduced(moved, field)
     return ModuleHom(ts_from.space, ts_to.space, mat, validate=False)
 
 
@@ -763,6 +771,9 @@ def monomial_quiver_algebra(num_vertices: int,
     The table is associative and unital by construction, so it is not
     checked by `validate_algebra`; the indices and relations are.
     """
+    if num_vertices < 1:
+        raise AlgebraError(f"quiver.vertices: need at least one vertex, got "
+                           f"{num_vertices}")
     for i, arrow in enumerate(arrows):
         bad = [v for v in arrow if not 0 <= v < num_vertices]
         if bad:
@@ -770,6 +781,9 @@ def monomial_quiver_algebra(num_vertices: int,
                                f"among the {num_vertices} vertices")
     relations = [tuple(r) for r in zero_relations]
     for r in relations:
+        if not r:
+            raise AlgebraError("relation []: a zero relation is a path of at "
+                               "least one arrow")
         bad = [a for a in r if not 0 <= a < len(arrows)]
         if bad:
             raise AlgebraError(f"relation {list(r)}: no arrow {bad[0]} "
@@ -806,12 +820,11 @@ def monomial_quiver_algebra(num_vertices: int,
                 sc[i, j, index[sj, ti, pj + pi]] = 1
     unit = np.zeros(n, dtype=np.int64)
     unit[:num_vertices] = 1
-    return Algebra(field, sc, unit, validate=False)
+    return Algebra.reduced(field, sc, unit)
 
 
 def _path_ok(p: Tuple[int, ...], relations) -> bool:
     for r in relations:
-        k = len(r)
-        if k and any(p[i:i + k] == r for i in range(len(p) - k + 1)):
+        if any(p[i:i + len(r)] == r for i in range(len(p) - len(r) + 1)):
             return False
     return True

@@ -2,7 +2,9 @@
 indecomposables (PIMs) of an algebra, composition series, indecomposable
 splittings, projective covers and injective envelopes.
 
-One deterministic path serves every prime: rad(A) is a chain of trace
+One deterministic path serves every prime.  rad(A) and the primitive
+idempotents are read off a basis of orthogonal idempotents plus a nilpotent
+ideal once three checks certify it; else rad(A) is a chain of trace
 kernels, and the primitive idempotents of A/rad come from linear algebra
 and lift to A.  One primitive idempotent e_i per simple block of A/rad
 gives the PIM P_i = A.e_i; the PIM table holds P_i, e_i and the inclusion
@@ -325,10 +327,35 @@ def _twin_kept(a: Algebra, key: str, build):
     return kept(a, key, lambda: twin[key] if key in twin else build())
 
 
+def _vertex_split(a: Algebra):
+    """(rad A, primitive idempotents) off a basis showing A = GF(p)^K + J,
+    else None (a random basis, M_n(k)).  K holds the b_k whose left
+    multiplication has a nonzero diagonal.  If they are orthogonal
+    idempotents summing to 1, no product with a b_j has a b_k term (J is an
+    ideal) and the graph i -> l if some b_j.b_i has a b_l term is acyclic (J
+    is nilpotent), then J = rad A: the unit rows at J and the [b_k], last
+    first, the arrays of the trace chain and the lift.  Kept on A and A^op."""
+    def build():
+        sc, eye = a.sc, np.eye(a.dim, dtype=np.int64)
+        vertex = np.diagonal(sc, axis1=1, axis2=2).any(axis=1)
+        k, j = np.flatnonzero(vertex), np.flatnonzero(~vertex)
+        reach, to_k = sc[np.ix_(j, j, j)].any(axis=0), sc[..., k]
+        for _ in range(len(j).bit_length()):    # walks of length <= 2^t
+            reach |= reach @ reach
+        if ((sc[np.ix_(k, k)] != np.eye(len(k), dtype=np.int64)[..., None]
+             * eye[k]).any() or (a.unit != vertex).any() or to_k[j].any()
+                or to_k[:, j].any() or reach.diagonal().any()):
+            return None
+        return FpMatrix.reduced(eye[j], a.field), [[e] for e in eye[k[::-1]]]
+    return _twin_kept(a, "vertex_split", build)
+
+
 def algebra_radical(a: Algebra) -> FpMatrix:
-    """Row basis (RREF) of rad(A), from the regular representation."""
-    return _twin_kept(a, "radical", lambda: _trace_radical(
-        a.sc.transpose(0, 2, 1), a.sc, a.field))
+    """Row basis (RREF) of rad(A), read off the basis (`_vertex_split`) or
+    from the trace chain on the regular representation."""
+    split = _vertex_split(a)
+    return split[0] if split else _twin_kept(a, "radical", lambda: (
+        _trace_radical(a.sc.transpose(0, 2, 1), a.sc, a.field)))
 
 
 def _radical_generators(a: Algebra) -> np.ndarray:
@@ -388,11 +415,10 @@ def _pim_triples(a: Algebra):
     """(P_i, primitive idempotent e_i with P_i = A.e_i, inclusion of P_i
     into A), one per simple block of A/rad: all that covers and Ext read."""
     if "pim_triples" not in a._cache:
-        reg = LeftModule.regular(a)
-        out = []
-        for group in _twin_kept(a, "idempotents", lambda: (
-                _primitive_idempotents(a.sc, a.unit, algebra_radical(a),
-                                       a.field))):
+        reg, out, split = LeftModule.regular(a), [], _vertex_split(a)
+        for group in split[1] if split else _twin_kept(a, "idempotents", (
+                lambda: _primitive_idempotents(a.sc, a.unit,
+                                               algebra_radical(a), a.field))):
             piece, incl = _echelon_submodule(reg, spin(reg, group[0]))
             out.append((piece, group[0], incl.matrix))
         a._cache["pim_triples"] = out

@@ -135,13 +135,19 @@ def test_quiver_relations():
     (2, [(0, 1), (-1, 0)], [], "arrow 1 (-1, 0): no vertex -1"),
     (2, [(0, 1)], [[0, 0]], "relation [0, 0]: arrow 0 ends at vertex 1 but "
      "arrow 0 starts at vertex 0"),
+    (2, [(0, 1)], [[]], "relation []: a zero relation is a path of at least "
+     "one arrow"),
+    (0, [], [], "quiver.vertices: need at least one vertex, got 0"),
+    (-1, [], [], "quiver.vertices: need at least one vertex, got -1"),
 ], ids=["relation_index", "negative_relation", "path_index", "arrow_vertex",
-        "negative_vertex", "not_composable"])
+        "negative_vertex", "not_composable", "empty_relation", "no_vertex",
+        "negative_vertex_count"])
 def test_quiver_indices_out_of_range_raise(vertices, arrows, relations,
                                             named):
     # no relation is dropped and no index error leaks: the message names
-    # the arrow or relation whose index is out of range, or the two arrows
-    # of a relation that do not compose
+    # the arrow or relation whose index is out of range, the two arrows of
+    # a relation that do not compose, an empty relation (which A2 would
+    # ignore) or a vertex count below one
     with pytest.raises(AlgebraError, match=re.escape(named)):
         monomial_quiver_algebra(vertices, arrows, relations, FIELD2)
 

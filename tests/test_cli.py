@@ -199,6 +199,12 @@ def test_a_command_does_not_fail_on_an_entity_it_does_not_read(
      "algebra 'q': relation [0, 9]: no arrow 9"),
     ({"algebras": {"q": {"quiver": {"vertices": 3, "arrows": [[0, 3]]}}}},
      "algebra 'q': arrow 0 (0, 3): no vertex 3"),
+    ({"algebras": {"q": {"quiver": {"vertices": 2, "arrows": [[0, 1]],
+                                    "zero_relations": [[]]}}}},
+     "algebra 'q': relation []: a zero relation is a path of at least one "
+     "arrow"),
+    ({"algebras": {"q": {"quiver": {"vertices": 0, "arrows": []}}}},
+     "algebra 'q': quiver.vertices: need at least one vertex, got 0"),
     ({"algebras": {"k": {"structure_constants": [[[1]]], "unit": [1]}},
       "bimodules": {"m": {"left_over": "k", "right_over": "k",
                           "left_action": [[[1]]],
@@ -329,6 +335,7 @@ def test_a_command_does_not_fail_on_an_entity_it_does_not_read(
         "p_too_large", "p_float", "p_numeric_text", "p_bool",
         "algebra_p_float", "algebra_p_text", "algebras_list",
         "quiver_relation_index", "quiver_path_index", "quiver_arrow_vertex",
+        "quiver_empty_relation", "quiver_no_vertex",
         "bimodule_action_sizes", "quiver_relation_bool",
         "quiver_vertices_float", "quiver_relation_float",
         "quiver_arrow_text", "module_side", "action_float",
@@ -553,16 +560,25 @@ def test_every_library_error_exits_2(tmp_path, capsys, monkeypatch, error):
 def test_verify_thm54_builds_each_algebra_once(tmp_path, monkeypatch,
                                                capsys):
     # k2, k2 x k2, the Morita ring's total algebra and its opposite: the
-    # opposite extension takes that opposite as its total algebra
+    # opposite extension takes that opposite as its total algebra.  The
+    # library's own tables enter through Algebra.reduced, the workspace's
+    # through the constructor; both are counted
     ws_path = tmp_path / "ws.json"
     assert main(["examples", "emit", "--out", str(ws_path)]) == 0
-    built, init = [], algebra.Algebra.__init__
+    built = []
+    init, wrap = algebra.Algebra.__init__, algebra.Algebra.reduced.__func__
 
     def counted(self, *args, **kwargs):
         init(self, *args, **kwargs)
         built.append(self.dim)
 
+    def counted_reduced(cls, *args):
+        built.append(len(args[2]))
+        return wrap(cls, *args)
+
     monkeypatch.setattr(algebra.Algebra, "__init__", counted)
+    monkeypatch.setattr(algebra.Algebra, "reduced",
+                        classmethod(counted_reduced))
     assert main(["verify", "thm54", str(ws_path)]) == 0
     capsys.readouterr()
     assert sorted(built) == [1, 2, 4, 4]

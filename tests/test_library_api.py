@@ -54,6 +54,8 @@ TEST_SUPPORT = {
     "chop": "a composition series with its inclusions",
     "injective_envelope": "the envelope with its essential mono",
     "non_minimal_resolution": "a padded resolution; Ext must not change",
+    "kron": "the dense Kronecker product, for reference tensor and hom "
+            "systems; perfbench/tracer.py wraps it",
 }
 
 

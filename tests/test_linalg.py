@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from extalg import cli
-from extalg.algebra import LeftModule
+from extalg.algebra import Algebra, LeftModule
 from extalg.linalg import (MAX_PRIME, FieldSpec, FpMatrix, LinalgError,
                            _rref_inplace, echelon_coords, hstack,
                            inverse, is_invertible, kernel_basis, kron,
@@ -409,12 +409,14 @@ def test_matmul_mod_is_exact_on_both_sides_of_the_depth_rule(k, in_float, p):
 
 def test_reduced_wraps_only_reduced_arrays(monkeypatch, tmp_path, capsys):
     # every array the library wraps without `% p` is a reduced 2-d int64
-    # array, and every action stack a module takes as it is a reduced 3-d
-    # int64 array of shape (dim A, d, d): checked over the pinned
-    # resolutions (the quiver ladder and more, at four primes) and one
-    # pass of the README commands
-    wrap, init = FpMatrix.reduced, LeftModule.__init__
-    seen, stacks = [], []
+    # array, every action stack a module takes as it is a reduced 3-d
+    # int64 array of shape (dim A, d, d), and every table an algebra takes
+    # as it is a reduced C-contiguous (n, n, n) int64 array with an (n,)
+    # unit: checked over the pinned resolutions (the quiver ladder and
+    # more, at four primes) and one pass of the README commands
+    wrap, init, wrap_table = FpMatrix.reduced, LeftModule.__init__, \
+        Algebra.reduced
+    seen, stacks, tables = [], [], []
 
     def checked(cls, arr, field):
         assert isinstance(arr, np.ndarray) and arr.ndim == 2
@@ -432,8 +434,18 @@ def test_reduced_wraps_only_reduced_arrays(monkeypatch, tmp_path, capsys):
             stacks.append(action.shape)
         init(self, over, action, validate)
 
+    def checked_table(cls, field, sc, unit):
+        n = len(unit)
+        assert sc.dtype == unit.dtype == np.int64 and sc.flags.c_contiguous
+        assert sc.shape == (n, n, n) and unit.shape == (n,)
+        for arr in (sc, unit):
+            assert arr.min() >= 0 and arr.max() < field.p
+        tables.append(n)
+        return wrap_table(field, sc, unit)
+
     monkeypatch.setattr(FpMatrix, "reduced", classmethod(checked))
     monkeypatch.setattr(LeftModule, "__init__", checked_init)
+    monkeypatch.setattr(Algebra, "reduced", classmethod(checked_table))
     assert resolution_fingerprint() == PINNED
     ws = str(tmp_path / "ws.json")
     assert cli.main(["examples", "emit", "--out", ws]) == 0
@@ -441,4 +453,4 @@ def test_reduced_wraps_only_reduced_arrays(monkeypatch, tmp_path, capsys):
         argv = list(command[:2]) + [ws] + list(command[2:])
         assert cli.main(argv) == 0
     capsys.readouterr()
-    assert len(seen) > 1000 and len(stacks) > 1000
+    assert len(seen) > 1000 and len(stacks) > 1000 and len(tables) > 50

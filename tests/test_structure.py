@@ -354,13 +354,18 @@ def test_split_and_match_the_indecomposables_of_a4(p):
 # oracle net: closed-form answers in a random basis
 
 
-def _scramble(sc, unit, field, rng):
-    """Structure constants and unit of the same algebra in a random basis
-    b'_i = sum_j g[i, j] b_j."""
+def _rebased(sc, unit, field, g, gi):
+    """Structure constants and unit of the same algebra in the basis b'_i =
+    sum_j g[i, j] b_j, for g with inverse gi."""
     p = field.p
+    prods = np.einsum("ia,jb,abk->ijk", g, g, sc % p) % p
+    return Algebra(field, prods @ gi % p, unit @ gi % p)
+
+
+def _scramble(sc, unit, field, rng):
+    """The same algebra in a random basis (`_rebased`)."""
     g, gi = _invertible(len(unit), field, rng)
-    prods = np.einsum("ia,jb,abk->ijk", g.arr, g.arr, sc % p) % p
-    return Algebra(field, prods @ gi.arr % p, unit @ gi.arr % p)
+    return _rebased(sc, unit, field, g.arr, gi.arr)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -895,6 +900,148 @@ def test_primitive_idempotents_match_the_pinned_digest():
                 for e in group:
                     _put(h, e)
     assert h.hexdigest() == IDEMPOTENT_PIN
+
+
+# ---------------------------------------------------------------------------
+# the radical and idempotents that the basis shows
+
+
+def _chain_and_lift(a):
+    """rad A by the trace chain and the idempotents lifted from A/rad, on
+    the table alone."""
+    rad = structure._trace_radical(a.sc.transpose(0, 2, 1), a.sc, a.field)
+    return rad, structure._primitive_idempotents(a.sc, a.unit, rad, a.field)
+
+
+def _assert_split_matches_chain(a, certified=True):
+    # a fresh copy of the table, which reads nothing off a twin
+    a = Algebra(a.field, a.sc, a.unit, validate=False)
+    split = structure._vertex_split(a)
+    assert (split is not None) == certified
+    rad, groups = _chain_and_lift(a)
+    if certified:
+        assert [len(g) for g in split[1]] == [len(g) for g in groups]
+        for e, f in zip(sum(split[1], []), sum(groups, [])):
+            assert e.dtype == f.dtype and e.tobytes() == f.tobytes()
+    # what the PIM table and the radical read, either way
+    got = algebra_radical(a).arr
+    assert got.shape == rad.arr.shape and got.tobytes() == rad.arr.tobytes()
+    assert [e.dtype for _, e, _ in _pim_triples(a)] == [np.int64] * len(groups)
+    assert [e.tobytes() for _, e, _ in _pim_triples(a)] == \
+        [g[0].tobytes() for g in groups]
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, 65521])
+def test_vertex_split_matches_the_chain_and_lift(p):
+    # the oracle algebras, the Morita totals and their opposites are
+    # certified; M_2, M_3 and their products with A2 are not, and fall
+    # back; a product of two certified algebras is certified
+    field = FieldSpec(p)
+    algebras = _idempotent_algebras(field)
+    for a in algebras[:-4]:
+        _assert_split_matches_chain(a)
+    for a in algebras[-4:]:
+        _assert_split_matches_chain(a, certified=False)
+    for a, b in zip(algebras[:-4:3], algebras[1:-4:3]):
+        _assert_split_matches_chain(product_algebra(a, b))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(quiver=monomial_quivers(), p=st.sampled_from([2, 3, 101, 65521]))
+def test_vertex_split_of_random_monomial_quivers(quiver, p):
+    field = FieldSpec(p)
+    a = small_quiver_algebra(*quiver, field, paths=20)
+    if a is not None:
+        for b in (a, product_algebra(a2_algebra(field), a)):
+            _assert_split_matches_chain(b)
+            _assert_split_matches_chain(opposite_algebra(b))
+
+
+def _spy_chain(monkeypatch):
+    """The names of the chain and lift functions called from now on."""
+    calls = []
+    for name in ("_trace_radical", "_primitive_idempotents"):
+        build = getattr(structure, name)
+        monkeypatch.setattr(structure, name, lambda *args, name=name,
+                            build=build: calls.append(name) or build(*args))
+    return calls
+
+
+def _dual_numbers_at_one_plus_y(field):
+    """k[y]/(y^2) in the basis 1 + y, y: (1 + y)^2 = 1 + 2y is no
+    idempotent, while span(y) is a square-zero ideal."""
+    g = np.array([[1, 1], [0, 1]])
+    a = monomial_quiver_algebra(1, [(0, 0)], [[0, 0]], field)
+    return _rebased(a.sc, a.unit, field, g, np.array([[1, -1], [0, 1]]))
+
+
+def _free_cube_at_mixed_degrees(field):
+    """k<x,y>/(paths of length 3) in the basis 1, x, y, xx + y, xy, yx,
+    yy + x: every b_j of J has a zero diagonal, and J is a nilpotent ideal,
+    but x.x = (xx + y) - y and y.y = (yy + x) - x give the cycle x -> y ->
+    x in the product graph."""
+    a = monomial_quiver_algebra(1, [(0, 0), (0, 0)],
+                                [list(w) for w in np.ndindex(2, 2, 2)], field)
+    g = np.eye(7, dtype=np.int64)
+    g[3, 2] = g[6, 1] = 1
+    gi = np.eye(7, dtype=np.int64)
+    gi[3, 2] = gi[6, 1] = -1
+    return _rebased(a.sc, a.unit, field, g, gi)
+
+
+@pytest.mark.parametrize("p", [2, 3, 65521])
+@pytest.mark.parametrize("table, k, fails", [
+    (_dual_numbers_at_one_plus_y, [0], "idempotents"),
+    (lambda field: Algebra(field, *_matrix_algebra(2)), [0, 3], "ideal"),
+    (_free_cube_at_mixed_degrees, [0], "nilpotent"),
+], ids=["idempotents", "ideal", "nilpotent"])
+def test_a_table_that_fails_one_check_falls_back(monkeypatch, table, k,
+                                                 fails, p):
+    a = table(FieldSpec(p))
+    sc, j = a.sc, [i for i in range(a.dim) if i not in k]
+    # the nonzero diagonals are at k; each table breaks exactly one check
+    vertex = np.diagonal(sc, axis1=1, axis2=2).any(axis=1)
+    assert vertex.nonzero()[0].tolist() == k
+    holds = {
+        "idempotents": (sc[np.ix_(k, k)] == np.eye(len(k), dtype=np.int64)[
+            ..., None] * np.eye(a.dim, dtype=np.int64)[k]).all()
+        and (a.unit == vertex).all(),
+        "ideal": not sc[j][..., k].any() and not sc[:, j][..., k].any(),
+        # an acyclic graph on J has no walk of length |J|
+        "nilpotent": not np.linalg.matrix_power(
+            sc[np.ix_(j, j, j)].any(axis=0).astype(np.int64), len(j)).any()}
+    assert [c for c, held in holds.items() if not held] == [fails]
+    calls = _spy_chain(monkeypatch)
+    _assert_split_matches_chain(a, certified=False)
+    assert calls.count("_trace_radical") == 2
+
+
+def test_a3_in_a_random_basis_runs_the_trace_chain(monkeypatch):
+    field = FieldSpec(3)
+    a3 = monomial_quiver_algebra(3, [(0, 1), (1, 2)], [], field)
+    a = _scramble(a3.sc, a3.unit, field, np.random.default_rng(41))
+    calls = _spy_chain(monkeypatch)
+    assert [s.dim for s in simples(a)] == [1, 1, 1]
+    assert calls == ["_trace_radical", "_primitive_idempotents"]
+    assert algebra_radical(a).rows == 3
+    calls.clear()
+    simples(a3)
+    assert not calls
+
+
+def test_pim_idempotents_hash_as_the_lift_gives_them():
+    # the e_i of the PIM table, read off the basis where it shows them and
+    # handed from A to A^op, hash as the first idempotent of every block
+    # that the lift gives on the table alone
+    read, lifted = hashlib.sha256(), hashlib.sha256()
+    for p in (2, 3, 101, 65521):
+        field = FieldSpec(p)
+        for a in _idempotent_algebras(field):
+            for _, e, _ in _pim_triples(a):
+                _put(read, e)
+            for group in _chain_and_lift(a)[1]:
+                _put(lifted, group[0])
+    assert read.hexdigest() == lifted.hexdigest()
 
 
 # ---------------------------------------------------------------------------
