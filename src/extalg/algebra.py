@@ -16,7 +16,7 @@ objects derived from validated parts by a construction that keeps the
 axioms: opposite and product algebras, the total algebras of extensions,
 regular modules (their law is the associativity of the algebra), bimodule
 legs, swapped bimodules, duals, tensor products, Hom modules and zero
-modules.  Such algebras take their tables as built (`Algebra.reduced`).
+modules.  Such algebras take their tables as built, without a `% p`.
 Submodules and quotients are checked by invariance instead of by the law:
 an invariant subspace of a module, and the quotient by one, satisfy the
 law because the inclusion is injective and the projection surjective.
@@ -56,12 +56,16 @@ class Algebra:
     """Associative unital algebra via structure constants.
 
     sc has shape (n, n, n): sc[i, j] = coordinate vector of b_i * b_j.
+    A checked algebra reduces sc and unit mod p; with validate=False they
+    are built reduced, C-contiguous and int64, and are taken as they are.
     """
 
     def __init__(self, field: FieldSpec, sc, unit, validate: bool = True):
         self.field = field
-        self.sc = np.asarray(sc, dtype=np.int64) % field.p
-        self.unit = np.asarray(unit, dtype=np.int64) % field.p
+        if validate:
+            sc = np.asarray(sc, dtype=np.int64) % field.p
+            unit = np.asarray(unit, dtype=np.int64) % field.p
+        self.sc, self.unit = sc, unit
         n = self.sc.shape[0]
         if self.sc.shape != (n, n, n) or self.unit.shape != (n,):
             raise AlgebraError("structure constant table has wrong shape")
@@ -71,14 +75,6 @@ class Algebra:
         self._cache: dict = {}
         if validate:
             validate_algebra(self)
-
-    @classmethod
-    def reduced(cls, field: FieldSpec, sc, unit) -> "Algebra":
-        """A C-contiguous int64 table and unit, reduced and right by
-        construction, taken as they are: no copy, `% p` or check."""
-        a = cls.__new__(cls)
-        a.field, a.sc, a.unit, a.dim, a._cache = field, sc, unit, len(unit), {}
-        return a
 
     def mult(self, x, y) -> np.ndarray:
         x = np.asarray(x, dtype=np.int64) % self.field.p
@@ -121,8 +117,8 @@ def field_algebra(field: FieldSpec) -> Algebra:
     """GF(p) viewed as a 1-dimensional algebra over itself; one algebra per
     field, so the spaces built over it (`field_space`) share their tensors
     and Hom modules by content."""
-    return Algebra.reduced(field, np.ones((1, 1, 1), dtype=np.int64),
-                           np.ones(1, dtype=np.int64))
+    return Algebra(field, np.ones((1, 1, 1), dtype=np.int64),
+                   np.ones(1, dtype=np.int64), validate=False)
 
 
 def kept(obj, key, build):
@@ -159,7 +155,8 @@ def opposite_algebra(a: Algebra) -> Algebra:
     """A^op, kept on A and A on it; A itself when A is commutative."""
     if "opposite" not in a._cache:
         sc = np.ascontiguousarray(np.transpose(a.sc, (1, 0, 2)))
-        op = a if (sc == a.sc).all() else Algebra.reduced(a.field, sc, a.unit)
+        op = a if (sc == a.sc).all() else Algebra(a.field, sc, a.unit,
+                                                  validate=False)
         op._cache["opposite"] = a
         a._cache["opposite"] = op
     return a._cache["opposite"]
@@ -200,7 +197,8 @@ def product_algebra(a: Algebra, b: Algebra) -> Algebra:
     sc = np.zeros((n + m, n + m, n + m), dtype=np.int64)
     sc[:n, :n, :n] = a.sc
     sc[n:, n:, n:] = b.sc
-    return Algebra.reduced(a.field, sc, np.concatenate([a.unit, b.unit]))
+    return Algebra(a.field, sc, np.concatenate([a.unit, b.unit]),
+                   validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -820,7 +818,7 @@ def monomial_quiver_algebra(num_vertices: int,
                 sc[i, j, index[sj, ti, pj + pi]] = 1
     unit = np.zeros(n, dtype=np.int64)
     unit[:num_vertices] = 1
-    return Algebra.reduced(field, sc, unit)
+    return Algebra(field, sc, unit, validate=False)
 
 
 def _path_ok(p: Tuple[int, ...], relations) -> bool:

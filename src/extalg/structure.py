@@ -332,21 +332,23 @@ def _vertex_split(a: Algebra):
     else None (a random basis, M_n(k)).  K holds the b_k whose left
     multiplication has a nonzero diagonal.  If they are orthogonal
     idempotents summing to 1, no product with a b_j has a b_k term (J is an
-    ideal) and the graph i -> l if some b_j.b_i has a b_l term is acyclic (J
-    is nilpotent), then J = rad A: the unit rows at J and the [b_k], last
-    first, the arrays of the trace chain and the lift.  Kept on A and A^op."""
+    ideal) and, checked last, the graph i -> l if some b_j.b_i has a b_l term
+    is acyclic (J is nilpotent), then J = rad A: the unit rows at J and the
+    [b_k], last first, as the chain and the lift give.  Kept on A and A^op."""
     def build():
         sc, eye = a.sc, np.eye(a.dim, dtype=np.int64)
         vertex = np.diagonal(sc, axis1=1, axis2=2).any(axis=1)
         k, j = np.flatnonzero(vertex), np.flatnonzero(~vertex)
-        reach, to_k = sc[np.ix_(j, j, j)].any(axis=0), sc[..., k]
-        for _ in range(len(j).bit_length()):    # walks of length <= 2^t
-            reach |= reach @ reach
+        to_k = sc[..., k]
         if ((sc[np.ix_(k, k)] != np.eye(len(k), dtype=np.int64)[..., None]
              * eye[k]).any() or (a.unit != vertex).any() or to_k[j].any()
-                or to_k[:, j].any() or reach.diagonal().any()):
+                or to_k[:, j].any()):
             return None
-        return FpMatrix.reduced(eye[j], a.field), [[e] for e in eye[k[::-1]]]
+        reach = np.any(sc, axis=0, where=~vertex[:, None, None])[np.ix_(j, j)]
+        for _ in range(len(j).bit_length()):    # walks of length <= 2^t
+            reach |= reach @ reach
+        return None if reach.diagonal().any() else (
+            FpMatrix.reduced(eye[j], a.field), [[e] for e in eye[k[::-1]]])
     return _twin_kept(a, "vertex_split", build)
 
 

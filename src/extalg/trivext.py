@@ -75,7 +75,7 @@ class TrivialExtension:
         sc[n:, :n, n:] = m.right.acts.transpose(2, 0, 1)
         unit = np.concatenate([self.base.unit, np.zeros(d, dtype=np.int64)])
         # associative because the bimodule is: no need to validate again
-        return Algebra.reduced(self.base.field, sc, unit)
+        return Algebra(self.base.field, sc, unit, validate=False)
 
     def __repr__(self):
         return (f"TrivialExtension(base_dim={self.base_dim}, "

@@ -560,25 +560,16 @@ def test_every_library_error_exits_2(tmp_path, capsys, monkeypatch, error):
 def test_verify_thm54_builds_each_algebra_once(tmp_path, monkeypatch,
                                                capsys):
     # k2, k2 x k2, the Morita ring's total algebra and its opposite: the
-    # opposite extension takes that opposite as its total algebra.  The
-    # library's own tables enter through Algebra.reduced, the workspace's
-    # through the constructor; both are counted
+    # opposite extension takes that opposite as its total algebra
     ws_path = tmp_path / "ws.json"
     assert main(["examples", "emit", "--out", str(ws_path)]) == 0
-    built = []
-    init, wrap = algebra.Algebra.__init__, algebra.Algebra.reduced.__func__
+    built, init = [], algebra.Algebra.__init__
 
     def counted(self, *args, **kwargs):
         init(self, *args, **kwargs)
         built.append(self.dim)
 
-    def counted_reduced(cls, *args):
-        built.append(len(args[2]))
-        return wrap(cls, *args)
-
     monkeypatch.setattr(algebra.Algebra, "__init__", counted)
-    monkeypatch.setattr(algebra.Algebra, "reduced",
-                        classmethod(counted_reduced))
     assert main(["verify", "thm54", str(ws_path)]) == 0
     capsys.readouterr()
     assert sorted(built) == [1, 2, 4, 4]
