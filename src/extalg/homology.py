@@ -190,9 +190,9 @@ def ext_dims(res: Resolution, n, upto: int) -> Iterator[ExtResult]:
 def _ext_degrees(res: Resolution, n, upto: int) -> Iterator[ExtResult]:
     # kept on n: the battery's target is a regular module, kept on A
     homs = kept(n, "pim_homs", lambda: pim_homs(n))
-    pims = _pim_triples(n.over)
-    # e_i in the coordinates of P_i, whose basis is the RREF incl^T
-    gens = [echelon_coords(incl.transpose(), e) for _, e, incl in pims]
+    # e_i in the coordinates of P_i (basis the RREF incl^T), kept on A
+    gens = kept(n.over, "pim_gens", lambda: [echelon_coords(
+        incl.transpose(), e) for _, e, incl in _pim_triples(n.over)])
     coboundaries = 0
     for j in range(upto + 1):
         if res.length() == j:

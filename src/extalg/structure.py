@@ -7,11 +7,11 @@ idempotents are read off a basis of orthogonal idempotents plus a nilpotent
 ideal once three checks certify it; else rad(A) is a chain of trace
 kernels, and the primitive idempotents of A/rad come from linear algebra
 and lift to A.  One primitive idempotent e_i per simple block of A/rad
-gives the PIM P_i = A.e_i; the PIM table holds P_i, e_i and the inclusion
-of P_i into A, and `simples` alone builds the tops S_i = top(P_i),
-non-isomorphic for different blocks.  `split_module` applies the same
-steps to End(m), and `find_isomorphism` matches the indecomposable
-summands of two modules, so its None is a certified "not isomorphic".
+gives the PIM P_i = A.e_i, a block of a path basis; the PIM table holds
+P_i, e_i and the inclusion of P_i into A, and `simples` alone builds the
+tops S_i = top(P_i), non-isomorphic for different blocks.  `split_module`
+applies the same steps to End(m), and `find_isomorphism` matches the
+indecomposable summands of two modules; None certifies "not isomorphic".
 
 A right module over A is a left module over A^op, so it is covered and
 resolved as any other; injective envelopes are duals of projective covers
@@ -363,13 +363,19 @@ def algebra_radical(a: Algebra) -> FpMatrix:
 def _radical_generators(a: Algebra) -> np.ndarray:
     """The rows of RREF(rad A) whose pivots are not pivots of RREF(rad^2)
     (the arrows of a path algebra): they span a complement of rad^2 in
-    rad, so generate rad as a right ideal (Nakayama), for A and A^op."""
+    rad, so generate rad as a right ideal (Nakayama), for A and A^op.  The
+    r_i r_j are eliminated 16 r_i at a time below the RREF rows so far."""
     def build():
         rad, p, n = algebra_radical(a).arr, a.field.p, a.dim
-        # left[i] is left multiplication by r_i, so square[i, j] = r_i r_j
-        left = matmul_mod(rad, a.sc.reshape(n, n * n), p).reshape(-1, n, n)
-        square = matmul_mod(rad, left, p).reshape(-1, n)
-        squares = set(_rref_inplace(square, p))
+        square, squares = rad[:0], []
+        for lo in range(0, len(rad), 16):
+            # left[i] is left multiplication by r_i, off the b_a in r_i
+            at = rad[lo:lo + 16].any(axis=0)
+            left = matmul_mod(rad[lo:lo + 16, at], a.sc[at].reshape(
+                -1, n * n), p).reshape(-1, n, n)
+            square = np.vstack([square[:len(squares)],
+                                matmul_mod(rad, left, p).reshape(-1, n)])
+            squares = _rref_inplace(square, p)
         return rad[[r.nonzero()[0][0] not in squares for r in rad]]
     return _twin_kept(a, "radical_generators", build)
 
@@ -413,14 +419,36 @@ def top_of_module(m) -> Tuple[object, ModuleHom]:
         m, radical_of_module(m)[1].matrix.transpose())[:2]
 
 
+def _pim_blocks(a: Algebra):
+    """[(k, S_k)] when each b_i.b_k is a multiple of b_i for the vertices b_k
+    of `_vertex_split`, else None: b_i.b_k is then 0 or b_i (c^2 = c as
+    b_k^2 = b_k), and the b_i = b_i.b_k, i in S_k, span A.b_k."""
+    def build():
+        split = _vertex_split(a)
+        ks = [int(group[0].argmax()) for group in split[1]] if split else []
+        diag = np.diagonal(a.sc[:, ks], axis1=0, axis2=2)
+        if split and np.count_nonzero(a.sc[:, ks]) == np.count_nonzero(diag):
+            return [(k, np.flatnonzero(d)) for k, d in zip(ks, diag)]
+    return kept(a, "pim_blocks", build)
+
+
 def _pim_triples(a: Algebra):
     """(P_i, primitive idempotent e_i with P_i = A.e_i, inclusion of P_i
-    into A), one per simple block of A/rad: all that covers and Ext read."""
+    into A), one per simple block of A/rad: all that covers and Ext read;
+    gathered for a block S_k (`_pim_blocks`), with rad P_k = S_k less k."""
     if "pim_triples" not in a._cache:
         reg, out, split = LeftModule.regular(a), [], _vertex_split(a)
-        for group in split[1] if split else _twin_kept(a, "idempotents", (
-                lambda: _primitive_idempotents(a.sc, a.unit,
-                                               algebra_radical(a), a.field))):
+        eye, blocks = np.eye(a.dim, dtype=np.int64), _pim_blocks(a)
+        for k, s in blocks or ():
+            piece = LeftModule(a, reg.acts[:, s][:, :, s], validate=False)
+            r = np.flatnonzero(s != k)
+            piece._cache["radical"] = (LeftModule(
+                a, piece.acts[:, r][:, :, r], validate=False),
+                FpMatrix.reduced(eye[:len(s), r], a.field))
+            out.append((piece, eye[k], FpMatrix.reduced(eye[:, s], a.field)))
+        for group in () if blocks else split[1] if split else _twin_kept(
+                a, "idempotents", lambda: _primitive_idempotents(
+                    a.sc, a.unit, algebra_radical(a), a.field)):
             piece, incl = _echelon_submodule(reg, spin(reg, group[0]))
             out.append((piece, group[0], incl.matrix))
         a._cache["pim_triples"] = out
@@ -593,17 +621,18 @@ def projective_cover(m) -> ProjectivePresentation:
 def pim_homs(m) -> List[np.ndarray]:
     """For each PIM P_i = A.e_i, the basis phi_w: x -> x.w of Hom(P_i, m)
     = e_i.m, w in the RREF basis of e_i.m, as a (dim e_i.m, m.dim, P_i.dim)
-    array.  The actions E_i of all the e_i come from one product.  If all
+    array.  The actions E_i of all the e_i are one gather or product.  If all
     are diagonal (a path basis), so 0/1, e_i.m has the unit rows at diag
     E_i's support as basis, and the action on them is a column slice."""
-    p, pims = m.over.field.p, _pim_triples(m.over)
-    n, d = m.over.dim, m.dim
-    e_acts = matmul_mod(np.array([e for _, e, _ in pims]),
-                        m.acts.reshape(n, d * d), p).reshape(len(pims), d, d)
+    a, d = m.over, m.dim
+    p, n, pims, blocks = a.field.p, a.dim, _pim_triples(a), _pim_blocks(a)
+    e_acts = m.acts[[k for k, _ in blocks]] if blocks else matmul_mod(
+        np.array([e for _, e, _ in pims]), m.acts.reshape(n, d * d),
+        p).reshape(len(pims), d, d)
     weights = np.count_nonzero(e_acts) == np.count_nonzero(
         np.diagonal(e_acts, axis1=1, axis2=2))
     out = []
-    for (piece, _, incl), e_act in zip(pims, e_acts):
+    for t, ((piece, _, incl), e_act) in enumerate(zip(pims, e_acts)):
         if not e_act.any():
             out.append(np.zeros((0, d, piece.dim), dtype=np.int64))
             continue
@@ -613,7 +642,8 @@ def pim_homs(m) -> List[np.ndarray]:
             ws = row_basis(FpMatrix.reduced(e_act.T, m.over.field)).arr
             moved = matmul_mod(m.acts, ws.T, p)
         # phi[b, :, k] is column b of incl acting on basis vector k of e_i.m
-        phi = matmul_mod(incl.arr.T, moved.reshape(n, -1), p)
+        phi = moved[blocks[t][1]] if blocks else matmul_mod(
+            incl.arr.T, moved.reshape(n, -1), p)
         out.append(phi.reshape(piece.dim, d, -1).transpose(2, 1, 0))
     return out
 

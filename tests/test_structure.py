@@ -22,10 +22,10 @@ from extalg.algebra import (Algebra, HomSpace, LeftModule, _content,
                             row_space_of_columns)
 from extalg.gorenstein import (CERTIFIED_NO, UNKNOWN, gorenstein_regime,
                                gp_check)
-from extalg.homology import (DimensionVerdict, id_bounded,
+from extalg.homology import (DimensionVerdict, ext, id_bounded,
                              minimal_projective_resolution, pd_bounded)
 from extalg.linalg import (FieldSpec, FpMatrix, LinalgError, echelon_coords,
-                           inverse, kernel_basis, quotient_maps, rank,
+                           inverse, kernel_basis, quotient_maps, rank, rref,
                            row_basis, vstack)
 from extalg.structure import (_pim_triples, algebra_radical, chop,
                               injective_envelope,
@@ -1045,6 +1045,125 @@ def test_pim_idempotents_hash_as_the_lift_gives_them():
 
 
 # ---------------------------------------------------------------------------
+# the PIMs that a path basis shows as blocks of it
+
+
+def _arrays(*arrs):
+    """dtype, shape and bytes of each array: equal lists mean byte for byte
+    equal arrays."""
+    return [(x.dtype.str, x.shape, x.tobytes()) for x in arrs]
+
+
+def _pim_table(a):
+    """(table, spun): P_i, e_i, the inclusion, rad P_i with its inclusion
+    and the top of every PIM of a fresh copy of a's table, and whether
+    `spin` ran to build them."""
+    a = Algebra(a.field, a.sc, a.unit, validate=False)
+    spins, build = [], structure.spin
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(structure, "spin",
+                   lambda m, v: spins.append(m) or build(m, v))
+        table = [_arrays(pim.acts, e, incl.arr, rad.acts, rad_incl.matrix.arr,
+                         top_of_module(pim)[0].acts)
+                 for pim, e, incl in _pim_triples(a)
+                 for rad, rad_incl in [radical_of_module(pim)]]
+    return table, bool(spins)
+
+
+def _assert_blocks_match_the_spin(a, blocks=True):
+    # the table read off the blocks is the one that spinning each e_i and
+    # eliminating gives, and it spins nothing
+    assert (structure._pim_blocks(a) is not None) == blocks
+    got, spun = _pim_table(a)
+    assert spun != blocks
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(structure, "_pim_blocks", lambda a: None)
+        assert _pim_table(a) == (got, True)
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, 65521])
+def test_pim_blocks_match_the_spin(p):
+    # every certified algebra of the idempotent pin, opposites included,
+    # has its PIMs as blocks; M_2, M_3 and their products with A2 spin
+    algebras = _idempotent_algebras(FieldSpec(p))
+    for a in algebras[:-4]:
+        _assert_blocks_match_the_spin(a)
+    for a in algebras[-4:]:
+        _assert_blocks_match_the_spin(a, blocks=False)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(quiver=monomial_quivers(), p=st.sampled_from([2, 3, 101, 65521]))
+def test_pim_blocks_of_random_monomial_quivers_match_the_spin(quiver, p):
+    a = small_quiver_algebra(*quiver, FieldSpec(p), paths=20)
+    if a is not None:
+        _assert_blocks_match_the_spin(a)
+        _assert_blocks_match_the_spin(opposite_algebra(a))
+
+
+def _dual_numbers_squared_at_y1_plus_y2(field):
+    """k[y]/(y^2) x k[y]/(y^2) in the basis e_1, y_1 + y_2, e_2, y_2: the
+    vertices e_1, e_2 and J = span(y_1 + y_2, y_2) pass the three checks of
+    `_vertex_split`, but (y_1 + y_2).e_1 = y_1 is no multiple of y_1 + y_2,
+    so A.e_1 = span(e_1, y_1) is no block of the basis."""
+    d = monomial_quiver_algebra(1, [(0, 0)], [[0, 0]], field)
+    prod = product_algebra(d, d)
+    g, gi = np.eye(4, dtype=np.int64), np.eye(4, dtype=np.int64)
+    g[1, 3], gi[1, 3] = 1, -1
+    return _rebased(prod.sc, prod.unit, field, g, gi)
+
+
+@pytest.mark.parametrize("p", [2, 3, 65521])
+def test_a_split_that_shows_no_blocks_spins_its_pims(monkeypatch, p):
+    a = _dual_numbers_squared_at_y1_plus_y2(FieldSpec(p))
+    assert structure._vertex_split(a) is not None
+    assert structure._pim_blocks(a) is None
+    table, spun = _pim_table(a)
+    assert spun and [t[0][1] for t in table] == [(4, 2, 2)] * 2
+    # the same table as the trace chain and the lift give
+    monkeypatch.setattr(structure, "_vertex_split", lambda a: None)
+    assert _pim_table(a) == (table, True)
+
+
+def _cover_digest(mods, n):
+    """pim_homs, the projective cover, pd and Ext^0..2 against n of each
+    module, as bytes and values."""
+    out = []
+    for m in mods:
+        pres = projective_cover(m)
+        out.append([_arrays(*structure.pim_homs(m)), _arrays(
+            pres.cover.acts, pres.epi.matrix.arr, pres.kernel.acts,
+            pres.kernel_inclusion.matrix.arr), pres.summands,
+            pd_bounded(m, 4), [ext(m, x, i) for x in (n, mods[0])
+                               for i in range(3)]])
+    return out
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(quiver=monomial_quivers(), p=st.sampled_from([2, 65521]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_covers_off_the_blocks_match_the_chain_and_spin(quiver, p, seed):
+    # the same modules over a fresh copy of the table, with the split of
+    # the basis stubbed out: trace chain, lift, spin and products instead
+    # of blocks and gathers, and byte for byte the same covers and Ext
+    a = small_quiver_algebra(*quiver, FieldSpec(p), paths=20)
+    if a is None:
+        return
+    rng = np.random.default_rng(seed)
+    acts = [random_module(a, rng, 6).acts for _ in range(3)]
+
+    def digest(b):
+        return _cover_digest([LeftModule(b, x, validate=False) for x in acts],
+                             LeftModule.regular(b))
+    want = digest(a)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(structure, "_vertex_split", lambda a: None)
+        b = Algebra(a.field, a.sc, a.unit, validate=False)
+        assert structure._pim_blocks(b) is None
+        assert digest(b) == want
+
+
+# ---------------------------------------------------------------------------
 # eigenvalues by gcd splitting
 
 
@@ -1231,3 +1350,51 @@ def test_radical_span_matches_the_full_radical(p):
         *{name: rest for name, *rest in _quivers()}["A6"], field)
     assert len(structure._radical_generators(a6)) == 5
     assert algebra_radical(a6).rows == 15
+
+
+def _all_at_once_generators(a):
+    """`_radical_generators` off every product r_i r_j at once."""
+    rad, p = algebra_radical(a).arr, a.field.p
+    left = np.tensordot(rad, a.sc, 1) % p
+    square = FpMatrix(np.matmul(rad, left).reshape(-1, a.dim), a.field)
+    squares = set(rref(square).pivot_cols)
+    return rad[[r.nonzero()[0][0] not in squares for r in rad]]
+
+
+@pytest.mark.parametrize("p", [2, 3, 65521])
+def test_radical_generators_match_all_products_at_once(p):
+    # rad^2 eliminated 16 r_i at a time gives the same pivots as all at
+    # once: A7, A8 and k<x1..x4>/(paths of length 3) have 21, 28 and 20
+    # radical rows, and a random basis of A7 makes them dense.  Over the
+    # four loops, the first 16 r_i (the loops and 12 paths xy) give all of
+    # rad^2 and the last 4 none of it
+    field, rng = FieldSpec(p), np.random.default_rng(p)
+    a7, a8 = (monomial_quiver_algebra(n, [(i, i + 1) for i in range(n - 1)],
+                                      [], field) for n in (7, 8))
+    loops = monomial_quiver_algebra(1, [(0, 0)] * 4, [
+        list(w) for w in np.ndindex(4, 4, 4)], field)
+    algebras = _idempotent_algebras(field) + [
+        a7, a8, loops, _scramble(a7.sc, a7.unit, field, rng)]
+    for a in algebras:
+        got, want = structure._radical_generators(a), _all_at_once_generators(a)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert [algebra_radical(a).rows for a in algebras[-4:]] == [21, 28, 20, 21]
+    assert len(structure._radical_generators(loops)) == 4
+
+
+def test_radical_generators_allocate_no_square_of_the_radical():
+    # A19 has a radical of dim 171: all its r_i r_j at once are a 171 x 171
+    # x 190 int64 stack of 44 MiB, next to the 49 MiB of the left
+    # multiplications and a float copy of the table
+    a = monomial_quiver_algebra(19, [(i, i + 1) for i in range(18)], [],
+                                FIELD2)
+    algebra_radical(a)
+    tracemalloc.start()
+    try:
+        gens = structure._radical_generators(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(gens) == 18
+    assert peak < 32 * 2 ** 20, peak
