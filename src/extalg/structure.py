@@ -2,14 +2,14 @@
 indecomposables (PIMs) of an algebra, composition series, indecomposable
 splittings, projective covers and injective envelopes.
 
-One deterministic path serves every prime.  rad(A) and the primitive
-idempotents are read off a basis of orthogonal idempotents plus a nilpotent
-ideal once three checks certify it; else rad(A) is a chain of trace
-kernels, and the primitive idempotents of A/rad come from linear algebra
-and lift to A.  One primitive idempotent e_i per simple block of A/rad
-gives the PIM P_i = A.e_i, a block of a path basis; the PIM table holds
-P_i, e_i and the inclusion of P_i into A, and `simples` alone builds the
-tops S_i = top(P_i), non-isomorphic for different blocks.  `split_module`
+One deterministic path serves every prime.  One certificate
+(`_vertex_split`) reads rad(A), the primitive idempotents and the PIMs off
+a path basis; else rad(A) is a chain of trace kernels, the primitive
+idempotents of A/rad come from linear algebra and lift to A, and each PIM
+is spun.  One primitive idempotent e_i per simple block of A/rad gives the
+PIM P_i = A.e_i; the PIM table holds P_i, e_i and the inclusion of P_i
+into A, and `simples` alone builds the tops S_i = top(P_i), non-isomorphic
+for different blocks.  `split_module`
 applies the same steps to End(m), and `find_isomorphism` matches the
 indecomposable summands of two modules; None certifies "not isomorphic".
 
@@ -19,8 +19,8 @@ over the opposite algebra.  Covers are shared per algebra by module
 content: equal modules get the same cover, kernel and epimorphism matrix,
 held only while some module holds them.  Twins keep their holders alive:
 the regular modules live on the algebra; the dual and a bimodule's legs on
-their module.  A^op reads A's radical and primitive idempotents, and is A
-itself when A is commutative.
+their module.  A^op checks its own table and reads the fallback's radical
+and idempotents off A; it is A itself when A is commutative.
 """
 
 from __future__ import annotations
@@ -265,31 +265,15 @@ def _split_simple(e: np.ndarray, mul, field: FieldSpec) -> List[np.ndarray]:
             return [g for f in parts for g in _split_simple(f, mul, field)]
 
 
-def _centre_blocks(centre: np.ndarray, one: np.ndarray, mul,
-                   field: FieldSpec) -> List[np.ndarray]:
-    """The primitive idempotents of the centre of Q = A/rad, RREF rows
-    `centre`, unit `one`, in `_eigen_split`'s order.  Rows that are
-    orthogonal idempotents summing to one, as a basic algebra's vertices
-    are, are those: `_frobenius_fixed` keeps them (z^p = z), and each c
-    cuts along its roots 0 < 1, so `_eigen_split` gives [c_(r-1) .. c_0]."""
-    if len(centre) == 1:
-        return [one]
-    orthogonal = np.eye(len(centre), dtype=np.int64)[..., None] * centre
-    if ((mul(centre[:, None], centre[None]) == orthogonal).all()
-            and (centre.sum(axis=0) % field.p == one).all()):
-        return list(centre[::-1])
-    return _eigen_split(one, _frobenius_fixed(centre, mul, field), mul, field)
-
-
 def _primitive_idempotents(sc: np.ndarray, unit: np.ndarray, rad: FpMatrix,
                            field: FieldSpec) -> List[List[np.ndarray]]:
     """Orthogonal primitive idempotents of the algebra (sc, unit) with
     radical rad, summing to 1 and grouped by the simple block of A/rad
     that their images lie in.
 
-    The blocks are the primitive idempotents of the centre of Q = A/rad
-    (`_centre_blocks`), primitive in Q when Q is commutative.  Newton's
-    step g -> 3g^2 - 2g^3 lifts each until g^2 = g."""
+    The blocks are the primitive idempotents of the centre of Q = A/rad,
+    1 alone when the centre is GF(p).1, and primitive in Q when Q is
+    commutative.  Newton's step g -> 3g^2 - 2g^3 lifts each until g^2 = g."""
     p = field.p
     qm = echelon_quotient_maps(rad)
     free = qm.include.arr.argmax(axis=0)     # Q has basis b_free[a] + rad
@@ -298,7 +282,9 @@ def _primitive_idempotents(sc: np.ndarray, unit: np.ndarray, rad: FpMatrix,
     m = len(free)
     comm = (qsc - qsc.transpose(1, 0, 2)) % p
     centre = kernel_basis(FpMatrix(comm.reshape(m, m * m).T, field)).arr
-    blocks = _centre_blocks(centre, qm.project.arr @ unit % p, qmul, field)
+    one = qm.project.arr @ unit % p
+    blocks = [one] if len(centre) == 1 else _eigen_split(
+        one, _frobenius_fixed(centre, qmul, field), qmul, field)
     # lift each to an idempotent of uAu, u = 1 - (those lifted so far)
     groups, u = [], unit
     for block in blocks:
@@ -320,36 +306,41 @@ def _primitive_idempotents(sc: np.ndarray, unit: np.ndarray, rad: FpMatrix,
 
 
 def _twin_kept(a: Algebra, key: str, build):
-    """a._cache[key], read off A^op when A^op has it.  The radical and the
-    primitive idempotents of A and A^op are identical arrays in the same
+    """a._cache[key], read off A^op when A^op has it.  The fallback's radical
+    and primitive idempotents of A and A^op are identical arrays in the same
     order: every product in `_primitive_idempotents` commutes or is e.x.e."""
     twin = a._cache.get("opposite", a)._cache
     return kept(a, key, lambda: twin[key] if key in twin else build())
 
 
 def _vertex_split(a: Algebra):
-    """(rad A, primitive idempotents) off a basis showing A = GF(p)^K + J,
+    """(rad A, [(k, S_k)] for the vertices b_k, last first) off a path basis,
     else None (a random basis, M_n(k)).  K holds the b_k whose left
     multiplication has a nonzero diagonal.  If they are orthogonal
     idempotents summing to 1, no product with a b_j has a b_k term (J is an
-    ideal) and, checked last, the graph i -> l if some b_j.b_i has a b_l term
-    is acyclic (J is nilpotent), then J = rad A: the unit rows at J and the
-    [b_k], last first, as the chain and the lift give.  Kept on A and A^op."""
+    ideal), sc[:, K, :] is nonzero only on its diagonal and, checked last,
+    the graph i -> l if some b_j.b_i has a b_l term is acyclic (J is
+    nilpotent), then J = rad A, the b_k are the idempotents the chain and
+    the lift give, and b_i.b_k is 0 or b_i (c^2 = c), so the i in S_k span
+    A.b_k.  Kept per algebra: A^op's blocks are the b_k.A."""
     def build():
         sc, eye = a.sc, np.eye(a.dim, dtype=np.int64)
         vertex = np.diagonal(sc, axis1=1, axis2=2).any(axis=1)
-        k, j = np.flatnonzero(vertex), np.flatnonzero(~vertex)
-        to_k = sc[..., k]
+        k, j = np.flatnonzero(vertex)[::-1], np.flatnonzero(~vertex)
+        to_k, at_k = sc[..., k], sc[:, k]
+        diag = np.diagonal(at_k, axis1=0, axis2=2)
         if ((sc[np.ix_(k, k)] != np.eye(len(k), dtype=np.int64)[..., None]
              * eye[k]).any() or (a.unit != vertex).any() or to_k[j].any()
-                or to_k[:, j].any()):
+                or to_k[:, j].any()
+                or np.count_nonzero(at_k) != np.count_nonzero(diag)):
             return None
         reach = np.any(sc, axis=0, where=~vertex[:, None, None])[np.ix_(j, j)]
         for _ in range(len(j).bit_length()):    # walks of length <= 2^t
             reach |= reach @ reach
         return None if reach.diagonal().any() else (
-            FpMatrix.reduced(eye[j], a.field), [[e] for e in eye[k[::-1]]])
-    return _twin_kept(a, "vertex_split", build)
+            FpMatrix.reduced(eye[j], a.field),
+            [(int(v), np.flatnonzero(d)) for v, d in zip(k, diag)])
+    return kept(a, "vertex_split", build)
 
 
 def algebra_radical(a: Algebra) -> FpMatrix:
@@ -419,38 +410,29 @@ def top_of_module(m) -> Tuple[object, ModuleHom]:
         m, radical_of_module(m)[1].matrix.transpose())[:2]
 
 
-def _pim_blocks(a: Algebra):
-    """[(k, S_k)] when each b_i.b_k is a multiple of b_i for the vertices b_k
-    of `_vertex_split`, else None: b_i.b_k is then 0 or b_i (c^2 = c as
-    b_k^2 = b_k), and the b_i = b_i.b_k, i in S_k, span A.b_k."""
-    def build():
-        split = _vertex_split(a)
-        ks = [int(group[0].argmax()) for group in split[1]] if split else []
-        diag = np.diagonal(a.sc[:, ks], axis1=0, axis2=2)
-        if split and np.count_nonzero(a.sc[:, ks]) == np.count_nonzero(diag):
-            return [(k, np.flatnonzero(d)) for k, d in zip(ks, diag)]
-    return kept(a, "pim_blocks", build)
-
-
 def _pim_triples(a: Algebra):
     """(P_i, primitive idempotent e_i with P_i = A.e_i, inclusion of P_i
-    into A), one per simple block of A/rad: all that covers and Ext read;
-    gathered for a block S_k (`_pim_blocks`), with rad P_k = S_k less k."""
+    into A), one per simple block of A/rad: all that covers and Ext read.
+    Gathered for each block S_k of `_vertex_split`, with rad P_k = S_k less
+    k; else the e_i come from the chain and the lift, and A.e_i is spun."""
     if "pim_triples" not in a._cache:
         reg, out, split = LeftModule.regular(a), [], _vertex_split(a)
-        eye, blocks = np.eye(a.dim, dtype=np.int64), _pim_blocks(a)
-        for k, s in blocks or ():
-            piece = LeftModule(a, reg.acts[:, s][:, :, s], validate=False)
-            r = np.flatnonzero(s != k)
-            piece._cache["radical"] = (LeftModule(
-                a, piece.acts[:, r][:, :, r], validate=False),
-                FpMatrix.reduced(eye[:len(s), r], a.field))
-            out.append((piece, eye[k], FpMatrix.reduced(eye[:, s], a.field)))
-        for group in () if blocks else split[1] if split else _twin_kept(
-                a, "idempotents", lambda: _primitive_idempotents(
-                    a.sc, a.unit, algebra_radical(a), a.field)):
-            piece, incl = _echelon_submodule(reg, spin(reg, group[0]))
-            out.append((piece, group[0], incl.matrix))
+        if split:
+            eye = np.eye(a.dim, dtype=np.int64)
+            for k, s in split[1]:
+                piece = LeftModule(a, reg.acts[:, s][:, :, s], validate=False)
+                r = np.flatnonzero(s != k)
+                piece._cache["radical"] = (LeftModule(
+                    a, piece.acts[:, r][:, :, r], validate=False),
+                    FpMatrix.reduced(eye[:len(s), r], a.field))
+                out.append((piece, eye[k],
+                            FpMatrix.reduced(eye[:, s], a.field)))
+        else:
+            for group in _twin_kept(a, "idempotents", lambda: (
+                    _primitive_idempotents(a.sc, a.unit, algebra_radical(a),
+                                           a.field))):
+                piece, incl = _echelon_submodule(reg, spin(reg, group[0]))
+                out.append((piece, group[0], incl.matrix))
         a._cache["pim_triples"] = out
     return a._cache["pim_triples"]
 
@@ -621,12 +603,13 @@ def projective_cover(m) -> ProjectivePresentation:
 def pim_homs(m) -> List[np.ndarray]:
     """For each PIM P_i = A.e_i, the basis phi_w: x -> x.w of Hom(P_i, m)
     = e_i.m, w in the RREF basis of e_i.m, as a (dim e_i.m, m.dim, P_i.dim)
-    array.  The actions E_i of all the e_i are one gather or product.  If all
-    are diagonal (a path basis), so 0/1, e_i.m has the unit rows at diag
-    E_i's support as basis, and the action on them is a column slice."""
+    array.  The actions E_i of all the e_i are one product, or the gather
+    acts[k] for the blocks S_k of `_vertex_split`.  If all are diagonal (a
+    path basis), so 0/1, e_i.m has the unit rows at diag E_i's support as
+    basis, and the action on them is a column slice, whose rows S_k are phi."""
     a, d = m.over, m.dim
-    p, n, pims, blocks = a.field.p, a.dim, _pim_triples(a), _pim_blocks(a)
-    e_acts = m.acts[[k for k, _ in blocks]] if blocks else matmul_mod(
+    p, n, pims, split = a.field.p, a.dim, _pim_triples(a), _vertex_split(a)
+    e_acts = m.acts[[k for k, _ in split[1]]] if split else matmul_mod(
         np.array([e for _, e, _ in pims]), m.acts.reshape(n, d * d),
         p).reshape(len(pims), d, d)
     weights = np.count_nonzero(e_acts) == np.count_nonzero(
@@ -642,7 +625,7 @@ def pim_homs(m) -> List[np.ndarray]:
             ws = row_basis(FpMatrix.reduced(e_act.T, m.over.field)).arr
             moved = matmul_mod(m.acts, ws.T, p)
         # phi[b, :, k] is column b of incl acting on basis vector k of e_i.m
-        phi = moved[blocks[t][1]] if blocks else matmul_mod(
+        phi = moved[split[1][t][1]] if split else matmul_mod(
             incl.arr.T, moved.reshape(n, -1), p)
         out.append(phi.reshape(piece.dim, d, -1).transpose(2, 1, 0))
     return out

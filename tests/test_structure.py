@@ -20,6 +20,7 @@ from extalg.algebra import (Algebra, HomSpace, LeftModule, _content,
                             monomial_quiver_algebra, opposite_algebra,
                             product_algebra, quotient_module,
                             row_space_of_columns)
+from extalg.cli import Workspace, emit_builtin_examples
 from extalg.gorenstein import (CERTIFIED_NO, UNKNOWN, gorenstein_regime,
                                gp_check)
 from extalg.homology import (DimensionVerdict, ext, id_bounded,
@@ -691,9 +692,8 @@ def test_a_semisimple_cover_eliminates_no_kernel(monkeypatch):
 @pytest.mark.parametrize("p", [2, 65521])
 def test_a_simple_top_needs_no_frobenius_power(monkeypatch, p):
     # the centre of A/rad is GF(p).1 over the wild algebra and k[x]/(x^2),
-    # so their one block is 1; k x k and GF(p^2) have a 2-dim centre, but
-    # the basis (1,0), (0,1) of k x k's is its blocks, read off without a
-    # Frobenius power, while GF(p^2)'s is a field and needs one
+    # so their one block is 1; k x k and GF(p^2) have a 2-dim centre, and
+    # each takes one Frobenius power
     field = FieldSpec(p)
     calls, build = [], structure._frobenius_fixed
     monkeypatch.setattr(structure, "_frobenius_fixed",
@@ -709,9 +709,9 @@ def test_a_simple_top_needs_no_frobenius_power(monkeypatch, p):
     assert not calls
     k = field_algebra(field)
     assert idempotents(product_algebra(k, k)) == [1, 1]
-    assert not calls
-    assert idempotents(Algebra(field, *_quadratic_field(p))) == [1]
     assert len(calls) == 1
+    assert idempotents(Algebra(field, *_quadratic_field(p))) == [1]
+    assert len(calls) == 2
 
 
 def test_cover_index_entry_goes_with_its_module():
@@ -903,47 +903,66 @@ def test_primitive_idempotents_match_the_pinned_digest():
 
 
 # ---------------------------------------------------------------------------
-# the radical and idempotents that the basis shows
+# the radical, idempotents and PIMs that the basis shows
 
 
 def _chain_and_lift(a):
-    """rad A by the trace chain and the idempotents lifted from A/rad, on
-    the table alone."""
+    """The idempotents lifted from A/rad, rad A by the trace chain, on the
+    table alone."""
     rad = structure._trace_radical(a.sc.transpose(0, 2, 1), a.sc, a.field)
-    return rad, structure._primitive_idempotents(a.sc, a.unit, rad, a.field)
+    return structure._primitive_idempotents(a.sc, a.unit, rad, a.field)
 
 
-def _assert_split_matches_chain(a, certified=True):
-    # a fresh copy of the table, which reads nothing off a twin
+def _arrays(*arrs):
+    """dtype, shape and bytes of each array: equal lists mean byte for byte
+    equal arrays."""
+    return [(x.dtype.str, x.shape, x.tobytes()) for x in arrs]
+
+
+def _structure_table(a):
+    """(table, spun): rad A, then P_i, e_i, the inclusion, rad P_i with its
+    inclusion and the top of every PIM of a fresh copy of a's table, which
+    reads nothing off a twin, and whether `spin` ran to build them."""
     a = Algebra(a.field, a.sc, a.unit, validate=False)
-    split = structure._vertex_split(a)
-    assert (split is not None) == certified
-    rad, groups = _chain_and_lift(a)
-    if certified:
-        assert [len(g) for g in split[1]] == [len(g) for g in groups]
-        for e, f in zip(sum(split[1], []), sum(groups, [])):
-            assert e.dtype == f.dtype and e.tobytes() == f.tobytes()
-    # what the PIM table and the radical read, either way
-    got = algebra_radical(a).arr
-    assert got.shape == rad.arr.shape and got.tobytes() == rad.arr.tobytes()
-    assert [e.dtype for _, e, _ in _pim_triples(a)] == [np.int64] * len(groups)
-    assert [e.tobytes() for _, e, _ in _pim_triples(a)] == \
-        [g[0].tobytes() for g in groups]
+    spins, build = [], structure.spin
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(structure, "spin",
+                   lambda m, v: spins.append(m) or build(m, v))
+        table = [_arrays(algebra_radical(a).arr)] + [
+            _arrays(pim.acts, e, incl.arr, rad.acts, rad_incl.matrix.arr,
+                    top_of_module(pim)[0].acts)
+            for pim, e, incl in _pim_triples(a)
+            for rad, rad_incl in [radical_of_module(pim)]]
+    return table, bool(spins)
+
+
+def _assert_certificate_matches_the_chain(a, certified=True):
+    # rad A, the e_i and the PIM table read off the certificate are byte
+    # for byte those that the trace chain, the lift and the spin give, and
+    # a certified table spins nothing
+    fresh = Algebra(a.field, a.sc, a.unit, validate=False)
+    assert (structure._vertex_split(fresh) is not None) == certified
+    got, spun = _structure_table(a)
+    assert spun != certified
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(structure, "_vertex_split", lambda a: None)
+        assert _structure_table(a) == (got, True)
 
 
 @pytest.mark.parametrize("p", [2, 3, 101, 65521])
 def test_vertex_split_matches_the_chain_and_lift(p):
     # the oracle algebras, the Morita totals and their opposites are
-    # certified; M_2, M_3 and their products with A2 are not, and fall
-    # back; a product of two certified algebras is certified
+    # certified, with their PIMs as blocks; M_2, M_3 and their products
+    # with A2 are not, and fall back; a product of two certified algebras
+    # is certified
     field = FieldSpec(p)
     algebras = _idempotent_algebras(field)
     for a in algebras[:-4]:
-        _assert_split_matches_chain(a)
+        _assert_certificate_matches_the_chain(a)
     for a in algebras[-4:]:
-        _assert_split_matches_chain(a, certified=False)
+        _assert_certificate_matches_the_chain(a, certified=False)
     for a, b in zip(algebras[:-4:3], algebras[1:-4:3]):
-        _assert_split_matches_chain(product_algebra(a, b))
+        _assert_certificate_matches_the_chain(product_algebra(a, b))
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -953,8 +972,8 @@ def test_vertex_split_of_random_monomial_quivers(quiver, p):
     a = small_quiver_algebra(*quiver, field, paths=20)
     if a is not None:
         for b in (a, product_algebra(a2_algebra(field), a)):
-            _assert_split_matches_chain(b)
-            _assert_split_matches_chain(opposite_algebra(b))
+            _assert_certificate_matches_the_chain(b)
+            _assert_certificate_matches_the_chain(opposite_algebra(b))
 
 
 def _spy_chain(monkeypatch):
@@ -989,17 +1008,31 @@ def _free_cube_at_mixed_degrees(field):
     return _rebased(a.sc, a.unit, field, g, gi)
 
 
+def _dual_numbers_squared_at_y1_plus_y2(field):
+    """k[y]/(y^2) x k[y]/(y^2) in the basis e_1, y_1 + y_2, e_2, y_2: the
+    vertices e_1, e_2 and J = span(y_1 + y_2, y_2) pass three checks of
+    `_vertex_split`, but (y_1 + y_2).e_1 = y_1 is no multiple of y_1 + y_2,
+    so A.e_1 = span(e_1, y_1) is no block of the basis."""
+    d = monomial_quiver_algebra(1, [(0, 0)], [[0, 0]], field)
+    prod = product_algebra(d, d)
+    g, gi = np.eye(4, dtype=np.int64), np.eye(4, dtype=np.int64)
+    g[1, 3], gi[1, 3] = 1, -1
+    return _rebased(prod.sc, prod.unit, field, g, gi)
+
+
 @pytest.mark.parametrize("p", [2, 3, 65521])
 @pytest.mark.parametrize("table, k, fails", [
-    (_dual_numbers_at_one_plus_y, [0], "idempotents"),
-    (lambda field: Algebra(field, *_matrix_algebra(2)), [0, 3], "ideal"),
-    (_free_cube_at_mixed_degrees, [0], "nilpotent"),
-], ids=["idempotents", "ideal", "nilpotent"])
+    # (1 + y)^2 = (1 + y) + y is off the diagonal of sc[:, K, :] as well
+    (_dual_numbers_at_one_plus_y, [0], ["idempotents", "blocks"]),
+    (lambda field: Algebra(field, *_matrix_algebra(2)), [0, 3], ["ideal"]),
+    (_dual_numbers_squared_at_y1_plus_y2, [0, 2], ["blocks"]),
+    (_free_cube_at_mixed_degrees, [0], ["nilpotent"]),
+], ids=["idempotents", "ideal", "blocks", "nilpotent"])
 def test_a_table_that_fails_one_check_falls_back(monkeypatch, table, k,
                                                  fails, p):
     a = table(FieldSpec(p))
     sc, j = a.sc, [i for i in range(a.dim) if i not in k]
-    # the nonzero diagonals are at k; each table breaks exactly one check
+    # the nonzero diagonals are at k; each table breaks the checks named
     vertex = np.diagonal(sc, axis1=1, axis2=2).any(axis=1)
     assert vertex.nonzero()[0].tolist() == k
     holds = {
@@ -1007,13 +1040,67 @@ def test_a_table_that_fails_one_check_falls_back(monkeypatch, table, k,
             ..., None] * np.eye(a.dim, dtype=np.int64)[k]).all()
         and (a.unit == vertex).all(),
         "ideal": not sc[j][..., k].any() and not sc[:, j][..., k].any(),
+        "blocks": np.count_nonzero(sc[:, k]) == np.count_nonzero(
+            np.diagonal(sc[:, k], axis1=0, axis2=2)),
         # an acyclic graph on J has no walk of length |J|
         "nilpotent": not np.linalg.matrix_power(
             sc[np.ix_(j, j, j)].any(axis=0).astype(np.int64), len(j)).any()}
-    assert [c for c, held in holds.items() if not held] == [fails]
+    assert [c for c, held in holds.items() if not held] == fails
     calls = _spy_chain(monkeypatch)
-    _assert_split_matches_chain(a, certified=False)
+    _assert_certificate_matches_the_chain(a, certified=False)
     assert calls.count("_trace_radical") == 2
+
+
+def _two_arrows_at_a_plus_b(field):
+    """The quiver 0 -> 1, 0 -> 2 with arrows a, b in the basis e_0, e_1,
+    e_2, a, a + b: (a + b).e_0 = a + b, so A passes the four checks, but
+    e_1.(a + b) = a, so the b_k.A are no blocks and A^op fails one."""
+    a = monomial_quiver_algebra(3, [(0, 1), (0, 2)], [], field)
+    g, gi = np.eye(5, dtype=np.int64), np.eye(5, dtype=np.int64)
+    g[4, 3], gi[4, 3] = 1, -1
+    return _rebased(a.sc, a.unit, field, g, gi)
+
+
+def _one_side(a):
+    """rad A, the PIM table, the simples, and the covers, pd and Ext of the
+    simples and of D(A)."""
+    mods = simples(a) + [dual_module(LeftModule.regular(
+        opposite_algebra(a)))]
+    return ([_arrays(algebra_radical(a).arr)]
+            + [_arrays(pim.acts, e, incl.arr) for pim, e, incl in
+               _pim_triples(a)] + [_arrays(*(s.acts for s in simples(a)))]
+            + _cover_digest(mods, LeftModule.regular(a)))
+
+
+@pytest.mark.parametrize("p", [2, 3, 65521])
+def test_a_one_sided_table_certifies_one_side(p):
+    # A is certified and A^op is not: each checks its own table, and each
+    # side answers as the trace chain, the lift and the spin do
+    a = _two_arrows_at_a_plus_b(FieldSpec(p))
+    got = [_one_side(a), _one_side(opposite_algebra(a))]
+    assert structure._vertex_split(a) is not None
+    assert structure._vertex_split(opposite_algebra(a)) is None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(structure, "_vertex_split", lambda a: None)
+        b = Algebra(a.field, a.sc, a.unit, validate=False)
+        assert [_one_side(b), _one_side(opposite_algebra(b))] == got
+
+
+def test_the_benchmark_algebras_are_certified():
+    # the algebras, extension totals and Morita totals of the built-in
+    # workspace, and wild, A2 and N(2,2) at p = 65521, and the opposite of
+    # each, take the one route that reads rad A, the e_i and the PIMs off
+    # the basis
+    ws = Workspace(emit_builtin_examples())
+    algebras = (list(ws.algebras.values())
+                + [e.total for e in ws.extensions.values()]
+                + [c.total for c in ws.contexts.values()])
+    quivers = {name: rest for name, *rest in _quivers()}
+    algebras += [monomial_quiver_algebra(*quivers[name], FieldSpec(65521))
+                 for name in ("wild", "A2", "N(2,2)")]
+    assert len(algebras) == 11
+    for a in algebras + [opposite_algebra(a) for a in algebras]:
+        assert structure._vertex_split(a) is not None
 
 
 def test_a3_in_a_random_basis_runs_the_trace_chain(monkeypatch):
@@ -1030,99 +1117,18 @@ def test_a3_in_a_random_basis_runs_the_trace_chain(monkeypatch):
 
 
 def test_pim_idempotents_hash_as_the_lift_gives_them():
-    # the e_i of the PIM table, read off the basis where it shows them and
-    # handed from A to A^op, hash as the first idempotent of every block
-    # that the lift gives on the table alone
+    # the e_i of the PIM table, read off the basis where it shows them, on
+    # A and on A^op alike, hash as the first idempotent of every block that
+    # the lift gives on the table alone
     read, lifted = hashlib.sha256(), hashlib.sha256()
     for p in (2, 3, 101, 65521):
         field = FieldSpec(p)
         for a in _idempotent_algebras(field):
             for _, e, _ in _pim_triples(a):
                 _put(read, e)
-            for group in _chain_and_lift(a)[1]:
+            for group in _chain_and_lift(a):
                 _put(lifted, group[0])
     assert read.hexdigest() == lifted.hexdigest()
-
-
-# ---------------------------------------------------------------------------
-# the PIMs that a path basis shows as blocks of it
-
-
-def _arrays(*arrs):
-    """dtype, shape and bytes of each array: equal lists mean byte for byte
-    equal arrays."""
-    return [(x.dtype.str, x.shape, x.tobytes()) for x in arrs]
-
-
-def _pim_table(a):
-    """(table, spun): P_i, e_i, the inclusion, rad P_i with its inclusion
-    and the top of every PIM of a fresh copy of a's table, and whether
-    `spin` ran to build them."""
-    a = Algebra(a.field, a.sc, a.unit, validate=False)
-    spins, build = [], structure.spin
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(structure, "spin",
-                   lambda m, v: spins.append(m) or build(m, v))
-        table = [_arrays(pim.acts, e, incl.arr, rad.acts, rad_incl.matrix.arr,
-                         top_of_module(pim)[0].acts)
-                 for pim, e, incl in _pim_triples(a)
-                 for rad, rad_incl in [radical_of_module(pim)]]
-    return table, bool(spins)
-
-
-def _assert_blocks_match_the_spin(a, blocks=True):
-    # the table read off the blocks is the one that spinning each e_i and
-    # eliminating gives, and it spins nothing
-    assert (structure._pim_blocks(a) is not None) == blocks
-    got, spun = _pim_table(a)
-    assert spun != blocks
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(structure, "_pim_blocks", lambda a: None)
-        assert _pim_table(a) == (got, True)
-
-
-@pytest.mark.parametrize("p", [2, 3, 101, 65521])
-def test_pim_blocks_match_the_spin(p):
-    # every certified algebra of the idempotent pin, opposites included,
-    # has its PIMs as blocks; M_2, M_3 and their products with A2 spin
-    algebras = _idempotent_algebras(FieldSpec(p))
-    for a in algebras[:-4]:
-        _assert_blocks_match_the_spin(a)
-    for a in algebras[-4:]:
-        _assert_blocks_match_the_spin(a, blocks=False)
-
-
-@settings(derandomize=True, max_examples=40, deadline=None)
-@given(quiver=monomial_quivers(), p=st.sampled_from([2, 3, 101, 65521]))
-def test_pim_blocks_of_random_monomial_quivers_match_the_spin(quiver, p):
-    a = small_quiver_algebra(*quiver, FieldSpec(p), paths=20)
-    if a is not None:
-        _assert_blocks_match_the_spin(a)
-        _assert_blocks_match_the_spin(opposite_algebra(a))
-
-
-def _dual_numbers_squared_at_y1_plus_y2(field):
-    """k[y]/(y^2) x k[y]/(y^2) in the basis e_1, y_1 + y_2, e_2, y_2: the
-    vertices e_1, e_2 and J = span(y_1 + y_2, y_2) pass the three checks of
-    `_vertex_split`, but (y_1 + y_2).e_1 = y_1 is no multiple of y_1 + y_2,
-    so A.e_1 = span(e_1, y_1) is no block of the basis."""
-    d = monomial_quiver_algebra(1, [(0, 0)], [[0, 0]], field)
-    prod = product_algebra(d, d)
-    g, gi = np.eye(4, dtype=np.int64), np.eye(4, dtype=np.int64)
-    g[1, 3], gi[1, 3] = 1, -1
-    return _rebased(prod.sc, prod.unit, field, g, gi)
-
-
-@pytest.mark.parametrize("p", [2, 3, 65521])
-def test_a_split_that_shows_no_blocks_spins_its_pims(monkeypatch, p):
-    a = _dual_numbers_squared_at_y1_plus_y2(FieldSpec(p))
-    assert structure._vertex_split(a) is not None
-    assert structure._pim_blocks(a) is None
-    table, spun = _pim_table(a)
-    assert spun and [t[0][1] for t in table] == [(4, 2, 2)] * 2
-    # the same table as the trace chain and the lift give
-    monkeypatch.setattr(structure, "_vertex_split", lambda a: None)
-    assert _pim_table(a) == (table, True)
 
 
 def _cover_digest(mods, n):
@@ -1143,9 +1149,9 @@ def _cover_digest(mods, n):
 @given(quiver=monomial_quivers(), p=st.sampled_from([2, 65521]),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_covers_off_the_blocks_match_the_chain_and_spin(quiver, p, seed):
-    # the same modules over a fresh copy of the table, with the split of
-    # the basis stubbed out: trace chain, lift, spin and products instead
-    # of blocks and gathers, and byte for byte the same covers and Ext
+    # the same modules over a fresh copy of the table, with the certificate
+    # stubbed out: trace chain, lift, spin and products instead of blocks
+    # and gathers, and byte for byte the same covers and Ext
     a = small_quiver_algebra(*quiver, FieldSpec(p), paths=20)
     if a is None:
         return
@@ -1158,9 +1164,7 @@ def test_covers_off_the_blocks_match_the_chain_and_spin(quiver, p, seed):
     want = digest(a)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(structure, "_vertex_split", lambda a: None)
-        b = Algebra(a.field, a.sc, a.unit, validate=False)
-        assert structure._pim_blocks(b) is None
-        assert digest(b) == want
+        assert digest(Algebra(a.field, a.sc, a.unit, validate=False)) == want
 
 
 # ---------------------------------------------------------------------------
@@ -1223,72 +1227,6 @@ def test_primitive_idempotents_allocate_nothing_of_the_size_of_the_field():
 
 # ---------------------------------------------------------------------------
 # idempotent-adapted bases against the general paths
-
-
-def _centre_test_algebras(field):
-    """k^2, k^3, A3-A6, N(3,3), N(4,3) and M_2(k) x k."""
-    quivers = {name: rest for name, *rest in _quivers()}
-    k = field_algebra(field)
-    kk = product_algebra(k, k)
-    return [kk, product_algebra(kk, k)] + [
-        monomial_quiver_algebra(*quivers[name], field)
-        for name in ("A3", "A4", "A5", "A6", "N(3,3)", "N(4,3)")] + [
-        product_algebra(Algebra(field, *_matrix_algebra(2)), k)]
-
-
-def _frobenius_blocks(centre, one, mul, field):
-    """The blocks of the centre by a Frobenius power and eigenvalue cuts."""
-    if len(centre) == 1:
-        return [one]
-    return structure._eigen_split(
-        one, structure._frobenius_fixed(centre, mul, field), mul, field)
-
-
-@pytest.mark.parametrize("p", [2, 3, 65521])
-def test_centre_blocks_match_the_frobenius_split(monkeypatch, p):
-    # the RREF centre of these algebras' tops is a basis of orthogonal
-    # idempotents, read off as the blocks; the Frobenius path gives the
-    # same arrays in the same order, and so the same lifted idempotents
-    field, read, build = FieldSpec(p), [], structure._centre_blocks
-
-    def recorded(*args):
-        read.append((args, build(*args)))
-        return read[-1][1]
-    for a in _centre_test_algebras(field):
-        rad = algebra_radical(a)
-        monkeypatch.setattr(structure, "_centre_blocks", recorded)
-        got = structure._primitive_idempotents(a.sc, a.unit, rad, field)
-        monkeypatch.setattr(structure, "_centre_blocks", _frobenius_blocks)
-        want = structure._primitive_idempotents(a.sc, a.unit, rad, field)
-        assert [len(g) for g in got] == [len(g) for g in want]
-        for g, w in zip(sum(got, []), sum(want, [])):
-            assert g.dtype == w.dtype == np.int64 and np.array_equal(g, w)
-        args, blocks = read[-1]
-        oracle = _frobenius_blocks(*args)
-        assert len(args[0]) == len(blocks) == len(oracle) > 1
-        for b, c, o in zip(blocks, args[0][::-1], oracle):
-            assert np.array_equal(b, c) and np.array_equal(b, o)
-
-
-@pytest.mark.parametrize("p", [2, 65521])
-def test_an_idempotent_centre_basis_needs_no_frobenius_power(monkeypatch, p):
-    field, calls = FieldSpec(p), []
-    for name in ("_frobenius_fixed", "_eigen_split"):
-        build = getattr(structure, name)
-        monkeypatch.setattr(structure, name, lambda *args, name=name,
-                            build=build: calls.append(name) or build(*args))
-
-    def blocks(a):
-        groups = structure._primitive_idempotents(
-            a.sc, a.unit, algebra_radical(a), field)
-        return [len(g) for g in groups]
-    quivers = {name: rest for name, *rest in _quivers()}
-    k = field_algebra(field)
-    assert blocks(monomial_quiver_algebra(*quivers["A3"], field)) == [1] * 3
-    assert blocks(product_algebra(k, k)) == [1, 1]
-    assert not calls
-    assert blocks(Algebra(field, *_quadratic_field(p))) == [1]
-    assert sorted(calls) == ["_eigen_split", "_frobenius_fixed"]
 
 
 def _e_actions(m):
