@@ -919,61 +919,86 @@ def _arrays(*arrs):
     return [(x.dtype.str, x.shape, x.tobytes()) for x in arrs]
 
 
-def _structure_table(a):
-    """(table, spun): rad A, then P_i, e_i, the inclusion, rad P_i with its
-    inclusion and the top of every PIM of a fresh copy of a's table, which
-    reads nothing off a twin, and whether `spin` ran to build them."""
+def _structure_table(a, pims=True):
+    """(table, spun): rad A and the e_i, then, with `pims`, P_i, the
+    inclusion, rad P_i with its inclusion and the top of every PIM of a
+    fresh copy of a's table, which reads nothing off a twin, and whether
+    `spin` ran to build them."""
     a = Algebra(a.field, a.sc, a.unit, validate=False)
     spins, build = [], structure.spin
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(structure, "spin",
                    lambda m, v: spins.append(m) or build(m, v))
-        table = [_arrays(algebra_radical(a).arr)] + [
-            _arrays(pim.acts, e, incl.arr, rad.acts, rad_incl.matrix.arr,
-                    top_of_module(pim)[0].acts)
-            for pim, e, incl in _pim_triples(a)
-            for rad, rad_incl in [radical_of_module(pim)]]
+        triples = _pim_triples(a)
+        table = [_arrays(algebra_radical(a).arr, *[e for _, e, _ in triples])]
+        if pims:
+            table += [
+                _arrays(pim.acts, incl.arr, rad.acts, rad_incl.matrix.arr,
+                        top_of_module(pim)[0].acts)
+                for pim, _, incl in triples
+                for rad, rad_incl in [radical_of_module(pim)]]
     return table, bool(spins)
 
 
-def _assert_certificate_matches_the_chain(a, certified=True):
-    # rad A, the e_i and the PIM table read off the certificate are byte
-    # for byte those that the trace chain, the lift and the spin give, and
-    # a certified table spins nothing
+def _assert_certificate_matches_the_chain(a, certified=True, pims=True):
+    # rad A, the e_i and, with `pims`, the PIM table read off the
+    # certificate are byte for byte those that the trace chain, the lift
+    # and the spin give, and a certified table spins nothing
     fresh = Algebra(a.field, a.sc, a.unit, validate=False)
     assert (structure._vertex_split(fresh) is not None) == certified
-    got, spun = _structure_table(a)
+    got, spun = _structure_table(a, pims)
     assert spun != certified
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(structure, "_vertex_split", lambda a: None)
-        assert _structure_table(a) == (got, True)
+        assert _structure_table(a, pims) == (got, True)
 
 
-@pytest.mark.parametrize("p", [2, 3, 101, 65521])
-def test_vertex_split_matches_the_chain_and_lift(p):
+def _assert_on_the_idempotent_algebras(p, pims):
     # the oracle algebras, the Morita totals and their opposites are
     # certified, with their PIMs as blocks; M_2, M_3 and their products
     # with A2 are not, and fall back; a product of two certified algebras
     # is certified
-    field = FieldSpec(p)
-    algebras = _idempotent_algebras(field)
+    algebras = _idempotent_algebras(FieldSpec(p))
     for a in algebras[:-4]:
-        _assert_certificate_matches_the_chain(a)
+        _assert_certificate_matches_the_chain(a, pims=pims)
     for a in algebras[-4:]:
-        _assert_certificate_matches_the_chain(a, certified=False)
+        _assert_certificate_matches_the_chain(a, certified=False, pims=pims)
     for a, b in zip(algebras[:-4:3], algebras[1:-4:3]):
-        _assert_certificate_matches_the_chain(product_algebra(a, b))
+        _assert_certificate_matches_the_chain(product_algebra(a, b),
+                                              pims=pims)
+
+
+def _assert_on_a_random_quiver(quiver, p, pims):
+    # A, A2 x A and both opposites are certified
+    field = FieldSpec(p)
+    a = small_quiver_algebra(*quiver, field, paths=20)
+    if a is not None:
+        for b in (a, product_algebra(a2_algebra(field), a)):
+            _assert_certificate_matches_the_chain(b, pims=pims)
+            _assert_certificate_matches_the_chain(opposite_algebra(b),
+                                                  pims=pims)
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, 65521])
+def test_vertex_split_matches_the_chain_and_lift(p):
+    _assert_on_the_idempotent_algebras(p, pims=False)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(quiver=monomial_quivers(), p=st.sampled_from([2, 3, 101, 65521]))
 def test_vertex_split_of_random_monomial_quivers(quiver, p):
-    field = FieldSpec(p)
-    a = small_quiver_algebra(*quiver, field, paths=20)
-    if a is not None:
-        for b in (a, product_algebra(a2_algebra(field), a)):
-            _assert_certificate_matches_the_chain(b)
-            _assert_certificate_matches_the_chain(opposite_algebra(b))
+    _assert_on_a_random_quiver(quiver, p, pims=False)
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, 65521])
+def test_pim_blocks_match_the_spin(p):
+    _assert_on_the_idempotent_algebras(p, pims=True)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(quiver=monomial_quivers(), p=st.sampled_from([2, 3, 101, 65521]))
+def test_pim_blocks_of_random_monomial_quivers_match_the_spin(quiver, p):
+    _assert_on_a_random_quiver(quiver, p, pims=True)
 
 
 def _spy_chain(monkeypatch):
