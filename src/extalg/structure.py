@@ -8,10 +8,11 @@ a path basis; else rad(A) is a chain of trace kernels, the primitive
 idempotents of A/rad come from linear algebra and lift to A, and each PIM
 is spun.  One primitive idempotent e_i per simple block of A/rad gives the
 PIM P_i = A.e_i; the PIM table holds P_i, e_i and the inclusion of P_i
-into A, and `simples` alone builds the tops S_i = top(P_i), non-isomorphic
-for different blocks.  `split_module`
-applies the same steps to End(m), and `find_isomorphism` matches the
-indecomposable summands of two modules; None certifies "not isomorphic".
+into A.  The simples S_i = top(P_i), non-isomorphic for different blocks,
+and the covers of the S_i and P_i come with a certified table; else
+`simples` builds the tops.  `split_module` applies the same steps to
+End(m), and `find_isomorphism` matches the indecomposable summands of two
+modules; None certifies "not isomorphic".
 
 A right module over A is a left module over A^op, so it is covered and
 resolved as any other; injective envelopes are duals of projective covers
@@ -36,8 +37,8 @@ import numpy as np
 
 from .algebra import (Algebra, LeftModule, ModuleHom, _echelon_quotient_module,
                       _echelon_submodule, block_sum_module, dual_module,
-                      hom_space, kept, opposite_algebra, quotient_module,
-                      row_space_of_columns, shared)
+                      hom_space, kept, opposite_algebra, put_shared,
+                      quotient_module, row_space_of_columns, shared)
 from .linalg import (FieldSpec, FpMatrix, RrefResult, _null_rows,
                      _rref_inplace, echelon_coords, echelon_quotient_maps,
                      hstack, inverse, kernel_basis, matmul_mod, row_basis,
@@ -316,22 +317,25 @@ def _twin_kept(a: Algebra, key: str, build):
 def _vertex_split(a: Algebra):
     """(rad A, [(k, S_k)] for the vertices b_k, last first) off a path basis,
     else None (a random basis, M_n(k)).  K holds the b_k whose left
-    multiplication has a nonzero diagonal.  If they are orthogonal
-    idempotents summing to 1, no product with a b_j has a b_k term (J is an
-    ideal), sc[:, K, :] is nonzero only on its diagonal and, checked last,
-    the graph i -> l if some b_j.b_i has a b_l term is acyclic (J is
-    nilpotent), then J = rad A, the b_k are the idempotents the chain and
-    the lift give, and b_i.b_k is 0 or b_i (c^2 = c), so the i in S_k span
-    A.b_k.  Kept per algebra: A^op's blocks are the b_k.A."""
+    multiplication has a nonzero diagonal.  If each b_k.b_k has b_k term 1,
+    no product with a b_j has a b_k term (J is an ideal), sc[:, K, :] is
+    nonzero only on its diagonal and, checked last, the graph i -> l if
+    some b_j.b_i has a b_l term is acyclic (J is nilpotent), then J = rad
+    A, the b_k are the idempotents the chain and the lift give, and
+    b_i.b_k is 0 or b_i, so the i in S_k span A.b_k.  Kept per algebra:
+    A^op's blocks are the b_k.A.  The b_k are orthogonal idempotents
+    summing to 1: R_k: b_i -> b_i.b_k = c_ik b_i, with c_kk = 1, are
+    diagonal, so R_k R_l = R_l R_k, that is c_lk R_l = c_kl R_k; at b_k
+    and b_l, c_kl = c_kl c_lk = c_lk = c = c^2, and c = 1 would make b_k =
+    R_k(1) = R_l(1) = b_l.  So 1 - sum b_k, in J by the b_k terms of b_k.1
+    = b_k, is an idempotent in a nilpotent ideal: 0."""
     def build():
         sc, eye = a.sc, np.eye(a.dim, dtype=np.int64)
         vertex = np.diagonal(sc, axis1=1, axis2=2).any(axis=1)
         k, j = np.flatnonzero(vertex)[::-1], np.flatnonzero(~vertex)
         to_k, at_k = sc[..., k], sc[:, k]
         diag = np.diagonal(at_k, axis1=0, axis2=2)
-        if ((sc[np.ix_(k, k)] != np.eye(len(k), dtype=np.int64)[..., None]
-             * eye[k]).any() or (a.unit != vertex).any() or to_k[j].any()
-                or to_k[:, j].any()
+        if ((sc[k, k, k] != 1).any() or to_k[j].any() or to_k[:, j].any()
                 or np.count_nonzero(at_k) != np.count_nonzero(diag)):
             return None
         reach = np.any(sc, axis=0, where=~vertex[:, None, None])[np.ix_(j, j)]
@@ -354,10 +358,17 @@ def algebra_radical(a: Algebra) -> FpMatrix:
 def _radical_generators(a: Algebra) -> np.ndarray:
     """The rows of RREF(rad A) whose pivots are not pivots of RREF(rad^2)
     (the arrows of a path algebra): they span a complement of rad^2 in
-    rad, so generate rad as a right ideal (Nakayama), for A and A^op.  The
-    r_i r_j are eliminated 16 r_i at a time below the RREF rows so far."""
+    rad, so generate rad as a right ideal (Nakayama), for A and A^op.  If
+    A is certified and each product of two b_j in J has at most one term,
+    rad^2 is spanned by the b_l at those terms; else the r_i r_j are
+    eliminated 16 r_i at a time below the RREF rows so far."""
     def build():
         rad, p, n = algebra_radical(a).arr, a.field.p, a.dim
+        if _vertex_split(a):
+            j = rad.argmax(axis=1)
+            terms = (a.sc != 0)[np.ix_(j, j)]
+            if terms.sum(axis=2).max(initial=0) <= 1:
+                return rad[~terms.any(axis=(0, 1))[j]]
         square, squares = rad[:0], []
         for lo in range(0, len(rad), 16):
             # left[i] is left multiplication by r_i, off the b_a in r_i
@@ -414,19 +425,31 @@ def _pim_triples(a: Algebra):
     """(P_i, primitive idempotent e_i with P_i = A.e_i, inclusion of P_i
     into A), one per simple block of A/rad: all that covers and Ext read.
     Gathered for each block S_k of `_vertex_split`, with rad P_k = S_k less
-    k; else the e_i come from the chain and the lift, and A.e_i is spun."""
+    k; else the e_i come from the chain and the lift, and A.e_i is spun.
+    The blocks also give the simples S_k = top(P_k), acted on by sc[:, k,
+    k], and, as `_cover_parts` would, the covers of S_k (P_k, the unit row
+    at k, kernel rad P_k) and P_k (the identity, kernel 0) (`put_shared`)."""
     if "pim_triples" not in a._cache:
         reg, out, split = LeftModule.regular(a), [], _vertex_split(a)
         if split:
-            eye = np.eye(a.dim, dtype=np.int64)
-            for k, s in split[1]:
+            eye, field, tops = np.eye(a.dim, dtype=np.int64), a.field, []
+            for t, (k, s) in enumerate(split[1]):
                 piece = LeftModule(a, reg.acts[:, s][:, :, s], validate=False)
-                r = np.flatnonzero(s != k)
+                at, r = np.eye(len(s), dtype=np.int64), s != k
+                top = LeftModule(a, a.sc[:, [k]][:, :, [k]], validate=False)
                 piece._cache["radical"] = (LeftModule(
                     a, piece.acts[:, r][:, :, r], validate=False),
-                    FpMatrix.reduced(eye[:len(s), r], a.field))
-                out.append((piece, eye[k],
-                            FpMatrix.reduced(eye[:, s], a.field)))
+                    FpMatrix.reduced(at[:, r], field))
+                z = LeftModule.zero(a)
+                put_shared(piece, a, "covers", (), (
+                    piece, FpMatrix.reduced(at, field), z,
+                    ModuleHom.zero(z, piece), (t,), not r.any()))
+                put_shared(top, a, "covers", (), (
+                    piece, FpMatrix.reduced(at[~r], field),
+                    *radical_of_module(piece), (t,), True))
+                tops.append(top)
+                out.append((piece, eye[k], FpMatrix.reduced(eye[:, s], field)))
+            a._cache["simples"] = tops
         else:
             for group in _twin_kept(a, "idempotents", lambda: (
                     _primitive_idempotents(a.sc, a.unit, algebra_radical(a),
@@ -440,8 +463,8 @@ def _pim_triples(a: Algebra):
 def simples(a: Algebra) -> List[LeftModule]:
     """Pairwise non-isomorphic simple left modules, the tops of the
     projective indecomposables, built on first use and kept on a."""
-    return kept(a, "simples", lambda: [top_of_module(p)[0]
-                                       for p, _, _ in _pim_triples(a)])
+    pims = _pim_triples(a)
+    return kept(a, "simples", lambda: [top_of_module(p)[0] for p, *_ in pims])
 
 
 def projective_indecomposables(a: Algebra):
@@ -594,6 +617,7 @@ def projective_cover(m) -> ProjectivePresentation:
         z = LeftModule.zero(m.over)
         return ProjectivePresentation(m, z, ModuleHom.zero(z, m), z,
                                       ModuleHom.zero(z, z), (), True)
+    _pim_triples(m.over)    # a simple or PIM reads the cover it seeds
     cover, epi, *parts = shared(m, m.over, "covers", (),
                                 lambda: _cover_parts(m))
     return ProjectivePresentation(m, cover, ModuleHom(

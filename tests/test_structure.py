@@ -275,8 +275,9 @@ def test_one_cover_per_content(monkeypatch):
     built.clear()
     v = gp_check(simples(wild)[0], 5)
     assert (v.answer, v.certificate["index"]) == (CERTIFIED_NO, 1)
-    # S, Omega^1 S and Omega^2 S: Ext^1 reads d_0 and d_1 only
-    assert built == [1, 2, 4]
+    # Omega^1 S and Omega^2 S: Ext^1 reads d_0 and d_1 only, and the cover
+    # of S came with the PIM table
+    assert built == [2, 4]
 
     def nakayama33():
         return monomial_quiver_algebra(3, [(0, 1), (1, 2), (2, 0)], [
@@ -310,9 +311,9 @@ def test_wild_verdicts_without_a_bound_stop_at_a_repeated_syzygy(
     v = gp_check(s)
     assert v.answer == CERTIFIED_NO and v.bound == 10
     assert v.certificate["index"] == 1
-    # S and Omega^1 S for pd (D(S) has the content of S), Omega^2 S for
-    # Ext^1
-    assert built == [3, 3, 6, 1, 2, 4]
+    # Omega^1 S for pd (S and D(S), of its content, read the cover that
+    # came with the PIM table), Omega^2 S for Ext^1
+    assert built == [3, 3, 6, 2, 4]
 
 
 def test_split_is_kept_on_the_module(monkeypatch):
@@ -589,13 +590,19 @@ def _copy(m):
 
 
 def test_equal_modules_share_one_cover(monkeypatch):
+    # copies of the simples of A2 read the covers that came with its PIM
+    # table and build none; the regular modules, and the simples of A3 in
+    # a random basis, which the certificate refuses, build one per content
     a = a2_algebra(FIELD2)
     built = _count_cover_builds(monkeypatch)
-    for m in simples(a) + [LeftModule.regular(a),
-                           LeftModule.regular(opposite_algebra(a))]:
+    for m, builds in ([(s, 0) for s in simples(a)]
+                      + [(LeftModule.regular(a), 1),
+                         (LeftModule.regular(opposite_algebra(a)), 1)]
+                      + [(s, 1) for s in simples(_a3_in_a_random_basis())]):
         m1, m2 = _copy(m), _copy(m)
         first, second = projective_cover(m1), projective_cover(m2)
-        assert built.pop() == m.dim and not built
+        assert built == [m.dim] * builds
+        built.clear()
         assert second.module is m2
         assert second.epi.target is second.module
         assert second.epi.source is second.cover is first.cover
@@ -717,37 +724,47 @@ def test_a_simple_top_needs_no_frobenius_power(monkeypatch, p):
 def test_cover_index_entry_goes_with_its_module():
     # a covered module holds its cover, kernel and the kernel's own cover,
     # and nothing of these points back to it: its index entry goes on the
-    # last reference, without a cycle collection
-    a = a2_algebra(FIELD2)
-    mods = [_copy(s) for s in simples(a)]
+    # last reference, without a cycle collection.  The entries that came
+    # with A2's PIM table, for S_0, P_0 and S_1 = P_1, live on A2, and the
+    # copies of its simples add none; S_0 + S_1 adds one.  A3 in a random
+    # basis has no such entries: the copies of its simples add three, and
+    # its 2-dimensional Omega S_i one (the other has a simple's content)
+    a, b = a2_algebra(FIELD2), _a3_in_a_random_basis()
+    s0, s1 = simples(a)
+    mods = [_copy(s0), _copy(s1), block_sum_module([s0, s1])] + [
+        _copy(s) for s in simples(b)]
     verdicts = [pd_bounded(m) for m in mods]
-    index = a._cache["covers"]
-    entries = len(index)
+    entries = [len(x._cache["covers"]) for x in (a, b)]
     gc.disable()
     try:
         del mods
-        left = len(index)
+        left = [len(x._cache["covers"]) for x in (a, b)]
     finally:
         gc.enable()
-    assert sorted(v.value for v in verdicts) == [0, 1]
-    assert entries == 2 and left == 0
+    assert sorted(v.value for v in verdicts) == [0, 0, 1, 1, 1, 1]
+    assert entries == [4, 4] and left == [3, 0]
 
 
 def test_nakayama_syzygies_share_covers(monkeypatch):
     # N(4,3): every PIM is uniserial of length 3, so Omega(S_i) has dim 2
     # and Omega^2(S_i) is again a simple; the covers of all four periodic
-    # resolutions are the covers of the 4 simples and of their 4 syzygies
-    n, k = 4, 3
+    # resolutions are the covers of the 4 simples, which come with the PIM
+    # table, and of their 4 syzygies.  In a random basis, which the
+    # certificate refuses, the covers of the simples are built too
+    n, k, field = 4, 3, FieldSpec(3)
     a = monomial_quiver_algebra(n, [(i, (i + 1) % n) for i in range(n)],
                                 [[(s + j) % n for j in range(k)]
-                                 for s in range(n)], FieldSpec(3))
+                                 for s in range(n)], field)
+    scrambled = _scramble(a.sc, a.unit, field, np.random.default_rng(43))
     built = _count_cover_builds(monkeypatch)
-    for s in simples(a):
-        assert pd_bounded(s) == DimensionVerdict.exceeds(2 * n * k)
-        res = minimal_projective_resolution(s, 6)
-        assert [t.dim for t in res.terms] == [k] * 7
-        assert [z.dim for z in res.syzygies] == [1, k - 1] * 4
-    assert sorted(built) == [1] * n + [k - 1] * n
+    for b, want in ((a, [k - 1] * n), (scrambled, [1] * n + [k - 1] * n)):
+        for s in simples(b):
+            assert pd_bounded(s) == DimensionVerdict.exceeds(2 * n * k)
+            res = minimal_projective_resolution(s, 6)
+            assert [t.dim for t in res.terms] == [k] * 7
+            assert [z.dim for z in res.syzygies] == [1, k - 1] * 4
+        assert sorted(built) == want
+        built.clear()
 
 
 def _spin_closure(m, vec):
@@ -850,18 +867,21 @@ def test_simples_are_the_tops_of_the_pims(p):
 
 def test_regime_builds_no_tops_over_the_opposite(monkeypatch):
     # covers and Ext read P_i, e_i and the inclusion only, so the regime
-    # (the injective dimensions of A and A_A) builds no top of a PIM
-    a = monomial_quiver_algebra(4, [(0, 1), (1, 2), (2, 3)], [], FIELD2)
-    op = opposite_algebra(a)
-    assert op is not a
+    # (the injective dimensions of A and A_A) builds no top of a PIM.  A4
+    # reads its simples off the PIM table and builds no top at all; A3 in
+    # a random basis builds its tops for `simples` alone, once
     tops, build = [], structure.top_of_module
     monkeypatch.setattr(structure, "top_of_module",
                         lambda m: tops.append(m.over) or build(m))
-    assert gorenstein_regime(a)[0] == "iwanaga_gorenstein"
-    assert not [x for x in tops if x is op]
-    # the tops are built for `simples` alone, once
-    simples(a), simples(a)
-    assert len([x for x in tops if x is a]) == 4
+    a4 = monomial_quiver_algebra(4, [(0, 1), (1, 2), (2, 3)], [], FIELD2)
+    for a, built in ((a4, 0), (_a3_in_a_random_basis(), 3)):
+        op = opposite_algebra(a)
+        assert op is not a
+        assert gorenstein_regime(a)[0] == "iwanaga_gorenstein"
+        assert not tops
+        simples(a), simples(a)
+        assert len(tops) == len([x for x in tops if x is a]) == built
+        tops.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -1001,6 +1021,99 @@ def test_pim_blocks_of_random_monomial_quivers_match_the_spin(quiver, p):
     _assert_on_a_random_quiver(quiver, p, pims=True)
 
 
+def _assert_seeded_covers_match_the_elimination(a):
+    # over a fresh copy of a's table, each simple is byte for byte the top
+    # of its PIM, and the covers of the simples and PIMs, and of copies of
+    # them, are those that `_cover_parts` eliminates on a fresh copy of the
+    # module; `projective_cover` eliminates none of them
+    a = Algebra(a.field, a.sc, a.unit, validate=False)
+    build, built = structure._cover_parts, []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(structure, "_cover_parts",
+                   lambda m: built.append(m) or build(m))
+        for (pim, _, _), s in zip(_pim_triples(a), simples(a)):
+            assert _arrays(s.acts) == _arrays(top_of_module(pim)[0].acts)
+            for m in (pim, s, _copy(pim), _copy(s)):
+                pres = projective_cover(m)
+                cover, epi, ker, incl, summands, semisimple = build(
+                    LeftModule(a, m.acts.copy(), validate=False))
+                assert _arrays(pres.cover.acts, pres.epi.matrix.arr,
+                               pres.kernel.acts,
+                               pres.kernel_inclusion.matrix.arr) == _arrays(
+                    cover.acts, epi.arr, ker.acts, incl.matrix.arr)
+                assert (pres.summands, pres.semisimple) == (summands,
+                                                            semisimple)
+    assert not built
+
+
+def _with_a_sum(a, l, m):
+    """a in the basis with b_l + b_m in place of b_l: certified when the
+    paths b_l and b_m have the same ends, but no longer monomial, as a
+    product with a b_l term now has the terms b_l + b_m and b_m."""
+    g, gi = (np.eye(a.dim, dtype=np.int64) for _ in range(2))
+    g[l, m], gi[l, m] = 1, -1
+    return _rebased(a.sc, a.unit, a.field, g, gi)
+
+
+def _non_monomial_tables(field):
+    """The square 0 -> 1 -> 3, 0 -> 2 -> 3 with one path of length 2 made
+    the sum of both, k<x1..x4>/(paths of length 3) with xx + xy for xx,
+    and 0 -> 1 -> 2, 0 -> 2 with the path of length 2 plus the arrow 0 ->
+    2 for the path: there rad^2 is spanned by no basis element, and the
+    arrows read off the terms of the products would miss one."""
+    quivers = (((4, [(0, 1), (0, 2), (1, 3), (2, 3)], []), 8, 9),
+               ((1, [(0, 0)] * 4, [list(w) for w in np.ndindex(4, 4, 4)]),
+                5, 6),
+               ((3, [(0, 1), (1, 2), (0, 2)], []), 6, 5))
+    return [_with_a_sum(monomial_quiver_algebra(*quiver, field), l, m)
+            for quiver, l, m in quivers]
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, 65521])
+def test_seeded_covers_match_the_elimination(p):
+    algebras = _idempotent_algebras(FieldSpec(p))
+    for a in algebras[:-4] + _non_monomial_tables(FieldSpec(p)):
+        _assert_seeded_covers_match_the_elimination(a)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(quiver=monomial_quivers(), p=st.sampled_from([2, 3, 101, 65521]))
+def test_seeded_covers_of_random_monomial_quivers(quiver, p):
+    # A, A2 x A and both opposites
+    field = FieldSpec(p)
+    a = small_quiver_algebra(*quiver, field, paths=20)
+    if a is not None:
+        for b in (a, product_algebra(a2_algebra(field), a)):
+            _assert_seeded_covers_match_the_elimination(b)
+            _assert_seeded_covers_match_the_elimination(opposite_algebra(b))
+
+
+@pytest.mark.parametrize("p", [2, 3, 65521])
+def test_a_table_that_is_not_monomial_eliminates_its_arrows(monkeypatch, p):
+    # each table is certified on both sides, but a product in J has two
+    # terms, so rad^2 is eliminated; the arrows are those of all products
+    # at once, as over the monomial table, which eliminates nothing.  The
+    # opposite is a fresh table, which reads nothing off its twin
+    eliminations, build = [], structure._rref_inplace
+    monkeypatch.setattr(structure, "_rref_inplace",
+                        lambda *args: eliminations.append(1) or build(*args))
+    for a in _non_monomial_tables(FieldSpec(p)):
+        op = opposite_algebra(a)
+        for b in (a, Algebra(op.field, op.sc, op.unit, validate=False)):
+            assert structure._vertex_split(b) is not None
+            assert np.count_nonzero(b.sc, axis=2).max() == 2
+            eliminations.clear()
+            got, want = (structure._radical_generators(b),
+                         _all_at_once_generators(b))
+            assert eliminations
+            assert _arrays(got) == _arrays(want)
+    a2 = a2_algebra(FieldSpec(p))
+    eliminations.clear()
+    assert _arrays(structure._radical_generators(a2)) == _arrays(
+        _all_at_once_generators(a2))
+    assert not eliminations
+
+
 def _spy_chain(monkeypatch):
     """The names of the chain and lift functions called from now on."""
     calls = []
@@ -1056,11 +1169,22 @@ def _dual_numbers_squared_at_y1_plus_y2(field):
 def test_a_table_that_fails_one_check_falls_back(monkeypatch, table, k,
                                                  fails, p):
     a = table(FieldSpec(p))
-    sc, j = a.sc, [i for i in range(a.dim) if i not in k]
     # the nonzero diagonals are at k; each table breaks the checks named
-    vertex = np.diagonal(sc, axis1=1, axis2=2).any(axis=1)
+    vertex = np.diagonal(a.sc, axis1=1, axis2=2).any(axis=1)
     assert vertex.nonzero()[0].tolist() == k
-    holds = {
+    assert [c for c, held in _checks(a).items() if not held] == fails
+    calls = _spy_chain(monkeypatch)
+    _assert_certificate_matches_the_chain(a, certified=False)
+    assert calls.count("_trace_radical") == 2
+
+
+def _checks(a):
+    """The four checks of the certificate, the first written out in full:
+    the b_k are orthogonal idempotents summing to 1."""
+    sc = a.sc
+    vertex = np.diagonal(sc, axis1=1, axis2=2).any(axis=1)
+    k, j = np.flatnonzero(vertex), np.flatnonzero(~vertex)
+    return {
         "idempotents": (sc[np.ix_(k, k)] == np.eye(len(k), dtype=np.int64)[
             ..., None] * np.eye(a.dim, dtype=np.int64)[k]).all()
         and (a.unit == vertex).all(),
@@ -1070,10 +1194,41 @@ def test_a_table_that_fails_one_check_falls_back(monkeypatch, table, k,
         # an acyclic graph on J has no walk of length |J|
         "nilpotent": not np.linalg.matrix_power(
             sc[np.ix_(j, j, j)].any(axis=0).astype(np.int64), len(j)).any()}
-    assert [c for c, held in holds.items() if not held] == fails
-    calls = _spy_chain(monkeypatch)
-    _assert_certificate_matches_the_chain(a, certified=False)
-    assert calls.count("_trace_radical") == 2
+
+
+def _rescaled_vertex(a, k, c):
+    """a in the basis with c.b_k in place of the vertex b_k: (c.b_k)^2 =
+    c.(c.b_k), so for c not 0 or 1 the b_k are no idempotents, while J,
+    the blocks and the product graph are those of a."""
+    g, gi = (np.eye(a.dim, dtype=np.int64) for _ in range(2))
+    g[k, k], gi[k, k] = c, pow(c, -1, a.field.p)
+    return _rebased(a.sc, a.unit, a.field, g, gi)
+
+
+@pytest.mark.parametrize("p", [3, 101, 65521])
+def test_the_unit_check_accepts_the_tables_the_idempotent_check_did(p):
+    # sc[k, k, k] = 1 with the other three checks gives orthogonal
+    # idempotents summing to 1 (`_vertex_split`): the certificate accepts
+    # exactly the tables that pass the four checks written out in full,
+    # over the idempotent algebras, each of their vertices rescaled by 2
+    # and by -1, and the table of k[y]/(y^2) in the basis 1 + y, y
+    field = FieldSpec(p)
+    algebras = _idempotent_algebras(field)
+    rescaled = [_rescaled_vertex(a, int(k), c) for a in algebras[:-4:3]
+                for k in np.flatnonzero(np.diagonal(
+                    a.sc, axis1=1, axis2=2).any(axis=1))
+                for c in sorted({2, p - 1})]
+    accepted = 0
+    for a in algebras + rescaled + [_dual_numbers_at_one_plus_y(field)]:
+        fresh = Algebra(a.field, a.sc, a.unit, validate=False)
+        certified = structure._vertex_split(fresh) is not None
+        assert certified == all(_checks(a).values())
+        accepted += certified
+    assert accepted == len(algebras) - 4
+    for a in rescaled:
+        assert [c for c, held in _checks(a).items() if not held] == [
+            "idempotents"]
+    _assert_certificate_matches_the_chain(rescaled[0], certified=False)
 
 
 def _two_arrows_at_a_plus_b(field):
@@ -1128,16 +1283,21 @@ def test_the_benchmark_algebras_are_certified():
         assert structure._vertex_split(a) is not None
 
 
-def test_a3_in_a_random_basis_runs_the_trace_chain(monkeypatch):
+def _a3_in_a_random_basis():
+    """A3 at p = 3 in a random basis, which the certificate refuses."""
     field = FieldSpec(3)
     a3 = monomial_quiver_algebra(3, [(0, 1), (1, 2)], [], field)
-    a = _scramble(a3.sc, a3.unit, field, np.random.default_rng(41))
+    return _scramble(a3.sc, a3.unit, field, np.random.default_rng(41))
+
+
+def test_a3_in_a_random_basis_runs_the_trace_chain(monkeypatch):
+    a = _a3_in_a_random_basis()
     calls = _spy_chain(monkeypatch)
     assert [s.dim for s in simples(a)] == [1, 1, 1]
     assert calls == ["_trace_radical", "_primitive_idempotents"]
     assert algebra_radical(a).rows == 3
     calls.clear()
-    simples(a3)
+    simples(monomial_quiver_algebra(3, [(0, 1), (1, 2)], [], FieldSpec(3)))
     assert not calls
 
 
@@ -1330,7 +1490,8 @@ def test_radical_generators_match_all_products_at_once(p):
     # once: A7, A8 and k<x1..x4>/(paths of length 3) have 21, 28 and 20
     # radical rows, and a random basis of A7 makes them dense.  Over the
     # four loops, the first 16 r_i (the loops and 12 paths xy) give all of
-    # rad^2 and the last 4 none of it
+    # rad^2 and the last 4 none of it; the certified monomial tables read
+    # their arrows off, so the loops are eliminated with a sum in rad^2
     field, rng = FieldSpec(p), np.random.default_rng(p)
     a7, a8 = (monomial_quiver_algebra(n, [(i, i + 1) for i in range(n - 1)],
                                       [], field) for n in (7, 8))
@@ -1338,7 +1499,7 @@ def test_radical_generators_match_all_products_at_once(p):
         list(w) for w in np.ndindex(4, 4, 4)], field)
     algebras = _idempotent_algebras(field) + [
         a7, a8, loops, _scramble(a7.sc, a7.unit, field, rng)]
-    for a in algebras:
+    for a in algebras + _non_monomial_tables(field):
         got, want = structure._radical_generators(a), _all_at_once_generators(a)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
