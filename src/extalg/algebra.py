@@ -137,23 +137,17 @@ def _content(obj) -> tuple:
     return kept(obj, "content", lambda: (obj.dim, obj.acts.tobytes()))
 
 
-def put_shared(obj, over: Algebra, name: str, key, value):
-    """Keep value as obj._cache[(name, key)] and index obj under (key,
-    content of obj) in over._cache[name], unless a module is there."""
-    obj._cache[name, key] = value
-    over._cache.setdefault(name, weakref.WeakValueDictionary()).setdefault(
-        (key, _content(obj)), obj)
-
-
 def shared(obj, over: Algebra, name: str, key, build):
     """obj._cache[(name, key)], shared by content: over._cache[name] maps
-    (key, content of obj) weakly to the first module given it (`put_shared`),
-    whose value a content-equal module reads.  The value holds no link to
-    its holder, so an entry goes with the last reference to its holder."""
+    (key, content of obj) weakly to the first module given it, whose value
+    a content-equal module reads.  The value holds no link to its holder,
+    so an entry goes with the last reference to its holder."""
     if (name, key) not in obj._cache:
-        holder = over._cache.get(name, {}).get((key, _content(obj)))
-        put_shared(obj, over, name, key, build() if holder is None
-                   else holder._cache[name, key])
+        index = kept(over, name, weakref.WeakValueDictionary)
+        holder = index.get((key, _content(obj)))
+        obj._cache[name, key] = build() if holder is None \
+            else holder._cache[name, key]
+        index.setdefault((key, _content(obj)), obj)
     return obj._cache[name, key]
 
 

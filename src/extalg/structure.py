@@ -20,8 +20,8 @@ over the opposite algebra.  Covers are shared per algebra by module
 content: equal modules get the same cover, kernel and epimorphism matrix,
 held only while some module holds them.  Twins keep their holders alive:
 the regular modules live on the algebra; the dual and a bimodule's legs on
-their module.  A^op checks its own table and reads the fallback's radical
-and idempotents off A; it is A itself when A is commutative.
+their module.  A^op is A itself when A is commutative; else it is
+certified, or falls back, on its own table.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ import numpy as np
 
 from .algebra import (Algebra, LeftModule, ModuleHom, _echelon_quotient_module,
                       _echelon_submodule, block_sum_module, dual_module,
-                      hom_space, kept, opposite_algebra, put_shared,
-                      quotient_module, row_space_of_columns, shared)
+                      hom_space, kept, opposite_algebra, quotient_module,
+                      row_space_of_columns, shared)
 from .linalg import (FieldSpec, FpMatrix, RrefResult, _null_rows,
                      _rref_inplace, echelon_coords, echelon_quotient_maps,
                      hstack, inverse, kernel_basis, matmul_mod, row_basis,
@@ -131,68 +131,22 @@ def _minimal_polynomial(x: np.ndarray, one: np.ndarray, mul,
         powers.append(nxt)
 
 
-# polynomials over GF(p) are lists of Python ints, constant term first,
-# reduced mod p and without trailing zeros ([] is zero)
-
-
-def _poly_divmod(u: List[int], v: List[int], p: int):
-    """(quotient, remainder) of u by v != 0."""
-    u, dv = list(u), len(v) - 1
-    inv, quot = pow(v[-1], -1, p), [0] * max(len(u) - dv, 0)
-    for k in range(len(u) - 1, dv - 1, -1):
-        c = quot[k - dv] = u[k] % p * inv % p
-        for i, vi in enumerate(v):
-            u[k - dv + i] -= c * vi
-    rem = [c % p for c in u[:dv]]
-    while rem and not rem[-1]:
-        rem.pop()
-    return quot, rem
-
-
-def _poly_mulmod(u: List[int], v: List[int], f: List[int],
-                 p: int) -> List[int]:
-    """u * v mod f."""
-    prod = [0] * (len(u) + len(v) - 1)
-    for i, ui in enumerate(u):
-        for j, vj in enumerate(v):
-            prod[i + j] += ui * vj
-    return _poly_divmod(prod, f, p)[1]
-
-
-def _split_roots(f: List[int], p: int, k: int = 0) -> List[int]:
-    """The roots, ascending, of the monic f over GF(p), a product of
-    distinct linear factors t - r.
-
-    Equal-degree splitting (Cantor-Zassenhaus, Rabin): g = gcd(f, (t + a)
-    ^ ((p-1)/2) - 1) is the product of the t - r with r + a a nonzero
-    square, and f splits into g and f/g once 0 < deg g < deg f.  The
-    shifts are a = k.s mod p for k = 0, 1, ..., with s = floor(0.618 p):
-    consecutive shifts would part small roots slowly, as every integer up
-    to 16 is a square mod 65521.  They run over all of GF(p), and (p-1)/2
-    shifts part any two roots, so a split comes before k = p; a shift that
-    parts no two roots of f parts none of g or f/g, so these go on from
-    k + 1.  A shift costs log2 p squarings mod f, O(deg^2) each; for p = 2
-    the roots are read off f(0) and f(1)."""
-    if len(f) == 2:
-        return [-f[0] % p]
-    if p == 2:
-        return [r for r, value in ((0, f[0]), (1, sum(f) % 2)) if not value]
-    while True:
-        shift, h = [k * ((p * 40503) >> 16) % p, 1], [1]
-        for bit in bin((p - 1) // 2)[2:]:
-            h = _poly_mulmod(h, h, f, p)
-            if bit == "1":
-                h = _poly_mulmod(h, shift, f, p)
-        g, h = f, _poly_divmod([h[0] - 1] + h[1:], f, p)[1]
-        while h:
-            g, h = h, _poly_divmod(g, h, p)[1]
-        if 1 < len(g) < len(f):
-            inv = pow(g[-1], -1, p)
-            g = [c * inv % p for c in g]
-            rest = _poly_divmod(f, g, p)[0]
-            return sorted(_split_roots(g, p, k + 1)
-                          + _split_roots(rest, p, k + 1))
-        k += 1
+def _roots(f: List[int], p: int) -> List[int]:
+    """The roots, ascending, of f over GF(p), given as Python ints reduced
+    mod p, constant term first: Horner's rule at every point of GF(p), in
+    place on two arrays of 2048 points, so none of the size of the field."""
+    t = np.arange(min(p, 2048), dtype=np.int64)
+    value, out = np.empty_like(t), []
+    for lo in range(0, p, len(t)):
+        x, v = t[:p - lo], value[:p - lo]
+        v.fill(f[-1])
+        for c in reversed(f[:-1]):
+            v *= x
+            v += c
+            v %= p
+        out += x[v == 0].tolist()
+        t += len(t)
+    return out
 
 
 def _frobenius_fixed(basis: np.ndarray, mul, field: FieldSpec) -> np.ndarray:
@@ -208,10 +162,10 @@ def _eigen_split(e: np.ndarray, bs: np.ndarray, mul,
     commute, contain e and satisfy b^p = b.  Each b cuts every part f so
     far along the eigenvalues r of x = b.e, which lie in GF(p): they are
     the roots of the minimal polynomial of x over e, a product of distinct
-    linear factors as x^p = x, found by gcd splitting (`_split_roots`) in
-    O(deg^2 log p), with no pass over GF(p).  The Lagrange projector E_r =
-    prod_{s != r} (x - s.e) / (r - s) is the idempotent of the eigenspace
-    of r, and f becomes the nonzero f.E_r, ordered by f, then by r.
+    linear factors as x^p = x, found by a Horner scan of GF(p) (`_roots`)
+    in deg.p products of integers.  The Lagrange projector E_r = prod_{s !=
+    r} (x - s.e) / (r - s) is the idempotent of the eigenspace of r, and f
+    becomes the nonzero f.E_r, ordered by f, then by r.
 
     This is the cut along the minimal polynomial of b.f over f, once per
     element instead of once per part: the span is a product of copies of
@@ -225,7 +179,7 @@ def _eigen_split(e: np.ndarray, bs: np.ndarray, mul,
             break
         x = mul(b, e)
         c = _minimal_polynomial(x, e, mul, field)[0]
-        roots = _split_roots([-int(ci) % p for ci in c] + [1], p)
+        roots = _roots([-int(ci) % p for ci in c] + [1], p)
         if len(roots) == 1:
             continue
         # row k of proj ends as E_{roots[k]}; the factor x - s.e joins
@@ -306,14 +260,6 @@ def _primitive_idempotents(sc: np.ndarray, unit: np.ndarray, rad: FpMatrix,
 # radical, top, simples and projective indecomposables of an algebra
 
 
-def _twin_kept(a: Algebra, key: str, build):
-    """a._cache[key], read off A^op when A^op has it.  The fallback's radical
-    and primitive idempotents of A and A^op are identical arrays in the same
-    order: every product in `_primitive_idempotents` commutes or is e.x.e."""
-    twin = a._cache.get("opposite", a)._cache
-    return kept(a, key, lambda: twin[key] if key in twin else build())
-
-
 def _vertex_split(a: Algebra):
     """(rad A, [(k, S_k)] for the vertices b_k, last first) off a path basis,
     else None (a random basis, M_n(k)).  K holds the b_k whose left
@@ -351,7 +297,7 @@ def algebra_radical(a: Algebra) -> FpMatrix:
     """Row basis (RREF) of rad(A), read off the basis (`_vertex_split`) or
     from the trace chain on the regular representation."""
     split = _vertex_split(a)
-    return split[0] if split else _twin_kept(a, "radical", lambda: (
+    return split[0] if split else kept(a, "radical", lambda: (
         _trace_radical(a.sc.transpose(0, 2, 1), a.sc, a.field)))
 
 
@@ -379,7 +325,7 @@ def _radical_generators(a: Algebra) -> np.ndarray:
                                 matmul_mod(rad, left, p).reshape(-1, n)])
             squares = _rref_inplace(square, p)
         return rad[[r.nonzero()[0][0] not in squares for r in rad]]
-    return _twin_kept(a, "radical_generators", build)
+    return kept(a, "radical_generators", build)
 
 
 def _radical_rref(m, rows: Optional[np.ndarray]):
@@ -428,7 +374,9 @@ def _pim_triples(a: Algebra):
     k; else the e_i come from the chain and the lift, and A.e_i is spun.
     The blocks also give the simples S_k = top(P_k), acted on by sc[:, k,
     k], and, as `_cover_parts` would, the covers of S_k (P_k, the unit row
-    at k, kernel rad P_k) and P_k (the identity, kernel 0) (`put_shared`)."""
+    at k, kernel rad P_k) and P_k (the identity, kernel 0), which seed the
+    shared covers.  A simple of dim P_k = 1 has the content of P_k, so it
+    reads the cover of P_k; the two are the same arrays."""
     if "pim_triples" not in a._cache:
         reg, out, split = LeftModule.regular(a), [], _vertex_split(a)
         if split:
@@ -441,19 +389,18 @@ def _pim_triples(a: Algebra):
                     a, piece.acts[:, r][:, :, r], validate=False),
                     FpMatrix.reduced(at[:, r], field))
                 z = LeftModule.zero(a)
-                put_shared(piece, a, "covers", (), (
+                shared(piece, a, "covers", (), lambda: (
                     piece, FpMatrix.reduced(at, field), z,
                     ModuleHom.zero(z, piece), (t,), not r.any()))
-                put_shared(top, a, "covers", (), (
+                shared(top, a, "covers", (), lambda: (
                     piece, FpMatrix.reduced(at[~r], field),
                     *radical_of_module(piece), (t,), True))
                 tops.append(top)
                 out.append((piece, eye[k], FpMatrix.reduced(eye[:, s], field)))
             a._cache["simples"] = tops
         else:
-            for group in _twin_kept(a, "idempotents", lambda: (
-                    _primitive_idempotents(a.sc, a.unit, algebra_radical(a),
-                                           a.field))):
+            for group in _primitive_idempotents(a.sc, a.unit,
+                                                algebra_radical(a), a.field):
                 piece, incl = _echelon_submodule(reg, spin(reg, group[0]))
                 out.append((piece, group[0], incl.matrix))
         a._cache["pim_triples"] = out

@@ -922,6 +922,49 @@ def test_primitive_idempotents_match_the_pinned_digest():
     assert h.hexdigest() == IDEMPOTENT_PIN
 
 
+def _fallback_tables(field):
+    """Tables the certificate refuses: M_2, M_3 and their products with A2,
+    and A4, N(3,2) and the first six oracle algebras in a random basis."""
+    quivers = {name: rest for name, *rest in _quivers()}
+    rng = np.random.default_rng(field.p)
+    return _idempotent_algebras(field)[-4:] + [
+        _scramble(a.sc, a.unit, field, rng) for a in _oracle_algebras(
+            field)[:6] + [monomial_quiver_algebra(*quivers[name], field)
+                          for name in ("A4", "N(3,2)")]]
+
+
+# recorded while the fallback found eigenvalues by gcd splitting and A^op
+# read its radical, idempotents and radical generators off A
+FALLBACK_PIN = "21f2d54811fb93c76adcc6dc15bc0ead814a91c9b2028c9283e43bb86ec8220a"
+
+
+def test_the_fallback_matches_the_pinned_digest():
+    # rad A, the PIM table, the simples, the minimal resolution of each
+    # simple to length 3 and the regime of every table that the certificate
+    # refuses, and of its opposite, built after it
+    h = hashlib.sha256()
+    for p in (2, 3, 101, 65521):
+        field = FieldSpec(p)
+        for k, table in enumerate(_fallback_tables(field)):
+            a = Algebra(field, table.sc, table.unit, validate=False)
+            for side, b in enumerate((a, opposite_algebra(a))):
+                assert structure._vertex_split(b) is None
+                h.update(f"{k}.{side}@{p}".encode())
+                _put(h, algebra_radical(b).arr)
+                for pim, e, incl in _pim_triples(b):
+                    for arr in (pim.acts, e, incl.arr):
+                        _put(h, arr)
+                for s in simples(b):
+                    _put(h, s.acts)
+                    res = minimal_projective_resolution(s, 3)
+                    for arr in ([t.acts for t in res.terms]
+                                + [d.matrix.arr for d in res.diffs]
+                                + [res.epi.matrix.arr]):
+                        _put(h, arr)
+                h.update(repr(gorenstein_regime(b, 4)).encode())
+    assert h.hexdigest() == FALLBACK_PIN
+
+
 # ---------------------------------------------------------------------------
 # the radical, idempotents and PIMs that the basis shows
 
@@ -1074,6 +1117,29 @@ def test_seeded_covers_match_the_elimination(p):
     algebras = _idempotent_algebras(FieldSpec(p))
     for a in algebras[:-4] + _non_monomial_tables(FieldSpec(p)):
         _assert_seeded_covers_match_the_elimination(a)
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, 65521])
+def test_equal_content_seeds_are_the_same_arrays(monkeypatch, p):
+    # where dim P_k = 1, S_k and P_k have one content, and the first seed
+    # indexed is the cover that both, and every copy, read: the two seeds
+    # agree byte for byte, so no output depends on which one that is
+    seeds, build_shared = {}, structure.shared
+
+    def spy(obj, over, name, key, build):
+        seeds.setdefault((over, _content(obj)), []).append(build())
+        return build_shared(obj, over, name, key, build)
+    monkeypatch.setattr(structure, "shared", spy)
+    for a in _idempotent_algebras(FieldSpec(p))[:-4]:
+        _pim_triples(Algebra(a.field, a.sc, a.unit, validate=False))
+    pairs = [pair for pair in seeds.values() if len(pair) > 1]
+    assert pairs and all(len(pair) == 2 for pair in pairs)
+    for pim_seed, top_seed in pairs:
+        assert pim_seed[0].dim == 1 and pim_seed[-1]
+        arrays = [_arrays(cover.acts, epi.arr, ker.acts, incl.matrix.arr)
+                  for cover, epi, ker, incl, *_ in (pim_seed, top_seed)]
+        assert arrays[0] == arrays[1]
+        assert pim_seed[4:] == top_seed[4:]
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -1353,7 +1419,7 @@ def test_covers_off_the_blocks_match_the_chain_and_spin(quiver, p, seed):
 
 
 # ---------------------------------------------------------------------------
-# eigenvalues by gcd splitting
+# eigenvalues by a blocked Horner scan
 
 
 def _prime_at_most(n):
@@ -1373,6 +1439,15 @@ def _horner_roots(f, p):
     return np.flatnonzero(value == 0).tolist()
 
 
+def _assert_roots(p, roots):
+    # f = prod (t - r) over the distinct roots; for all of GF(p), t^p - t
+    f = [1]
+    for r in roots:
+        f = [(lo - r * hi) % p for lo, hi in zip([0] + f, f + [0])]
+    assert f[-1] == 1 and len(f) == len(roots) + 1
+    assert structure._roots(f, p) == _horner_roots(f, p) == sorted(roots)
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(p=st.integers(2, 65521).map(_prime_at_most), k=st.integers(1, 8),
        seed=st.integers(0, 2 ** 32 - 1))
@@ -1383,15 +1458,19 @@ def _horner_roots(f, p):
 @example(p=101, k=8, seed=1)
 @example(p=65521, k=8, seed=1)
 @example(p=65521, k=1, seed=2)
-def test_split_roots_match_the_horner_scan(p, k, seed):
-    # f = prod (t - r) over k distinct roots; for k = p, f = t^p - t
-    roots = random.Random(seed).sample(range(p), min(k, p))
-    f = [1]
-    for r in roots:
-        f = [(lo - r * hi) % p for lo, hi in zip([0] + f, f + [0])]
-    assert f[-1] == 1 and len(f) == len(roots) + 1
-    assert structure._split_roots(f, p) == _horner_roots(f, p) \
-        == sorted(roots)
+def test_roots_match_the_horner_scan(p, k, seed):
+    _assert_roots(p, random.Random(seed).sample(range(p), min(k, p)))
+
+
+@pytest.mark.parametrize("p, roots", [
+    (2, [0]), (2, [1]), (2, [1, 0]), (3, [0]), (3, [2]), (3, [2, 0]),
+    (3, [1, 2, 0]), (2053, [2047]), (2053, [2048]), (2053, [2052, 2047]),
+    (2053, [2048, 0, 2052]), (65521, [65520]), (65521, [2048, 2047]),
+    (65521, [65520, 4095, 2048, 2047, 0, 4096, 63487, 63488])])
+def test_roots_at_the_ends_of_the_blocks(p, roots):
+    # the scan runs 2048 points at a time: roots on either side of a block
+    # boundary, at p - 1 in a short last block, and over GF(2) and GF(3)
+    _assert_roots(p, roots)
 
 
 def test_primitive_idempotents_allocate_nothing_of_the_size_of_the_field():
