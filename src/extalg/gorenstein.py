@@ -11,6 +11,11 @@ transpose, each side reading Ext^i(-, A) degree by degree off a minimal
 resolution grown one cover at a time, and stopping at the first nonzero
 Ext^i, its certificate.  A^op reads A's regime with the verdicts swapped.
 
+The regime walks D(A_A), over A, for dr = id(A_A) and reads dl = id(_A A)
+off it: a finite-dimensional algebra self-injective on one side is so on
+both (Lam, Lectures on Modules and Rings, Thm. 15.1), and two finite
+injective dimensions of A are equal (Zaks, J. Algebra 13, 1969).
+
 The three kinds of complete resolution (base, lifted pair, dualized
 copair) come back as one record, `CompleteResolution`, and their three
 validators read the complex they check and share one window check.  The
@@ -33,13 +38,15 @@ from typing import Optional, Tuple
 from .algebra import (Algebra, Bimodule, HomSpace, LeftModule, ModuleHom,
                       dual_module, hom_space, is_exact_at,
                       is_kernel_inclusion, opposite_algebra, quotient_module)
-from .homology import (ChainComplex, _precompose_matrix,
-                       default_bound, ext_dims, fd_bounded, hom_complex,
-                       hom_complex_co, id_bounded, is_exact_complex,
-                       minimal_projective_resolution, pd_bounded)
+from .homology import (ChainComplex, DimensionVerdict, _precompose_matrix,
+                       default_bound, ext_dims, ext_from_resolution,
+                       fd_bounded, hom_complex, hom_complex_co, id_bounded,
+                       is_exact_complex, minimal_projective_resolution,
+                       pd_bounded)
 from .linalg import FpMatrix, is_invertible, rank, rref, solve
-from .structure import (injective_indecomposables, is_injective,
-                        is_projective, projective_indecomposables)
+from .structure import (_vertex_split, injective_indecomposables,
+                        is_injective, is_projective,
+                        projective_indecomposables, simples)
 from .trivext import (CopairModule, PairModule, TrivialExtension,
                       _coextend, _extend, _inflate, copair_to_module,
                       functor_C, functor_K, module_to_pair,
@@ -100,10 +107,31 @@ def biduality_map(m) -> ModuleHom:
 # regimes
 
 
+def _left_from_right(a: Algebra, dr, bound: int):
+    """dl = id(_A A) off dr = id(A_A), or None where dl must be walked:
+    dr = 0 gives dl = 0, and dr = n >= 1 gives dl = n unless some
+    Ext^(n+1)(S, A) != 0, read off the simples of a certified PIM table,
+    which makes dl infinite."""
+    if dr == DimensionVerdict.finite(0):
+        return dr
+    if not dr.is_finite() or not _vertex_split(a):
+        return None
+    for s in simples(a):
+        # Ext^(n+1)(S, -) = 0 where Omega^(n+1)(S) = 0
+        res = minimal_projective_resolution(s, dr.value)
+        if res.syzygies[-1].dim and ext_from_resolution(
+                res, LeftModule.regular(a), dr.value + 1).dim:
+            return DimensionVerdict.exceeds(bound)
+    return dr
+
+
 def gorenstein_regime(a: Algebra, bound: Optional[int] = None
                       ) -> Tuple[str, object, object]:
     """(regime, left verdict, right verdict) for the self-injective
-    dimensions of the two regular modules."""
+    dimensions of the two regular modules.  dr = id(A_A) is walked over A;
+    dl = id(_A A) is read off it (Lam, Thm. 15.1; Zaks, J. Algebra 13,
+    1969), and walked over A^op only if dr is infinite, or dr > 0 and the
+    path-basis certificate refuses A."""
     if bound is None:
         bound = default_bound(a)
     key, twin = ("regime", bound), a._cache.get("opposite", a)._cache
@@ -111,8 +139,9 @@ def gorenstein_regime(a: Algebra, bound: Optional[int] = None
         if key in twin:
             regime, dr, dl = twin[key]
         else:
-            dl = id_bounded(LeftModule.regular(a), bound)
             dr = id_bounded(LeftModule.regular(opposite_algebra(a)), bound)
+            dl = _left_from_right(a, dr, bound) or id_bounded(
+                LeftModule.regular(a), bound)
             regime = UNKNOWN if not (dl.is_finite() and dr.is_finite()) \
                 else SELF_INJECTIVE if dl.value == dr.value == 0 \
                 else IWANAGA_GORENSTEIN

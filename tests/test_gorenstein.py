@@ -2,15 +2,18 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import extalg.gorenstein
 import extalg.homology
-from conftest import (FIELD2, FIELD3, a2_algebra, a2_morita_ring,
-                      double_extension, local_wild_algebra, nakayama_ring,
-                      product_morita_ring, random_copair, random_module,
-                      random_pair, square_zero_extension,
+from conftest import (FIELD2, FIELD3, _count_cover_builds, a2_algebra,
+                      a2_morita_ring, double_extension, local_wild_algebra,
+                      monomial_quivers, nakayama_ring, product_morita_ring,
+                      random_copair, random_module, random_pair,
+                      small_quiver_algebra, square_zero_extension,
                       triangular_extension)
-from extalg.algebra import (Bimodule, LeftModule, dual_module,
+from extalg.algebra import (Algebra, Bimodule, LeftModule, dual_module,
                             field_algebra, hom_space,
                             is_kernel_inclusion, monomial_quiver_algebra,
                             opposite_algebra, product_algebra,
@@ -32,7 +35,8 @@ from extalg.gorenstein import (CERTIFIED_NO, CERTIFIED_YES,
                                validate_pair_complete_resolution,
                                verify_cor35, verify_cor45, verify_cor48,
                                zr_bimodule)
-from extalg.homology import (ext_dims, ext_from_resolution,
+from extalg.homology import (DimensionVerdict, ExtResult, ext_dims,
+                             ext_from_resolution, id_bounded,
                              minimal_projective_resolution,
                              non_minimal_resolution)
 from extalg.linalg import FieldSpec, FpMatrix, is_invertible, rank
@@ -40,6 +44,8 @@ from extalg.structure import find_isomorphism, is_projective, simples
 from extalg.trivext import (_extend, functor_C, functor_Z_copair,
                             functor_Z_pair, module_to_copair, module_to_pair,
                             opposite_extension, pair_to_module)
+from test_resolution_fingerprint import _quivers
+from test_structure import _prime_at_most, _scramble
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +83,96 @@ def test_regime_cached(d_ext):
     a = d_ext.total
     first = gorenstein_regime(a)
     assert gorenstein_regime(a) is first
+
+
+def _opposite_table(a):
+    """A^op as a fresh algebra, linked to no regime that A has read."""
+    return Algebra(a.field, np.ascontiguousarray(a.sc.transpose(1, 0, 2)),
+                   a.unit, validate=False)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(quiver=monomial_quivers(), p=st.sampled_from([2, 3, 101, 65521]),
+       bound=st.sampled_from([2, 3]), seed=st.integers(0, 2 ** 32 - 1))
+@example(quiver=(3, [(0, 1), (1, 2)], [(0, 1)]), p=2, bound=3, seed=0)
+@example(quiver=(2, [(0, 1), (1, 1)], [(1, 1)]), p=3, bound=2, seed=0)
+@example(quiver=(2, [(0, 1), (1, 0), (1, 1)], [(1, 0), (2, 2)]), p=101,
+         bound=3, seed=0)
+def test_regime_matches_the_two_dual_walks(quiver, p, bound, seed):
+    # dl is read off dr (QF, Zaks) where the certificate holds and walked
+    # over A^op elsewhere: against both walks on a fresh copy of A, of
+    # A^op and of A in a random basis, which the certificate refuses.  In
+    # the examples dr = dl = 2 (A3 mod its path of length 2), and a simple
+    # of infinite pd makes the regime read Ext^(dr+1)(S, A) for dr = 1
+    # (0 -> 1 with a loop at 1 of square 0) and dr = 2
+    field = FieldSpec(p)
+    a = small_quiver_algebra(*quiver, field, paths=12)
+    if a is None:
+        return
+    rng = np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        _count_cover_builds(mp, limit=60)
+        for x in (Algebra(field, a.sc, a.unit, validate=False),
+                  _opposite_table(a), _scramble(a.sc, a.unit, field, rng)):
+            got = gorenstein_regime(x, bound)[1:]
+            assert got == (id_bounded(LeftModule.regular(x), bound),
+                           id_bounded(LeftModule.regular(opposite_algebra(x)),
+                                      bound))
+
+
+def test_a_nonzero_ext_past_dr_makes_dl_infinite(monkeypatch):
+    # no known algebra has dr finite and dl infinite (that would refute
+    # the Gorenstein symmetry conjecture), so a nonzero Ext^2(S_0, A) is
+    # faked over 0 -> 1 with a loop at 1 of square 0, where dr = 1 and S_0
+    # has infinite pd: dl is then past every bound, as a walk would find
+    calls = []
+
+    def nonzero(res, n, i):
+        calls.append(i)
+        return ExtResult(1, 1, 0)
+    monkeypatch.setattr(extalg.gorenstein, "ext_from_resolution", nonzero)
+    a = monomial_quiver_algebra(2, [(0, 1), (1, 1)], [[1, 1]], FIELD3)
+    regime, dl, dr = gorenstein_regime(a, 4)
+    assert (regime, dl, dr) == (UNKNOWN, DimensionVerdict.exceeds(4),
+                                DimensionVerdict.finite(1))
+    assert calls == [2]
+
+
+def _primes_upto(n):
+    sieve = np.ones(n + 1, dtype=bool)
+    sieve[:2] = False
+    for q in range(2, int(n ** 0.5) + 1):
+        if sieve[q]:
+            sieve[q * q::q] = False
+    return np.flatnonzero(sieve).tolist()
+
+
+def test_regime_at_a_slice_of_the_primes():
+    # the closed forms at the primes around the 2048-point blocks of the
+    # root scan, at every 100th prime and at every p <= dim A (dim A <= 6
+    # here, so p in 2, 3, 5): A_n is Iwanaga-Gorenstein with dl = dr = 1,
+    # N(n,k) self-injective and the wild algebra unknown, on A and on a
+    # fresh A^op, in the path basis and, for A3, in a random one, which
+    # takes the fallback
+    primes = _primes_upto(65521)
+    spread = {2053, *primes[99::100],
+              *(_prime_at_most(2 ** k - 1) for k in range(12, 17))}
+    quivers = {name: rest for name, *rest in _quivers()}
+    want = {"A2": (IWANAGA_GORENSTEIN, 1, 1), "A3": (IWANAGA_GORENSTEIN, 1, 1),
+            "N(2,2)": (SELF_INJECTIVE, 0, 0), "N(3,2)": (SELF_INJECTIVE, 0, 0),
+            "wild": (UNKNOWN, 10, 10)}
+    for p in sorted(spread | set(primes[:3])):
+        field = FieldSpec(p)
+        tables = {name: monomial_quiver_algebra(*quivers[name], field)
+                  for name in want}
+        a3 = tables["A3"]
+        for name, a in [*tables.items(), ("A3", _scramble(
+                a3.sc, a3.unit, field, np.random.default_rng(p)))]:
+            if p in spread or p <= a.dim:
+                for x in (a, _opposite_table(a)):
+                    regime, dl, dr = gorenstein_regime(x)
+                    assert (regime, dl.value, dr.value) == want[name], \
+                        (name, p, x is a)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from conftest import (FIELD2, _count_cover_builds, a2_algebra,
                       monomial_quivers, nakayama_ring, product_morita_ring,
                       random_module, small_quiver_algebra,
                       square_zero_extension, triangular_extension)
-from extalg import structure
+from extalg import gorenstein, structure
 from extalg.algebra import (Algebra, HomSpace, LeftModule, _content,
                             _echelon_submodule, block_sum_module,
                             dual_module, field_algebra, hom_space,
@@ -882,6 +882,38 @@ def test_regime_builds_no_tops_over_the_opposite(monkeypatch):
         simples(a), simples(a)
         assert len(tops) == len([x for x in tops if x is a]) == built
         tops.clear()
+
+
+@pytest.mark.parametrize("p", [2, 65521])
+def test_regime_builds_nothing_over_the_opposite(monkeypatch, p):
+    # dr = id(A_A) is walked over A and dl read off it and the simples of
+    # A's PIM table, so A^op gets no certificate, no PIM table and no
+    # cover.  The wild algebra (dr infinite, A^op = A) and A3 in a random
+    # basis (refused) still walk D(_A A) over A^op: two walks, not one
+    built, walks = [], []
+    for name, over in (("_vertex_split", lambda a: a),
+                       ("_pim_triples", lambda a: a),
+                       ("_cover_parts", lambda m: m.over)):
+        monkeypatch.setattr(structure, name, lambda x, over=over,
+                            build=getattr(structure, name):
+                            built.append(over(x)) or build(x))
+    walk = gorenstein.id_bounded
+    monkeypatch.setattr(gorenstein, "id_bounded",
+                        lambda m, bound: walks.append(m) or walk(m, bound))
+    quivers = {name: rest for name, *rest in _quivers()}
+    for name in ("A3", "A4", "A5", "A6", "N(3,2)", "N(3,3)", "N(4,3)"):
+        a = monomial_quiver_algebra(*quivers[name], FieldSpec(p))
+        assert gorenstein_regime(a)[0] != UNKNOWN
+        op = opposite_algebra(a)
+        assert op is not a and built and len(walks) == 1
+        assert not [x for x in built if x is op], name
+        built.clear(), walks.clear()
+    for a in (monomial_quiver_algebra(*quivers["wild"], FieldSpec(p)),
+              _a3_in_a_random_basis()):
+        gorenstein_regime(a)
+        assert len(walks) == 2 and walks[1] is LeftModule.regular(a)
+        assert [x for x in built if x is opposite_algebra(a)]
+        built.clear(), walks.clear()
 
 
 # ---------------------------------------------------------------------------
