@@ -11,10 +11,13 @@ transpose, each side reading Ext^i(-, A) degree by degree off a minimal
 resolution grown one cover at a time, and stopping at the first nonzero
 Ext^i, its certificate.  A^op reads A's regime with the verdicts swapped.
 
-The regime walks D(A_A), over A, for dr = id(A_A) and reads dl = id(_A A)
-off it: a finite-dimensional algebra self-injective on one side is so on
-both (Lam, Lectures on Modules and Rings, Thm. 15.1), and two finite
-injective dimensions of A are equal (Zaks, J. Algebra 13, 1969).
+A quiver with no oriented cycle gives A finite global dimension, the same
+on both sides (Auslander, Nagoya Math. J. 9, 1955), so the regime reads
+id(_A A) = id(A_A) (Zaks, J. Algebra 13, 1969) off the simples.  Else it
+walks D(A_A), over A, for dr = id(A_A) and reads dl = id(_A A) off it (one
+side self-injective makes both so: Lam, Lectures on Modules and Rings,
+Thm. 15.1), walking D(_A A) over A^op only where dr is infinite, or dr > 0
+and the path-basis certificate refuses A.
 
 The three kinds of complete resolution (base, lifted pair, dualized
 copair) come back as one record, `CompleteResolution`, and their three
@@ -44,9 +47,9 @@ from .homology import (ChainComplex, DimensionVerdict, _precompose_matrix,
                        is_exact_complex, minimal_projective_resolution,
                        pd_bounded)
 from .linalg import FpMatrix, is_invertible, rank, rref, solve
-from .structure import (_vertex_split, injective_indecomposables,
-                        is_injective, is_projective,
-                        projective_indecomposables, simples)
+from .structure import (_triangular, _vertex_split,
+                        injective_indecomposables, is_injective,
+                        is_projective, projective_indecomposables, simples)
 from .trivext import (CopairModule, PairModule, TrivialExtension,
                       _coextend, _extend, _inflate, copair_to_module,
                       functor_C, functor_K, module_to_pair,
@@ -107,6 +110,27 @@ def biduality_map(m) -> ModuleHom:
 # regimes
 
 
+def _ext_into_regular(s, i: int) -> int:
+    """dim Ext^i(S, A) for a simple S, 0 where Omega^i(S) = 0."""
+    res = minimal_projective_resolution(s, max(i - 1, 0))
+    return res.syzygies[i].dim and ext_from_resolution(
+        res, LeftModule.regular(s.over), i).dim
+
+
+def _off_the_simples(a: Algebra, bound: int):
+    """dl = dr for a triangular A whose simples have pd <= bound (module
+    docstring), else None: the largest i with Ext^i(S, A) != 0 over the
+    simples S.  Ext^i(S, -) = 0 past pd(S), so it is the largest pd(S) = n
+    once Ext^n(S, A) != 0 is read, or n = 0 (S projective, Hom(S, A) != 0)."""
+    if not _triangular(a):
+        return None
+    pds = [pd_bounded(s, bound) for s in simples(a)]
+    s, top = max(zip(simples(a), pds), key=lambda sv: sv[1].value)
+    if all(v.is_finite() for v in pds) and (
+            not top.value or _ext_into_regular(s, top.value)):
+        return top
+
+
 def _left_from_right(a: Algebra, dr, bound: int):
     """dl = id(_A A) off dr = id(A_A), or None where dl must be walked:
     dr = 0 gives dl = 0, and dr = n >= 1 gives dl = n unless some
@@ -114,24 +138,16 @@ def _left_from_right(a: Algebra, dr, bound: int):
     which makes dl infinite."""
     if dr == DimensionVerdict.finite(0):
         return dr
-    if not dr.is_finite() or not _vertex_split(a):
-        return None
-    for s in simples(a):
-        # Ext^(n+1)(S, -) = 0 where Omega^(n+1)(S) = 0
-        res = minimal_projective_resolution(s, dr.value)
-        if res.syzygies[-1].dim and ext_from_resolution(
-                res, LeftModule.regular(a), dr.value + 1).dim:
-            return DimensionVerdict.exceeds(bound)
-    return dr
+    if dr.is_finite() and _vertex_split(a):
+        return DimensionVerdict.exceeds(bound) if any(_ext_into_regular(
+            s, dr.value + 1) for s in simples(a)) else dr
 
 
 def gorenstein_regime(a: Algebra, bound: Optional[int] = None
                       ) -> Tuple[str, object, object]:
     """(regime, left verdict, right verdict) for the self-injective
-    dimensions of the two regular modules.  dr = id(A_A) is walked over A;
-    dl = id(_A A) is read off it (Lam, Thm. 15.1; Zaks, J. Algebra 13,
-    1969), and walked over A^op only if dr is infinite, or dr > 0 and the
-    path-basis certificate refuses A."""
+    dimensions of the two regular modules (module docstring): off the
+    simples, else dr walked over A and dl read off it where it can be."""
     if bound is None:
         bound = default_bound(a)
     key, twin = ("regime", bound), a._cache.get("opposite", a)._cache
@@ -139,9 +155,11 @@ def gorenstein_regime(a: Algebra, bound: Optional[int] = None
         if key in twin:
             regime, dr, dl = twin[key]
         else:
-            dr = id_bounded(LeftModule.regular(opposite_algebra(a)), bound)
-            dl = _left_from_right(a, dr, bound) or id_bounded(
-                LeftModule.regular(a), bound)
+            dl = dr = _off_the_simples(a, bound)
+            if dr is None:
+                dr = id_bounded(LeftModule.regular(opposite_algebra(a)), bound)
+                dl = _left_from_right(a, dr, bound) or id_bounded(
+                    LeftModule.regular(a), bound)
             regime = UNKNOWN if not (dl.is_finite() and dr.is_finite()) \
                 else SELF_INJECTIVE if dl.value == dr.value == 0 \
                 else IWANAGA_GORENSTEIN

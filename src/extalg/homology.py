@@ -22,6 +22,7 @@ pd(m) - a = pd(m) - b, so pd(m) is infinite and the answer exceeds(bound).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, groupby
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,7 +31,7 @@ from .algebra import (Algebra, AlgebraError, HomSpace, ModuleHom,
                       _content, _same_algebra, block_sum_module,
                       dual_module, field_space, hom_space, is_exact_at, kept,
                       kernel_module)
-from .linalg import FpMatrix, echelon_coords, hstack, matmul_mod, rank
+from .linalg import FpMatrix, _rref_inplace, echelon_coords, hstack, matmul_mod
 from .structure import (ProjectivePresentation, _pim_triples, pim_homs,
                         projective_cover, projective_indecomposables)
 
@@ -193,25 +194,27 @@ def _ext_degrees(res: Resolution, n, upto: int) -> Iterator[ExtResult]:
     # e_i in the coordinates of P_i (basis the RREF incl^T), kept on A
     gens = kept(n.over, "pim_gens", lambda: [echelon_coords(
         incl.transpose(), e) for _, e, incl in _pim_triples(n.over)])
-    coboundaries = 0
+    p, coboundaries = n.over.field.p, 0
     for j in range(upto + 1):
         if res.length() == j:
             res.grow()
         src, tgt = res.summands[j + 1], res.summands[j]
-        cols = np.split(res.diffs[j].matrix.arr,
-                        np.cumsum([len(gens[i]) for i in src]), axis=1)
-        # row t is d_j of the generator of the t-th summand of P_{j+1}
-        images = np.reshape([c @ gens[i] for c, i in zip(cols, src)],
-                            (len(src), res.terms[j].dim)) % n.over.field.p
-        width = n.dim * len(src)
-        values = np.vstack([np.zeros((0, width), dtype=np.int64)] + [
-            (homs[i] @ b.T).reshape(len(homs[i]), width) for i, b in zip(
-                tgt, np.split(images, np.cumsum([len(gens[i]) for i in tgt]),
-                              axis=1))])
-        r = rank(FpMatrix(values, n.over.field))
-        cocycles = sum(len(homs[i]) for i in tgt) - r
+        # column t is d_j of the generator of the t-th summand of P_{j+1}
+        g = np.concatenate([np.zeros(0, np.int64), *(gens[i] for i in src)])
+        images = np.add.reduceat(res.diffs[j].matrix.arr * g, [0, *accumulate(
+            len(gens[i]) for i in src)][:len(src)], axis=1) % p
+        # one product per run of r copies of P_i in P_j, rows (copy, phi)
+        s, off = len(src), 0
+        values = [np.zeros((0, n.dim * s), dtype=np.int64)]
+        for i, run in groupby(tgt):
+            (h, _, w), r = homs[i].shape, len(list(run))
+            values.append(np.einsum("hnw,rws->rhns", homs[i], images[
+                off:off + r * w].reshape(r, w, s)).reshape(r * h, n.dim * s))
+            off += r * w
+        rk = len(_rref_inplace(np.concatenate(values) % p, p))
+        cocycles = sum(len(homs[i]) for i in tgt) - rk
         yield ExtResult(cocycles - coboundaries, cocycles, coboundaries)
-        coboundaries = r
+        coboundaries = rk
 
 
 def ext_from_resolution(res: Resolution, n, i: int) -> ExtResult:
@@ -250,20 +253,23 @@ class DimensionVerdict:
 def pd_bounded(m, bound: Optional[int] = None) -> DimensionVerdict:
     """Projective dimension, certified finite by a minimal resolution with
     zero final syzygy; exceeds(bound) when none appears within the bound,
-    or sooner on a repeated semisimple syzygy (module docstring)."""
+    or sooner on a repeated semisimple syzygy (module docstring).  Kept on
+    m per bound, so a second call walks nothing."""
     if bound is None:
         bound = default_bound(m.over)
-    cur, supports = m, set()
-    for d in range(bound + 1):
-        pres = projective_cover(cur)
-        if pres.kernel.dim == 0:
-            return DimensionVerdict.finite(d)
-        if pres.semisimple:
-            if frozenset(pres.summands) in supports:
-                break
-            supports.add(frozenset(pres.summands))
-        cur = pres.kernel
-    return DimensionVerdict.exceeds(bound)
+    def walk():
+        cur, supports = m, set()
+        for d in range(bound + 1):
+            pres = projective_cover(cur)
+            if pres.kernel.dim == 0:
+                return DimensionVerdict.finite(d)
+            if pres.semisimple:
+                if frozenset(pres.summands) in supports:
+                    break
+                supports.add(frozenset(pres.summands))
+            cur = pres.kernel
+        return DimensionVerdict.exceeds(bound)
+    return kept(m, ("pd", bound), walk)
 
 
 def id_bounded(m, bound: Optional[int] = None) -> DimensionVerdict:

@@ -285,12 +285,28 @@ def _vertex_split(a: Algebra):
                 or np.count_nonzero(at_k) != np.count_nonzero(diag)):
             return None
         reach = np.any(sc, axis=0, where=~vertex[:, None, None])[np.ix_(j, j)]
-        for _ in range(len(j).bit_length()):    # walks of length <= 2^t
-            reach |= reach @ reach
-        return None if reach.diagonal().any() else (
+        return None if _has_cycle(reach) else (
             FpMatrix.reduced(eye[j], a.field),
             [(int(v), np.flatnonzero(d)) for v, d in zip(k, diag)])
     return kept(a, "vertex_split", build)
+
+
+def _has_cycle(graph: np.ndarray) -> bool:
+    """The bool adjacency matrix has a cycle (t squarings: walks <= 2^t)."""
+    for _ in range(len(graph).bit_length()):
+        graph = graph | graph @ graph
+    return bool(graph.diagonal().any())
+
+
+def _triangular(a: Algebra) -> bool:
+    """The quiver has no oriented cycle: A is certified and C != 1 has none,
+    for C[l, k] = dim e_l.A.e_k: the b_i with b_i terms in b_l.b_i, b_i.b_k."""
+    if (split := _vertex_split(a)) and "triangular" not in a._cache:
+        k = [v for v, _ in split[1]]
+        cartan = (np.diagonal(a.sc, 0, 1, 2)[k] != 0) @ (np.diagonal(
+            a.sc, 0, 0, 2)[k].T != 0).astype(np.int64)
+        a._cache["triangular"] = not _has_cycle(cartan != np.eye(len(k)))
+    return a._cache.get("triangular", False)
 
 
 def algebra_radical(a: Algebra) -> FpMatrix:

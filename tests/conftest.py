@@ -172,16 +172,24 @@ def monomial_quivers(draw):
 # spies
 
 
-def _count_cover_builds(monkeypatch, limit=None):
+# no test covers a module of dim above 120; a syzygy of a drawn quiver
+# can reach 1254, whose kernel elimination fills the memory of a host
+COVER_DIM_CAP = 160
+
+
+def _count_cover_builds(monkeypatch, limit=None, max_dim=COVER_DIM_CAP):
     """The dimensions of the modules whose cover is computed from now on;
-    a build past `limit` raises, so a walk that does not stop fails fast
-    instead of covering ever larger syzygies."""
+    a build past `limit`, or of a module of dim above `max_dim`, raises,
+    so a walk that does not stop fails fast instead of covering ever
+    larger syzygies."""
     dims, build = [], structure._cover_parts
 
     def counted(m):
         dims.append(m.dim)
         if limit is not None and len(dims) > limit:
             raise AssertionError(f"more than {limit} cover builds: {dims}")
+        if m.dim > max_dim:
+            raise AssertionError(f"a cover of dim {m.dim} > {max_dim}")
         return build(m)
     monkeypatch.setattr(structure, "_cover_parts", counted)
     return dims

@@ -35,8 +35,8 @@ from extalg.gorenstein import (CERTIFIED_NO, CERTIFIED_YES,
                                validate_pair_complete_resolution,
                                verify_cor35, verify_cor45, verify_cor48,
                                zr_bimodule)
-from extalg.homology import (DimensionVerdict, ExtResult, ext_dims,
-                             ext_from_resolution, id_bounded,
+from extalg.homology import (DimensionVerdict, ExtResult, default_bound,
+                             ext_dims, ext_from_resolution, id_bounded,
                              minimal_projective_resolution,
                              non_minimal_resolution)
 from extalg.linalg import FieldSpec, FpMatrix, is_invertible, rank
@@ -45,7 +45,7 @@ from extalg.trivext import (_extend, functor_C, functor_Z_copair,
                             functor_Z_pair, module_to_copair, module_to_pair,
                             opposite_extension, pair_to_module)
 from test_resolution_fingerprint import _quivers
-from test_structure import _prime_at_most, _scramble
+from test_structure import _a3_in_a_random_basis, _prime_at_most, _scramble
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +136,80 @@ def test_a_nonzero_ext_past_dr_makes_dl_infinite(monkeypatch):
     assert (regime, dl, dr) == (UNKNOWN, DimensionVerdict.exceeds(4),
                                 DimensionVerdict.finite(1))
     assert calls == [2]
+
+
+def _dual_walks(monkeypatch):
+    """The modules whose dual the regime walks, from now on."""
+    walks, walk = [], extalg.gorenstein.id_bounded
+    monkeypatch.setattr(extalg.gorenstein, "id_bounded",
+                        lambda m, bound: walks.append(m) or walk(m, bound))
+    return walks
+
+
+def _both_walks(a, bound):
+    """(id(_A A), id(A_A)), each walked over the dual."""
+    return (id_bounded(LeftModule.regular(a), bound),
+            id_bounded(LeftModule.regular(opposite_algebra(a)), bound))
+
+
+# gl.dim 2: 0 -> 1 -> 2 with the path of length 2 zero
+_A3_MOD_PATH2 = (3, [(0, 1), (1, 2)], [[0, 1]])
+# quivers with no oriented cycle, and their (dl, dr) = gl.dim
+_ACYCLIC = [(f"A{n}", (n, [(i, i + 1) for i in range(n - 1)], []), 1)
+            for n in range(2, 7)] + [
+    ("A3 mod its path of length 2", _A3_MOD_PATH2, 2),
+    ("the square with 0 -> 1 -> 3 zero",
+     (4, [(0, 1), (1, 3), (0, 2), (2, 3)], [[0, 1]]), 2)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 65521])
+def test_an_acyclic_quiver_reads_its_regime_off_the_simples(monkeypatch,
+                                                             p):
+    # finite global dimension: dl = dr is read off Ext^i(S, A) on the
+    # simples, with no dual walk, and equals both walks
+    walks = _dual_walks(monkeypatch)
+    for name, quiver, gldim in _ACYCLIC:
+        a = monomial_quiver_algebra(*quiver, FieldSpec(p))
+        regime, *got = gorenstein_regime(a)
+        assert not walks, name
+        assert regime == IWANAGA_GORENSTEIN, name
+        assert got == [DimensionVerdict.finite(gldim)] * 2, name
+        assert tuple(got) == _both_walks(a, default_bound(a)), name
+
+
+def test_a_zero_top_ext_sends_the_regime_to_the_walks(monkeypatch):
+    # Ext^n(S, A) != 0 for a simple S of pd n, so reading it certifies the
+    # route; faked to 0 over A3 mod its path of length 2 (n = 2), the
+    # regime walks the duals instead
+    calls = []
+    monkeypatch.setattr(
+        extalg.gorenstein, "ext_from_resolution",
+        lambda res, n, i: calls.append(i) or ExtResult(0, 0, 0))
+    walks = _dual_walks(monkeypatch)
+    a = monomial_quiver_algebra(*_A3_MOD_PATH2, FIELD3)
+    got = gorenstein_regime(a)[1:]
+    assert calls == [2] and walks
+    assert got == _both_walks(a, default_bound(a))
+
+
+@pytest.mark.parametrize("p", [2, 3, 65521])
+def test_a_pd_past_the_bound_or_a_cycle_walks_the_dual(monkeypatch, p):
+    # a simple of pd 2 at bound 1, cyclic quivers (N(3,2), the wild
+    # algebra, one loop of square 0) and a table the certificate refuses
+    # keep the dual walks, and their verdicts
+    walks, field = _dual_walks(monkeypatch), FieldSpec(p)
+    a3_mod = monomial_quiver_algebra(*_A3_MOD_PATH2, field)
+    cases = [(a3_mod, 1)] + [(monomial_quiver_algebra(*quiver, field), None)
+                             for quiver in (
+        (3, [(0, 1), (1, 2), (2, 0)], [[0, 1], [1, 2], [2, 0]]),
+        (1, [(0, 0), (0, 0)], [[0, 0], [0, 1], [1, 0], [1, 1]]),
+        (1, [(0, 0)], [[0, 0]]))] + [(_a3_in_a_random_basis(), None)]
+    for a, bound in cases:
+        got = gorenstein_regime(a, bound)[1:]
+        assert walks
+        assert got == _both_walks(a, bound or default_bound(a))
+        walks.clear()
+    assert gorenstein_regime(a3_mod, 1)[0] == UNKNOWN
 
 
 def _primes_upto(n):

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (FIELD2, a2_algebra, a2_morita_ring, double_extension,
-                      local_wild_algebra, monomial_quivers, nakayama_ring,
-                      product_morita_ring, random_module,
+import extalg.homology
+from conftest import (FIELD2, _count_cover_builds, a2_algebra, a2_morita_ring,
+                      double_extension, local_wild_algebra, monomial_quivers,
+                      nakayama_ring, product_morita_ring, random_module,
                       small_quiver_algebra, square_zero_extension,
                       triangular_extension)
 from extalg.algebra import (Algebra, AlgebraError, Bimodule, HomSpace,
@@ -191,6 +192,34 @@ def test_wild_algebra_dimensions():
     s = simples(w)[0]
     assert pd_bounded(s, 3) == DimensionVerdict.exceeds(3)
     assert id_bounded(LeftModule.regular(w), 3) == DimensionVerdict.exceeds(3)
+
+
+def _cover_lookups(monkeypatch):
+    """The modules a dimension walk asks for a cover of, from now on."""
+    asked, look = [], extalg.homology.projective_cover
+    monkeypatch.setattr(extalg.homology, "projective_cover",
+                        lambda m: asked.append(m) or look(m))
+    return asked
+
+
+@pytest.mark.parametrize("p", [2, 3, 65521])
+def test_pd_verdicts_are_kept_per_bound(monkeypatch, p):
+    # S_0 of 0 -> 1 -> 2 modulo the path of length 2 has pd 2: at bound 1
+    # and at bound 3 it keeps two verdicts, and a second call of either,
+    # or of id_bounded on a module whose kept dual was walked, neither
+    # builds a cover nor asks for one
+    a = monomial_quiver_algebra(3, [(0, 1), (1, 2)], [[0, 1]], FieldSpec(p))
+    s0, reg = simples(a)[-1], LeftModule.regular(a)
+    verdicts = [pd_bounded(s0, 1), pd_bounded(s0, 3),
+                pd_bounded(dual_module(reg), 3)]
+    assert verdicts[:2] == [DimensionVerdict.exceeds(1),
+                            DimensionVerdict.finite(2)]
+    built = _count_cover_builds(monkeypatch)
+    asked = _cover_lookups(monkeypatch)
+    assert [pd_bounded(s0, 1), pd_bounded(s0, 3), id_bounded(reg, 3)] == \
+        verdicts
+    assert not built and not asked
+    assert id_bounded(reg, 2) == verdicts[2] and asked
 
 
 # ---------------------------------------------------------------------------

@@ -260,6 +260,20 @@ def _uniserials(a):
     return out
 
 
+def test_the_cover_spy_raises_past_its_dimension_cap(monkeypatch):
+    # the regular module of A2 (dim 3) is no PIM, so its cover is built;
+    # the spy refuses it before the build at a cap of 2, and takes it at
+    # the default cap
+    a = a2_algebra(FIELD2)
+    with pytest.MonkeyPatch.context() as mp:
+        _count_cover_builds(mp, max_dim=2)
+        with pytest.raises(AssertionError, match="a cover of dim 3 > 2"):
+            projective_cover(LeftModule.regular(a))
+    built = _count_cover_builds(monkeypatch)
+    assert projective_cover(LeftModule.regular(a)).cover.dim == 3
+    assert built == [3]
+
+
 def test_one_cover_per_content(monkeypatch):
     # the twins of a module (its dual, its left view, the regular modules
     # of its algebra, the opposite algebra's regime) are kept on what they
@@ -886,10 +900,12 @@ def test_regime_builds_no_tops_over_the_opposite(monkeypatch):
 
 @pytest.mark.parametrize("p", [2, 65521])
 def test_regime_builds_nothing_over_the_opposite(monkeypatch, p):
-    # dr = id(A_A) is walked over A and dl read off it and the simples of
-    # A's PIM table, so A^op gets no certificate, no PIM table and no
-    # cover.  The wild algebra (dr infinite, A^op = A) and A3 in a random
-    # basis (refused) still walk D(_A A) over A^op: two walks, not one
+    # A_n has no oriented cycle, so dl = dr is read off the simples of A's
+    # PIM table with no dual walk; over N(n,k) dr = id(A_A) is walked over
+    # A and dl read off it and the simples, so A^op gets no certificate,
+    # no PIM table and no cover.  The wild algebra (dr infinite, A^op = A)
+    # and A3 in a random basis (refused) still walk D(_A A) over A^op: two
+    # walks, not one
     built, walks = [], []
     for name, over in (("_vertex_split", lambda a: a),
                        ("_pim_triples", lambda a: a),
@@ -901,11 +917,12 @@ def test_regime_builds_nothing_over_the_opposite(monkeypatch, p):
     monkeypatch.setattr(gorenstein, "id_bounded",
                         lambda m, bound: walks.append(m) or walk(m, bound))
     quivers = {name: rest for name, *rest in _quivers()}
-    for name in ("A3", "A4", "A5", "A6", "N(3,2)", "N(3,3)", "N(4,3)"):
+    for name, n in (("A3", 0), ("A4", 0), ("A5", 0), ("A6", 0),
+                    ("N(3,2)", 1), ("N(3,3)", 1), ("N(4,3)", 1)):
         a = monomial_quiver_algebra(*quivers[name], FieldSpec(p))
         assert gorenstein_regime(a)[0] != UNKNOWN
         op = opposite_algebra(a)
-        assert op is not a and built and len(walks) == 1
+        assert op is not a and built and len(walks) == n, name
         assert not [x for x in built if x is op], name
         built.clear(), walks.clear()
     for a in (monomial_quiver_algebra(*quivers["wild"], FieldSpec(p)),
@@ -1083,6 +1100,44 @@ def test_vertex_split_matches_the_chain_and_lift(p):
 @given(quiver=monomial_quivers(), p=st.sampled_from([2, 3, 101, 65521]))
 def test_vertex_split_of_random_monomial_quivers(quiver, p):
     _assert_on_a_random_quiver(quiver, p, pims=False)
+
+
+def _has_an_oriented_cycle(n, arrows):
+    """A depth-first search over the arrows: some path returns to a vertex
+    on the stack."""
+    on_stack, done = set(), set()
+
+    def visit(v):
+        on_stack.add(v)
+        for s, t in arrows:
+            if s == v and (t in on_stack or t not in done and visit(t)):
+                return True
+        on_stack.discard(v)
+        done.add(v)
+        return False
+    return any(v not in done and visit(v) for v in range(n))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(quiver=monomial_quivers(), p=st.sampled_from([2, 3, 65521]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(quiver=(2, [(0, 1), (1, 0)], [(0, 1), (1, 0)]), p=2, seed=0)
+@example(quiver=(1, [(0, 0)], [(0, 0)]), p=3, seed=0)
+def test_triangular_is_a_quiver_with_no_oriented_cycle(quiver, p, seed):
+    # the Cartan matrix off the certificate has unit diagonal and acyclic
+    # off-diagonal support exactly when the drawn arrows have no oriented
+    # cycle (an arrow is never zero); A^op has the reversed quiver, and a
+    # table in a random basis is triangular only where it is certified
+    field = FieldSpec(p)
+    a = small_quiver_algebra(*quiver, field, paths=20)
+    if a is None:
+        return
+    want = not _has_an_oriented_cycle(*quiver[:2])
+    assert structure._triangular(a) == want
+    assert structure._triangular(opposite_algebra(a)) == want
+    b = _scramble(a.sc, a.unit, field, np.random.default_rng(seed))
+    assert structure._triangular(b) == (
+        want and structure._vertex_split(b) is not None)
 
 
 @pytest.mark.parametrize("p", [2, 3, 101, 65521])
