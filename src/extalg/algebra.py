@@ -137,13 +137,13 @@ def _content(obj) -> tuple:
     return kept(obj, "content", lambda: (obj.dim, obj.acts.tobytes()))
 
 
-def shared(obj, over: Algebra, name: str, key, build):
-    """obj._cache[(name, key)], shared by content: over._cache[name] maps
-    (key, content of obj) weakly to the first module given it, whose value
-    a content-equal module reads.  The value holds no link to its holder,
-    so an entry goes with the last reference to its holder."""
+def shared(obj, name: str, key, build):
+    """obj._cache[(name, key)], shared by content: obj.over._cache[name]
+    maps (key, content of obj) weakly to the first module given it, whose
+    value a content-equal module reads.  The value holds no link to its
+    holder, so an entry goes with the last reference to its holder."""
     if (name, key) not in obj._cache:
-        index = kept(over, name, weakref.WeakValueDictionary)
+        index = kept(obj.over, name, weakref.WeakValueDictionary)
         holder = index.get((key, _content(obj)))
         obj._cache[name, key] = build() if holder is None \
             else holder._cache[name, key]
@@ -153,13 +153,13 @@ def shared(obj, over: Algebra, name: str, key, build):
 
 def opposite_algebra(a: Algebra) -> Algebra:
     """A^op, kept on A and A on it; A itself when A is commutative."""
-    if "opposite" not in a._cache:
+    def build():
         sc = np.ascontiguousarray(np.transpose(a.sc, (1, 0, 2)))
         op = a if (sc == a.sc).all() else Algebra(a.field, sc, a.unit,
                                                   validate=False)
-        op._cache["opposite"] = a
-        a._cache["opposite"] = op
-    return a._cache["opposite"]
+        kept(op, "opposite", lambda: a)
+        return op
+    return kept(a, "opposite", build)
 
 
 def algebra_generators(a: Algebra) -> List[int]:
@@ -167,7 +167,7 @@ def algebra_generators(a: Algebra) -> List[int]:
     basis order: b_i joins when it is not in the subalgebra generated by 1
     and the earlier picks.  A linear map between modules intertwines every
     element of `a` iff it intertwines these."""
-    if "generators" not in a._cache:
+    def build():
         eye = np.eye(a.dim, dtype=np.int64)
         span = row_basis(FpMatrix(a.unit.reshape(1, -1), a.field))
         gens: List[int] = []
@@ -185,8 +185,8 @@ def algebra_generators(a: Algebra) -> List[int]:
                     FpMatrix(span.arr @ a.sc[:, g, :], a.field)
                     for g in gens]))
             span = grown    # the closure in RREF, as echelon_coords needs
-        a._cache["generators"] = gens
-    return a._cache["generators"]
+        return gens
+    return kept(a, "generators", build)
 
 
 def product_algebra(a: Algebra, b: Algebra) -> Algebra:
@@ -398,9 +398,6 @@ class ModuleHom:
         """self after other."""
         return ModuleHom(other.source, self.target,
                          self.matrix @ other.matrix, validate=False)
-
-    def is_zero(self) -> bool:
-        return self.matrix.is_zero()
 
     def is_iso(self) -> bool:
         return is_invertible(self.matrix)
@@ -637,7 +634,7 @@ def tensor_bimodule_left(m: Bimodule, x: LeftModule) -> TensorSpace:
     shared by content, and by the id of A, which the space keeps alive."""
     if not _same_algebra(m.right_over, x.over):
         raise AlgebraError("contracted algebras do not match")
-    return shared(x, x.over, "tensors", (_content(m), id(m.left_over)),
+    return shared(x, "tensors", (_content(m), id(m.left_over)),
                   lambda: _tensor_space(m, x))
 
 
@@ -730,7 +727,7 @@ def hom_from_bimodule(m: Bimodule, y: LeftModule) -> HomModule:
     """Hom_A(M, Y), kept on Y and shared by content as tensors are."""
     if not _same_algebra(m.left_over, y.over):
         raise AlgebraError("legs do not match")
-    return shared(y, y.over, "homs", (_content(m), id(m.right_over)),
+    return shared(y, "homs", (_content(m), id(m.right_over)),
                   lambda: HomModule(m, y))
 
 

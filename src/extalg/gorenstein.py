@@ -9,7 +9,7 @@ with the bound on record, and a failing one yields a certified refutation
 with a concrete witness.  The battery is one loop over the module and its
 transpose, each side reading Ext^i(-, A) degree by degree off a minimal
 resolution grown one cover at a time, and stopping at the first nonzero
-Ext^i, its certificate.  A^op reads A's regime with the verdicts swapped.
+Ext^i, its certificate.
 
 A quiver with no oriented cycle gives A finite global dimension, the same
 on both sides (Auslander, Nagoya Math. J. 9, 1955), so the regime reads
@@ -40,7 +40,8 @@ from typing import Optional, Tuple
 
 from .algebra import (Algebra, Bimodule, HomSpace, LeftModule, ModuleHom,
                       dual_module, hom_space, is_exact_at,
-                      is_kernel_inclusion, opposite_algebra, quotient_module)
+                      is_kernel_inclusion, kept, opposite_algebra,
+                      quotient_module)
 from .homology import (ChainComplex, DimensionVerdict, _precompose_matrix,
                        default_bound, ext_dims, ext_from_resolution,
                        fd_bounded, hom_complex, hom_complex_co, id_bounded,
@@ -150,21 +151,17 @@ def gorenstein_regime(a: Algebra, bound: Optional[int] = None
     simples, else dr walked over A and dl read off it where it can be."""
     if bound is None:
         bound = default_bound(a)
-    key, twin = ("regime", bound), a._cache.get("opposite", a)._cache
-    if key not in a._cache:
-        if key in twin:
-            regime, dr, dl = twin[key]
-        else:
-            dl = dr = _off_the_simples(a, bound)
-            if dr is None:
-                dr = id_bounded(LeftModule.regular(opposite_algebra(a)), bound)
-                dl = _left_from_right(a, dr, bound) or id_bounded(
-                    LeftModule.regular(a), bound)
-            regime = UNKNOWN if not (dl.is_finite() and dr.is_finite()) \
-                else SELF_INJECTIVE if dl.value == dr.value == 0 \
-                else IWANAGA_GORENSTEIN
-        a._cache[key] = (regime, dl, dr)
-    return a._cache[key]
+    def build():
+        dl = dr = _off_the_simples(a, bound)
+        if dr is None:
+            dr = id_bounded(LeftModule.regular(opposite_algebra(a)), bound)
+            dl = _left_from_right(a, dr, bound) or id_bounded(
+                LeftModule.regular(a), bound)
+        regime = UNKNOWN if not (dl.is_finite() and dr.is_finite()) \
+            else SELF_INJECTIVE if dl.value == dr.value == 0 \
+            else IWANAGA_GORENSTEIN
+        return regime, dl, dr
+    return kept(a, ("regime", bound), build)
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +246,7 @@ def compatibility_report(n: Bimodule,
     'not established', never 'refuted'.  Criteria: finite flat dimension on
     the right leg combined with finite projective (or injective) dimension
     on the left leg.  Memoised on the bimodule."""
-    key = ("compatibility", bound)
-    if key not in n._cache:
+    def build():
         dims = {"fd_right": fd_bounded(n.right, bound),
                 "pd_left": pd_bounded(n.left, bound),
                 "id_left": id_bounded(n.left, bound)}
@@ -259,8 +255,8 @@ def compatibility_report(n: Bimodule,
             via = "finite_fd_and_pd"
         elif dims["fd_right"].is_finite() and dims["id_left"].is_finite():
             via = "finite_fd_and_id"
-        n._cache[key] = CompatibilityReport(via, dims)
-    return n._cache[key]
+        return CompatibilityReport(via, dims)
+    return kept(n, ("compatibility", bound), build)
 
 
 def zr_bimodule(t: TrivialExtension) -> Bimodule:
@@ -268,12 +264,12 @@ def zr_bimodule(t: TrivialExtension) -> Bimodule:
     ideal acting as zero on both sides; built once per extension.  It is
     the regular bimodule of R pulled back along the algebra map
     R |x M -> R that kills M, so the law holds by construction."""
-    if "zr_bimodule" not in t._cache:
+    def build():
         reg = Bimodule.regular(t.base)
-        t._cache["zr_bimodule"] = Bimodule(
+        return Bimodule(
             t.total, t.total, _inflate(t, reg.left).acts,
             _inflate(opposite_extension(t), reg.right).acts, validate=False)
-    return t._cache["zr_bimodule"]
+    return kept(t, "zr_bimodule", build)
 
 
 # ---------------------------------------------------------------------------

@@ -301,12 +301,14 @@ def _has_cycle(graph: np.ndarray) -> bool:
 def _triangular(a: Algebra) -> bool:
     """The quiver has no oriented cycle: A is certified and C != 1 has none,
     for C[l, k] = dim e_l.A.e_k: the b_i with b_i terms in b_l.b_i, b_i.b_k."""
-    if (split := _vertex_split(a)) and "triangular" not in a._cache:
+    split = _vertex_split(a)
+
+    def build():
         k = [v for v, _ in split[1]]
         cartan = (np.diagonal(a.sc, 0, 1, 2)[k] != 0) @ (np.diagonal(
             a.sc, 0, 0, 2)[k].T != 0).astype(np.int64)
-        a._cache["triangular"] = not _has_cycle(cartan != np.eye(len(k)))
-    return a._cache.get("triangular", False)
+        return not _has_cycle(cartan != np.eye(len(k)))
+    return bool(split) and kept(a, "triangular", build)
 
 
 def algebra_radical(a: Algebra) -> FpMatrix:
@@ -369,10 +371,10 @@ def radical_of_module(m) -> Tuple[object, ModuleHom]:
     RREF basis of rad(m).  rad(m) and that matrix are kept on m: `simples`
     builds them for every PIM P_i, and a semisimple module's cover reads
     its kernel off the rad(P_i).  The kept pair holds no link back to m."""
-    if "radical" not in m._cache:
+    def build():
         rad, incl = _echelon_submodule(m, _radical_span(m, None))
-        m._cache["radical"] = rad, incl.matrix
-    rad, incl = m._cache["radical"]
+        return rad, incl.matrix
+    rad, incl = kept(m, "radical", build)
     return rad, ModuleHom(rad, m, incl, validate=False)
 
 
@@ -393,7 +395,7 @@ def _pim_triples(a: Algebra):
     at k, kernel rad P_k) and P_k (the identity, kernel 0), which seed the
     shared covers.  A simple of dim P_k = 1 has the content of P_k, so it
     reads the cover of P_k; the two are the same arrays."""
-    if "pim_triples" not in a._cache:
+    def build():
         reg, out, split = LeftModule.regular(a), [], _vertex_split(a)
         if split:
             eye, field, tops = np.eye(a.dim, dtype=np.int64), a.field, []
@@ -401,26 +403,26 @@ def _pim_triples(a: Algebra):
                 piece = LeftModule(a, reg.acts[:, s][:, :, s], validate=False)
                 at, r = np.eye(len(s), dtype=np.int64), s != k
                 top = LeftModule(a, a.sc[:, [k]][:, :, [k]], validate=False)
-                piece._cache["radical"] = (LeftModule(
+                kept(piece, "radical", lambda: (LeftModule(
                     a, piece.acts[:, r][:, :, r], validate=False),
-                    FpMatrix.reduced(at[:, r], field))
+                    FpMatrix.reduced(at[:, r], field)))
                 z = LeftModule.zero(a)
-                shared(piece, a, "covers", (), lambda: (
+                shared(piece, "covers", (), lambda: (
                     piece, FpMatrix.reduced(at, field), z,
                     ModuleHom.zero(z, piece), (t,), not r.any()))
-                shared(top, a, "covers", (), lambda: (
+                shared(top, "covers", (), lambda: (
                     piece, FpMatrix.reduced(at[~r], field),
                     *radical_of_module(piece), (t,), True))
                 tops.append(top)
                 out.append((piece, eye[k], FpMatrix.reduced(eye[:, s], field)))
-            a._cache["simples"] = tops
+            kept(a, "simples", lambda: tops)
         else:
             for group in _primitive_idempotents(a.sc, a.unit,
                                                 algebra_radical(a), a.field):
                 piece, incl = _echelon_submodule(reg, spin(reg, group[0]))
                 out.append((piece, group[0], incl.matrix))
-        a._cache["pim_triples"] = out
-    return a._cache["pim_triples"]
+        return out
+    return kept(a, "pim_triples", build)
 
 
 def simples(a: Algebra) -> List[LeftModule]:
@@ -581,7 +583,7 @@ def projective_cover(m) -> ProjectivePresentation:
         return ProjectivePresentation(m, z, ModuleHom.zero(z, m), z,
                                       ModuleHom.zero(z, z), (), True)
     _pim_triples(m.over)    # a simple or PIM reads the cover it seeds
-    cover, epi, *parts = shared(m, m.over, "covers", (),
+    cover, epi, *parts = shared(m, "covers", (),
                                 lambda: _cover_parts(m))
     return ProjectivePresentation(m, cover, ModuleHom(
         cover, m, epi, validate=False), *parts)

@@ -36,9 +36,9 @@ import numpy as np
 from .algebra import (Algebra, AlgebraError, Bimodule, LeftModule, ModuleHom,
                       check_shape, cokernel_module, field_space,
                       hom_from_bimodule, hom_space, image_module,
-                      is_kernel_inclusion, kernel_module, opposite_algebra,
-                      swapped_tensor, tensor_bimodule_left, tensor_map_second,
-                      tensor_right_left)
+                      is_kernel_inclusion, kept, kernel_module,
+                      opposite_algebra, swapped_tensor, tensor_bimodule_left,
+                      tensor_map_second, tensor_right_left)
 from .linalg import FpMatrix, is_invertible, matmul_mod, rank, solve
 from .structure import find_isomorphism, is_injective, is_projective
 
@@ -92,14 +92,14 @@ def opposite_extension(t: TrivialExtension) -> TrivialExtension:
     opposite_algebra(t.total), set before the extension builds one of its
     own, and a right module over t.total lives over this extension.  A
     commutative extension is its own opposite, as its total algebra is."""
-    if "opposite" not in t._cache:
+    def build():
         sc = t.total.sc
         top = t if (sc == sc.transpose(1, 0, 2)).all() else TrivialExtension(
             opposite_algebra(t.base), t.bimodule.swap())
         top.total = opposite_algebra(t.total)
-        top._cache["opposite"] = t
-        t._cache["opposite"] = top
-    return t._cache["opposite"]
+        kept(top, "opposite", lambda: t)
+        return top
+    return kept(t, "opposite", build)
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,19 @@ def double_extension(field):
     return trivial_extension(d.total, Bimodule.regular(d.total))
 
 
+def trivial_extension_algebra(a):
+    """T(A) = A |x D(A), with D(A) = Hom_k(A, k) in the dual basis: b_i
+    acts on it from the left by the transpose of right multiplication by
+    b_i, and from the right by the transpose of left multiplication.  The
+    bimodule is built checked, so its law tests the transposes.  T(A) is
+    symmetric, so self-injective."""
+    right_mult = LeftModule.regular(opposite_algebra(a)).acts
+    left_mult = LeftModule.regular(a).acts
+    return trivial_extension(a, Bimodule(
+        a, a, [FpMatrix(r.T, a.field) for r in right_mult],
+        [FpMatrix(m.T, a.field) for m in left_mult]))
+
+
 def nakayama_ring(field):
     """Morita ring of (k, k, k, k): the 4-dim self-injective Nakayama
     algebra."""

@@ -12,7 +12,7 @@ from conftest import (FIELD2, FIELD3, _count_cover_builds, a2_algebra,
                       monomial_quivers, nakayama_ring, product_morita_ring,
                       random_copair, random_module, random_pair,
                       small_quiver_algebra, square_zero_extension,
-                      triangular_extension)
+                      triangular_extension, trivial_extension_algebra)
 from extalg.algebra import (Algebra, Bimodule, LeftModule, dual_module,
                             field_algebra, hom_space,
                             is_kernel_inclusion, monomial_quiver_algebra,
@@ -40,7 +40,8 @@ from extalg.homology import (DimensionVerdict, ExtResult, default_bound,
                              minimal_projective_resolution,
                              non_minimal_resolution)
 from extalg.linalg import FieldSpec, FpMatrix, is_invertible, rank
-from extalg.structure import find_isomorphism, is_projective, simples
+from extalg.structure import (_vertex_split, find_isomorphism, is_projective,
+                              simples)
 from extalg.trivext import (_extend, functor_C, functor_Z_copair,
                             functor_Z_pair, module_to_copair, module_to_pair,
                             opposite_extension, pair_to_module)
@@ -247,6 +248,33 @@ def test_regime_at_a_slice_of_the_primes():
                     regime, dl, dr = gorenstein_regime(x)
                     assert (regime, dl.value, dr.value) == want[name], \
                         (name, p, x is a)
+
+
+@pytest.mark.parametrize("p", [2, 65521])
+def test_trivial_extension_algebras_are_self_injective(p):
+    # T(A) = A |x D(A) is symmetric: its regime is self-injective with
+    # dl = dr = 0, and every simple is Gorenstein projective, read off the
+    # regime; the path-basis certificate reads every one of these tables
+    field = FieldSpec(p)
+    k = field_algebra(field)
+    bases = [("k", k), ("k x k", product_algebra(k, k)),
+             ("wild", local_wild_algebra(field)),
+             ("N(3,2)", monomial_quiver_algebra(
+                 3, [(0, 1), (1, 2), (2, 0)],
+                 [[s, (s + 1) % 3] for s in range(3)], field))] + [
+        (f"A{n}", monomial_quiver_algebra(
+            n, [(i, i + 1) for i in range(n - 1)], [], field))
+        for n in range(2, 8)]
+    for name, a in bases:
+        t = trivial_extension_algebra(a).total
+        assert _vertex_split(t) is not None, name
+        assert gorenstein_regime(t) == (SELF_INJECTIVE,
+                                        DimensionVerdict.finite(0),
+                                        DimensionVerdict.finite(0)), name
+        for s in simples(t):
+            v = gp_check(s)
+            assert (v.answer, v.certificate) == (
+                CERTIFIED_YES, {"reason": "self_injective_regime"}), name
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +484,7 @@ def test_solve_module_hom_constraints(d_ext):
     one, nil = FpMatrix.identity(1, FIELD2), FpMatrix.zeros(1, 1, FIELD2)
     assert hom_space(s0, s1).dim == 0
     got = solve_module_hom(s0, s1, nil)
-    assert got is not None and got.is_zero()
+    assert got is not None and got.matrix.is_zero()
     assert solve_module_hom(s0, s1, one) is None
 
 
