@@ -15,8 +15,8 @@ unital; `monomial_quiver_algebra` checks its indices and relations), and
 objects derived from validated parts by a construction that keeps the
 axioms: opposite and product algebras, the total algebras of extensions,
 regular modules (their law is the associativity of the algebra), bimodule
-legs, swapped bimodules, duals, tensor products, Hom modules and zero
-modules.  Such algebras take their tables as built, without a `% p`.
+legs, swapped and zero bimodules, duals, tensor products, Hom modules and
+zero modules.  Such algebras take their tables as built, without a `% p`.
 Submodules and quotients are checked by invariance instead of by the law:
 an invariant subspace of a module, and the quotient by one, satisfy the
 law because the inclusion is injective and the projection surjective.
@@ -77,12 +77,21 @@ class Algebra:
             validate_algebra(self)
 
     def mult(self, x, y) -> np.ndarray:
-        x = np.asarray(x, dtype=np.int64) % self.field.p
-        y = np.asarray(y, dtype=np.int64) % self.field.p
-        return np.einsum("i,j,ijk->k", x, y, self.sc) % self.field.p
+        p = self.field.p
+        return _mul(self.sc, np.asarray(x, dtype=np.int64) % p,
+                    np.asarray(y, dtype=np.int64) % p, p)
 
     def __repr__(self):
         return f"Algebra(p={self.field.p}, dim={self.dim})"
+
+
+def _mul(sc: np.ndarray, x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
+    """Products x*y of reduced coordinate vectors, broadcast over leading
+    axes; each contraction is reduced before the next, so no sum overflows."""
+    n = sc.shape[0]
+    # row j of left is x*b_j
+    left = ((x @ sc.reshape(n, n * n)) % p).reshape(*np.shape(x)[:-1], n, n)
+    return (y[..., None, :] @ left)[..., 0, :] % p
 
 
 def validate_algebra(a: Algebra) -> dict:
@@ -342,10 +351,9 @@ class Bimodule:
                    validate=False)
 
     @classmethod
-    def zero(cls, a: Algebra, b: Optional[Algebra] = None) -> "Bimodule":
-        b = b or a
-        return cls(a, b, np.zeros((a.dim, 0, 0), dtype=np.int64),
-                   np.zeros((b.dim, 0, 0), dtype=np.int64))
+    def zero(cls, a: Algebra) -> "Bimodule":
+        return cls(a, a, np.zeros((a.dim, 0, 0), dtype=np.int64),
+                   np.zeros((a.dim, 0, 0), dtype=np.int64), validate=False)
 
     def __repr__(self):
         return (f"Bimodule(dim={self.dim}, left={self.left_over!r}, "
@@ -477,7 +485,7 @@ class HomSpace:
         return x.transpose(0, 2, 1)
 
     def element(self, coords) -> ModuleHom:
-        coords = np.asarray(coords, dtype=np.int64)
+        coords = np.asarray(coords, dtype=np.int64) % self.field.p
         acc = (coords @ self.mat.arr) % self.field.p
         m = FpMatrix(acc.reshape(self.target.dim, self.source.dim), self.field)
         return ModuleHom(self.source, self.target, m, validate=False)
@@ -749,8 +757,8 @@ def dual_module(x: LeftModule) -> LeftModule:
 # ---------------------------------------------------------------------------
 # monomial quiver algebras
 
-# a quiver algebra with more paths than this is taken to have relations
-# that are not admissible
+# the largest dimension of a quiver algebra's table: more vertices than
+# this, or relations that leave more paths, are refused
 _QUIVER_MAX_DIM = 200
 
 
@@ -766,9 +774,11 @@ def monomial_quiver_algebra(num_vertices: int,
     The table is associative and unital by construction, so it is not
     checked by `validate_algebra`; the indices and relations are.
     """
-    if num_vertices < 1:
-        raise AlgebraError(f"quiver.vertices: need at least one vertex, got "
-                           f"{num_vertices}")
+    if not 1 <= num_vertices <= _QUIVER_MAX_DIM:
+        raise AlgebraError(
+            f"quiver.vertices: need at least one vertex, got {num_vertices}"
+            if num_vertices < 1 else "quiver algebra exceeds the dimension "
+            f"bound: {num_vertices} vertices")
     for i, arrow in enumerate(arrows):
         bad = [v for v in arrow if not 0 <= v < num_vertices]
         if bad:

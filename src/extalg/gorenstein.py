@@ -358,13 +358,14 @@ def _right_half(c: LeftModule, window: int
     mono = ModuleHom(c, terms[0], spaces[0].coords_many(
         hs.basis_array().transpose(2, 1, 0) @ res.epi.matrix.arr),
         validate=False)
-    return mono, ChainComplex(0, terms, diffs, validate=False)
+    return mono, ChainComplex(0, terms, diffs)
 
 
 def _spliced(source, mod, length: int, mono: ModuleHom,
              right: ChainComplex) -> CompleteResolution:
     """The minimal resolution of mod to `length` in degrees < 0, mono o
-    epi at degree -1 and `right` from degree 0 on."""
+    epi at degree -1 and `right` from degree 0 on: a complex, as epi and
+    the augmentation behind mono both kill the image of d_1."""
     res = minimal_projective_resolution(mod, length)
     cx = ChainComplex(-(length + 1), list(reversed(res.terms)) + right.modules,
                       list(reversed(res.diffs)) + [mono.compose(res.epi)] +
@@ -444,8 +445,7 @@ def build_pair_complete_resolution(pair: PairModule, window: int = None
             k_mod, q, section = quotient_module(term, lam.matrix)
             d = right.diff_at(i).matrix
             block = d @ FpMatrix(section.arr[:d.cols], t.field)
-    return _spliced(pair, mid, window, mono,
-                    ChainComplex(0, terms, diffs, validate=False))
+    return _spliced(pair, mid, window, mono, ChainComplex(0, terms, diffs))
 
 
 def validate_pair_complete_resolution(res: CompleteResolution) -> dict:
@@ -486,14 +486,17 @@ def build_copair_complete_coresolution(copair: CopairModule,
         module_to_pair(dual_module(mid), top), window)
     mods = [dual_module(res_d.complex.module_at(-1 - j))
             for j in range(-window, window + 1)]
+    # transposes of module maps over top: module maps over t, a complex
     diffs = [ModuleHom(mods[idx], mods[idx + 1],
-                       res_d.complex.diff_at(-2 - j).matrix.transpose())
+                       res_d.complex.diff_at(-2 - j).matrix.transpose(),
+                       validate=False)
              for idx, j in enumerate(range(-window, window))]
     cx = ChainComplex(-window, mods, diffs)
     return CompleteResolution(
         copair, cx, ModuleHom(mid, cx.module_at(0),
-                              res_d.epi.matrix.transpose()),
-        ModuleHom(cx.module_at(-1), mid, res_d.mono.matrix.transpose()))
+                              res_d.epi.matrix.transpose(), validate=False),
+        ModuleHom(cx.module_at(-1), mid, res_d.mono.matrix.transpose(),
+                  validate=False))
 
 
 def validate_copair_complete_coresolution(res: CompleteResolution) -> dict:

@@ -45,19 +45,13 @@ def default_bound(a: Algebra) -> int:
 
 
 class ChainComplex:
-    """Modules X^lo .. X^hi with differentials d^i: X^i -> X^{i+1}."""
+    """Modules X^lo .. X^hi with differentials d^i: X^i -> X^{i+1}, built
+    as a complex: d o d = 0 is not checked (`is_exact_complex` tests it)."""
 
-    def __init__(self, lo: int, modules: Sequence, diffs: Sequence[ModuleHom],
-                 validate: bool = True):
+    def __init__(self, lo: int, modules: Sequence, diffs: Sequence[ModuleHom]):
         if len(diffs) != max(len(modules) - 1, 0):
             raise AlgebraError("need one differential per adjacent pair")
-        self.lo = lo
-        self.modules = list(modules)
-        self.diffs = list(diffs)
-        if validate:
-            for d, e in zip(self.diffs, self.diffs[1:]):
-                if not (e.matrix @ d.matrix).is_zero():
-                    raise AlgebraError("differentials do not square to zero")
+        self.lo, self.modules, self.diffs = lo, list(modules), list(diffs)
 
     @property
     def hi(self) -> int:
@@ -308,7 +302,7 @@ def hom_complex(c: ChainComplex, q) -> ChainComplex:
         mat = _precompose_matrix(spaces[j + 1], spaces[j], c.diffs[j])
         diffs.append(ModuleHom(mods[len(c.diffs) - 1 - j],
                                mods[len(c.diffs) - j], mat, validate=False))
-    return ChainComplex(-c.hi, mods, diffs, validate=False)
+    return ChainComplex(-c.hi, mods, diffs)
 
 
 def hom_complex_co(q, c: ChainComplex) -> ChainComplex:
@@ -321,4 +315,4 @@ def hom_complex_co(q, c: ChainComplex) -> ChainComplex:
         mat = spaces[j + 1].coords_many(c.diffs[j].matrix.arr
                                         @ spaces[j].basis_array())
         diffs.append(ModuleHom(mods[j], mods[j + 1], mat, validate=False))
-    return ChainComplex(c.lo, mods, diffs, validate=False)
+    return ChainComplex(c.lo, mods, diffs)

@@ -36,7 +36,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .algebra import (Algebra, LeftModule, ModuleHom, _echelon_quotient_module,
-                      _echelon_submodule, block_sum_module, dual_module,
+                      _echelon_submodule, _mul, block_sum_module, dual_module,
                       hom_space, kept, opposite_algebra, quotient_module,
                       row_space_of_columns, shared)
 from .linalg import (FieldSpec, FpMatrix, RrefResult, _null_rows,
@@ -68,15 +68,6 @@ def spin(m, vec) -> FpMatrix:
 
 # ---------------------------------------------------------------------------
 # finite algebras given by structure constants: radical and idempotents
-
-
-def _mul(sc: np.ndarray, x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
-    """Products x*y of coordinate vectors, broadcast over leading axes, in
-    the algebra with structure constants sc."""
-    n = sc.shape[0]
-    # row j of left is x*b_j
-    left = ((x @ sc.reshape(n, n * n)) % p).reshape(*np.shape(x)[:-1], n, n)
-    return (y[..., None, :] @ left)[..., 0, :] % p
 
 
 def _power(x: np.ndarray, e: int, mul) -> np.ndarray:

@@ -16,7 +16,7 @@ A pair or copair holds its total module and is checked once, by its law
 (`Presented`): at a (base, ideal) basis pair the law says that the
 (co)structure map is a module map, and m_i m_j = 0 is the square-zero
 axiom.
-`module_to_pair` reads a valid module and does not check again.
+`module_to_pair` (a valid module) and Z(X), Z(Y) (a zero map) skip it.
 
 Right modules over R |x M are left modules over R^op |x M^swap
 (`opposite_extension`, whose total algebra is the opposite of the original
@@ -261,12 +261,14 @@ def functor_H(t: TrivialExtension, y: LeftModule) -> CopairModule:
 
 def functor_Z_pair(t: TrivialExtension, x: LeftModule) -> PairModule:
     ts = tensor_bimodule_left(t.bimodule, x)
-    return PairModule(t, x, FpMatrix.zeros(x.dim, ts.space.dim, t.field))
+    return PairModule(t, x, FpMatrix.zeros(x.dim, ts.space.dim, t.field),
+                      validate=False)
 
 
 def functor_Z_copair(t: TrivialExtension, y: LeftModule) -> CopairModule:
     hm = hom_from_bimodule(t.bimodule, y)
-    return CopairModule(t, y, FpMatrix.zeros(hm.space.dim, y.dim, t.field))
+    return CopairModule(t, y, FpMatrix.zeros(hm.space.dim, y.dim, t.field),
+                        validate=False)
 
 
 def functor_U(p) -> LeftModule:

@@ -23,8 +23,8 @@ from extalg.algebra import (Algebra, AlgebraError, Bimodule, LeftModule,
                             tensor_bimodule_left, tensor_map_second,
                             tensor_right_left, validate_algebra)
 from extalg.gorenstein import solve_module_hom
-from extalg.linalg import (FieldSpec, FpMatrix, hstack, kernel_basis, kron,
-                           quotient_maps, solve, vstack)
+from extalg.linalg import (FieldSpec, FpMatrix, hstack, inverse, kernel_basis,
+                           kron, quotient_maps, solve, vstack)
 from extalg.structure import find_isomorphism
 from test_linalg import _record_casts
 from test_resolution_fingerprint import _put
@@ -97,6 +97,16 @@ def test_validate_names_the_first_violation_of_a_dim_21_table(monkeypatch):
     assert seen.count("associativity") == 8 and seen.count("unit") == 2
 
 
+def test_mult_stays_in_int64_at_the_largest_prime():
+    # a dense dim-182 table of p - 1 and x = y = (p - 1, ...): each
+    # coordinate of x*y is n^2 (p - 1)^3 mod p, past int64 as one sum
+    p, n = 65521, 182
+    a = Algebra(FieldSpec(p), np.full((n, n, n), p - 1, dtype=np.int64),
+                np.zeros(n, dtype=np.int64), validate=False)
+    x = np.full(n, p - 1, dtype=np.int64)
+    assert (a.mult(x, x) == n * n * (p - 1) ** 3 % p).all()
+
+
 def test_product_algebra_idempotents():
     k = field_algebra(FIELD2)
     prod = product_algebra(k, k)
@@ -139,15 +149,17 @@ def test_quiver_relations():
      "one arrow"),
     (0, [], [], "quiver.vertices: need at least one vertex, got 0"),
     (-1, [], [], "quiver.vertices: need at least one vertex, got -1"),
+    (201, [], [], "quiver algebra exceeds the dimension bound: 201 vertices"),
 ], ids=["relation_index", "negative_relation", "path_index", "arrow_vertex",
         "negative_vertex", "not_composable", "empty_relation", "no_vertex",
-        "negative_vertex_count"])
+        "negative_vertex_count", "too_many_vertices"])
 def test_quiver_indices_out_of_range_raise(vertices, arrows, relations,
                                             named):
     # no relation is dropped and no index error leaks: the message names
     # the arrow or relation whose index is out of range, the two arrows of
     # a relation that do not compose, an empty relation (which A2 would
-    # ignore) or a vertex count below one
+    # ignore) or a vertex count below one or, with no relation at fault,
+    # past the dimension bound, before a table is built
     with pytest.raises(AlgebraError, match=re.escape(named)):
         monomial_quiver_algebra(vertices, arrows, relations, FIELD2)
 
@@ -277,6 +289,19 @@ def test_hom_space_and_endomorphisms():
         endos.basis_hom(k).validate()
     coords = endos.coords(endos.basis_hom(1).matrix)
     assert endos.element(coords).matrix == endos.basis_hom(1).matrix
+
+
+def test_hom_element_reduces_its_coordinates_first():
+    # coordinates off by a large multiple of p name the same hom; unreduced
+    # they overflow int64 against a basis entry of 7 at p = 65521
+    field = FieldSpec(65521)
+    reg = LeftModule.regular(a2_algebra(field))
+    g = FpMatrix(np.array([[1, 0, 0], [7, 1, 0], [11, 13, 1]]), field)
+    moved = LeftModule(reg.over, [g @ m @ inverse(g) for m in reg.action])
+    homs = hom_space(reg, moved)
+    coords = np.arange(1, homs.dim + 1, dtype=np.int64) * (field.p - 1)
+    assert homs.element(coords + field.p * 2 ** 46).matrix == \
+        homs.element(coords).matrix
 
 
 def test_kernel_image_cokernel():

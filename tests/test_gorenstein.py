@@ -13,8 +13,8 @@ from conftest import (FIELD2, FIELD3, _count_cover_builds, a2_algebra,
                       random_copair, random_module, random_pair,
                       small_quiver_algebra, square_zero_extension,
                       triangular_extension, trivial_extension_algebra)
-from extalg.algebra import (Algebra, Bimodule, LeftModule, dual_module,
-                            field_algebra, hom_space,
+from extalg.algebra import (Algebra, Bimodule, LeftModule, ModuleHom,
+                            dual_module, field_algebra, hom_space,
                             is_kernel_inclusion, monomial_quiver_algebra,
                             opposite_algebra, product_algebra,
                             tensor_bimodule_left)
@@ -35,9 +35,9 @@ from extalg.gorenstein import (CERTIFIED_NO, CERTIFIED_YES,
                                validate_pair_complete_resolution,
                                verify_cor35, verify_cor45, verify_cor48,
                                zr_bimodule)
-from extalg.homology import (DimensionVerdict, ExtResult, default_bound,
-                             ext_dims, ext_from_resolution, id_bounded,
-                             minimal_projective_resolution,
+from extalg.homology import (ChainComplex, DimensionVerdict, ExtResult,
+                             default_bound, ext_dims, ext_from_resolution,
+                             id_bounded, minimal_projective_resolution,
                              non_minimal_resolution)
 from extalg.linalg import FieldSpec, FpMatrix, is_invertible, rank
 from extalg.structure import (_vertex_split, find_isomorphism, is_projective,
@@ -535,6 +535,42 @@ def test_complete_resolution_detects_failure():
     val = validate_complete_resolution(cr)
     assert not (val["window_exact"] and val["kernel_identified"]
                 and val["hom_exact_into_projectives"])
+
+
+def _perturbed(res: CompleteResolution, i: int) -> CompleteResolution:
+    """res with d^i replaced by d^i + phi for a module map phi that does
+    not kill the image of d^(i-1), so d^i o d^(i-1) != 0."""
+    cx = res.complex
+    before, d = cx.diff_at(i - 1), cx.diff_at(i)
+    phi = next(h for h in hom_space(d.source, d.target).basis()
+               if not (h.matrix @ before.matrix).is_zero())
+    diffs = list(cx.diffs)
+    diffs[i - cx.lo] = ModuleHom(d.source, d.target, FpMatrix(
+        d.matrix.arr + phi.matrix.arr, d.matrix.field), validate=False)
+    return CompleteResolution(res.source, ChainComplex(cx.lo, cx.modules,
+                                                       diffs),
+                              res.mono, res.epi)
+
+
+@pytest.mark.parametrize("side", ["base", "pair", "copair"])
+def test_a_window_whose_differentials_do_not_compose_is_reported(side):
+    # a window with d o d != 0 is built, and its check reports the break
+    # as a failure of exactness instead of raising
+    if side == "base":
+        k = simples(square_zero_extension(FIELD2).total)[0]
+        res, check = complete_resolution(k, 3), validate_complete_resolution
+    elif side == "pair":
+        res = build_pair_complete_resolution(nontrivial_dd_pair(), 3)
+        check = validate_pair_complete_resolution
+    else:
+        pair = nontrivial_dd_pair()
+        res = build_copair_complete_coresolution(
+            module_to_copair(pair_to_module(pair), pair.t), 3)
+        check = validate_copair_complete_coresolution
+    assert check(res)["window_exact"]
+    val = check(_perturbed(res, 1))
+    assert val["window_exact"] is False
+    assert val["first_failure"] in (1, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -210,6 +210,58 @@ def test_only_kept_and_shared_touch_a_cache():
     assert uses == []
 
 
+# The trust boundary: the functions that build data from a workspace file
+# (or the built-in corpus), and so check it.  Every other build of these
+# classes in src/extalg derives its object from checked parts by a
+# construction that keeps the axioms, and passes validate=False.
+CHECKED = {"Algebra", "LeftModule", "Bimodule", "ModuleHom", "PairModule",
+           "CopairModule", "TupleModule"}
+TRUST_BOUNDARY = {("cli", "_algebra"), ("cli", "_bimodule"),
+                  ("cli", "_module"), ("cli", "emit_builtin_examples"),
+                  ("trivext", "right_pair")}
+
+
+def _checked_builds(node, stem, scope=(), owner=None):
+    """(scope, "file:line scope") of each call under node that builds one
+    of CHECKED without validate=False, by its name or as `cls` inside a
+    method of owner, the innermost class; scope is the qualified name of
+    the innermost class or function."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call) and isinstance(child.func, ast.Name):
+            name = owner if child.func.id == "cls" else child.func.id
+            if name in CHECKED and not any(
+                    k.arg == "validate" and ast.unparse(k.value) == "False"
+                    for k in child.keywords):
+                where = ".".join(scope)
+                yield (stem, where), f"{stem}.py:{child.lineno} {where}"
+        named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+        yield from _checked_builds(
+            child, stem, scope + (child.name,) if named else scope,
+            child.name if isinstance(child, ast.ClassDef) else owner)
+
+
+def test_only_the_trust_boundary_builds_checked():
+    """Data is checked where it enters, and nowhere else: only the
+    functions of TRUST_BOUNDARY build an algebra, module, bimodule, module
+    map, pair, copair or tuple with its check on, and each of them does."""
+    snippet = ("class LeftModule:\n"
+               "    @classmethod\n"
+               "    def zero(cls, a):\n"
+               "        return cls(a, [])\n"
+               "def f(a, m):\n"
+               "    return (ModuleHom(a, a, m),\n"
+               "            ModuleHom(a, a, m, validate=False))\n")
+    assert [where for _, where in _checked_builds(
+        ast.parse(snippet), "algebra")] == ["algebra.py:4 LeftModule.zero",
+                                            "algebra.py:6 f"]
+    builds = [build for path in sorted(SRC.glob("*.py"))
+              for build in _checked_builds(ast.parse(path.read_text()),
+                                           path.stem)]
+    assert [where for scope, where in builds
+            if scope not in TRUST_BOUNDARY] == []
+    assert {scope for scope, _ in builds} == TRUST_BOUNDARY
+
+
 def test_tracer_hooks_exist():
     """perfbench/tracer.py wraps the methods in its METHODS and the private
     helpers in its PRIVATE by name; each must still exist, or the traced
