@@ -504,17 +504,10 @@ def hom_space(m, n) -> HomSpace:
 # kernels, cokernels, images, subquotients
 
 
-def submodule(x, basis_rows: FpMatrix):
-    """Submodule spanned by the given rows; returns (module, inclusion).
-    Raises unless their span is invariant.  The rows are echelonized here,
-    at the public boundary only; inside the library, rows already in RREF
-    (kernel and image bases, spans, radical layers) skip this step."""
-    return _echelon_submodule(x, row_basis(basis_rows))
-
-
 def _echelon_submodule(x, basis: FpMatrix, moved=None):
-    """`submodule` for a basis in RREF without zero rows.  moved[i, j] is
-    x.acts[i] applied to basis row j, computed here unless given; its
+    """The submodule spanned by a basis in RREF without zero rows; returns
+    (module, inclusion) and raises unless the span is invariant.  moved[i,
+    j] is x.acts[i] applied to basis row j, computed here unless given; its
     coordinates in the basis are the action of the submodule."""
     if moved is None:
         moved = matmul_mod(basis.arr, x.acts.transpose(0, 2, 1), basis.field.p)

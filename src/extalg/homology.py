@@ -6,8 +6,8 @@ X^{i+1}.  A right module is a left module over the opposite algebra and is
 resolved as any other.  Injective dimension is computed as the projective
 dimension of the dual over the opposite algebra; flat dimension coincides
 with the projective one for the finite-dimensional modules handled here.
-Both resolution builders run one covering loop, fed the minimal or the
-padded degree-0 presentation, and every Ext dimension is read off
+A resolution grows by one covering loop (`_resolve`) from a degree-0
+presentation, and every Ext dimension is read off
 Hom(resolution, N) by `ext_dims`: off the blocks Hom(P_i, N) = e_i.N of
 the PIM summands P_i = A.e_i of each term, with no `HomSpace`, degree by
 degree while the resolution grows one cover at a time, so a reader that
@@ -28,12 +28,10 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .algebra import (Algebra, AlgebraError, HomSpace, ModuleHom,
-                      _content, _same_algebra, block_sum_module,
-                      dual_module, field_space, hom_space, is_exact_at, kept,
-                      kernel_module)
-from .linalg import FpMatrix, _rref_inplace, echelon_coords, hstack, matmul_mod
-from .structure import (ProjectivePresentation, _pim_triples, pim_homs,
-                        projective_cover, projective_indecomposables)
+                      _content, _same_algebra, dual_module, field_space,
+                      hom_space, is_exact_at, kept)
+from .linalg import FpMatrix, _rref_inplace, echelon_coords, matmul_mod
+from .structure import _pim_triples, pim_homs, projective_cover
 
 
 def default_bound(a: Algebra) -> int:
@@ -127,21 +125,6 @@ def _resolve(pres, n: int) -> Resolution:
 def minimal_projective_resolution(m, n: int) -> Resolution:
     """Resolution of length n by iterated projective covers."""
     return _resolve(projective_cover(m), n)
-
-
-def non_minimal_resolution(m, n: int) -> Resolution:
-    """A deliberately padded projective resolution: the degree-0 cover gets
-    an extra indecomposable projective summand mapping to zero.  Used to
-    cross-check resolution independence of Ext."""
-    pres = projective_cover(m)
-    m = pres.module
-    extra = projective_indecomposables(m.over)[0][0]
-    cover = block_sum_module([pres.cover, extra])
-    epi = ModuleHom(cover, m, hstack([pres.epi.matrix, FpMatrix.zeros(
-        m.dim, extra.dim, m.over.field)]), validate=False)
-    return _resolve(ProjectivePresentation(
-        m, cover, epi, *kernel_module(epi), pres.summands + (0,),
-        pres.semisimple), n)
 
 
 def syzygy(m, i: int):

@@ -1,6 +1,6 @@
 """Structure theory of modules: the radical, simples and projective
-indecomposables (PIMs) of an algebra, composition series, indecomposable
-splittings, projective covers and injective envelopes.
+indecomposables (PIMs) of an algebra, indecomposable splittings, projective
+covers and injective indecomposables.
 
 One deterministic path serves every prime.  One certificate
 (`_vertex_split`) reads rad(A), the primitive idempotents and the PIMs off
@@ -15,8 +15,8 @@ End(m), and `find_isomorphism` matches the indecomposable summands of two
 modules; None certifies "not isomorphic".
 
 A right module over A is a left module over A^op, so it is covered and
-resolved as any other; injective envelopes are duals of projective covers
-over the opposite algebra.  Covers are shared per algebra by module
+resolved as any other; the injective indecomposables are duals of the
+projective ones over the opposite algebra.  Covers are shared per algebra by module
 content: equal modules get the same cover, kernel and epimorphism matrix,
 held only while some module holds them.  Twins keep their holders alive:
 the regular modules live on the algebra; the dual and a bimodule's legs on
@@ -37,12 +37,12 @@ import numpy as np
 
 from .algebra import (Algebra, LeftModule, ModuleHom, _echelon_quotient_module,
                       _echelon_submodule, _mul, block_sum_module, dual_module,
-                      hom_space, kept, opposite_algebra, quotient_module,
-                      row_space_of_columns, shared)
+                      hom_space, kept, opposite_algebra, row_space_of_columns,
+                      shared)
 from .linalg import (FieldSpec, FpMatrix, RrefResult, _null_rows,
                      _rref_inplace, echelon_coords, echelon_quotient_maps,
                      hstack, inverse, kernel_basis, matmul_mod, row_basis,
-                     solve, vstack)
+                     solve)
 
 # The split of a matrix block draws its candidates from
 # random.Random(_SPLIT_STREAM), fresh for every split; the draws change how
@@ -430,58 +430,7 @@ def projective_indecomposables(a: Algebra):
 
 
 # ---------------------------------------------------------------------------
-# submodules, composition series and splittings of modules
-
-
-@dataclass
-class CompositionSeries:
-    """Filtration 0 = F_0 < F_1 < ... < F_k = m with simple quotients.
-
-    factors[i] = F_{i+1}/F_i; witnesses[i] is the inclusion of F_{i+1}
-    into m as a ModuleHom.
-    """
-    factors: List
-    witnesses: List[ModuleHom]
-
-
-def _filtration_bases(m) -> List[FpMatrix]:
-    """Strictly increasing row bases (in m coordinates) of a composition
-    filtration, ending at the full space.
-
-    The radical layers rad^(j-1)(m) / rad^j(m) are semisimple, so the
-    filtration grows from rad^j(m) to rad^(j-1)(m) one simple at a time: a
-    vector of e_i.rad^(j-1)(m) outside the current step spins onto a copy
-    of S_i over it.
-    """
-    p = m.over.field.p
-    layers = [FpMatrix.identity(m.dim, m.over.field)]
-    while layers[-1].rows:
-        layers.append(_radical_span(m, layers[-1].arr))
-    idems = [m.act_matrix(e).arr for _, e, _ in _pim_triples(m.over)]
-    out = []
-    current = layers.pop()
-    for layer in reversed(layers):
-        while current.rows < layer.rows:
-            v = next(v for e in idems for v in (layer.arr @ e.T) % p
-                     if echelon_coords(current, v) is None)
-            current = row_basis(vstack([current, spin(m, v)]))
-            out.append(current)
-    return out
-
-
-def chop(m) -> CompositionSeries:
-    """Composition series, through the radical layers of m."""
-    factors, witnesses = [], []
-    prev = FpMatrix.zeros(0, m.dim, m.over.field)
-    for b in _filtration_bases(m):
-        sub, incl = _echelon_submodule(m, b)
-        # the previous step in the coordinates of this one
-        coords = echelon_coords(incl.matrix.transpose(), prev.arr)
-        factors.append(quotient_module(sub, FpMatrix(coords.T,
-                                                     m.over.field))[0])
-        witnesses.append(incl)
-        prev = b
-    return CompositionSeries(factors, witnesses)
+# splittings of modules
 
 
 def split_module(m) -> List[Tuple[object, ModuleHom]]:
@@ -692,15 +641,6 @@ def is_projective(m) -> bool:
 
 # ---------------------------------------------------------------------------
 # injective side, by duality
-
-
-def injective_envelope(m):
-    """(E, essential mono m -> E), computed as the dual of the projective
-    cover of the dual over the opposite algebra."""
-    pres = projective_cover(dual_module(m))
-    env = LeftModule(m.over, dual_module(pres.cover).acts, validate=False)
-    mono = ModuleHom(m, env, pres.epi.matrix.transpose(), validate=False)
-    return env, mono
 
 
 def is_injective(m) -> bool:

@@ -13,14 +13,15 @@ from extalg import algebra, structure
 from extalg.algebra import (AlgebraError, Bimodule, LeftModule,
                             block_sum_module, field_algebra, hom_space,
                             monomial_quiver_algebra, opposite_algebra,
-                            product_algebra, quotient_module, submodule,
+                            product_algebra, quotient_module,
                             tensor_bimodule_left)
 from extalg.linalg import FieldSpec, FpMatrix, row_basis
 from extalg.morita import MoritaRing, theta_inverse, upsilon_inverse
-from extalg.structure import chop, spin
+from extalg.structure import spin
 from extalg.trivext import (PairModule, TrivextError, module_to_copair,
                             module_to_pair, opposite_extension,
                             trivial_extension)
+from reference import chop, submodule
 
 FIELD2 = FieldSpec(2)
 FIELD3 = FieldSpec(3)

@@ -30,7 +30,7 @@ from extalg.gorenstein import (CERTIFIED_NO, CERTIFIED_YES,
                                validate_pair_complete_resolution,
                                verify_cor35, verify_cor45, zr_bimodule)
 from extalg.homology import (DimensionVerdict, ext, ext_from_resolution,
-                             id_bounded, non_minimal_resolution, pd_bounded)
+                             id_bounded, pd_bounded)
 from extalg.linalg import FpMatrix, is_invertible, rref
 from extalg.morita import (CoTupleModule, MoritaError, TupleModule, theta,
                            theta_inverse, upsilon, upsilon_inverse,
@@ -43,6 +43,7 @@ from extalg.trivext import (copair_to_module, functor_C, functor_H, functor_K,
                             functor_Z_pair, hom_iso_copair, induced_delta,
                             induced_gamma, pair_to_module, ses_of_copair,
                             ses_of_pair, tensor_iso_pair)
+from reference import non_minimal_resolution
 
 
 def _test_extensions():

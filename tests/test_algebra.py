@@ -19,13 +19,14 @@ from extalg.algebra import (Algebra, AlgebraError, Bimodule, LeftModule,
                             hom_space, image_module, is_exact_at,
                             is_kernel_inclusion, kernel_module,
                             monomial_quiver_algebra, opposite_algebra,
-                            product_algebra, quotient_module, submodule,
+                            product_algebra, quotient_module,
                             tensor_bimodule_left, tensor_map_second,
                             tensor_right_left, validate_algebra)
 from extalg.gorenstein import solve_module_hom
 from extalg.linalg import (FieldSpec, FpMatrix, hstack, inverse, kernel_basis,
                            kron, quotient_maps, solve, vstack)
 from extalg.structure import find_isomorphism
+from reference import submodule
 from test_linalg import _record_casts
 from test_resolution_fingerprint import _put
 

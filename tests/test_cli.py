@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -12,19 +13,20 @@ import pytest
 
 from conftest import _count_cover_builds
 from extalg import algebra, cli
-from extalg.algebra import (AlgebraError, LeftModule,
-                            monomial_quiver_algebra)
+from extalg.algebra import (AlgebraError, Bimodule, LeftModule,
+                            monomial_quiver_algebra, opposite_algebra,
+                            tensor_bimodule_left)
 from extalg.cli import (SCHEMA_VERSION, Workspace, WorkspaceError,
                         emit_builtin_examples, load, main, run)
 from extalg.gorenstein import GorensteinError
-from extalg.linalg import FieldSpec, LinalgError
+from extalg.linalg import FieldSpec, FpMatrix, LinalgError
 from extalg.morita import MoritaError
-from extalg.structure import StructureError
+from extalg.structure import StructureError, simples
 from extalg.trivext import TrivextError
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 # the report digests recorded for the benchmark's CLI workload
-CLI_DIGESTS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / \
-    "cli_digests.json"
+CLI_DIGESTS = ROOT / "perfbench" / "cli_digests.json"
 README_COMMANDS = (
     ("validate",), ("check", "gp"), ("check", "gi"), ("check", "gf"),
     ("verify", "cor35"), ("verify", "cor45"), ("verify", "cor48"),
@@ -331,6 +333,24 @@ def test_a_command_does_not_fail_on_an_entity_it_does_not_read(
                                 "v": "morita_v"}},
       "tuples": {}, "cotuples": {}, "right_tuples": {}},
      "morita context 'c': u must be a B-A-bimodule"),
+    # k and l have the same table but are two algebras, so the
+    # k-k-bimodule m is not a B-A-bimodule of the context (k, l)
+    ({"algebras": {"k": {"structure_constants": [[[1]]], "unit": [1]},
+                   "l": {"structure_constants": [[[1]]], "unit": [1]}},
+      "bimodules": {"m": {"left_over": "k", "right_over": "k",
+                          "left_action": [[[1]]], "right_action": [[[1]]]}},
+      "modules": {}, "extensions": {}, "tuples": {}, "cotuples": {},
+      "right_tuples": {},
+      "morita_contexts": {"c": {"a": "k", "b": "l", "u": "m", "v": "m"}}},
+     "morita context 'c': u must be a B-A-bimodule"),
+    # a relation whose arrows do not compose names both arrows
+    ({"algebras": {"q": {"quiver": {"vertices": 2, "arrows": [[0, 1]],
+                                    "zero_relations": [[0, 0]]}}}},
+     "algebra 'q': relation [0, 0]: arrow 0 ends at vertex 1 but arrow 0 "
+     "starts at vertex 0"),
+    # 201 vertices exceed the dimension bound with no relation at fault
+    ({"algebras": {"q": {"quiver": {"vertices": 201, "arrows": []}}}},
+     "algebra 'q': quiver algebra exceeds the dimension bound"),
 ], ids=["missing", "not_utf8", "list", "field_int", "p_text", "p_composite",
         "p_too_large", "p_float", "p_numeric_text", "p_bool",
         "algebra_p_float", "algebra_p_text", "algebras_list",
@@ -348,7 +368,8 @@ def test_a_command_does_not_fail_on_an_entity_it_does_not_read(
         "tuple_f_columns", "cotuple_f_columns", "bimodule_two_fields",
         "bimodule_left_count", "bimodule_right_not_square",
         "module_not_an_object", "pair_not_an_object",
-        "algebra_not_an_object", "quiver_not_an_object", "context_leg"])
+        "algebra_not_an_object", "quiver_not_an_object", "context_leg",
+        "context_two_algebras_one_table", "loose_relation", "many_vertices"])
 def test_bad_workspace_exits_2_naming_the_fault(tmp_path, capsys, corpus,
                                                 content, named):
     # content: raw bytes, or keys that replace those of the built-in corpus
@@ -477,71 +498,132 @@ def test_reports_match_recorded_digests(tmp_path):
     assert got == json.loads(CLI_DIGESTS.read_text())
 
 
-def nakayama_workspace(path):
-    """The cyclic Nakayama algebra N(3,3) over GF(101), extended by the zero
-    bimodule, with the pair of its regular module."""
-    arrows = [[0, 1], [1, 2], [2, 0]]
-    relations = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
-    n = monomial_quiver_algebra(3, arrows, relations, FieldSpec(101))
-    path.write_text(json.dumps({
-        "schema_version": SCHEMA_VERSION, "field": {"p": 101},
-        "algebras": {"n33": {"quiver": {"vertices": 3, "arrows": arrows,
-                                        "zero_relations": relations}}},
-        "bimodules": {"zero": {"left_over": "n33", "right_over": "n33",
-                               "left_action": [[]] * n.dim,
-                               "right_action": [[]] * n.dim}},
-        "modules": {"reg": {"over": "n33",
-                            "action": LeftModule.regular(n).acts.tolist()}},
-        "extensions": {"e": {"base": "n33", "bimodule": "zero"}},
-        "pairs": {"reg_pair": {"extension": "e", "x": "reg",
-                               "alpha": [[]] * n.dim}},
-    }))
+def _pairs_workspace(p, algebra, bimodule, actions, alphas):
+    """A workspace over GF(p): the algebra a, its a-a-bimodule m, and for
+    each action a module x<i> and a pair x<i>_pair over a |x m."""
+    return {
+        "schema_version": SCHEMA_VERSION, "field": {"p": p},
+        "algebras": {"a": algebra},
+        "bimodules": {"m": {"left_over": "a", "right_over": "a",
+                            **bimodule}},
+        "modules": {f"x{i}": {"over": "a", "action": action}
+                    for i, action in enumerate(actions)},
+        "extensions": {"e": {"base": "a", "bimodule": "m"}},
+        "pairs": {f"x{i}_pair": {"extension": "e", "x": f"x{i}",
+                                 "alpha": alpha}
+                  for i, alpha in enumerate(alphas)}}
+
+
+def _zero_bimodule(dim):
+    return {"left_action": [[]] * dim, "right_action": [[]] * dim}
+
+
+def _check_gp(tmp_path, capsys, workspace):
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(workspace))
+    assert main(["check", "gp", str(path)]) == 0
+    return json.loads(capsys.readouterr().out)["results"]
 
 
 def test_library_error_exits_2_naming_the_instance(tmp_path, capsys):
     # N(3,3) over GF(101) once raised StructureError from inside the
     # decider; its regular module is projective over a self-injective
     # algebra
-    path = tmp_path / "n33.json"
-    out = tmp_path / "report.json"
-    nakayama_workspace(path)
-    assert main(["check", "gp", str(path), "--out", str(out)]) == 0
-    verdict = json.loads(out.read_text())["results"]["reg_pair"]
+    arrows = [[0, 1], [1, 2], [2, 0]]
+    relations = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+    n = monomial_quiver_algebra(3, arrows, relations, FieldSpec(101))
+    verdict = _check_gp(tmp_path, capsys, _pairs_workspace(
+        101, {"quiver": {"vertices": 3, "arrows": arrows,
+                         "zero_relations": relations}},
+        _zero_bimodule(n.dim), [LeftModule.regular(n).acts.tolist()],
+        [[[]] * n.dim]))["x0_pair"]
     assert verdict["answer"] == "certified_yes"
     assert verdict["regime"] == "self_injective"
     assert verdict["certificate"] == {"reason": "projective"}
 
 
-# the local wild algebra k<x,y>/(x,y)^2 extended by the zero bimodule, with
-# the pair of its simple module
-WILD_WORKSPACE = {
-    "schema_version": SCHEMA_VERSION,
-    "algebras": {"wild": {"quiver": {
-        "vertices": 1, "arrows": [[0, 0], [0, 0]],
-        "zero_relations": [[0, 0], [0, 1], [1, 0], [1, 1]]}}},
-    "bimodules": {"zero": {"left_over": "wild", "right_over": "wild",
-                           "left_action": [[], [], []],
-                           "right_action": [[], [], []]}},
-    "modules": {"simple": {"over": "wild",
-                           "action": [[[1]], [[0]], [[0]]]}},
-    "extensions": {"e": {"base": "wild", "bimodule": "zero"}},
-    "pairs": {"simple_pair": {"extension": "e", "x": "simple",
-                              "alpha": [[]]}},
-}
-
-
-def test_check_gp_on_the_wild_simple_needs_no_bound(tmp_path, monkeypatch):
-    # the self-injective dimensions of the wild algebra stop at their first
-    # repeated semisimple syzygy, not at the default bound 10, where the
-    # syzygies of D(A) reach dimension 3 * 2^10
+def test_check_gp_on_the_wild_simple_needs_no_bound(tmp_path, capsys,
+                                                    monkeypatch):
+    # the self-injective dimensions of the local wild algebra
+    # k<x,y>/(x,y)^2 stop at their first repeated semisimple syzygy, not at
+    # the default bound 10, where the syzygies of D(A) reach dimension
+    # 3 * 2^10
     _count_cover_builds(monkeypatch, limit=8)
-    path, out = tmp_path / "wild.json", tmp_path / "report.json"
-    path.write_text(json.dumps(WILD_WORKSPACE))
-    assert main(["check", "gp", str(path), "--out", str(out)]) == 0
-    verdict = json.loads(out.read_text())["results"]["simple_pair"]
+    verdict = _check_gp(tmp_path, capsys, _pairs_workspace(
+        2, {"quiver": {"vertices": 1, "arrows": [[0, 0], [0, 0]],
+                       "zero_relations": [[0, 0], [0, 1], [1, 0], [1, 1]]}},
+        _zero_bimodule(3), [[[[1]], [[0]], [[0]]]], [[[]]]))["x0_pair"]
     assert verdict["answer"] == "certified_no"
     assert verdict["bound"] == 10
     assert verdict["certificate"]["index"] == 1
+
+
+def _n22_at_65521():
+    """The self-injective Nakayama algebra N(2,2) over the largest prime
+    accepted, with its simple S_0 over the zero extension."""
+    return _pairs_workspace(
+        65521, {"quiver": {"vertices": 2, "arrows": [[0, 1], [1, 0]],
+                           "zero_relations": [[0, 1], [1, 0]]}},
+        _zero_bimodule(4), [[[[1]], [[0]], [[0]], [[0]]]], [[[]]])
+
+
+def _ta3():
+    """T(A3) = A3 |x D(A3), D(A3) = Hom_k(A3, k) with b_i acting on the dual
+    basis by the transpose of right multiplication from the left and of
+    left multiplication from the right, with the pairs of A3's simples."""
+    a = monomial_quiver_algebra(3, [(0, 1), (1, 2)], [], FieldSpec(2))
+    left = [m.T for m in LeftModule.regular(opposite_algebra(a)).acts]
+    right = [m.T for m in LeftModule.regular(a).acts]
+    dual = Bimodule(a, a, [FpMatrix(m, a.field) for m in left],
+                    [FpMatrix(m, a.field) for m in right])
+    tops = simples(a)
+    return _pairs_workspace(
+        2, {"quiver": {"vertices": 3, "arrows": [[0, 1], [1, 2]]}},
+        {"left_action": [m.tolist() for m in left],
+         "right_action": [m.tolist() for m in right]},
+        [s.acts.tolist() for s in tops],
+        [[[0] * tensor_bimodule_left(dual, s).space.dim] for s in tops])
+
+
+@pytest.mark.parametrize("workspace, pairs", [(_n22_at_65521, 1), (_ta3, 3)],
+                         ids=["n22_at_65521", "ta3"])
+def test_check_gp_reads_a_self_injective_regime(tmp_path, capsys, workspace,
+                                               pairs):
+    # N(2,2) is self-injective, and T(A3) symmetric, so self-injective:
+    # check gp reads each simple pair's answer off the regime
+    results = _check_gp(tmp_path, capsys, workspace())
+    assert len(results) == pairs
+    for r in results.values():
+        assert r["answer"] == "certified_yes"
+        assert r["certificate"]["reason"] == "self_injective_regime"
+
+
+# the quiver 0 -> 1, 0 -> 2 at p = 65521 in the basis e_0, e_1, e_2, a,
+# a + b (test_structure._two_arrows_at_a_plus_b)
+ONE_SIDED_TABLE = [
+    [[1, 0, 0, 0, 0], [0] * 5, [0] * 5, [0] * 5, [0] * 5],
+    [[0] * 5, [0, 1, 0, 0, 0], [0] * 5, [0, 0, 0, 1, 0], [0, 0, 0, 1, 0]],
+    [[0] * 5, [0] * 5, [0, 0, 1, 0, 0], [0] * 5, [0, 0, 0, 65520, 1]],
+    [[0, 0, 0, 1, 0], [0] * 5, [0] * 5, [0] * 5, [0] * 5],
+    [[0, 0, 0, 0, 1], [0] * 5, [0] * 5, [0] * 5, [0] * 5]]
+
+
+def test_check_gp_answers_on_a_one_sided_table_as_on_its_quiver(tmp_path,
+                                                                capsys):
+    # A passes the four checks of the path-basis certificate (A^op fails
+    # one, e_1.(a + b) = a, and check gp reads nothing over A^op): check gp
+    # answers on the pairs of the simples over the zero extension as on the
+    # quiver, whose sinks 1 and 2 are projective
+    quiver, table = (_check_gp(tmp_path, capsys, _pairs_workspace(
+        65521, algebra, _zero_bimodule(5),
+        [[[[int(b == i)]] for b in range(5)] for i in range(3)], [[[]]] * 3))
+        for algebra in ({"quiver": {"vertices": 3,
+                                    "arrows": [[0, 1], [0, 2]]}},
+                        {"structure_constants": ONE_SIDED_TABLE,
+                         "unit": [1, 1, 1, 0, 0]}))
+    assert quiver == table
+    assert [r["answer"] for r in quiver.values()] == [
+        "certified_no", "certified_yes", "certified_yes"]
 
 
 @pytest.mark.parametrize("error", [AlgebraError, LinalgError, StructureError,
@@ -618,3 +700,23 @@ def test_readme_pass_builds_each_tensor_and_hom_module_once(tmp_path,
     total = sum(per_command.values(), collections.Counter())
     assert total["tensor"] <= 27 and total["hom"] <= 10, per_command
     assert per_command["resolve", "pair", "--window", "3"]["tensor"] <= 8
+
+
+def _python_in_ci(text):
+    """The lines of a workflow that write a .py file through a heredoc, or
+    that import extalg."""
+    return [line.strip() for line in text.splitlines()
+            if "<<" in line and re.search(r"\.py\b", line)
+            or re.search(r"\b(from|import) extalg\b", line)]
+
+
+def test_ci_runs_no_python_that_tier1_does_not():
+    # a check of the library belongs in Tier-1, where every run sees it;
+    # the workflow runs the installed console script and checked-in files
+    assert _python_in_ci("cat > ws.json <<'EOF'\npython3 tests/x.py") == []
+    assert _python_in_ci("  cat > spy.py <<'EOF'\n  from extalg import cli\n"
+                         "python3 -c 'import extalg.cli'") == [
+        "cat > spy.py <<'EOF'", "from extalg import cli",
+        "python3 -c 'import extalg.cli'"]
+    workflow = ROOT / ".github" / "workflows" / "tier1.yml"
+    assert _python_in_ci(workflow.read_text()) == []

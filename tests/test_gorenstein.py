@@ -1,4 +1,6 @@
+import importlib
 import itertools
+import pathlib
 
 import numpy as np
 import pytest
@@ -37,14 +39,14 @@ from extalg.gorenstein import (CERTIFIED_NO, CERTIFIED_YES,
                                zr_bimodule)
 from extalg.homology import (ChainComplex, DimensionVerdict, ExtResult,
                              default_bound, ext_dims, ext_from_resolution,
-                             id_bounded, minimal_projective_resolution,
-                             non_minimal_resolution)
+                             id_bounded, minimal_projective_resolution)
 from extalg.linalg import FieldSpec, FpMatrix, is_invertible, rank
 from extalg.structure import (_vertex_split, find_isomorphism, is_projective,
                               simples)
 from extalg.trivext import (_extend, functor_C, functor_Z_copair,
                             functor_Z_pair, module_to_copair, module_to_pair,
                             opposite_extension, pair_to_module)
+from reference import non_minimal_resolution
 from test_resolution_fingerprint import _quivers
 from test_structure import _a3_in_a_random_basis, _prime_at_most, _scramble
 
@@ -176,6 +178,19 @@ def test_an_acyclic_quiver_reads_its_regime_off_the_simples(monkeypatch,
         assert regime == IWANAGA_GORENSTEIN, name
         assert got == [DimensionVerdict.finite(gldim)] * 2, name
         assert tuple(got) == _both_walks(a, default_bound(a)), name
+
+
+def test_the_benchmark_query_on_a19_walks_no_dual(monkeypatch):
+    # A19 (dim 190) has no oriented cycle: its regime reads the simples and
+    # covers no dense dual, and the benchmark's per-algebra query meets its
+    # closed forms
+    monkeypatch.syspath_prepend(pathlib.Path(__file__).resolve().parents[1])
+    workloads = importlib.import_module("perfbench.workloads")
+    walks = _dual_walks(monkeypatch)
+    a19 = workloads.linear(19)
+    assert workloads.check_algebra(
+        a19, workloads.algebra_query(a19, 2, None)) == []
+    assert not walks
 
 
 def test_a_zero_top_ext_sends_the_regime_to_the_walks(monkeypatch):

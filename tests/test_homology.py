@@ -18,11 +18,12 @@ from extalg.homology import (ChainComplex, DimensionVerdict,
                              _precompose_matrix, default_bound, ext, ext_dims,
                              ext_from_resolution, fd_bounded, hom_complex,
                              id_bounded, is_exact_complex,
-                             minimal_projective_resolution,
-                             non_minimal_resolution, pd_bounded, syzygy)
+                             minimal_projective_resolution, pd_bounded,
+                             syzygy)
 from extalg.linalg import FieldSpec, FpMatrix, inverse, rank
 from extalg.structure import find_isomorphism, projective_cover, simples
 from extalg.trivext import trivial_extension
+from reference import non_minimal_resolution
 
 
 @pytest.fixture(scope="module")
@@ -51,11 +52,19 @@ def test_syzygy_periodicity(d_total, k_over_d):
 
 
 @pytest.mark.parametrize("p", [2, 65521])
-def test_wild_syzygies_double(p):
-    # over k<x,y>/(x,y)^2 the radical of the cover of S^n is S^(2n)
+def test_wild_syzygies_double(monkeypatch, p):
+    # over k<x,y>/(x,y)^2 the radical of the cover of S^n is S^(2n), so the
+    # terms have dims 3.2^k; every syzygy is semisimple, so each cover reads
+    # its kernel off the PIM table and the resolution eliminates no kernel
     s = simples(local_wild_algebra(FieldSpec(p)))[0]
+    calls, build = [], extalg.structure.kernel_basis
+    monkeypatch.setattr(extalg.structure, "kernel_basis",
+                        lambda m: calls.append(m) or build(m))
     assert syzygy(s, 0) is s
     assert [syzygy(s, i).dim for i in range(6)] == [1, 2, 4, 8, 16, 32]
+    assert [t.dim for t in minimal_projective_resolution(s, 8).terms] == [
+        3 * 2 ** k for k in range(9)]
+    assert not calls, f"{len(calls)} kernel eliminations"
 
 
 def test_ext_periodic_both_paths(d_total, k_over_d):

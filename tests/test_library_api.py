@@ -51,10 +51,6 @@ TEST_SUPPORT = {
                     "through the table",
     "HomSpace.coords": "coordinates of one hom; perfbench/tracer.py wraps it",
     "HomSpace.element": "the hom with given coordinates, for full sweeps",
-    "submodule": "submodule on rows not in RREF, the public boundary",
-    "chop": "a composition series with its inclusions",
-    "injective_envelope": "the envelope with its essential mono",
-    "non_minimal_resolution": "a padded resolution; Ext must not change",
     "kron": "the dense Kronecker product, for reference tensor and hom "
             "systems; perfbench/tracer.py wraps it",
     "Bimodule.zero": "the zero bimodule, for the zero Morita legs and zero "

@@ -25,8 +25,8 @@ from extalg.gorenstein import (compatibility_report, gf_check_right,
                                star_module, verify_cor48, zr_bimodule)
 from extalg.linalg import FieldSpec
 from extalg.morita import upsilon, verify_thm54
-from extalg.structure import injective_envelope
 from extalg.trivext import pair_to_module, tensor_iso_pair
+from reference import injective_envelope
 from test_resolution_fingerprint import _put, _put_module
 
 PRIMES = (2, 3, 101)

@@ -21,19 +21,20 @@ from extalg.algebra import (Algebra, HomSpace, LeftModule, _content,
                             product_algebra, quotient_module,
                             row_space_of_columns)
 from extalg.cli import Workspace, emit_builtin_examples
-from extalg.gorenstein import (CERTIFIED_NO, UNKNOWN, gorenstein_regime,
+from extalg.gorenstein import (CERTIFIED_NO, IWANAGA_GORENSTEIN,
+                               SELF_INJECTIVE, UNKNOWN, gorenstein_regime,
                                gp_check)
 from extalg.homology import (DimensionVerdict, ext, id_bounded,
                              minimal_projective_resolution, pd_bounded)
 from extalg.linalg import (FieldSpec, FpMatrix, LinalgError, echelon_coords,
                            inverse, kernel_basis, quotient_maps, rank, rref,
                            row_basis, vstack)
-from extalg.structure import (_pim_triples, algebra_radical, chop,
-                              injective_envelope,
+from extalg.structure import (_pim_triples, algebra_radical,
                               find_isomorphism, injective_indecomposables,
                               is_injective, is_projective, projective_cover,
                               projective_indecomposables, radical_of_module,
                               simples, split_module, spin, top_of_module)
+from reference import chop, injective_envelope
 from test_linalg import _record_casts
 from test_resolution_fingerprint import _put, _quivers
 
@@ -934,6 +935,40 @@ def test_regime_builds_nothing_over_the_opposite(monkeypatch, p):
         built.clear(), walks.clear()
 
 
+def test_a6_and_n43_read_their_structure_off_the_path_basis(monkeypatch):
+    # A6 and N(4,3) are basic algebras in a path basis: one certificate
+    # reads the radical, the vertex idempotents and each PIM, a block of
+    # the basis, off it, with no trace chain, no lift, no Frobenius power,
+    # no eigenvalue split and no spin, at the largest prime accepted.  The
+    # simples and the covers of the simples and PIMs come with the PIM
+    # table: no top is built and none of them is covered by elimination.
+    # A6 covers nothing by elimination; the walk over N(4,3) covers the
+    # syzygies of D(A_A)
+    calls, covered = [], []
+    for name in ("_frobenius_fixed", "_eigen_split", "_trace_radical",
+                 "_primitive_idempotents", "spin", "top_of_module"):
+        monkeypatch.setattr(structure, name, lambda *args, name=name,
+                            build=getattr(structure, name):
+                            calls.append(name) or build(*args))
+    build_cover = structure._cover_parts
+    monkeypatch.setattr(structure, "_cover_parts",
+                        lambda m: covered.append(m) or build_cover(m))
+    quivers = {name: rest for name, *rest in _quivers()}
+    for name, regime, pds in (
+            ("A6", IWANAGA_GORENSTEIN, {("finite", 0), ("finite", 1)}),
+            ("N(4,3)", SELF_INJECTIVE, {("exceeds", 24)})):
+        a = monomial_quiver_algebra(*quivers[name], FieldSpec(65521))
+        tops = simples(a)
+        assert gorenstein_regime(a)[0] == regime, name
+        assert {(v.kind, v.value) for v in map(pd_bounded, tops)} == pds
+        known = {_content(m) for m in tops + [
+            pim for pim, _, _ in _pim_triples(a)]}
+        assert not [m for m in covered if _content(m) in known], name
+        assert bool(covered) == (name == "N(4,3)"), name
+        covered.clear()
+    assert not calls, calls
+
+
 # ---------------------------------------------------------------------------
 # the primitive idempotents, pinned
 
@@ -1407,13 +1442,20 @@ def _one_side(a):
 
 
 @pytest.mark.parametrize("p", [2, 3, 65521])
-def test_a_one_sided_table_certifies_one_side(p):
+def test_a_one_sided_table_certifies_one_side(monkeypatch, p):
     # A is certified and A^op is not: each checks its own table, and each
-    # side answers as the trace chain, the lift and the spin do
+    # side answers as the trace chain, the lift and the spin do.  A^op
+    # splits its idempotents along eigenvalues that a scan of GF(p) finds,
+    # also at the largest prime accepted, and has the regime of the quiver
+    roots, scan = [], structure._roots
+    monkeypatch.setattr(structure, "_roots",
+                        lambda f, q: roots.append(q) or scan(f, q))
     a = _two_arrows_at_a_plus_b(FieldSpec(p))
     got = [_one_side(a), _one_side(opposite_algebra(a))]
     assert structure._vertex_split(a) is not None
     assert structure._vertex_split(opposite_algebra(a)) is None
+    assert roots and set(roots) == {p}, roots
+    assert gorenstein_regime(opposite_algebra(a))[0] == IWANAGA_GORENSTEIN
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(structure, "_vertex_split", lambda a: None)
         b = Algebra(a.field, a.sc, a.unit, validate=False)

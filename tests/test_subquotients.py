@@ -18,12 +18,13 @@ from conftest import (a2_algebra, a2_morita_ring, double_extension,
                       square_zero_extension, triangular_extension)
 from extalg.algebra import (AlgebraError, HomSpace, LeftModule,
                             block_sum_module, monomial_quiver_algebra,
-                            opposite_algebra, quotient_module, submodule)
+                            opposite_algebra, quotient_module)
 from extalg.gorenstein import gp_check
 from extalg.homology import pd_bounded
 from extalg.linalg import (FieldSpec, FpMatrix, inverse, is_invertible,
                            quotient_maps, rank, row_basis, solve)
-from extalg.structure import chop, find_isomorphism, split_module, spin
+from extalg.structure import find_isomorphism, split_module, spin
+from reference import chop, submodule
 
 ALGEBRAS = {
     "dual_numbers": lambda f: square_zero_extension(f).total,
