@@ -15,7 +15,7 @@ unital; `monomial_quiver_algebra` checks its indices and relations), and
 objects derived from validated parts by a construction that keeps the
 axioms: opposite and product algebras, the total algebras of extensions,
 regular modules (their law is the associativity of the algebra), bimodule
-legs, swapped and zero bimodules, duals, tensor products, Hom modules and
+legs, swapped bimodules, duals, tensor products, Hom modules and
 zero modules.  Such algebras take their tables as built, without a `% p`.
 Submodules and quotients are checked by invariance instead of by the law:
 an invariant subspace of a module, and the quotient by one, satisfy the
@@ -67,19 +67,17 @@ class Algebra:
             unit = np.asarray(unit, dtype=np.int64) % field.p
         self.sc, self.unit = sc, unit
         n = self.sc.shape[0]
-        if self.sc.shape != (n, n, n) or self.unit.shape != (n,):
+        if self.sc.shape != (n, n, n):
             raise AlgebraError("structure constant table has wrong shape")
+        if self.unit.shape != (n,):
+            raise AlgebraError(f"unit has length {self.unit.size} but the "
+                               f"structure constant table has dimension {n}")
         if n < 1:
             raise AlgebraError("zero ring not allowed (dim >= 1 required)")
         self.dim = n
         self._cache: dict = {}
         if validate:
             validate_algebra(self)
-
-    def mult(self, x, y) -> np.ndarray:
-        p = self.field.p
-        return _mul(self.sc, np.asarray(x, dtype=np.int64) % p,
-                    np.asarray(y, dtype=np.int64) % p, p)
 
     def __repr__(self):
         return f"Algebra(p={self.field.p}, dim={self.dim})"
@@ -350,11 +348,6 @@ class Bimodule:
                    LeftModule.regular(opposite_algebra(a)).acts,
                    validate=False)
 
-    @classmethod
-    def zero(cls, a: Algebra) -> "Bimodule":
-        return cls(a, a, np.zeros((a.dim, 0, 0), dtype=np.int64),
-                   np.zeros((a.dim, 0, 0), dtype=np.int64), validate=False)
-
     def __repr__(self):
         return (f"Bimodule(dim={self.dim}, left={self.left_over!r}, "
                 f"right={self.right_over!r})")
@@ -483,12 +476,6 @@ class HomSpace:
         if x is None:
             raise AlgebraError("matrix is not in the hom space")
         return x.transpose(0, 2, 1)
-
-    def element(self, coords) -> ModuleHom:
-        coords = np.asarray(coords, dtype=np.int64) % self.field.p
-        acc = (coords @ self.mat.arr) % self.field.p
-        m = FpMatrix(acc.reshape(self.target.dim, self.source.dim), self.field)
-        return ModuleHom(self.source, self.target, m, validate=False)
 
 
 def _same_algebra(a: Algebra, b: Algebra) -> bool:
@@ -670,37 +657,20 @@ def tensor_map_second(ts_from: TensorSpace, ts_to: TensorSpace,
     return ModuleHom(ts_from.space, ts_to.space, mat, validate=False)
 
 
-@dataclass
-class SwappedTensor:
-    """X ox_R M for a right R-module X and an R-B-bimodule M, carried by
-    the left tensor N ox X over R^op with N = M^swap.
-
-    This is the one place a right tensor appears: where a map on X ox M is
-    given in the paper's coordinates.  `to_left` and `to_right` are the
-    mutually inverse changes between the quotient coordinates of X ox M
-    (plain index (x, m) -> x * dim(M) + m) and those of N ox X (plain index
-    (m, x)).
-    """
-    to_left: FpMatrix
-    to_right: FpMatrix
-
-    def on_left(self, name: str, matrix: FpMatrix, rows: int) -> FpMatrix:
-        """The map `name` from X ox M to a space of dimension rows, given in
-        the coordinates of X ox M, in those of N ox X (`check_shape`)."""
-        return check_shape(name, matrix, rows, self.to_left.rows) @ \
-            self.to_left
-
-
-def swapped_tensor(n: Bimodule, x: LeftModule) -> SwappedTensor:
-    """X ox M from N = M^swap and X read as a left module over R^op."""
+def swapped_tensor(n: Bimodule, x: LeftModule) -> FpMatrix:
+    """X ox_R M, for a right R-module X (a left module over R^op) and an
+    R-B-bimodule M, carried by the left tensor N ox X over R^op with
+    N = M^swap: the invertible matrix from the quotient coordinates of
+    N ox X (plain index (m, x)) to those of X ox M (plain index (x, m) ->
+    x * dim(M) + m).  A map given on X ox M, times it, is the same map on
+    N ox X.  This is the one place a right tensor appears: where a map on
+    X ox M is given in the paper's coordinates."""
     field = x.over.field
     left = tensor_bimodule_left(n, x)
     right = _balanced_quotient(x.acts, n.right.acts, x.over)
     # entry k = m * dim(X) + x of this array is the plain index x * dim(M) + m
     mx = np.arange(x.dim * n.dim).reshape(x.dim, n.dim).T.reshape(-1)
-    return SwappedTensor(
-        FpMatrix(right.project.arr[:, mx], field) @ left.include,
-        FpMatrix(left.project.arr[:, np.argsort(mx)], field) @ right.include)
+    return FpMatrix(right.project.arr[:, mx], field) @ left.include
 
 
 # ---------------------------------------------------------------------------

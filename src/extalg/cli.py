@@ -30,7 +30,7 @@ from .gorenstein import (GorensteinError, build_copair_complete_coresolution,
                          validate_copair_complete_coresolution,
                          validate_pair_complete_resolution, verify_cor35,
                          verify_cor45, verify_cor48)
-from .linalg import FieldSpec, FpMatrix, LinalgError
+from .linalg import FieldSpec, FpMatrix, LinalgError, inverse
 from .morita import (CoTupleModule, MoritaError, MoritaRing, TupleModule,
                      right_tuple, verify_thm52, verify_thm53, verify_thm54)
 from .structure import StructureError
@@ -387,8 +387,8 @@ def emit_builtin_examples() -> dict:
         LeftModule.regular(opposite_algebra(dext.total)),
         opposite_extension(dext))
     # a workspace gives a right pair's alpha on X ox M
-    d_right_alpha = d_reg_right.alpha.matrix @ swapped_tensor(
-        d_reg_right.t.bimodule, d_reg_right.x).to_right
+    d_right_alpha = d_reg_right.alpha.matrix @ inverse(swapped_tensor(
+        d_reg_right.t.bimodule, d_reg_right.x))
     # triangular 2x2 as an extension of k x k
     e1_on_m = FpMatrix.zeros(1, 1, field)
     e2_on_m = FpMatrix.identity(1, field)

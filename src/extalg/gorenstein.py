@@ -14,10 +14,9 @@ Ext^i, its certificate.
 A quiver with no oriented cycle gives A finite global dimension, the same
 on both sides (Auslander, Nagoya Math. J. 9, 1955), so the regime reads
 id(_A A) = id(A_A) (Zaks, J. Algebra 13, 1969) off the simples.  Else it
-walks D(A_A), over A, for dr = id(A_A) and reads dl = id(_A A) off it (one
-side self-injective makes both so: Lam, Lectures on Modules and Rings,
-Thm. 15.1), walking D(_A A) over A^op only where dr is infinite, or dr > 0
-and the path-basis certificate refuses A.
+walks D(A_A), over A, for dr = id(A_A).  dr = 0 gives dl = id(_A A) = 0
+(one side self-injective makes both so: Lam, Lectures on Modules and Rings,
+Thm. 15.1); any other dr has dl walked on D(_A A), over A^op.
 
 The three kinds of complete resolution (base, lifted pair, dualized
 copair) come back as one record, `CompleteResolution`, and their three
@@ -43,13 +42,11 @@ from .algebra import (Algebra, Bimodule, HomSpace, LeftModule, ModuleHom,
                       is_kernel_inclusion, kept, opposite_algebra,
                       quotient_module)
 from .homology import (ChainComplex, DimensionVerdict, _precompose_matrix,
-                       default_bound, ext_dims, ext_from_resolution,
-                       fd_bounded, hom_complex, hom_complex_co, id_bounded,
-                       is_exact_complex, minimal_projective_resolution,
-                       pd_bounded)
+                       default_bound, ext, ext_dims, fd_bounded, hom_complex,
+                       hom_complex_co, id_bounded, is_exact_complex,
+                       minimal_projective_resolution, pd_bounded)
 from .linalg import FpMatrix, is_invertible, rank, rref, solve
-from .structure import (_triangular, _vertex_split,
-                        injective_indecomposables, is_injective,
+from .structure import (_triangular, injective_indecomposables, is_injective,
                         is_projective, projective_indecomposables, simples)
 from .trivext import (CopairModule, PairModule, TrivialExtension,
                       _coextend, _extend, _inflate, copair_to_module,
@@ -111,13 +108,6 @@ def biduality_map(m) -> ModuleHom:
 # regimes
 
 
-def _ext_into_regular(s, i: int) -> int:
-    """dim Ext^i(S, A) for a simple S, 0 where Omega^i(S) = 0."""
-    res = minimal_projective_resolution(s, max(i - 1, 0))
-    return res.syzygies[i].dim and ext_from_resolution(
-        res, LeftModule.regular(s.over), i).dim
-
-
 def _off_the_simples(a: Algebra, bound: int):
     """dl = dr for a triangular A whose simples have pd <= bound (module
     docstring), else None: the largest i with Ext^i(S, A) != 0 over the
@@ -128,34 +118,22 @@ def _off_the_simples(a: Algebra, bound: int):
     pds = [pd_bounded(s, bound) for s in simples(a)]
     s, top = max(zip(simples(a), pds), key=lambda sv: sv[1].value)
     if all(v.is_finite() for v in pds) and (
-            not top.value or _ext_into_regular(s, top.value)):
+            not top.value or ext(s, LeftModule.regular(a), top.value).dim):
         return top
-
-
-def _left_from_right(a: Algebra, dr, bound: int):
-    """dl = id(_A A) off dr = id(A_A), or None where dl must be walked:
-    dr = 0 gives dl = 0, and dr = n >= 1 gives dl = n unless some
-    Ext^(n+1)(S, A) != 0, read off the simples of a certified PIM table,
-    which makes dl infinite."""
-    if dr == DimensionVerdict.finite(0):
-        return dr
-    if dr.is_finite() and _vertex_split(a):
-        return DimensionVerdict.exceeds(bound) if any(_ext_into_regular(
-            s, dr.value + 1) for s in simples(a)) else dr
 
 
 def gorenstein_regime(a: Algebra, bound: Optional[int] = None
                       ) -> Tuple[str, object, object]:
     """(regime, left verdict, right verdict) for the self-injective
     dimensions of the two regular modules (module docstring): off the
-    simples, else dr walked over A and dl read off it where it can be."""
+    simples, else dr walked over A, and dl over A^op unless dr = 0."""
     if bound is None:
         bound = default_bound(a)
     def build():
         dl = dr = _off_the_simples(a, bound)
         if dr is None:
             dr = id_bounded(LeftModule.regular(opposite_algebra(a)), bound)
-            dl = _left_from_right(a, dr, bound) or id_bounded(
+            dl = dr if dr == DimensionVerdict.finite(0) else id_bounded(
                 LeftModule.regular(a), bound)
         regime = UNKNOWN if not (dl.is_finite() and dr.is_finite()) \
             else SELF_INJECTIVE if dl.value == dr.value == 0 \
@@ -201,7 +179,7 @@ def gp_check(g: LeftModule, bound: Optional[int] = None) -> GorensteinVerdict:
                  "checked": limit, "id_left": dl.value, "id_right": dr.value},
                 bound)
     ev = biduality_map(g)
-    if ev.matrix.rows != ev.matrix.cols or not is_invertible(ev.matrix):
+    if not is_invertible(ev.matrix):
         return GorensteinVerdict(
             CERTIFIED_NO, regime,
             {"reason": "biduality_not_invertible",

@@ -163,9 +163,11 @@ def right_tuple(ring: MoritaRing, w: LeftModule, q: LeftModule,
     the tuple (W, Q, g, f) over the opposite context, named in its own
     letters."""
     op = ring.opposite
-    rt = TupleModule(op, w, q,
-                     swapped_tensor(op.u, w).on_left("g", g_matrix, q.dim),
-                     swapped_tensor(op.v, q).on_left("f", f_matrix, w.dim),
+    gst = swapped_tensor(op.u, w)
+    g = check_shape("g", g_matrix, q.dim, gst.rows) @ gst
+    fst = swapped_tensor(op.v, q)
+    rt = TupleModule(op, w, q, g,
+                     check_shape("f", f_matrix, w.dim, fst.rows) @ fst,
                      validate=False)
     rt.letters = "gf"
     rt.axioms = ("f o (g ox U) != 0", "g o (f ox V) != 0")

@@ -195,8 +195,9 @@ def right_pair(t: TrivialExtension, x: LeftModule,
     base and alpha in the coordinates of X ox M: the pair over the opposite
     extension, on which x.(r, m) = x.r + alpha(x ox m)."""
     top = opposite_extension(t)
-    return PairModule(top, x, swapped_tensor(top.bimodule, x).on_left(
-        "alpha", alpha_matrix, x.dim))
+    st = swapped_tensor(top.bimodule, x)
+    return PairModule(top, x, check_shape("alpha", alpha_matrix, x.dim,
+                                          st.rows) @ st)
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +468,7 @@ def hom_iso_copair(x: LeftModule, copair: CopairModule) -> ModuleHom:
     mid = copair_to_module(copair)
     lhs_space = hom_space(zx, mid)
     mat = lhs_space.coords_many(incl.matrix.arr @ rhs_space.basis_array())
-    if mat.rows != mat.cols or not is_invertible(mat):
+    if not is_invertible(mat):
         raise TrivextError("canonical hom comparison map is not invertible")
     return ModuleHom(field_space(t.field, rhs_space.dim),
                      field_space(t.field, lhs_space.dim), mat, validate=False)

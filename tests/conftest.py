@@ -21,7 +21,7 @@ from extalg.structure import spin
 from extalg.trivext import (PairModule, TrivextError, module_to_copair,
                             module_to_pair, opposite_extension,
                             trivial_extension)
-from reference import chop, submodule
+from reference import chop, element, submodule, zero_bimodule
 
 FIELD2 = FieldSpec(2)
 FIELD3 = FieldSpec(3)
@@ -87,13 +87,13 @@ def a2_morita_ring(field):
     """Morita ring of (k, k, k, 0): total algebra is 3-dimensional,
     isomorphic to the triangular matrix ring."""
     k = field_algebra(field)
-    return MoritaRing(k, k, Bimodule.regular(k), Bimodule.zero(k))
+    return MoritaRing(k, k, Bimodule.regular(k), zero_bimodule(k))
 
 
 def product_morita_ring(field):
     """Morita ring of (k, k, 0, 0): degenerates to k x k."""
     k = field_algebra(field)
-    return MoritaRing(k, k, Bimodule.zero(k), Bimodule.zero(k))
+    return MoritaRing(k, k, zero_bimodule(k), zero_bimodule(k))
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +233,7 @@ def enumerate_pairs(t, max_total):
             hs = hom_space(ts.space, x)
             for coords in itertools.product(range(p), repeat=hs.dim):
                 try:
-                    out.append(PairModule(t, x, hs.element(coords).matrix))
+                    out.append(PairModule(t, x, element(hs, coords).matrix))
                 except TrivextError:
                     continue
     return out

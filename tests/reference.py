@@ -1,21 +1,45 @@
 """Reference constructions that only the tests use, built from the
-library's own steps: a submodule on rows in any form, a composition series
-with its inclusions, the injective envelope with its essential mono, and a
-padded projective resolution."""
+library's own steps: the product of two algebra elements, the hom with
+given coordinates, the zero bimodule, a submodule on rows in any form, a
+composition series with its inclusions, the injective envelope with its
+essential mono, and a padded projective resolution."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import List
 
-from extalg.algebra import (LeftModule, ModuleHom, _echelon_submodule,
-                            block_sum_module, dual_module, kernel_module,
-                            quotient_module)
+import numpy as np
+
+from extalg.algebra import (Bimodule, LeftModule, ModuleHom,
+                            _echelon_submodule, _mul, block_sum_module,
+                            dual_module, kernel_module, quotient_module)
 from extalg.homology import Resolution, _resolve
 from extalg.linalg import FpMatrix, echelon_coords, hstack, row_basis, vstack
 from extalg.structure import (ProjectivePresentation, _pim_triples,
                               _radical_span, projective_cover,
                               projective_indecomposables, spin)
+
+
+def mult(a, x, y) -> np.ndarray:
+    """The product x*y of two elements of the algebra a, in coordinates."""
+    p = a.field.p
+    return _mul(a.sc, np.asarray(x, dtype=np.int64) % p,
+                np.asarray(y, dtype=np.int64) % p, p)
+
+
+def element(hs, coords) -> ModuleHom:
+    """The hom of the hom space hs with the given coordinates."""
+    coords = np.asarray(coords, dtype=np.int64) % hs.field.p
+    acc = (coords @ hs.mat.arr) % hs.field.p
+    m = FpMatrix(acc.reshape(hs.target.dim, hs.source.dim), hs.field)
+    return ModuleHom(hs.source, hs.target, m, validate=False)
+
+
+def zero_bimodule(a) -> Bimodule:
+    """The zero A-A-bimodule."""
+    return Bimodule(a, a, np.zeros((a.dim, 0, 0), dtype=np.int64),
+                    np.zeros((a.dim, 0, 0), dtype=np.int64), validate=False)
 
 
 def submodule(x, basis_rows: FpMatrix):

@@ -254,6 +254,9 @@ def test_a_command_does_not_fail_on_an_entity_it_does_not_read(
      "algebra 'k': structure_constants: expected an integer, got true"),
     ({"algebras": {"k": {"structure_constants": [[[1]]], "unit": [1.0]}}},
      "algebra 'k': unit: expected an integer, got 1.0"),
+    ({"algebras": {"a": {"structure_constants": [[[1]]], "unit": [1, 0]}}},
+     "algebra 'a': unit has length 2 but the structure constant table has "
+     "dimension 1"),
     ({"modules": {"m": {"over": "k2", "action": [[[1, 0], [0]]]}}},
      "module 'm': action: rows of unequal length"),
     ({"modules": {"m": {"over": "k2", "action": 5}}},
@@ -360,8 +363,9 @@ def test_a_command_does_not_fail_on_an_entity_it_does_not_read(
         "quiver_vertices_float", "quiver_relation_float",
         "quiver_arrow_text", "module_side", "action_float",
         "action_count", "action_not_square", "action_sizes", "right_law",
-        "structure_constants_bool", "unit_float", "action_ragged",
-        "action_not_a_list", "action_huge_int", "quiver_arrow_not_a_list",
+        "structure_constants_bool", "unit_float", "unit_length",
+        "action_ragged", "action_not_a_list", "action_huge_int",
+        "quiver_arrow_not_a_list",
         "quiver_arrow_three_ends", "right_pair_square", "right_tuple_axiom",
         "right_pair_alpha_columns", "right_tuple_f_columns",
         "right_tuple_g_rows", "pair_alpha_columns", "copair_beta_rows",

@@ -46,7 +46,7 @@ from extalg.structure import (_vertex_split, find_isomorphism, is_projective,
 from extalg.trivext import (_extend, functor_C, functor_Z_copair,
                             functor_Z_pair, module_to_copair, module_to_pair,
                             opposite_extension, pair_to_module)
-from reference import non_minimal_resolution
+from reference import element, non_minimal_resolution
 from test_resolution_fingerprint import _quivers
 from test_structure import _a3_in_a_random_basis, _prime_at_most, _scramble
 
@@ -102,12 +102,12 @@ def _opposite_table(a):
 @example(quiver=(2, [(0, 1), (1, 0), (1, 1)], [(1, 0), (2, 2)]), p=101,
          bound=3, seed=0)
 def test_regime_matches_the_two_dual_walks(quiver, p, bound, seed):
-    # dl is read off dr (QF, Zaks) where the certificate holds and walked
-    # over A^op elsewhere: against both walks on a fresh copy of A, of
-    # A^op and of A in a random basis, which the certificate refuses.  In
-    # the examples dr = dl = 2 (A3 mod its path of length 2), and a simple
-    # of infinite pd makes the regime read Ext^(dr+1)(S, A) for dr = 1
-    # (0 -> 1 with a loop at 1 of square 0) and dr = 2
+    # the regime, read off the simples or walked (dl = 0 from dr = 0, QF),
+    # against both walks on a fresh copy of A, of A^op and of A in a
+    # random basis, which the certificate refuses.  In the examples
+    # dr = dl = 2 (A3 mod its path of length 2), and a simple of infinite
+    # pd sends the regime to both walks for dr = 1 (0 -> 1 with a loop at
+    # 1 of square 0) and dr = 2
     field = FieldSpec(p)
     a = small_quiver_algebra(*quiver, field, paths=12)
     if a is None:
@@ -121,24 +121,6 @@ def test_regime_matches_the_two_dual_walks(quiver, p, bound, seed):
             assert got == (id_bounded(LeftModule.regular(x), bound),
                            id_bounded(LeftModule.regular(opposite_algebra(x)),
                                       bound))
-
-
-def test_a_nonzero_ext_past_dr_makes_dl_infinite(monkeypatch):
-    # no known algebra has dr finite and dl infinite (that would refute
-    # the Gorenstein symmetry conjecture), so a nonzero Ext^2(S_0, A) is
-    # faked over 0 -> 1 with a loop at 1 of square 0, where dr = 1 and S_0
-    # has infinite pd: dl is then past every bound, as a walk would find
-    calls = []
-
-    def nonzero(res, n, i):
-        calls.append(i)
-        return ExtResult(1, 1, 0)
-    monkeypatch.setattr(extalg.gorenstein, "ext_from_resolution", nonzero)
-    a = monomial_quiver_algebra(2, [(0, 1), (1, 1)], [[1, 1]], FIELD3)
-    regime, dl, dr = gorenstein_regime(a, 4)
-    assert (regime, dl, dr) == (UNKNOWN, DimensionVerdict.exceeds(4),
-                                DimensionVerdict.finite(1))
-    assert calls == [2]
 
 
 def _dual_walks(monkeypatch):
@@ -198,9 +180,8 @@ def test_a_zero_top_ext_sends_the_regime_to_the_walks(monkeypatch):
     # route; faked to 0 over A3 mod its path of length 2 (n = 2), the
     # regime walks the duals instead
     calls = []
-    monkeypatch.setattr(
-        extalg.gorenstein, "ext_from_resolution",
-        lambda res, n, i: calls.append(i) or ExtResult(0, 0, 0))
+    monkeypatch.setattr(extalg.gorenstein, "ext",
+                        lambda m, n, i: calls.append(i) or ExtResult(0, 0, 0))
     walks = _dual_walks(monkeypatch)
     a = monomial_quiver_algebra(*_A3_MOD_PATH2, FIELD3)
     got = gorenstein_regime(a)[1:]
@@ -211,18 +192,22 @@ def test_a_zero_top_ext_sends_the_regime_to_the_walks(monkeypatch):
 @pytest.mark.parametrize("p", [2, 3, 65521])
 def test_a_pd_past_the_bound_or_a_cycle_walks_the_dual(monkeypatch, p):
     # a simple of pd 2 at bound 1, cyclic quivers (N(3,2), the wild
-    # algebra, one loop of square 0) and a table the certificate refuses
-    # keep the dual walks, and their verdicts
+    # algebra, one loop of square 0, 0 -> 1 with a loop at 1 of square 0)
+    # and a table the certificate refuses keep the dual walks, and their
+    # verdicts: one walk where dr = 0, both elsewhere (dr = 1 for the
+    # loop at 1)
     walks, field = _dual_walks(monkeypatch), FieldSpec(p)
     a3_mod = monomial_quiver_algebra(*_A3_MOD_PATH2, field)
     cases = [(a3_mod, 1)] + [(monomial_quiver_algebra(*quiver, field), None)
                              for quiver in (
         (3, [(0, 1), (1, 2), (2, 0)], [[0, 1], [1, 2], [2, 0]]),
         (1, [(0, 0), (0, 0)], [[0, 0], [0, 1], [1, 0], [1, 1]]),
-        (1, [(0, 0)], [[0, 0]]))] + [(_a3_in_a_random_basis(), None)]
+        (1, [(0, 0)], [[0, 0]]),
+        (2, [(0, 1), (1, 1)], [[1, 1]]))] + [(_a3_in_a_random_basis(), None)]
     for a, bound in cases:
         got = gorenstein_regime(a, bound)[1:]
-        assert walks
+        assert len(walks) == (1 if got[1] == DimensionVerdict.finite(0)
+                              else 2)
         assert got == _both_walks(a, bound or default_bound(a))
         walks.clear()
     assert gorenstein_regime(a3_mod, 1)[0] == UNKNOWN
@@ -665,7 +650,7 @@ def nontrivial_dd_pair(field=FIELD2):
         if not any(coords):
             continue
         try:
-            pair = PairModule(dd, x, hs.element(coords).matrix)
+            pair = PairModule(dd, x, element(hs, coords).matrix)
         except TrivextError:
             continue
         hyp = thm_pair_hypotheses(pair)

@@ -43,18 +43,12 @@ PAPER_API = {
                "returns the pair over the opposite extension",
     "upsilon_inverse": "the inverse of upsilon; it returns the tuple over "
                        "the opposite context",
-    "ext": "Ext^i(M, N), whose vanishing the Gorenstein statements read",
 }
 # Names that do work no other public name does, for the tests:
 TEST_SUPPORT = {
-    "Algebra.mult": "the product of two elements; the library multiplies "
-                    "through the table",
     "HomSpace.coords": "coordinates of one hom; perfbench/tracer.py wraps it",
-    "HomSpace.element": "the hom with given coordinates, for full sweeps",
     "kron": "the dense Kronecker product, for reference tensor and hom "
             "systems; perfbench/tracer.py wraps it",
-    "Bimodule.zero": "the zero bimodule, for the zero Morita legs and zero "
-                     "extensions",
 }
 
 
@@ -129,10 +123,10 @@ def test_every_public_name_is_used_or_listed():
     A function or class counts as referenced only through its name, not
     through an attribute of that name (ring.ext does not use ext).  A
     classmethod counts only through its class's name (LeftModule.zero
-    does not use Bimodule.zero).  Any other method counts only through an
+    does not use ModuleHom.zero).  Any other method counts only through an
     attribute of its name, and not from inside a method of that name:
-    local variables called like a method (mult, coords) do not use it,
-    and neither does a method that only forwards to the same method of an
+    local variables called like a method (coords) do not use it, and
+    neither does a method that only forwards to the same method of an
     object it holds."""
     trees = {path.stem: ast.parse(path.read_text())
              for path in sorted(SRC.glob("*.py"))}
@@ -211,48 +205,87 @@ def test_only_kept_and_shared_touch_a_cache():
 # classes in src/extalg derives its object from checked parts by a
 # construction that keeps the axioms, and passes validate=False.
 CHECKED = {"Algebra", "LeftModule", "Bimodule", "ModuleHom", "PairModule",
-           "CopairModule", "TupleModule"}
+           "CopairModule", "TupleModule", "CoTupleModule"}
 TRUST_BOUNDARY = {("cli", "_algebra"), ("cli", "_bimodule"),
                   ("cli", "_module"), ("cli", "emit_builtin_examples"),
-                  ("trivext", "right_pair")}
+                  ("trivext", "right_pair"), ("morita", "right_tuple")}
 
 
-def _checked_builds(node, stem, scope=(), owner=None):
+def _checking_classes(trees):
+    """CHECKED and the classes they inherit from, whose methods check an
+    object of their own: a `.validate()` there is the check of a build."""
+    bases = {node.name: [ast.unparse(b) for b in node.bases]
+             for tree in trees for node in ast.walk(tree)
+             if isinstance(node, ast.ClassDef)}
+    found, todo = set(), list(CHECKED)
+    while todo:
+        name = todo.pop()
+        if name not in found:
+            found.add(name)
+            todo += bases.get(name, [])
+    return found
+
+
+def _checked_builds(node, stem, checking, scope=(), owner=None):
     """(scope, "file:line scope") of each call under node that builds one
     of CHECKED without validate=False, by its name or as `cls` inside a
-    method of owner, the innermost class; scope is the qualified name of
-    the innermost class or function."""
+    method of owner, the innermost class, and of each `.validate()` call
+    in a library module outside the methods of the classes `checking`
+    (the CLI's `Workspace.validate` builds a whole workspace through the
+    trust boundary); scope is the qualified name of the innermost class or
+    function."""
     for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.Call) and isinstance(child.func, ast.Name):
-            name = owner if child.func.id == "cls" else child.func.id
-            if name in CHECKED and not any(
-                    k.arg == "validate" and ast.unparse(k.value) == "False"
-                    for k in child.keywords):
-                where = ".".join(scope)
-                yield (stem, where), f"{stem}.py:{child.lineno} {where}"
+        func = child.func if isinstance(child, ast.Call) else None
+        if isinstance(func, ast.Name):
+            name = owner if func.id == "cls" else func.id
+            checked = name in CHECKED and not any(
+                k.arg == "validate" and ast.unparse(k.value) == "False"
+                for k in child.keywords)
+        else:
+            checked = isinstance(func, ast.Attribute) and \
+                func.attr == "validate" and stem in LIBRARY and \
+                owner not in checking
+        if checked:
+            where = ".".join(scope)
+            yield (stem, where), f"{stem}.py:{child.lineno} {where}"
         named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
         yield from _checked_builds(
-            child, stem, scope + (child.name,) if named else scope,
+            child, stem, checking, scope + (child.name,) if named else scope,
             child.name if isinstance(child, ast.ClassDef) else owner)
 
 
 def test_only_the_trust_boundary_builds_checked():
     """Data is checked where it enters, and nowhere else: only the
     functions of TRUST_BOUNDARY build an algebra, module, bimodule, module
-    map, pair, copair or tuple with its check on, and each of them does."""
+    map, pair, copair, tuple or cotuple with its check on, or check one
+    built without it, and each of them does."""
     snippet = ("class LeftModule:\n"
                "    @classmethod\n"
                "    def zero(cls, a):\n"
                "        return cls(a, [])\n"
+               "class Presented:\n"
+               "    def validate(self):\n"
+               "        self.module.validate()\n"
+               "class PairModule(Presented):\n"
+               "    def __init__(self):\n"
+               "        self.validate()\n"
                "def f(a, m):\n"
                "    return (ModuleHom(a, a, m),\n"
-               "            ModuleHom(a, a, m, validate=False))\n")
+               "            ModuleHom(a, a, m, validate=False))\n"
+               "def g(r, w, q, f, g):\n"
+               "    CoTupleModule(r, w, q, f, g)\n"
+               "    t = TupleModule(r, w, q, f, g, validate=False)\n"
+               "    t.validate()\n")
+    tree = ast.parse(snippet)
     assert [where for _, where in _checked_builds(
-        ast.parse(snippet), "algebra")] == ["algebra.py:4 LeftModule.zero",
-                                            "algebra.py:6 f"]
-    builds = [build for path in sorted(SRC.glob("*.py"))
-              for build in _checked_builds(ast.parse(path.read_text()),
-                                           path.stem)]
+        tree, "algebra", _checking_classes([tree]))] == [
+        "algebra.py:4 LeftModule.zero", "algebra.py:12 f",
+        "algebra.py:15 g", "algebra.py:17 g"]
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    checking = _checking_classes(trees.values())
+    builds = [build for stem, tree in trees.items()
+              for build in _checked_builds(tree, stem, checking)]
     assert [where for scope, where in builds
             if scope not in TRUST_BOUNDARY] == []
     assert {scope for scope, _ in builds} == TRUST_BOUNDARY

@@ -23,6 +23,7 @@ from extalg.morita import (CoTupleModule, MoritaError, MoritaRing,
 from extalg.structure import find_isomorphism, simples
 from extalg.trivext import (copair_to_module, opposite_extension,
                             pair_to_module)
+from reference import element
 from test_resolution_fingerprint import _put, _put_module
 
 
@@ -352,7 +353,7 @@ def test_law_check_matches_the_composites():
             spaces = ((hom_space(tsux.space, y), hom_space(tsvy.space, x))
                       if kind == "tuple" else
                       (hom_space(x, huy.space), hom_space(y, hvx.space)))
-            f, g = (hs.element(rng.integers(0, 2, size=hs.dim)).matrix
+            f, g = (element(hs, rng.integers(0, 2, size=hs.dim)).matrix
                     for hs in spaces)
             if kind == "tuple":
                 vf, ug = TupleModule(ring, x, y, f, g,

@@ -14,7 +14,7 @@ from conftest import (FIELD2, _count_cover_builds, a2_algebra,
                       random_module, small_quiver_algebra,
                       square_zero_extension, triangular_extension)
 from extalg import gorenstein, structure
-from extalg.algebra import (Algebra, HomSpace, LeftModule, _content,
+from extalg.algebra import (Algebra, LeftModule, _content,
                             _echelon_submodule, block_sum_module,
                             dual_module, field_algebra, hom_space,
                             monomial_quiver_algebra, opposite_algebra,
@@ -207,19 +207,16 @@ def test_split_matrix_endomorphisms_at_large_prime():
 
 def test_one_dimensional_endomorphisms_are_not_swept(monkeypatch):
     # End(m) = k.id has no idempotent besides 0 and 1, so splitting a
-    # 1-dimensional module builds no endomorphism at all
-    built = []
-    element = HomSpace.element
-
-    def counted(self, coords):
-        built.append(coords)
-        return element(self, coords)
-
-    monkeypatch.setattr(HomSpace, "element", counted)
+    # 1-dimensional module searches End(m) for none: neither its centre
+    # nor a simple block of it is split
+    searched = []
+    for name in ("_eigen_split", "_split_simple"):
+        monkeypatch.setattr(structure, name,
+                            lambda *args, name=name: searched.append(name))
     m = LeftModule.regular(field_algebra(FieldSpec(65521)))
     pieces = split_module(m)
     assert len(pieces) == 1 and pieces[0][0] is m
-    assert not built
+    assert not searched
 
 
 # ---------------------------------------------------------------------------

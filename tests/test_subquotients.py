@@ -24,7 +24,7 @@ from extalg.homology import pd_bounded
 from extalg.linalg import (FieldSpec, FpMatrix, inverse, is_invertible,
                            quotient_maps, rank, row_basis, solve)
 from extalg.structure import find_isomorphism, split_module, spin
-from reference import chop, submodule
+from reference import chop, element, submodule
 
 ALGEBRAS = {
     "dual_numbers": lambda f: square_zero_extension(f).total,
@@ -159,7 +159,7 @@ def _full_sweep_isomorphism(m, n):
     hs = HomSpace(m, n)
     for coords in itertools.product(range(m.over.field.p), repeat=hs.dim):
         if any(coords):
-            h = hs.element(coords)
+            h = element(hs, coords)
             if is_invertible(h.matrix):
                 return h.matrix
     return None
